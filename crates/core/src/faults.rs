@@ -101,6 +101,18 @@ impl FaultGuard {
         let state = armed::STATE.lock().unwrap_or_else(|p| p.into_inner());
         state.as_ref().is_some_and(|s| s.fired)
     }
+
+    /// Replaces the armed plan (with fresh progress) while keeping the
+    /// harness lock, so one guard can cover a test's set-up — e.g.
+    /// `Pipeline::new`, which passes the `compile` and `link` phases —
+    /// and the faulted run after it.
+    pub fn rearm(&self, plan: FaultPlan) {
+        *armed::STATE.lock().unwrap_or_else(|p| p.into_inner()) = Some(armed::Progress {
+            plan,
+            seen: 0,
+            fired: false,
+        });
+    }
 }
 
 #[cfg(not(feature = "fault-injection"))]
@@ -109,6 +121,11 @@ impl FaultGuard {
     /// harness is compiled out).
     pub fn fired(&self) -> bool {
         false
+    }
+
+    /// Replaces the armed plan (inert when the harness is compiled out).
+    pub fn rearm(&self, plan: FaultPlan) {
+        let _ = plan;
     }
 }
 
@@ -208,6 +225,15 @@ mod tests {
         assert!(matches!(err, CoreError::Injected(_)), "{err}");
         assert!(guard.fired());
         assert!(fault_point("analyze").is_ok(), "a plan fires exactly once");
+    }
+
+    #[test]
+    fn rearm_replaces_the_plan_under_one_guard() {
+        let guard = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
+        assert!(fault_point("compile").is_ok(), "set-up runs unfaulted");
+        guard.rearm(FaultPlan::new("compile", 1, FaultAction::Error));
+        assert!(fault_point("compile").is_err(), "the new plan fires");
+        assert!(guard.fired());
     }
 
     #[test]

@@ -16,13 +16,13 @@ use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
 use spmlab_isa::mem::MemoryMap;
 use spmlab_sim::{
     simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, Profile, SimError,
-    SimOptions, SimResult,
+    SimOptions, SimResult, Tally,
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{analyze, AnalysisBudget, WcetConfig};
 use spmlab_workloads::Benchmark;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Outcome of running one benchmark under one memory configuration:
 /// average-case simulation plus static WCET bound — one data point of the
@@ -307,7 +307,7 @@ impl Pipeline {
     pub fn run(&self, spec: &MemArchSpec) -> Result<ConfigResult, CoreError> {
         spec.validate().map_err(CoreError::Spec)?;
         let canon = spec.canonical();
-        let m = self.measure_spec(&canon)?;
+        let m = self.measure_spec(&canon, &mut None)?;
         Ok(self.package_spec(spec, &m))
     }
 
@@ -361,13 +361,35 @@ impl Pipeline {
     /// The expensive half of [`Pipeline::run`]: measures one *canonical*
     /// spec. Label-free and energy-free so sweep points whose canonical
     /// specs are effectively identical can share one measurement.
-    pub(crate) fn measure_spec(&self, canon: &MemArchSpec) -> Result<ArchMeasurement, CoreError> {
+    ///
+    /// `tally` is the latency-0 trace tally shared by a group of
+    /// no-scratchpad specs that differ only in `main.latency` (see
+    /// [`Pipeline::prices_latencies`]): the first member that replays
+    /// fills it, the others price from it. [`Pipeline::run`] is the
+    /// group of one, passing an empty slot.
+    pub(crate) fn measure_spec(
+        &self,
+        canon: &MemArchSpec,
+        tally: &mut Option<Tally>,
+    ) -> Result<ArchMeasurement, CoreError> {
         let _s = spmlab_obs::span_with("measure-spec", || canon.label());
         crate::faults::fault_point("measure-spec")?;
         match &canon.spm {
             Some(spm) => self.measure_spm(canon, spm),
-            None => self.measure_no_spm(canon),
+            None => self.measure_no_spm(canon, tally),
         }
+    }
+
+    /// Whether `canon` may share a latency-0 tally with specs that differ
+    /// from it only in `main.latency`: a no-scratchpad spec without a
+    /// store buffer, on a pipeline whose recorded trace has no
+    /// cycle-register reads. Such points replay the same cache geometry,
+    /// so one walk of the trace prices them all exactly (see
+    /// `spmlab_sim::trace`).
+    pub(crate) fn prices_latencies(&self, canon: &MemArchSpec) -> bool {
+        canon.spm.is_none()
+            && canon.main.store_buffer.is_none()
+            && self.trace.as_ref().is_some_and(|t| t.cycle_reads() == 0)
     }
 
     /// The cheap half of [`Pipeline::run`]: labels a measurement and
@@ -395,7 +417,9 @@ impl Pipeline {
     }
 
     /// Attempts to price `hierarchy` from `trace`, bumping the
-    /// `sweep_replay` counter on success. Returns `Ok(None)` when no
+    /// `sweep_replay` counter on success. Machines the trace can price
+    /// from a latency-0 tally take it from `tally`, walking the trace
+    /// only when the slot is still empty. Returns `Ok(None)` when no
     /// trace is available, the trace does not support the hierarchy
     /// (count-based v1 trace × write-policy-dependent machine), or the
     /// replay diverged on a recorded cycle-register value — every case
@@ -404,11 +428,21 @@ impl Pipeline {
     fn try_replay(
         trace: Option<&MemTrace>,
         hierarchy: &spmlab_isa::hierarchy::MemHierarchyConfig,
+        tally: &mut Option<Tally>,
     ) -> Result<Option<(u64, MemStats)>, CoreError> {
         let Some(trace) = trace.filter(|t| t.supports(hierarchy)) else {
             return Ok(None);
         };
-        match trace.replay(hierarchy) {
+        let replayed = if trace.priceable(hierarchy) {
+            let shared = match tally {
+                Some(t) => t,
+                None => tally.insert(trace.tally(hierarchy)?),
+            };
+            shared.price(&hierarchy.main)
+        } else {
+            trace.replay(hierarchy)
+        };
+        match replayed {
             Ok((cycles, stats)) => {
                 spmlab_obs::counter("sweep_replay", 1);
                 Ok(Some((cycles, stats)))
@@ -425,7 +459,11 @@ impl Pipeline {
     /// price this machine (see [`Pipeline::try_replay`]). The replayed
     /// memory image equals the baseline's, so its validated checksum
     /// carries over.
-    fn measure_no_spm(&self, canon: &MemArchSpec) -> Result<ArchMeasurement, CoreError> {
+    fn measure_no_spm(
+        &self,
+        canon: &MemArchSpec,
+        tally: &mut Option<Tally>,
+    ) -> Result<ArchMeasurement, CoreError> {
         let linked = &self.no_spm_link;
         let hierarchy = canon.hierarchy();
         // Ordered (v2) traces replay any hierarchy, write-back and
@@ -435,7 +473,7 @@ impl Pipeline {
         // under the target timing) falls back to full simulation instead
         // of failing the point.
         let (sim_cycles, mem_stats, checksum) =
-            match Pipeline::try_replay(self.trace.as_ref(), &hierarchy)? {
+            match Pipeline::try_replay(self.trace.as_ref(), &hierarchy, tally)? {
                 Some((cycles, stats)) => (cycles, stats, self.expected_checksum),
                 None => {
                     spmlab_obs::counter("sweep_full_sim", 1);
@@ -487,7 +525,9 @@ impl Pipeline {
             // The recording machine *is* the uncached Table-1 machine.
             spmlab_obs::counter("sweep_recorded_reuse", 1);
             (arts.recorded_cycles, arts.recorded_stats.clone())
-        } else if let Some(replayed) = Pipeline::try_replay(arts.trace.as_ref(), &hierarchy)? {
+        } else if let Some(replayed) =
+            Pipeline::try_replay(arts.trace.as_ref(), &hierarchy, &mut None)?
+        {
             replayed
         } else {
             spmlab_obs::counter("sweep_full_sim", 1);
@@ -566,7 +606,12 @@ impl Pipeline {
         key: String,
         compute: impl FnOnce() -> Result<SpmAssignment, CoreError>,
     ) -> Result<SpmAssignment, CoreError> {
-        if let Some(a) = self.wcet_allocs.lock().expect("alloc memo").get(&key) {
+        if let Some(a) = self
+            .wcet_allocs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             spmlab_obs::counter("alloc_memo_hit", 1);
             return Ok(a.clone());
         }
@@ -575,7 +620,7 @@ impl Pipeline {
         Ok(self
             .wcet_allocs
             .lock()
-            .expect("alloc memo")
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert(a)
             .clone())
@@ -591,7 +636,12 @@ impl Pipeline {
         assignment: &SpmAssignment,
     ) -> Result<Arc<SpmArtifacts>, CoreError> {
         let key = format!("{size}|{assignment:?}");
-        if let Some(a) = self.spm_links.lock().expect("spm memo").get(&key) {
+        if let Some(a) = self
+            .spm_links
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             spmlab_obs::counter("spm_link_memo_hit", 1);
             return Ok(a.clone());
         }
@@ -618,7 +668,7 @@ impl Pipeline {
         Ok(self
             .spm_links
             .lock()
-            .expect("spm memo")
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert(arts)
             .clone())

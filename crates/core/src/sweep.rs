@@ -33,7 +33,8 @@ use crate::pipeline::{ConfigResult, Pipeline};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
-use spmlab_isa::hierarchy::{MemHierarchyConfig, L1};
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, L1};
+use spmlab_sim::Tally;
 use spmlab_wcet::{analyze, WcetConfig};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -291,10 +292,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// it resumes, stored points are reused bit-identically and only the
 /// missing ones are measured.
 ///
-/// A caveat on panic containment: an injected or genuine panic can poison
-/// the pipeline's internal memo locks, in which case *later* points that
-/// share them also surface as `Failed` (never as wrong numbers) — resume
-/// in a fresh process recovers them.
+/// The unit of parallel work is a **latency group**: the measured
+/// configurations whose effective keys differ only in `main.latency`
+/// (no-scratchpad specs without a store buffer, on a trace without
+/// cycle-register reads — see `Pipeline::prices_latencies`). One worker
+/// walks the trace once for the group and prices, analyses and records
+/// each member in turn; every other configuration is a group of one.
+/// Fault points, `catch_unwind` and checkpoint records stay per point,
+/// so a failure fails exactly the points that depend on it.
+///
+/// The raw checkpoint stream is in *completion* order, flushed per
+/// point; it differs between runs and thread counts. Byte equality of
+/// sweep streams is defined on the merged normal form
+/// ([`merge_texts`](crate::dse::merge_texts)), which sorts records by
+/// global index.
 ///
 /// # Errors
 ///
@@ -383,6 +394,32 @@ pub fn spec_sweep_with_session(
         spmlab_obs::counter("sweep_resume_reused", reused);
     }
 
+    // Latency groups over the representatives: one trace walk serves
+    // every member (see the doc comment above).
+    let mut group_of_key: BTreeMap<String, usize> = BTreeMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (j, &gi) in reps.iter().enumerate() {
+        let canon = &canons[gi];
+        if !pipeline.prices_latencies(canon) {
+            groups.push(vec![j]);
+            continue;
+        }
+        let zeroed = MemArchSpec {
+            main: MainMemoryTiming {
+                latency: 0,
+                ..canon.main
+            },
+            ..canon.clone()
+        };
+        match group_of_key.entry(effective_spec_key(&zeroed, footprint.as_ref())) {
+            Entry::Vacant(v) => {
+                v.insert(groups.len());
+                groups.push(vec![j]);
+            }
+            Entry::Occupied(o) => groups[*o.get()].push(j),
+        }
+    }
+
     let total = reps.len() as u64;
     let start_ns = spmlab_obs::now_ns();
     let measured_count = AtomicUsize::new(0);
@@ -390,11 +427,11 @@ pub fn spec_sweep_with_session(
     // wins) and surfaced after the scope — they must not tear down
     // in-flight measurements.
     let write_err: Mutex<Option<CoreError>> = Mutex::new(None);
-    let batches: Vec<Vec<(usize, PointOutcome)>> = execute(reps.len(), |j| {
+    let measure_rep = |j: usize, tally: &mut Option<Tally>| -> Vec<(usize, PointOutcome)> {
         let gi = reps[j];
         let attempt = catch_unwind(AssertUnwindSafe(
             || -> Result<Vec<(usize, ConfigResult)>, CoreError> {
-                let m = pipeline.measure_spec(&canons[gi])?;
+                let m = pipeline.measure_spec(&canons[gi], tally)?;
                 Ok(dependents[j]
                     .iter()
                     .map(|&i| (i, pipeline.package_spec(&specs[i], &m)))
@@ -452,6 +489,13 @@ pub fn spec_sweep_with_session(
             spmlab_obs::progress(done, total, &format!("{rate:.2} points/s"));
         }
         batch
+    };
+    let batches: Vec<Vec<(usize, PointOutcome)>> = execute(groups.len(), |g| {
+        let mut tally = None;
+        groups[g]
+            .iter()
+            .flat_map(|&j| measure_rep(j, &mut tally))
+            .collect()
     });
     if let Some(e) = write_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);

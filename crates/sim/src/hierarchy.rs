@@ -174,6 +174,10 @@ pub struct HierarchyCaches {
     store_buffer: Option<StoreBufferState>,
     /// Words per L2 line fill (0 when no L2).
     l2_fill_words: u64,
+    /// Main-memory transactions so far: every access, burst, fill,
+    /// write-back or write-through that paid `main.latency` once. Trace
+    /// pricing reads it (see [`HierarchyCaches::main_transactions`]).
+    main_transactions: u64,
 }
 
 impl HierarchyCaches {
@@ -307,12 +311,23 @@ impl HierarchyCaches {
             write_route,
             store_buffer,
             l2_fill_words,
+            main_transactions: 0,
         }
     }
 
     /// The shared hierarchy configuration.
     pub fn config(&self) -> &MemHierarchyConfig {
         &self.cfg
+    }
+
+    /// Main-memory transactions performed so far. Without a store buffer
+    /// every cost that reaches main memory is `latency + beats *
+    /// beat_cycles` — one setup latency per transaction — and every
+    /// other cost is latency-free, so the cycles of the same access
+    /// sequence under latency `L` are the latency-0 cycles plus `L` times
+    /// this count. Stores accepted by a store buffer are not counted.
+    pub fn main_transactions(&self) -> u64 {
+        self.main_transactions
     }
 
     /// Retires one dirty victim line evicted from the L1: into a
@@ -330,10 +345,12 @@ impl HierarchyCaches {
             if let Some(_victim2) = l2.install_writeback(victim) {
                 stats.dirty_evictions += 1;
                 stats.write_backs += 1;
+                self.main_transactions += 1;
                 cycles += l2_wb;
             }
         } else {
             stats.write_backs += 1;
+            self.main_transactions += 1;
         }
         cycles
     }
@@ -387,9 +404,11 @@ impl HierarchyCaches {
                             stats.l2_misses += 1;
                             stats.fill_words += self.l2_fill_words;
                             let mut cycles = l2_direct_miss;
+                            self.main_transactions += 1;
                             if r.writeback.is_some() {
                                 stats.dirty_evictions += 1;
                                 stats.write_backs += 1;
+                                self.main_transactions += 1;
                                 cycles += l2_wb;
                             }
                             (
@@ -407,6 +426,7 @@ impl HierarchyCaches {
                             AccessWidth::Half => 1,
                             AccessWidth::Word => 2,
                         };
+                        self.main_transactions += 1;
                         (route.bypass[w], ReadOutcome::BYPASS)
                     }
                 };
@@ -456,9 +476,11 @@ impl HierarchyCaches {
                     stats.l2_misses += 1;
                     stats.fill_words += fill_words;
                     let mut c = l1_miss_worst;
+                    self.main_transactions += 1;
                     if r.writeback.is_some() {
                         stats.dirty_evictions += 1;
                         stats.write_backs += 1;
+                        self.main_transactions += 1;
                         c += l2_wb;
                     }
                     (c, Some(false))
@@ -466,6 +488,7 @@ impl HierarchyCaches {
             }
             None => {
                 stats.fill_words += fill_words;
+                self.main_transactions += 1;
                 (l1_miss_worst, None)
             }
         };
@@ -523,9 +546,11 @@ impl HierarchyCaches {
                             stats.l2_misses += 1;
                             stats.fill_words += self.l2_fill_words;
                             let mut c = wr.l1_fill_worst;
+                            self.main_transactions += 1;
                             if r.writeback.is_some() {
                                 stats.dirty_evictions += 1;
                                 stats.write_backs += 1;
+                                self.main_transactions += 1;
                                 c += wr.l2_wb;
                             }
                             c
@@ -533,6 +558,7 @@ impl HierarchyCaches {
                     }
                     None => {
                         stats.fill_words += wr.l1_line_words;
+                        self.main_transactions += 1;
                         wr.l1_fill_worst
                     }
                 };
@@ -549,9 +575,11 @@ impl HierarchyCaches {
                 } else {
                     stats.fill_words += self.l2_fill_words;
                     let mut cycles = wr.l2_fill;
+                    self.main_transactions += 1;
                     if w.writeback.is_some() {
                         stats.dirty_evictions += 1;
                         stats.write_backs += 1;
+                        self.main_transactions += 1;
                         cycles += wr.l2_wb;
                     }
                     cycles
@@ -573,6 +601,7 @@ impl HierarchyCaches {
                             AccessWidth::Half => 1,
                             AccessWidth::Word => 2,
                         };
+                        self.main_transactions += 1;
                         wr.main_write[w]
                     }
                 }

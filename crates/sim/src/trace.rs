@@ -23,14 +23,25 @@
 //! and execution entirely. An eight-point sweep costs one interpretation
 //! plus eight cheap replays instead of eight interpretations.
 //!
+//! ## Pricing main-memory latencies
+//!
+//! Without a store buffer and without cycle-register reads, every cost
+//! that reaches main memory is `latency + beats * beat_cycles` and every
+//! other cost and statistic depends on the tag stores only. So
+//! [`MemTrace::tally`] walks the stream once per cache geometry at
+//! latency 0, counting main-memory transactions, and [`Tally::price`]
+//! yields the exact result at any latency as `cycles(0) + latency *
+//! transactions`. [`MemTrace::replay`] is "tally, then price" for every
+//! such machine; the ordered engine serves the rest.
+//!
 //! ## Versioning
 //!
 //! * **v1** (count-based, the original format): read/fetch events plus
 //!   per-width write *counts*. Valid only for machines whose timing does
 //!   not depend on the write policy — write-through stores never touch a
-//!   tag store and cost only their width's main access time. Still
-//!   produced by [`MemTrace::from_bytes`] for v1 byte streams and used
-//!   as the internal fast path for write-through hierarchies.
+//!   tag store and cost only their width's main access time. Produced by
+//!   [`MemTrace::from_bytes`] for v1 byte streams, and by the recorder
+//!   only when an inter-event delta overflows 32 bits.
 //! * **v2** (ordered events, this revision): write events interleaved in
 //!   program order with inter-event cycle deltas and `now`-latch
 //!   positions, so write-back levels and store buffers replay exactly.
@@ -247,6 +258,63 @@ pub struct MemTrace {
     version: u8,
 }
 
+/// One walk of a trace through one cache geometry at main-memory latency
+/// 0 ([`MemTrace::tally`]): the latency-0 cycles, the main-memory
+/// transactions, and the memory statistics — which do not depend on the
+/// latency at all. [`Tally::price`] turns it into the result at any
+/// latency.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    /// Cycles at main-memory latency 0.
+    cycles: u64,
+    /// Main-memory transactions, each paying the setup latency once.
+    transactions: u64,
+    stats: MemStats,
+    /// The tallied main-memory timing, latency zeroed.
+    main: MainMemoryTiming,
+    /// Watchdog limit the recording ran under.
+    max_cycles: u64,
+}
+
+impl Tally {
+    /// Main-memory transactions: the slope of the cycle count in
+    /// `main.latency`.
+    pub fn transactions(&self) -> u64 {
+        self.transactions
+    }
+
+    /// The cycles and memory statistics under `main`, which must match
+    /// the tallied timing in everything but `latency`:
+    /// `cycles(L) = cycles(0) + L * transactions`, exactly.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Watchdog`] when the priced cycle count exceeds the
+    /// recording's limit.
+    ///
+    /// # Panics
+    ///
+    /// When `main` differs from the tallied timing in anything but
+    /// `latency` — a tally prices one cache geometry and bus only.
+    pub fn price(&self, main: &MainMemoryTiming) -> Result<(u64, MemStats), SimError> {
+        assert_eq!(
+            MainMemoryTiming {
+                latency: 0,
+                ..*main
+            },
+            self.main,
+            "a tally prices only main-memory latencies of its own machine"
+        );
+        let cycles = self
+            .cycles
+            .saturating_add(main.latency.saturating_mul(self.transactions));
+        if cycles > self.max_cycles {
+            return Err(SimError::Watchdog { cycles });
+        }
+        Ok((cycles, self.stats.clone()))
+    }
+}
+
 impl MemTrace {
     /// Whether the recorded execution may be replayed under other
     /// hierarchies at all. v2 traces always are — timing-dependent MMIO
@@ -292,10 +360,22 @@ impl MemTrace {
         self.cycle_reads
     }
 
+    /// Whether `hierarchy` can be priced from one latency-0 [`Tally`]:
+    /// the trace supports it, no store buffer sits in front of main memory
+    /// (its drain timing depends on arrival times, which move with the
+    /// latency) and the program never read the cycle register (whose
+    /// recorded values would move too). Every such machine's cycle count
+    /// is affine in `main.latency` with the tally's slope.
+    pub fn priceable(&self, hierarchy: &MemHierarchyConfig) -> bool {
+        self.cycle_reads == 0 && hierarchy.main.store_buffer.is_none() && self.supports(hierarchy)
+    }
+
     /// Prices the recorded execution under `hierarchy`, returning the
     /// total cycles and the memory statistics — bit-identical to running
     /// [`simulate`](crate::machine::simulate) under the same
-    /// configuration.
+    /// configuration. [`MemTrace::priceable`] machines take one
+    /// [`MemTrace::tally`] and [`Tally::price`]; store-buffered machines
+    /// and timing-dependent programs take the ordered replay engine.
     ///
     /// # Errors
     ///
@@ -307,79 +387,143 @@ impl MemTrace {
     /// treat divergence and refusal as "fall back to full simulation",
     /// not as fatal.
     pub fn replay(&self, hierarchy: &MemHierarchyConfig) -> Result<(u64, MemStats), SimError> {
+        if self.priceable(hierarchy) {
+            return self.tally(hierarchy)?.price(&hierarchy.main);
+        }
         let _span = spmlab_obs::span("replay");
+        if !self.supports(hierarchy) {
+            return Err(self.refusal());
+        }
         if spmlab_obs::enabled() {
             spmlab_obs::counter("replay_events", self.events.len() as u64);
         }
-        if !self.supports(hierarchy) {
-            return Err(if self.cycle_reads > 0 {
-                SimError::Fault {
-                    pc: 0,
-                    addr: spmlab_isa::mem::MMIO_CYCLES,
-                    what: "timing-dependent program cannot be replayed from a v1 trace",
-                }
-            } else {
-                SimError::Fault {
-                    pc: 0,
-                    addr: 0,
-                    what: "write-policy-dependent hierarchy cannot be replayed from a \
-                           count-based (v1) trace",
-                }
-            });
+        let (cycles, stats) = self.replay_ordered(hierarchy)?;
+        if cycles > self.max_cycles {
+            return Err(SimError::Watchdog { cycles });
         }
-        let cycles_stats = if hierarchy.write_policy_dependent() || self.cycle_reads > 0 {
-            self.replay_ordered(hierarchy)?
-        } else {
-            self.replay_counts(hierarchy)
-        };
-        if cycles_stats.0 > self.max_cycles {
-            return Err(SimError::Watchdog {
-                cycles: cycles_stats.0,
-            });
-        }
-        Ok(cycles_stats)
+        Ok((cycles, stats))
     }
 
-    /// The count-based pricing path, valid for hierarchies whose write
-    /// timing is policy-independent: write-through stores never touch a
-    /// tag store and cost exactly their width's main access time, so the
-    /// write side prices from the per-width counters while reads/fetches
-    /// drive the concrete tag stores.
-    fn replay_counts(&self, hierarchy: &MemHierarchyConfig) -> (u64, MemStats) {
+    /// Why this trace cannot price a machine it does not support.
+    fn refusal(&self) -> SimError {
+        if self.cycle_reads > 0 {
+            SimError::Fault {
+                pc: 0,
+                addr: spmlab_isa::mem::MMIO_CYCLES,
+                what: "timing-dependent program cannot be replayed from a v1 trace",
+            }
+        } else {
+            SimError::Fault {
+                pc: 0,
+                addr: 0,
+                what: "write-policy-dependent hierarchy cannot be replayed from a \
+                       count-based (v1) trace",
+            }
+        }
+    }
+
+    /// Walks the recorded stream once through `hierarchy`'s tag stores at
+    /// main-memory latency 0, counting the main-memory transactions. The
+    /// resulting [`Tally`] prices every machine that differs from
+    /// `hierarchy` only in `main.latency` (see [`Tally::price`]).
+    ///
+    /// Write-through stores never touch a tag store and each cost one
+    /// main write, so they are priced from the per-width counters (v1
+    /// traces carry nothing else); write-back machines replay the write
+    /// events in program order. An uncached machine walks nothing at all.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Fault`] when the machine is not
+    /// [`MemTrace::priceable`], or when the stream holds a cycle-register
+    /// read its header does not declare.
+    pub fn tally(&self, hierarchy: &MemHierarchyConfig) -> Result<Tally, SimError> {
+        let _span = spmlab_obs::span("replay");
+        if !self.supports(hierarchy) {
+            return Err(self.refusal());
+        }
+        if !self.priceable(hierarchy) {
+            return Err(SimError::Fault {
+                pc: 0,
+                addr: 0,
+                what: "store-buffered machines and timing-dependent programs cannot be \
+                       priced from a tally",
+            });
+        }
+        let main = MainMemoryTiming {
+            latency: 0,
+            ..hierarchy.main
+        };
         let mut stats = self.stats_template.clone();
-        let mut cycles = self
-            .base_cycles
-            .saturating_add(self.write_cycles(&hierarchy.main));
+        let mut cycles = self.base_cycles;
+        let mut transactions = 0u64;
+        let ordered_writes = hierarchy.write_policy_dependent();
+        if !ordered_writes {
+            cycles = cycles.saturating_add(self.write_cycles(&main));
+            transactions = self.main_writes.iter().fold(0, |a, &n| a.saturating_add(n));
+            if hierarchy.l1_for(false).is_some() || hierarchy.l2.is_some() {
+                stats.write_throughs = transactions;
+            }
+        }
         if hierarchy.l1_for(true).is_some()
             || hierarchy.l1_for(false).is_some()
             || hierarchy.l2.is_some()
         {
-            let mut caches = HierarchyCaches::new(hierarchy.clone());
+            if spmlab_obs::enabled() {
+                spmlab_obs::counter("replay_events", self.events.len() as u64);
+            }
+            let mut caches = HierarchyCaches::new(MemHierarchyConfig {
+                main,
+                ..hierarchy.clone()
+            });
             for ev in &self.events {
                 let (kind, width) = match ev.kind {
                     EV_FETCH => (AccessKind::Fetch, AccessWidth::Half),
                     EV_READ_BYTE => (AccessKind::Read, AccessWidth::Byte),
                     EV_READ_HALF => (AccessKind::Read, AccessWidth::Half),
                     EV_READ_WORD => (AccessKind::Read, AccessWidth::Word),
-                    // v2 streams interleave write events; their cost is
-                    // already priced from the counters above.
-                    _ => continue,
+                    // Write-through stores are already priced from the
+                    // counters above.
+                    EV_WRITE_BYTE | EV_WRITE_HALF | EV_WRITE_WORD => {
+                        if ordered_writes {
+                            let width = match ev.kind {
+                                EV_WRITE_BYTE => AccessWidth::Byte,
+                                EV_WRITE_HALF => AccessWidth::Half,
+                                _ => AccessWidth::Word,
+                            };
+                            let cost = caches.write(ev.addr, width, 0, &mut stats);
+                            cycles = cycles.saturating_add(cost);
+                        }
+                        continue;
+                    }
+                    _ => {
+                        return Err(SimError::Fault {
+                            pc: 0,
+                            addr: ev.addr,
+                            what: "undeclared cycle-register read in a trace",
+                        })
+                    }
                 };
                 cycles = cycles.saturating_add(caches.read(ev.addr, kind, width, &mut stats).0);
             }
-            if hierarchy.l1_for(false).is_some() || hierarchy.l2.is_some() {
-                stats.write_throughs = self.main_writes.iter().sum();
-            }
+            transactions = transactions.saturating_add(caches.main_transactions());
         } else {
-            // Uncached: every read costs its width's main access time —
-            // priced from the counters without touching the event stream.
-            let m = &hierarchy.main;
+            // Uncached: every read is one main access at its width,
+            // priced from the counters without touching the stream.
             let widths = [AccessWidth::Byte, AccessWidth::Half, AccessWidth::Word];
             for (w, &width) in widths.iter().enumerate() {
-                cycles = cycles.saturating_add(self.read_counts[w].saturating_mul(m.access(width)));
+                cycles =
+                    cycles.saturating_add(self.read_counts[w].saturating_mul(main.access(width)));
+                transactions = transactions.saturating_add(self.read_counts[w]);
             }
         }
-        (cycles, stats)
+        Ok(Tally {
+            cycles,
+            transactions,
+            stats,
+            main,
+            max_cycles: self.max_cycles,
+        })
     }
 
     /// The ordered replay engine: reconstructs the target machine's cycle

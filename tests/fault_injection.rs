@@ -20,7 +20,16 @@ use spmlab_bench::{
     hierarchy_figure_with_session, hierarchy_json, hierarchy_session, CheckpointMode,
 };
 use spmlab_isa::cachecfg::CacheConfig;
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_workloads::INSERTSORT;
+
+/// An inert plan: arming it takes the harness lock without faulting
+/// anything, so a test can hold one guard from its first
+/// `Pipeline::new` on and [`FaultGuard::rearm`](spmlab::faults::FaultGuard::rearm)
+/// the real plan later.
+fn inert() -> FaultPlan {
+    FaultPlan::new("no-such-phase", 1, FaultAction::Error)
+}
 
 /// A three-point axis with distinct effective configurations: two
 /// scratchpad capacities and one cached machine.
@@ -30,6 +39,26 @@ fn small_axis() -> Vec<MemArchSpec> {
         MemArchSpec::spm(256),
         MemArchSpec::single_cache(CacheConfig::unified(256)),
     ]
+}
+
+/// Two cache shapes at three main-memory latencies: the sweep measures
+/// each shape's points as one latency group sharing a single trace
+/// tally. (A unified and a split L1 never share a memo key, so every
+/// point is its own measurement.)
+fn latency_axis() -> Vec<MemArchSpec> {
+    let shapes = [
+        MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
+        MemHierarchyConfig::split_l1(256, 256),
+    ];
+    let mut axis = Vec::new();
+    for shape in &shapes {
+        for latency in [0, 10, 40] {
+            axis.push(MemArchSpec::from_hierarchy(
+                &shape.clone().with_main(MainMemoryTiming::dram(latency)),
+            ));
+        }
+    }
+    axis
 }
 
 /// A scratch directory for this test process's checkpoint files.
@@ -47,11 +76,13 @@ fn typed_errors_fail_exactly_the_affected_points() {
     // that is exactly one failed point. Each phase gets a fresh pipeline:
     // the scratchpad-link memo would otherwise swallow later `link` calls.
     for phase in ["measure-spec", "alloc", "analyze", "link"] {
+        // One guard from set-up on: no concurrently armed plan can fire
+        // in this pipeline's construction.
+        let guard = arm(inert());
         let p = Pipeline::new(&INSERTSORT).expect("pipeline");
-        let guard = arm(FaultPlan::new(phase, 1, FaultAction::Error));
+        guard.rearm(FaultPlan::new(phase, 1, FaultAction::Error));
         let outcomes = spec_sweep_outcomes(&p, &small_axis()).expect("sweep survives");
         assert!(guard.fired(), "phase `{phase}` was reached");
-        drop(guard);
         let failed: Vec<_> = outcomes
             .iter()
             .filter_map(|o| o.outcome.failure())
@@ -70,7 +101,7 @@ fn typed_errors_fail_exactly_the_affected_points() {
         }
         // The all-or-nothing wrapper reports the failure without dropping
         // the completed points.
-        let guard = arm(FaultPlan::new(phase, 1, FaultAction::Error));
+        guard.rearm(FaultPlan::new(phase, 1, FaultAction::Error));
         let err = collect_points(spec_sweep_outcomes(&p, &small_axis()).unwrap()).unwrap_err();
         drop(guard);
         match err {
@@ -86,33 +117,44 @@ fn typed_errors_fail_exactly_the_affected_points() {
 
 #[test]
 fn panics_are_contained_per_point() {
-    // A panic mid-measurement may poison the pipeline's internal memo
-    // locks, so points measured *after* it can cascade into `Failed` too
-    // (documented behavior: degraded availability, never wrong numbers).
-    // The containment guarantee is that the process survives, every point
-    // gets an outcome, and whatever completes is sound.
-    for phase in ["measure-spec", "alloc", "analyze"] {
+    // A panic fails exactly the point it hits: the pipeline's memo locks
+    // recover from poisoning, so every other point — including the
+    // other members of a latency group sharing one trace tally — still
+    // completes, with the numbers a direct run gives.
+    let cases = [
+        ("measure-spec", small_axis()),
+        ("alloc", small_axis()),
+        ("analyze", small_axis()),
+        ("measure-spec", latency_axis()),
+        ("analyze", latency_axis()),
+    ];
+    for (phase, axis) in cases {
+        // One serial guard over the whole body, `Pipeline::new` included.
+        let guard = arm(inert());
         let p = Pipeline::new(&INSERTSORT).expect("pipeline");
-        let guard = arm(FaultPlan::new(phase, 1, FaultAction::Panic));
-        let outcomes = spec_sweep_outcomes(&p, &small_axis()).expect("sweep survives the panic");
+        guard.rearm(FaultPlan::new(phase, 1, FaultAction::Panic));
+        let outcomes = spec_sweep_outcomes(&p, &axis).expect("sweep survives the panic");
         assert!(guard.fired(), "phase `{phase}` was reached");
-        drop(guard);
-        assert_eq!(outcomes.len(), 3, "every point has an outcome");
-        let panicked: Vec<_> = outcomes
+        guard.rearm(inert());
+        assert_eq!(outcomes.len(), axis.len(), "every point has an outcome");
+        let failed: Vec<_> = outcomes
             .iter()
             .filter_map(|o| o.outcome.failure())
-            .filter(|f| f.panicked)
             .collect();
+        assert_eq!(failed.len(), 1, "phase `{phase}`: exactly one point fails");
+        assert!(failed[0].panicked, "phase `{phase}`: reported as a panic");
         assert!(
-            !panicked.is_empty(),
-            "phase `{phase}`: the injected panic is reported"
-        );
-        assert!(
-            panicked.iter().any(|f| f.error.contains("injected panic")),
+            failed[0].error.contains("injected panic"),
             "phase `{phase}`: the panic message is carried into the record"
         );
-        for r in outcomes.iter().filter_map(|o| o.outcome.result()) {
+        for o in &outcomes {
+            let Some(r) = o.outcome.result() else {
+                continue;
+            };
             assert!(r.wcet_cycles >= r.sim_cycles, "{}", r.label);
+            let direct = p.run(&o.spec).expect("direct run");
+            assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
+            assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
         }
     }
 }
@@ -139,8 +181,9 @@ fn prep_phase_faults_surface_from_pipeline_construction() {
 
 #[test]
 fn delays_do_not_fail_points() {
+    let guard = arm(inert());
     let p = Pipeline::new(&INSERTSORT).expect("pipeline");
-    let guard = arm(FaultPlan::new(
+    guard.rearm(FaultPlan::new(
         "measure-spec",
         1,
         FaultAction::Delay(Duration::from_millis(20)),
@@ -190,16 +233,17 @@ fn faulted_checkpoints_record_failures_and_resume_to_completion() {
     // checkpoint *contents* around a fault: failed points are recorded
     // (never silently dropped), the strict gate reports the stream as
     // incomplete, and a resume re-measures exactly the failed points.
+    let guard = arm(inert());
     let p = Pipeline::new(&INSERTSORT).expect("pipeline");
     let specs = small_axis();
     let header = CheckpointHeader::new("testrev", "insertsort", &specs);
     let path = scratch("faulted.jsonl");
 
     let session = SweepSession::checkpoint_to(&path, &header).unwrap();
-    let guard = arm(FaultPlan::new("measure-spec", 2, FaultAction::Error));
+    guard.rearm(FaultPlan::new("measure-spec", 2, FaultAction::Error));
     let outcomes = spec_sweep_with_session(&p, &specs, &session).expect("sweep survives");
     assert!(guard.fired());
-    drop(guard);
+    guard.rearm(inert());
     drop(session);
     let n_failed = outcomes.iter().filter(|o| o.outcome.is_failed()).count();
     assert_eq!(n_failed, 1);

@@ -1,6 +1,7 @@
 //! Workspace-level observability tests: the instrumentation the pipeline
 //! emits while sweeping (sweep memo/replay counters pinned on the paper's
-//! eight-config G.721 hierarchy scenario), the JSON-lines profile stream a
+//! eight-config G.721 hierarchy scenario, and the trace walks of a
+//! latency-grouped grid), the JSON-lines profile stream a
 //! profiled run records, and property tests over the span-tree collector.
 //!
 //! Every test that installs a sink takes `spmlab_obs::exclusive()` first:
@@ -10,12 +11,15 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use spmlab::dse::GridSpec;
 use spmlab::pipeline::Pipeline;
-use spmlab::sweep::hierarchy_sweep;
+use spmlab::sweep::{hierarchy_sweep, spec_sweep_outcomes};
 use spmlab::{hierarchy_axis, MainMemoryTiming, MemArchSpec, DRAM_LATENCY};
+use spmlab_isa::hierarchy::StoreBuffer;
 use spmlab_obs::collector::MemorySink;
 use spmlab_obs::jsonl::{check_stream, JsonlSink};
-use spmlab_workloads::{inputs, G721};
+use spmlab_sim::MemTrace;
+use spmlab_workloads::{inputs, G721, INSERTSORT};
 
 /// Satellite regression pin: the eight-config G.721 hierarchy scenario
 /// (two scratchpad points + the six-machine cache axis) must keep its
@@ -58,6 +62,59 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
     // scratchpad reuses the recording run itself.
     assert_eq!(sink.counter_total("sweep_replay"), 7);
     assert_eq!(sink.counter_total("sweep_recorded_reuse"), 1);
+}
+
+/// The sweep-level pricing case: a grid with a `main_latency` axis gives
+/// the outcomes of per-point `Pipeline::run`, every point is still
+/// priced from the trace (`sweep_replay`), and each unbuffered cache
+/// geometry walks the trace once for all three latencies — while
+/// store-buffered points each walk it on their own.
+#[test]
+fn latency_axis_sweep_tallies_each_geometry_once() {
+    let grid = GridSpec {
+        l1_sizes: vec![0, 256],
+        l2_sizes: vec![0, 4096],
+        main_latencies: vec![0, 10, 40],
+        store_buffers: vec![None, Some(StoreBuffer::new(4, 8))],
+        ..GridSpec::default()
+    };
+    let axis = grid.axis().unwrap().0;
+    assert_eq!(axis.len(), 24);
+    let _x = spmlab_obs::exclusive();
+    let p = Pipeline::new(&INSERTSORT).unwrap();
+    let events = MemTrace::from_bytes(&p.trace_bytes().unwrap())
+        .unwrap()
+        .events() as u64;
+
+    let outcomes = {
+        let sink = Arc::new(MemorySink::default());
+        let guard = spmlab_obs::add_sink(sink.clone());
+        let outcomes = spec_sweep_outcomes(&p, &axis).unwrap();
+        drop(guard);
+        assert_eq!(sink.counter_total("sweep_points"), 24);
+        assert_eq!(sink.counter_total("sweep_memo_miss"), 24);
+        assert_eq!(sink.counter_total("sweep_replay"), 24, "every point priced");
+        assert_eq!(sink.counter_total("sweep_full_sim"), 0);
+        // Three unbuffered cache geometries walk once each; the uncached
+        // one walks nothing; the twelve store-buffered points walk once
+        // per point. Pricing every point separately would walk 21 times.
+        assert_eq!(sink.counter_total("replay_events"), (3 + 12) * events);
+        outcomes
+    };
+    for o in &outcomes {
+        let r = o.outcome.result().expect("no point fails");
+        let direct = p.run(&o.spec).unwrap();
+        assert_eq!(r.label, direct.label);
+        assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
+        assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
+        assert_eq!(r.classify, direct.classify, "{}", r.label);
+        assert_eq!(
+            r.energy_nj.to_bits(),
+            direct.energy_nj.to_bits(),
+            "{}",
+            r.label
+        );
+    }
 }
 
 /// A profiled run records a well-formed JSON-lines stream (balanced span

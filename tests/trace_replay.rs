@@ -6,7 +6,12 @@
 //! buffers and mixed WT-L1-over-WB-L2 stacks. Property tests draw the
 //! machines at random; a pinned counter test locks the write-policy
 //! axis' memo/replay split the way `tests/observability.rs` does for
-//! the write-through hierarchy scenario.
+//! the write-through hierarchy scenario. Machines without a store
+//! buffer are priced from one latency-0 tally per cache geometry; the
+//! pricing differential checks that against replay and simulation at
+//! random latencies (the sweep-level latency-group case lives in
+//! `tests/observability.rs`, whose tests all hold the sink lock, so its
+//! `replay_events` count sees no foreign replays).
 
 use std::sync::{Arc, OnceLock};
 
@@ -19,7 +24,7 @@ use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer, L1};
 use spmlab_isa::mem::MemoryMap;
 use spmlab_obs::collector::MemorySink;
-use spmlab_sim::{simulate, simulate_with_trace, MachineConfig, MemTrace, SimOptions};
+use spmlab_sim::{simulate, simulate_with_trace, MachineConfig, MemTrace, SimError, SimOptions};
 use spmlab_workloads::{inputs, G721};
 
 /// A store-heavy kernel: the write pattern walks two arrays with
@@ -159,6 +164,45 @@ proptest! {
         prop_assert_eq!(stats, fresh.mem_stats, "MemStats diverged on {}", h.label());
     }
 
+    /// The pricing differential: on random write-through and write-back
+    /// machines without a store buffer, one latency-0 tally priced at a
+    /// random set of main-memory latencies equals both `replay` and a
+    /// fresh simulation at each latency, on cycles and every counter.
+    #[test]
+    fn priced_latencies_match_replay_and_simulation(
+        h in arb_unbuffered_hierarchy(),
+        latencies in prop::collection::vec(0u64..64, 1..4)
+    ) {
+        let rec = recorded();
+        prop_assert!(rec.trace.priceable(&h), "{} must be priceable", h.label());
+        let tally = rec.trace.tally(&h).unwrap();
+        for latency in latencies {
+            let at = h.clone().with_main(MainMemoryTiming { latency, ..h.main });
+            let priced = tally.price(&at.main).unwrap();
+            prop_assert_eq!(&priced, &rec.trace.replay(&at).unwrap(), "replay on {}", at.label());
+            let fresh = simulate(
+                &rec.exe,
+                &MachineConfig::with_hierarchy(at.clone()),
+                &SimOptions::default(),
+            )
+            .unwrap();
+            prop_assert_eq!(priced.0, fresh.cycles, "sim_cycles diverged on {}", at.label());
+            prop_assert_eq!(priced.1, fresh.mem_stats, "MemStats diverged on {}", at.label());
+        }
+    }
+
+    /// Store-buffered machines are never priced from a tally: the drain
+    /// timing moves with the latency, so they keep the ordered engine.
+    #[test]
+    fn store_buffered_machines_are_not_priceable(h in arb_hierarchy(), depth in 1u32..5, drain in 1u64..10) {
+        let rec = recorded();
+        let buffered = h
+            .clone()
+            .with_main(h.main.with_store_buffer(StoreBuffer::new(depth, drain)));
+        prop_assert!(!rec.trace.priceable(&buffered), "{}", buffered.label());
+        prop_assert!(rec.trace.tally(&buffered).is_err(), "{}", buffered.label());
+    }
+
     /// Serialization does not change replay semantics: a byte round trip
     /// of the v2 stream replays identically on random machines.
     #[test]
@@ -166,6 +210,71 @@ proptest! {
         let rec = recorded();
         let decoded = MemTrace::from_bytes(&rec.trace.to_bytes()).unwrap();
         prop_assert_eq!(decoded.replay(&h).unwrap(), rec.trace.replay(&h).unwrap());
+    }
+}
+
+/// [`arb_hierarchy`] with the store buffer removed: the machines one
+/// tally prices.
+fn arb_unbuffered_hierarchy() -> impl Strategy<Value = MemHierarchyConfig> {
+    arb_hierarchy().prop_map(|mut h| {
+        h.main.store_buffer = None;
+        h
+    })
+}
+
+/// A priced point over the recording's watchdog limit fails with
+/// `Watchdog` on its own: the same tally still prices the latencies
+/// under the limit, before and after it.
+#[test]
+fn priced_watchdog_fails_only_its_own_point() {
+    let rec = recorded();
+    let h = MemHierarchyConfig::l1_only(CacheConfig::unified(128));
+    let tally = rec.trace.tally(&h).unwrap();
+    let (cycles0, _) = tally.price(&h.main).unwrap();
+    let tx = tally.transactions();
+    assert!(tx > 0, "the kernel misses the 128-byte L1");
+    // Re-record under a limit that latency `k` meets exactly and the
+    // (uncached) recording run itself stays below.
+    let (recording, _) = simulate_with_trace(&rec.exe, &SimOptions::default()).unwrap();
+    let k = 10 + recording.cycles.saturating_sub(cycles0).div_ceil(tx);
+    let limit = cycles0 + k * tx;
+    let options = SimOptions {
+        max_cycles: limit,
+        ..SimOptions::default()
+    };
+    let (_, limited) = simulate_with_trace(&rec.exe, &options).unwrap();
+    let tally = limited.tally(&h).unwrap();
+    let at = MainMemoryTiming::dram;
+    assert_eq!(tally.price(&at(k)).unwrap().0, limit);
+    assert_eq!(
+        tally.price(&at(k + 1)),
+        Err(SimError::Watchdog { cycles: limit + tx })
+    );
+    assert_eq!(
+        limited.replay(&h.clone().with_main(at(k + 1))),
+        tally.price(&at(k + 1)),
+        "replay is tally, then price"
+    );
+    assert_eq!(tally.price(&at(3)).unwrap().0, cycles0 + 3 * tx);
+}
+
+/// Traces with cycle-register reads are never priced from a tally: the
+/// recorded values move with the latency.
+#[test]
+fn timing_dependent_traces_are_not_priceable() {
+    let Ok(module) = compile("int t; void main() { t = __cycles(); }") else {
+        return; // No __cycles intrinsic in this toolchain: nothing to test.
+    };
+    let l = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
+    let (_, mmio) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
+    assert!(mmio.cycle_reads() > 0);
+    for h in [
+        MemHierarchyConfig::uncached(),
+        MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
+        MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024).write_back()),
+    ] {
+        assert!(!mmio.priceable(&h), "{}", h.label());
+        assert!(mmio.tally(&h).is_err(), "{}", h.label());
     }
 }
 
