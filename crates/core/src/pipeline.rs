@@ -19,10 +19,12 @@ use spmlab_sim::{
     SimOptions, SimResult, Tally,
 };
 use spmlab_wcet::cache::ClassifyStats;
-use spmlab_wcet::{analyze, AnalysisBudget, WcetConfig};
+use spmlab_wcet::{
+    analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig, WcetError,
+};
 use spmlab_workloads::Benchmark;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Outcome of running one benchmark under one memory configuration:
 /// average-case simulation plus static WCET bound — one data point of the
@@ -75,6 +77,17 @@ pub(crate) struct ArchMeasurement {
     pub widened: bool,
 }
 
+/// What the members of one sweep executor unit share (see
+/// `sweep::spec_sweep_with_session`): the latency-0 trace tally of its
+/// priceable members (see [`Pipeline::prices_latencies`]) and the cache
+/// classification of its members analysed on the hierarchy path. It lives
+/// only as long as its unit; [`Pipeline::run`] is a unit of one.
+#[derive(Default)]
+pub(crate) struct UnitShare {
+    tally: Option<Tally>,
+    classified: Option<Classified>,
+}
+
 /// Link + recording of one scratchpad configuration, shared by every spec
 /// that resolves to the same `(capacity, assignment)` — an N-timing sweep
 /// links and interprets once, then replays.
@@ -102,6 +115,11 @@ pub struct Pipeline {
     /// The no-scratchpad link every cache/hierarchy point runs — shared so
     /// an N-point sweep links once, not N times.
     no_spm_link: spmlab_cc::LinkedProgram,
+    /// The hierarchy-independent analysis stage of `no_spm_link`, built on
+    /// first use (so pipeline set-up does not pay for it) with automatic
+    /// loop bounds, which every routed configuration enables. A
+    /// preparation error is kept and fails every point that needs it.
+    no_spm_prepared: OnceLock<Result<Prepared, WcetError>>,
     /// The baseline execution's memory trace. Hierarchy points replay it
     /// instead of re-interpreting the program (`None` when the program is
     /// timing-dependent and must be simulated per configuration).
@@ -186,6 +204,7 @@ impl Pipeline {
             expected_checksum,
             baseline_profile: res.profile,
             no_spm_link: baseline,
+            no_spm_prepared: OnceLock::new(),
             trace: trace.replayable().then_some(trace),
             energy: EnergyModel::default(),
             sim_options,
@@ -307,7 +326,7 @@ impl Pipeline {
     pub fn run(&self, spec: &MemArchSpec) -> Result<ConfigResult, CoreError> {
         spec.validate().map_err(CoreError::Spec)?;
         let canon = spec.canonical();
-        let m = self.measure_spec(&canon, &mut None)?;
+        let m = self.measure_spec(&canon, &mut UnitShare::default())?;
         Ok(self.package_spec(spec, &m))
     }
 
@@ -362,21 +381,21 @@ impl Pipeline {
     /// spec. Label-free and energy-free so sweep points whose canonical
     /// specs are effectively identical can share one measurement.
     ///
-    /// `tally` is the latency-0 trace tally shared by a group of
-    /// no-scratchpad specs that differ only in `main.latency` (see
-    /// [`Pipeline::prices_latencies`]): the first member that replays
-    /// fills it, the others price from it. [`Pipeline::run`] is the
-    /// group of one, passing an empty slot.
+    /// `share` is what the no-scratchpad members of one sweep unit —
+    /// specs that differ only in their main-memory timing — share: the
+    /// first member that needs the latency-0 tally or the cache
+    /// classification fills its slot, the others reuse it.
+    /// [`Pipeline::run`] is the unit of one, passing empty slots.
     pub(crate) fn measure_spec(
         &self,
         canon: &MemArchSpec,
-        tally: &mut Option<Tally>,
+        share: &mut UnitShare,
     ) -> Result<ArchMeasurement, CoreError> {
         let _s = spmlab_obs::span_with("measure-spec", || canon.label());
         crate::faults::fault_point("measure-spec")?;
         match &canon.spm {
             Some(spm) => self.measure_spm(canon, spm),
-            None => self.measure_no_spm(canon, tally),
+            None => self.measure_no_spm(canon, share),
         }
     }
 
@@ -386,7 +405,7 @@ impl Pipeline {
     /// cycle-register reads. Such points replay the same cache geometry,
     /// so one walk of the trace prices them all exactly (see
     /// `spmlab_sim::trace`).
-    pub(crate) fn prices_latencies(&self, canon: &MemArchSpec) -> bool {
+    fn prices_latencies(&self, canon: &MemArchSpec) -> bool {
         canon.spm.is_none()
             && canon.main.store_buffer.is_none()
             && self.trace.as_ref().is_some_and(|t| t.cycle_reads() == 0)
@@ -459,13 +478,23 @@ impl Pipeline {
     /// price this machine (see [`Pipeline::try_replay`]). The replayed
     /// memory image equals the baseline's, so its validated checksum
     /// carries over.
+    ///
+    /// The analysis runs on the pipeline's prepared no-scratchpad program;
+    /// under an unlimited budget, hierarchy-path members of a unit share
+    /// one classification and only cost and IPET run per point.
     fn measure_no_spm(
         &self,
         canon: &MemArchSpec,
-        tally: &mut Option<Tally>,
+        share: &mut UnitShare,
     ) -> Result<ArchMeasurement, CoreError> {
         let linked = &self.no_spm_link;
         let hierarchy = canon.hierarchy();
+        let mut own_tally = None;
+        let tally = if self.prices_latencies(canon) {
+            &mut share.tally
+        } else {
+            &mut own_tally
+        };
         // Ordered (v2) traces replay any hierarchy, write-back and
         // store-buffered machines included; count-based (v1) traces
         // refuse write-policy-dependent shapes via `supports`. A replay
@@ -486,11 +515,24 @@ impl Pipeline {
                     (sim.cycles, sim.mem_stats, checksum)
                 }
             };
-        let wcet = Pipeline::analyzed(
-            &linked.exe,
-            &self.wcet_config_for(canon),
-            &linked.annotations,
-        )?;
+        let wcet = {
+            let _s = spmlab_obs::span("analyze");
+            crate::faults::fault_point("analyze")?;
+            let wcfg = self.wcet_config_for(canon);
+            debug_assert!(wcfg.auto_loop_bounds, "no_spm_prepared assumes auto bounds");
+            let prepared = self.no_spm_prepared()?;
+            let mut own_classified = None;
+            let slot = if wcfg.hierarchy.is_some() && !wcfg.budget.is_limited() {
+                &mut share.classified
+            } else {
+                &mut own_classified
+            };
+            if !slot.as_ref().is_some_and(|c| c.serves(&wcfg)) {
+                *slot = Some(classify(prepared, &linked.exe, &wcfg));
+            }
+            let classified = slot.as_ref().expect("classified above");
+            cost(prepared, &linked.exe, &wcfg, classified)?
+        };
         Ok(ArchMeasurement {
             sim_cycles,
             wcet_cycles: wcet.wcet_cycles,
@@ -678,6 +720,16 @@ impl Pipeline {
     /// key derivation reads its image layout and annotations).
     pub(crate) fn no_spm_link(&self) -> &spmlab_cc::LinkedProgram {
         &self.no_spm_link
+    }
+
+    /// The prepared analysis of [`Pipeline::no_spm_link`], built on first
+    /// use; its error, if preparation failed.
+    pub(crate) fn no_spm_prepared(&self) -> Result<&Prepared, CoreError> {
+        let linked = &self.no_spm_link;
+        self.no_spm_prepared
+            .get_or_init(|| prepare(&linked.exe, &linked.annotations, true))
+            .as_ref()
+            .map_err(|e| CoreError::Wcet(e.clone()))
     }
 }
 

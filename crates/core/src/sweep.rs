@@ -29,13 +29,11 @@
 
 use crate::checkpoint::{spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus};
 use crate::dse::executor::execute;
-use crate::pipeline::{ConfigResult, Pipeline};
+use crate::pipeline::{ConfigResult, Pipeline, UnitShare};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, L1};
-use spmlab_sim::Tally;
-use spmlab_wcet::{analyze, WcetConfig};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -292,14 +290,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// it resumes, stored points are reused bit-identically and only the
 /// missing ones are measured.
 ///
-/// The unit of parallel work is a **latency group**: the measured
-/// configurations whose effective keys differ only in `main.latency`
-/// (no-scratchpad specs without a store buffer, on a trace without
-/// cycle-register reads — see `Pipeline::prices_latencies`). One worker
-/// walks the trace once for the group and prices, analyses and records
-/// each member in turn; every other configuration is a group of one.
-/// Fault points, `catch_unwind` and checkpoint records stay per point,
-/// so a failure fails exactly the points that depend on it.
+/// The unit of parallel work is a **main-timing group**: the measured
+/// no-scratchpad configurations whose effective keys differ only in
+/// `main.latency` and `main.store_buffer`; every scratchpad configuration
+/// is a group of one. One worker measures the members in turn, and they
+/// share what does not depend on main-memory timing: members without a
+/// store buffer (on a trace without cycle-register reads) price their
+/// latencies from one trace tally, store-buffered members replay the
+/// ordered trace each, and members analysed on the hierarchy path under
+/// an unlimited budget share one cache classification, so only costing
+/// and IPET run per point. Fault points, `catch_unwind` and checkpoint
+/// records stay per point, so a failure fails exactly the points that
+/// depend on it.
 ///
 /// The raw checkpoint stream is in *completion* order, flushed per
 /// point; it differs between runs and thread counts. Byte equality of
@@ -394,24 +396,25 @@ pub fn spec_sweep_with_session(
         spmlab_obs::counter("sweep_resume_reused", reused);
     }
 
-    // Latency groups over the representatives: one trace walk serves
-    // every member (see the doc comment above).
+    // Main-timing groups over the representatives: one unit shares its
+    // trace tally and cache classification (see the doc comment above).
     let mut group_of_key: BTreeMap<String, usize> = BTreeMap::new();
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (j, &gi) in reps.iter().enumerate() {
         let canon = &canons[gi];
-        if !pipeline.prices_latencies(canon) {
+        if canon.spm.is_some() {
             groups.push(vec![j]);
             continue;
         }
-        let zeroed = MemArchSpec {
+        let untimed = MemArchSpec {
             main: MainMemoryTiming {
                 latency: 0,
+                store_buffer: None,
                 ..canon.main
             },
             ..canon.clone()
         };
-        match group_of_key.entry(effective_spec_key(&zeroed, footprint.as_ref())) {
+        match group_of_key.entry(effective_spec_key(&untimed, footprint.as_ref())) {
             Entry::Vacant(v) => {
                 v.insert(groups.len());
                 groups.push(vec![j]);
@@ -427,11 +430,11 @@ pub fn spec_sweep_with_session(
     // wins) and surfaced after the scope — they must not tear down
     // in-flight measurements.
     let write_err: Mutex<Option<CoreError>> = Mutex::new(None);
-    let measure_rep = |j: usize, tally: &mut Option<Tally>| -> Vec<(usize, PointOutcome)> {
+    let measure_rep = |j: usize, share: &mut UnitShare| -> Vec<(usize, PointOutcome)> {
         let gi = reps[j];
         let attempt = catch_unwind(AssertUnwindSafe(
             || -> Result<Vec<(usize, ConfigResult)>, CoreError> {
-                let m = pipeline.measure_spec(&canons[gi], tally)?;
+                let m = pipeline.measure_spec(&canons[gi], share)?;
                 Ok(dependents[j]
                     .iter()
                     .map(|&i| (i, pipeline.package_spec(&specs[i], &m)))
@@ -491,10 +494,10 @@ pub fn spec_sweep_with_session(
         batch
     };
     let batches: Vec<Vec<(usize, PointOutcome)>> = execute(groups.len(), |g| {
-        let mut tally = None;
+        let mut share = UnitShare::default();
         groups[g]
             .iter()
-            .flat_map(|&j| measure_rep(j, &mut tally))
+            .flat_map(|&j| measure_rep(j, &mut share))
             .collect()
     });
     if let Some(e) = write_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -687,9 +690,9 @@ pub(crate) fn sweep_footprint(pipeline: &Pipeline) -> Option<Footprint> {
     // width), while write-policy-dependent machines — where
     // write-allocate makes store addresses load-bearing — collapse only
     // with full write coverage (see `effective_spec_key`).
-    let cfgs = spmlab_wcet::cfg::build_all(&linked.exe).ok()?;
+    let prepared = pipeline.no_spm_prepared().ok()?;
     let mut writes_covered = true;
-    for cfg in cfgs.values() {
+    for cfg in prepared.cfgs().values() {
         for block in cfg.blocks.values() {
             for (addr, insn) in &block.insns {
                 for acc in spmlab_wcet::addrinfo::data_accesses(insn, *addr, &linked.annotations) {
@@ -716,15 +719,9 @@ pub(crate) fn sweep_footprint(pipeline: &Pipeline) -> Option<Footprint> {
         let hi = hi.min(main_hi);
         (hi > lo).then_some((lo, hi))
     };
-    // The stack window needs a *verified* depth bound; without one the
-    // memo must stay off.
-    let stack_bytes = analyze(
-        &linked.exe,
-        &WcetConfig::region_timing(),
-        &linked.annotations,
-    )
-    .ok()?
-    .stack_bytes;
+    // The stack window needs a *verified* depth bound: preparation fails
+    // without one, and then the memo stays off.
+    let stack_bytes = prepared.stack_bytes();
     let mut intervals = Vec::new();
     let mut ranges = Vec::new();
     for r in &linked.exe.regions {
@@ -1108,6 +1105,51 @@ mod tests {
                 assert_eq!(f.total, 3);
             }
             other => panic!("expected CoreError::Sweep, got {other}"),
+        }
+    }
+
+    #[test]
+    fn unbounded_loop_fails_every_no_spm_point_with_its_run_error() {
+        // A loop the analyzer cannot bound fails the analysis before any
+        // classification: every point of a no-scratchpad sweep records
+        // the error `Pipeline::run` reports for it, pinned as text.
+        use spmlab_isa::hierarchy::StoreBuffer;
+        use spmlab_workloads::{Benchmark, InputGen, Reference};
+        use std::borrow::Cow;
+        use std::sync::Arc;
+        let src = "int input[4] = {0}; int n_samples = 4; int checksum;\n\
+                   void main() { int k; k = input[0]; \
+                   while (k > 0) { k = k - 1; checksum = checksum + k; } }";
+        let bench = Benchmark {
+            name: Cow::Borrowed("unbounded"),
+            description: Cow::Borrowed("a loop without __loopbound"),
+            source: Cow::Borrowed(src),
+            input_global: Cow::Borrowed("input"),
+            count_global: Cow::Borrowed("n_samples"),
+            typical_input: InputGen::Fixed(Arc::new(vec![5, 0, 0, 0])),
+            worst_input: None,
+            reference_checksum: Reference::Interp {
+                program: Arc::new(spmlab_cc::parse_source(src).unwrap()),
+                max_steps: 100_000,
+            },
+        };
+        let p = Pipeline::new(&bench).unwrap();
+        let grid = crate::dse::GridSpec {
+            l1_sizes: vec![0, 256],
+            l2_sizes: vec![0, 4096],
+            main_latencies: vec![0, 10],
+            store_buffers: vec![None, Some(StoreBuffer::new(4, 8))],
+            ..crate::dse::GridSpec::default()
+        };
+        let axis = grid.axis().unwrap().0;
+        assert_eq!(axis.len(), 16);
+        let expected = "wcet: loop at 0x100012 in `main` has no bound; annotate it";
+        for o in spec_sweep_outcomes(&p, &axis).unwrap() {
+            let failed = o.outcome.failure().expect("the analysis fails everywhere");
+            assert_eq!(failed.error, expected, "{}", failed.label);
+            assert!(!failed.panicked);
+            let direct = p.run(&o.spec).unwrap_err().to_string();
+            assert_eq!(direct, expected, "{}", failed.label);
         }
     }
 

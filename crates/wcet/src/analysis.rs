@@ -4,7 +4,7 @@ use crate::cache::{self, CacheCtx, ClassifyStats, Persistence};
 use crate::cfg::{build_all, FuncCfg};
 use crate::fixpoint::FixpointBudget;
 use crate::ipet;
-use crate::loops::natural_loops;
+use crate::loops::{natural_loops, NaturalLoop};
 use crate::multilevel::{self, MultiCtx, MultiState};
 use crate::report::{FuncWcet, WcetResult};
 use crate::stack::total_depths;
@@ -13,12 +13,13 @@ use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_isa::image::Executable;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Resource budget for one [`analyze`] call, expressed in wall-clock
 /// milliseconds and fixpoint iterations so the config stays `Eq`-able and
 /// serializable (the absolute [`std::time::Instant`] deadline is derived
-/// at `analyze` entry).
+/// at [`classify`] entry).
 ///
 /// Exhausting either limit is *sound*: the affected fixpoints widen to the
 /// conservative `top` state, the bound can only go up, and the result is
@@ -29,8 +30,10 @@ pub struct AnalysisBudget {
     /// Cap on worklist iterations per fixpoint solve (`None` = only the
     /// structural defensive cap applies).
     pub max_fixpoint_iters: Option<u64>,
-    /// Wall-clock budget for the whole analysis, in milliseconds, measured
-    /// from [`analyze`] entry (`None` = no deadline).
+    /// Wall-clock budget for the analysis, in milliseconds, measured from
+    /// [`classify`] entry and covering its [`cost`] pass; the budget-free
+    /// [`prepare`] stage runs before the clock starts (`None` = no
+    /// deadline).
     pub deadline_ms: Option<u64>,
 }
 
@@ -71,7 +74,8 @@ pub struct WcetConfig {
     pub hierarchy: Option<MemHierarchyConfig>,
     /// Enable the persistence (first-miss) extension — *off* matches the
     /// paper's "only a MUST analysis, no persistence" ARM7 configuration.
-    /// Single-level `cache` analyses only; the hierarchy path is MUST-only.
+    /// Single-level `cache` analyses only; the hierarchy path has no
+    /// persistence analysis (it runs MUST and, with `may_analysis`, MAY).
     pub persistence: bool,
     /// Enable the automatic counted-loop bound detector.
     pub auto_loop_bounds: bool,
@@ -139,7 +143,8 @@ impl WcetConfig {
         }
     }
 
-    /// Multi-level hierarchy analysis (L1 MUST + CAC-filtered L2 MUST).
+    /// Multi-level hierarchy analysis: L1 MUST and cold-start MAY
+    /// (Always-Miss proofs), then the CAC-filtered L2 MUST.
     pub fn with_hierarchy(hierarchy: MemHierarchyConfig) -> WcetConfig {
         WcetConfig {
             hierarchy: Some(hierarchy),
@@ -231,150 +236,326 @@ pub fn topo_order(cfgs: &BTreeMap<u32, FuncCfg>) -> Result<Vec<u32>, WcetError> 
     Ok(order)
 }
 
-/// Runs the full analysis: CFG reconstruction, loop bounding, stack-depth
-/// analysis, microarchitectural timing, per-function IPET, combined
-/// bottom-up over the call graph.
+/// Loops, loop bounds and loop totals of one function — the flow facts
+/// IPET needs, none of which depend on the memory hierarchy.
+#[derive(Debug)]
+struct FuncFlow {
+    loops: Vec<NaturalLoop>,
+    bounds: BTreeMap<u32, u32>,
+    totals: BTreeMap<u32, u32>,
+}
+
+/// The hierarchy-independent half of an analysis ([`prepare`]): CFGs,
+/// call-graph order, the stack window and every function's flow facts.
+/// One `Prepared` serves any number of [`classify`] / [`cost`] calls on
+/// the executable it was built from.
+#[derive(Debug)]
+pub struct Prepared {
+    cfgs: BTreeMap<u32, FuncCfg>,
+    /// Call-graph topological order, callees first.
+    order: Vec<u32>,
+    entry_depth: u32,
+    /// The caller's annotations plus the entry function's stack window.
+    annot: AnnotationSet,
+    /// Flow facts per function of `order`, up to and including the first
+    /// function whose loops cannot be bounded: its error is reported by
+    /// [`cost`] when costing reaches it, so an earlier function's IPET
+    /// failure still wins, exactly as in a single costing pass.
+    flows: Vec<Result<FuncFlow, WcetError>>,
+}
+
+impl Prepared {
+    /// The reconstructed control-flow graphs, keyed by function address.
+    pub fn cfgs(&self) -> &BTreeMap<u32, FuncCfg> {
+        &self.cfgs
+    }
+
+    /// The verified worst-case stack depth of the entry function, in
+    /// bytes ([`WcetResult::stack_bytes`]).
+    pub fn stack_bytes(&self) -> u32 {
+        self.entry_depth
+    }
+}
+
+/// Builds the hierarchy-independent part of an analysis: CFG
+/// reconstruction, call-graph order, stack depths and the stack-window
+/// annotation, then natural loops, loop bounds and loop totals per
+/// function in callee-first order.
 ///
 /// # Errors
 ///
-/// Any [`WcetError`]; the most common in practice is
-/// [`WcetError::UnboundedLoop`] for a loop missing its annotation.
-pub fn analyze(
+/// CFG, call-graph and stack-depth failures. A loop-bounding failure is
+/// not an error here: it is recorded and [`cost`] returns it when it
+/// reaches that function.
+pub fn prepare(
     exe: &Executable,
-    config: &WcetConfig,
     annotations: &AnnotationSet,
-) -> Result<WcetResult, WcetError> {
-    // The single-level analyzer predates the `DataOnly` scope and would
-    // model fetches as cached where the simulator bypasses them; the
-    // multilevel path routes traffic exactly like the simulator, so
-    // data-only single caches are analyzed there.
-    let mut config = config.clone();
-    if config.hierarchy.is_none() {
-        if let Some(c) = &config.cache {
-            if c.scope == spmlab_isa::cachecfg::CacheScope::DataOnly {
-                config.hierarchy = Some(MemHierarchyConfig::from_single_cache(Some(c.clone())));
-            }
-        }
-    }
-    let config = &config;
-    // Anchor the wall-clock deadline once, here, so `deadline_ms` budgets
-    // the whole analysis rather than each individual fixpoint solve.
-    let fx_budget = config.budget.fixpoint_budget();
+    auto_loop_bounds: bool,
+) -> Result<Prepared, WcetError> {
+    let _pass = spmlab_obs::span("wcet-pass-prepare");
     let cfgs = build_all(exe)?;
     let order = topo_order(&cfgs)?;
     let depths = total_depths(&cfgs, &order)?;
 
     // Stack window for the entry function feeds the cache analysis.
-    let entry_addr = exe.entry;
-    let entry_depth = depths.get(&entry_addr).map(|d| d.total_bytes).unwrap_or(0);
+    let entry_depth = depths.get(&exe.entry).map(|d| d.total_bytes).unwrap_or(0);
     let stack_top = exe.memory_map.stack_top;
     let mut annot = annotations.clone();
     annot.set_stack_window(stack_top.saturating_sub(entry_depth), stack_top);
 
-    let mut wcet_by_addr: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut per_function = Vec::with_capacity(order.len());
-    let mut classification = cache::Classification::default();
-    let mut widened = false;
-
-    // Hierarchy path, pass 0 — interprocedural call summaries in
-    // call-graph topological order (callees first): each function's
-    // footprint / definite-access interference record and TOP-entry exit
-    // MUST states, folding in the summaries of everything it calls.
-    let summaries: BTreeMap<u32, multilevel::CallSummary> = match &config.hierarchy {
-        Some(hierarchy) if config.interprocedural => {
-            let _pass = spmlab_obs::span("wcet-pass-summaries");
-            let mut summaries = BTreeMap::new();
-            for &faddr in &order {
-                let ctx = MultiCtx {
-                    hierarchy,
-                    map: &exe.memory_map,
-                    annot: &annot,
-                    l2_analysis: config.l2_must_analysis,
-                    may_analysis: config.may_analysis,
-                    summaries: Some(&summaries),
-                    budget: fx_budget,
-                };
-                let _f = spmlab_obs::span_with("wcet-fn-summary", || cfgs[&faddr].name.clone());
-                let s = multilevel::summarize_function(&cfgs[&faddr], &ctx);
-                widened |= s.widened;
-                summaries.insert(faddr, s);
-            }
-            summaries
+    let mut flows = Vec::with_capacity(order.len());
+    for faddr in &order {
+        let cfg = &cfgs[faddr];
+        let flow = natural_loops(cfg).and_then(|loops| {
+            let bounds = bounds::loop_bounds(cfg, &loops, &annot, auto_loop_bounds)?;
+            let totals = loops
+                .iter()
+                .filter_map(|l| Some((l.header, annot.loop_total(l.header)?)))
+                .collect();
+            Ok(FuncFlow {
+                loops,
+                bounds,
+                totals,
+            })
+        });
+        let failed = flow.is_err();
+        flows.push(flow);
+        if failed {
+            break;
         }
-        _ => BTreeMap::new(),
-    };
+    }
+    Ok(Prepared {
+        cfgs,
+        order,
+        entry_depth,
+        annot,
+        flows,
+    })
+}
 
-    // Hierarchy path, pass A — abstract-state fixpoints in call-graph
-    // reverse-postorder (callers first): each function's entry state is
-    // the join of its callers' states at the call sites, the program
-    // entry starts cold (empty caches at boot), and functions with no
-    // recorded caller fall back to the conservative TOP. The costing pass
-    // below (callees first, because it needs callee WCET bounds) then
-    // reuses the converged in-states.
-    let hierarchy_states: BTreeMap<u32, BTreeMap<u32, MultiState>> =
-        if let Some(hierarchy) = &config.hierarchy {
-            let _pass = spmlab_obs::span("wcet-pass-fixpoints");
+/// The timing-independent cache classification of one configuration
+/// ([`classify`]): the interprocedural call summaries and every block's
+/// converged MUST×MAY in-state. Empty (but still required) for region
+/// timing and the single-level analyzer, whose fixpoint runs inside
+/// [`cost`].
+#[derive(Debug)]
+pub struct Classified {
+    /// The configuration this classification serves, with the hierarchy's
+    /// main-memory timing normalised (see [`Classified::serves`]).
+    key: WcetConfig,
+    summaries: BTreeMap<u32, multilevel::CallSummary>,
+    states: BTreeMap<u32, BTreeMap<u32, MultiState>>,
+    widened: bool,
+    /// The fixpoint budget, its deadline anchored at [`classify`] entry.
+    budget: FixpointBudget,
+}
+
+impl Classified {
+    /// Whether this classification is exact for `config`: true when
+    /// `config` equals the one it was computed for up to the hierarchy's
+    /// main-memory latency and store buffer, which only the costing walk
+    /// reads.
+    pub fn serves(&self, config: &WcetConfig) -> bool {
+        self.key == classification_key(config)
+    }
+}
+
+/// `config` with the data-only single cache routed to the hierarchy path:
+/// the single-level analyzer predates the `DataOnly` scope and would model
+/// fetches as cached where the simulator bypasses them, while the
+/// multilevel path routes traffic exactly like the simulator.
+fn effective_config(config: &WcetConfig) -> Cow<'_, WcetConfig> {
+    match &config.cache {
+        Some(c)
+            if config.hierarchy.is_none()
+                && c.scope == spmlab_isa::cachecfg::CacheScope::DataOnly =>
+        {
+            Cow::Owned(WcetConfig {
+                hierarchy: Some(MemHierarchyConfig::from_single_cache(Some(c.clone()))),
+                ..config.clone()
+            })
+        }
+        _ => Cow::Borrowed(config),
+    }
+}
+
+/// The effective configuration with `main.latency` zeroed and the store
+/// buffer dropped: configurations with equal keys classify identically.
+fn classification_key(config: &WcetConfig) -> WcetConfig {
+    let mut key = effective_config(config).into_owned();
+    if let Some(h) = &mut key.hierarchy {
+        h.main = MainMemoryTiming {
+            latency: 0,
+            store_buffer: None,
+            ..h.main
+        };
+    }
+    key
+}
+
+/// The hierarchy path's classification passes over a [`Prepared`]
+/// program. Reads no timing: the abstract transfer never consults
+/// main-memory or hit latencies, so one result serves every configuration
+/// it [`serves`](Classified::serves).
+///
+/// Pass 0 — interprocedural call summaries in call-graph topological
+/// order (callees first): each function's footprint / definite-access
+/// interference record and TOP-entry exit MUST states, folding in the
+/// summaries of everything it calls.
+///
+/// Pass A — abstract-state fixpoints in call-graph reverse-postorder
+/// (callers first): each function's entry state is the join of its
+/// callers' states at the call sites, the program entry starts cold
+/// (empty caches at boot), and functions with no recorded caller fall
+/// back to the conservative TOP.
+///
+/// The wall-clock deadline of `config.budget` is anchored here and
+/// covers this call and the [`cost`] calls that use its result.
+pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> Classified {
+    let key = classification_key(config);
+    let config = effective_config(config);
+    let budget = config.budget.fixpoint_budget();
+    let mut widened = false;
+    let Some(hierarchy) = &config.hierarchy else {
+        return Classified {
+            key,
+            summaries: BTreeMap::new(),
+            states: BTreeMap::new(),
+            widened,
+            budget,
+        };
+    };
+    let Prepared {
+        cfgs, order, annot, ..
+    } = prepared;
+
+    let mut summaries = BTreeMap::new();
+    if config.interprocedural {
+        let _pass = spmlab_obs::span("wcet-pass-summaries");
+        for &faddr in order {
             let ctx = MultiCtx {
                 hierarchy,
                 map: &exe.memory_map,
-                annot: &annot,
+                annot,
                 l2_analysis: config.l2_must_analysis,
                 may_analysis: config.may_analysis,
-                summaries: config.interprocedural.then_some(&summaries),
-                budget: fx_budget,
+                summaries: Some(&summaries),
+                budget,
             };
-            let mut entries: BTreeMap<u32, MultiState> = BTreeMap::new();
-            let mut states = BTreeMap::new();
-            for &faddr in order.iter().rev() {
-                let cfg = &cfgs[&faddr];
-                let entry = if !config.interprocedural {
-                    MultiState::top(&ctx)
-                } else if faddr == entry_addr {
-                    // Cold boot: MUST empty *and* MAY empty — every first
-                    // touch is a provable Always-Miss.
-                    let mut e = MultiState::cold(&ctx);
-                    if let Some(recorded) = entries.remove(&faddr) {
-                        e.join_into(&recorded);
-                    }
-                    e
-                } else {
-                    entries
-                        .remove(&faddr)
-                        .unwrap_or_else(|| MultiState::top(&ctx))
-                };
-                let _f = spmlab_obs::span_with("wcet-fn-fixpoint", || cfg.name.clone());
-                let fp = multilevel::must_fixpoint(cfg, &ctx, entry);
-                widened |= fp.widened;
-                let in_states = fp.in_states;
-                if config.interprocedural {
-                    multilevel::propagate_entry_states(cfg, &in_states, &ctx, &mut entries);
-                }
-                states.insert(faddr, in_states);
+            let _f = spmlab_obs::span_with("wcet-fn-summary", || cfgs[&faddr].name.clone());
+            let s = multilevel::summarize_function(&cfgs[&faddr], &ctx);
+            widened |= s.widened;
+            summaries.insert(faddr, s);
+        }
+    }
+
+    let fixpoints_span = spmlab_obs::span("wcet-pass-fixpoints");
+    let ctx = MultiCtx {
+        hierarchy,
+        map: &exe.memory_map,
+        annot,
+        l2_analysis: config.l2_must_analysis,
+        may_analysis: config.may_analysis,
+        summaries: config.interprocedural.then_some(&summaries),
+        budget,
+    };
+    let mut entries: BTreeMap<u32, MultiState> = BTreeMap::new();
+    let mut states = BTreeMap::new();
+    for &faddr in order.iter().rev() {
+        let cfg = &cfgs[&faddr];
+        let entry = if !config.interprocedural {
+            MultiState::top(&ctx)
+        } else if faddr == exe.entry {
+            // Cold boot: MUST empty *and* MAY empty — every first touch
+            // is a provable Always-Miss.
+            let mut e = MultiState::cold(&ctx);
+            if let Some(recorded) = entries.remove(&faddr) {
+                e.join_into(&recorded);
             }
-            states
+            e
         } else {
-            BTreeMap::new()
+            entries
+                .remove(&faddr)
+                .unwrap_or_else(|| MultiState::top(&ctx))
         };
+        let _f = spmlab_obs::span_with("wcet-fn-fixpoint", || cfg.name.clone());
+        let fp = multilevel::must_fixpoint(cfg, &ctx, entry);
+        widened |= fp.widened;
+        let in_states = fp.in_states;
+        if config.interprocedural {
+            multilevel::propagate_entry_states(cfg, &in_states, &ctx, &mut entries);
+        }
+        states.insert(faddr, in_states);
+    }
+    drop(fixpoints_span);
+    Classified {
+        key,
+        summaries,
+        states,
+        widened,
+        budget,
+    }
+}
+
+/// The costing pass: per function, callees first (it needs callee WCET
+/// bounds), block costs from the classified in-states — or, for the
+/// single-level analyzer, from its own MUST fixpoint — then IPET. This
+/// is the only stage that reads latencies, so it runs once per
+/// configuration.
+///
+/// # Panics
+///
+/// When `classified` does not [serve](Classified::serves) `config`.
+///
+/// # Errors
+///
+/// The first loop-bounding ([`prepare`]) or IPET failure in callee-first
+/// order, or [`WcetError::MissingFunction`] for a missing entry function.
+pub fn cost(
+    prepared: &Prepared,
+    exe: &Executable,
+    config: &WcetConfig,
+    classified: &Classified,
+) -> Result<WcetResult, WcetError> {
+    assert!(
+        classified.serves(config),
+        "the classification was computed for another configuration"
+    );
+    let config = effective_config(config);
+    let Prepared {
+        cfgs,
+        order,
+        entry_depth,
+        annot,
+        flows,
+    } = prepared;
+    let mut wcet_by_addr: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut per_function = Vec::with_capacity(order.len());
+    let mut classification = cache::Classification::default();
+    let mut widened = classified.widened;
 
     let costing_span = spmlab_obs::span("wcet-pass-costing");
-    for &faddr in &order {
+    for (&faddr, flow) in order.iter().zip(flows) {
         let cfg = &cfgs[&faddr];
         let _f = spmlab_obs::span_with("wcet-fn-cost", || cfg.name.clone());
-        let loops = natural_loops(cfg)?;
-        let loop_bounds = bounds::loop_bounds(cfg, &loops, &annot, config.auto_loop_bounds)?;
+        let FuncFlow {
+            loops,
+            bounds: loop_bounds,
+            totals,
+        } = flow.as_ref().map_err(Clone::clone)?;
 
         let mut classify = ClassifyStats::default();
         let (block_costs, entry_penalties) = if let Some(hierarchy) = &config.hierarchy {
             let ctx = MultiCtx {
                 hierarchy,
                 map: &exe.memory_map,
-                annot: &annot,
+                annot,
                 l2_analysis: config.l2_must_analysis,
                 may_analysis: config.may_analysis,
-                summaries: config.interprocedural.then_some(&summaries),
-                budget: fx_budget,
+                summaries: config.interprocedural.then_some(&classified.summaries),
+                budget: classified.budget,
             };
-            let in_states = &hierarchy_states[&faddr];
+            let in_states = &classified.states[&faddr];
             let top = MultiState::top(&ctx);
             let costs: BTreeMap<u32, u64> = cfg
                 .blocks
@@ -402,7 +583,7 @@ pub fn analyze(
                         .map(|(&b, block)| {
                             (
                                 b,
-                                timing::block_cost(block, &exe.memory_map, &annot, &wcet_by_addr),
+                                timing::block_cost(block, &exe.memory_map, annot, &wcet_by_addr),
                             )
                         })
                         .collect();
@@ -412,11 +593,11 @@ pub fn analyze(
                     let ctx = CacheCtx {
                         cache: cache_cfg,
                         map: &exe.memory_map,
-                        annot: &annot,
-                        budget: fx_budget,
+                        annot,
+                        budget: classified.budget,
                     };
                     let persistence_info = if config.persistence {
-                        cache::persistence(cfg, &loops, &ctx)
+                        cache::persistence(cfg, loops, &ctx)
                     } else {
                         Persistence::disabled()
                     };
@@ -446,17 +627,13 @@ pub fn analyze(
             }
         };
 
-        let totals: BTreeMap<u32, u32> = loops
-            .iter()
-            .filter_map(|l| Some((l.header, annot.loop_total(l.header)?)))
-            .collect();
         let wcet = ipet::solve_with_totals(
             cfg,
             &block_costs,
-            &loops,
-            &loop_bounds,
+            loops,
+            loop_bounds,
             &entry_penalties,
-            &totals,
+            totals,
         )?;
         wcet_by_addr.insert(faddr, wcet);
         per_function.push(FuncWcet {
@@ -472,6 +649,7 @@ pub fn analyze(
 
     drop(costing_span);
 
+    let entry_addr = exe.entry;
     let entry_wcet = *wcet_by_addr
         .get(&entry_addr)
         .ok_or_else(|| WcetError::MissingFunction(format!("entry {entry_addr:#x}")))?;
@@ -481,10 +659,29 @@ pub fn analyze(
     Ok(WcetResult {
         wcet_cycles: entry_wcet,
         per_function,
-        stack_bytes: entry_depth,
+        stack_bytes: *entry_depth,
         classification,
         widened,
     })
+}
+
+/// Runs the full analysis — [`prepare`], then [`classify`], then
+/// [`cost`]: CFG reconstruction, loop bounding, stack-depth analysis,
+/// cache classification, microarchitectural timing and per-function
+/// IPET, combined bottom-up over the call graph.
+///
+/// # Errors
+///
+/// Any [`WcetError`]; the most common in practice is
+/// [`WcetError::UnboundedLoop`] for a loop missing its annotation.
+pub fn analyze(
+    exe: &Executable,
+    config: &WcetConfig,
+    annotations: &AnnotationSet,
+) -> Result<WcetResult, WcetError> {
+    let prepared = prepare(exe, annotations, config.auto_loop_bounds)?;
+    let classified = classify(&prepared, exe, config);
+    cost(&prepared, exe, config, &classified)
 }
 
 #[cfg(test)]
@@ -674,6 +871,9 @@ mod tests {
 
     #[test]
     fn exhausted_budget_degrades_but_stays_sound() {
+        // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
+        // so a concurrently counting test cannot see it.
+        let _x = spmlab_obs::exclusive();
         let l = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
         let cache = spmlab_isa::cachecfg::CacheConfig::unified(1024);
         let s = simulate(

@@ -378,6 +378,9 @@ mod tests {
     /// 4096 floor — an explicit cap has no floor by design.
     #[test]
     fn caller_iteration_cap_widens_without_floor() {
+        // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
+        // so a concurrently counting test cannot see it.
+        let _x = spmlab_obs::exclusive();
         let cfg = cfg_of(&[(0, &[2][..]), (2, &[0][..])]);
         let result = must_fixpoint(
             &cfg,
@@ -405,6 +408,9 @@ mod tests {
     /// top everywhere, i.e. degraded but sound.
     #[test]
     fn expired_deadline_widens_immediately() {
+        // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
+        // so a concurrently counting test cannot see it.
+        let _x = spmlab_obs::exclusive();
         let cfg = cfg_of(&[(0, &[2][..]), (2, &[][..])]);
         let result = must_fixpoint(
             &cfg,

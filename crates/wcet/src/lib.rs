@@ -53,7 +53,9 @@ pub mod report;
 pub mod stack;
 pub mod timing;
 
-pub use analysis::{analyze, AnalysisBudget, WcetConfig};
+pub use analysis::{
+    analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig,
+};
 pub use fixpoint::FixpointBudget;
 pub use report::{FuncWcet, WcetResult};
 

@@ -15,12 +15,15 @@ use std::time::Duration;
 
 use spmlab::faults::{arm, FaultAction, FaultPlan};
 use spmlab::sweep::{collect_points, spec_sweep_outcomes, spec_sweep_with_session};
-use spmlab::{check_checkpoint, CheckpointHeader, CoreError, MemArchSpec, Pipeline, SweepSession};
+use spmlab::{
+    check_checkpoint, CheckpointHeader, CoreError, MemArchSpec, Pipeline, PointOutcome,
+    SweepSession,
+};
 use spmlab_bench::{
     hierarchy_figure_with_session, hierarchy_json, hierarchy_session, CheckpointMode,
 };
 use spmlab_isa::cachecfg::CacheConfig;
-use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer};
 use spmlab_workloads::INSERTSORT;
 
 /// An inert plan: arming it takes the harness lock without faulting
@@ -42,7 +45,7 @@ fn small_axis() -> Vec<MemArchSpec> {
 }
 
 /// Two cache shapes at three main-memory latencies: the sweep measures
-/// each shape's points as one latency group sharing a single trace
+/// each shape's points as one main-timing group sharing a single trace
 /// tally. (A unified and a split L1 never share a memo key, so every
 /// point is its own measurement.)
 fn latency_axis() -> Vec<MemArchSpec> {
@@ -56,6 +59,24 @@ fn latency_axis() -> Vec<MemArchSpec> {
             axis.push(MemArchSpec::from_hierarchy(
                 &shape.clone().with_main(MainMemoryTiming::dram(latency)),
             ));
+        }
+    }
+    axis
+}
+
+/// One split-L1 geometry at three main-memory latencies, without and with
+/// a store buffer: a single main-timing group, which the sweep measures as
+/// one unit — serially, in axis order — sharing one cache classification.
+fn main_timing_axis() -> Vec<MemArchSpec> {
+    let shape = MemHierarchyConfig::split_l1(256, 256);
+    let mut axis = Vec::new();
+    for store_buffer in [None, Some(StoreBuffer::new(4, 8))] {
+        for latency in [0, 10, 40] {
+            let main = MainMemoryTiming {
+                store_buffer,
+                ..MainMemoryTiming::dram(latency)
+            };
+            axis.push(MemArchSpec::from_hierarchy(&shape.clone().with_main(main)));
         }
     }
     axis
@@ -119,7 +140,7 @@ fn typed_errors_fail_exactly_the_affected_points() {
 fn panics_are_contained_per_point() {
     // A panic fails exactly the point it hits: the pipeline's memo locks
     // recover from poisoning, so every other point — including the
-    // other members of a latency group sharing one trace tally — still
+    // other members of a main-timing group sharing one trace tally — still
     // completes, with the numbers a direct run gives.
     let cases = [
         ("measure-spec", small_axis()),
@@ -155,6 +176,41 @@ fn panics_are_contained_per_point() {
             let direct = p.run(&o.spec).expect("direct run");
             assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
             assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
+        }
+    }
+}
+
+#[test]
+fn faults_inside_a_shared_unit_fail_only_their_member() {
+    // A member's analysis fails — the second after the first has
+    // classified the geometry, or the first before anyone has: that point
+    // alone fails, and every other member costs from one shared
+    // classification to the numbers a direct run gives.
+    let cases = [2, 1]
+        .into_iter()
+        .flat_map(|nth| [FaultAction::Error, FaultAction::Panic].map(|action| (nth, action)));
+    for (nth, action) in cases {
+        let guard = arm(inert());
+        let p = Pipeline::new(&INSERTSORT).expect("pipeline");
+        guard.rearm(FaultPlan::new("analyze", nth, action));
+        let outcomes = spec_sweep_outcomes(&p, &main_timing_axis()).expect("sweep survives");
+        assert!(guard.fired(), "{action:?}: analysis #{nth} was reached");
+        guard.rearm(inert());
+        for (i, o) in outcomes.iter().enumerate() {
+            if i + 1 == nth {
+                let failed = o.outcome.failure().expect("the faulted member fails");
+                assert_eq!(failed.panicked, action == FaultAction::Panic, "{action:?}");
+                continue;
+            }
+            assert!(
+                matches!(o.outcome, PointOutcome::Ok(_)),
+                "{action:?}: point {i} completes"
+            );
+            let r = o.outcome.result().expect("completed");
+            let direct = p.run(&o.spec).expect("direct run");
+            assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
+            assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
+            assert_eq!(r.classify, direct.classify, "{}", r.label);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Workspace-level observability tests: the instrumentation the pipeline
 //! emits while sweeping (sweep memo/replay counters pinned on the paper's
-//! eight-config G.721 hierarchy scenario, and the trace walks of a
-//! latency-grouped grid), the JSON-lines profile stream a
+//! eight-config G.721 hierarchy scenario, and the trace walks and
+//! classifications of a main-timing-grouped grid), the JSON-lines profile stream a
 //! profiled run records, and property tests over the span-tree collector.
 //!
 //! Every test that installs a sink takes `spmlab_obs::exclusive()` first:
@@ -64,11 +64,12 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
     assert_eq!(sink.counter_total("sweep_recorded_reuse"), 1);
 }
 
-/// The sweep-level pricing case: a grid with a `main_latency` axis gives
-/// the outcomes of per-point `Pipeline::run`, every point is still
-/// priced from the trace (`sweep_replay`), and each unbuffered cache
-/// geometry walks the trace once for all three latencies — while
-/// store-buffered points each walk it on their own.
+/// The sweep-level sharing case: a grid with `main_latency` and store
+/// buffer axes gives the outcomes of per-point `Pipeline::run`, every
+/// point is still priced from the trace (`sweep_replay`), each unbuffered
+/// cache geometry walks the trace once for all three latencies — while
+/// store-buffered points each walk it on their own — and each cache
+/// geometry runs its MUST/MAY fixpoints once for all six timings.
 #[test]
 fn latency_axis_sweep_tallies_each_geometry_once() {
     let grid = GridSpec {
@@ -99,6 +100,16 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         // one walks nothing; the twelve store-buffered points walk once
         // per point. Pricing every point separately would walk 21 times.
         assert_eq!(sink.counter_total("replay_events"), (3 + 12) * events);
+        // One classification per geometry: the no-scratchpad program is
+        // prepared once, and every geometry's hierarchy-path members share
+        // one fixpoint pass (the latency-0 unbuffered uncached and unified
+        // L1 points take region timing and the single-level analyzer,
+        // which run none). Classifying per point would run it 22 times.
+        let spans = sink.spans();
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(count("wcet-pass-prepare"), 1);
+        assert_eq!(count("wcet-pass-fixpoints"), 4);
+        assert_eq!(count("wcet-pass-costing"), 24, "costing stays per point");
         outcomes
     };
     for o in &outcomes {
@@ -108,6 +119,7 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
         assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
         assert_eq!(r.classify, direct.classify, "{}", r.label);
+        assert_eq!(r.degraded, direct.degraded, "{}", r.label);
         assert_eq!(
             r.energy_nj.to_bits(),
             direct.energy_nj.to_bits(),

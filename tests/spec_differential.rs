@@ -22,7 +22,7 @@
 //! `spmlab-isa::archspec`; this file exercises the pipeline.)
 
 use spmlab::pipeline::Pipeline;
-use spmlab::{hierarchy_axis, MainMemoryTiming, MemArchSpec, PAPER_SIZES};
+use spmlab::{hierarchy_axis, MainMemoryTiming, MemArchSpec, MemHierarchyConfig, PAPER_SIZES};
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_workloads::G721;
 use std::sync::OnceLock;
@@ -288,4 +288,116 @@ fn persistence_spec_tightens_must_only() {
     let must_only = p.run(&MemArchSpec::single_cache(cache)).unwrap();
     assert!(pers.wcet_cycles <= must_only.wcet_cycles);
     assert!(pers.wcet_cycles >= pers.sim_cycles);
+}
+
+/// The cache geometries of a DSE grid, each with its main-timing family:
+/// main latency {0, 10, 40} × store buffer {none, depth 4 / drain 8}.
+/// Members of one family differ only in what the costing pass reads.
+fn timing_families(grid: spmlab::GridSpec) -> Vec<Vec<MemHierarchyConfig>> {
+    use spmlab_isa::hierarchy::StoreBuffer;
+    let grid = spmlab::GridSpec {
+        main_latencies: vec![0, 10, 40],
+        store_buffers: vec![None, Some(StoreBuffer::new(4, 8))],
+        ..grid
+    };
+    let mut families: Vec<(MemHierarchyConfig, Vec<MemHierarchyConfig>)> = Vec::new();
+    for spec in grid.axis().expect("valid grid").0 {
+        let h = spec.hierarchy();
+        let untimed = MemHierarchyConfig {
+            main: MainMemoryTiming::table1(),
+            ..h.clone()
+        };
+        match families.iter_mut().find(|(g, _)| *g == untimed) {
+            Some((_, members)) => members.push(h),
+            None => families.push((untimed, vec![h])),
+        }
+    }
+    families.into_iter().map(|(_, members)| members).collect()
+}
+
+/// Every cache geometry of the write-through (`dse-wt`) and write-back
+/// (`dse-wb`) DSE grids, write-back L1/L2 stacks included.
+fn dse_families() -> &'static [Vec<MemHierarchyConfig>] {
+    use spmlab::dse::L1Shape;
+    use spmlab_isa::cachecfg::WritePolicy;
+    static FAMILIES: OnceLock<Vec<Vec<MemHierarchyConfig>>> = OnceLock::new();
+    FAMILIES.get_or_init(|| {
+        let base = spmlab::GridSpec {
+            l1_shapes: vec![L1Shape::Unified, L1Shape::Split],
+            l2_sizes: vec![0, 4096, 16384],
+            ..spmlab::GridSpec::default()
+        };
+        let wt = spmlab::GridSpec {
+            l1_sizes: vec![0, 256, 1024, 4096],
+            ..base.clone()
+        };
+        let wb = spmlab::GridSpec {
+            l1_sizes: vec![256, 1024, 4096],
+            l1_policies: vec![WritePolicy::WriteBack],
+            l2_policies: vec![WritePolicy::WriteBack],
+            ..base
+        };
+        let mut families = timing_families(wt);
+        families.extend(timing_families(wb));
+        assert_eq!(families.len(), 21 + 18, "dse-wt and dse-wb geometries");
+        assert!(families.iter().all(|f| f.len() == 6), "six timings each");
+        families
+    })
+}
+
+/// The staged analysis is exact under sharing: for every geometry, `cost`
+/// over one `classify` of the family's first member returns, for every
+/// member, the `WcetResult` a fresh `analyze` returns.
+fn assert_shared_classification_is_exact(name: &str, linked: &spmlab_cc::LinkedProgram) {
+    use spmlab_wcet::{analyze, classify, cost, prepare, WcetConfig};
+    let (exe, annot) = (&linked.exe, &linked.annotations);
+    let prepared = prepare(exe, annot, true).expect("prepare");
+    for family in dse_families() {
+        let shared = classify(
+            &prepared,
+            exe,
+            &WcetConfig::with_hierarchy(family[0].clone()),
+        );
+        for h in family {
+            let config = WcetConfig::with_hierarchy(h.clone());
+            assert!(shared.serves(&config), "{name}: {h:?}");
+            assert_eq!(
+                cost(&prepared, exe, &config, &shared),
+                analyze(exe, &config, annot),
+                "{name}: {h:?}"
+            );
+        }
+    }
+}
+
+fn no_spm_link(bench: &spmlab_workloads::Benchmark) -> spmlab_cc::LinkedProgram {
+    let module = bench.compile().unwrap();
+    bench
+        .link_with_input(
+            &module,
+            &spmlab_isa::mem::MemoryMap::no_spm(),
+            &spmlab_cc::SpmAssignment::none(),
+            &bench.typical_input(),
+        )
+        .unwrap()
+}
+
+#[test]
+fn g721_shared_classification_costs_like_fresh_analysis() {
+    assert_shared_classification_is_exact("g721", &no_spm_link(&G721));
+}
+
+#[test]
+fn adpcm_shared_classification_costs_like_fresh_analysis() {
+    assert_shared_classification_is_exact("adpcm", &no_spm_link(&spmlab_workloads::ADPCM));
+}
+
+#[test]
+fn corpus_shared_classification_costs_like_fresh_analysis() {
+    use spmlab_workloads::gen;
+    for seed in spmlab_bench::fuzz::CORPUS_SEEDS {
+        let program = gen::generate_for_seed(seed, &gen::reference_arch());
+        let linked = no_spm_link(&program.benchmark());
+        assert_shared_classification_is_exact(&program.name(), &linked);
+    }
 }
