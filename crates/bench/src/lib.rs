@@ -25,7 +25,7 @@ pub use history::{
 use spmlab::figures::{table1, table2, Figure3, FigureHierarchy, FigureSpmHierarchy, Tightness};
 use spmlab::pipeline::Pipeline;
 use spmlab::report;
-use spmlab::sweep::{cache_sweep_with, spec_sweep, SweepSession};
+use spmlab::sweep::{cache_sweep_with, spec_sweep, SweepPoint, SweepSession};
 use spmlab::{
     cache_axis, hierarchy_axis, hierarchy_spec_axis, hierarchy_spm_axis, hierarchy_spm_machines,
     spm_axis, write_policy_axis, CheckpointHeader, CoreError, MemArchSpec, SpmAllocation,
@@ -979,10 +979,7 @@ pub fn exp_write_policy_with_artifacts(
 ///
 /// Pipeline failures.
 pub fn exp_ablation_persistence(quick: bool) -> Result<String, CoreError> {
-    let pipeline = Pipeline::new(&G721)?;
-    let szs = sizes(quick);
-    let must = cache_sweep_with(&pipeline, szs, false, CacheConfig::unified)?;
-    let pers = cache_sweep_with(&pipeline, szs, true, CacheConfig::unified)?;
+    let (must, pers) = persistence_ablation_points(quick)?;
     let rows: Vec<Vec<String>> = must
         .iter()
         .zip(&pers)
@@ -1001,6 +998,19 @@ pub fn exp_ablation_persistence(quick: bool) -> Result<String, CoreError> {
     Ok(format!(
         "Ablation: cache WCET, MUST-only vs +persistence (G.721)\n{}",
         report::render_table(&["bytes", "must-only", "+persistence", "gain"], &rows)
+    ))
+}
+
+/// The G.721 unified-cache sweeps behind [`exp_ablation_persistence`]:
+/// MUST-only, then MUST+persistence.
+fn persistence_ablation_points(
+    quick: bool,
+) -> Result<(Vec<SweepPoint>, Vec<SweepPoint>), CoreError> {
+    let pipeline = Pipeline::new(&G721)?;
+    let szs = sizes(quick);
+    Ok((
+        cache_sweep_with(&pipeline, szs, false, CacheConfig::unified)?,
+        cache_sweep_with(&pipeline, szs, true, CacheConfig::unified)?,
     ))
 }
 
@@ -1475,6 +1485,17 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     claims.push((
         "write-policy: WCET ≥ simulation at every write-through AND write-back point".into(),
         write_policy_sound(&wp),
+    ));
+
+    // Claim 12 (the persistence ablation): first-miss persistence only
+    // ever tightens the MUST-only bound, and stays sound.
+    let (must, pers) = persistence_ablation_points(quick)?;
+    claims.push((
+        "ablation-persistence: +persistence ≤ MUST-only and ≥ sim at every size".into(),
+        must.iter().zip(&pers).all(|(m, p)| {
+            p.result.wcet_cycles <= m.result.wcet_cycles
+                && p.result.wcet_cycles >= p.result.sim_cycles
+        }),
     ));
 
     Ok(claims)

@@ -79,13 +79,14 @@ pub(crate) struct ArchMeasurement {
 
 /// What the members of one sweep executor unit share (see
 /// `sweep::spec_sweep_with_session`): the latency-0 trace tally of its
-/// priceable members (see [`Pipeline::prices_latencies`]) and the cache
-/// classification of its members analysed on the hierarchy path. It lives
-/// only as long as its unit; [`Pipeline::run`] is a unit of one.
+/// priceable members (see [`Pipeline::prices_latencies`]) and one cache
+/// classification per analyzer configuration its members route to (a
+/// paper-mode twin classifies apart from its full-flag siblings). It
+/// lives only as long as its unit; [`Pipeline::run`] is a unit of one.
 #[derive(Default)]
 pub(crate) struct UnitShare {
     tally: Option<Tally>,
-    classified: Option<Classified>,
+    classified: Vec<Classified>,
 }
 
 /// Link + recording of one scratchpad configuration, shared by every spec
@@ -302,22 +303,26 @@ impl Pipeline {
     /// |----------------------------------------|-------------------------------|
     /// | no cache levels, Table-1 main          | pure region timing            |
     /// | no cache levels, other main            | region timing over that main  |
-    /// | single unified-descriptor L1, Table-1  | single-level MUST (+persistence on request) |
-    /// | anything else with cache levels        | multi-level (Hardy–Puaut) MUST |
+    /// | single unified-descriptor L1, Table-1  | paper mode: MUST only (+persistence on request) |
+    /// | anything else with cache levels        | multi-level (Hardy–Puaut) MUST×MAY |
     ///
-    /// Write-policy-dependent shapes (any write-back level, or a store
-    /// buffer) always take the multi-level path — it carries the
-    /// charge-at-store write-back rule (`spmlab_wcet::dirty`) the
-    /// single-level analyzer lacks. They replay from the ordered (v2)
-    /// trace like every other shape; only count-based (v1) traces force
-    /// them into full simulation (see `MemTrace::supports`).
+    /// Every cached shape runs the one multi-level analyzer
+    /// (`spmlab_wcet::multilevel`); paper mode is its baseline flags —
+    /// per-function TOP entry states, no MAY pass, no interprocedural
+    /// pass ([`WcetConfig::with_cache`]) — plus, on request, the
+    /// first-miss persistence extension. Write-policy-dependent shapes
+    /// (any write-back level, or a store buffer) always take the full
+    /// flags with the charge-at-store write-back rule
+    /// (`spmlab_wcet::dirty`). They replay from the ordered (v2) trace
+    /// like every other shape; only count-based (v1) traces force them
+    /// into full simulation (see `MemTrace::supports`).
     ///
-    /// (The single-level analyzer is kept for the paper's exact ARM7
-    /// setup — its numbers are pinned by `tests/spec_differential.rs`.
-    /// Since the interprocedural MAY/CAC upgrade the multi-level analyzer
-    /// can be *tighter* than the single-level one on the overlap, so the
-    /// routing is part of the observable contract: a bare unified L1 over
-    /// Table-1 main memory reports the paper's single-level bound.)
+    /// (Paper mode reproduces the paper's ARM7/aiT setup, and its numbers
+    /// are pinned by `tests/spec_differential.rs` and
+    /// `tests/paper_mode_golden.rs`. The full flags can be *tighter* on
+    /// the overlap, so the routing is part of the observable contract: a
+    /// bare unified L1 over Table-1 main memory reports the paper-mode
+    /// bound.)
     ///
     /// # Errors
     ///
@@ -521,17 +526,20 @@ impl Pipeline {
             let wcfg = self.wcet_config_for(canon);
             debug_assert!(wcfg.auto_loop_bounds, "no_spm_prepared assumes auto bounds");
             let prepared = self.no_spm_prepared()?;
-            let mut own_classified = None;
-            let slot = if wcfg.hierarchy.is_some() && !wcfg.budget.is_limited() {
-                &mut share.classified
-            } else {
+            let mut own_classified = Vec::new();
+            let slots = if wcfg.budget.is_limited() {
                 &mut own_classified
+            } else {
+                &mut share.classified
             };
-            if !slot.as_ref().is_some_and(|c| c.serves(&wcfg)) {
-                *slot = Some(classify(prepared, &linked.exe, &wcfg));
-            }
-            let classified = slot.as_ref().expect("classified above");
-            cost(prepared, &linked.exe, &wcfg, classified)?
+            let i = match slots.iter().position(|c| c.serves(&wcfg)) {
+                Some(i) => i,
+                None => {
+                    slots.push(classify(prepared, &linked.exe, &wcfg));
+                    slots.len() - 1
+                }
+            };
+            cost(prepared, &linked.exe, &wcfg, &slots[i])?
         };
         Ok(ArchMeasurement {
             sim_cycles,

@@ -351,7 +351,7 @@ impl MemArchSpec {
                 L1::Unified(c) if !c.write_policy.is_write_back() => {}
                 L1::Unified(_) => {
                     return Err(SpecError::PersistenceShape(
-                        "requires a write-through L1 (the single-level analyzer \
+                        "requires a write-through L1 (first-miss persistence \
                          has no write-back model)",
                     ));
                 }

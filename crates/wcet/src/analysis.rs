@@ -1,6 +1,6 @@
 //! Whole-program analysis orchestration.
 
-use crate::cache::{self, CacheCtx, ClassifyStats, Persistence};
+use crate::cache::{self, Classification, ClassifyStats, Persistence};
 use crate::cfg::{build_all, FuncCfg};
 use crate::fixpoint::FixpointBudget;
 use crate::ipet;
@@ -10,10 +10,9 @@ use crate::report::{FuncWcet, WcetResult};
 use crate::stack::total_depths;
 use crate::{bounds, timing, WcetError};
 use spmlab_isa::annot::AnnotationSet;
-use spmlab_isa::cachecfg::CacheConfig;
+use spmlab_isa::cachecfg::{CacheConfig, CacheScope};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_isa::image::Executable;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Resource budget for one [`analyze`] call, expressed in wall-clock
@@ -65,17 +64,15 @@ impl AnalysisBudget {
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WcetConfig {
-    /// Single-level cache model; `None` = pure Table-1 region timing (the
-    /// scratchpad branch of the paper). Ignored when `hierarchy` is set.
-    pub cache: Option<CacheConfig>,
-    /// Multi-level hierarchy model (L1 I/D, unified L2, parametric main
-    /// memory); takes precedence over `cache`. Analyzed by
-    /// [`crate::multilevel`] with Hardy–Puaut cache-access classification.
+    /// Memory hierarchy model (L1 I/D, unified L2, parametric main
+    /// memory), analyzed by [`crate::multilevel`] with Hardy–Puaut
+    /// cache-access classification; `None` = pure Table-1 region timing
+    /// (the scratchpad branch of the paper).
     pub hierarchy: Option<MemHierarchyConfig>,
     /// Enable the persistence (first-miss) extension — *off* matches the
     /// paper's "only a MUST analysis, no persistence" ARM7 configuration.
-    /// Single-level `cache` analyses only; the hierarchy path has no
-    /// persistence analysis (it runs MUST and, with `may_analysis`, MAY).
+    /// Modelled for a single write-through L1 with no L2 behind it (see
+    /// [`cache::persistence`]) and ignored for every other hierarchy.
     pub persistence: bool,
     /// Enable the automatic counted-loop bound detector.
     pub auto_loop_bounds: bool,
@@ -106,7 +103,6 @@ impl WcetConfig {
     /// Region timing only (scratchpad / no-cache systems).
     pub fn region_timing() -> WcetConfig {
         WcetConfig {
-            cache: None,
             hierarchy: None,
             persistence: false,
             auto_loop_bounds: true,
@@ -125,21 +121,28 @@ impl WcetConfig {
         }
     }
 
-    /// Cache analysis with the paper's MUST-only setup.
+    /// Single-cache analysis in the paper's MUST-only setup ("paper
+    /// mode"): the [baseline](WcetConfig::with_hierarchy_baseline) flags
+    /// over [`MemHierarchyConfig::l1_only`]. A data-only cache takes the
+    /// full [`with_hierarchy`](WcetConfig::with_hierarchy) flags instead,
+    /// which its pinned bounds have always used.
     pub fn with_cache(cache: CacheConfig) -> WcetConfig {
-        WcetConfig {
-            cache: Some(cache),
-            ..WcetConfig::region_timing()
+        let data_only = cache.scope == CacheScope::DataOnly;
+        let hierarchy = MemHierarchyConfig::l1_only(cache);
+        if data_only {
+            WcetConfig::with_hierarchy(hierarchy)
+        } else {
+            WcetConfig::with_hierarchy_baseline(hierarchy)
         }
     }
 
-    /// Cache analysis plus persistence (the paper's "full cache analysis
-    /// would probably improve results" future-work configuration).
+    /// [`WcetConfig::with_cache`] plus persistence (the paper's "full
+    /// cache analysis would probably improve results" future-work
+    /// configuration).
     pub fn with_cache_persistence(cache: CacheConfig) -> WcetConfig {
         WcetConfig {
-            cache: Some(cache),
             persistence: true,
-            ..WcetConfig::region_timing()
+            ..WcetConfig::with_cache(cache)
         }
     }
 
@@ -336,8 +339,7 @@ pub fn prepare(
 /// The timing-independent cache classification of one configuration
 /// ([`classify`]): the interprocedural call summaries and every block's
 /// converged MUST×MAY in-state. Empty (but still required) for region
-/// timing and the single-level analyzer, whose fixpoint runs inside
-/// [`cost`].
+/// timing.
 #[derive(Debug)]
 pub struct Classified {
     /// The configuration this classification serves, with the hierarchy's
@@ -360,29 +362,10 @@ impl Classified {
     }
 }
 
-/// `config` with the data-only single cache routed to the hierarchy path:
-/// the single-level analyzer predates the `DataOnly` scope and would model
-/// fetches as cached where the simulator bypasses them, while the
-/// multilevel path routes traffic exactly like the simulator.
-fn effective_config(config: &WcetConfig) -> Cow<'_, WcetConfig> {
-    match &config.cache {
-        Some(c)
-            if config.hierarchy.is_none()
-                && c.scope == spmlab_isa::cachecfg::CacheScope::DataOnly =>
-        {
-            Cow::Owned(WcetConfig {
-                hierarchy: Some(MemHierarchyConfig::from_single_cache(Some(c.clone()))),
-                ..config.clone()
-            })
-        }
-        _ => Cow::Borrowed(config),
-    }
-}
-
-/// The effective configuration with `main.latency` zeroed and the store
-/// buffer dropped: configurations with equal keys classify identically.
+/// `config` with `main.latency` zeroed and the store buffer dropped:
+/// configurations with equal keys classify identically.
 fn classification_key(config: &WcetConfig) -> WcetConfig {
-    let mut key = effective_config(config).into_owned();
+    let mut key = config.clone();
     if let Some(h) = &mut key.hierarchy {
         h.main = MainMemoryTiming {
             latency: 0,
@@ -413,7 +396,6 @@ fn classification_key(config: &WcetConfig) -> WcetConfig {
 /// covers this call and the [`cost`] calls that use its result.
 pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> Classified {
     let key = classification_key(config);
-    let config = effective_config(config);
     let budget = config.budget.fixpoint_budget();
     let mut widened = false;
     let Some(hierarchy) = &config.hierarchy else {
@@ -498,10 +480,10 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
 }
 
 /// The costing pass: per function, callees first (it needs callee WCET
-/// bounds), block costs from the classified in-states — or, for the
-/// single-level analyzer, from its own MUST fixpoint — then IPET. This
-/// is the only stage that reads latencies, so it runs once per
-/// configuration.
+/// bounds), block costs from the classified in-states (or region timing
+/// without a hierarchy), then IPET — with one first miss per loop entry
+/// for every line charged a persistent hit. This is the only stage that
+/// reads latencies, so it runs once per configuration.
 ///
 /// # Panics
 ///
@@ -521,7 +503,6 @@ pub fn cost(
         classified.serves(config),
         "the classification was computed for another configuration"
     );
-    let config = effective_config(config);
     let Prepared {
         cfgs,
         order,
@@ -532,7 +513,7 @@ pub fn cost(
     let mut wcet_by_addr: BTreeMap<u32, u64> = BTreeMap::new();
     let mut per_function = Vec::with_capacity(order.len());
     let mut classification = cache::Classification::default();
-    let mut widened = classified.widened;
+    let widened = classified.widened;
 
     let costing_span = spmlab_obs::span("wcet-pass-costing");
     for (&faddr, flow) in order.iter().zip(flows) {
@@ -545,89 +526,65 @@ pub fn cost(
         } = flow.as_ref().map_err(Clone::clone)?;
 
         let mut classify = ClassifyStats::default();
-        let (block_costs, entry_penalties) = if let Some(hierarchy) = &config.hierarchy {
-            let ctx = MultiCtx {
-                hierarchy,
-                map: &exe.memory_map,
-                annot,
-                l2_analysis: config.l2_must_analysis,
-                may_analysis: config.may_analysis,
-                summaries: config.interprocedural.then_some(&classified.summaries),
-                budget: classified.budget,
-            };
-            let in_states = &classified.states[&faddr];
-            let top = MultiState::top(&ctx);
-            let costs: BTreeMap<u32, u64> = cfg
-                .blocks
-                .iter()
-                .map(|(&b, block)| {
-                    let in_state = in_states.get(&b).unwrap_or(&top);
-                    let c = multilevel::block_cost(
-                        block,
-                        in_state,
+        let (block_costs, entry_penalties, must_only_costs) = match &config.hierarchy {
+            Some(hierarchy) => {
+                let ctx = MultiCtx {
+                    hierarchy,
+                    map: &exe.memory_map,
+                    annot,
+                    l2_analysis: config.l2_must_analysis,
+                    may_analysis: config.may_analysis,
+                    summaries: config.interprocedural.then_some(&classified.summaries),
+                    budget: classified.budget,
+                };
+                let mut persistence = config
+                    .persistence
+                    .then(|| cache::persistence(cfg, loops, hierarchy, &exe.memory_map, annot))
+                    .flatten();
+                let in_states = &classified.states[&faddr];
+                let costs = hierarchy_block_costs(
+                    cfg,
+                    in_states,
+                    &ctx,
+                    &wcet_by_addr,
+                    &mut classify,
+                    &mut classification,
+                    persistence.as_mut(),
+                );
+                let penalties = persistence.map(|p| p.entry_penalties()).unwrap_or_default();
+                // Persistence trades a miss charge per execution for one
+                // first miss per loop entry, a trade that loses on a
+                // worst-case path skipping a persistent line's reads.
+                // Both bounds are sound, so the tighter one is kept.
+                let must_only = (!penalties.is_empty()).then(|| {
+                    hierarchy_block_costs(
+                        cfg,
+                        in_states,
                         &ctx,
                         &wcet_by_addr,
-                        &mut classify,
-                        &mut classification,
-                    );
-                    (b, c)
-                })
-                .collect();
-            (costs, BTreeMap::new())
-        } else {
-            match &config.cache {
-                None => {
-                    let costs: BTreeMap<u32, u64> = cfg
-                        .blocks
-                        .iter()
-                        .map(|(&b, block)| {
-                            (
-                                b,
-                                timing::block_cost(block, &exe.memory_map, annot, &wcet_by_addr),
-                            )
-                        })
-                        .collect();
-                    (costs, BTreeMap::new())
-                }
-                Some(cache_cfg) => {
-                    let ctx = CacheCtx {
-                        cache: cache_cfg,
-                        map: &exe.memory_map,
-                        annot,
-                        budget: classified.budget,
-                    };
-                    let persistence_info = if config.persistence {
-                        cache::persistence(cfg, loops, &ctx)
-                    } else {
-                        Persistence::disabled()
-                    };
-                    let fp = cache::must_fixpoint(cfg, &ctx);
-                    widened |= fp.widened;
-                    let in_states = fp.in_states;
-                    let top = cache::AbstractCache::top(cache_cfg);
-                    let costs: BTreeMap<u32, u64> = cfg
-                        .blocks
-                        .iter()
-                        .map(|(&b, block)| {
-                            let in_state = in_states.get(&b).unwrap_or(&top);
-                            let c = cache::block_cost(
-                                block,
-                                in_state,
-                                &ctx,
-                                &persistence_info,
-                                &wcet_by_addr,
-                                &mut classify,
-                                &mut classification,
-                            );
-                            (b, c)
-                        })
-                        .collect();
-                    (costs, persistence_info.entry_penalties.clone())
-                }
+                        &mut ClassifyStats::default(),
+                        &mut Classification::default(),
+                        None,
+                    )
+                });
+                (costs, penalties, must_only)
+            }
+            None => {
+                let costs: BTreeMap<u32, u64> = cfg
+                    .blocks
+                    .iter()
+                    .map(|(&b, block)| {
+                        (
+                            b,
+                            timing::block_cost(block, &exe.memory_map, annot, &wcet_by_addr),
+                        )
+                    })
+                    .collect();
+                (costs, BTreeMap::new(), None)
             }
         };
 
-        let wcet = ipet::solve_with_totals(
+        let mut wcet = ipet::solve_with_totals(
             cfg,
             &block_costs,
             loops,
@@ -635,6 +592,11 @@ pub fn cost(
             &entry_penalties,
             totals,
         )?;
+        if let Some(costs) = must_only_costs {
+            let must_only =
+                ipet::solve_with_totals(cfg, &costs, loops, loop_bounds, &BTreeMap::new(), totals)?;
+            wcet = wcet.min(must_only);
+        }
         wcet_by_addr.insert(faddr, wcet);
         per_function.push(FuncWcet {
             name: cfg.name.clone(),
@@ -663,6 +625,36 @@ pub fn cost(
         classification,
         widened,
     })
+}
+
+/// Costs every block of `cfg` under the hierarchy model from its
+/// classified in-state (TOP where none was recorded).
+fn hierarchy_block_costs(
+    cfg: &FuncCfg,
+    in_states: &BTreeMap<u32, MultiState>,
+    ctx: &MultiCtx,
+    callee_wcet: &BTreeMap<u32, u64>,
+    stats: &mut ClassifyStats,
+    classification: &mut Classification,
+    mut persistence: Option<&mut Persistence>,
+) -> BTreeMap<u32, u64> {
+    let top = MultiState::top(ctx);
+    cfg.blocks
+        .iter()
+        .map(|(&b, block)| {
+            let in_state = in_states.get(&b).unwrap_or(&top);
+            let c = multilevel::block_cost(
+                block,
+                in_state,
+                ctx,
+                callee_wcet,
+                stats,
+                classification,
+                persistence.as_deref_mut(),
+            );
+            (b, c)
+        })
+        .collect()
 }
 
 /// Runs the full analysis — [`prepare`], then [`classify`], then
@@ -705,9 +697,9 @@ mod tests {
 
     #[test]
     fn data_only_single_cache_is_sound() {
-        // A data-only single cache is routed through the multilevel path:
-        // the legacy single-level analyzer would model fetches as cached
-        // where the simulator bypasses them, undercutting the bound.
+        // `with_cache` on a data-only cache runs the full MUST×MAY flags
+        // rather than paper mode; either way fetches must bypass the
+        // cache exactly as in the simulator, or the bound undercuts it.
         let src = "
             int a[32]; int x;
             void main() {
@@ -742,7 +734,7 @@ mod tests {
     fn oversized_hit_latency_stays_sound() {
         // hit_latency may exceed the line-fill cost; every unclassified
         // access must then be charged the (larger) hit outcome. Exercised
-        // on both the single-level and the hierarchy analysis paths.
+        // in paper mode (`with_cache`) and with the full hierarchy flags.
         let l = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
         let cache = spmlab_isa::cachecfg::CacheConfig {
             hit_latency: 25,
@@ -754,16 +746,16 @@ mod tests {
             &SimOptions::default(),
         )
         .unwrap();
-        let single = analyze(
+        let paper = analyze(
             &l.exe,
             &WcetConfig::with_cache(cache.clone()),
             &l.annotations,
         )
         .unwrap();
         assert!(
-            single.wcet_cycles >= s.cycles,
-            "single-level: wcet {} < sim {} with hit_latency 25",
-            single.wcet_cycles,
+            paper.wcet_cycles >= s.cycles,
+            "paper mode: wcet {} < sim {} with hit_latency 25",
+            paper.wcet_cycles,
             s.cycles
         );
         let h = spmlab_isa::hierarchy::MemHierarchyConfig::l1_only(cache);
@@ -870,6 +862,50 @@ mod tests {
     }
 
     #[test]
+    fn persistence_never_loosens_a_single_pass_loop() {
+        // A single-pass loop: each persistent line on the worst-case path
+        // (the longer else branch) saves exactly the first miss it is
+        // charged, while the then branch's persistent lines only add their
+        // first misses. Charged as is, the bound would exceed MUST-only.
+        let src = "
+            int x; int y; int a0; int a1; int a2; int a3; int a4; int a5;
+            void main() {
+                int i;
+                for (i = 0; i < 1; i = i + 1) {
+                    __loopbound(1);
+                    if (x == 5) { y = 1; y = 2; y = 3; y = 4; y = 5; y = 6; }
+                    else {
+                        a0 = 1; a1 = 2; a2 = 3; a3 = 4; a4 = 5; a5 = 6;
+                        a0 = 7; a1 = 8; a2 = 9; a3 = 10; a4 = 11; a5 = 12;
+                        a0 = 1; a1 = 2; a2 = 3; a3 = 4; a4 = 5; a5 = 6;
+                    }
+                }
+            }
+        ";
+        let l = linked(src, MemoryMap::no_spm(), SpmAssignment::none());
+        let cache = spmlab_isa::cachecfg::CacheConfig::unified(4096);
+        let must = analyze(
+            &l.exe,
+            &WcetConfig::with_cache(cache.clone()),
+            &l.annotations,
+        )
+        .unwrap();
+        let pers = analyze(
+            &l.exe,
+            &WcetConfig::with_cache_persistence(cache.clone()),
+            &l.annotations,
+        )
+        .unwrap();
+        assert!(pers.total_classify().persistent > 0);
+        assert!(
+            pers.wcet_cycles <= must.wcet_cycles,
+            "+persistence {} looser than MUST-only {}",
+            pers.wcet_cycles,
+            must.wcet_cycles
+        );
+    }
+
+    #[test]
     fn exhausted_budget_degrades_but_stays_sound() {
         // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
         // so a concurrently counting test cannot see it.
@@ -888,9 +924,8 @@ mod tests {
             &l.annotations,
         )
         .unwrap();
-        // Iteration cap of 1 on the single-level path: every fixpoint
-        // widens to top, the result is flagged, and the bound can only
-        // grow.
+        // Iteration cap of 1 in paper mode: every fixpoint widens to top,
+        // the result is flagged, and the bound can only grow.
         let capped = analyze(
             &l.exe,
             &WcetConfig {
@@ -906,7 +941,7 @@ mod tests {
         assert!(capped.widened, "iteration cap of 1 must widen");
         assert!(capped.wcet_cycles >= s.cycles, "degraded must stay sound");
         assert!(capped.wcet_cycles >= unlimited.wcet_cycles);
-        // Expired deadline on the hierarchy path: same story.
+        // Expired deadline with the full hierarchy flags: same story.
         let h = spmlab_isa::hierarchy::MemHierarchyConfig::l1_only(cache.clone());
         let hs = simulate(
             &l.exe,

@@ -1,5 +1,6 @@
-//! Abstract-interpretation cache analysis (Ferdinand-style MUST analysis)
-//! with an optional persistence ("first miss") extension.
+//! Abstract cache domains (Ferdinand-style MUST and MAY caches), the
+//! classification records every analysis reports, and the persistence
+//! ("first miss") extension of the paper's single-L1 setup.
 //!
 //! The MUST cache maps each set to the lines *guaranteed* present, with an
 //! upper bound on their LRU age; the join is intersection with maximum age.
@@ -11,44 +12,18 @@
 //! Accesses with unknown addresses (array ranges, stack windows) weaken
 //! every set their range maps to — in a unified cache a data access can
 //! evict code, which is the mechanism behind the paper's headline result
-//! (cache WCET stays high regardless of cache size).
+//! (cache WCET stays high regardless of cache size). The analyzer that
+//! drives these domains over a program is [`crate::multilevel`].
 
-use crate::addrinfo::{data_accesses, DataAccess};
-use crate::cfg::{BasicBlock, FuncCfg};
+use crate::addrinfo::data_accesses;
+use crate::cfg::FuncCfg;
 use crate::loops::NaturalLoop;
 use spmlab_isa::annot::{AddrInfo, AnnotationSet};
-use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement};
+use spmlab_isa::cachecfg::{CacheConfig, CacheScope};
+use spmlab_isa::hierarchy::{MemHierarchyConfig, L1};
 use spmlab_isa::insn::Insn;
-use spmlab_isa::mem::{access_cycles, AccessWidth, MemoryMap, RegionKind};
-use std::collections::BTreeMap;
-
-/// Analysis context shared by the fixpoint and the costing walk.
-#[derive(Debug, Clone)]
-pub struct CacheCtx<'a> {
-    /// Cache geometry/policy.
-    pub cache: &'a CacheConfig,
-    /// Memory map (to tell scratchpad/MMIO accesses apart from main).
-    pub map: &'a MemoryMap,
-    /// Access annotations.
-    pub annot: &'a AnnotationSet,
-    /// Caller-imposed fixpoint budget (iteration cap / deadline); the
-    /// default imposes nothing beyond the structural cap.
-    pub budget: crate::fixpoint::FixpointBudget,
-}
-
-impl CacheCtx<'_> {
-    fn data_cached(&self) -> bool {
-        matches!(self.cache.scope, CacheScope::Unified)
-    }
-
-    fn is_main(&self, addr: u32) -> bool {
-        self.map.region_of(addr) == RegionKind::Main
-    }
-
-    fn lru(&self) -> bool {
-        matches!(self.cache.replacement, Replacement::Lru)
-    }
-}
+use spmlab_isa::mem::{MemoryMap, RegionKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The abstract MUST cache, packed for the analyzer's hot path.
 ///
@@ -771,72 +746,6 @@ impl MayCache {
     }
 }
 
-/// Applies a block's accesses to the abstract state (the MUST transfer
-/// function). `clobber_calls` controls whether `BL` clears the state.
-pub fn transfer_block(state: &mut AbstractCache, block: &BasicBlock, ctx: &CacheCtx) {
-    let lru = ctx.lru();
-    for (addr, insn) in &block.insns {
-        // Instruction fetches (16-bit each; BL fetches two halfwords).
-        for off in (0..insn.size()).step_by(2) {
-            let a = addr + off;
-            if ctx.is_main(a) {
-                state.access_read_exact(a, lru);
-            }
-        }
-        // Data accesses.
-        for acc in data_accesses(insn, *addr, ctx.annot) {
-            apply_data_access(state, &acc, ctx);
-        }
-        if matches!(insn, Insn::Bl { .. }) {
-            // The callee may touch anything.
-            state.clear();
-        }
-    }
-}
-
-fn apply_data_access(state: &mut AbstractCache, acc: &DataAccess, ctx: &CacheCtx) {
-    if acc.is_write || !ctx.data_cached() {
-        return; // Write-through/no-allocate writes and bypassed data.
-    }
-    let lru = ctx.lru();
-    match acc.info {
-        AddrInfo::Exact(a) => {
-            if ctx.is_main(a) {
-                state.access_read_exact(a, lru);
-            }
-        }
-        AddrInfo::Range { lo, hi } => {
-            // Entirely scratchpad → bypasses the cache.
-            if ctx.map.region_of(lo) == RegionKind::Scratchpad
-                && ctx.map.region_of(hi.saturating_sub(1)) == RegionKind::Scratchpad
-            {
-                return;
-            }
-            state.weaken_range(lo, hi, lru);
-        }
-        AddrInfo::Stack | AddrInfo::Unknown => {
-            state.weaken_range(0, u32::MAX, lru);
-        }
-    }
-}
-
-/// MUST-analysis fixpoint: in-state per block, plus the solver accounting
-/// (`widened` when the iteration budget forced the top-state fallback).
-pub fn must_fixpoint(
-    cfg: &FuncCfg,
-    ctx: &CacheCtx,
-) -> crate::fixpoint::FixpointResult<AbstractCache> {
-    crate::fixpoint::must_fixpoint(
-        cfg,
-        || AbstractCache::top(ctx.cache),
-        AbstractCache::top(ctx.cache),
-        AbstractCache::join_into,
-        |s, block| transfer_block(s, block, ctx),
-        64 * ctx.cache.assoc as usize,
-        ctx.budget,
-    )
-}
-
 /// Classification statistics for one function.
 ///
 /// The multi-level analysis buckets every access by its L1 cache-hit/miss
@@ -927,48 +836,89 @@ impl ClassifyStats {
     }
 }
 
-/// Persistence assignment: cache line → header of the outermost loop in
-/// which the line is persistent (eviction-free once loaded).
-#[derive(Debug, Clone, Default)]
+/// First-miss persistence of one function's loops ([`persistence`]):
+/// cache line → header of the outermost loop in which the line is
+/// persistent (eviction-free once loaded), plus the lines the costing
+/// walk has charged a persistent hit for.
+#[derive(Debug, Clone)]
 pub struct Persistence {
+    line_size: u32,
+    /// Cycles one first miss adds over the hit charge.
+    miss_penalty: u64,
     line_to_loop: BTreeMap<u32, u32>,
-    /// Extra cost per loop entry: header → penalty cycles.
-    pub entry_penalties: BTreeMap<u32, u64>,
     block_to_loops: BTreeMap<u32, Vec<u32>>,
+    charged: BTreeSet<u32>,
 }
 
 impl Persistence {
-    /// No persistence analysis (the paper's ARM7-aiT configuration).
-    pub fn disabled() -> Persistence {
-        Persistence::default()
+    /// Whether a Not-Classified read of `addr` from `block` may be charged
+    /// the hit cost: true when its line is persistent in a loop enclosing
+    /// `block`. The line is then recorded, and its loop pays one first
+    /// miss per entry ([`Persistence::entry_penalties`]).
+    pub fn charge(&mut self, addr: u32, block: u32) -> bool {
+        let line = addr / self.line_size * self.line_size;
+        let persistent = self.line_to_loop.get(&line).is_some_and(|header| {
+            self.block_to_loops
+                .get(&block)
+                .is_some_and(|hs| hs.contains(header))
+        });
+        if persistent {
+            self.charged.insert(line);
+        }
+        persistent
     }
 
-    /// Whether the access to `addr` from `block` counts as persistent-hit.
-    pub fn is_persistent(&self, line_size: u32, addr: u32, block: u32) -> bool {
-        let line = addr / line_size * line_size;
-        match self.line_to_loop.get(&line) {
-            Some(h) => self
-                .block_to_loops
-                .get(&block)
-                .is_some_and(|hs| hs.contains(h)),
-            None => false,
+    /// Extra cycles per loop entry (header → penalty): one first miss for
+    /// each line some read was actually [charged](Persistence::charge) a
+    /// persistent hit for. A persistent line whose every read is already
+    /// a MUST hit costs nothing extra.
+    pub fn entry_penalties(&self) -> BTreeMap<u32, u64> {
+        let mut penalties = BTreeMap::new();
+        for line in &self.charged {
+            *penalties.entry(self.line_to_loop[line]).or_insert(0) += self.miss_penalty;
         }
+        penalties
     }
 }
 
 /// Computes first-miss persistence per loop: a line is persistent in a
 /// loop when nothing in the loop can evict it — no calls, no
 /// unknown-address reads touching its set, and at most `assoc` distinct
-/// guaranteed lines mapping to the set.
-pub fn persistence(cfg: &FuncCfg, loops: &[NaturalLoop], ctx: &CacheCtx) -> Persistence {
-    let mut p = Persistence::default();
-    let line_size = ctx.cache.line;
-    let miss_penalty = ctx.cache.miss_cycles().max(ctx.cache.hit_cycles()) - ctx.cache.hit_cycles();
+/// exact lines mapping to the set.
+///
+/// Modelled only for the paper's shape, a single write-through L1 with
+/// no L2 behind it (the only shape `MemArchSpec::validate` accepts with
+/// persistence); `None` for every other hierarchy.
+pub fn persistence(
+    cfg: &FuncCfg,
+    loops: &[NaturalLoop],
+    hierarchy: &MemHierarchyConfig,
+    map: &MemoryMap,
+    annot: &AnnotationSet,
+) -> Option<Persistence> {
+    let L1::Unified(cache) = &hierarchy.l1 else {
+        return None;
+    };
+    if hierarchy.l2.is_some() || cache.write_policy.is_write_back() {
+        return None;
+    }
+    let fetch_cached = cache.scope != CacheScope::DataOnly;
+    let data_cached = cache.scope != CacheScope::InstrOnly;
+    let is_main = |a: u32| map.region_of(a) == RegionKind::Main;
+    let line_size = cache.line;
+    let hit = hierarchy.l1_hit_cycles(fetch_cached);
+    let mut p = Persistence {
+        line_size,
+        miss_penalty: hierarchy.l1_miss_no_l2_cycles(fetch_cached).max(hit) - hit,
+        line_to_loop: BTreeMap::new(),
+        block_to_loops: BTreeMap::new(),
+        charged: BTreeSet::new(),
+    };
     // Loops sorted inner-first; process outermost last so the outermost
     // persistent loop wins.
     for l in loops {
         let mut exact_lines: Vec<u32> = Vec::new();
-        let mut dirty_sets: Vec<bool> = vec![false; ctx.cache.num_sets() as usize];
+        let mut dirty_sets: Vec<bool> = vec![false; cache.num_sets() as usize];
         let mut has_call = false;
         for baddr in &l.body {
             let block = &cfg.blocks[baddr];
@@ -976,29 +926,31 @@ pub fn persistence(cfg: &FuncCfg, loops: &[NaturalLoop], ctx: &CacheCtx) -> Pers
                 if matches!(insn, Insn::Bl { .. }) {
                     has_call = true;
                 }
-                for off in (0..insn.size()).step_by(2) {
-                    let a = addr + off;
-                    if ctx.is_main(a) {
-                        exact_lines.push(a / line_size * line_size);
+                if fetch_cached {
+                    for off in (0..insn.size()).step_by(2) {
+                        let a = addr + off;
+                        if is_main(a) {
+                            exact_lines.push(a / line_size * line_size);
+                        }
                     }
                 }
-                for acc in data_accesses(insn, *addr, ctx.annot) {
-                    if acc.is_write || !ctx.data_cached() {
+                for acc in data_accesses(insn, *addr, annot) {
+                    if acc.is_write || !data_cached {
                         continue;
                     }
                     match acc.info {
                         AddrInfo::Exact(a) => {
-                            if ctx.is_main(a) {
+                            if is_main(a) {
                                 exact_lines.push(a / line_size * line_size);
                             }
                         }
                         AddrInfo::Range { lo, hi } => {
-                            if ctx.map.region_of(lo) == RegionKind::Scratchpad
-                                && ctx.map.region_of(hi.saturating_sub(1)) == RegionKind::Scratchpad
+                            if map.region_of(lo) == RegionKind::Scratchpad
+                                && map.region_of(hi.saturating_sub(1)) == RegionKind::Scratchpad
                             {
                                 continue;
                             }
-                            mark_dirty(&mut dirty_sets, lo, hi, ctx.cache);
+                            mark_dirty(&mut dirty_sets, lo, hi, cache);
                         }
                         AddrInfo::Stack | AddrInfo::Unknown => {
                             dirty_sets.iter_mut().for_each(|d| *d = true);
@@ -1015,29 +967,23 @@ pub fn persistence(cfg: &FuncCfg, loops: &[NaturalLoop], ctx: &CacheCtx) -> Pers
         // Count lines per set.
         let mut per_set: BTreeMap<u32, u32> = BTreeMap::new();
         for &line in &exact_lines {
-            *per_set.entry(ctx.cache.set_of(line)).or_insert(0) += 1;
+            *per_set.entry(cache.set_of(line)).or_insert(0) += 1;
         }
         for &line in &exact_lines {
-            let set = ctx.cache.set_of(line);
-            if dirty_sets[set as usize] || per_set[&set] > ctx.cache.assoc {
+            let set = cache.set_of(line);
+            if dirty_sets[set as usize] || per_set[&set] > cache.assoc {
                 continue;
             }
             // Outermost wins: loops are inner-first, so overwrite.
             p.line_to_loop.insert(line, l.header);
         }
     }
-    // Penalties: one first-miss per persistent line, charged per entry of
-    // its loop; and record loop membership per block.
-    for (&line, &header) in &p.line_to_loop {
-        let _ = line;
-        *p.entry_penalties.entry(header).or_insert(0) += miss_penalty;
-    }
     for l in loops {
         for &b in &l.body {
             p.block_to_loops.entry(b).or_default().push(l.header);
         }
     }
-    p
+    Some(p)
 }
 
 fn mark_dirty(dirty: &mut [bool], lo: u32, hi: u32, cfg: &CacheConfig) {
@@ -1096,8 +1042,6 @@ pub struct Classification {
     pub data_l2_always_hit: BTreeSet<u32>,
 }
 
-use std::collections::BTreeSet;
-
 impl Classification {
     /// Merges another function's classification.
     pub fn absorb(&mut self, o: &Classification) {
@@ -1113,140 +1057,6 @@ impl Classification {
             .extend(o.fetch_l2_always_hit.iter().copied());
         self.data_l2_always_hit
             .extend(o.data_l2_always_hit.iter().copied());
-    }
-}
-
-/// Worst-case cost of one block under the cache model, starting from its
-/// MUST in-state. `callee_wcet` supplies the WCET bound of each callee.
-/// Always-hit proofs are recorded into `classification` (persistent
-/// first-miss accesses are *not* recorded — they may miss once per loop
-/// entry).
-pub fn block_cost(
-    block: &BasicBlock,
-    in_state: &AbstractCache,
-    ctx: &CacheCtx,
-    persistence_info: &Persistence,
-    callee_wcet: &BTreeMap<u32, u64>,
-    stats: &mut ClassifyStats,
-    classification: &mut Classification,
-) -> u64 {
-    let lru = ctx.lru();
-    let mut state = in_state.clone();
-    let mut cost = 0u64;
-    let hit = ctx.cache.hit_cycles();
-    // An unclassified access may still hit in the concrete cache, so the
-    // worst-case charge must cover both outcomes (hit_latency is
-    // configurable and may exceed the fill cost).
-    let miss = ctx.cache.miss_cycles().max(hit);
-    let mut calls = block.calls.iter();
-    for (addr, insn) in &block.insns {
-        cost += 1 + insn.worst_extra_cycles();
-        let mut all_fetches_hit = true;
-        for off in (0..insn.size()).step_by(2) {
-            let a = addr + off;
-            match ctx.map.region_of(a) {
-                RegionKind::Main => {
-                    let guaranteed = state.access_read_exact(a, lru);
-                    if guaranteed {
-                        stats.fetch_hits += 1;
-                        cost += hit;
-                    } else if persistence_info.is_persistent(ctx.cache.line, a, block.start) {
-                        stats.persistent += 1;
-                        all_fetches_hit = false;
-                        cost += hit;
-                    } else {
-                        stats.fetch_unclassified += 1;
-                        all_fetches_hit = false;
-                        cost += miss;
-                    }
-                }
-                region => {
-                    all_fetches_hit = false;
-                    cost += access_cycles(region, AccessWidth::Half);
-                }
-            }
-        }
-        if all_fetches_hit {
-            classification.fetch_always_hit.insert(*addr);
-        }
-        for acc in data_accesses(insn, *addr, ctx.annot) {
-            let before_hits = stats.data_hits;
-            cost += data_access_cost(&mut state, &acc, ctx, persistence_info, block.start, stats);
-            if stats.data_hits > before_hits {
-                classification.data_always_hit.insert(*addr);
-            }
-        }
-        if matches!(insn, Insn::Bl { .. }) {
-            let callee = calls.next().expect("calls list matches BL count");
-            cost += callee_wcet.get(callee).copied().unwrap_or(0);
-            state.clear();
-        }
-    }
-    cost
-}
-
-fn data_access_cost(
-    state: &mut AbstractCache,
-    acc: &DataAccess,
-    ctx: &CacheCtx,
-    persistence_info: &Persistence,
-    block: u32,
-    stats: &mut ClassifyStats,
-) -> u64 {
-    let lru = ctx.lru();
-    let hit = ctx.cache.hit_cycles();
-    // An unclassified access may still hit in the concrete cache, so the
-    // worst-case charge must cover both outcomes (hit_latency is
-    // configurable and may exceed the fill cost).
-    let miss = ctx.cache.miss_cycles().max(hit);
-    if acc.is_write {
-        // Write-through: pay the backing-store cost; no state change.
-        let region = match acc.info {
-            AddrInfo::Exact(a) => ctx.map.region_of(a),
-            AddrInfo::Range { lo, hi } => span_region(ctx.map, lo, hi),
-            _ => RegionKind::Main,
-        };
-        return access_cycles(region, acc.width);
-    }
-    match acc.info {
-        AddrInfo::Exact(a) => match ctx.map.region_of(a) {
-            RegionKind::Main if ctx.data_cached() => {
-                let guaranteed = state.access_read_exact(a, lru);
-                if guaranteed {
-                    stats.data_hits += 1;
-                    hit
-                } else if persistence_info.is_persistent(ctx.cache.line, a, block) {
-                    stats.persistent += 1;
-                    hit
-                } else {
-                    stats.data_unclassified += 1;
-                    miss
-                }
-            }
-            region => access_cycles(region, acc.width),
-        },
-        AddrInfo::Range { lo, hi } => {
-            let region = span_region(ctx.map, lo, hi);
-            if region == RegionKind::Scratchpad {
-                return access_cycles(region, acc.width);
-            }
-            if ctx.data_cached() {
-                state.weaken_range(lo, hi, lru);
-                stats.data_unclassified += 1;
-                miss
-            } else {
-                access_cycles(RegionKind::Main, acc.width)
-            }
-        }
-        AddrInfo::Stack | AddrInfo::Unknown => {
-            if ctx.data_cached() {
-                state.weaken_range(0, u32::MAX, lru);
-                stats.data_unclassified += 1;
-                miss
-            } else {
-                access_cycles(RegionKind::Main, acc.width)
-            }
-        }
     }
 }
 
@@ -1569,25 +1379,11 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx_parts() -> (CacheConfig, MemoryMap, AnnotationSet) {
-        (
-            CacheConfig::unified(64),
-            MemoryMap::no_spm(),
-            AnnotationSet::new(),
-        )
-    }
+    use spmlab_isa::cachecfg::Replacement;
 
     #[test]
     fn must_exact_access_then_guaranteed() {
-        let (cache, map, annot) = ctx_parts();
-        let ctx = CacheCtx {
-            cache: &cache,
-            map: &map,
-            annot: &annot,
-            budget: crate::fixpoint::FixpointBudget::UNLIMITED,
-        };
-        let mut s = AbstractCache::top(ctx.cache);
+        let mut s = AbstractCache::top(&CacheConfig::unified(64));
         assert!(!s.access_read_exact(0x0010_0000, true), "cold");
         assert!(s.contains(0x0010_0000));
         assert!(s.access_read_exact(0x0010_0004, true), "same line");
@@ -1632,9 +1428,7 @@ mod tests {
 
     #[test]
     fn direct_mapped_unknown_access_clears_everything() {
-        let (cache, map, annot) = ctx_parts();
-        let _ = (&map, &annot);
-        let mut s = AbstractCache::top(&cache);
+        let mut s = AbstractCache::top(&CacheConfig::unified(64));
         s.access_read_exact(0x0010_0000, true);
         s.weaken_range(0, u32::MAX, true);
         assert_eq!(s.guaranteed_lines(), 0, "assoc 1: one aging evicts all");
@@ -1743,29 +1537,6 @@ mod tests {
             "set 1 untouched: still provably absent"
         );
     }
-
-    #[test]
-    fn ranged_write_does_not_change_state() {
-        let (cache, map, annot) = ctx_parts();
-        let ctx = CacheCtx {
-            cache: &cache,
-            map: &map,
-            annot: &annot,
-            budget: crate::fixpoint::FixpointBudget::UNLIMITED,
-        };
-        let mut s = AbstractCache::top(&cache);
-        s.access_read_exact(0x0010_0000, true);
-        let acc = DataAccess {
-            width: AccessWidth::Word,
-            info: AddrInfo::Range {
-                lo: 0x0010_0000,
-                hi: 0x0010_1000,
-            },
-            is_write: true,
-        };
-        apply_data_access(&mut s, &acc, &ctx);
-        assert!(s.contains(0x0010_0000), "writes don't evict (no-allocate)");
-    }
 }
 
 /// Differential suite: the packed [`AbstractCache`] must agree *exactly*
@@ -1779,6 +1550,7 @@ mod differential {
     use super::reference::{RefCache, RefMayCache};
     use super::*;
     use proptest::prelude::*;
+    use spmlab_isa::cachecfg::Replacement;
 
     /// One abstract-domain operation, decoded from random bits.
     #[derive(Debug, Clone, Copy)]

@@ -215,8 +215,44 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmlab_obs::{Sink, SpanMeta};
     use std::cell::Cell;
     use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+
+    /// Sums the counters emitted on the thread that created it. Other
+    /// tests of this binary run analyses concurrently, and their
+    /// fixpoints count into every installed sink.
+    struct ThreadCounters {
+        thread: ThreadId,
+        totals: Mutex<BTreeMap<&'static str, u64>>,
+    }
+
+    impl ThreadCounters {
+        fn new() -> Arc<ThreadCounters> {
+            Arc::new(ThreadCounters {
+                thread: std::thread::current().id(),
+                totals: Mutex::default(),
+            })
+        }
+
+        fn counter_total(&self, name: &str) -> u64 {
+            self.totals.lock().unwrap().get(name).copied().unwrap_or(0)
+        }
+    }
+
+    impl Sink for ThreadCounters {
+        fn span_open(&self, _: &SpanMeta) {}
+        fn span_close(&self, _: &SpanMeta, _: u64) {}
+        fn counter(&self, name: &'static str, delta: u64, _: u64, _: u64) {
+            if std::thread::current().id() == self.thread {
+                *self.totals.lock().unwrap().entry(name).or_insert(0) += delta;
+            }
+        }
+        fn gauge(&self, _: &'static str, _: u64, _: u64, _: u64) {}
+        fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
+    }
 
     fn block(start: u32, succs: Vec<u32>, is_exit: bool) -> BasicBlock {
         BasicBlock {
@@ -345,7 +381,7 @@ mod tests {
     #[test]
     fn budget_cap_falls_back_to_top_and_reports_widening() {
         let _x = spmlab_obs::exclusive();
-        let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
+        let sink = ThreadCounters::new();
         let guard = spmlab_obs::add_sink(sink.clone());
         let cfg = cfg_of(&[(0, &[2][..]), (2, &[0][..])]);
         let result = must_fixpoint(
@@ -442,7 +478,7 @@ mod tests {
     #[test]
     fn converging_run_is_not_widened() {
         let _x = spmlab_obs::exclusive();
-        let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
+        let sink = ThreadCounters::new();
         let guard = spmlab_obs::add_sink(sink.clone());
         let cfg = cfg_of(&[(0, &[2][..]), (2, &[][..])]);
         let result = must_fixpoint(

@@ -15,10 +15,12 @@
 //!    ([`addrinfo`]), plus a whole-program stack-depth analysis;
 //! 4. **microarchitectural analysis** — either pure Table-1 region timing
 //!    (the scratchpad branch: "no additional analysis module required") or
-//!    abstract-interpretation cache MUST analysis ([`cache`]), optionally
-//!    extended with a persistence (first-miss) analysis; write-back
-//!    configurations add the charge-at-store write-back rule backed by
-//!    the dirty-line upper bound ([`dirty`]);
+//!    the abstract-interpretation cache analysis ([`multilevel`] over the
+//!    [`cache`] domains): the paper's MUST-only setup, optionally
+//!    extended with a persistence (first-miss) analysis, or the full
+//!    multi-level MUST×MAY classification; write-back configurations add
+//!    the charge-at-store write-back rule backed by the dirty-line upper
+//!    bound ([`dirty`]);
 //! 5. **IPET** — per-function implicit path enumeration as an ILP solved by
 //!    [`spmlab_ilp`] ([`ipet`]), combined bottom-up over the call graph.
 //!

@@ -35,8 +35,9 @@
 //! | *(no L1)*       | `A`       | certain (`update`)    | L2 hit/miss direct           |
 //!
 //! (Hardy–Puaut's fourth CAC value `UN`, *Uncertain-Never*, arises only
-//! from first-miss/persistence classifications at the previous level; the
-//! hierarchy path is MUST/MAY-only, so `UN` is unreachable here — see the
+//! from first-miss/persistence classifications at the previous level;
+//! persistence is modelled only for a single L1 with no L2 behind it
+//! ([`crate::cache::persistence`]), so `UN` is unreachable here — see the
 //! README's "Multi-level classification" section for the full lattice.)
 //!
 //! The `A` classification produced by the Always-Miss filter is what makes
@@ -126,13 +127,15 @@
 //! };
 //! let cold = MultiState::cold(&ctx);
 //! let (mut stats, mut cls) = (ClassifyStats::default(), Classification::default());
-//! let cost = block_cost(&block, &cold, &ctx, &BTreeMap::new(), &mut stats, &mut cls);
+//! let cost = block_cost(&block, &cold, &ctx, &BTreeMap::new(), &mut stats, &mut cls, None);
 //! assert!(cls.fetch_l1_always_miss.contains(&0x0010_0000));
 //! assert_eq!(cost, 1 + h.l1_miss_l2_miss_cycles(true));
 //! ```
 
 use crate::addrinfo::{data_accesses, DataAccess};
-use crate::cache::{span_region, AbstractCache, Classification, ClassifyStats, MayCache};
+use crate::cache::{
+    span_region, AbstractCache, Classification, ClassifyStats, MayCache, Persistence,
+};
 use crate::cfg::{BasicBlock, FuncCfg};
 use crate::dirty::DirtyBound;
 use spmlab_isa::annot::{AddrInfo, AnnotationSet};
@@ -650,7 +653,65 @@ struct CostAcc<'a> {
     callee_wcet: &'a BTreeMap<u32, u64>,
     stats: &'a mut ClassifyStats,
     classification: &'a mut Classification,
+    /// The function's first-miss persistence, when modelled.
+    persistence: Option<&'a mut Persistence>,
+    /// Start address of the block being costed.
+    block: u32,
     cost: u64,
+}
+
+impl CostAcc<'_> {
+    /// Charges one classified exact-address read and counts it by class.
+    /// A Not-Classified read of a line that is persistent in an enclosing
+    /// loop is charged the L1 hit instead: the loop pays the line's first
+    /// miss on entry ([`Persistence::entry_penalties`]).
+    fn charge_read(&mut self, cls: ReadClass, cycles: u64, addr: u32, fetch: bool, ctx: &MultiCtx) {
+        let s = &mut *self.stats;
+        let (hits, always_miss, unclassified) = if fetch {
+            (
+                &mut s.fetch_hits,
+                &mut s.fetch_always_miss,
+                &mut s.fetch_unclassified,
+            )
+        } else {
+            (
+                &mut s.data_hits,
+                &mut s.data_always_miss,
+                &mut s.data_unclassified,
+            )
+        };
+        let l2_hit = match cls {
+            ReadClass::L1Hit => {
+                *hits += 1;
+                false
+            }
+            ReadClass::L1Miss { l2_hit } => {
+                *always_miss += 1;
+                l2_hit
+            }
+            ReadClass::Unclassified { l2_hit } => {
+                if let Some(p) = self.persistence.as_deref_mut() {
+                    if p.charge(addr, self.block) {
+                        s.persistent += 1;
+                        self.cost += ctx.hierarchy.l1_hit_cycles(fetch);
+                        return;
+                    }
+                }
+                *unclassified += 1;
+                l2_hit
+            }
+            ReadClass::NoL1 { l2_hit } => {
+                if !l2_hit && ctx.hierarchy.l2.is_some() {
+                    *unclassified += 1;
+                }
+                l2_hit
+            }
+        };
+        if l2_hit {
+            s.l2_hits += 1;
+        }
+        self.cost += cycles;
+    }
 }
 
 /// The cache access classification (CAC) of one read with respect to the
@@ -884,29 +945,7 @@ fn walk_block(
             let (cls, cycles) = exact_read(state, a, true, AccessWidth::Half, ctx);
             fetch_flags.record(cls, h.l2.is_some());
             if let Some(c) = acc.as_deref_mut() {
-                c.cost += cycles;
-                match cls {
-                    ReadClass::L1Hit => c.stats.fetch_hits += 1,
-                    ReadClass::L1Miss { l2_hit } => {
-                        c.stats.fetch_always_miss += 1;
-                        if l2_hit {
-                            c.stats.l2_hits += 1;
-                        }
-                    }
-                    ReadClass::Unclassified { l2_hit } => {
-                        c.stats.fetch_unclassified += 1;
-                        if l2_hit {
-                            c.stats.l2_hits += 1;
-                        }
-                    }
-                    ReadClass::NoL1 { l2_hit } => {
-                        if l2_hit {
-                            c.stats.l2_hits += 1;
-                        } else if h.l2.is_some() {
-                            c.stats.fetch_unclassified += 1;
-                        }
-                    }
-                }
+                c.charge_read(cls, cycles, a, true, ctx);
             }
         }
         if let Some(c) = acc.as_deref_mut() {
@@ -1021,29 +1060,7 @@ fn walk_data_access(
             let (cls, cycles) = exact_read(state, a, false, dacc.width, ctx);
             flags.record(cls, h.l2.is_some());
             if let Some(c) = acc.as_deref_mut() {
-                c.cost += cycles;
-                match cls {
-                    ReadClass::L1Hit => c.stats.data_hits += 1,
-                    ReadClass::L1Miss { l2_hit } => {
-                        c.stats.data_always_miss += 1;
-                        if l2_hit {
-                            c.stats.l2_hits += 1;
-                        }
-                    }
-                    ReadClass::Unclassified { l2_hit } => {
-                        c.stats.data_unclassified += 1;
-                        if l2_hit {
-                            c.stats.l2_hits += 1;
-                        }
-                    }
-                    ReadClass::NoL1 { l2_hit } => {
-                        if l2_hit {
-                            c.stats.l2_hits += 1;
-                        } else if h.l2.is_some() {
-                            c.stats.data_unclassified += 1;
-                        }
-                    }
-                }
+                c.charge_read(cls, cycles, a, false, ctx);
             }
         }
         AddrInfo::Range { lo, hi } => {
@@ -1230,7 +1247,11 @@ pub fn propagate_entry_states(
 /// Worst-case cost of one block under the hierarchy model, starting from
 /// its MUST/MAY in-state. `callee_wcet` supplies the WCET bound of each
 /// callee; per-address proofs (always-hit, L1 always-miss, guaranteed L2
-/// hit) are recorded into `classification`.
+/// hit) are recorded into `classification`. With `persistence`, reads of
+/// persistent lines are charged as hits and their lines recorded; the
+/// caller charges their first misses per loop entry
+/// ([`Persistence::entry_penalties`]). Persistent reads carry no
+/// always-hit proof: they may miss once per loop entry.
 pub fn block_cost(
     block: &BasicBlock,
     in_state: &MultiState,
@@ -1238,12 +1259,15 @@ pub fn block_cost(
     callee_wcet: &BTreeMap<u32, u64>,
     stats: &mut ClassifyStats,
     classification: &mut Classification,
+    persistence: Option<&mut Persistence>,
 ) -> u64 {
     let mut state = in_state.clone();
     let mut acc = CostAcc {
         callee_wcet,
         stats,
         classification,
+        persistence,
+        block: block.start,
         cost: 0,
     };
     walk_block(&mut state, block, ctx, Some(&mut acc), None);
@@ -1293,7 +1317,7 @@ mod tests {
     fn cost(b: &BasicBlock, s: &MultiState, ctx: &MultiCtx) -> (u64, Classification) {
         let mut stats = ClassifyStats::default();
         let mut cls = Classification::default();
-        let c = block_cost(b, s, ctx, &BTreeMap::new(), &mut stats, &mut cls);
+        let c = block_cost(b, s, ctx, &BTreeMap::new(), &mut stats, &mut cls, None);
         (c, cls)
     }
 
@@ -1524,6 +1548,28 @@ mod tests {
             e2.l1i_may.as_ref().unwrap().contains(MAIN),
             "…but the line may still be cached (union)"
         );
+    }
+
+    #[test]
+    fn ranged_write_does_not_change_state() {
+        // Write-through/no-allocate: a store anywhere in a range leaves
+        // every abstract cache untouched.
+        let (h, map, annot) = ctx_parts(MemHierarchyConfig::l1_only(CacheConfig::unified(64)));
+        let ctx = ctx(&h, &map, &annot);
+        let mut s = MultiState::top(&ctx);
+        exact_read(&mut s, MAIN, false, AccessWidth::Word, &ctx);
+        let before = s.clone();
+        let store = DataAccess {
+            width: AccessWidth::Word,
+            info: AddrInfo::Range {
+                lo: MAIN,
+                hi: MAIN + 0x1000,
+            },
+            is_write: true,
+        };
+        walk_data_access(&mut s, &store, &ctx, &mut None, &mut InsnFlags::new());
+        assert_eq!(s, before, "writes don't evict (no-allocate)");
+        assert!(s.l1i.as_ref().is_some_and(|l1| l1.contains(MAIN)));
     }
 
     fn str_word(addr: u32) -> (u32, Insn) {

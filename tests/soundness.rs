@@ -843,6 +843,38 @@ fn persistence_is_sound_and_no_looser() {
             "persistence stays sound at {size}"
         );
     }
+    // No-looser on G.721 over the paper's whole size axis (analysis only):
+    // a line whose reads are all MUST hits must not pay a first miss.
+    let module = G721.compile().unwrap();
+    let linked = G721
+        .link_with_input(
+            &module,
+            &MemoryMap::no_spm(),
+            &SpmAssignment::none(),
+            &G721.typical_input(),
+        )
+        .unwrap();
+    for size in spmlab::PAPER_SIZES {
+        let cache = CacheConfig::unified(size);
+        let must = analyze(
+            &linked.exe,
+            &WcetConfig::with_cache(cache.clone()),
+            &linked.annotations,
+        )
+        .unwrap();
+        let pers = analyze(
+            &linked.exe,
+            &WcetConfig::with_cache_persistence(cache),
+            &linked.annotations,
+        )
+        .unwrap();
+        assert!(
+            pers.wcet_cycles <= must.wcet_cycles,
+            "G.721 {size}: +persistence {} looser than MUST-only {}",
+            pers.wcet_cycles,
+            must.wcet_cycles
+        );
+    }
 }
 
 // =====================================================================
