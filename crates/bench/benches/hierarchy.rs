@@ -1,14 +1,13 @@
 //! Hierarchy-sweep benches: how expensive are simulation and multi-level
 //! WCET analysis per memory configuration — and one full sweep emitting
-//! the `BENCH_hierarchy.json` artifact so the perf/predictability
-//! trajectory accumulates across revisions.
+//! the `BENCH_hierarchy.json` artifact.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spmlab::pipeline::Pipeline;
 use spmlab::{hierarchy_axis, MemArchSpec, MemHierarchyConfig};
 use spmlab_bench::{
-    append_history, fnv1a64, hierarchy_figure, hierarchy_json_with_provenance, hierarchy_l1_size,
-    workspace_root, BenchRecord, Provenance,
+    fnv1a64, git_revision, hierarchy_figure, hierarchy_json_with_provenance, hierarchy_l1_size,
+    workspace_root, Provenance,
 };
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_workloads::ADPCM;
@@ -38,9 +37,9 @@ fn bench_hierarchy_points(c: &mut Criterion) {
 }
 
 fn bench_full_axis_and_emit_artifact(c: &mut Criterion) {
-    // Time one quick axis under criterion, then write the artifacts from a
-    // fresh *full* (slowest-benchmark) run so BENCH_hierarchy.json and the
-    // tracked bench history record the heavyweight sweep's wall seconds.
+    // Time one quick axis under criterion, then write the artifact from a
+    // fresh *full* (slowest-benchmark) run so BENCH_hierarchy.json records
+    // the heavyweight sweep's wall seconds.
     let mut g = c.benchmark_group("hierarchy_axis");
     g.sample_size(2);
     g.bench_function("adpcm_full_axis", |b| {
@@ -65,18 +64,15 @@ fn bench_full_axis_and_emit_artifact(c: &mut Criterion) {
         ..Provenance::default()
     };
     let json = hierarchy_json_with_provenance(&fig, wall, Some(&provenance));
-    let root = workspace_root();
-    let path = root.join("BENCH_hierarchy.json");
+    let path = workspace_root().join("BENCH_hierarchy.json");
     std::fs::write(&path, json).expect("write BENCH_hierarchy.json");
-    let record = BenchRecord::summarise(&fig, false, wall).with_provenance(provenance);
-    append_history(&root.join("bench_history.jsonl"), &record).expect("append bench history");
     println!(
-        "wrote {} ({} points, l1 = {} B, {:.3}s) and appended bench_history.jsonl @ {}",
+        "wrote {} ({} points, l1 = {} B, {:.3}s) @ {}",
         path.display(),
         fig.rows().len(),
         hierarchy_l1_size(false),
         wall,
-        record.rev,
+        git_revision(),
     );
 }
 

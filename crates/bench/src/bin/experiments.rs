@@ -5,7 +5,6 @@
 //! experiments [--quick] <id> [<id>..]    # selected experiments
 //! experiments verify                     # check the paper's claims hold
 //! experiments list                       # available ids
-//! experiments bench-history --figure     # + plottable CSV/gnuplot artifacts
 //! experiments --profile[=out.jsonl] <id> # instrumented run + phase table
 //! experiments check-profile <file.jsonl> # validate a recorded stream
 //! experiments --dump-spec [--quick]      # every axis point as reusable JSON
@@ -66,17 +65,17 @@
 
 use std::sync::Arc;
 
+use spmlab_bench::jsonl::check_stream;
 use spmlab_bench::{
-    dump_specs, exp_bench_history, exp_hierarchy_with_artifacts_ckpt, run_experiment, run_spec_on,
-    verify_claims, workspace_root, CheckpointMode, EXPERIMENTS,
+    dump_specs, exp_hierarchy_with_artifacts_ckpt, run_experiment, run_spec_on, verify_claims,
+    workspace_root, CheckpointMode, EXPERIMENTS,
 };
 use spmlab_obs::collector::MemorySink;
-use spmlab_obs::jsonl::{check_stream, JsonlSink};
+use spmlab_obs::jsonl::JsonlSink;
 
 fn usage() -> String {
     format!(
         "usage: experiments [--quick] [--profile[=out.jsonl|=-]] <all|verify|{}>\n\
-         \x20      experiments bench-history --figure\n\
          \x20      experiments check-profile <file.jsonl>\n\
          \x20      experiments check-checkpoint <ckpt.jsonl>\n\
          \x20      experiments [--quick] --checkpoint <ckpt.jsonl> hierarchy\n\
@@ -157,7 +156,6 @@ fn install_profile(dest: &str) -> (Arc<MemorySink>, [spmlab_obs::SinkGuard; 2]) 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let figure = args.iter().any(|a| a == "--figure");
     let profile: Option<String> = args.iter().find_map(|a| {
         if a == "--profile" {
             Some("profile.jsonl".to_string())
@@ -498,13 +496,10 @@ fn main() {
 
     for id in &selected {
         let span = spmlab_obs::span_labeled("experiment", id);
-        // The hierarchy scenario additionally maintains the tracked bench
-        // artifacts (BENCH_hierarchy.json + bench_history.jsonl), and
-        // bench-history honours --figure.
+        // The hierarchy scenario additionally maintains the tracked
+        // BENCH_hierarchy.json artifact.
         let result = if *id == "hierarchy" {
             exp_hierarchy_with_artifacts_ckpt(quick, &workspace_root(), &ckpt_mode)
-        } else if *id == "bench-history" {
-            Ok(exp_bench_history(figure))
         } else {
             run_experiment(id, quick)
         };

@@ -15,12 +15,9 @@
 
 pub mod dse;
 pub mod fuzz;
-pub mod history;
+pub mod jsonl;
 
-pub use history::{
-    append_history, fnv1a64, git_revision, read_history, render_history, render_history_csv,
-    render_history_gnuplot, write_history_figure, BenchRecord, Provenance,
-};
+pub use spmlab::checkpoint::fnv1a64;
 
 use spmlab::figures::{table1, table2, Figure3, FigureHierarchy, FigureSpmHierarchy, Tightness};
 use spmlab::pipeline::Pipeline;
@@ -221,12 +218,9 @@ pub fn exp_hierarchy(quick: bool) -> Result<String, CoreError> {
     Ok(out)
 }
 
-/// Runs the hierarchy scenario and emits its tracked artifacts into the
+/// Runs the hierarchy scenario and emits its tracked artifact into the
 /// workspace root: full runs rewrite `BENCH_hierarchy.json` with this
-/// run's sweep (quick smoke runs leave it untouched), and every run
-/// appends a one-line summary (with the git revision) to
-/// `bench_history.jsonl`, then renders the report plus the accumulated
-/// trajectory table.
+/// run's sweep (quick smoke runs leave it untouched).
 ///
 /// # Errors
 ///
@@ -254,9 +248,9 @@ pub fn exp_hierarchy_with_artifacts_ckpt(
     root: &std::path::Path,
     mode: &CheckpointMode,
 ) -> Result<String, CoreError> {
-    // The spec hash fingerprints the canonical sweep axis, so two history
-    // lines with the same hash measured the same configurations even across
-    // axis-definition refactors. Cheap enough to compute on every run.
+    // The spec hash fingerprints the canonical sweep axis, so two
+    // artifacts with the same hash measured the same configurations even
+    // across axis-definition refactors. Cheap enough to compute on every run.
     let spec_hash = fnv1a64(
         &hierarchy_axis(hierarchy_l1_size(quick))
             .iter()
@@ -321,8 +315,7 @@ pub fn exp_hierarchy_with_artifacts_ckpt(
         }
     }
     // Only full runs refresh the tracked sweep artifact — a --quick smoke
-    // run must not clobber the committed full-axis numbers (the history
-    // line below still records it, flagged as quick).
+    // run must not clobber the committed full-axis numbers.
     if quick {
         out.push_str("quick axis: BENCH_hierarchy.json left untouched\n");
     } else {
@@ -335,18 +328,76 @@ pub fn exp_hierarchy_with_artifacts_ckpt(
             Err(e) => out.push_str(&format!("could not write {}: {e}\n", json_path.display())),
         }
     }
-    let record = BenchRecord::summarise(&fig, quick, wall).with_provenance(provenance);
-    let history_path = root.join("bench_history.jsonl");
-    match append_history(&history_path, &record) {
-        Ok(()) => out.push_str(&format!("appended {}\n", history_path.display())),
-        Err(e) => out.push_str(&format!(
-            "could not append {}: {e}\n",
-            history_path.display()
-        )),
-    }
-    out.push('\n');
-    out.push_str(&render_history(&read_history(&history_path)));
     Ok(out)
+}
+
+/// Where a `BENCH_*.json` artifact's numbers came from: the canonical
+/// hash of the swept spec axis plus — when the run was profiled — the
+/// replay/full-sim split, the sweep memo hit rate, and per-phase self
+/// times.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Provenance {
+    /// FNV-1a 64 hash (hex) of the canonical spec axis swept.
+    pub spec_hash: String,
+    /// Points priced by trace replay (profiled runs only).
+    pub replay_points: Option<u64>,
+    /// Points that fell back to full simulation (profiled runs only).
+    pub full_sim_points: Option<u64>,
+    /// Sweep points served from the effective-spec memo.
+    pub memo_hits: Option<u64>,
+    /// Sweep points actually measured.
+    pub memo_misses: Option<u64>,
+    /// Per-phase self time `(name, ns)`, largest first (profiled runs
+    /// only; empty otherwise).
+    pub phase_ns: Vec<(String, u64)>,
+}
+
+impl Provenance {
+    /// The artifact's `"provenance"` member (leading comma included),
+    /// stamped with the current git revision.
+    fn json_block(&self) -> String {
+        let opt = |name: &str, v: Option<u64>| {
+            v.map_or_else(String::new, |v| format!(",\n    \"{name}\": {v}"))
+        };
+        let mut phases = String::new();
+        for (i, (name, ns)) in self.phase_ns.iter().enumerate() {
+            if i > 0 {
+                phases.push(',');
+            }
+            phases.push_str(&format!(
+                "\n      {{\"phase\": \"{}\", \"self_ns\": {ns}}}",
+                name.replace('"', "'")
+            ));
+        }
+        let phases = if phases.is_empty() {
+            String::new()
+        } else {
+            format!(",\n    \"phases\": [{phases}\n    ]")
+        };
+        format!(
+            ",\n  \"provenance\": {{\n    \"rev\": \"{}\",\n    \"spec_hash\": \"{}\"{}{}{}{}{}\n  }}",
+            git_revision().replace('"', "'"),
+            self.spec_hash.replace('"', "'"),
+            opt("replay_points", self.replay_points),
+            opt("full_sim_points", self.full_sim_points),
+            opt("memo_hits", self.memo_hits),
+            opt("memo_misses", self.memo_misses),
+            phases
+        )
+    }
+}
+
+/// The current short git revision, or `unknown` outside a checkout.
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| String::from("unknown"))
 }
 
 /// Serialises the hierarchy comparison as the `BENCH_hierarchy.json`
@@ -405,36 +456,7 @@ pub fn hierarchy_json_with_provenance(
         }
         format!(",\n  \"failed\": [{entries}\n  ]")
     };
-    let prov = provenance.map_or_else(String::new, |p| {
-        let opt = |name: &str, v: Option<u64>| {
-            v.map_or_else(String::new, |v| format!(",\n    \"{name}\": {v}"))
-        };
-        let mut phases = String::new();
-        for (i, (name, ns)) in p.phase_ns.iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
-            phases.push_str(&format!(
-                "\n      {{\"phase\": \"{}\", \"self_ns\": {ns}}}",
-                name.replace('"', "'")
-            ));
-        }
-        let phases = if phases.is_empty() {
-            String::new()
-        } else {
-            format!(",\n    \"phases\": [{phases}\n    ]")
-        };
-        format!(
-            ",\n  \"provenance\": {{\n    \"rev\": \"{}\",\n    \"spec_hash\": \"{}\"{}{}{}{}{}\n  }}",
-            git_revision().replace('"', "'"),
-            p.spec_hash.replace('"', "'"),
-            opt("replay_points", p.replay_points),
-            opt("full_sim_points", p.full_sim_points),
-            opt("memo_hits", p.memo_hits),
-            opt("memo_misses", p.memo_misses),
-            phases
-        )
-    });
+    let prov = provenance.map_or_else(String::new, Provenance::json_block);
     format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"wall_seconds\": {wall_seconds:.3},\n  \
          \"sound\": {}{prov}{failed},\n  \"points\": [{rows}\n  ]\n}}\n",
@@ -805,36 +827,7 @@ pub fn write_policy_json_with_provenance(
             p.wb_wcet,
         ));
     }
-    let prov = provenance.map_or_else(String::new, |p| {
-        let opt = |name: &str, v: Option<u64>| {
-            v.map_or_else(String::new, |v| format!(",\n    \"{name}\": {v}"))
-        };
-        let mut phases = String::new();
-        for (i, (name, ns)) in p.phase_ns.iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
-            phases.push_str(&format!(
-                "\n      {{\"phase\": \"{}\", \"self_ns\": {ns}}}",
-                name.replace('"', "'")
-            ));
-        }
-        let phases = if phases.is_empty() {
-            String::new()
-        } else {
-            format!(",\n    \"phases\": [{phases}\n    ]")
-        };
-        format!(
-            ",\n  \"provenance\": {{\n    \"rev\": \"{}\",\n    \"spec_hash\": \"{}\"{}{}{}{}{}\n  }}",
-            git_revision().replace('"', "'"),
-            p.spec_hash.replace('"', "'"),
-            opt("replay_points", p.replay_points),
-            opt("full_sim_points", p.full_sim_points),
-            opt("memo_hits", p.memo_hits),
-            opt("memo_misses", p.memo_misses),
-            phases
-        )
-    });
+    let prov = provenance.map_or_else(String::new, Provenance::json_block);
     format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"quick\": {quick},\n  \"sound\": {}{prov},\n  \
          \"points\": [{rows}\n  ]\n}}\n",
@@ -847,8 +840,7 @@ pub fn write_policy_json_with_provenance(
 /// buffer) across the standard machine shapes — simulated cycles, WCET
 /// bounds, and the per-pair deltas. The axis is measured twice (trace
 /// replay vs full simulation, bit-identical by construction); the
-/// report shows the replay speedup and the counter flip, every run
-/// appends a history line to `bench_history.jsonl`, and full runs also
+/// report shows the replay speedup and the counter flip, and full runs
 /// rewrite the tracked `BENCH_write_policy.json` artifact in the
 /// workspace root (quick smoke runs leave it untouched).
 ///
@@ -933,40 +925,6 @@ pub fn exp_write_policy_with_artifacts(
             Ok(()) => out.push_str(&format!("wrote {}\n", path.display())),
             Err(e) => out.push_str(&format!("could not write {}: {e}\n", path.display())),
         }
-    }
-    // Every run (quick included) records the replay-vs-full-sim split
-    // and both phase times in the tracked history log — the speedup is
-    // a measured, versioned fact, not a claim in prose.
-    let max_ratio = points
-        .iter()
-        .flat_map(|p| {
-            [
-                p.wt_wcet as f64 / p.wt_sim.max(1) as f64,
-                p.wb_wcet as f64 / p.wb_sim.max(1) as f64,
-            ]
-        })
-        .fold(0.0, f64::max);
-    let record = BenchRecord {
-        rev: git_revision(),
-        benchmark: format!(
-            "{}-write-policy",
-            if quick { &ADPCM.name } else { &G721.name }
-        ),
-        quick,
-        wall_seconds: sweep.replay_wall,
-        points: points.len() * 2,
-        max_ratio,
-        sound: write_policy_sound(&points),
-        provenance: None,
-    }
-    .with_provenance(sweep.provenance.clone());
-    let history_path = root.join("bench_history.jsonl");
-    match append_history(&history_path, &record) {
-        Ok(()) => out.push_str(&format!("appended {}\n", history_path.display())),
-        Err(e) => out.push_str(&format!(
-            "could not append {}: {e}\n",
-            history_path.display()
-        )),
     }
     Ok(out)
 }
@@ -1226,30 +1184,6 @@ pub fn exp_hierarchy_spm(quick: bool) -> Result<String, CoreError> {
     Ok(out)
 }
 
-/// Renders the tracked bench history; with `figure` additionally emits
-/// the plottable CSV + gnuplot artifact pair next to the JSONL file and
-/// inlines the CSV.
-pub fn exp_bench_history(figure: bool) -> String {
-    let root = workspace_root();
-    let records = read_history(&root.join("bench_history.jsonl"));
-    let mut out = render_history(&records);
-    if figure {
-        out.push('\n');
-        out.push_str(&render_history_csv(&records));
-        match write_history_figure(&root, &records) {
-            Ok((csv, plot)) => {
-                out.push_str(&format!(
-                    "wrote {}\nwrote {}\n",
-                    csv.display(),
-                    plot.display()
-                ));
-            }
-            Err(e) => out.push_str(&format!("could not write figure artifacts: {e}\n")),
-        }
-    }
-    out
-}
-
 /// Every spec of the standard experiment axes, labelled — the
 /// `--dump-spec` inventory. Any line's JSON can be fed back through
 /// `--spec` to reproduce that sweep point.
@@ -1327,7 +1261,6 @@ pub fn run_experiment(id: &str, quick: bool) -> Result<String, CoreError> {
         "hierarchy-spm" => exp_hierarchy_spm(quick),
         "multilevel-precision" => exp_multilevel_precision(quick),
         "write-policy" => exp_write_policy(quick),
-        "bench-history" => Ok(exp_bench_history(false)),
         "ablation-persistence" => exp_ablation_persistence(quick),
         "ablation-icache" => exp_ablation_icache(quick),
         "ablation-assoc" => exp_ablation_assoc(quick),
@@ -1345,7 +1278,7 @@ pub fn workspace_root() -> std::path::PathBuf {
 }
 
 /// All experiment ids in report order.
-pub const EXPERIMENTS: [&str; 15] = [
+pub const EXPERIMENTS: [&str; 14] = [
     "table1",
     "table2",
     "fig3",
@@ -1356,7 +1289,6 @@ pub const EXPERIMENTS: [&str; 15] = [
     "hierarchy-spm",
     "multilevel-precision",
     "write-policy",
-    "bench-history",
     "ablation-persistence",
     "ablation-icache",
     "ablation-assoc",

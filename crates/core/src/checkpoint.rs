@@ -20,6 +20,7 @@
 
 use crate::pipeline::ConfigResult;
 use crate::CoreError;
+use spmlab_isa::archspec::json::{self, escape, Value};
 use spmlab_isa::archspec::MemArchSpec;
 use spmlab_wcet::cache::ClassifyStats;
 use std::collections::BTreeMap;
@@ -110,26 +111,27 @@ impl CheckpointHeader {
 
     /// Parses a header line; `None` when malformed or not a header.
     pub fn from_json_line(line: &str) -> Option<CheckpointHeader> {
-        let shard = if line.contains("\"shard\":") {
+        let v = json::parse(line).ok()?;
+        let shard = match v.get("shard") {
+            None => None,
             // A present-but-malformed shard designator rejects the line —
             // silently reading a shard stream as unsharded would merge it
             // under the wrong indices.
-            let raw = json_str(line, "shard")?;
-            let (k, n) = raw.split_once('/')?;
-            let (k, n) = (k.parse().ok()?, n.parse::<usize>().ok()?);
-            if n == 0 || k >= n {
-                return None;
+            Some(raw) => {
+                let (k, n) = raw.as_str()?.split_once('/')?;
+                let (k, n) = (k.parse().ok()?, n.parse::<usize>().ok()?);
+                if n == 0 || k >= n {
+                    return None;
+                }
+                Some((k, n))
             }
-            Some((k, n))
-        } else {
-            None
         };
         Some(CheckpointHeader {
-            version: json_raw(line, "ckpt_version")?.parse().ok()?,
-            rev: json_str(line, "rev")?,
-            benchmark: json_str(line, "benchmark")?,
-            axis_hash: json_str(line, "axis_hash")?,
-            points: json_raw(line, "points")?.parse().ok()?,
+            version: u32::try_from(v.get("ckpt_version")?.as_u64()?).ok()?,
+            rev: text(&v, "rev")?.to_string(),
+            benchmark: text(&v, "benchmark")?.to_string(),
+            axis_hash: text(&v, "axis_hash")?.to_string(),
+            points: usize::try_from(v.get("points")?.as_u64()?).ok()?,
             shard,
         })
     }
@@ -295,68 +297,45 @@ impl PointRecord {
 
     /// Parses a record line; `None` when malformed.
     pub fn from_json_line(line: &str) -> Option<PointRecord> {
-        let classify_raw = json_str(line, "classify")?;
+        let v = json::parse(line).ok()?;
+        let num = |key: &str| v.get(key).and_then(Value::as_u64);
         let mut classify = [0u64; 10];
-        let mut parts = classify_raw.split(',');
+        let mut parts = text(&v, "classify")?.split(',');
         for slot in classify.iter_mut() {
             *slot = parts.next()?.parse().ok()?;
         }
         if parts.next().is_some() {
             return None;
         }
-        let objects_raw = json_str(line, "spm_objects")?;
+        let objects = text(&v, "spm_objects")?;
         Some(PointRecord {
-            index: json_raw(line, "index")?.parse().ok()?,
-            spec_hash: json_str(line, "spec_hash")?,
-            status: PointStatus::parse(&json_str(line, "status")?)?,
-            label: json_str(line, "label")?,
-            sim_cycles: json_raw(line, "sim_cycles")?.parse().ok()?,
-            wcet_cycles: json_raw(line, "wcet_cycles")?.parse().ok()?,
-            checksum: json_raw(line, "checksum")?.parse().ok()?,
-            energy_bits: json_raw(line, "energy_bits")?.parse().ok()?,
-            spm_used: json_raw(line, "spm_used")?.parse().ok()?,
-            spm_objects: if objects_raw.is_empty() {
+            index: usize::try_from(num("index")?).ok()?,
+            spec_hash: text(&v, "spec_hash")?.to_string(),
+            status: PointStatus::parse(text(&v, "status")?)?,
+            label: text(&v, "label")?.to_string(),
+            sim_cycles: num("sim_cycles")?,
+            wcet_cycles: num("wcet_cycles")?,
+            checksum: i32::try_from(v.get("checksum")?.as_i64()?).ok()?,
+            energy_bits: num("energy_bits")?,
+            spm_used: u32::try_from(num("spm_used")?).ok()?,
+            spm_objects: if objects.is_empty() {
                 Vec::new()
             } else {
-                objects_raw.split(';').map(str::to_string).collect()
+                objects.split(';').map(str::to_string).collect()
             },
             classify,
-            error: json_str(line, "error")?,
-            panicked: json_raw(line, "panicked")? == "true",
+            error: text(&v, "error")?.to_string(),
+            panicked: match v.get("panicked")? {
+                Value::Bool(b) => *b,
+                _ => return None,
+            },
         })
     }
 }
 
-/// Values are stored with double quotes folded to single quotes (the
-/// history-file convention): labels, hashes, and object names never
-/// legitimately contain either, and the fold keeps the hand-rolled parser
-/// escape-free.
-fn escape(s: &str) -> String {
-    s.replace(['"', '\n'], "'")
-}
-
-/// Extracts the raw (unquoted) value of `"key":value` from a flat JSON
-/// line. Unlike its `history.rs` ancestor this never slices past the end
-/// of a truncated line.
-fn json_raw(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line.get(start..)?;
-    let end = rest
-        .find([',', '}'])
-        .filter(|_| !rest.starts_with('"'))
-        .or_else(|| {
-            // Quoted value: find the closing quote.
-            let inner = rest.get(1..)?;
-            inner.find('"').map(|i| i + 2)
-        })?;
-    Some(rest.get(..end)?.to_string())
-}
-
-/// Extracts a quoted string value.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let raw = json_raw(line, key)?;
-    raw.strip_prefix('"')?.strip_suffix('"').map(str::to_string)
+/// The string field `key` of a parsed line.
+fn text<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+    v.get(key)?.as_str()
 }
 
 /// A parsed checkpoint: the header plus the *last* record per point index
@@ -620,6 +599,17 @@ mod tests {
         let back = PointRecord::from_json_line(&rec.to_json_line()).unwrap();
         assert_eq!(rec, back);
         assert!(back.to_config_result().is_none());
+    }
+
+    #[test]
+    fn failed_record_error_text_round_trips_escaped() {
+        let error = "panicked at 'x': \"quoted\" C:\\path\tcol\nnext line";
+        let rec = PointRecord::from_failure(2, fnv1a64("spec"), "l1 512", error, true);
+        let line = rec.to_json_line();
+        assert!(!line.contains('\n'), "one record per line");
+        let back = PointRecord::from_json_line(&line).unwrap();
+        assert_eq!(back.error, error);
+        assert_eq!(back, rec);
     }
 
     #[test]

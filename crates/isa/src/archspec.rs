@@ -584,14 +584,23 @@ impl std::fmt::Display for SpecJsonError {
 impl std::error::Error for SpecJsonError {}
 
 pub mod json {
-    //! Minimal JSON value parser/printer for the spec wire format — and
-    //! for every other hand-rolled JSON document in the workspace that
-    //! wants a real recursive parser instead of flat key scanning (the
-    //! DSE grid format in `spmlab-core` reuses it). The vendored serde
-    //! stand-in provides no `serde_json`, so this is the one shared
-    //! implementation.
+    //! The workspace's one JSON reader (and the escaper its writers
+    //! share): spec documents, DSE grids, checkpoint and shard streams,
+    //! and recorded profile streams all parse through [`parse`]. The
+    //! vendored serde stand-in provides no `serde_json`, so this is the
+    //! one shared implementation.
+    //!
+    //! Numbers keep their literal text, so integer fields read back
+    //! exactly over the full `u64` range ([`Value::as_u64`]) — checkpoint
+    //! records carry `f64` bit patterns above 2⁵³. Nesting is bounded by
+    //! [`MAX_DEPTH`], so hostile input is a typed error, never a stack
+    //! overflow.
 
     use std::collections::BTreeMap;
+
+    /// Deepest array/object nesting [`parse`] accepts. Every document the
+    /// workspace writes nests at most four levels.
+    pub const MAX_DEPTH: usize = 64;
 
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -600,8 +609,8 @@ pub mod json {
         Null,
         /// `true` / `false`.
         Bool(bool),
-        /// Any JSON number (always parsed as `f64`).
-        Num(f64),
+        /// Any JSON number, as its (validated) literal text.
+        Num(String),
         /// A string.
         Str(String),
         /// An array.
@@ -621,10 +630,20 @@ pub mod json {
             }
         }
 
-        /// The value as a non-negative integer, if it is one exactly.
+        /// The exact value of an integer literal in `0..=u64::MAX`;
+        /// `None` for negative, fractional, exponent-form or out-of-range
+        /// numbers and for non-numbers.
         pub fn as_u64(&self) -> Option<u64> {
             match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+                Value::Num(lit) => lit.parse().ok(),
+                _ => None,
+            }
+        }
+
+        /// The exact value of an integer literal in the `i64` range.
+        pub fn as_i64(&self) -> Option<i64> {
+            match self {
+                Value::Num(lit) => lit.parse().ok(),
                 _ => None,
             }
         }
@@ -655,127 +674,175 @@ pub mod json {
         out
     }
 
+    /// Why [`parse`] rejected a document.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ParseError {
+        /// Malformed JSON: what was wrong, with its byte offset.
+        Syntax(String),
+        /// Arrays/objects nested deeper than [`MAX_DEPTH`]; `at` is the
+        /// byte offset of the first bracket past the limit.
+        TooDeep {
+            /// Byte offset of the offending `[` or `{`.
+            at: usize,
+        },
+    }
+
+    impl std::fmt::Display for ParseError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                ParseError::Syntax(msg) => f.write_str(msg),
+                ParseError::TooDeep { at } => {
+                    write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}")
+                }
+            }
+        }
+    }
+
+    impl std::error::Error for ParseError {}
+
+    impl From<ParseError> for String {
+        fn from(e: ParseError) -> String {
+            e.to_string()
+        }
+    }
+
+    fn syntax(msg: impl Into<String>) -> ParseError {
+        ParseError::Syntax(msg.into())
+    }
+
     /// Parses one complete JSON document (trailing data is an error).
     ///
     /// # Errors
     ///
-    /// A byte-positioned description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Value, String> {
+    /// [`ParseError::Syntax`] for the first syntax error,
+    /// [`ParseError::TooDeep`] past [`MAX_DEPTH`] levels of nesting.
+    pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
-        p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
+        if p.pos != text.len() {
+            return Err(syntax(format!("trailing data at byte {}", p.pos)));
         }
         Ok(v)
     }
 
     struct Parser<'a> {
-        bytes: &'a [u8],
+        text: &'a str,
         pos: usize,
+        depth: usize,
     }
 
     impl Parser<'_> {
+        fn rest(&self) -> &[u8] {
+            &self.text.as_bytes()[self.pos..]
+        }
+
         fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
+            while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
                 self.pos += 1;
             }
         }
 
         fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
+            self.text.as_bytes().get(self.pos).copied()
         }
 
-        fn expect(&mut self, b: u8) -> Result<(), String> {
+        fn expect(&mut self, b: u8) -> Result<(), ParseError> {
             if self.peek() == Some(b) {
                 self.pos += 1;
                 Ok(())
             } else {
-                Err(format!("expected `{}` at byte {}", b as char, self.pos))
+                Err(syntax(format!(
+                    "expected `{}` at byte {}",
+                    b as char, self.pos
+                )))
             }
         }
 
-        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
+            if self.rest().starts_with(lit.as_bytes()) {
                 self.pos += lit.len();
                 Ok(v)
             } else {
-                Err(format!("bad literal at byte {}", self.pos))
+                Err(syntax(format!("bad literal at byte {}", self.pos)))
             }
         }
 
-        fn value(&mut self) -> Result<Value, String> {
+        fn value(&mut self) -> Result<Value, ParseError> {
             self.skip_ws();
             match self.peek() {
                 Some(b'n') => self.literal("null", Value::Null),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b'[') => self.array(),
-                Some(b'{') => self.object(),
+                Some(b'[') => self.nested(Self::array),
+                Some(b'{') => self.nested(Self::object),
                 Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-                _ => Err(format!("unexpected input at byte {}", self.pos)),
+                _ => Err(syntax(format!("unexpected input at byte {}", self.pos))),
             }
         }
 
-        fn string(&mut self) -> Result<String, String> {
+        /// Runs `body` one nesting level deeper, refusing to go past
+        /// [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            body: fn(&mut Self) -> Result<Value, ParseError>,
+        ) -> Result<Value, ParseError> {
+            if self.depth == MAX_DEPTH {
+                return Err(ParseError::TooDeep { at: self.pos });
+            }
+            self.depth += 1;
+            let v = body(self)?;
+            self.depth -= 1;
+            Ok(v)
+        }
+
+        fn string(&mut self) -> Result<String, ParseError> {
             self.expect(b'"')?;
             let mut out = String::new();
             loop {
-                match self.peek() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("bad \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                                self.pos += 4;
-                            }
-                            _ => return Err("bad escape".into()),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str, so
-                        // boundaries are valid).
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|_| "bad utf8")?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
+                // Copy the run up to the next quote or backslash in one go:
+                // both are ASCII, so the cut is a char boundary.
+                let run = self
+                    .rest()
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .ok_or_else(|| syntax("unterminated string"))?;
+                out.push_str(&self.text[self.pos..self.pos + run]);
+                self.pos += run;
+                if self.peek() == Some(b'"') {
+                    self.pos += 1;
+                    return Ok(out);
                 }
+                self.pos += 1;
+                match self.peek() {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b'u') => {
+                        let code = self
+                            .text
+                            .get(self.pos + 1..self.pos + 5)
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| syntax("bad \\u escape"))?;
+                        out.push(code);
+                        self.pos += 4;
+                    }
+                    _ => return Err(syntax("bad escape")),
+                }
+                self.pos += 1;
             }
         }
 
-        fn number(&mut self) -> Result<Value, String> {
+        fn number(&mut self) -> Result<Value, ParseError> {
             let start = self.pos;
             if self.peek() == Some(b'-') {
                 self.pos += 1;
@@ -785,14 +852,14 @@ pub mod json {
             }) {
                 self.pos += 1;
             }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
+            let lit = &self.text[start..self.pos];
+            if lit.parse::<f64>().is_err() {
+                return Err(syntax(format!("bad number at byte {start}")));
+            }
+            Ok(Value::Num(lit.to_string()))
         }
 
-        fn array(&mut self) -> Result<Value, String> {
+        fn array(&mut self) -> Result<Value, ParseError> {
             self.expect(b'[')?;
             let mut items = Vec::new();
             self.skip_ws();
@@ -811,14 +878,14 @@ pub mod json {
                         self.pos += 1;
                         return Ok(Value::Arr(items));
                     }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+                    _ => return Err(syntax(format!("expected `,` or `]` at byte {}", self.pos))),
                 }
             }
         }
 
-        fn object(&mut self) -> Result<Value, String> {
+        fn object(&mut self) -> Result<Value, ParseError> {
             self.expect(b'{')?;
-            let mut map = std::collections::BTreeMap::new();
+            let mut map = BTreeMap::new();
             self.skip_ws();
             if self.peek() == Some(b'}') {
                 self.pos += 1;
@@ -840,7 +907,7 @@ pub mod json {
                         self.pos += 1;
                         return Ok(Value::Obj(map));
                     }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+                    _ => return Err(syntax(format!("expected `,` or `}}` at byte {}", self.pos))),
                 }
             }
         }
@@ -1008,7 +1075,7 @@ impl MemArchSpec {
     /// [`SpecJsonError`] for malformed JSON or schema violations
     /// (validation failures are reported through the same error).
     pub fn from_json(text: &str) -> Result<MemArchSpec, SpecJsonError> {
-        let v = json::parse(text).map_err(SpecJsonError)?;
+        let v = json::parse(text).map_err(|e| SpecJsonError(e.to_string()))?;
         if !matches!(v, json::Value::Obj(_)) {
             return Err(SpecJsonError("top level must be an object".into()));
         }
@@ -1403,13 +1470,49 @@ mod tests {
         assert_eq!(spec, MemArchSpec::uncached());
     }
 
+    #[test]
+    fn json_integers_read_back_exactly() {
+        let num = |text: &str| json::parse(text).unwrap().as_u64();
+        assert_eq!(num("9007199254740993"), Some(9_007_199_254_740_993));
+        assert_eq!(num("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(num("18446744073709551616"), None, "out of range");
+        assert_eq!(num("-1"), None);
+        assert_eq!(num("1.5"), None);
+        assert_eq!(num("1e3"), None);
+        assert_eq!(json::parse("-42").unwrap().as_i64(), Some(-42));
+        let spec = MemArchSpec::single_cache(CacheConfig::set_assoc(
+            2048,
+            4,
+            Replacement::Random {
+                seed: 9_007_199_254_740_993,
+            },
+        ));
+        assert_eq!(MemArchSpec::from_json(&spec.to_json()).unwrap(), spec);
+    }
+
+    #[test]
+    fn json_nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse(&nest(json::MAX_DEPTH)).is_ok());
+        assert_eq!(
+            json::parse(&nest(json::MAX_DEPTH + 1)),
+            Err(json::ParseError::TooDeep {
+                at: json::MAX_DEPTH
+            })
+        );
+        assert!(matches!(
+            json::parse(&"{\"a\":".repeat(1_000_000)),
+            Err(json::ParseError::TooDeep { .. })
+        ));
+    }
+
     // --- proptest: the validation layer over random specs ------------------
 
     fn arb_replacement() -> impl Strategy<Value = Replacement> {
         prop_oneof![
             Just(Replacement::Lru),
             Just(Replacement::RoundRobin),
-            (0u64..1000).prop_map(|seed| Replacement::Random { seed }),
+            any::<u64>().prop_map(|seed| Replacement::Random { seed }),
         ]
     }
 

@@ -8,7 +8,7 @@
 use crate::insn::{Insn, ShiftOp};
 use crate::mem::AccessWidth;
 
-fn field(v: u16, shift: u16) -> u16 {
+fn bits(v: u16, shift: u16) -> u16 {
     v << shift
 }
 
@@ -28,23 +28,21 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
                 ShiftOp::Lsr => 1,
                 ShiftOp::Asr => 2,
             };
-            vec![
-                field(opb, 11) | field(imm as u16, 6) | field(rm.num() as u16, 3) | rd.num() as u16,
-            ]
+            vec![bits(opb, 11) | bits(imm as u16, 6) | bits(rm.num() as u16, 3) | rd.num() as u16]
         }
         Insn::AddReg { rd, rn, rm } => {
             vec![
                 0b0001_1000_0000_0000
-                    | field(rm.num() as u16, 6)
-                    | field(rn.num() as u16, 3)
+                    | bits(rm.num() as u16, 6)
+                    | bits(rn.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
         Insn::SubReg { rd, rn, rm } => {
             vec![
                 0b0001_1010_0000_0000
-                    | field(rm.num() as u16, 6)
-                    | field(rn.num() as u16, 3)
+                    | bits(rm.num() as u16, 6)
+                    | bits(rn.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
@@ -52,8 +50,8 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
             assert!(imm < 8, "imm3 {imm} out of range");
             vec![
                 0b0001_1100_0000_0000
-                    | field(imm as u16, 6)
-                    | field(rn.num() as u16, 3)
+                    | bits(imm as u16, 6)
+                    | bits(rn.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
@@ -61,43 +59,43 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
             assert!(imm < 8, "imm3 {imm} out of range");
             vec![
                 0b0001_1110_0000_0000
-                    | field(imm as u16, 6)
-                    | field(rn.num() as u16, 3)
+                    | bits(imm as u16, 6)
+                    | bits(rn.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
         Insn::MovImm { rd, imm } => {
-            vec![0b0010_0000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b0010_0000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::CmpImm { rd, imm } => {
-            vec![0b0010_1000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b0010_1000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::AddImm { rd, imm } => {
-            vec![0b0011_0000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b0011_0000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::SubImm { rd, imm } => {
-            vec![0b0011_1000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b0011_1000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::Alu { op, rd, rm } => {
             vec![
                 0b0100_0000_0000_0000
-                    | field(op as u16, 6)
-                    | field(rm.num() as u16, 3)
+                    | bits(op as u16, 6)
+                    | bits(rm.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
         Insn::MovReg { rd, rm } => {
-            vec![0b0100_0100_0000_0000 | field(rm.num() as u16, 3) | rd.num() as u16]
+            vec![0b0100_0100_0000_0000 | bits(rm.num() as u16, 3) | rd.num() as u16]
         }
         Insn::Sdiv { rd, rm } => {
-            vec![0b0100_0101_0000_0000 | field(rm.num() as u16, 3) | rd.num() as u16]
+            vec![0b0100_0101_0000_0000 | bits(rm.num() as u16, 3) | rd.num() as u16]
         }
         Insn::Udiv { rd, rm } => {
-            vec![0b0100_0110_0000_0000 | field(rm.num() as u16, 3) | rd.num() as u16]
+            vec![0b0100_0110_0000_0000 | bits(rm.num() as u16, 3) | rd.num() as u16]
         }
         Insn::Ret => vec![0b0100_0111_0000_0000],
         Insn::LdrLit { rd, imm } => {
-            vec![0b0100_1000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b0100_1000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::LdrReg {
             width,
@@ -116,9 +114,9 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
             };
             vec![
                 0b0101_0000_0000_0000
-                    | field(op, 9)
-                    | field(rm.num() as u16, 6)
-                    | field(rn.num() as u16, 3)
+                    | bits(op, 9)
+                    | bits(rm.num() as u16, 6)
+                    | bits(rn.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
@@ -130,9 +128,9 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
             };
             vec![
                 0b0101_0000_0000_0000
-                    | field(op, 9)
-                    | field(rm.num() as u16, 6)
-                    | field(rn.num() as u16, 3)
+                    | bits(op, 9)
+                    | bits(rm.num() as u16, 6)
+                    | bits(rn.num() as u16, 3)
                     | rd.num() as u16,
             ]
         }
@@ -154,19 +152,19 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
                 AccessWidth::Byte => 0b0111_0000_0000_0000,
                 AccessWidth::Half => 0b1000_0000_0000_0000,
             };
-            vec![base | field(l, 11) | field(imm5, 6) | field(rn.num() as u16, 3) | rd.num() as u16]
+            vec![base | bits(l, 11) | bits(imm5, 6) | bits(rn.num() as u16, 3) | rd.num() as u16]
         }
         Insn::LdrSp { rd, imm } => {
-            vec![0b1001_1000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b1001_1000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::StrSp { rd, imm } => {
-            vec![0b1001_0000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b1001_0000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::Adr { rd, imm } => {
-            vec![0b1010_0000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b1010_0000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::AddSp { rd, imm } => {
-            vec![0b1010_1000_0000_0000 | field(rd.num() as u16, 8) | imm as u16]
+            vec![0b1010_1000_0000_0000 | bits(rd.num() as u16, 8) | imm as u16]
         }
         Insn::AdjSp { delta } => {
             assert!(delta % 4 == 0, "sp adjustment {delta} not a multiple of 4");
@@ -177,12 +175,12 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
             let neg = delta < 0;
             let mag = delta.unsigned_abs() / 4;
             assert!(!(neg && mag == 0), "negative zero sp adjustment");
-            vec![0b1011_0000_0000_0000 | field(neg as u16, 7) | mag]
+            vec![0b1011_0000_0000_0000 | bits(neg as u16, 7) | mag]
         }
         Insn::Push { regs, lr } => {
-            vec![0b1011_0100_0000_0000 | field(lr as u16, 8) | regs.0 as u16]
+            vec![0b1011_0100_0000_0000 | bits(lr as u16, 8) | regs.0 as u16]
         }
-        Insn::Pop { regs, pc } => vec![0b1011_1100_0000_0000 | field(pc as u16, 8) | regs.0 as u16],
+        Insn::Pop { regs, pc } => vec![0b1011_1100_0000_0000 | bits(pc as u16, 8) | regs.0 as u16],
         Insn::Nop => vec![0b1011_1111_0000_0000],
         Insn::BCond { cond, off } => {
             assert!(off % 2 == 0, "branch displacement {off} is odd");
@@ -191,7 +189,7 @@ pub fn encode(insn: &Insn) -> Vec<u16> {
                 (-128..=127).contains(&h),
                 "BCond displacement {off} out of range"
             );
-            vec![0b1101_0000_0000_0000 | field(cond.bits() as u16, 8) | (h as u8) as u16]
+            vec![0b1101_0000_0000_0000 | bits(cond.bits() as u16, 8) | (h as u8) as u16]
         }
         Insn::Swi { imm } => vec![0b1101_1111_0000_0000 | imm as u16],
         Insn::B { off } => {

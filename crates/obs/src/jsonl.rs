@@ -1,4 +1,4 @@
-//! JSON-lines event stream sink and validator.
+//! JSON-lines event stream sink.
 //!
 //! Each event is one JSON object per line. The schema (also documented in
 //! ARCHITECTURE.md §Observability):
@@ -12,12 +12,10 @@
 //! {"ev":"progress","done":3,"total":8,"detail":"2.1 points/s","t_ns":791,"tid":1}
 //! ```
 //!
-//! [`check_stream`] is the validator behind `experiments check-profile`
-//! and the CI sanity gate: valid JSON lines, balanced open/close,
-//! per-thread monotonic timestamps, close-after-open.
+//! `spmlab_bench::jsonl::check_stream` validates a recorded stream
+//! (`experiments check-profile`).
 
 use crate::{Sink, SpanMeta};
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -120,209 +118,9 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     }
 }
 
-/// Summary of a validated event stream.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct StreamSummary {
-    /// Total non-empty lines.
-    pub lines: usize,
-    /// `span_open` events.
-    pub span_opens: usize,
-    /// `span_close` events.
-    pub span_closes: usize,
-    /// `counter` events.
-    pub counters: usize,
-    /// `gauge` events.
-    pub gauges: usize,
-    /// `progress` events.
-    pub progress: usize,
-}
-
-/// Minimal JSON-object field extraction: value of `"key":` in a flat JSON
-/// object line. Numbers are returned bare; strings without their quotes.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
-fn num(line: &str, key: &str) -> Option<u64> {
-    field(line, key)?.parse().ok()
-}
-
-/// Structural JSON-line check, sufficient for the hand-rolled flat objects
-/// this crate emits: balanced braces outside strings, no trailing garbage.
-fn looks_like_json_object(line: &str) -> bool {
-    let line = line.trim();
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return false;
-    }
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut esc = false;
-    for c in line.chars() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => esc = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => depth += 1,
-            '}' if !in_str => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_str
-}
-
-/// Validates a JSON-lines event stream: every line is a JSON object with
-/// an `ev` tag, span open/close events balance (every close matches a
-/// prior open, every open is eventually closed), per-thread timestamps
-/// are monotonically non-decreasing, and each span closes at or after it
-/// opens. Returns a [`StreamSummary`] or the first violation.
-pub fn check_stream(text: &str) -> Result<StreamSummary, String> {
-    let mut summary = StreamSummary::default();
-    let mut open_at: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut last_t: BTreeMap<u64, u64> = BTreeMap::new();
-    for (no, line) in text.lines().enumerate() {
-        let n = no + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        summary.lines += 1;
-        if !looks_like_json_object(line) {
-            return Err(format!("line {n}: not a JSON object: {line}"));
-        }
-        let ev = field(line, "ev").ok_or_else(|| format!("line {n}: missing \"ev\" tag"))?;
-        if ev == "meta" {
-            continue;
-        }
-        let t = num(line, "t_ns").ok_or_else(|| format!("line {n}: missing t_ns"))?;
-        let tid = num(line, "tid").ok_or_else(|| format!("line {n}: missing tid"))?;
-        let prev = last_t.entry(tid).or_insert(0);
-        if t < *prev {
-            return Err(format!(
-                "line {n}: timestamp {t} goes backwards on tid {tid} (prev {prev})"
-            ));
-        }
-        *prev = t;
-        match ev {
-            "span_open" => {
-                summary.span_opens += 1;
-                let id =
-                    num(line, "id").ok_or_else(|| format!("line {n}: span_open without id"))?;
-                if open_at.insert(id, t).is_some() {
-                    return Err(format!("line {n}: span {id} opened twice"));
-                }
-            }
-            "span_close" => {
-                summary.span_closes += 1;
-                let id =
-                    num(line, "id").ok_or_else(|| format!("line {n}: span_close without id"))?;
-                let opened = open_at
-                    .remove(&id)
-                    .ok_or_else(|| format!("line {n}: close of span {id} without open"))?;
-                if t < opened {
-                    return Err(format!(
-                        "line {n}: span {id} closes at {t} before it opened at {opened}"
-                    ));
-                }
-            }
-            "counter" => summary.counters += 1,
-            "gauge" => summary.gauges += 1,
-            "progress" => summary.progress += 1,
-            other => return Err(format!("line {n}: unknown event kind \"{other}\"")),
-        }
-    }
-    if let Some((&id, _)) = open_at.iter().next() {
-        return Err(format!(
-            "{} span(s) never closed (first: id {id})",
-            open_at.len()
-        ));
-    }
-    Ok(summary)
-}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    /// Shared byte buffer a JsonlSink can write into while the test still
-    /// holds a handle to read it back.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn stream_round_trips_through_checker() {
-        let _x = crate::exclusive();
-        let buf = SharedBuf::default();
-        let sink = Arc::new(JsonlSink::new(buf.clone()));
-        let guard = crate::add_sink(sink);
-        {
-            let _root = crate::span_labeled("experiment", "hierarchy \"quoted\"");
-            {
-                let _sim = crate::span("simulate");
-                crate::counter("sim_instructions", 42);
-            }
-            crate::gauge("points", 8);
-            crate::progress(1, 8, "1.0 points/s");
-        }
-        drop(guard);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let summary = check_stream(&text).expect("stream must validate");
-        assert_eq!(summary.span_opens, 2);
-        assert_eq!(summary.span_closes, 2);
-        assert_eq!(summary.counters, 1);
-        assert_eq!(summary.gauges, 1);
-        assert_eq!(summary.progress, 1);
-    }
-
-    #[test]
-    fn checker_rejects_malformed_streams() {
-        assert!(check_stream("not json").is_err());
-        assert!(check_stream("{\"ev\":\"span_close\",\"id\":1,\"t_ns\":5,\"tid\":1}").is_err());
-        assert!(
-            check_stream("{\"ev\":\"span_open\",\"id\":1,\"t_ns\":5,\"tid\":1}").is_err(),
-            "unclosed span must fail"
-        );
-        let backwards = "{\"ev\":\"counter\",\"name\":\"c\",\"delta\":1,\"t_ns\":10,\"tid\":1}\n\
-                         {\"ev\":\"counter\",\"name\":\"c\",\"delta\":1,\"t_ns\":5,\"tid\":1}";
-        assert!(
-            check_stream(backwards).is_err(),
-            "time must not go backwards"
-        );
-        let cross_thread =
-            "{\"ev\":\"counter\",\"name\":\"c\",\"delta\":1,\"t_ns\":10,\"tid\":1}\n\
-                            {\"ev\":\"counter\",\"name\":\"c\",\"delta\":1,\"t_ns\":5,\"tid\":2}";
-        assert!(
-            check_stream(cross_thread).is_ok(),
-            "monotonicity is per-thread"
-        );
-    }
 
     #[test]
     fn escape_covers_specials() {

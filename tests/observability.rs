@@ -15,9 +15,10 @@ use spmlab::dse::GridSpec;
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::{hierarchy_sweep, spec_sweep_outcomes};
 use spmlab::{hierarchy_axis, MainMemoryTiming, MemArchSpec, DRAM_LATENCY};
+use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::hierarchy::StoreBuffer;
 use spmlab_obs::collector::MemorySink;
-use spmlab_obs::jsonl::{check_stream, JsonlSink};
+use spmlab_obs::jsonl::JsonlSink;
 use spmlab_sim::MemTrace;
 use spmlab_workloads::{inputs, G721, INSERTSORT};
 

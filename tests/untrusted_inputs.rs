@@ -1,8 +1,8 @@
 //! Malformed-input hardening: the parsers that read *untrusted* text —
 //! spec JSON from `--spec` files, grid documents from `--spec-grid`
-//! files, bench-history lines from the tracked JSONL log, checkpoint
-//! streams from `--resume` files, shard streams fed to `merge-shards` —
-//! and the binary v2 trace decoder (`MemTrace::from_bytes`) must reject
+//! files, checkpoint streams from `--resume` files, shard streams fed to
+//! `merge-shards`, profile streams fed to `check-profile` — and the
+//! binary v2 trace decoder (`MemTrace::from_bytes`) must reject
 //! arbitrary garbage with a typed error (or `None`), never a panic.
 //!
 //! Every strategy here feeds raw bytes (lossily decoded) and truncated or
@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use spmlab::dse::{merge_texts, GridSpec};
 use spmlab::{check_checkpoint, MemArchSpec};
-use spmlab_bench::{BenchRecord, Provenance};
+use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::hierarchy::MemHierarchyConfig;
 use spmlab_sim::{MemTrace, TraceError};
@@ -75,27 +75,17 @@ fn sample_shard_stream() -> String {
     format!("{}\n{}\n", header.to_json_line(), rec.to_json_line())
 }
 
-/// A valid bench-history line with a full provenance block.
-fn sample_history_line() -> String {
-    BenchRecord {
-        rev: "f508d87".into(),
-        benchmark: "g721".into(),
-        quick: false,
-        wall_seconds: 0.371,
-        points: 10,
-        max_ratio: 8.7878,
-        sound: true,
-        provenance: Some(Provenance {
-            spec_hash: "fe618877c985f45f".into(),
-            replay_points: Some(6),
-            full_sim_points: Some(2),
-            memo_hits: Some(2),
-            memo_misses: Some(8),
-            phase_ns: vec![("measure-spec".into(), 123456), ("analyze".into(), 99)],
-        }),
-    }
-    .to_json_line()
-}
+/// A valid recorded profile stream: nested spans plus one event of
+/// every other kind.
+const SAMPLE_PROFILE: &str = r#"{"ev":"meta","version":1}
+{"ev":"span_open","id":1,"parent":null,"name":"experiment","label":"hierarchy \"q\"","t_ns":10,"tid":1}
+{"ev":"span_open","id":2,"parent":1,"name":"simulate","label":"g721","t_ns":12,"tid":1}
+{"ev":"counter","name":"sim_instructions","delta":42,"t_ns":13,"tid":1}
+{"ev":"span_close","id":2,"t_ns":20,"tid":1}
+{"ev":"gauge","name":"points","value":8,"t_ns":21,"tid":1}
+{"ev":"progress","done":1,"total":8,"detail":"1.0 points/s","t_ns":22,"tid":1}
+{"ev":"span_close","id":1,"t_ns":30,"tid":1}
+"#;
 
 /// A valid serialized v2 event trace (recorded once, truncated and
 /// spliced by the properties below).
@@ -185,16 +175,19 @@ proptest! {
     }
 
     #[test]
-    fn arbitrary_history_lines_never_panic(text in garbage(160)) {
-        let _ = BenchRecord::from_json_line(&text);
+    fn arbitrary_profile_streams_never_panic(text in garbage(240)) {
+        let _ = check_stream(&text);
     }
 
     #[test]
-    fn truncated_history_lines_never_panic(cut in 0usize..512, tail in garbage(16)) {
-        let base = sample_history_line();
+    fn truncated_spliced_profile_streams_never_panic(
+        cut in 0usize..1024,
+        tail in garbage(24),
+    ) {
+        let base = SAMPLE_PROFILE;
         let mut text = base[..cut.min(base.len())].to_string();
         text.push_str(&tail);
-        let _ = BenchRecord::from_json_line(&text);
+        let _ = check_stream(&text);
     }
 
     #[test]
@@ -248,9 +241,9 @@ proptest! {
         let base = sample_spec_json(which);
         let spec = MemArchSpec::from_json(&base).expect("valid spec parses");
         prop_assert_eq!(spec.to_json(), base);
-        let line = sample_history_line();
-        let rec = BenchRecord::from_json_line(&line).expect("valid line parses");
-        prop_assert_eq!(rec.to_json_line(), line);
+        let summary = check_stream(SAMPLE_PROFILE).expect("valid profile stream passes");
+        prop_assert_eq!(summary.span_opens, 2);
+        prop_assert_eq!(summary.progress, 1);
     }
 
     #[test]
@@ -259,6 +252,18 @@ proptest! {
         let grid = GridSpec::from_json(&base).expect("valid grid parses");
         prop_assert_eq!(grid.to_json(), base);
     }
+}
+
+/// Nesting a million brackets deep is a typed parse error in every text
+/// reader, not a stack overflow (which would abort the process).
+#[test]
+fn deeply_nested_json_is_rejected_without_overflow() {
+    let deep = "[".repeat(1_000_000);
+    assert!(MemArchSpec::from_json(&deep).is_err());
+    assert!(GridSpec::from_json(&deep).is_err());
+    assert!(check_checkpoint(&deep).is_err());
+    assert!(merge_texts(&[&deep]).is_err());
+    assert!(check_stream(&deep).is_err());
 }
 
 /// A future trace version is a typed error, not a panic or a
