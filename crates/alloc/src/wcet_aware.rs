@@ -4,10 +4,24 @@
 //! objective is the WCET bound itself rather than profiled energy.
 //!
 //! The allocator is a greedy best-improvement-per-byte loop: each round it
-//! relinks the program with each remaining candidate added, runs the static
-//! WCET analysis, and commits the object with the best WCET reduction per
-//! scratchpad byte. This needs no profile at all — everything comes from
-//! the analyzer, keeping the method fully static like the paper's vision.
+//! trials every remaining candidate added to the current assignment, takes
+//! each trial's static WCET bound, and commits the object with the best
+//! WCET reduction per scratchpad byte. This needs no profile at all —
+//! everything comes from the analyzer, keeping the method fully static
+//! like the paper's vision.
+//!
+//! Trials go through a [`TrialMemo`], which keeps only integers: per
+//! assignment, where its scratchpad layout ends ([`spmlab_cc::spm_end`]),
+//! and per (assignment, objective), the bound. The linker places
+//! scratchpad objects from the bottom of the scratchpad and never moves
+//! back, so a trial fits a capacity exactly when its layout ends within
+//! it, and every capacity it fits links it to the same image up to the
+//! map's `spm_size`. Its bound therefore does not depend on the capacity,
+//! and only the first trial of an (assignment, objective) pair links and
+//! analyses. The public functions use a fresh memo per
+//! call; `spmlab_core`'s pipeline keeps one for all the greedies it runs,
+//! so the greedies for several capacities and objectives pay for their
+//! shared trials once.
 //!
 //! The objective is pluggable: [`allocate`] optimises the flat Table-1
 //! region-timing bound (the seed behaviour), while [`allocate_with`] takes
@@ -21,13 +35,15 @@
 //! whichever assignment bounds lower, so it can never lose to the seed
 //! allocator on the metric that matters.
 
-use spmlab_cc::{link, CcError, ObjModule, SpmAssignment};
+use spmlab_cc::{link, spm_end, CcError, ObjModule, SpmAssignment};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::mem::MemoryMap;
 use spmlab_wcet::{analyze, WcetConfig, WcetError};
+use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Outcome of the WCET-driven allocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WcetAllocation {
     /// Chosen assignment.
     pub assignment: SpmAssignment,
@@ -99,6 +115,7 @@ pub fn allocate(
 /// Greedily allocates objects to minimise the WCET bound under an
 /// arbitrary analyzer configuration — pass `WcetConfig::with_hierarchy`
 /// to optimise placement against the multi-level critical path.
+/// This is [`TrialMemo::allocate_with`] with a fresh memo.
 ///
 /// # Errors
 ///
@@ -110,57 +127,7 @@ pub fn allocate_with(
     extra_annotations: &AnnotationSet,
     config: &WcetConfig,
 ) -> Result<WcetAllocation, WcetAllocError> {
-    let map = MemoryMap::with_spm(capacity);
-    let baseline_map = MemoryMap::no_spm();
-    let baseline_wcet = wcet_of(
-        module,
-        &baseline_map,
-        &SpmAssignment::none(),
-        extra_annotations,
-        config,
-    )?;
-
-    let mut assignment = SpmAssignment::none();
-    let mut current = wcet_of(module, &map, &assignment, extra_annotations, config)?;
-    let mut remaining: Vec<(String, u32)> = module.memory_objects();
-    let mut used = 0u32;
-    let mut steps = Vec::new();
-
-    loop {
-        let mut best: Option<(usize, u64, f64)> = None;
-        for (i, (name, size)) in remaining.iter().enumerate() {
-            let aligned = (size.max(&1) + 3) & !3;
-            if used + aligned > capacity {
-                continue;
-            }
-            let mut trial = assignment.clone();
-            trial.insert(name.clone());
-            let w = match wcet_of(module, &map, &trial, extra_annotations, config) {
-                Ok(w) => w,
-                Err(WcetAllocError::Link(_)) => continue, // Doesn't fit with padding.
-                Err(e) => return Err(e),
-            };
-            if w < current {
-                let gain_per_byte = (current - w) as f64 / aligned as f64;
-                if best.is_none_or(|(_, _, g)| gain_per_byte > g) {
-                    best = Some((i, w, gain_per_byte));
-                }
-            }
-        }
-        let Some((i, w, _)) = best else { break };
-        let (name, size) = remaining.remove(i);
-        used += (size.max(1) + 3) & !3;
-        assignment.insert(name.clone());
-        current = w;
-        steps.push((name, w));
-    }
-
-    Ok(WcetAllocation {
-        assignment,
-        baseline_wcet,
-        final_wcet: current,
-        steps,
-    })
+    TrialMemo::new().allocate_with(module, capacity, extra_annotations, config)
 }
 
 /// Hierarchy-aware allocation that can never lose to the seed allocator:
@@ -171,9 +138,13 @@ pub fn allocate_with(
 /// general; the portfolio step turns "usually better" into "never worse".
 ///
 /// `region_assignment` is the region-timing greedy result when the caller
-/// already has it (the pipeline memoises it per capacity — the greedy loop
-/// is O(n²) link+analyze steps, so recomputing it here would dominate);
-/// pass `None` to let this function derive it.
+/// already has it (the pipeline memoises it per capacity); pass `None` to
+/// let this function derive it.
+///
+/// This is [`TrialMemo::allocate_hierarchy_aware`] with a fresh memo: both
+/// greedies and the re-scoring trial through it, a trial fits when its
+/// scratchpad layout ends within `capacity`, and each (assignment,
+/// objective) pair is linked and analysed once within the call.
 ///
 /// # Errors
 ///
@@ -185,25 +156,280 @@ pub fn allocate_hierarchy_aware(
     config: &WcetConfig,
     region_assignment: Option<&SpmAssignment>,
 ) -> Result<WcetAllocation, WcetAllocError> {
-    let aware = allocate_with(module, capacity, extra_annotations, config)?;
-    let region = match region_assignment {
-        Some(a) => a.clone(),
-        None => allocate(module, capacity, extra_annotations)?.assignment,
-    };
-    if region == aware.assignment {
-        return Ok(aware);
+    TrialMemo::new().allocate_hierarchy_aware(
+        module,
+        capacity,
+        extra_annotations,
+        config,
+        region_assignment,
+    )
+}
+
+/// Allocation trials already paid for: per assignment, where its
+/// scratchpad layout ends, and per (assignment, objective), its WCET
+/// bound. Only integers are kept, never a linked image or an analysis.
+///
+/// A trial at capacity `c` fits exactly when its layout ends at or below
+/// `c` (see [`spmlab_cc::spm_end`]); one that does not fit fails with the
+/// linker's own error, as it would without the memo. A fitting trial links
+/// to the same image at every capacity it fits, up to the map's
+/// `spm_size`, so its bound is shared by all of them. The key also records
+/// whether the map has a scratchpad at all (capacity 0 has none), so the
+/// no-scratchpad baseline keeps its own entry. Under a limited
+/// [`AnalysisBudget`](spmlab_wcet::AnalysisBudget) a bound may depend on
+/// the wall clock, so such objectives bypass the memo and every trial
+/// runs fresh.
+///
+/// A memo belongs to one module and one set of extra annotations: every
+/// call on it must pass the same two. It is safe to share between threads;
+/// it is locked only to look up and to record, never while a trial runs.
+/// Debug builds re-run every trial the memo answers and assert the bound.
+#[derive(Debug, Default)]
+pub struct TrialMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    /// Per assignment seen: its index and where its scratchpad layout ends.
+    assignments: HashMap<SpmAssignment, (usize, u64)>,
+    /// The objectives seen; a bound's key holds the index.
+    objectives: Vec<WcetConfig>,
+    /// Bound per (assignment, objective, the map has a scratchpad).
+    bounds: HashMap<(usize, usize, bool), u64>,
+    /// Trials answered from `bounds` since the last `take_counts`.
+    hits: u64,
+    /// Trials linked and analysed since the last `take_counts`.
+    misses: u64,
+}
+
+impl TrialMemo {
+    /// An empty memo.
+    pub fn new() -> TrialMemo {
+        TrialMemo::default()
     }
-    let map = MemoryMap::with_spm(capacity);
-    let region_under_config = wcet_of(module, &map, &region, extra_annotations, config)?;
-    if region_under_config < aware.final_wcet {
+
+    fn state(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether `assignment` fits a scratchpad of `capacity` bytes — the
+    /// memo's fit rule, which rejects exactly the assignments [`link()`]
+    /// rejects for lack of scratchpad space.
+    pub fn fits(&self, module: &ObjModule, assignment: &SpmAssignment, capacity: u32) -> bool {
+        self.state().assignment(module, assignment).1 <= u64::from(capacity)
+    }
+
+    /// Returns the numbers of trials answered from the memo (hits) and of
+    /// trials linked and analysed into it (misses) since the last call,
+    /// and resets both.
+    pub fn take_counts(&self) -> (u64, u64) {
+        let mut s = self.state();
+        (std::mem::take(&mut s.hits), std::mem::take(&mut s.misses))
+    }
+
+    /// The greedy of [`allocate_with`], trialling through this memo.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the baseline program cannot be linked or analysed (a
+    /// candidate that overflows the scratchpad is simply skipped).
+    pub fn allocate_with(
+        &self,
+        module: &ObjModule,
+        capacity: u32,
+        extra_annotations: &AnnotationSet,
+        config: &WcetConfig,
+    ) -> Result<WcetAllocation, WcetAllocError> {
+        let trials = self.trials(module, extra_annotations, config);
+        let baseline_wcet = trials.wcet(0, &SpmAssignment::none())?;
+
+        let mut assignment = SpmAssignment::none();
+        let mut current = trials.wcet(capacity, &assignment)?;
+        let mut remaining: Vec<(String, u32)> = module.memory_objects();
+        let mut used = 0u32;
+        let mut steps = Vec::new();
+
+        loop {
+            let mut best: Option<(usize, u64, f64)> = None;
+            for (i, (name, size)) in remaining.iter().enumerate() {
+                let aligned = (size.max(&1) + 3) & !3;
+                if used + aligned > capacity {
+                    continue;
+                }
+                let mut trial = assignment.clone();
+                trial.insert(name.clone());
+                let w = match trials.wcet(capacity, &trial) {
+                    Ok(w) => w,
+                    Err(WcetAllocError::Link(_)) => continue, // Doesn't fit with padding.
+                    Err(e) => return Err(e),
+                };
+                if w < current {
+                    let gain_per_byte = (current - w) as f64 / aligned as f64;
+                    if best.is_none_or(|(_, _, g)| gain_per_byte > g) {
+                        best = Some((i, w, gain_per_byte));
+                    }
+                }
+            }
+            let Some((i, w, _)) = best else { break };
+            let (name, size) = remaining.remove(i);
+            used += (size.max(1) + 3) & !3;
+            assignment.insert(name.clone());
+            current = w;
+            steps.push((name, w));
+        }
+
         Ok(WcetAllocation {
-            assignment: region,
-            baseline_wcet: aware.baseline_wcet,
-            final_wcet: region_under_config,
-            steps: Vec::new(), // Not produced by the greedy path under `config`.
+            assignment,
+            baseline_wcet,
+            final_wcet: current,
+            steps,
         })
-    } else {
-        Ok(aware)
+    }
+
+    /// The portfolio of [`allocate_hierarchy_aware`], trialling both
+    /// greedies and the re-scoring through this memo.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the baseline program cannot be linked or analysed.
+    pub fn allocate_hierarchy_aware(
+        &self,
+        module: &ObjModule,
+        capacity: u32,
+        extra_annotations: &AnnotationSet,
+        config: &WcetConfig,
+        region_assignment: Option<&SpmAssignment>,
+    ) -> Result<WcetAllocation, WcetAllocError> {
+        let aware = self.allocate_with(module, capacity, extra_annotations, config)?;
+        let region = match region_assignment {
+            Some(a) => a.clone(),
+            None => {
+                self.allocate_with(
+                    module,
+                    capacity,
+                    extra_annotations,
+                    &WcetConfig::region_timing(),
+                )?
+                .assignment
+            }
+        };
+        if region == aware.assignment {
+            return Ok(aware);
+        }
+        let region_under_config = self
+            .trials(module, extra_annotations, config)
+            .wcet(capacity, &region)?;
+        if region_under_config < aware.final_wcet {
+            Ok(WcetAllocation {
+                assignment: region,
+                baseline_wcet: aware.baseline_wcet,
+                final_wcet: region_under_config,
+                steps: Vec::new(), // Not produced by the greedy path under `config`.
+            })
+        } else {
+            Ok(aware)
+        }
+    }
+
+    /// Trials of `module` under `config`, with the objective's index
+    /// resolved once (`None` under a limited budget: no memo).
+    fn trials<'a>(
+        &'a self,
+        module: &'a ObjModule,
+        extra_annotations: &'a AnnotationSet,
+        config: &'a WcetConfig,
+    ) -> Trials<'a> {
+        let objective = (!config.budget.is_limited()).then(|| {
+            let mut s = self.state();
+            match s.objectives.iter().position(|c| c == config) {
+                Some(i) => i,
+                None => {
+                    s.objectives.push(config.clone());
+                    s.objectives.len() - 1
+                }
+            }
+        });
+        Trials {
+            memo: self,
+            module,
+            extra_annotations,
+            config,
+            objective,
+        }
+    }
+}
+
+impl MemoState {
+    /// The index of `assignment` and where its scratchpad layout ends,
+    /// recorded on first sight.
+    fn assignment(&mut self, module: &ObjModule, assignment: &SpmAssignment) -> (usize, u64) {
+        if let Some(&entry) = self.assignments.get(assignment) {
+            return entry;
+        }
+        let entry = (self.assignments.len(), spm_end(module, assignment));
+        self.assignments.insert(assignment.clone(), entry);
+        entry
+    }
+}
+
+/// One greedy's view of a [`TrialMemo`]: its module, annotations and
+/// objective.
+struct Trials<'a> {
+    memo: &'a TrialMemo,
+    module: &'a ObjModule,
+    extra_annotations: &'a AnnotationSet,
+    config: &'a WcetConfig,
+    objective: Option<usize>,
+}
+
+impl Trials<'_> {
+    /// The bound of `assignment` linked for a `capacity`-byte scratchpad
+    /// (capacity 0: no scratchpad).
+    fn wcet(&self, capacity: u32, assignment: &SpmAssignment) -> Result<u64, WcetAllocError> {
+        let fresh = || {
+            wcet_of(
+                self.module,
+                &MemoryMap::with_spm(capacity),
+                assignment,
+                self.extra_annotations,
+                self.config,
+            )
+        };
+        let Some(objective) = self.objective else {
+            return fresh();
+        };
+        let key = {
+            let mut s = self.memo.state();
+            let (id, end) = s.assignment(self.module, assignment);
+            if end > u64::from(capacity) {
+                drop(s);
+                // The linker reports the overflow, as without the memo.
+                let res = fresh();
+                debug_assert!(
+                    matches!(res, Err(WcetAllocError::Link(_))),
+                    "{assignment:?} ends at {end} but linked for {capacity} bytes"
+                );
+                return res;
+            }
+            let key = (id, objective, capacity > 0);
+            if let Some(&w) = s.bounds.get(&key) {
+                s.hits += 1;
+                drop(s);
+                debug_assert_eq!(
+                    fresh().ok(),
+                    Some(w),
+                    "memoised bound of {assignment:?} at capacity {capacity}"
+                );
+                return Ok(w);
+            }
+            key
+        };
+        let w = fresh()?;
+        let mut s = self.memo.state();
+        s.misses += 1;
+        s.bounds.insert(key, w);
+        Ok(w)
     }
 }
 
@@ -249,6 +475,54 @@ mod tests {
         let res = allocate(&module, 0, &AnnotationSet::new()).unwrap();
         assert!(res.assignment.is_empty());
         assert_eq!(res.final_wcet, res.baseline_wcet);
+    }
+
+    #[test]
+    fn shared_memo_reuses_trials_across_capacities() {
+        let module = compile(SRC).unwrap();
+        let annot = AnnotationSet::new();
+        let region = WcetConfig::region_timing();
+        let memo = TrialMemo::new();
+        for capacity in [0u32, 64, 128, 512] {
+            let shared = memo
+                .allocate_with(&module, capacity, &annot, &region)
+                .unwrap();
+            assert_eq!(shared, allocate(&module, capacity, &annot).unwrap());
+        }
+        let (hits, misses) = memo.take_counts();
+        assert!(hits > 0, "the baseline and empty-assignment trials repeat");
+        assert!(misses > 0);
+        assert_eq!(memo.take_counts(), (0, 0), "counts reset on take");
+        // The fit rule is the linker's.
+        for capacity in [0u32, 4, 64, 512] {
+            for (name, _) in module.memory_objects() {
+                let a = SpmAssignment::of([name]);
+                let links = link(&module, &MemoryMap::with_spm(capacity), &a).is_ok();
+                assert_eq!(
+                    memo.fits(&module, &a, capacity),
+                    links,
+                    "{a:?} at {capacity}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn limited_budget_bypasses_the_memo() {
+        let module = compile(SRC).unwrap();
+        let annot = AnnotationSet::new();
+        let budgeted = WcetConfig {
+            budget: spmlab_wcet::AnalysisBudget {
+                max_fixpoint_iters: Some(1 << 20),
+                deadline_ms: None,
+            },
+            ..WcetConfig::region_timing()
+        };
+        let memo = TrialMemo::new();
+        let first = memo.allocate_with(&module, 512, &annot, &budgeted).unwrap();
+        let second = memo.allocate_with(&module, 512, &annot, &budgeted).unwrap();
+        assert_eq!(first, second);
+        assert_eq!(memo.take_counts(), (0, 0), "every trial ran fresh");
     }
 
     #[test]

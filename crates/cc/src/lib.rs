@@ -51,7 +51,7 @@ pub mod print;
 pub mod sema;
 pub mod token;
 
-pub use link::{link, LinkedProgram, SpmAssignment};
+pub use link::{link, spm_end, LinkedProgram, SpmAssignment};
 pub use module::{GlobalDef, ObjModule};
 pub use print::print;
 

@@ -22,7 +22,7 @@ use spmlab_isa::IsaError;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which memory objects go to the scratchpad.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct SpmAssignment {
     names: BTreeSet<String>,
 }
@@ -78,6 +78,32 @@ pub struct LinkedProgram {
 
 /// Name of the synthesized entry function.
 pub const START_SYMBOL: &str = "_start";
+
+/// The module's memory objects in the order [`link()`] places them after
+/// `_start`: functions, then globals, each with the bytes it occupies.
+fn placement_order(module: &ObjModule) -> impl Iterator<Item = (&str, u32)> {
+    let funcs = module
+        .funcs
+        .iter()
+        .map(|f| (f.name.as_str(), f.total_size()));
+    let globals = module
+        .globals
+        .iter()
+        .map(|g| (g.name.as_str(), g.size_bytes().max(1)));
+    funcs.chain(globals)
+}
+
+/// Where the scratchpad part of `assign` ends, in bytes from the
+/// scratchpad base. [`link()`] places the assigned objects in module order,
+/// each at the next word boundary, and never moves its cursor back, so
+/// under any map whose scratchpad starts at a word boundary (as
+/// [`MemoryMap::with_spm`] does) the assignment fits exactly when this is
+/// at most `spm_size`.
+pub fn spm_end(module: &ObjModule, assign: &SpmAssignment) -> u64 {
+    placement_order(module)
+        .filter(|(name, _)| assign.contains(name))
+        .fold(0, |end, (_, size)| ((end + 3) & !3) + u64::from(size))
+}
 
 /// Links `module` for `map`, placing `assign`ed objects in the scratchpad.
 ///
@@ -136,11 +162,8 @@ pub fn link(
 
     // `_start` always lives in main memory, first.
     place(START_SYMBOL, start.total_size(), false)?;
-    for f in &module.funcs {
-        place(&f.name, f.total_size(), assign.contains(&f.name))?;
-    }
-    for g in &module.globals {
-        place(&g.name, g.size_bytes().max(1), assign.contains(&g.name))?;
+    for (name, size) in placement_order(module) {
+        place(name, size, assign.contains(name))?;
     }
 
     // Emit bytes with relocations resolved.

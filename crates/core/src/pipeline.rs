@@ -11,6 +11,7 @@ use crate::CoreError;
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::{knapsack, wcet_aware};
 use spmlab_cc::{ObjModule, SpmAssignment};
+use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::archspec::{MemArchSpec, SpmAllocation, SpmSpec};
 use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
 use spmlab_isa::mem::MemoryMap;
@@ -127,8 +128,12 @@ pub struct Pipeline {
     trace: Option<MemTrace>,
     energy: EnergyModel,
     sim_options: SimOptions,
-    /// Memoised WCET-driven allocations, keyed by capacity + objective.
-    wcet_allocs: Mutex<BTreeMap<String, SpmAssignment>>,
+    /// Memoised WCET-driven allocations, keyed by capacity + objective:
+    /// one compute-once cell per key (see [`Pipeline::wcet_alloc_memo`]).
+    wcet_allocs: Mutex<BTreeMap<String, Arc<Mutex<Option<SpmAssignment>>>>>,
+    /// The bounds of every allocation trial the WCET-driven greedies have
+    /// run, shared across capacities and objectives.
+    alloc_trials: wcet_aware::TrialMemo,
     /// Memoised scratchpad links/recordings, keyed by capacity + assignment.
     spm_links: Mutex<BTreeMap<String, Arc<SpmArtifacts>>>,
     /// Per-point resource budget stamped onto every analyzer config; the
@@ -210,6 +215,7 @@ impl Pipeline {
             energy: EnergyModel::default(),
             sim_options,
             wcet_allocs: Mutex::new(BTreeMap::new()),
+            alloc_trials: wcet_aware::TrialMemo::new(),
             spm_links: Mutex::new(BTreeMap::new()),
             analysis_budget: AnalysisBudget::unlimited(),
         })
@@ -603,8 +609,10 @@ impl Pipeline {
     }
 
     /// Maps a scratchpad strategy to a concrete assignment. WCET-driven
-    /// allocations are memoised per capacity + objective (the greedy loop
-    /// re-analyzes many candidate links).
+    /// allocations are memoised per capacity + objective, and every greedy
+    /// trials through the pipeline's one [`wcet_aware::TrialMemo`], so an
+    /// assignment is linked and analysed once per objective however many
+    /// capacities trial it.
     fn resolve_assignment(
         &self,
         spm: &SpmSpec,
@@ -628,14 +636,15 @@ impl Pipeline {
                 // objective at that capacity.
                 let region = self.region_alloc(spm.size)?;
                 self.wcet_alloc_memo(format!("aware|{}|{wcfg:?}", spm.size), || {
-                    Ok(wcet_aware::allocate_hierarchy_aware(
-                        &self.module,
-                        spm.size,
-                        &spmlab_isa::annot::AnnotationSet::new(),
-                        wcfg,
-                        Some(&region),
-                    )?
-                    .assignment)
+                    self.counting_trials(|trials| {
+                        trials.allocate_hierarchy_aware(
+                            &self.module,
+                            spm.size,
+                            &AnnotationSet::new(),
+                            wcfg,
+                            Some(&region),
+                        )
+                    })
                 })
             }
         }
@@ -644,36 +653,59 @@ impl Pipeline {
     /// The memoised region-timing greedy allocation for one capacity.
     fn region_alloc(&self, size: u32) -> Result<SpmAssignment, CoreError> {
         self.wcet_alloc_memo(format!("region|{size}"), || {
-            Ok(
-                wcet_aware::allocate(&self.module, size, &spmlab_isa::annot::AnnotationSet::new())?
-                    .assignment,
-            )
+            self.counting_trials(|trials| {
+                trials.allocate_with(
+                    &self.module,
+                    size,
+                    &AnnotationSet::new(),
+                    &WcetConfig::region_timing(),
+                )
+            })
         })
     }
 
+    /// Runs one greedy on the pipeline's trial memo and reports the
+    /// memo's hits and misses as `alloc_trial_memo_hit` /
+    /// `alloc_trial_memo_miss` counters.
+    fn counting_trials(
+        &self,
+        greedy: impl FnOnce(
+            &wcet_aware::TrialMemo,
+        ) -> Result<wcet_aware::WcetAllocation, wcet_aware::WcetAllocError>,
+    ) -> Result<SpmAssignment, CoreError> {
+        let res = greedy(&self.alloc_trials);
+        let (hits, misses) = self.alloc_trials.take_counts();
+        spmlab_obs::counter("alloc_trial_memo_hit", hits);
+        spmlab_obs::counter("alloc_trial_memo_miss", misses);
+        Ok(res?.assignment)
+    }
+
+    /// The compute-once memo cell for `key`: the first caller computes
+    /// while later callers for the same key wait, then share its result.
+    /// An error or a panic is not cached — it fails its own caller, and
+    /// the next caller computes afresh.
     fn wcet_alloc_memo(
         &self,
         key: String,
         compute: impl FnOnce() -> Result<SpmAssignment, CoreError>,
     ) -> Result<SpmAssignment, CoreError> {
-        if let Some(a) = self
+        let cell = self
             .wcet_allocs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
+            .entry(key)
+            .or_default()
+            .clone();
+        // A panicking computation poisons the cell with `None` inside.
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(a) = slot.as_ref() {
             spmlab_obs::counter("alloc_memo_hit", 1);
             return Ok(a.clone());
         }
         spmlab_obs::counter("alloc_memo_miss", 1);
         let a = compute()?;
-        Ok(self
-            .wcet_allocs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(a)
-            .clone())
+        *slot = Some(a.clone());
+        Ok(a)
     }
 
     /// Links and interprets one scratchpad configuration (memoised): the
@@ -801,6 +833,52 @@ mod tests {
         let spm_only = p.run(&MemArchSpec::spm(256)).unwrap();
         assert!(combo.sim_cycles <= spm_only.sim_cycles);
         assert_eq!(combo.checksum, spm_only.checksum);
+    }
+
+    #[test]
+    fn allocation_cells_compute_once_and_cache_no_failure() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let p = Pipeline::new(&INSERTSORT).unwrap();
+        let a = SpmAssignment::of(["main"]);
+        // Concurrent callers for one key wait on a single computation.
+        // The callers start together; the computation's pause only widens
+        // the window in which the others arrive while it runs.
+        let runs = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    let got = p.wcet_alloc_memo(String::from("k"), || {
+                        runs.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                        Ok(a.clone())
+                    });
+                    assert_eq!(got.unwrap(), a);
+                });
+            }
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        // An error fails its own caller only; the next caller computes.
+        let err = p.wcet_alloc_memo(String::from("e"), || {
+            Err(CoreError::Injected("alloc".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(
+            p.wcet_alloc_memo(String::from("e"), || Ok(a.clone()))
+                .unwrap(),
+            a
+        );
+        // So does a panic, which poisons the cell's lock.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.wcet_alloc_memo(String::from("p"), || panic!("greedy panicked"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(
+            p.wcet_alloc_memo(String::from("p"), || Ok(a.clone()))
+                .unwrap(),
+            a
+        );
     }
 
     #[test]

@@ -8,18 +8,24 @@
 //! the sink registry is process-global, and a concurrently-running test
 //! would otherwise see foreign events.
 
+mod common;
+
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use common::{reference_greedy, reference_hierarchy_aware, routed};
 use proptest::prelude::*;
 use spmlab::dse::GridSpec;
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::{hierarchy_sweep, spec_sweep_outcomes};
 use spmlab::{hierarchy_axis, MainMemoryTiming, MemArchSpec, DRAM_LATENCY};
 use spmlab_bench::jsonl::check_stream;
+use spmlab_isa::archspec::SpmAllocation;
 use spmlab_isa::hierarchy::StoreBuffer;
 use spmlab_obs::collector::MemorySink;
 use spmlab_obs::jsonl::JsonlSink;
 use spmlab_sim::MemTrace;
+use spmlab_wcet::WcetConfig;
 use spmlab_workloads::{inputs, G721, INSERTSORT};
 
 /// Satellite regression pin: the eight-config G.721 hierarchy scenario
@@ -130,6 +136,69 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
             r.label
         );
     }
+}
+
+/// The allocator's trial memo over a small scratchpad grid (two
+/// capacities × `wcet-region`/`wcet` × two main latencies; at latency 0
+/// `wcet` over plain region timing is `wcet-region`): the pipeline's
+/// greedies share trials across capacities and objectives, and
+/// link and analyse each distinct (assignment, objective, map has a
+/// scratchpad) exactly once — the count a per-trial reference greedy
+/// yields for the same allocations.
+#[test]
+fn spm_grid_analyses_each_allocation_trial_once() {
+    let grid = GridSpec {
+        spm_sizes: vec![128, 512],
+        spm_allocs: vec![SpmAllocation::WcetRegion, SpmAllocation::WcetAware],
+        main_latencies: vec![0, 10],
+        ..GridSpec::default()
+    };
+    let axis = grid.axis().unwrap().0;
+    assert_eq!(axis.len(), 6);
+    let _x = spmlab_obs::exclusive();
+    let p = Pipeline::new(&INSERTSORT).unwrap();
+    let sink = Arc::new(MemorySink::default());
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let outcomes = spec_sweep_outcomes(&p, &axis).unwrap();
+    drop(guard);
+    assert!(outcomes.iter().all(|o| o.outcome.result().is_some()));
+
+    let mut aware_objectives: Vec<WcetConfig> = Vec::new();
+    for spec in &axis {
+        let obj = routed(spec);
+        if spec.spm.as_ref().unwrap().alloc == SpmAllocation::WcetAware
+            && !aware_objectives.contains(&obj)
+        {
+            aware_objectives.push(obj);
+        }
+    }
+    assert_eq!(
+        aware_objectives,
+        [WcetConfig::region_timing_with(MainMemoryTiming::dram(10))]
+    );
+    let mut distinct = BTreeSet::new();
+    let mut record = |log: Vec<(u32, spmlab_cc::SpmAssignment)>, obj: &WcetConfig| {
+        for (capacity, a) in log {
+            distinct.insert((format!("{obj:?}"), capacity > 0, format!("{a:?}")));
+        }
+    };
+    let region_obj = WcetConfig::region_timing();
+    for capacity in [128, 512] {
+        let mut log = Vec::new();
+        let region = reference_greedy(p.module(), capacity, &region_obj, &mut log).unwrap();
+        record(log, &region_obj);
+        for obj in &aware_objectives {
+            let mut log = Vec::new();
+            reference_hierarchy_aware(p.module(), capacity, obj, &region.assignment, &mut log)
+                .unwrap();
+            record(log, obj);
+        }
+    }
+    assert!(sink.counter_total("alloc_trial_memo_hit") > 0);
+    assert_eq!(
+        sink.counter_total("alloc_trial_memo_miss"),
+        distinct.len() as u64
+    );
 }
 
 /// A profiled run records a well-formed JSON-lines stream (balanced span
