@@ -1,13 +1,19 @@
-//! Pinned bounds of the paper's single-level cache setup: a MUST-only
-//! analysis of one L1 (the ARM7/aiT configuration), optionally with the
-//! persistence (first-miss) extension, over the six kernels and the
-//! twelve corpus programs × a set of single-cache geometries.
+//! Pinned bounds of the paper's two analysis setups over the six kernels
+//! and the twelve corpus programs:
+//!
+//! * the single-level cache setup: a MUST-only analysis of one L1 (the
+//!   ARM7/aiT configuration), optionally with the persistence
+//!   (first-miss) extension, × a set of single-cache geometries;
+//! * the scratchpad setup, region timing with no cache in the path (the
+//!   uncached hierarchy): the no-scratchpad link under Table-1 and DRAM
+//!   (latency 10) main memory, and the knapsack-allocated 256 B and
+//!   1024 B scratchpad links under Table-1.
 //!
 //! Each row of `tests/paper_mode_golden.tsv` records one analysis:
 //! `wcet_cycles`, the `ClassifyStats` wire array and an FNV-1a digest of
 //! the per-address `Classification` sets.
 //!
-//! * MUST-only rows must reproduce exactly.
+//! * MUST-only and region rows must reproduce exactly.
 //! * `+persistence` rows may only tighten: the bound must be ≤ the pinned
 //!   one and ≤ the MUST-only bound of the same program and geometry
 //!   (persistence must never loosen the analysis).
@@ -16,10 +22,16 @@
 //! `SPMLAB_BLESS_PAPER_MODE=1 cargo test --test paper_mode_golden` and
 //! review the diff.
 
+use spmlab::Pipeline;
+use spmlab_alloc::energy::EnergyModel;
+use spmlab_alloc::knapsack;
+use spmlab_cc::{LinkedProgram, SpmAssignment};
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
+use spmlab_isa::hierarchy::MainMemoryTiming;
+use spmlab_isa::mem::MemoryMap;
 use spmlab_wcet::cache::Classification;
 use spmlab_wcet::{analyze, WcetConfig, WcetResult};
-use spmlab_workloads::gen;
+use spmlab_workloads::{gen, Benchmark};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -29,26 +41,62 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/paper_mode_golden.tsv")
 }
 
-/// The no-scratchpad link of every pinned program: the six kernels, then
-/// the corpus seeds.
-fn programs() -> Vec<(String, spmlab_cc::LinkedProgram)> {
-    let link = |b: &spmlab_workloads::Benchmark| {
-        let module = b.compile().unwrap();
-        b.link_with_input(
-            &module,
-            &spmlab_isa::mem::MemoryMap::no_spm(),
-            &spmlab_cc::SpmAssignment::none(),
-            &b.typical_input(),
-        )
-        .unwrap()
-    };
+/// Every pinned program: the six kernels, then the corpus seeds.
+fn programs() -> Vec<Benchmark> {
     let mut out: Vec<_> = spmlab_workloads::all_benchmarks()
         .into_iter()
-        .map(|b| (b.name.to_string(), link(b)))
+        .cloned()
         .collect();
     for seed in spmlab_bench::fuzz::CORPUS_SEEDS {
-        let program = gen::generate_for_seed(seed, &gen::reference_arch());
-        out.push((program.name(), link(&program.benchmark())));
+        out.push(gen::generate_for_seed(seed, &gen::reference_arch()).benchmark());
+    }
+    out
+}
+
+/// `b` linked with its typical input over `map` and `assignment`.
+fn link(b: &Benchmark, map: &MemoryMap, assignment: &SpmAssignment) -> LinkedProgram {
+    b.link_with_input(&b.compile().unwrap(), map, assignment, &b.typical_input())
+        .unwrap()
+}
+
+/// The scratchpad capacities of the knapsack-allocated region rows.
+const SPM_SIZES: [u32; 2] = [256, 1024];
+
+/// The region-timing analyses of `b`: the no-scratchpad link under
+/// Table-1 and DRAM main memory, then the energy-knapsack links of
+/// [`SPM_SIZES`] (allocated from the baseline profile, as the pipeline
+/// does) under Table-1.
+fn region_analyses(b: &Benchmark, no_spm: &LinkedProgram) -> Vec<(String, WcetResult)> {
+    let run = |linked: &LinkedProgram, config: &WcetConfig| {
+        analyze(&linked.exe, config, &linked.annotations)
+            .unwrap_or_else(|e| panic!("{} region: {e}", b.name))
+    };
+    let mut out = vec![
+        (
+            "spm0".to_string(),
+            run(no_spm, &WcetConfig::region_timing()),
+        ),
+        (
+            "spm0-dram10".to_string(),
+            run(
+                no_spm,
+                &WcetConfig::region_timing_with(MainMemoryTiming::dram(10)),
+            ),
+        ),
+    ];
+    let pipeline = Pipeline::new(b).unwrap();
+    for size in SPM_SIZES {
+        let alloc = knapsack::allocate(
+            pipeline.module(),
+            pipeline.baseline_profile(),
+            size,
+            &EnergyModel::default(),
+        );
+        let linked = link(b, &MemoryMap::with_spm(size), &alloc.assignment);
+        out.push((
+            format!("spm{size}-knapsack"),
+            run(&linked, &WcetConfig::region_timing()),
+        ));
     }
     out
 }
@@ -165,11 +213,17 @@ fn parse(line: &str) -> ((String, String, String), Row) {
     )
 }
 
-/// Analyzes every program × geometry × variant.
+/// Analyzes every program × geometry × variant, then every program's
+/// region rows.
 fn measure() -> BTreeMap<(String, String, String), Row> {
     let geometries = geometries();
     let mut out = BTreeMap::new();
-    for (name, linked) in programs() {
+    for b in programs() {
+        let name = b.name.to_string();
+        let linked = link(&b, &MemoryMap::no_spm(), &SpmAssignment::none());
+        for (label, r) in region_analyses(&b, &linked) {
+            out.insert((name.clone(), label, "region".into()), row(&r));
+        }
         for (label, cache) in &geometries {
             for (variant, config) in [
                 ("must", WcetConfig::with_cache(cache.clone())),
@@ -212,7 +266,7 @@ fn paper_mode_matches_golden() {
     let mut failures = Vec::new();
     for (key, got) in &measured {
         let pinned = &golden[key];
-        if key.2 == "must" {
+        if key.2 != "pers" {
             if got != pinned {
                 failures.push(format!(
                     "drift:\n  pinned {}\n  got    {}",
