@@ -307,13 +307,14 @@ impl Pipeline {
     ///
     /// | shape                                  | analysis                      |
     /// |----------------------------------------|-------------------------------|
-    /// | no cache levels, Table-1 main          | pure region timing            |
-    /// | no cache levels, other main            | region timing over that main  |
+    /// | no cache levels                        | region timing over its main memory |
     /// | single unified-descriptor L1, Table-1  | paper mode: MUST only (+persistence on request) |
     /// | anything else with cache levels        | multi-level (Hardy–Puaut) MUST×MAY |
     ///
-    /// Every cached shape runs the one multi-level analyzer
-    /// (`spmlab_wcet::multilevel`); paper mode is its baseline flags —
+    /// Every shape runs the one multi-level analyzer
+    /// (`spmlab_wcet::multilevel`) over the spec's hierarchy; with no
+    /// cache level it classifies nothing and prices every access by its
+    /// region. Paper mode is its baseline flags —
     /// per-function TOP entry states, no MAY pass, no interprocedural
     /// pass ([`WcetConfig::with_cache`]) — plus, on request, the
     /// first-miss persistence extension. Write-policy-dependent shapes
@@ -368,13 +369,6 @@ impl Pipeline {
             if let L1::Unified(c) = &canon.l1 {
                 return WcetConfig::with_cache_persistence(c.clone());
             }
-        }
-        if !canon.has_cache_levels() {
-            return if canon.main == MainMemoryTiming::table1() {
-                WcetConfig::region_timing()
-            } else {
-                WcetConfig::region_timing_with(canon.main)
-            };
         }
         if canon.spm.is_none()
             && canon.l2.is_none()

@@ -247,17 +247,10 @@ impl MemArchSpec {
         }
     }
 
-    /// Whether any (enabled) cache level is present.
+    /// Whether any (enabled) cache level is present
+    /// ([`MemHierarchyConfig::has_cache_levels`] of [`Self::hierarchy`]).
     pub fn has_cache_levels(&self) -> bool {
-        fn on(c: &CacheConfig) -> bool {
-            c.size > 0
-        }
-        let l1 = match &self.l1 {
-            L1::None => false,
-            L1::Unified(c) => on(c),
-            L1::Split { i, d } => i.as_ref().is_some_and(on) || d.as_ref().is_some_and(on),
-        };
-        l1 || self.l2.as_ref().is_some_and(on)
+        self.hierarchy().has_cache_levels()
     }
 
     /// Scratchpad capacity in bytes (0 when absent).

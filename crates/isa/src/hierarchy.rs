@@ -287,14 +287,19 @@ impl MemHierarchyConfig {
         self
     }
 
-    /// The hierarchy equivalent of the legacy `Option<CacheConfig>` machine
-    /// configuration: `None` means uncached; a single cache is routed by
-    /// its scope. Timing is identical to the original single-level model.
-    pub fn from_single_cache(cache: Option<CacheConfig>) -> MemHierarchyConfig {
-        match cache {
-            None => MemHierarchyConfig::uncached(),
-            Some(c) => MemHierarchyConfig::l1_only(c),
+    /// Whether any (enabled) cache level is present. Without one the
+    /// hierarchy is pure region timing: every access is priced by its
+    /// region, with main memory at `main`'s timing.
+    pub fn has_cache_levels(&self) -> bool {
+        fn on(c: &CacheConfig) -> bool {
+            c.size > 0
         }
+        let l1 = match &self.l1 {
+            L1::None => false,
+            L1::Unified(c) => on(c),
+            L1::Split { i, d } => i.as_ref().is_some_and(on) || d.as_ref().is_some_and(on),
+        };
+        l1 || self.l2.as_ref().is_some_and(on)
     }
 
     /// The L1 cache that serves `fetch` (instruction) or data traffic, if
@@ -639,11 +644,13 @@ mod tests {
     fn single_level_compat_costs() {
         // The degenerate hierarchy must reproduce the original single-level
         // numbers exactly: 1-cycle hits, 17-cycle misses.
-        let h = MemHierarchyConfig::from_single_cache(Some(CacheConfig::unified(1024)));
+        let h = MemHierarchyConfig::l1_only(CacheConfig::unified(1024));
         assert_eq!(h.l1_hit_cycles(true), 1);
         assert_eq!(h.l1_miss_no_l2_cycles(true), 17);
         assert_eq!(h.worst_read_cycles(true, AccessWidth::Half), 17);
+        assert!(h.has_cache_levels());
         let u = MemHierarchyConfig::uncached();
+        assert!(!u.has_cache_levels());
         assert_eq!(u.bypass_cycles(AccessWidth::Word), 4);
         assert_eq!(u.worst_read_cycles(false, AccessWidth::Word), 4);
     }

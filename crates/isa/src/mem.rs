@@ -179,17 +179,6 @@ impl MemoryMap {
             RegionKind::Unmapped
         }
     }
-
-    /// Cycles for an access at `addr` of `width` (no cache in the path).
-    pub fn access_cycles(&self, addr: u32, width: AccessWidth) -> u64 {
-        access_cycles(self.region_of(addr), width)
-    }
-
-    /// The worst-case access cost over *all* regions for a given width —
-    /// what a WCET analysis must assume for an access with unknown address.
-    pub fn worst_case_cycles(&self, width: AccessWidth) -> u64 {
-        access_cycles(RegionKind::Main, width)
-    }
 }
 
 impl Default for MemoryMap {

@@ -5,16 +5,19 @@
 //!
 //! * 1 base cycle per instruction (+2 for taken branches, +3 for `MUL`,
 //!   +11 for `SDIV`/`UDIV`),
-//! * instruction-fetch and data-access cycles according to the paper's
-//!   Table 1 (scratchpad 1 cycle, main memory 2 cycles for 8/16-bit and
-//!   4 cycles for 32-bit accesses),
-//! * optionally a unified or instruction-only cache (direct-mapped or
-//!   set-associative; LRU, round-robin or random replacement) with 1-cycle
-//!   hits and 17-cycle misses (4 × 4-cycle line-fill reads + 1 delivery),
-//!   each level write-through/no-write-allocate (the paper's machine) or
-//!   write-back/write-allocate with dirty-victim write-backs, plus an
-//!   optional store buffer in front of main memory (see
-//!   [`spmlab_isa::cachecfg::WritePolicy`] and the README's "Write
+//! * instruction-fetch and data-access cycles through the machine's one
+//!   [`MemHierarchyConfig`] ([`MachineConfig`]): with no cache level,
+//!   the paper's Table 1 (scratchpad 1 cycle, main memory 2 cycles for
+//!   8/16-bit and 4 cycles for 32-bit accesses, or a parametric DRAM
+//!   timing);
+//! * otherwise its L1 (unified, instruction-only, data-only or split
+//!   I/D) and optional unified L2 — direct-mapped or set-associative;
+//!   LRU, round-robin or random replacement — e.g. a paper-style unified
+//!   L1 with 1-cycle hits and 17-cycle misses (4 × 4-cycle line-fill
+//!   reads + 1 delivery), each level write-through/no-write-allocate (the
+//!   paper's machine) or write-back/write-allocate with dirty-victim
+//!   write-backs, plus an optional store buffer in front of main memory
+//!   (see [`spmlab_isa::cachecfg::WritePolicy`] and the README's "Write
 //!   policies and store buffers" section).
 //!
 //! Beyond cycles it produces everything the rest of the toolchain needs:
@@ -53,16 +56,15 @@ pub use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 pub use trace::{simulate_with_trace, MemTrace, Tally, TraceError};
 
 /// Machine configuration: the memory map comes from the executable; this
-/// selects what sits between the core and main memory.
+/// selects what sits between the core and main memory — one
+/// [`MemHierarchyConfig`] (L1 I/D, unified L2, parametric main memory).
+/// Scratchpad and MMIO accesses always bypass its caches; with no cache
+/// level every access is priced by its region (Table 1 by default).
+/// `Default` is the uncached Table-1 machine ([`MachineConfig::uncached`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MachineConfig {
-    /// Single cache between the core and main memory, if any (the original
-    /// one-level configuration). Scratchpad and MMIO accesses always
-    /// bypass it. Ignored when `hierarchy` is set.
-    pub cache: Option<CacheConfig>,
-    /// Full multi-level memory system (L1 I/D, unified L2, parametric main
-    /// memory). Takes precedence over `cache` when set.
-    pub hierarchy: Option<MemHierarchyConfig>,
+    /// The memory system between the core and main memory.
+    pub hierarchy: MemHierarchyConfig,
 }
 
 impl MachineConfig {
@@ -75,36 +77,17 @@ impl MachineConfig {
     /// With a unified direct-mapped cache of `size` bytes (the paper's
     /// cache branch).
     pub fn with_unified_cache(size: u32) -> MachineConfig {
-        MachineConfig {
-            cache: Some(CacheConfig::unified(size)),
-            hierarchy: None,
-        }
+        MachineConfig::with_cache(CacheConfig::unified(size))
     }
 
-    /// With a single cache of arbitrary geometry.
+    /// With a single cache of arbitrary geometry, routed by its scope.
     pub fn with_cache(cache: CacheConfig) -> MachineConfig {
-        MachineConfig {
-            cache: Some(cache),
-            hierarchy: None,
-        }
+        MachineConfig::with_hierarchy(MemHierarchyConfig::l1_only(cache))
     }
 
     /// With a full multi-level hierarchy.
     pub fn with_hierarchy(hierarchy: MemHierarchyConfig) -> MachineConfig {
-        MachineConfig {
-            cache: None,
-            hierarchy: Some(hierarchy),
-        }
-    }
-
-    /// The memory-system configuration the simulator actually runs:
-    /// `hierarchy` if set, otherwise the single `cache` (or nothing) as a
-    /// degenerate hierarchy with identical timing.
-    pub fn effective_hierarchy(&self) -> MemHierarchyConfig {
-        match &self.hierarchy {
-            Some(h) => h.clone(),
-            None => MemHierarchyConfig::from_single_cache(self.cache.clone()),
-        }
+        MachineConfig { hierarchy }
     }
 }
 

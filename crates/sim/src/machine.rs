@@ -224,7 +224,7 @@ enum Outcome {
 
 impl Machine {
     fn new(exe: &Executable, config: &MachineConfig, options: SimOptions) -> Machine {
-        let mem = MemSystem::new(exe, config.effective_hierarchy());
+        let mem = MemSystem::new(exe, config.hierarchy.clone());
         let cpu = Cpu {
             pc: exe.entry,
             sp: exe.memory_map.stack_top,

@@ -8,7 +8,7 @@ use crate::loops::{natural_loops, NaturalLoop};
 use crate::multilevel::{self, MultiCtx, MultiState};
 use crate::report::{FuncWcet, WcetResult};
 use crate::stack::total_depths;
-use crate::{bounds, timing, WcetError};
+use crate::{bounds, WcetError};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
@@ -66,9 +66,10 @@ impl AnalysisBudget {
 pub struct WcetConfig {
     /// Memory hierarchy model (L1 I/D, unified L2, parametric main
     /// memory), analyzed by [`crate::multilevel`] with Hardy–Puaut
-    /// cache-access classification; `None` = pure Table-1 region timing
-    /// (the scratchpad branch of the paper).
-    pub hierarchy: Option<MemHierarchyConfig>,
+    /// cache-access classification. With no cache level it is pure region
+    /// timing (the scratchpad branch of the paper): nothing to classify,
+    /// every access priced by its region.
+    pub hierarchy: MemHierarchyConfig,
     /// Enable the persistence (first-miss) extension — *off* matches the
     /// paper's "only a MUST analysis, no persistence" ARM7 configuration.
     /// Modelled for a single write-through L1 with no L2 behind it (see
@@ -76,17 +77,17 @@ pub struct WcetConfig {
     pub persistence: bool,
     /// Enable the automatic counted-loop bound detector.
     pub auto_loop_bounds: bool,
-    /// Run the L2 MUST analysis (hierarchy path only). When false every
+    /// Run the L2 MUST analysis (cached hierarchies only). When false every
     /// access that is not Always-Hit at L1 is charged the full L2-miss
     /// penalty — the baseline the monotonicity sanity checks compare
     /// against.
     pub l2_must_analysis: bool,
-    /// Run the cold-start MAY analysis (hierarchy path only): accesses
+    /// Run the cold-start MAY analysis (cached hierarchies only): accesses
     /// absent from their L1 MAY state are classified Always-Miss, the
     /// Hardy–Puaut `A` filter that lets the L2 MUST analysis classify hits
     /// behind an L1. When false every non-AH access is Not-Classified.
     pub may_analysis: bool,
-    /// Thread abstract states across the call graph (hierarchy path
+    /// Thread abstract states across the call graph (cached hierarchies
     /// only): functions are analyzed in call-graph reverse-postorder and
     /// each function's fixpoint starts from the join of its callers'
     /// states at the call sites instead of the conservative TOP. The
@@ -100,25 +101,15 @@ pub struct WcetConfig {
 }
 
 impl WcetConfig {
-    /// Region timing only (scratchpad / no-cache systems).
+    /// Region timing over Table-1 main memory (scratchpad / no-cache
+    /// systems): the [uncached](MemHierarchyConfig::uncached) hierarchy.
     pub fn region_timing() -> WcetConfig {
-        WcetConfig {
-            hierarchy: None,
-            persistence: false,
-            auto_loop_bounds: true,
-            l2_must_analysis: true,
-            may_analysis: true,
-            interprocedural: true,
-            budget: AnalysisBudget::unlimited(),
-        }
+        WcetConfig::region_timing_with(MainMemoryTiming::table1())
     }
 
     /// Region timing over custom (e.g. DRAM) main-memory parameters.
     pub fn region_timing_with(main: MainMemoryTiming) -> WcetConfig {
-        WcetConfig {
-            hierarchy: Some(MemHierarchyConfig::uncached_with(main)),
-            ..WcetConfig::region_timing()
-        }
+        WcetConfig::with_hierarchy(MemHierarchyConfig::uncached_with(main))
     }
 
     /// Single-cache analysis in the paper's MUST-only setup ("paper
@@ -150,8 +141,13 @@ impl WcetConfig {
     /// (Always-Miss proofs), then the CAC-filtered L2 MUST.
     pub fn with_hierarchy(hierarchy: MemHierarchyConfig) -> WcetConfig {
         WcetConfig {
-            hierarchy: Some(hierarchy),
-            ..WcetConfig::region_timing()
+            hierarchy,
+            persistence: false,
+            auto_loop_bounds: true,
+            l2_must_analysis: true,
+            may_analysis: true,
+            interprocedural: true,
+            budget: AnalysisBudget::unlimited(),
         }
     }
 
@@ -338,8 +334,8 @@ pub fn prepare(
 
 /// The timing-independent cache classification of one configuration
 /// ([`classify`]): the interprocedural call summaries and every block's
-/// converged MUST×MAY in-state. Empty (but still required) for region
-/// timing.
+/// converged MUST×MAY in-state. Empty (but still required) for a
+/// hierarchy with no cache level.
 #[derive(Debug)]
 pub struct Classified {
     /// The configuration this classification serves, with the hierarchy's
@@ -366,20 +362,18 @@ impl Classified {
 /// configurations with equal keys classify identically.
 fn classification_key(config: &WcetConfig) -> WcetConfig {
     let mut key = config.clone();
-    if let Some(h) = &mut key.hierarchy {
-        h.main = MainMemoryTiming {
-            latency: 0,
-            store_buffer: None,
-            ..h.main
-        };
-    }
+    key.hierarchy.main = MainMemoryTiming {
+        latency: 0,
+        store_buffer: None,
+        ..key.hierarchy.main
+    };
     key
 }
 
-/// The hierarchy path's classification passes over a [`Prepared`]
-/// program. Reads no timing: the abstract transfer never consults
-/// main-memory or hit latencies, so one result serves every configuration
-/// it [`serves`](Classified::serves).
+/// The classification passes over a [`Prepared`] program, none for a
+/// hierarchy with no cache level. Reads no timing: the abstract transfer
+/// never consults main-memory or hit latencies, so one result serves
+/// every configuration it [`serves`](Classified::serves).
 ///
 /// Pass 0 — interprocedural call summaries in call-graph topological
 /// order (callees first): each function's footprint / definite-access
@@ -398,7 +392,10 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
     let key = classification_key(config);
     let budget = config.budget.fixpoint_budget();
     let mut widened = false;
-    let Some(hierarchy) = &config.hierarchy else {
+    let hierarchy = &config.hierarchy;
+    if !hierarchy.has_cache_levels() {
+        // No abstract cache state to compute: every access is priced by
+        // its region.
         return Classified {
             key,
             summaries: BTreeMap::new(),
@@ -406,7 +403,7 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
             widened,
             budget,
         };
-    };
+    }
     let Prepared {
         cfgs, order, annot, ..
     } = prepared;
@@ -480,10 +477,11 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
 }
 
 /// The costing pass: per function, callees first (it needs callee WCET
-/// bounds), block costs from the classified in-states (or region timing
-/// without a hierarchy), then IPET — with one first miss per loop entry
-/// for every line charged a persistent hit. This is the only stage that
-/// reads latencies, so it runs once per configuration.
+/// bounds), block costs from the classified in-states (TOP where none
+/// was recorded, as for a hierarchy with no cache level), then IPET —
+/// with one first miss per loop entry for every line charged a
+/// persistent hit. This is the only stage that reads latencies, so it
+/// runs once per configuration.
 ///
 /// # Panics
 ///
@@ -526,63 +524,47 @@ pub fn cost(
         } = flow.as_ref().map_err(Clone::clone)?;
 
         let mut classify = ClassifyStats::default();
-        let (block_costs, entry_penalties, must_only_costs) = match &config.hierarchy {
-            Some(hierarchy) => {
-                let ctx = MultiCtx {
-                    hierarchy,
-                    map: &exe.memory_map,
-                    annot,
-                    l2_analysis: config.l2_must_analysis,
-                    may_analysis: config.may_analysis,
-                    summaries: config.interprocedural.then_some(&classified.summaries),
-                    budget: classified.budget,
-                };
-                let mut persistence = config
-                    .persistence
-                    .then(|| cache::persistence(cfg, loops, hierarchy, &exe.memory_map, annot))
-                    .flatten();
-                let in_states = &classified.states[&faddr];
-                let costs = hierarchy_block_costs(
-                    cfg,
-                    in_states,
-                    &ctx,
-                    &wcet_by_addr,
-                    &mut classify,
-                    &mut classification,
-                    persistence.as_mut(),
-                );
-                let penalties = persistence.map(|p| p.entry_penalties()).unwrap_or_default();
-                // Persistence trades a miss charge per execution for one
-                // first miss per loop entry, a trade that loses on a
-                // worst-case path skipping a persistent line's reads.
-                // Both bounds are sound, so the tighter one is kept.
-                let must_only = (!penalties.is_empty()).then(|| {
-                    hierarchy_block_costs(
-                        cfg,
-                        in_states,
-                        &ctx,
-                        &wcet_by_addr,
-                        &mut ClassifyStats::default(),
-                        &mut Classification::default(),
-                        None,
-                    )
-                });
-                (costs, penalties, must_only)
-            }
-            None => {
-                let costs: BTreeMap<u32, u64> = cfg
-                    .blocks
-                    .iter()
-                    .map(|(&b, block)| {
-                        (
-                            b,
-                            timing::block_cost(block, &exe.memory_map, annot, &wcet_by_addr),
-                        )
-                    })
-                    .collect();
-                (costs, BTreeMap::new(), None)
-            }
+        let hierarchy = &config.hierarchy;
+        let ctx = MultiCtx {
+            hierarchy,
+            map: &exe.memory_map,
+            annot,
+            l2_analysis: config.l2_must_analysis,
+            may_analysis: config.may_analysis,
+            summaries: config.interprocedural.then_some(&classified.summaries),
+            budget: classified.budget,
         };
+        let mut persistence = config
+            .persistence
+            .then(|| cache::persistence(cfg, loops, hierarchy, &exe.memory_map, annot))
+            .flatten();
+        let no_states = BTreeMap::new();
+        let in_states = classified.states.get(&faddr).unwrap_or(&no_states);
+        let block_costs = hierarchy_block_costs(
+            cfg,
+            in_states,
+            &ctx,
+            &wcet_by_addr,
+            &mut classify,
+            &mut classification,
+            persistence.as_mut(),
+        );
+        let entry_penalties = persistence.map(|p| p.entry_penalties()).unwrap_or_default();
+        // Persistence trades a miss charge per execution for one first
+        // miss per loop entry, a trade that loses on a worst-case path
+        // skipping a persistent line's reads. Both bounds are sound, so
+        // the tighter one is kept.
+        let must_only_costs = (!entry_penalties.is_empty()).then(|| {
+            hierarchy_block_costs(
+                cfg,
+                in_states,
+                &ctx,
+                &wcet_by_addr,
+                &mut ClassifyStats::default(),
+                &mut Classification::default(),
+                None,
+            )
+        });
 
         let mut wcet = ipet::solve_with_totals(
             cfg,
@@ -766,6 +748,23 @@ mod tests {
             multi.wcet_cycles,
             s.cycles
         );
+    }
+
+    #[test]
+    fn region_timing_is_the_uncached_hierarchy() {
+        // One configuration, so the allocator's trial memo keys and the
+        // sweep's classification sharing treat both spellings alike.
+        assert_eq!(
+            WcetConfig::region_timing(),
+            WcetConfig::with_hierarchy(MemHierarchyConfig::uncached())
+        );
+        // Nothing to classify: no summaries, no fixpoint states, and the
+        // empty result serves every main-memory timing.
+        let l = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
+        let prepared = prepare(&l.exe, &l.annotations, true).unwrap();
+        let classified = classify(&prepared, &l.exe, &WcetConfig::region_timing());
+        assert!(classified.summaries.is_empty() && classified.states.is_empty());
+        assert!(classified.serves(&WcetConfig::region_timing_with(MainMemoryTiming::dram(10))));
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //! 3. **value/address analysis** — classification of every data access as
 //!    exact / range / stack / unknown, mostly auto-generated by the linker
 //!    ([`addrinfo`]), plus a whole-program stack-depth analysis;
-//! 4. **microarchitectural analysis** — either pure Table-1 region timing
-//!    (the scratchpad branch: "no additional analysis module required") or
-//!    the abstract-interpretation cache analysis ([`multilevel`] over the
-//!    [`cache`] domains): the paper's MUST-only setup, optionally
+//! 4. **microarchitectural analysis** — one abstract-interpretation
+//!    cache analysis ([`multilevel`] over the [`cache`] domains) for
+//!    every memory hierarchy: the paper's MUST-only setup, optionally
 //!    extended with a persistence (first-miss) analysis, or the full
 //!    multi-level MUST×MAY classification; write-back configurations add
 //!    the charge-at-store write-back rule backed by the dirty-line upper
-//!    bound ([`dirty`]);
+//!    bound ([`dirty`]). A hierarchy with no cache level is the
+//!    scratchpad branch ("no additional analysis module required"):
+//!    nothing is classified and every access is priced by its region;
 //! 5. **IPET** — per-function implicit path enumeration as an ILP solved by
 //!    [`spmlab_ilp`] ([`ipet`]), combined bottom-up over the call graph.
 //!
@@ -53,7 +54,6 @@ pub mod loops;
 pub mod multilevel;
 pub mod report;
 pub mod stack;
-pub mod timing;
 
 pub use analysis::{
     analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig,

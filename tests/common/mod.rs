@@ -9,7 +9,6 @@ use spmlab::MemArchSpec;
 use spmlab_alloc::wcet_aware::{WcetAllocError, WcetAllocation};
 use spmlab_cc::{link, ObjModule, SpmAssignment};
 use spmlab_isa::archspec::SpmAllocation;
-use spmlab_isa::hierarchy::MainMemoryTiming;
 use spmlab_isa::mem::MemoryMap;
 use spmlab_wcet::{analyze, WcetConfig};
 use spmlab_workloads::{gen, ADPCM, MULTISORT};
@@ -29,20 +28,12 @@ pub fn programs() -> Vec<(String, ObjModule)> {
 }
 
 /// The analyzer configuration the pipeline routes a canonical scratchpad
-/// spec to (no cache levels: region timing over its main memory; else the
-/// multi-level analysis of its hierarchy).
+/// spec to: the multi-level analysis of its hierarchy, which is region
+/// timing over its main memory when it has no cache level.
 pub fn routed(spec: &MemArchSpec) -> WcetConfig {
     let canon = spec.canonical();
     assert!(canon.spm.is_some(), "a scratchpad spec");
-    if !canon.has_cache_levels() {
-        if canon.main == MainMemoryTiming::table1() {
-            WcetConfig::region_timing()
-        } else {
-            WcetConfig::region_timing_with(canon.main)
-        }
-    } else {
-        WcetConfig::with_hierarchy(canon.hierarchy())
-    }
+    WcetConfig::with_hierarchy(canon.hierarchy())
 }
 
 /// The four objectives the `spm-alloc` grid allocates for at each

@@ -107,17 +107,17 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         // one walks nothing; the twelve store-buffered points walk once
         // per point. Pricing every point separately would walk 21 times.
         assert_eq!(sink.counter_total("replay_events"), (3 + 12) * events);
-        // One classification per geometry and analyzer configuration: the
-        // no-scratchpad program is prepared once, and every geometry's
-        // full-flag members share one fixpoint pass. The latency-0
-        // unbuffered uncached point takes region timing, which runs none;
-        // the latency-0 unified L1 point takes paper mode, whose flags
-        // differ, and runs one of its own. Classifying per point would
-        // run it 22 times.
+        // One classification per cached geometry and analyzer
+        // configuration: the no-scratchpad program is prepared once, and
+        // every cached geometry's full-flag members share one fixpoint
+        // pass. The uncached points have no cache level to classify and
+        // run none; the latency-0 unified L1 point takes paper mode,
+        // whose flags differ, and runs one of its own. Classifying per
+        // point would run it 18 times.
         let spans = sink.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("wcet-pass-prepare"), 1);
-        assert_eq!(count("wcet-pass-fixpoints"), 5);
+        assert_eq!(count("wcet-pass-fixpoints"), 4);
         assert_eq!(count("wcet-pass-costing"), 24, "costing stays per point");
         outcomes
     };
