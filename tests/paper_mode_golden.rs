@@ -213,8 +213,8 @@ fn parse(line: &str) -> ((String, String, String), Row) {
     )
 }
 
-/// Analyzes every program × geometry × variant, then every program's
-/// region rows.
+/// Analyzes every program's region rows and every program × geometry ×
+/// variant.
 fn measure() -> BTreeMap<(String, String, String), Row> {
     let geometries = geometries();
     let mut out = BTreeMap::new();
