@@ -54,6 +54,8 @@ pub mod loops;
 pub mod multilevel;
 pub mod report;
 pub mod stack;
+#[cfg(test)]
+mod timing;
 
 pub use analysis::{
     analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig,

@@ -1698,73 +1698,12 @@ mod tests {
         let (h, map, annot) = ctx_parts(MemHierarchyConfig::uncached_with(MainMemoryTiming::dram(
             10,
         )));
-        let dram = ctx(&h, &map, &annot);
+        let ctx = ctx(&h, &map, &annot);
+        let s = MultiState::top(&ctx);
         let b = block(MAIN, vec![(MAIN, Insn::Nop)]);
-        let (c, _) = cost(&b, &MultiState::top(&dram), &dram);
+        let (c, _) = cost(&b, &s, &ctx);
         // 1 base + (10 latency + 1 beat × 2) fetch.
         assert_eq!(c, 1 + 12);
-
-        // The paper's scratchpad branch: Table-1 region timing, nothing
-        // classified.
-        let h = MemHierarchyConfig::uncached();
-        let spm = MemoryMap::with_spm(1024);
-        let mut annot = AnnotationSet::new();
-        // The load at MAIN targets a scratchpad word.
-        annot.set_access(MAIN, AccessWidth::Word, AddrInfo::Exact(0x40));
-        let no_annot = AnnotationSet::new();
-        let ldr = (
-            MAIN,
-            Insn::LdrImm {
-                width: AccessWidth::Word,
-                rd: R0,
-                rn: R1,
-                off: 0,
-            },
-        );
-        let region_cost = |b: &BasicBlock, map: &MemoryMap, annot: &AnnotationSet| {
-            let ctx = ctx(&h, map, annot);
-            let callees = [(MAIN + 0x40, 1000u64)].into_iter().collect();
-            let (mut stats, mut cls) = (ClassifyStats::default(), Classification::default());
-            let c = block_cost(
-                b,
-                &MultiState::top(&ctx),
-                &ctx,
-                &callees,
-                &mut stats,
-                &mut cls,
-                None,
-            );
-            assert_eq!(stats, ClassifyStats::default());
-            assert_eq!(cls, Classification::default());
-            c
-        };
-        // Main-memory fetch: 1 base + 2 fetch.
-        let nop = block(MAIN, vec![(MAIN, Insn::Nop)]);
-        assert_eq!(region_cost(&nop, &map, &no_annot), 1 + 2);
-        // Scratchpad fetch: 1 base + 1 fetch.
-        let spm_nop = block(0x10, vec![(0x10, Insn::Nop)]);
-        assert_eq!(region_cost(&spm_nop, &spm, &no_annot), 1 + 1);
-        // Exact scratchpad word load: 1 base + 2 fetch + 1 data.
-        let load = block(MAIN, vec![ldr]);
-        assert_eq!(region_cost(&load, &spm, &annot), 1 + 2 + 1);
-        // Unknown load: 1 base + 2 fetch + 4 main word.
-        assert_eq!(region_cost(&load, &spm, &no_annot), 1 + 2 + 4);
-        // Callee WCET added: 1 base + 2 taken + 2 × 2 fetches + callee.
-        let mut call = block(MAIN, vec![(MAIN, Insn::Bl { off: 0x3C })]);
-        call.calls = vec![MAIN + 0x40];
-        assert_eq!(region_cost(&call, &map, &no_annot), 1 + 2 + 4 + 1000);
-        // Branch charged as taken: 1 base + 2 taken penalty + 2 fetch.
-        let branch = block(
-            MAIN,
-            vec![(
-                MAIN,
-                Insn::BCond {
-                    cond: spmlab_isa::cond::Cond::Eq,
-                    off: 8,
-                },
-            )],
-        );
-        assert_eq!(region_cost(&branch, &map, &no_annot), 1 + 2 + 2);
     }
 
     #[test]

@@ -1,56 +1,20 @@
-//! Region-based block timing — the scratchpad branch of the paper.
-//!
-//! With no cache in the system, the worst-case cost of every instruction is
-//! fully determined by the memory map and the paper's Table 1: this is why
-//! the paper needs "no additional analysis module" for scratchpads. The
-//! only approximations are (a) branch cost is charged as taken and (b)
-//! accesses with address ranges pay the worst region in the range.
-
-use crate::addrinfo::data_accesses;
-use crate::cache::span_region;
-use crate::cfg::BasicBlock;
-use spmlab_isa::annot::{AddrInfo, AnnotationSet};
-use spmlab_isa::insn::Insn;
-use spmlab_isa::mem::{access_cycles, AccessWidth, MemoryMap, RegionKind};
-use std::collections::BTreeMap;
-
-/// Worst-case cycles for one block under pure region timing, including the
-/// WCET of every callee.
-pub fn block_cost(
-    block: &BasicBlock,
-    map: &MemoryMap,
-    annot: &AnnotationSet,
-    callee_wcet: &BTreeMap<u32, u64>,
-) -> u64 {
-    let mut cost = 0u64;
-    let mut calls = block.calls.iter();
-    for (addr, insn) in &block.insns {
-        cost += 1 + insn.worst_extra_cycles();
-        // Instruction fetches: one 16-bit access per halfword.
-        for off in (0..insn.size()).step_by(2) {
-            cost += map.access_cycles(addr + off, AccessWidth::Half);
-        }
-        for acc in data_accesses(insn, *addr, annot) {
-            let region = match acc.info {
-                AddrInfo::Exact(a) => map.region_of(a),
-                AddrInfo::Range { lo, hi } => span_region(map, lo, hi),
-                AddrInfo::Stack | AddrInfo::Unknown => RegionKind::Main,
-            };
-            cost += access_cycles(region, acc.width);
-        }
-        if matches!(insn, Insn::Bl { .. }) {
-            let callee = calls.next().expect("calls list matches BL count");
-            cost += callee_wcet.get(callee).copied().unwrap_or(0);
-        }
-    }
-    cost
-}
+//! Table-1 region timing — the paper's scratchpad branch, "no additional
+//! analysis module required" — is the memory hierarchy with no cache
+//! level ([`MemHierarchyConfig::uncached`]). These tests pin its block
+//! costs through the multi-level costing walk, and check that the walk
+//! classifies nothing on the way.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cache::{Classification, ClassifyStats};
+    use crate::cfg::BasicBlock;
+    use crate::multilevel::{block_cost, MultiCtx, MultiState};
+    use spmlab_isa::annot::{AddrInfo, AnnotationSet};
+    use spmlab_isa::hierarchy::MemHierarchyConfig;
     use spmlab_isa::insn::Insn;
+    use spmlab_isa::mem::{AccessWidth, MemoryMap};
     use spmlab_isa::reg::{R0, R1};
+    use std::collections::BTreeMap;
 
     fn block(start: u32, insns: Vec<(u32, Insn)>) -> BasicBlock {
         BasicBlock {
@@ -62,13 +26,59 @@ mod tests {
         }
     }
 
+    /// Region-timing cost of `b`: the uncached hierarchy walked from its
+    /// TOP state, with no access classified.
+    fn block_cost_region(
+        b: &BasicBlock,
+        map: &MemoryMap,
+        annot: &AnnotationSet,
+        callees: &BTreeMap<u32, u64>,
+    ) -> u64 {
+        let h = MemHierarchyConfig::uncached();
+        let ctx = MultiCtx {
+            hierarchy: &h,
+            map,
+            annot,
+            l2_analysis: true,
+            may_analysis: true,
+            summaries: None,
+            budget: crate::fixpoint::FixpointBudget::UNLIMITED,
+        };
+        let mut stats = ClassifyStats::default();
+        let mut cls = Classification::default();
+        let c = block_cost(
+            b,
+            &MultiState::top(&ctx),
+            &ctx,
+            callees,
+            &mut stats,
+            &mut cls,
+            None,
+        );
+        assert_eq!(stats, ClassifyStats::default());
+        assert_eq!(cls, Classification::default());
+        c
+    }
+
+    fn word_load(at: u32) -> (u32, Insn) {
+        (
+            at,
+            Insn::LdrImm {
+                width: AccessWidth::Word,
+                rd: R0,
+                rn: R1,
+                off: 0,
+            },
+        )
+    }
+
     #[test]
     fn main_memory_fetch_costs() {
         let map = MemoryMap::no_spm();
         let annot = AnnotationSet::new();
         let b = block(0x0010_0000, vec![(0x0010_0000, Insn::Nop)]);
         // 1 base + 2 fetch.
-        assert_eq!(block_cost(&b, &map, &annot, &BTreeMap::new()), 3);
+        assert_eq!(block_cost_region(&b, &map, &annot, &BTreeMap::new()), 3);
     }
 
     #[test]
@@ -77,7 +87,7 @@ mod tests {
         let annot = AnnotationSet::new();
         let b = block(0x10, vec![(0x10, Insn::Nop)]);
         // 1 base + 1 fetch.
-        assert_eq!(block_cost(&b, &map, &annot, &BTreeMap::new()), 2);
+        assert_eq!(block_cost_region(&b, &map, &annot, &BTreeMap::new()), 2);
     }
 
     #[test]
@@ -86,40 +96,18 @@ mod tests {
         let mut annot = AnnotationSet::new();
         // Load at 0x0010_0000 targets a scratchpad word.
         annot.set_access(0x0010_0000, AccessWidth::Word, AddrInfo::Exact(0x40));
-        let b = block(
-            0x0010_0000,
-            vec![(
-                0x0010_0000,
-                Insn::LdrImm {
-                    width: AccessWidth::Word,
-                    rd: R0,
-                    rn: R1,
-                    off: 0,
-                },
-            )],
-        );
+        let b = block(0x0010_0000, vec![word_load(0x0010_0000)]);
         // 1 base + 2 fetch + 1 spm data.
-        assert_eq!(block_cost(&b, &map, &annot, &BTreeMap::new()), 4);
+        assert_eq!(block_cost_region(&b, &map, &annot, &BTreeMap::new()), 4);
     }
 
     #[test]
     fn unknown_load_pays_main_word_cost() {
         let map = MemoryMap::with_spm(1024);
         let annot = AnnotationSet::new();
-        let b = block(
-            0x0010_0000,
-            vec![(
-                0x0010_0000,
-                Insn::LdrImm {
-                    width: AccessWidth::Word,
-                    rd: R0,
-                    rn: R1,
-                    off: 0,
-                },
-            )],
-        );
+        let b = block(0x0010_0000, vec![word_load(0x0010_0000)]);
         // 1 base + 2 fetch + 4 main word.
-        assert_eq!(block_cost(&b, &map, &annot, &BTreeMap::new()), 7);
+        assert_eq!(block_cost_region(&b, &map, &annot, &BTreeMap::new()), 7);
     }
 
     #[test]
@@ -131,7 +119,10 @@ mod tests {
         let mut b = block(0x0010_0000, vec![(0x0010_0000, Insn::Bl { off: 0x3C })]);
         b.calls = vec![0x0010_0040];
         // 1 base + 2 taken + 2×2 fetches + 1000 callee.
-        assert_eq!(block_cost(&b, &map, &annot, &callees), 1 + 2 + 4 + 1000);
+        assert_eq!(
+            block_cost_region(&b, &map, &annot, &callees),
+            1 + 2 + 4 + 1000
+        );
     }
 
     #[test]
@@ -149,6 +140,6 @@ mod tests {
             )],
         );
         // 1 base + 2 taken-penalty + 2 fetch.
-        assert_eq!(block_cost(&b, &map, &annot, &BTreeMap::new()), 5);
+        assert_eq!(block_cost_region(&b, &map, &annot, &BTreeMap::new()), 5);
     }
 }
