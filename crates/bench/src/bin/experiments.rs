@@ -10,8 +10,7 @@
 //! experiments --dump-spec [--quick]      # every axis point as reusable JSON
 //! experiments --spec <file.json> [--bench <name>]
 //!                                        # reproduce one sweep point
-//! experiments --checkpoint c.jsonl hierarchy  # stream per-point checkpoints
-//! experiments --resume c.jsonl hierarchy      # replay missing points only
+//! experiments --checkpoint c.jsonl hierarchy  # stream or resume per-point checkpoints
 //! experiments check-checkpoint <c.jsonl>      # validate a checkpoint stream
 //! experiments sweep --spec-grid grid.json --shard 0/2 --checkpoint dir
 //!                                        # run one shard of a DSE grid
@@ -24,13 +23,15 @@
 //!
 //! `--checkpoint` streams one JSON line per completed sweep point of the
 //! hierarchy scenario; a run killed mid-sweep loses at most its in-flight
-//! points. `--resume` validates the checkpoint's header (git revision,
-//! benchmark, spec-axis hash) against the current build, reuses the stored
-//! points bit-identically, and measures only the missing ones — when the
-//! file does not exist yet it starts a fresh checkpoint, so a retry loop
-//! needs only the one flag. `check-checkpoint` is the strict stream gate:
-//! every line must parse, and the run counts as complete only when every
-//! axis point has a non-failed record.
+//! points. Both checkpointing surfaces, `--checkpoint <file> hierarchy`
+//! and `sweep --checkpoint <dir>`, follow one rule: a missing (or empty,
+//! or torn-header) file starts a fresh stream; an existing one is resumed
+//! — its header (git revision, benchmark, spec-axis hash) must match the
+//! current run, the stored points are reused bit-identically, and only
+//! the missing ones are measured — so a retry loop needs only the one
+//! flag. `check-checkpoint` is the strict stream gate: every line must
+//! parse, and the run counts as complete only when every axis point has a
+//! non-failed record.
 //!
 //! `--dump-spec` prints each standard sweep point as one `MemArchSpec`
 //! JSON document; saving one to a file and feeding it back with `--spec`
@@ -67,8 +68,7 @@ use std::sync::Arc;
 
 use spmlab_bench::jsonl::check_stream;
 use spmlab_bench::{
-    dump_specs, exp_hierarchy_with_artifacts_ckpt, run_experiment, run_spec_on, verify_claims,
-    workspace_root, CheckpointMode, EXPERIMENTS,
+    dump_specs, is_experiment, run_experiment, run_spec_on, verify_claims, EXPERIMENTS,
 };
 use spmlab_obs::collector::MemorySink;
 use spmlab_obs::jsonl::JsonlSink;
@@ -79,7 +79,6 @@ fn usage() -> String {
          \x20      experiments check-profile <file.jsonl>\n\
          \x20      experiments check-checkpoint <ckpt.jsonl>\n\
          \x20      experiments [--quick] --checkpoint <ckpt.jsonl> hierarchy\n\
-         \x20      experiments [--quick] --resume <ckpt.jsonl> hierarchy\n\
          \x20      experiments --dump-spec [--quick]\n\
          \x20      experiments --spec <file.json> [--bench <name>]\n\
          \x20      experiments sweep --spec-grid <grid.json> [--shard k/n] \
@@ -430,19 +429,9 @@ fn main() {
         return;
     }
 
-    // Checkpoint/resume flags (hierarchy scenario only).
-    let ckpt_mode = match (
-        flag_value(&args, "--checkpoint"),
-        flag_value(&args, "--resume"),
-    ) {
-        (Some(_), Some(_)) => {
-            eprintln!("error: --checkpoint and --resume are mutually exclusive");
-            std::process::exit(2);
-        }
-        (Some(p), None) => CheckpointMode::Fresh(p.into()),
-        (None, Some(p)) => CheckpointMode::Resume(p.into()),
-        (None, None) => CheckpointMode::Off,
-    };
+    // Checkpoint stream of the hierarchy scenario: created, or resumed
+    // when the file exists.
+    let checkpoint = flag_value(&args, "--checkpoint").map(std::path::PathBuf::from);
 
     // Skip the values of value-taking flags when collecting experiment ids.
     let mut ids: Vec<&str> = Vec::new();
@@ -452,7 +441,7 @@ fn main() {
             skip_next = false;
             continue;
         }
-        if a == "--spec" || a == "--bench" || a == "--checkpoint" || a == "--resume" {
+        if a == "--spec" || a == "--bench" || a == "--checkpoint" {
             skip_next = true;
             continue;
         }
@@ -464,6 +453,15 @@ fn main() {
     if ids.is_empty() || ids.contains(&"list") {
         eprintln!("{}", usage());
         std::process::exit(if ids.contains(&"list") { 0 } else { 2 });
+    }
+
+    // Every id is checked before the first experiment starts.
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| !matches!(**id, "all" | "verify") && !is_experiment(id))
+    {
+        eprintln!("error: unknown experiment `{unknown}`; `experiments list` shows the ids");
+        std::process::exit(2);
     }
 
     if ids.contains(&"verify") {
@@ -496,13 +494,7 @@ fn main() {
 
     for id in &selected {
         let span = spmlab_obs::span_labeled("experiment", id);
-        // The hierarchy scenario additionally maintains the tracked
-        // BENCH_hierarchy.json artifact.
-        let result = if *id == "hierarchy" {
-            exp_hierarchy_with_artifacts_ckpt(quick, &workspace_root(), &ckpt_mode)
-        } else {
-            run_experiment(id, quick)
-        };
+        let result = run_experiment(id, quick, checkpoint.as_deref());
         drop(span);
         match result {
             Ok(text) => {

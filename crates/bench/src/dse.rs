@@ -6,7 +6,8 @@
 //! A shard run is an ordinary checkpointed sweep (the PR 7 engine) over
 //! the shard's stride of the grid axis; `--checkpoint <dir>` places each
 //! stream at `<dir>/shard-<k>-of-<n>.jsonl` and resumes it when the file
-//! already exists, so a retry loop needs no extra flags. `--dry-run`
+//! already exists ([`SweepSession::open`]), so a retry loop needs no
+//! extra flags. `--dry-run`
 //! prints the enumerated grid size, what dedup collapsed, and every
 //! shard's point count without building a pipeline — the guard between a
 //! typo and a million-point launch.
@@ -66,12 +67,7 @@ pub fn run_sweep(
         Some(dir) => {
             std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
             let path = dir.join(format!("shard-{}-of-{}.jsonl", shard.index, shard.count));
-            let session = if path.exists() {
-                SweepSession::resume_from(&path, &header)
-            } else {
-                SweepSession::checkpoint_to(&path, &header)
-            }
-            .map_err(|e| e.to_string())?;
+            let session = SweepSession::open(&path, &header).map_err(|e| e.to_string())?;
             (session, Some(path))
         }
         None => (SweepSession::none(), None),

@@ -17,12 +17,11 @@ pub mod dse;
 pub mod fuzz;
 pub mod jsonl;
 
-pub use spmlab::checkpoint::fnv1a64;
-
+use spmlab::checkpoint::fnv1a64;
 use spmlab::figures::{table1, table2, Figure3, FigureHierarchy, FigureSpmHierarchy, Tightness};
-use spmlab::pipeline::Pipeline;
+use spmlab::pipeline::{ConfigResult, Pipeline};
 use spmlab::report;
-use spmlab::sweep::{cache_sweep_with, spec_sweep, SweepPoint, SweepSession};
+use spmlab::sweep::{spec_sweep, SweepSession};
 use spmlab::{
     cache_axis, hierarchy_axis, hierarchy_spec_axis, hierarchy_spm_axis, hierarchy_spm_machines,
     spm_axis, write_policy_axis, CheckpointHeader, CoreError, MemArchSpec, SpmAllocation,
@@ -30,6 +29,7 @@ use spmlab::{
 };
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
 use spmlab_workloads::{paper_benchmarks, Benchmark, ADPCM, G721, INSERTSORT, MULTISORT};
+use std::path::Path;
 
 /// Experiment sizes: the paper's 64 B … 8 KiB, or a reduced set for quick
 /// runs and benches.
@@ -119,18 +119,6 @@ pub fn hierarchy_l1_size(quick: bool) -> u32 {
     }
 }
 
-/// The hierarchy comparison data (shared by the report experiment, the
-/// criterion bench and the `BENCH_hierarchy.json` artifact).
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn hierarchy_figure(quick: bool) -> Result<FigureHierarchy, CoreError> {
-    let l1 = hierarchy_l1_size(quick);
-    let bench = if quick { &ADPCM } else { &G721 };
-    FigureHierarchy::run(bench, l1, &hierarchy_axis(l1))
-}
-
 /// The benchmark behind the hierarchy scenario.
 pub fn hierarchy_benchmark(quick: bool) -> &'static Benchmark {
     if quick {
@@ -143,121 +131,53 @@ pub fn hierarchy_benchmark(quick: bool) -> &'static Benchmark {
 /// The checkpoint header binding a hierarchy-scenario checkpoint to this
 /// build (git revision) and the scenario's exact spec axis — a resume with
 /// a different revision, benchmark, or axis is rejected up front.
-pub fn hierarchy_checkpoint_header(quick: bool) -> CheckpointHeader {
+fn hierarchy_checkpoint_header(quick: bool) -> CheckpointHeader {
     let l1 = hierarchy_l1_size(quick);
     let axis = FigureHierarchy::spec_axis(l1, &hierarchy_axis(l1));
     CheckpointHeader::new(&git_revision(), &hierarchy_benchmark(quick).name, &axis)
 }
 
-/// How (or whether) a hierarchy run persists per-point checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointMode {
-    /// No checkpointing (the default).
-    Off,
-    /// Stream a fresh checkpoint to the path (`--checkpoint`), truncating
-    /// any existing file.
-    Fresh(std::path::PathBuf),
-    /// Resume from the path (`--resume`): reuse completed points and
-    /// re-measure only the missing ones. A missing file starts a fresh
-    /// checkpoint, so one flag serves a retry loop end to end.
-    Resume(std::path::PathBuf),
-}
-
-/// Builds the [`SweepSession`] for a hierarchy run under `mode`.
+/// The hierarchy comparison data (shared by the report experiment, the
+/// criterion bench and the `BENCH_hierarchy.json` artifact). Failures are
+/// contained per point (reported in [`FigureHierarchy::failed`]). With a
+/// `checkpoint` path, every completed point streams to that file as it
+/// finishes; when the file already holds this run's checkpoint, the
+/// stored points are reused bit-identically and only the missing ones
+/// are measured ([`SweepSession::open`]).
 ///
 /// # Errors
 ///
-/// Checkpoint I/O failures; header mismatches on resume.
-pub fn hierarchy_session(quick: bool, mode: &CheckpointMode) -> Result<SweepSession, CoreError> {
-    match mode {
-        CheckpointMode::Off => Ok(SweepSession::none()),
-        CheckpointMode::Fresh(path) => {
-            SweepSession::checkpoint_to(path, &hierarchy_checkpoint_header(quick))
-        }
-        CheckpointMode::Resume(path) => {
-            let header = hierarchy_checkpoint_header(quick);
-            if path.exists() {
-                SweepSession::resume_from(path, &header)
-            } else {
-                SweepSession::checkpoint_to(path, &header)
-            }
-        }
-    }
-}
-
-/// Fault-isolated hierarchy comparison: failures are contained per point
-/// (reported in [`FigureHierarchy::failed`]) and `session` can checkpoint
-/// and resume the whole figure.
-///
-/// # Errors
-///
-/// Pipeline construction and checkpoint I/O failures.
-pub fn hierarchy_figure_with_session(
+/// Pipeline construction and checkpoint I/O failures; a checkpoint
+/// written by another revision or axis.
+pub fn hierarchy_figure(
     quick: bool,
-    session: &SweepSession,
+    checkpoint: Option<&Path>,
 ) -> Result<FigureHierarchy, CoreError> {
+    let session = match checkpoint {
+        Some(path) => SweepSession::open(path, &hierarchy_checkpoint_header(quick))?,
+        None => SweepSession::none(),
+    };
     let l1 = hierarchy_l1_size(quick);
-    FigureHierarchy::run_with_session(hierarchy_benchmark(quick), l1, &hierarchy_axis(l1), session)
+    FigureHierarchy::run(
+        hierarchy_benchmark(quick),
+        l1,
+        &hierarchy_axis(l1),
+        &session,
+    )
 }
 
 /// Hierarchy scenario: the WCET-vs-simulation comparison across memory
 /// hierarchies — scratchpad (both main-memory timings), unified/split L1,
 /// and split L1 backed by a unified L2 at two capacities and two
-/// main-memory timings.
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_hierarchy(quick: bool) -> Result<String, CoreError> {
-    let fig = hierarchy_figure(quick)?;
-    let mut out = report::render_hierarchy(&fig);
-    out.push_str(&format!(
-        "sound (wcet >= sim) at every point: {}\n",
-        if fig.all_sound() { "yes" } else { "NO — BUG" }
-    ));
-    Ok(out)
-}
-
-/// Runs the hierarchy scenario and emits its tracked artifact into the
-/// workspace root: full runs rewrite `BENCH_hierarchy.json` with this
-/// run's sweep (quick smoke runs leave it untouched).
-///
-/// # Errors
-///
-/// Pipeline failures; artifact IO errors are reported inline, not fatal.
-pub fn exp_hierarchy_with_artifacts(
-    quick: bool,
-    root: &std::path::Path,
-) -> Result<String, CoreError> {
-    exp_hierarchy_with_artifacts_ckpt(quick, root, &CheckpointMode::Off)
-}
-
-/// [`exp_hierarchy_with_artifacts`] with per-point checkpointing: under
-/// [`CheckpointMode::Fresh`]/[`CheckpointMode::Resume`] every completed
-/// point streams to the checkpoint file as it finishes, and a resumed run
-/// reuses the stored points bit-identically, re-measuring only the missing
-/// ones. Per-point failures are contained and reported (in the table, the
-/// JSON artifact, and the checkpoint) instead of aborting the run.
+/// main-memory timings. `checkpoint` is passed to [`hierarchy_figure`].
+/// Full runs rewrite the tracked `BENCH_hierarchy.json` in the workspace
+/// root; quick smoke runs leave it untouched.
 ///
 /// # Errors
 ///
 /// Pipeline construction and checkpoint I/O failures; artifact IO errors
 /// are reported inline, not fatal.
-pub fn exp_hierarchy_with_artifacts_ckpt(
-    quick: bool,
-    root: &std::path::Path,
-    mode: &CheckpointMode,
-) -> Result<String, CoreError> {
-    // The spec hash fingerprints the canonical sweep axis, so two
-    // artifacts with the same hash measured the same configurations even
-    // across axis-definition refactors. Cheap enough to compute on every run.
-    let spec_hash = fnv1a64(
-        &hierarchy_axis(hierarchy_l1_size(quick))
-            .iter()
-            .map(|h| MemArchSpec::from_hierarchy(h).label())
-            .collect::<Vec<_>>()
-            .join("|"),
-    );
+pub fn exp_hierarchy(quick: bool, checkpoint: Option<&Path>) -> Result<String, CoreError> {
     // Counter/phase provenance needs a collector listening during the run.
     // Only ride along when profiling is already active: installing a sink
     // unconditionally would flip `spmlab_obs::enabled()` and serialise the
@@ -268,17 +188,15 @@ pub fn exp_hierarchy_with_artifacts_ckpt(
     } else {
         None
     };
-    let session = hierarchy_session(quick, mode)?;
     let start = std::time::Instant::now();
-    let fig = hierarchy_figure_with_session(quick, &session)?;
+    let fig = hierarchy_figure(quick, checkpoint)?;
     let wall = start.elapsed().as_secs_f64();
+    // The spec hash fingerprints the canonical sweep axis, so two
+    // artifacts with the same hash measured the same configurations even
+    // across axis-definition refactors.
     let mut provenance = Provenance {
-        spec_hash,
-        replay_points: None,
-        full_sim_points: None,
-        memo_hits: None,
-        memo_misses: None,
-        phase_ns: Vec::new(),
+        spec_hash: label_hash(&hierarchy_spec_axis(hierarchy_l1_size(quick))),
+        ..Provenance::default()
     };
     if let Some((guard, sink)) = collector {
         // Stop recording before reading the totals back. Replay-eligible =
@@ -301,34 +219,33 @@ pub fn exp_hierarchy_with_artifacts_ckpt(
         "sound (wcet >= sim) at every point: {}\n",
         if fig.all_sound() { "yes" } else { "NO — BUG" }
     ));
-    match mode {
-        CheckpointMode::Off => {}
-        CheckpointMode::Fresh(p) => {
-            out.push_str(&format!("checkpoint streamed to {}\n", p.display()));
-        }
-        CheckpointMode::Resume(p) => {
-            out.push_str(&format!(
-                "resume: reused {} completed points from {}\n",
-                session.resumed_points(),
-                p.display()
-            ));
-        }
+    if let Some(path) = checkpoint {
+        out.push_str(&format!("checkpoint streamed to {}\n", path.display()));
     }
     // Only full runs refresh the tracked sweep artifact — a --quick smoke
     // run must not clobber the committed full-axis numbers.
     if quick {
         out.push_str("quick axis: BENCH_hierarchy.json left untouched\n");
     } else {
-        let json_path = root.join("BENCH_hierarchy.json");
-        match std::fs::write(
-            &json_path,
-            hierarchy_json_with_provenance(&fig, wall, Some(&provenance)),
-        ) {
+        let json_path = workspace_root().join("BENCH_hierarchy.json");
+        match std::fs::write(&json_path, hierarchy_json(&fig, wall, Some(&provenance))) {
             Ok(()) => out.push_str(&format!("wrote {}\n", json_path.display())),
             Err(e) => out.push_str(&format!("could not write {}: {e}\n", json_path.display())),
         }
     }
     Ok(out)
+}
+
+/// FNV-1a 64 hash (hex) of an axis's labels — the `spec_hash` of a
+/// `BENCH_*.json` provenance block.
+fn label_hash(specs: &[MemArchSpec]) -> String {
+    fnv1a64(
+        &specs
+            .iter()
+            .map(MemArchSpec::label)
+            .collect::<Vec<_>>()
+            .join("|"),
+    )
 }
 
 /// Where a `BENCH_*.json` artifact's numbers came from: the canonical
@@ -401,15 +318,11 @@ pub fn git_revision() -> String {
 }
 
 /// Serialises the hierarchy comparison as the `BENCH_hierarchy.json`
-/// artifact (hand-rolled JSON: the build environment has no serde_json).
-pub fn hierarchy_json(fig: &FigureHierarchy, wall_seconds: f64) -> String {
-    hierarchy_json_with_provenance(fig, wall_seconds, None)
-}
-
-/// [`hierarchy_json`] plus an optional `"provenance"` block recording the
-/// git revision, canonical spec-axis hash and — when the run was profiled —
+/// artifact (hand-rolled JSON: the build environment has no serde_json),
+/// with an optional `"provenance"` block recording the git revision,
+/// canonical spec-axis hash and — when the run was profiled —
 /// replay/memo counters and per-phase self times.
-pub fn hierarchy_json_with_provenance(
+pub fn hierarchy_json(
     fig: &FigureHierarchy,
     wall_seconds: f64,
     provenance: Option<&Provenance>,
@@ -422,7 +335,7 @@ pub fn hierarchy_json_with_provenance(
         degraded.push(p.table1.degraded);
         degraded.push(p.dram.degraded);
     }
-    degraded.extend(fig.points.iter().map(|p| p.result.degraded));
+    degraded.extend(fig.points.iter().map(|p| p.degraded));
     let mut rows = String::new();
     for (i, (label, sim, wcet)) in fig.rows().into_iter().enumerate() {
         if i > 0 {
@@ -687,13 +600,7 @@ pub fn write_policy_sweep(quick: bool) -> Result<WritePolicySweep, CoreError> {
     let bench = if quick { &ADPCM } else { &G721 };
     let l1 = hierarchy_l1_size(quick);
     let specs = write_policy_axis(l1);
-    let spec_hash = fnv1a64(
-        &specs
-            .iter()
-            .map(MemArchSpec::label)
-            .collect::<Vec<_>>()
-            .join("|"),
-    );
+    let spec_hash = label_hash(&specs);
 
     // Full-simulation reference: same pipeline, trace dropped. A sink
     // listens here too so both timed phases carry identical
@@ -776,16 +683,6 @@ pub fn write_policy_sweep(quick: bool) -> Result<WritePolicySweep, CoreError> {
     })
 }
 
-/// The paired points of the write-policy axis (see
-/// [`write_policy_sweep`] for the full replay-vs-full-sim measurement).
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn write_policy_points(quick: bool) -> Result<Vec<WritePolicyPoint>, CoreError> {
-    Ok(write_policy_sweep(quick)?.points)
-}
-
 /// Whether every point of the write-policy comparison is sound
 /// (WCET ≥ simulation on both sides of every pair) — the acceptance
 /// criterion `verify` checks as a claim.
@@ -797,16 +694,11 @@ pub fn write_policy_sound(points: &[WritePolicyPoint]) -> bool {
 
 /// Serialises the write-policy comparison as the
 /// `BENCH_write_policy.json` artifact (hand-rolled JSON; the build
-/// environment has no serde_json).
-pub fn write_policy_json(points: &[WritePolicyPoint], quick: bool) -> String {
-    write_policy_json_with_provenance(points, quick, None)
-}
-
-/// [`write_policy_json`] plus an optional `"provenance"` block: git
-/// revision, canonical axis hash, the replay/full-sim/memo counters of
-/// the replay-mode sweep, and the timed `sweep-replay` /
+/// environment has no serde_json), with an optional `"provenance"` block:
+/// git revision, canonical axis hash, the replay/full-sim/memo counters
+/// of the replay-mode sweep, and the timed `sweep-replay` /
 /// `sweep-full-sim` phases that demonstrate the replay speedup.
-pub fn write_policy_json_with_provenance(
+pub fn write_policy_json(
     points: &[WritePolicyPoint],
     quick: bool,
     provenance: Option<&Provenance>,
@@ -848,21 +740,8 @@ pub fn write_policy_json_with_provenance(
 ///
 /// Pipeline failures; artifact IO errors are reported inline, not fatal.
 pub fn exp_write_policy(quick: bool) -> Result<String, CoreError> {
-    exp_write_policy_with_artifacts(quick, &workspace_root())
-}
-
-/// [`exp_write_policy`] against an explicit artifact root (tests point
-/// this at a temp directory).
-///
-/// # Errors
-///
-/// Pipeline failures; artifact IO errors are reported inline, not fatal.
-pub fn exp_write_policy_with_artifacts(
-    quick: bool,
-    root: &std::path::Path,
-) -> Result<String, CoreError> {
     let sweep = write_policy_sweep(quick)?;
-    let points = sweep.points.clone();
+    let points = &sweep.points;
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -894,7 +773,7 @@ pub fn exp_write_policy_with_artifacts(
     );
     out.push_str(&format!(
         "sound (wcet >= sim) at every point, both policies: {}\n",
-        if write_policy_sound(&points) {
+        if write_policy_sound(points) {
             "yes"
         } else {
             "NO — BUG"
@@ -917,10 +796,10 @@ pub fn exp_write_policy_with_artifacts(
     if quick {
         out.push_str("quick axis: BENCH_write_policy.json left untouched\n");
     } else {
-        let path = root.join("BENCH_write_policy.json");
+        let path = workspace_root().join("BENCH_write_policy.json");
         match std::fs::write(
             &path,
-            write_policy_json_with_provenance(&points, quick, Some(&sweep.provenance)),
+            write_policy_json(points, quick, Some(&sweep.provenance)),
         ) {
             Ok(()) => out.push_str(&format!("wrote {}\n", path.display())),
             Err(e) => out.push_str(&format!("could not write {}: {e}\n", path.display())),
@@ -938,17 +817,17 @@ pub fn exp_write_policy_with_artifacts(
 /// Pipeline failures.
 pub fn exp_ablation_persistence(quick: bool) -> Result<String, CoreError> {
     let (must, pers) = persistence_ablation_points(quick)?;
-    let rows: Vec<Vec<String>> = must
+    let rows: Vec<Vec<String>> = sizes(quick)
         .iter()
-        .zip(&pers)
-        .map(|(m, p)| {
+        .zip(must.iter().zip(&pers))
+        .map(|(size, (m, p))| {
             vec![
-                m.size.to_string(),
-                m.result.wcet_cycles.to_string(),
-                p.result.wcet_cycles.to_string(),
+                size.to_string(),
+                m.wcet_cycles.to_string(),
+                p.wcet_cycles.to_string(),
                 format!(
                     "{:.1}%",
-                    (1.0 - p.result.wcet_cycles as f64 / m.result.wcet_cycles as f64) * 100.0
+                    (1.0 - p.wcet_cycles as f64 / m.wcet_cycles as f64) * 100.0
                 ),
             ]
         })
@@ -959,17 +838,39 @@ pub fn exp_ablation_persistence(quick: bool) -> Result<String, CoreError> {
     ))
 }
 
+/// Runs `first` followed by `second` on `bench` as one sweep and returns
+/// the two halves' results — the shape of every two-series ablation.
+fn sweep_pair(
+    bench: &Benchmark,
+    first: Vec<MemArchSpec>,
+    second: Vec<MemArchSpec>,
+) -> Result<(Vec<ConfigResult>, Vec<ConfigResult>), CoreError> {
+    let pipeline = Pipeline::new(bench)?;
+    let n = first.len();
+    let mut axis = first;
+    axis.extend(second);
+    let mut results: Vec<ConfigResult> = spec_sweep(&pipeline, &axis)?
+        .into_iter()
+        .map(|p| p.result)
+        .collect();
+    let rest = results.split_off(n);
+    Ok((results, rest))
+}
+
 /// The G.721 unified-cache sweeps behind [`exp_ablation_persistence`]:
 /// MUST-only, then MUST+persistence.
 fn persistence_ablation_points(
     quick: bool,
-) -> Result<(Vec<SweepPoint>, Vec<SweepPoint>), CoreError> {
-    let pipeline = Pipeline::new(&G721)?;
-    let szs = sizes(quick);
-    Ok((
-        cache_sweep_with(&pipeline, szs, false, CacheConfig::unified)?,
-        cache_sweep_with(&pipeline, szs, true, CacheConfig::unified)?,
-    ))
+) -> Result<(Vec<ConfigResult>, Vec<ConfigResult>), CoreError> {
+    let must = cache_axis(sizes(quick));
+    let pers = must
+        .iter()
+        .map(|spec| MemArchSpec {
+            persistence: true,
+            ..spec.clone()
+        })
+        .collect();
+    sweep_pair(&G721, must, pers)
 }
 
 /// Ablation: unified vs instruction-only cache analysis (paper §5 future
@@ -980,20 +881,22 @@ fn persistence_ablation_points(
 ///
 /// Pipeline failures.
 pub fn exp_ablation_icache(quick: bool) -> Result<String, CoreError> {
-    let pipeline = Pipeline::new(&G721)?;
     let szs = sizes(quick);
-    let unified = cache_sweep_with(&pipeline, szs, false, CacheConfig::unified)?;
-    let icache = cache_sweep_with(&pipeline, szs, false, CacheConfig::instr_only)?;
-    let rows: Vec<Vec<String>> = unified
+    let icache = szs
         .iter()
-        .zip(&icache)
-        .map(|(u, i)| {
+        .map(|&s| MemArchSpec::single_cache(CacheConfig::instr_only(s)))
+        .collect();
+    let (unified, icache) = sweep_pair(&G721, cache_axis(szs), icache)?;
+    let rows: Vec<Vec<String>> = szs
+        .iter()
+        .zip(unified.iter().zip(&icache))
+        .map(|(size, (u, i))| {
             vec![
-                u.size.to_string(),
-                u.result.sim_cycles.to_string(),
-                u.result.wcet_cycles.to_string(),
-                i.result.sim_cycles.to_string(),
-                i.result.wcet_cycles.to_string(),
+                size.to_string(),
+                u.sim_cycles.to_string(),
+                u.wcet_cycles.to_string(),
+                i.sim_cycles.to_string(),
+                i.wcet_cycles.to_string(),
             ]
         })
         .collect();
@@ -1103,23 +1006,17 @@ pub fn exp_ablation_wcet_alloc(quick: bool) -> Result<String, CoreError> {
     };
     let mut rows = Vec::new();
     for bench in [&INSERTSORT, &MULTISORT] {
-        let pipeline = Pipeline::new(bench)?;
-        let specs: Vec<MemArchSpec> = szs
+        let wcet_aware = szs
             .iter()
-            .flat_map(|&size| {
-                [
-                    MemArchSpec::spm(size),
-                    MemArchSpec::spm_with(size, SpmAllocation::WcetRegion),
-                ]
-            })
+            .map(|&size| MemArchSpec::spm_with(size, SpmAllocation::WcetRegion))
             .collect();
-        let points = spec_sweep(&pipeline, &specs)?;
-        for (i, &size) in szs.iter().enumerate() {
+        let (energy, wcet) = sweep_pair(bench, spm_axis(szs), wcet_aware)?;
+        for (size, (e, w)) in szs.iter().zip(energy.iter().zip(&wcet)) {
             rows.push(vec![
                 bench.name.to_string(),
                 size.to_string(),
-                points[2 * i].result.wcet_cycles.to_string(),
-                points[2 * i + 1].result.wcet_cycles.to_string(),
+                e.wcet_cycles.to_string(),
+                w.wcet_cycles.to_string(),
             ]);
         }
     }
@@ -1244,20 +1141,39 @@ pub fn run_spec_on(bench_name: &str, spec_json: &str) -> Result<String, String> 
     ))
 }
 
-/// Runs one experiment by id; `all` runs everything in order.
+/// Ids [`run_experiment`] accepts besides [`EXPERIMENTS`]: Figure 3's
+/// two panels and Figure 4 print together with `fig3`.
+pub const FIG3_ALIASES: [&str; 3] = ["fig3a", "fig3b", "fig4"];
+
+/// Whether [`run_experiment`] knows `id`.
+pub fn is_experiment(id: &str) -> bool {
+    EXPERIMENTS.contains(&id) || FIG3_ALIASES.contains(&id)
+}
+
+/// Runs one experiment by id. `checkpoint` only applies to `hierarchy`
+/// (see [`exp_hierarchy`]).
 ///
 /// # Errors
 ///
 /// Unknown ids or pipeline failures.
-pub fn run_experiment(id: &str, quick: bool) -> Result<String, CoreError> {
+pub fn run_experiment(
+    id: &str,
+    quick: bool,
+    checkpoint: Option<&Path>,
+) -> Result<String, CoreError> {
+    let id = if FIG3_ALIASES.contains(&id) {
+        "fig3"
+    } else {
+        id
+    };
     match id {
         "table1" => Ok(exp_table1()),
         "table2" => exp_table2(),
-        "fig3" | "fig3a" | "fig3b" | "fig4" => exp_fig3_fig4(quick),
+        "fig3" => exp_fig3_fig4(quick),
         "fig5" => exp_fig5(quick),
         "fig6" => exp_fig6(quick),
         "tightness" => exp_tightness(),
-        "hierarchy" => exp_hierarchy(quick),
+        "hierarchy" => exp_hierarchy(quick, checkpoint),
         "hierarchy-spm" => exp_hierarchy_spm(quick),
         "multilevel-precision" => exp_multilevel_precision(quick),
         "write-policy" => exp_write_policy(quick),
@@ -1308,7 +1224,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     let (spm_r, cache_r) = fig.ratio_series();
 
     // Claim 1: scratchpad WCET decreases as capacity grows.
-    let spm_wcets: Vec<u64> = fig.spm.iter().map(|p| p.result.wcet_cycles).collect();
+    let spm_wcets: Vec<u64> = fig.spm.iter().map(|p| p.wcet_cycles).collect();
     claims.push((
         "G.721: scratchpad WCET decreases with capacity".into(),
         spm_wcets.first() > spm_wcets.last(),
@@ -1325,12 +1241,12 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // 2×, and even the best cache WCET stays above the *worst* scratchpad
     // WCET ("it is doubtful that the results achieved by an inherently
     // predictable scratchpad can be reached").
-    let cache_wcets: Vec<u64> = fig.cache.iter().map(|p| p.result.wcet_cycles).collect();
-    let cache_sims: Vec<u64> = fig.cache.iter().map(|p| p.result.sim_cycles).collect();
+    let cache_wcets: Vec<u64> = fig.cache.iter().map(|p| p.wcet_cycles).collect();
+    let cache_sims: Vec<u64> = fig.cache.iter().map(|p| p.sim_cycles).collect();
     let wmax = *cache_wcets.iter().max().unwrap() as f64;
     let wmin = *cache_wcets.iter().min().unwrap() as f64;
     let sim_drop = cache_sims[0] as f64 / *cache_sims.last().unwrap() as f64;
-    let spm_worst_wcet = fig.spm.iter().map(|p| p.result.wcet_cycles).max().unwrap();
+    let spm_worst_wcet = fig.spm.iter().map(|p| p.wcet_cycles).max().unwrap();
     claims.push((
         "G.721: cache WCET stays at a high level".into(),
         wmax / wmin < 2.0 && sim_drop > 2.0 && wmin > spm_worst_wcet as f64,
@@ -1345,7 +1261,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
         .spm
         .iter()
         .zip(&fig.cache)
-        .all(|(s, c)| s.result.wcet_cycles <= c.result.wcet_cycles);
+        .all(|(s, c)| s.wcet_cycles <= c.wcet_cycles);
     claims.push((
         "G.721: scratchpad WCET ≤ cache WCET at every size".into(),
         spm_beats,
@@ -1355,13 +1271,13 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
         .spm
         .iter()
         .chain(&fig.cache)
-        .all(|p| p.result.wcet_cycles >= p.result.sim_cycles);
+        .all(|p| p.wcet_cycles >= p.sim_cycles);
     claims.push(("G.721: WCET ≥ simulation at every point".into(), sound));
 
     // Claim 7 (beyond the paper): the invariant extends to multi-level
     // hierarchies, and the scratchpad bound stays tighter than every
     // cached configuration's.
-    let hier = hierarchy_figure(quick)?;
+    let hier = hierarchy_figure(quick, None)?;
     claims.push((
         "hierarchy: WCET ≥ simulation at every configuration".into(),
         hier.all_sound(),
@@ -1374,7 +1290,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     let cached_best = hier
         .points
         .iter()
-        .map(|p| p.result.ratio())
+        .map(ConfigResult::ratio)
         .fold(f64::MAX, f64::min);
     claims.push((
         "hierarchy: scratchpad WCET/sim ratio beats every cache hierarchy".into(),
@@ -1413,7 +1329,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // Claim 11 (the write-policy axis): the charge-at-store write-back
     // rule keeps the bound sound when levels turn write-back and a store
     // buffer appears — sim ≤ bound at every point, both policies.
-    let wp = write_policy_points(quick)?;
+    let wp = write_policy_sweep(quick)?.points;
     claims.push((
         "write-policy: WCET ≥ simulation at every write-through AND write-back point".into(),
         write_policy_sound(&wp),
@@ -1424,10 +1340,9 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     let (must, pers) = persistence_ablation_points(quick)?;
     claims.push((
         "ablation-persistence: +persistence ≤ MUST-only and ≥ sim at every size".into(),
-        must.iter().zip(&pers).all(|(m, p)| {
-            p.result.wcet_cycles <= m.result.wcet_cycles
-                && p.result.wcet_cycles >= p.result.sim_cycles
-        }),
+        must.iter()
+            .zip(&pers)
+            .all(|(m, p)| p.wcet_cycles <= m.wcet_cycles && p.wcet_cycles >= p.sim_cycles),
     ));
 
     Ok(claims)

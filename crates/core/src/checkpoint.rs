@@ -4,10 +4,10 @@
 //! line binding the file to a git revision, benchmark, and spec axis,
 //! followed by one [`PointRecord`] per *completed* sweep point, flushed as
 //! each point finishes. A killed run therefore loses at most the points
-//! that were in flight; `experiments --resume ckpt.jsonl` validates the
-//! header against the current run and replays only the missing points,
-//! reconstructing everything else from the records — bit-identically,
-//! because the records round-trip every field of
+//! that were in flight; rerunning `experiments --checkpoint ckpt.jsonl`
+//! validates the header against the current run and replays only the
+//! missing points, reconstructing everything else from the records —
+//! bit-identically, because the records round-trip every field of
 //! [`ConfigResult`] exactly (energy as IEEE
 //! bit patterns, never re-parsed decimals).
 //!
@@ -348,7 +348,7 @@ pub struct CheckpointFile {
     pub records: BTreeMap<usize, PointRecord>,
 }
 
-fn ckpt_err(path: &Path, msg: impl std::fmt::Display) -> CoreError {
+pub(crate) fn ckpt_err(path: &Path, msg: impl std::fmt::Display) -> CoreError {
     CoreError::Checkpoint(format!("{}: {msg}", path.display()))
 }
 

@@ -1,11 +1,10 @@
 //! Data structures regenerating each table and figure of the paper's
 //! evaluation section (see DESIGN.md §4 for the experiment index).
 
-use crate::config::DRAM_LATENCY;
+use crate::config::{cache_axis, spm_axis, DRAM_LATENCY};
 use crate::pipeline::{ConfigResult, Pipeline};
 use crate::sweep::{
-    cache_sweep, collect_points, ratios, spec_sweep, spec_sweep_with_session, spm_sweep,
-    FailedPoint, HierarchyPoint, PointOutcome, SpecOutcome, SweepPoint, SweepSession,
+    spec_sweep, spec_sweep_with_session, FailedPoint, PointOutcome, SpecOutcome, SweepSession,
 };
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
@@ -75,30 +74,49 @@ pub fn table2(benchmarks: &[&Benchmark]) -> Result<Vec<Table2Row>, CoreError> {
 pub struct Figure3 {
     /// Benchmark name.
     pub benchmark: String,
-    /// Panel (a): scratchpad sweep.
-    pub spm: Vec<SweepPoint>,
-    /// Panel (b): unified direct-mapped cache sweep.
-    pub cache: Vec<SweepPoint>,
+    /// Capacities swept, in bytes; both panels have one point per size.
+    pub sizes: Vec<u32>,
+    /// Panel (a): scratchpad sweep ([`spm_axis`]).
+    pub spm: Vec<ConfigResult>,
+    /// Panel (b): unified direct-mapped cache sweep ([`cache_axis`]).
+    pub cache: Vec<ConfigResult>,
 }
 
 impl Figure3 {
-    /// Runs both panels for `benchmark` over `sizes`.
+    /// Runs both panels for `benchmark` over `sizes` as one sweep:
+    /// [`spm_axis`] followed by [`cache_axis`].
     ///
     /// # Errors
     ///
     /// Propagates pipeline failures.
     pub fn run(benchmark: &Benchmark, sizes: &[u32]) -> Result<Figure3, CoreError> {
         let pipeline = Pipeline::new(benchmark)?;
+        let mut axis = spm_axis(sizes);
+        axis.extend(cache_axis(sizes));
+        let mut spm: Vec<ConfigResult> = spec_sweep(&pipeline, &axis)?
+            .into_iter()
+            .map(|p| p.result)
+            .collect();
+        let cache = spm.split_off(sizes.len());
         Ok(Figure3 {
             benchmark: benchmark.name.to_string(),
-            spm: spm_sweep(&pipeline, sizes)?,
-            cache: cache_sweep(&pipeline, sizes)?,
+            sizes: sizes.to_vec(),
+            spm,
+            cache,
         })
     }
 
-    /// Figure 4/5 companion: WCET/sim ratio series for both branches.
+    /// Figure 4/5 companion: WCET/sim ratio series for both branches,
+    /// normalised the way Figure 4 plots them (simulated cycles ≡ 1).
     pub fn ratio_series(&self) -> (RatioSeries, RatioSeries) {
-        (ratios(&self.spm), ratios(&self.cache))
+        let series = |panel: &[ConfigResult]| {
+            self.sizes
+                .iter()
+                .zip(panel)
+                .map(|(&size, r)| (size, r.ratio()))
+                .collect()
+        };
+        (series(&self.spm), series(&self.cache))
     }
 }
 
@@ -156,11 +174,10 @@ pub struct FigureHierarchy {
     pub benchmark: String,
     /// Scratchpad reference points.
     pub spm: Vec<SpmHierarchyPoint>,
-    /// Cache-hierarchy points.
-    pub points: Vec<HierarchyPoint>,
+    /// Cache-hierarchy points, in `configs` order.
+    pub points: Vec<ConfigResult>,
     /// Points that failed under fault isolation — carried into the report
-    /// explicitly, never silently dropped. Empty for [`FigureHierarchy::run`],
-    /// which turns any failure into an error instead.
+    /// explicitly, never silently dropped.
     pub failed: Vec<FailedPoint>,
 }
 
@@ -195,34 +212,8 @@ impl FigureHierarchy {
 
     /// Runs the hierarchy comparison for `benchmark`: SPM at `spm_size`
     /// under both main-memory timings, plus every hierarchy in `configs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures; when individual points fail, the
-    /// error is [`CoreError::Sweep`] carrying the completed points.
-    pub fn run(
-        benchmark: &Benchmark,
-        spm_size: u32,
-        configs: &[MemHierarchyConfig],
-    ) -> Result<FigureHierarchy, CoreError> {
-        let pipeline = Pipeline::new(benchmark)?;
-        let axis = FigureHierarchy::spec_axis(spm_size, configs);
-        let outcomes = spec_sweep_with_session(&pipeline, &axis, &SweepSession::none())?;
-        if outcomes.iter().any(|o| o.outcome.is_failed()) {
-            // All-or-nothing contract: surface the failures, carrying the
-            // completed points inside the error.
-            return Err(collect_points(outcomes).expect_err("failed points present"));
-        }
-        Ok(FigureHierarchy::from_outcomes(
-            benchmark.name.to_string(),
-            spm_size,
-            outcomes,
-        ))
-    }
-
-    /// Fault-isolated variant of [`FigureHierarchy::run`]: every point of
-    /// the figure runs under one [`spec_sweep_with_session`] axis, so
-    /// failures are contained per point (reported in
+    /// Every point of the figure runs under one [`spec_sweep_with_session`]
+    /// axis, so failures are contained per point (reported in
     /// [`FigureHierarchy::failed`]) and the `session` can checkpoint and
     /// resume the whole figure.
     ///
@@ -230,7 +221,7 @@ impl FigureHierarchy {
     ///
     /// [`CoreError`] for failures outside point isolation: pipeline
     /// construction and checkpoint I/O.
-    pub fn run_with_session(
+    pub fn run(
         benchmark: &Benchmark,
         spm_size: u32,
         configs: &[MemHierarchyConfig],
@@ -278,10 +269,7 @@ impl FigureHierarchy {
         let mut points = Vec::new();
         for so in rest {
             match so.outcome {
-                PointOutcome::Ok(r) | PointOutcome::Degraded(r) => points.push(HierarchyPoint {
-                    config: so.spec.hierarchy(),
-                    result: r,
-                }),
+                PointOutcome::Ok(r) | PointOutcome::Degraded(r) => points.push(r),
                 PointOutcome::Failed(fp) => failed.push(fp),
             }
         }
@@ -305,18 +293,15 @@ impl FigureHierarchy {
             rows.push((p.dram.label.clone(), p.dram.sim_cycles, p.dram.wcet_cycles));
         }
         for p in &self.points {
-            rows.push((
-                p.result.label.clone(),
-                p.result.sim_cycles,
-                p.result.wcet_cycles,
-            ));
+            rows.push((p.label.clone(), p.sim_cycles, p.wcet_cycles));
         }
         rows
     }
 
-    /// The soundness invariant over every point of the figure.
+    /// The soundness invariant over every point of the figure; a failed
+    /// point fails it too, since its bound was never checked.
     pub fn all_sound(&self) -> bool {
-        self.rows().iter().all(|(_, sim, wcet)| wcet >= sim)
+        self.failed.is_empty() && self.rows().iter().all(|(_, sim, wcet)| wcet >= sim)
     }
 }
 
@@ -444,7 +429,7 @@ mod tests {
             MemHierarchyConfig::l1_only(CacheConfig::unified(512)),
             MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(2048)),
         ];
-        let fig = FigureHierarchy::run(&INSERTSORT, 512, &configs).unwrap();
+        let fig = FigureHierarchy::run(&INSERTSORT, 512, &configs, &SweepSession::none()).unwrap();
         assert!(fig.all_sound());
         let rows = fig.rows();
         assert_eq!(rows.len(), 4, "2 spm points + 2 hierarchies");

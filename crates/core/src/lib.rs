@@ -24,9 +24,11 @@
 //! [`Pipeline`] caches the compiled module and baseline profile; its one
 //! entry point [`Pipeline::run`] takes a declarative
 //! [`MemArchSpec`] describing the full memory architecture (scratchpad +
-//! cache levels + main-memory timing); [`sweep`] enumerates
+//! cache levels + main-memory timing); [`config`] builds the standard
 //! `Vec<MemArchSpec>` axes (the paper's 64 B … 8 KiB capacity sweeps, the
-//! hierarchy axis, the SPM×hierarchy allocator axis); [`figures`]
+//! hierarchy axis, the SPM×hierarchy allocator axis); [`sweep`] runs any
+//! axis through its two entry points, [`sweep::spec_sweep`] and the
+//! checkpointable [`sweep::spec_sweep_with_session`]; [`figures`]
 //! packages each table/figure of the evaluation section; [`report`]
 //! renders them as text tables.
 //!

@@ -1,7 +1,7 @@
 //! Plain-text rendering of experiment results.
 
 use crate::figures::{Figure3, Table2Row, Tightness};
-use crate::sweep::SweepPoint;
+use crate::pipeline::ConfigResult;
 use spmlab_isa::mem::AccessWidth;
 
 /// Renders a simple aligned table.
@@ -78,16 +78,17 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     )
 }
 
-/// Renders one sweep as `size, sim, wcet, ratio` rows.
-pub fn render_sweep(title: &str, points: &[SweepPoint]) -> String {
-    let body: Vec<Vec<String>> = points
+/// Renders one capacity sweep as `size, sim, wcet, ratio` rows.
+pub fn render_sweep(title: &str, sizes: &[u32], results: &[ConfigResult]) -> String {
+    let body: Vec<Vec<String>> = sizes
         .iter()
-        .map(|p| {
+        .zip(results)
+        .map(|(size, r)| {
             vec![
-                p.size.to_string(),
-                p.result.sim_cycles.to_string(),
-                p.result.wcet_cycles.to_string(),
-                format!("{:.3}", p.result.ratio()),
+                size.to_string(),
+                r.sim_cycles.to_string(),
+                r.wcet_cycles.to_string(),
+                format!("{:.3}", r.ratio()),
             ]
         })
         .collect();
@@ -102,8 +103,8 @@ pub fn render_figure3(fig: &Figure3, figure_name: &str) -> String {
     format!(
         "{figure_name} — {} benchmark\n{}\n{}",
         fig.benchmark,
-        render_sweep("a) using a scratchpad", &fig.spm),
-        render_sweep("b) using a cache", &fig.cache),
+        render_sweep("a) using a scratchpad", &fig.sizes, &fig.spm),
+        render_sweep("b) using a cache", &fig.sizes, &fig.cache),
     )
 }
 
@@ -148,14 +149,14 @@ pub fn render_hierarchy(fig: &crate::figures::FigureHierarchy) -> String {
     // rows need no microarchitectural analysis — that is the point).
     let spm_rows = body.len() - fig.points.len();
     for (row, p) in body[spm_rows..].iter_mut().zip(&fig.points) {
-        let c = &p.result.classify;
+        let c = &p.classify;
         row[4] = (c.fetch_hits + c.data_hits).to_string();
         row[5] = (c.fetch_always_miss + c.data_always_miss).to_string();
         row[6] = c.l2_hits.to_string();
         row[7] = (c.fetch_unclassified + c.data_unclassified).to_string();
         // A widened-but-sound bound from an exhausted analysis budget is
         // flagged in place, never passed off as a precise result.
-        if p.result.degraded {
+        if p.degraded {
             row[0] = format!("{} [degraded]", row[0]);
         }
     }

@@ -10,45 +10,40 @@
 //! the program can touch maps to its own set behaves identically at every
 //! larger capacity.
 //!
-//! The capacity sweeps of the paper ([`spm_sweep`], [`cache_sweep`]) and
-//! the hierarchy axis ([`hierarchy_sweep`]) are thin wrappers enumerating
-//! spec axes.
+//! Every sweep in the workspace — the paper's capacity figures, the
+//! hierarchy figure, the ablations, DSE shards — builds its axis from
+//! [`crate::config`] (or a [`crate::dse::GridSpec`]) and runs it through
+//! one of two functions: [`spec_sweep`] (all-or-nothing) or
+//! [`spec_sweep_with_session`] (fault-isolated, checkpointable).
 //!
 //! ## Fault isolation and resume
 //!
 //! Every point runs under `catch_unwind`: a panic or typed error in one
 //! point becomes a [`PointOutcome::Failed`] record for that point (and its
 //! memo-sharing dependents) while the rest of the axis completes.
-//! [`spec_sweep_outcomes`] exposes the per-point outcomes directly;
-//! [`spec_sweep`] keeps the historical all-or-nothing contract but carries
-//! the completed points *inside* its [`SweepFailure`] error instead of
+//! [`spec_sweep_with_session`] returns the per-point outcomes;
+//! [`spec_sweep`] keeps the all-or-nothing contract but carries the
+//! completed points *inside* its [`SweepFailure`] error instead of
 //! discarding them. A [`SweepSession`] additionally streams one JSONL
 //! [`PointRecord`] per completed point to
 //! a checkpoint file and, on resume, replays only the missing points —
 //! reusing stored results bit-identically.
 
-use crate::checkpoint::{spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus};
+use crate::checkpoint::{
+    ckpt_err, spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus,
+};
 use crate::dse::executor::execute;
 use crate::pipeline::{ConfigResult, Pipeline, UnitShare};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
-use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, L1};
+use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// One capacity point of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// Capacity in bytes.
-    pub size: u32,
-    /// The measurement at this capacity.
-    pub result: ConfigResult,
-}
 
 /// One spec point of a sweep.
 #[derive(Debug, Clone)]
@@ -176,7 +171,8 @@ impl std::fmt::Display for SweepFailure {
 /// Checkpointing/resume context for one sweep. [`SweepSession::none`] runs
 /// without persistence; [`SweepSession::checkpoint_to`] streams one record
 /// per completed point; [`SweepSession::resume_from`] additionally replays
-/// the completed points of an interrupted run.
+/// the completed points of an interrupted run; [`SweepSession::open`]
+/// picks between the last two by what is on disk.
 #[derive(Debug)]
 pub struct SweepSession {
     writer: Option<Mutex<CheckpointWriter>>,
@@ -250,6 +246,33 @@ impl SweepSession {
             writer: Some(Mutex::new(writer)),
             resumed,
         })
+    }
+
+    /// Opens the checkpoint at `path` for this run: resumes it (see
+    /// [`SweepSession::resume_from`]) when the file holds anything beyond
+    /// a prefix of this run's header line, and starts it fresh (see
+    /// [`SweepSession::checkpoint_to`]) otherwise — when the file is
+    /// missing, empty, or holds the torn header a kill during creation
+    /// leaves behind. Any other content goes through the resume checks,
+    /// so a file that is not this run's checkpoint is never overwritten.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Checkpoint`] on I/O failure, corruption, or a header
+    /// mismatch.
+    pub fn open(path: &Path, header: &CheckpointHeader) -> Result<SweepSession, CoreError> {
+        let fresh = match std::fs::read(path) {
+            Ok(bytes) => format!("{}\n", header.to_json_line())
+                .as_bytes()
+                .starts_with(&bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
+            Err(e) => return Err(ckpt_err(path, e)),
+        };
+        if fresh {
+            SweepSession::checkpoint_to(path, header)
+        } else {
+            SweepSession::resume_from(path, header)
+        }
     }
 
     /// How many completed points were loaded for reuse.
@@ -526,27 +549,11 @@ pub fn spec_sweep_with_session(
     Ok(outcomes)
 }
 
-/// Fault-isolated sweep without checkpointing: per-point outcomes, never
-/// aborted by a single failing point.
-///
-/// # Errors
-///
-/// Never fails on per-point faults; see [`spec_sweep_with_session`].
-pub fn spec_sweep_outcomes(
-    pipeline: &Pipeline,
-    specs: &[MemArchSpec],
-) -> Result<Vec<SpecOutcome>, CoreError> {
-    spec_sweep_with_session(pipeline, specs, &SweepSession::none())
-}
-
-/// Partitions per-point outcomes into the historical all-or-nothing shape:
-/// all completed points on success, or [`CoreError::Sweep`] carrying both
-/// the failures *and* every completed point.
-///
-/// # Errors
-///
-/// [`CoreError::Sweep`] when any point failed.
-pub fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, CoreError> {
+/// Partitions per-point outcomes into the all-or-nothing shape of
+/// [`spec_sweep`]: all completed points on success, or
+/// [`CoreError::Sweep`] carrying both the failures *and* every completed
+/// point.
+fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, CoreError> {
     let total = outcomes.len();
     let mut completed = Vec::new();
     let mut failed = Vec::new();
@@ -570,10 +577,9 @@ pub fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, Core
     }
 }
 
-/// Runs one spec per point of `specs`: validation up front, one
-/// measurement per *distinct effective* configuration fanned out across
-/// scoped threads, each point still getting its own label and
-/// capacity-dependent energy figure.
+/// Runs one spec per point of `specs` through
+/// [`spec_sweep_with_session`] without a checkpoint, all or nothing:
+/// every spec is validated before anything runs.
 ///
 /// # Errors
 ///
@@ -584,79 +590,11 @@ pub fn spec_sweep(pipeline: &Pipeline, specs: &[MemArchSpec]) -> Result<Vec<Spec
     for spec in specs {
         spec.validate().map_err(CoreError::Spec)?;
     }
-    collect_points(spec_sweep_outcomes(pipeline, specs)?)
-}
-
-/// Runs the scratchpad branch over `sizes` (the paper's Figure 3a series).
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure.
-pub fn spm_sweep(pipeline: &Pipeline, sizes: &[u32]) -> Result<Vec<SweepPoint>, CoreError> {
-    let specs: Vec<MemArchSpec> = sizes.iter().map(|&s| MemArchSpec::spm(s)).collect();
-    let points = spec_sweep(pipeline, &specs)?;
-    Ok(sizes
-        .iter()
-        .zip(points)
-        .map(|(&size, p)| SweepPoint {
-            size,
-            result: p.result,
-        })
-        .collect())
-}
-
-/// Runs the cache branch over `sizes` (the paper's Figure 3b series).
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure.
-pub fn cache_sweep(pipeline: &Pipeline, sizes: &[u32]) -> Result<Vec<SweepPoint>, CoreError> {
-    cache_sweep_with(pipeline, sizes, false, CacheConfig::unified)
-}
-
-/// Cache sweep with an arbitrary geometry builder (ablations: I-cache,
-/// associativity, replacement) and optional persistence analysis.
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure.
-pub fn cache_sweep_with(
-    pipeline: &Pipeline,
-    sizes: &[u32],
-    persistence: bool,
-    mut geometry: impl FnMut(u32) -> CacheConfig,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    let specs: Vec<MemArchSpec> = sizes
-        .iter()
-        .map(|&s| MemArchSpec {
-            persistence,
-            ..MemArchSpec::single_cache(geometry(s))
-        })
-        .collect();
-    let points = spec_sweep(pipeline, &specs)?;
-    Ok(sizes
-        .iter()
-        .zip(points)
-        .map(|(&size, p)| SweepPoint {
-            size,
-            result: p.result,
-        })
-        .collect())
-}
-
-/// WCET/simulation ratios of a sweep, normalised the way Figure 4 plots
-/// them (simulated cycles ≡ 1).
-pub fn ratios(points: &[SweepPoint]) -> Vec<(u32, f64)> {
-    points.iter().map(|p| (p.size, p.result.ratio())).collect()
-}
-
-/// One memory-hierarchy point of a hierarchy sweep.
-#[derive(Debug, Clone)]
-pub struct HierarchyPoint {
-    /// The configuration measured.
-    pub config: MemHierarchyConfig,
-    /// The measurement.
-    pub result: ConfigResult,
+    collect_points(spec_sweep_with_session(
+        pipeline,
+        specs,
+        &SweepSession::none(),
+    )?)
 }
 
 /// The address intervals one no-scratchpad execution (and its WCET
@@ -846,45 +784,22 @@ pub(crate) fn effective_spec_key(canon: &MemArchSpec, fp: Option<&Footprint>) ->
     )
 }
 
-/// Runs the hierarchy axis: one simulation + multi-level WCET analysis per
-/// *distinct effective* configuration (see [`spec_sweep`]). SPM points are
-/// specs of their own — combine freely in one [`spec_sweep`] axis.
-///
-/// # Errors
-///
-/// Propagates the first pipeline failure (in input order).
-pub fn hierarchy_sweep(
-    pipeline: &Pipeline,
-    configs: &[MemHierarchyConfig],
-) -> Result<Vec<HierarchyPoint>, CoreError> {
-    let specs: Vec<MemArchSpec> = configs.iter().map(MemArchSpec::from_hierarchy).collect();
-    let points = spec_sweep(pipeline, &specs)?;
-    Ok(configs
-        .iter()
-        .zip(points)
-        .map(|(h, p)| HierarchyPoint {
-            config: h.clone(),
-            result: p.result,
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmlab_isa::hierarchy::MemHierarchyConfig;
     use spmlab_workloads::INSERTSORT;
 
     #[test]
     fn sweeps_cover_requested_sizes() {
         let p = Pipeline::new(&INSERTSORT).unwrap();
         let sizes = [64, 256];
-        let spm = spm_sweep(&p, &sizes).unwrap();
+        let spm = spec_sweep(&p, &crate::config::spm_axis(&sizes)).unwrap();
         assert_eq!(spm.len(), 2);
-        assert_eq!(spm[0].size, 64);
-        let cache = cache_sweep(&p, &sizes).unwrap();
+        assert_eq!(spm[0].spec.spm_size(), 64);
+        let cache = spec_sweep(&p, &crate::config::cache_axis(&sizes)).unwrap();
         assert_eq!(cache.len(), 2);
-        let r = ratios(&spm);
-        assert!(r.iter().all(|(_, x)| *x >= 1.0));
+        assert!(spm.iter().all(|pt| pt.result.ratio() >= 1.0));
     }
 
     #[test]
@@ -899,7 +814,8 @@ mod tests {
             // identical — either way the results must match a direct run.
             MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(8192)),
         ];
-        let swept = hierarchy_sweep(&p, &configs).unwrap();
+        let specs: Vec<MemArchSpec> = configs.iter().map(MemArchSpec::from_hierarchy).collect();
+        let swept = spec_sweep(&p, &specs).unwrap();
         for (point, h) in swept.iter().zip(&configs) {
             let direct = p.run(&MemArchSpec::from_hierarchy(h)).unwrap();
             assert_eq!(
@@ -962,7 +878,8 @@ mod tests {
                     .with_store_buffer(StoreBuffer::new(4, 6)),
             ),
         ];
-        let swept = hierarchy_sweep(&p, &configs).unwrap();
+        let specs: Vec<MemArchSpec> = configs.iter().map(MemArchSpec::from_hierarchy).collect();
+        let swept = spec_sweep(&p, &specs).unwrap();
         for (point, h) in swept.iter().zip(&configs) {
             let direct = p.run(&MemArchSpec::from_hierarchy(h)).unwrap();
             assert_eq!(
@@ -1090,7 +1007,7 @@ mod tests {
             MemArchSpec::spm(1 << 30), // larger than the SPM region: invalid
             MemArchSpec::single_cache(CacheConfig::unified(256)),
         ];
-        let outcomes = spec_sweep_outcomes(&p, &specs).unwrap();
+        let outcomes = spec_sweep_with_session(&p, &specs, &SweepSession::none()).unwrap();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].outcome.result().is_some());
         let fp = outcomes[1].outcome.failure().expect("invalid point fails");
@@ -1144,7 +1061,7 @@ mod tests {
         let axis = grid.axis().unwrap().0;
         assert_eq!(axis.len(), 16);
         let expected = "wcet: loop at 0x100012 in `main` has no bound; annotate it";
-        for o in spec_sweep_outcomes(&p, &axis).unwrap() {
+        for o in spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap() {
             let failed = o.outcome.failure().expect("the analysis fails everywhere");
             assert_eq!(failed.error, expected, "{}", failed.label);
             assert!(!failed.panicked);
@@ -1161,7 +1078,7 @@ mod tests {
             deadline_ms: None,
         });
         let specs = vec![MemArchSpec::single_cache(CacheConfig::unified(256))];
-        let outcomes = spec_sweep_outcomes(&p, &specs).unwrap();
+        let outcomes = spec_sweep_with_session(&p, &specs, &SweepSession::none()).unwrap();
         assert!(outcomes[0].outcome.is_degraded(), "budget of 1 must widen");
         let r = outcomes[0].outcome.result().unwrap();
         assert!(r.degraded);

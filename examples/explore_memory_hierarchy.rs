@@ -9,8 +9,8 @@
 
 use spmlab::pipeline::Pipeline;
 use spmlab::report::render_table;
-use spmlab::sweep::{cache_sweep, hierarchy_sweep, spm_sweep};
-use spmlab::{hierarchy_axis, PAPER_SIZES};
+use spmlab::sweep::spec_sweep;
+use spmlab::{cache_axis, hierarchy_spec_axis, spm_axis, PAPER_SIZES};
 use spmlab_workloads::benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,15 +40,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("exploring `{}` — {}\n", bench.name, bench.description);
 
     let pipeline = Pipeline::new(bench)?;
-    let spm = spm_sweep(&pipeline, sizes)?;
-    let cache = cache_sweep(&pipeline, sizes)?;
+    let spm = spec_sweep(&pipeline, &spm_axis(sizes))?;
+    let cache = spec_sweep(&pipeline, &cache_axis(sizes))?;
 
     let rows: Vec<Vec<String>> = spm
         .iter()
         .zip(&cache)
         .map(|(s, c)| {
             vec![
-                s.size.to_string(),
+                s.spec.spm_size().to_string(),
                 s.result.sim_cycles.to_string(),
                 s.result.wcet_cycles.to_string(),
                 format!("{:.2}", s.result.ratio()),
@@ -74,13 +74,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // What did the knapsack pick at each capacity?
     println!("\nscratchpad contents chosen by the energy knapsack:");
     for p in &spm {
-        println!("  {:>5} B: {}", p.size, p.result.spm_objects.join(", "));
+        println!(
+            "  {:>5} B: {}",
+            p.spec.spm_size(),
+            p.result.spm_objects.join(", ")
+        );
     }
 
     // The multi-level axis: split L1 I/D caches backed by a unified L2,
     // over SRAM-style and DRAM-style main memories.
     let l1 = 512;
-    let hier = hierarchy_sweep(&pipeline, &hierarchy_axis(l1))?;
+    let hier = spec_sweep(&pipeline, &hierarchy_spec_axis(l1))?;
     let hrows: Vec<Vec<String>> = hier
         .iter()
         .map(|p| {

@@ -11,7 +11,8 @@ use spmlab::dse::frontier::{dominates, Frontier, FrontierPoint};
 use spmlab::dse::{merge_texts, GridSpec};
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::{spec_sweep_with_session, SweepSession};
-use spmlab::MemArchSpec;
+use spmlab::{check_checkpoint, MemArchSpec};
+use spmlab_bench::dse::run_sweep;
 use spmlab_workloads::G721;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -42,11 +43,7 @@ fn small_grid() -> GridSpec {
 fn run_shard(axis: &[MemArchSpec], shard: Shard, dir: &Path) -> std::path::PathBuf {
     let header = shard_header("test-rev", "g721", axis, shard);
     let path = dir.join(format!("shard-{}-of-{}.jsonl", shard.index, shard.count));
-    let session = if path.exists() {
-        SweepSession::resume_from(&path, &header).unwrap()
-    } else {
-        SweepSession::checkpoint_to(&path, &header).unwrap()
-    };
+    let session = SweepSession::open(&path, &header).unwrap();
     let outcomes = spec_sweep_with_session(pipeline(), &shard.take(axis), &session).unwrap();
     assert!(
         outcomes.iter().all(|o| !o.outcome.is_failed()),
@@ -147,6 +144,40 @@ fn killed_shard_resumes_to_the_same_bytes() {
     .unwrap();
     assert_eq!(resumed.to_jsonl(), clean.to_jsonl());
     assert_eq!(resumed.frontier(), clean.frontier());
+}
+
+/// A kill between creating a shard stream and writing its header leaves
+/// an empty file or a torn header line: `run_sweep` starts such a stream
+/// afresh and completes it, while a complete header from another run is
+/// still refused and its file left as it was.
+#[test]
+fn torn_checkpoint_headers_restart_and_foreign_headers_are_refused() {
+    let dir = tempdir("dse-torn-header");
+    let grid_json = r#"{"benchmark": "insertsort", "l1_size": [0, 256, 1024]}"#;
+    let shard = Shard { index: 0, count: 2 };
+    let (axis, _) = GridSpec::from_json(grid_json).unwrap().axis().unwrap();
+    let path = dir.join("shard-0-of-2.jsonl");
+    for stub in ["", "{\"ckpt_ver"] {
+        std::fs::write(&path, stub).unwrap();
+        let report = run_sweep(grid_json, shard, Some(&dir), false)
+            .unwrap_or_else(|e| panic!("{stub:?}: {e}"));
+        assert!(report.contains("(0 resumed)"), "{stub:?}: {report}");
+        let stats = check_checkpoint(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(stats.covered, stats.points, "{stub:?}");
+        assert_eq!(stats.failed, 0, "{stub:?}");
+    }
+
+    let foreign = format!(
+        "{}\n",
+        shard_header("another-rev", "insertsort", &axis, shard).to_json_line()
+    );
+    std::fs::write(&path, &foreign).unwrap();
+    let err = run_sweep(grid_json, shard, Some(&dir), false).unwrap_err();
+    assert!(
+        err.starts_with("checkpoint: ") && err.contains("header mismatch"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
 }
 
 /// Brute-force O(n²) Pareto reference: a point survives iff no other

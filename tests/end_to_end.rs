@@ -3,8 +3,8 @@
 //! patching, and the energy model — everything a downstream user touches.
 
 use spmlab::pipeline::Pipeline;
-use spmlab::sweep::{cache_sweep, spm_sweep};
-use spmlab::MemArchSpec;
+use spmlab::sweep::spec_sweep;
+use spmlab::{cache_axis, spm_axis, MemArchSpec};
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::knapsack;
 use spmlab_cc::SpmAssignment;
@@ -20,8 +20,8 @@ fn paper_shape_on_reduced_adpcm() {
     // tracks simulation; cache WCET/sim ratio grows.
     let p = Pipeline::with_input(&ADPCM, inputs::speech_like(64, 5)).unwrap();
     let sizes = [64u32, 512, 4096];
-    let spm = spm_sweep(&p, &sizes).unwrap();
-    let cache = cache_sweep(&p, &sizes).unwrap();
+    let spm = spec_sweep(&p, &spm_axis(&sizes)).unwrap();
+    let cache = spec_sweep(&p, &cache_axis(&sizes)).unwrap();
 
     assert!(
         spm.last().unwrap().result.wcet_cycles <= spm[0].result.wcet_cycles,
@@ -42,7 +42,7 @@ fn paper_shape_on_reduced_adpcm() {
         assert!(
             s.result.wcet_cycles <= c.result.wcet_cycles,
             "at {} bytes",
-            s.size
+            s.spec.spm_size()
         );
     }
 }

@@ -14,14 +14,12 @@
 use std::time::Duration;
 
 use spmlab::faults::{arm, FaultAction, FaultPlan};
-use spmlab::sweep::{collect_points, spec_sweep_outcomes, spec_sweep_with_session};
+use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
 use spmlab::{
     check_checkpoint, CheckpointHeader, CoreError, MemArchSpec, Pipeline, PointOutcome,
     SweepSession,
 };
-use spmlab_bench::{
-    hierarchy_figure_with_session, hierarchy_json, hierarchy_session, CheckpointMode,
-};
+use spmlab_bench::{hierarchy_figure, hierarchy_json};
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer};
 use spmlab_workloads::INSERTSORT;
@@ -102,7 +100,8 @@ fn typed_errors_fail_exactly_the_affected_points() {
         let guard = arm(inert());
         let p = Pipeline::new(&INSERTSORT).expect("pipeline");
         guard.rearm(FaultPlan::new(phase, 1, FaultAction::Error));
-        let outcomes = spec_sweep_outcomes(&p, &small_axis()).expect("sweep survives");
+        let outcomes = spec_sweep_with_session(&p, &small_axis(), &SweepSession::none())
+            .expect("sweep survives");
         assert!(guard.fired(), "phase `{phase}` was reached");
         let failed: Vec<_> = outcomes
             .iter()
@@ -123,7 +122,7 @@ fn typed_errors_fail_exactly_the_affected_points() {
         // The all-or-nothing wrapper reports the failure without dropping
         // the completed points.
         guard.rearm(FaultPlan::new(phase, 1, FaultAction::Error));
-        let err = collect_points(spec_sweep_outcomes(&p, &small_axis()).unwrap()).unwrap_err();
+        let err = spec_sweep(&p, &small_axis()).unwrap_err();
         drop(guard);
         match err {
             CoreError::Sweep(f) => {
@@ -154,7 +153,8 @@ fn panics_are_contained_per_point() {
         let guard = arm(inert());
         let p = Pipeline::new(&INSERTSORT).expect("pipeline");
         guard.rearm(FaultPlan::new(phase, 1, FaultAction::Panic));
-        let outcomes = spec_sweep_outcomes(&p, &axis).expect("sweep survives the panic");
+        let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none())
+            .expect("sweep survives the panic");
         assert!(guard.fired(), "phase `{phase}` was reached");
         guard.rearm(inert());
         assert_eq!(outcomes.len(), axis.len(), "every point has an outcome");
@@ -193,7 +193,8 @@ fn faults_inside_a_shared_unit_fail_only_their_member() {
         let guard = arm(inert());
         let p = Pipeline::new(&INSERTSORT).expect("pipeline");
         guard.rearm(FaultPlan::new("analyze", nth, action));
-        let outcomes = spec_sweep_outcomes(&p, &main_timing_axis()).expect("sweep survives");
+        let outcomes = spec_sweep_with_session(&p, &main_timing_axis(), &SweepSession::none())
+            .expect("sweep survives");
         assert!(guard.fired(), "{action:?}: analysis #{nth} was reached");
         guard.rearm(inert());
         for (i, o) in outcomes.iter().enumerate() {
@@ -244,8 +245,7 @@ fn delays_do_not_fail_points() {
         1,
         FaultAction::Delay(Duration::from_millis(20)),
     ));
-    let points = collect_points(spec_sweep_outcomes(&p, &small_axis()).unwrap())
-        .expect("a slow point is not a failed point");
+    let points = spec_sweep(&p, &small_axis()).expect("a slow point is not a failed point");
     assert!(guard.fired());
     assert_eq!(points.len(), 3);
 }
@@ -260,7 +260,8 @@ fn exhausted_budgets_degrade_soundly_not_fatally() {
         max_fixpoint_iters: Some(1),
         deadline_ms: None,
     });
-    let outcomes = spec_sweep_outcomes(&p, &small_axis()).expect("sweep survives");
+    let outcomes =
+        spec_sweep_with_session(&p, &small_axis(), &SweepSession::none()).expect("sweep survives");
     for o in &outcomes {
         let r = o
             .outcome
@@ -334,31 +335,32 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
     // injected fault and resumed: the merged figure must render to the
     // byte-identical JSON artifact of an uninterrupted run (a fixed wall
     // time stands in for the only legitimately varying provenance field).
-    let quick = false; // the real G.721 axis
     let ck_full = scratch("g721-full.jsonl");
     let ck_cut = scratch("g721-cut.jsonl");
+    // `hierarchy_figure` resumes an existing checkpoint: start from none.
+    for path in [&ck_full, &ck_cut] {
+        std::fs::remove_file(path).ok();
+    }
 
     // Uninterrupted reference run. The armed-but-inert plan holds the
     // harness lock so no concurrent test can fault this sweep.
     let reference = {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
-        let session = hierarchy_session(quick, &CheckpointMode::Fresh(ck_full.clone())).unwrap();
-        let fig = hierarchy_figure_with_session(quick, &session).expect("reference run");
+        let fig = hierarchy_figure(false, Some(&ck_full)).expect("reference run");
         assert!(fig.failed.is_empty());
-        hierarchy_json(&fig, 1.0)
+        hierarchy_json(&fig, 1.0, None)
     };
 
     // Faulted run: one measurement dies mid-sweep.
     {
-        let session = hierarchy_session(quick, &CheckpointMode::Fresh(ck_cut.clone())).unwrap();
         let guard = arm(FaultPlan::new("measure-spec", 3, FaultAction::Error));
-        let fig = hierarchy_figure_with_session(quick, &session).expect("faulted run survives");
+        let fig = hierarchy_figure(false, Some(&ck_cut)).expect("faulted run survives");
         assert!(guard.fired());
         assert!(
             !fig.failed.is_empty(),
             "the fault is reported in the figure"
         );
-        let json = hierarchy_json(&fig, 1.0);
+        let json = hierarchy_json(&fig, 1.0, None);
         assert!(json.contains("\"failed\""), "and in the JSON artifact");
     }
 
@@ -367,11 +369,11 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
     // uninterrupted reference byte for byte.
     let resumed = {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
-        let session = hierarchy_session(quick, &CheckpointMode::Resume(ck_cut.clone())).unwrap();
-        assert!(session.resumed_points() > 0, "completed points are reused");
-        let fig = hierarchy_figure_with_session(quick, &session).expect("resume completes");
+        let cut = check_checkpoint(&std::fs::read_to_string(&ck_cut).unwrap()).expect("valid");
+        assert!(cut.ok > 0, "completed points are there to reuse");
+        let fig = hierarchy_figure(false, Some(&ck_cut)).expect("resume completes");
         assert!(fig.failed.is_empty(), "resume heals the failed points");
-        hierarchy_json(&fig, 1.0)
+        hierarchy_json(&fig, 1.0, None)
     };
     assert_eq!(
         reference, resumed,

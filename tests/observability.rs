@@ -17,8 +17,8 @@ use common::{reference_greedy, reference_hierarchy_aware, routed};
 use proptest::prelude::*;
 use spmlab::dse::GridSpec;
 use spmlab::pipeline::Pipeline;
-use spmlab::sweep::{hierarchy_sweep, spec_sweep_outcomes};
-use spmlab::{hierarchy_axis, MainMemoryTiming, MemArchSpec, DRAM_LATENCY};
+use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
+use spmlab::{hierarchy_spec_axis, MainMemoryTiming, MemArchSpec, SweepSession, DRAM_LATENCY};
 use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::archspec::SpmAllocation;
 use spmlab_isa::hierarchy::StoreBuffer;
@@ -52,7 +52,7 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
             ..MemArchSpec::spm(1024)
         })
         .unwrap();
-    let points = hierarchy_sweep(&p, &hierarchy_axis(1024)).unwrap();
+    let points = spec_sweep(&p, &hierarchy_spec_axis(1024)).unwrap();
     drop(guard);
 
     assert_eq!(points.len() + 2, 8, "the paper scenario has eight configs");
@@ -97,7 +97,7 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
     let outcomes = {
         let sink = Arc::new(MemorySink::default());
         let guard = spmlab_obs::add_sink(sink.clone());
-        let outcomes = spec_sweep_outcomes(&p, &axis).unwrap();
+        let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap();
         drop(guard);
         assert_eq!(sink.counter_total("sweep_points"), 24);
         assert_eq!(sink.counter_total("sweep_memo_miss"), 24);
@@ -159,7 +159,7 @@ fn spm_grid_analyses_each_allocation_trial_once() {
     let p = Pipeline::new(&INSERTSORT).unwrap();
     let sink = Arc::new(MemorySink::default());
     let guard = spmlab_obs::add_sink(sink.clone());
-    let outcomes = spec_sweep_outcomes(&p, &axis).unwrap();
+    let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap();
     drop(guard);
     assert!(outcomes.iter().all(|o| o.outcome.result().is_some()));
 
@@ -219,7 +219,7 @@ fn profiled_sweep_stream_is_valid_and_phases_cover_wall_time() {
     {
         let _root = spmlab_obs::span("profile-test-root");
         let p = Pipeline::with_input(&G721, inputs::speech_like(48, 0xC0FFEE)).unwrap();
-        let _ = hierarchy_sweep(&p, &hierarchy_axis(512)).unwrap();
+        let _ = spec_sweep(&p, &hierarchy_spec_axis(512)).unwrap();
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
     drop(mem_guard);

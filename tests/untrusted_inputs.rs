@@ -1,7 +1,7 @@
 //! Malformed-input hardening: the parsers that read *untrusted* text —
 //! spec JSON from `--spec` files, grid documents from `--spec-grid`
-//! files, checkpoint streams from `--resume` files, shard streams fed to
-//! `merge-shards`, profile streams fed to `check-profile` — and the
+//! files, checkpoint streams from `--checkpoint` files, shard streams fed
+//! to `merge-shards`, profile streams fed to `check-profile` — and the
 //! binary v2 trace decoder (`MemTrace::from_bytes`) must reject
 //! arbitrary garbage with a typed error (or `None`), never a panic.
 //!
