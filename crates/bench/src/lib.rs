@@ -1143,7 +1143,7 @@ pub fn run_spec_on(bench_name: &str, spec_json: &str) -> Result<String, String> 
 
 /// Ids [`run_experiment`] accepts besides [`EXPERIMENTS`]: Figure 3's
 /// two panels and Figure 4 print together with `fig3`.
-pub const FIG3_ALIASES: [&str; 3] = ["fig3a", "fig3b", "fig4"];
+const FIG3_ALIASES: [&str; 3] = ["fig3a", "fig3b", "fig4"];
 
 /// Whether [`run_experiment`] knows `id`.
 pub fn is_experiment(id: &str) -> bool {

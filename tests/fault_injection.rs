@@ -360,6 +360,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
             !fig.failed.is_empty(),
             "the fault is reported in the figure"
         );
+        assert!(!fig.all_sound(), "a failed point fails the soundness claim");
         let json = hierarchy_json(&fig, 1.0, None);
         assert!(json.contains("\"failed\""), "and in the JSON artifact");
     }
