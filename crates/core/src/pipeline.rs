@@ -211,7 +211,10 @@ impl Pipeline {
             baseline_profile: res.profile,
             no_spm_link: baseline,
             no_spm_prepared: OnceLock::new(),
-            trace: trace.replayable().then_some(trace),
+            // Every cache geometry of a sweep tallies this trace once:
+            // worth a run index (scratchpad traces are tallied at most
+            // twice and go without).
+            trace: trace.replayable().then(|| trace.with_run_index()),
             energy: EnergyModel::default(),
             sim_options,
             wcet_allocs: Mutex::new(BTreeMap::new()),

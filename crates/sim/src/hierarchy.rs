@@ -507,6 +507,34 @@ impl HierarchyCaches {
         )
     }
 
+    /// Credits `count` hits of `kind` at the first cache in its path
+    /// without a tag-store lookup, returning their cycles: the counters
+    /// and cost [`HierarchyCaches::read`] charges for such a hit. Exact
+    /// only for accesses known to hit the most recently used line of a
+    /// cache that saw nothing else since — a hit no replacement policy
+    /// acts on (see `MemTrace::tally`). The kind must have a cache in
+    /// its path.
+    pub(crate) fn credit_hits(&self, kind: AccessKind, count: u64, stats: &mut MemStats) -> u64 {
+        let fetch = kind == AccessKind::Fetch;
+        let route = if fetch {
+            &self.fetch_route
+        } else {
+            &self.data_route
+        };
+        if route.pick == L1Pick::None {
+            debug_assert!(self.l2.is_some(), "a first-level hit needs a cache");
+            stats.l2_hits += count;
+            return count.saturating_mul(route.l2_direct_hit);
+        }
+        if fetch {
+            stats.l1i_hits += count;
+        } else {
+            stats.l1d_hits += count;
+        }
+        stats.cache_hits += count;
+        count.saturating_mul(route.l1_hit)
+    }
+
     /// A data write to main-memory space at time `now`, routed by the
     /// store-absorb rule ([`MemHierarchyConfig::store_absorb`]):
     ///

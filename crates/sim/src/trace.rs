@@ -34,6 +34,33 @@
 //! transactions`. [`MemTrace::replay`] is "tally, then price" for every
 //! such machine; the ordered engine serves the rest.
 //!
+//! ## Skipping guaranteed first-level hits
+//!
+//! Most fetches and many reads touch the line their cache touched last.
+//! A trace opted in with [`MemTrace::with_run_index`] builds, on its first
+//! tally, a run index: one pass over the events at 16-byte line
+//! granularity that keeps every fetch or read at least one of two rules
+//! cannot skip, and counts per rule and kind the events it can:
+//!
+//! * *same-stream*: a fetch to the previous fetch's line, or a read to
+//!   the previous read's line — used when a split L1 gives each kind a
+//!   cache of its own;
+//! * *shared*: a fetch or read to the previous fetch-or-read's line —
+//!   used when both kinds reach one first cache (a unified L1, or an L2
+//!   with no L1 in front).
+//!
+//! Write-through tallies (`!write_policy_dependent()`) whose first-level
+//! lines are all at least 16 bytes then walk only the index entries
+//! their rule keeps and credit the rest as first-level hits
+//! (`HierarchyCaches::credit_hits`). That is exact: a skipped access
+//! hits the most recently used line of a cache that saw nothing else in
+//! between (write-through stores touch no tag store), and such a hit
+//! changes no state — LRU order stays (ticks are only compared within a
+//! set), and round-robin and random replacement act on misses only.
+//! Every other tally — scoped unified L1s, write-back machines, shorter
+//! lines, traces without an index or whose index could not be built —
+//! walks every event.
+//!
 //! ## Versioning
 //!
 //! * **v1** (count-based, the original format): read/fetch events plus
@@ -58,6 +85,7 @@ use crate::{MachineConfig, SimError};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_isa::image::Executable;
 use spmlab_isa::mem::AccessWidth;
+use std::sync::OnceLock;
 
 /// Event kinds, packed into one byte per event alongside the width.
 pub(crate) const EV_FETCH: u8 = 0;
@@ -71,6 +99,14 @@ pub(crate) const EV_WRITE_WORD: u8 = 6;
 pub(crate) const EV_CYCLE_READ: u8 = 7;
 
 const EV_KIND_MAX: u8 = EV_CYCLE_READ;
+
+/// The access each read kind (`EV_FETCH` … `EV_READ_WORD`) replays.
+const READS: [(AccessKind, AccessWidth); 4] = [
+    (AccessKind::Fetch, AccessWidth::Half),
+    (AccessKind::Read, AccessWidth::Byte),
+    (AccessKind::Read, AccessWidth::Half),
+    (AccessKind::Read, AccessWidth::Word),
+];
 
 /// One ordered trace event: a main-memory read, fetch or write — the
 /// accesses whose cost depends on the hierarchy — or an MMIO
@@ -234,7 +270,7 @@ const TRACE_MAGIC: &[u8; 8] = b"SPMTRACE";
 const EVENT_BYTES: usize = 14;
 
 /// A recorded execution's hierarchy-independent skeleton.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct MemTrace {
     events: Vec<AccessEvent>,
     /// Cycles of the recorded run not attributable to main-memory traffic
@@ -256,6 +292,143 @@ pub struct MemTrace {
     /// Format version: 1 = count-based (reads + write counts), 2 =
     /// ordered event stream (reads, writes, latches, cycle-read values).
     version: u8,
+    /// The run index, built by the first tally that can use it; `None`
+    /// unless opted in with [`MemTrace::with_run_index`]. The inner
+    /// `None` marks a stream the index cannot describe. Derived from
+    /// `events`: neither compared nor serialized.
+    runs: Option<OnceLock<Option<RunIndex>>>,
+}
+
+impl PartialEq for MemTrace {
+    fn eq(&self, other: &MemTrace) -> bool {
+        fn recorded(t: &MemTrace) -> impl PartialEq + '_ {
+            (
+                &t.events,
+                t.base_cycles,
+                t.tail_cycles,
+                t.read_counts,
+                t.main_writes,
+                t.cycle_reads,
+                &t.stats_template,
+                t.max_cycles,
+                t.version,
+            )
+        }
+        // The run index is derived from the events.
+        recorded(self) == recorded(other)
+    }
+}
+
+impl Eq for MemTrace {}
+
+/// Bits of a run-index entry holding the address: main memory ends below
+/// 2^21.
+const RUN_ADDR_BITS: u32 = 21;
+const RUN_ADDR_MASK: u32 = (1 << RUN_ADDR_BITS) - 1;
+
+/// Which accesses a tally may skip as guaranteed first-level hits (see
+/// the module docs).
+#[derive(Debug, Clone, Copy)]
+enum RunRule {
+    /// A split L1: each kind's first cache sees only that kind.
+    SameStream = 0,
+    /// Fetches and reads share their first cache.
+    Shared = 1,
+}
+
+impl RunRule {
+    /// The line granularity both rules compare at: every first-level
+    /// line the index serves is at least this long.
+    const LINE: u32 = 16;
+
+    /// The rule that is exact for `hierarchy`'s write-through tally, if
+    /// any.
+    fn for_machine(hierarchy: &MemHierarchyConfig) -> Option<RunRule> {
+        if hierarchy.write_policy_dependent() {
+            return None;
+        }
+        let long = |c: &spmlab_isa::cachecfg::CacheConfig| c.line >= RunRule::LINE;
+        match (hierarchy.l1_for(true), hierarchy.l1_for(false)) {
+            (Some(i), Some(d)) if long(i) && long(d) => Some(if hierarchy.l1_unified() {
+                RunRule::Shared
+            } else {
+                RunRule::SameStream
+            }),
+            (None, None) => hierarchy
+                .l2
+                .as_ref()
+                .filter(|c| long(c))
+                .map(|_| RunRule::Shared),
+            _ => None,
+        }
+    }
+
+    /// The entry bit marking an access this rule skips.
+    fn skip_bit(self) -> u32 {
+        1 << (RUN_ADDR_BITS + 2 + self as u32)
+    }
+}
+
+/// The fetches and reads of a trace that at least one [`RunRule`] cannot
+/// skip, in program order, plus what each rule skips.
+#[derive(Debug, Clone)]
+struct RunIndex {
+    /// One entry per kept access: the address in the low
+    /// [`RUN_ADDR_BITS`] bits, the event kind (`EV_FETCH` …
+    /// `EV_READ_WORD`) in the next two, then one skip bit per rule.
+    heads: Vec<u32>,
+    /// Entries each rule walks.
+    walked: [u64; 2],
+    /// Accesses each rule skips, by rule, then fetches and reads.
+    elided: [[u64; 2]; 2],
+}
+
+impl RunIndex {
+    /// Indexes `events`; `None` when an event is a cycle-register read
+    /// or a fetch or read whose address does not fit an entry — streams
+    /// the per-event walk must judge.
+    fn build(events: &[AccessEvent]) -> Option<RunIndex> {
+        const NONE: u32 = u32::MAX;
+        let mut heads = Vec::new();
+        let mut walked = [0u64; 2];
+        let mut elided = [[0u64; 2]; 2];
+        // The last line fetched, read, and either.
+        let mut last = [NONE; 2];
+        let mut last_any = NONE;
+        for ev in events {
+            let data = match ev.kind {
+                EV_FETCH => 0,
+                EV_READ_BYTE..=EV_READ_WORD => 1,
+                EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
+                _ => return None,
+            };
+            if ev.addr > RUN_ADDR_MASK {
+                return None;
+            }
+            let line = ev.addr / RunRule::LINE;
+            let skips = [last[data] == line, last_any == line];
+            last[data] = line;
+            last_any = line;
+            let mut head = ev.addr | u32::from(ev.kind) << RUN_ADDR_BITS;
+            for rule in [RunRule::SameStream, RunRule::Shared] {
+                if skips[rule as usize] {
+                    elided[rule as usize][data] += 1;
+                    head |= rule.skip_bit();
+                } else {
+                    walked[rule as usize] += 1;
+                }
+            }
+            if !skips.iter().all(|&s| s) {
+                heads.push(head);
+            }
+        }
+        heads.shrink_to_fit();
+        Some(RunIndex {
+            heads,
+            walked,
+            elided,
+        })
+    }
 }
 
 /// One walk of a trace through one cache geometry at main-memory latency
@@ -345,6 +518,27 @@ impl MemTrace {
         self.cycle_reads == 0 && !hierarchy.write_policy_dependent()
     }
 
+    /// Opts this trace into run-indexed tallies: the first
+    /// [`MemTrace::tally`] that can use the index builds it (at most 4
+    /// bytes per fetch or read), and every write-through tally with
+    /// first-level lines of at least 16 bytes then skips the guaranteed
+    /// first-level hits (see the module docs). Worth it for a trace
+    /// tallied many times, such as a sweep's baseline; results are
+    /// bit-identical either way.
+    pub fn with_run_index(mut self) -> MemTrace {
+        self.runs = Some(OnceLock::new());
+        self
+    }
+
+    /// The run index and the rule `hierarchy` may skip by, when this
+    /// trace is opted in and both exist.
+    fn run_index(&self, hierarchy: &MemHierarchyConfig) -> Option<(&RunIndex, RunRule)> {
+        let rule = RunRule::for_machine(hierarchy)?;
+        let runs = self.runs.as_ref()?;
+        let runs = runs.get_or_init(|| RunIndex::build(&self.events));
+        Some((runs.as_ref()?, rule))
+    }
+
     /// Number of recorded hierarchy-sensitive access events.
     pub fn events(&self) -> usize {
         self.events.len()
@@ -430,7 +624,11 @@ impl MemTrace {
     /// Write-through stores never touch a tag store and each cost one
     /// main write, so they are priced from the per-width counters (v1
     /// traces carry nothing else); write-back machines replay the write
-    /// events in program order. An uncached machine walks nothing at all.
+    /// events in program order. An uncached machine walks nothing at all,
+    /// and a run-indexed trace walks only the fetches and reads that are
+    /// not guaranteed first-level hits (see [`MemTrace::with_run_index`]).
+    /// The `replay_events` counter reports the events or index entries
+    /// the walk visited, `replay_elided` the events it skipped.
     ///
     /// # Errors
     ///
@@ -439,15 +637,13 @@ impl MemTrace {
     /// read its header does not declare.
     pub fn tally(&self, hierarchy: &MemHierarchyConfig) -> Result<Tally, SimError> {
         let _span = spmlab_obs::span("replay");
-        if !self.supports(hierarchy) {
-            return Err(self.refusal());
-        }
         if !self.priceable(hierarchy) {
             return Err(SimError::Fault {
                 pc: 0,
                 addr: 0,
-                what: "store-buffered machines and timing-dependent programs cannot be \
-                       priced from a tally",
+                what: "store-buffered machines, timing-dependent programs and \
+                       write-policy-dependent machines on v1 traces cannot be priced \
+                       from a tally",
             });
         }
         let main = MainMemoryTiming {
@@ -469,42 +665,59 @@ impl MemTrace {
             || hierarchy.l1_for(false).is_some()
             || hierarchy.l2.is_some()
         {
-            if spmlab_obs::enabled() {
-                spmlab_obs::counter("replay_events", self.events.len() as u64);
-            }
             let mut caches = HierarchyCaches::new(MemHierarchyConfig {
                 main,
                 ..hierarchy.clone()
             });
-            for ev in &self.events {
-                let (kind, width) = match ev.kind {
-                    EV_FETCH => (AccessKind::Fetch, AccessWidth::Half),
-                    EV_READ_BYTE => (AccessKind::Read, AccessWidth::Byte),
-                    EV_READ_HALF => (AccessKind::Read, AccessWidth::Half),
-                    EV_READ_WORD => (AccessKind::Read, AccessWidth::Word),
-                    // Write-through stores are already priced from the
-                    // counters above.
-                    EV_WRITE_BYTE | EV_WRITE_HALF | EV_WRITE_WORD => {
-                        if ordered_writes {
-                            let width = match ev.kind {
-                                EV_WRITE_BYTE => AccessWidth::Byte,
-                                EV_WRITE_HALF => AccessWidth::Half,
-                                _ => AccessWidth::Word,
-                            };
-                            let cost = caches.write(ev.addr, width, 0, &mut stats);
+            let walked = match self.run_index(hierarchy) {
+                Some((runs, rule)) => {
+                    let skip = rule.skip_bit();
+                    for &head in &runs.heads {
+                        if head & skip == 0 {
+                            let (kind, width) = READS[(head >> RUN_ADDR_BITS) as usize & 3];
+                            let cost = caches.read(head & RUN_ADDR_MASK, kind, width, &mut stats).0;
                             cycles = cycles.saturating_add(cost);
                         }
-                        continue;
                     }
-                    _ => {
-                        return Err(SimError::Fault {
-                            pc: 0,
-                            addr: ev.addr,
-                            what: "undeclared cycle-register read in a trace",
-                        })
+                    let [fetches, reads] = runs.elided[rule as usize];
+                    for (kind, count) in [(AccessKind::Fetch, fetches), (AccessKind::Read, reads)] {
+                        cycles = cycles.saturating_add(caches.credit_hits(kind, count, &mut stats));
                     }
-                };
-                cycles = cycles.saturating_add(caches.read(ev.addr, kind, width, &mut stats).0);
+                    runs.walked[rule as usize]
+                }
+                None => {
+                    for ev in &self.events {
+                        let cost = match ev.kind {
+                            EV_FETCH..=EV_READ_WORD => {
+                                let (kind, width) = READS[ev.kind as usize];
+                                caches.read(ev.addr, kind, width, &mut stats).0
+                            }
+                            // Write-through stores are already priced from
+                            // the counters above.
+                            EV_WRITE_BYTE..=EV_WRITE_WORD if ordered_writes => {
+                                let width = AccessWidth::ALL[(ev.kind - EV_WRITE_BYTE) as usize];
+                                caches.write(ev.addr, width, 0, &mut stats)
+                            }
+                            EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
+                            _ => {
+                                return Err(SimError::Fault {
+                                    pc: 0,
+                                    addr: ev.addr,
+                                    what: "undeclared cycle-register read in a trace",
+                                })
+                            }
+                        };
+                        cycles = cycles.saturating_add(cost);
+                    }
+                    self.events.len() as u64
+                }
+            };
+            if spmlab_obs::enabled() {
+                spmlab_obs::counter("replay_events", walked);
+                let elided = self.events.len() as u64 - walked;
+                if elided > 0 {
+                    spmlab_obs::counter("replay_elided", elided);
+                }
             }
             transactions = transactions.saturating_add(caches.main_transactions());
         } else {
@@ -546,29 +759,14 @@ impl MemTrace {
             }
             cycles = cycles.saturating_add(ev.delta_after as u64);
             let cost = match ev.kind {
-                EV_FETCH => {
-                    caches
-                        .read(ev.addr, AccessKind::Fetch, AccessWidth::Half, &mut stats)
-                        .0
+                EV_FETCH..=EV_READ_WORD => {
+                    let (kind, width) = READS[ev.kind as usize];
+                    caches.read(ev.addr, kind, width, &mut stats).0
                 }
-                EV_READ_BYTE => {
-                    caches
-                        .read(ev.addr, AccessKind::Read, AccessWidth::Byte, &mut stats)
-                        .0
+                EV_WRITE_BYTE..=EV_WRITE_WORD => {
+                    let width = AccessWidth::ALL[(ev.kind - EV_WRITE_BYTE) as usize];
+                    caches.write(ev.addr, width, now, &mut stats)
                 }
-                EV_READ_HALF => {
-                    caches
-                        .read(ev.addr, AccessKind::Read, AccessWidth::Half, &mut stats)
-                        .0
-                }
-                EV_READ_WORD => {
-                    caches
-                        .read(ev.addr, AccessKind::Read, AccessWidth::Word, &mut stats)
-                        .0
-                }
-                EV_WRITE_BYTE => caches.write(ev.addr, AccessWidth::Byte, now, &mut stats),
-                EV_WRITE_HALF => caches.write(ev.addr, AccessWidth::Half, now, &mut stats),
-                EV_WRITE_WORD => caches.write(ev.addr, AccessWidth::Word, now, &mut stats),
                 EV_CYCLE_READ => {
                     // The recorded value is only valid if the target
                     // hierarchy reaches this read at the same cycle.
@@ -745,6 +943,7 @@ impl MemTrace {
             stats_template,
             max_cycles: words[0],
             version,
+            runs: None,
         })
     }
 }
@@ -782,6 +981,7 @@ pub fn simulate_with_trace(
         max_cycles: options.max_cycles,
         version,
         events: recorder.events,
+        runs: None,
     };
     Ok((result, trace))
 }
@@ -1001,6 +1201,68 @@ mod tests {
                 h.label()
             );
         }
+    }
+
+    /// The run index skips accesses on the recorded kernel and accounts
+    /// for every fetch and read under each rule; streams it cannot
+    /// describe — an undeclared cycle-register read, an address too wide
+    /// for an entry — tally as the per-event walk does, error included.
+    #[test]
+    fn run_index_accounts_for_every_read_and_falls_back_when_it_cannot() {
+        let l = link(
+            &compile(SRC).unwrap(),
+            &MemoryMap::no_spm(),
+            &SpmAssignment::none(),
+        )
+        .unwrap();
+        let (_, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
+        let reads = trace.read_counts.iter().sum::<u64>();
+        let runs = RunIndex::build(&trace.events).expect("the recording is indexable");
+        assert!(runs.heads.len() < reads as usize);
+        for rule in [RunRule::SameStream, RunRule::Shared] {
+            let elided = runs.elided[rule as usize].iter().sum::<u64>();
+            assert!(elided > 0, "{rule:?} skips nothing");
+            assert_eq!(runs.walked[rule as usize] + elided, reads, "{rule:?}");
+        }
+
+        let tally = |t: &MemTrace, h: &MemHierarchyConfig| {
+            t.tally(h)
+                .map(|t| (t.cycles, t.transactions, t.stats, t.main))
+        };
+        let mut undeclared = trace.clone();
+        undeclared.events.insert(
+            1,
+            AccessEvent {
+                addr: 0,
+                kind: EV_CYCLE_READ,
+                latched: false,
+                delta_before: 0,
+                delta_after: 0,
+            },
+        );
+        let mut wide = trace.clone();
+        let read = wide.events.iter().position(|e| e.kind == EV_READ_WORD);
+        wide.events[read.expect("the kernel reads")].addr = RUN_ADDR_MASK + 1;
+        let machines = [
+            MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
+            MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(2048)),
+        ];
+        for t in [undeclared, wide] {
+            let indexed = t.clone().with_run_index();
+            for h in &machines {
+                assert_eq!(tally(&indexed, h), tally(&t, h), "{}", h.label());
+            }
+            assert!(matches!(
+                indexed.runs.as_ref().and_then(OnceLock::get),
+                Some(None)
+            ));
+        }
+        let mut undeclared = trace.with_run_index();
+        undeclared.events[0].kind = EV_CYCLE_READ;
+        assert!(matches!(
+            undeclared.tally(&machines[0]),
+            Err(SimError::Fault { .. })
+        ));
     }
 
     /// Decoding errors are typed, never panics.

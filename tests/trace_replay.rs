@@ -11,11 +11,16 @@
 //! pricing differential checks that against replay and simulation at
 //! random latencies (the sweep-level main-timing-group case lives in
 //! `tests/observability.rs`, whose tests all hold the sink lock, so its
-//! `replay_events` count sees no foreign replays).
+//! `replay_events` count sees no foreign replays). Run-indexed tallies,
+//! which skip guaranteed first-level hits, must equal the per-event
+//! tally of the same trace: on random machines here, and on every cache
+//! geometry of the `dse-wt` benchmark grid for three real kernels.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use spmlab::dse::{GridSpec, L1Shape};
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::spec_sweep;
 use spmlab::write_policy_axis;
@@ -24,8 +29,10 @@ use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer, L1};
 use spmlab_isa::mem::MemoryMap;
 use spmlab_obs::collector::MemorySink;
-use spmlab_sim::{simulate, simulate_with_trace, MachineConfig, MemTrace, SimError, SimOptions};
-use spmlab_workloads::{inputs, G721};
+use spmlab_sim::{
+    simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, SimError, SimOptions, Tally,
+};
+use spmlab_workloads::{gen, inputs, ADPCM, G721, MULTISORT};
 
 /// A store-heavy kernel: the write pattern walks two arrays with
 /// different strides so dirty lines collide in small caches (evictions
@@ -44,6 +51,8 @@ const SRC: &str = "
 struct Recorded {
     exe: spmlab_isa::image::Executable,
     trace: MemTrace,
+    /// The same recording, opted into run-indexed tallies.
+    indexed: MemTrace,
 }
 
 /// Compile + record once; every property case replays against this.
@@ -58,7 +67,12 @@ fn recorded() -> &'static Recorded {
         .unwrap();
         let (_, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
         assert_eq!(trace.version(), 2, "recorder must produce ordered traces");
-        Recorded { exe: l.exe, trace }
+        let indexed = trace.clone().with_run_index();
+        Recorded {
+            exe: l.exe,
+            trace,
+            indexed,
+        }
     })
 }
 
@@ -77,22 +91,40 @@ fn arb_policy() -> impl Strategy<Value = WritePolicy> {
     ]
 }
 
-/// A random L1-sized cache: 64..=1024 bytes, 1/2/4-way, any replacement
-/// and write policy. Geometry is always valid for the fixed 16-byte
-/// line (64/16 = 4 lines ≥ max associativity).
+/// A random line of 8 to 64 bytes: run-indexed tallies serve lines of
+/// 16 bytes and more, and shorter ones must walk every event.
+fn arb_line() -> impl Strategy<Value = u32> {
+    (0u32..4).prop_map(|exp| 8 << exp)
+}
+
+/// A random L1-sized cache: 64..=1024 bytes, 8..=64-byte lines,
+/// 1/2/4-way (capped at the line count), any replacement and write
+/// policy.
 fn arb_cache(scope: CacheScope) -> impl Strategy<Value = CacheConfig> {
-    (0u32..5, 0u32..3, arb_replacement(), arb_policy()).prop_map(
-        move |(size_exp, assoc_exp, replacement, write_policy)| CacheConfig {
-            scope,
-            write_policy,
-            ..CacheConfig::set_assoc(64 << size_exp, 1 << assoc_exp, replacement)
-        },
+    (
+        0u32..5,
+        arb_line(),
+        0u32..3,
+        arb_replacement(),
+        arb_policy(),
     )
+        .prop_map(
+            move |(size_exp, line, assoc_exp, replacement, write_policy)| {
+                let size = 64 << size_exp;
+                CacheConfig {
+                    scope,
+                    write_policy,
+                    line,
+                    ..CacheConfig::set_assoc(size, (1 << assoc_exp).min(size / line), replacement)
+                }
+            },
+        )
 }
 
 fn arb_l2() -> impl Strategy<Value = CacheConfig> {
-    (0u32..4, arb_policy()).prop_map(|(size_exp, write_policy)| CacheConfig {
+    (0u32..4, arb_line(), arb_policy()).prop_map(|(size_exp, line, write_policy)| CacheConfig {
         write_policy,
+        line,
         ..CacheConfig::l2(512 << size_exp)
     })
 }
@@ -113,11 +145,14 @@ fn arb_main() -> impl Strategy<Value = MainMemoryTiming> {
 }
 
 /// Random full hierarchies biased toward write-policy-dependent shapes:
-/// write-back L1s, WB L2 behind a WT L1, store-buffered main memory.
+/// write-back L1s, WB L2 behind a WT L1, store-buffered main memory —
+/// plus instruction-only and data-only L1s.
 fn arb_hierarchy() -> impl Strategy<Value = MemHierarchyConfig> {
     let l1 = prop_oneof![
         Just(L1::None),
         arb_cache(CacheScope::Unified).prop_map(L1::Unified),
+        arb_cache(CacheScope::InstrOnly).prop_map(L1::Unified),
+        arb_cache(CacheScope::DataOnly).prop_map(L1::Unified),
         (
             arb_cache(CacheScope::InstrOnly),
             arb_cache(CacheScope::DataOnly)
@@ -167,7 +202,8 @@ proptest! {
     /// The pricing differential: on random write-through and write-back
     /// machines without a store buffer, one latency-0 tally priced at a
     /// random set of main-memory latencies equals both `replay` and a
-    /// fresh simulation at each latency, on cycles and every counter.
+    /// fresh simulation at each latency, on cycles and every counter —
+    /// and the run-indexed tally equals the per-event one.
     #[test]
     fn priced_latencies_match_replay_and_simulation(
         h in arb_unbuffered_hierarchy(),
@@ -176,9 +212,16 @@ proptest! {
         let rec = recorded();
         prop_assert!(rec.trace.priceable(&h), "{} must be priceable", h.label());
         let tally = rec.trace.tally(&h).unwrap();
+        let indexed = rec.indexed.tally(&h).unwrap();
+        prop_assert_eq!(
+            tally_parts(&indexed, &h.main),
+            tally_parts(&tally, &h.main),
+            "indexed tally on {}", h.label()
+        );
         for latency in latencies {
             let at = h.clone().with_main(MainMemoryTiming { latency, ..h.main });
             let priced = tally.price(&at.main).unwrap();
+            prop_assert_eq!(&priced, &indexed.price(&at.main).unwrap(), "indexed on {}", at.label());
             prop_assert_eq!(&priced, &rec.trace.replay(&at).unwrap(), "replay on {}", at.label());
             let fresh = simulate(
                 &rec.exe,
@@ -204,12 +247,129 @@ proptest! {
     }
 
     /// Serialization does not change replay semantics: a byte round trip
-    /// of the v2 stream replays identically on random machines.
+    /// of the v2 stream replays identically on random machines, and a
+    /// run-indexed trace serializes, compares and re-indexes as the
+    /// recording it was built from.
     #[test]
     fn byte_round_trip_preserves_replay(h in arb_hierarchy()) {
         let rec = recorded();
         let decoded = MemTrace::from_bytes(&rec.trace.to_bytes()).unwrap();
         prop_assert_eq!(decoded.replay(&h).unwrap(), rec.trace.replay(&h).unwrap());
+        // The tally builds the index (when `h` can use one) first.
+        let indexed = rec.indexed.tally(&h);
+        prop_assert_eq!(&rec.indexed, &rec.trace);
+        let bytes = rec.indexed.to_bytes();
+        prop_assert_eq!(&bytes, &rec.trace.to_bytes());
+        if let Ok(indexed) = indexed {
+            let reindexed = MemTrace::from_bytes(&bytes).unwrap().with_run_index();
+            prop_assert_eq!(
+                tally_parts(&reindexed.tally(&h).unwrap(), &h.main),
+                tally_parts(&indexed, &h.main)
+            );
+        }
+    }
+}
+
+/// What a tally determines: main-memory transactions, and the cycles and
+/// statistics it prices at `main`.
+fn tally_parts(tally: &Tally, main: &MainMemoryTiming) -> (u64, u64, MemStats) {
+    let (cycles, stats) = tally.price(main).unwrap();
+    (tally.transactions(), cycles, stats)
+}
+
+/// The cache geometries the `dse-wt` benchmark grid tallies: no L1, or a
+/// unified or split write-through L1 of 256 B to 4 KiB, over no L2 or a
+/// 4 or 16 KiB L2.
+fn dse_wt_geometries() -> Vec<MemHierarchyConfig> {
+    let grid = GridSpec {
+        l1_shapes: vec![L1Shape::Unified, L1Shape::Split],
+        l1_sizes: vec![0, 256, 1024, 4096],
+        l2_sizes: vec![0, 4096, 16384],
+        main_latencies: vec![0],
+        ..GridSpec::default()
+    };
+    grid.axis()
+        .unwrap()
+        .0
+        .iter()
+        .map(|spec| spec.canonical().hierarchy())
+        .collect()
+}
+
+/// Run-indexed tallies on real kernels: for adpcm, multisort and the
+/// generated `gen-0001`, on every cache geometry of the `dse-wt` grid,
+/// the indexed tally equals the per-event tally on cycles, transactions
+/// and every `MemStats` counter, and skips events on the way. One fresh
+/// simulation per hierarchy shape anchors both.
+#[test]
+fn run_indexed_tallies_match_per_event_tallies_on_kernels() {
+    let geometries = dse_wt_geometries();
+    assert_eq!(
+        geometries.len(),
+        21,
+        "uncached, two L2-only and 18 L1 geometries"
+    );
+    let generated = gen::generate_for_seed(1, &gen::reference_arch()).benchmark();
+    assert!(generated.name.starts_with("gen-0001"), "{}", generated.name);
+    let options = SimOptions {
+        insn_stats: false,
+        ..SimOptions::default()
+    };
+    let _x = spmlab_obs::exclusive();
+    for b in [ADPCM.clone(), MULTISORT.clone(), generated] {
+        let module = b.compile().unwrap();
+        let l = b
+            .link_with_input(
+                &module,
+                &MemoryMap::no_spm(),
+                &SpmAssignment::none(),
+                &b.typical_input(),
+            )
+            .unwrap();
+        let (_, plain) = simulate_with_trace(&l.exe, &options).unwrap();
+        let indexed = plain.clone().with_run_index();
+        let mut anchored = BTreeSet::new();
+        for h in &geometries {
+            let sink = Arc::new(MemorySink::default());
+            let guard = spmlab_obs::add_sink(sink.clone());
+            let fast = indexed.tally(h).unwrap();
+            drop(guard);
+            let slow = plain.tally(h).unwrap();
+            let parts = tally_parts(&fast, &h.main);
+            assert_eq!(
+                parts,
+                tally_parts(&slow, &h.main),
+                "{}: {}",
+                b.name,
+                h.label()
+            );
+            if h.l1 != L1::None || h.l2.is_some() {
+                assert!(
+                    sink.counter_total("replay_elided") > 0,
+                    "{}: {} skipped nothing",
+                    b.name,
+                    h.label()
+                );
+            }
+            let l1_shape = match h.l1 {
+                L1::None => 0,
+                L1::Unified(_) => 1,
+                L1::Split { .. } => 2,
+            };
+            let shape = (l1_shape, h.l2.is_some());
+            if anchored.insert(shape) {
+                let fresh =
+                    simulate(&l.exe, &MachineConfig::with_hierarchy(h.clone()), &options).unwrap();
+                assert_eq!(
+                    (parts.1, &parts.2),
+                    (fresh.cycles, &fresh.mem_stats),
+                    "{}: {}",
+                    b.name,
+                    h.label()
+                );
+            }
+        }
+        assert_eq!(anchored.len(), 6, "every shape anchored once");
     }
 }
 

@@ -105,6 +105,20 @@ fn sample_trace_bytes() -> &'static [u8] {
     })
 }
 
+/// Replays a decoded trace on a write-through unified L1 and a
+/// write-through split L1 + L2 through the run index: each gives what the
+/// per-event walk gives, a result or the same typed error.
+fn indexed_replay_matches(trace: &MemTrace) -> Result<(), TestCaseError> {
+    let indexed = trace.clone().with_run_index();
+    for h in [
+        MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
+        MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024)),
+    ] {
+        prop_assert_eq!(indexed.replay(&h), trace.replay(&h), "{}", h.label());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -119,9 +133,9 @@ proptest! {
     }
 
     /// Truncating or splicing a *valid* v2 stream yields either a typed
-    /// decode error or a structurally valid trace whose replay — on a
-    /// write-through and a write-back machine — returns without
-    /// panicking.
+    /// decode error or a structurally valid trace whose replay — on an
+    /// uncached and a write-back machine, and run-indexed on two
+    /// write-through machines — returns without panicking.
     #[test]
     fn truncated_spliced_trace_bytes_never_panic(
         cut in 0usize..4096,
@@ -135,13 +149,14 @@ proptest! {
             let _ = trace.replay(&MemHierarchyConfig::l1_only(
                 CacheConfig::unified(256).write_back(),
             ));
+            indexed_replay_matches(&trace)?;
         }
     }
 
     /// Flipping single bytes anywhere in a valid stream (magic, version,
-    /// header words, event payloads) never panics the decoder, and a
-    /// corrupted version byte specifically is the typed
-    /// [`TraceError::UnsupportedVersion`].
+    /// header words, event payloads) never panics the decoder or a
+    /// replay, run-indexed ones included, and a corrupted version byte
+    /// specifically is the typed [`TraceError::UnsupportedVersion`].
     #[test]
     fn bitflipped_trace_bytes_never_panic(pos in 0usize..4096, val in 0u8..=255) {
         let base = sample_trace_bytes();
@@ -151,6 +166,7 @@ proptest! {
         match MemTrace::from_bytes(&bytes) {
             Ok(trace) => {
                 let _ = trace.replay(&MemHierarchyConfig::uncached());
+                indexed_replay_matches(&trace)?;
             }
             Err(e) => {
                 if idx == 8 && val > 2 {
