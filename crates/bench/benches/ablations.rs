@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out: the
-//! persistence extension, instruction-only caches, set-associativity, and
-//! WCET-aware allocation (all §5 future-work items of the paper).
+//! Ablation benches for the paper's §5 future-work items: the persistence
+//! extension, instruction-only caches, set-associativity, and WCET-aware
+//! allocation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spmlab::pipeline::Pipeline;

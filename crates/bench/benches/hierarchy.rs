@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spmlab::pipeline::Pipeline;
 use spmlab::{MemArchSpec, MemHierarchyConfig};
-use spmlab_bench::{exp_hierarchy, hierarchy_figure};
+use spmlab_bench::experiment;
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_workloads::ADPCM;
 
@@ -34,18 +34,19 @@ fn bench_hierarchy_points(c: &mut Criterion) {
 }
 
 fn bench_full_axis_and_emit_artifact(c: &mut Criterion) {
-    // Time one quick axis under criterion, then write the artifact from a
+    // Time one quick grid under criterion, then write the artifact from a
     // fresh *full* (slowest-benchmark) run — the `experiments hierarchy`
     // path itself — so BENCH_hierarchy.json records the heavyweight
     // sweep's wall seconds.
+    let hierarchy = experiment("hierarchy").expect("a built-in experiment");
     let mut g = c.benchmark_group("hierarchy_axis");
     g.sample_size(2);
     g.bench_function("adpcm_full_axis", |b| {
-        b.iter(|| hierarchy_figure(true, None).unwrap())
+        b.iter(|| hierarchy.run(true).unwrap())
     });
     g.finish();
 
-    print!("{}", exp_hierarchy(false, None).unwrap());
+    print!("{}", hierarchy.run(false).unwrap());
 }
 
 criterion_group!(

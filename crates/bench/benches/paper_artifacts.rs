@@ -1,4 +1,4 @@
-//! Criterion benches, one group per paper artefact (DESIGN.md §4).
+//! Criterion benches, one group per paper artefact.
 //!
 //! Each group times the code that regenerates the artefact. Figure groups
 //! time one representative sweep point per branch (full sweeps are the

@@ -14,10 +14,39 @@
 
 use crate::git_revision;
 use spmlab::dse::{merge_texts, shard_header, GridSpec, MergedSweep, Shard};
-use spmlab::sweep::{spec_sweep_with_session, SweepSession};
-use spmlab::MemArchSpec;
+use spmlab::sweep::{spec_sweep_with_session, SpecOutcome, SweepSession};
+use spmlab::{CoreError, MemArchSpec};
+use spmlab_workloads::Benchmark;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+/// The built-in benchmark a grid is evaluated on.
+///
+/// # Errors
+///
+/// The grid names no built-in benchmark.
+pub fn grid_benchmark(grid: &GridSpec) -> Result<&'static Benchmark, String> {
+    spmlab_workloads::benchmark(&grid.benchmark)
+        .ok_or_else(|| format!("unknown benchmark `{}`", grid.benchmark))
+}
+
+/// Measures `shard` of `axis` on `bench` under `session`: the one sweep
+/// path behind `experiments sweep` and every grid figure.
+///
+/// # Errors
+///
+/// Pipeline construction and checkpoint failures; failed points are
+/// outcomes, not errors.
+pub fn sweep_axis(
+    bench: &Benchmark,
+    axis: &[MemArchSpec],
+    shard: Shard,
+    session: &SweepSession,
+) -> Result<Vec<SpecOutcome>, CoreError> {
+    let _span = spmlab_obs::span_labeled("dse_shard", &shard.to_string());
+    let pipeline = spmlab::pipeline::Pipeline::new(bench)?;
+    spec_sweep_with_session(&pipeline, &shard.take(axis), session)
+}
 
 /// Runs (or dry-runs) one shard of the grid in `grid_json`.
 ///
@@ -59,9 +88,7 @@ pub fn run_sweep(
         return Ok(out);
     }
 
-    let bench = spmlab_workloads::benchmark(&grid.benchmark)
-        .ok_or_else(|| format!("unknown benchmark `{}`", grid.benchmark))?;
-    let sub_axis: Vec<MemArchSpec> = shard.take(&axis);
+    let bench = grid_benchmark(&grid)?;
     let header = shard_header(&git_revision(), &grid.benchmark, &axis, shard);
     let (session, ckpt_path) = match checkpoint_dir {
         Some(dir) => {
@@ -73,12 +100,8 @@ pub fn run_sweep(
         None => (SweepSession::none(), None),
     };
 
-    let span = spmlab_obs::span_labeled("dse_shard", &shard.to_string());
-    let pipeline = spmlab::pipeline::Pipeline::new(bench).map_err(|e| e.to_string())?;
     let resumed = session.resumed_points();
-    let outcomes =
-        spec_sweep_with_session(&pipeline, &sub_axis, &session).map_err(|e| e.to_string())?;
-    drop(span);
+    let outcomes = sweep_axis(bench, &axis, shard, &session).map_err(|e| e.to_string())?;
 
     let ok = outcomes
         .iter()
@@ -91,8 +114,8 @@ pub fn run_sweep(
         out,
         "shard {shard}: {} points ({resumed} resumed) -> {ok} ok, {degraded} degraded, \
          {failed} failed in {secs:.1}s ({:.2} points/s)",
-        sub_axis.len(),
-        sub_axis.len() as f64 / secs.max(1e-9),
+        outcomes.len(),
+        outcomes.len() as f64 / secs.max(1e-9),
     );
     if let Some(path) = ckpt_path {
         let _ = writeln!(out, "checkpoint stream: {}", path.display());

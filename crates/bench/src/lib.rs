@@ -1,14 +1,19 @@
 //! # spmlab-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation section
-//! (see DESIGN.md §4 for the index). The `experiments` binary prints the
-//! same rows/series the paper reports:
+//! Regenerates every table and figure of the paper's evaluation section.
+//! The `experiments` binary prints the same rows/series the paper reports:
 //!
 //! ```text
 //! cargo run --release -p spmlab-bench --bin experiments -- all
 //! cargo run --release -p spmlab-bench --bin experiments -- fig4
 //! cargo run --release -p spmlab-bench --bin experiments -- --quick fig5
 //! ```
+//!
+//! Every single-benchmark sweep figure is one [`GridSpec`] whose `points`
+//! are an axis of `spmlab::config`, plus a renderer over that grid's
+//! per-point outcomes ([`Experiment`]). `experiments <id>` sweeps the grid
+//! through the code `experiments sweep` runs and renders it; `experiments
+//! render <id> <stream>` renders a checkpoint stream of the same grid.
 //!
 //! The Criterion benches in `benches/` time the same artefact generators
 //! on reduced inputs, one group per paper artefact.
@@ -17,19 +22,18 @@ pub mod dse;
 pub mod fuzz;
 pub mod jsonl;
 
-use spmlab::checkpoint::fnv1a64;
+use spmlab::checkpoint::axis_hash;
+use spmlab::dse::{merge_texts, GridSpec};
 use spmlab::figures::{table1, table2, Figure3, FigureHierarchy, FigureSpmHierarchy, Tightness};
 use spmlab::pipeline::{ConfigResult, Pipeline};
 use spmlab::report;
-use spmlab::sweep::{spec_sweep, SweepSession};
+use spmlab::sweep::{collect_points, spec_sweep, SpecOutcome, SweepSession};
 use spmlab::{
-    cache_axis, hierarchy_axis, hierarchy_spec_axis, hierarchy_spm_axis, hierarchy_spm_machines,
-    spm_axis, write_policy_axis, CheckpointHeader, CoreError, MemArchSpec, SpmAllocation,
-    PAPER_SIZES,
+    assoc_axis, figure3_axis, hierarchy_axis, hierarchy_figure_axis, hierarchy_spm_axis,
+    hierarchy_spm_machines, icache_axis, persistence_axis, spm_axis, write_policy_axis, CoreError,
+    MemArchSpec, Shard, SpmAllocation, PAPER_SIZES,
 };
-use spmlab_isa::cachecfg::{CacheConfig, Replacement};
 use spmlab_workloads::{paper_benchmarks, Benchmark, ADPCM, G721, INSERTSORT, MULTISORT};
-use std::path::Path;
 
 /// Experiment sizes: the paper's 64 B … 8 KiB, or a reduced set for quick
 /// runs and benches.
@@ -39,75 +43,6 @@ pub fn sizes(quick: bool) -> &'static [u32] {
     } else {
         &PAPER_SIZES
     }
-}
-
-/// Table 1: memory access cycles.
-pub fn exp_table1() -> String {
-    report::render_table1(&table1())
-}
-
-/// Table 2: benchmark inventory.
-///
-/// # Errors
-///
-/// Compiler failures.
-pub fn exp_table2() -> Result<String, CoreError> {
-    Ok(report::render_table2(&table2(&paper_benchmarks())?))
-}
-
-/// Figures 3 (G.721, panels a+b) and 4 (its ratio plot).
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_fig3_fig4(quick: bool) -> Result<String, CoreError> {
-    let fig = Figure3::run(&G721, sizes(quick))?;
-    let (spm_r, cache_r) = fig.ratio_series();
-    Ok(format!(
-        "{}\n{}",
-        report::render_figure3(&fig, "Figure 3"),
-        report::render_ratios("Figure 4", &fig.benchmark, &spm_r, &cache_r)
-    ))
-}
-
-/// Figure 5: MultiSort WCET/sim ratios.
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_fig5(quick: bool) -> Result<String, CoreError> {
-    let fig = Figure3::run(&MULTISORT, sizes(quick))?;
-    let (spm_r, cache_r) = fig.ratio_series();
-    Ok(format!(
-        "{}\n{}",
-        report::render_figure3(&fig, "Figure 5 (underlying sweeps)"),
-        report::render_ratios("Figure 5", &fig.benchmark, &spm_r, &cache_r)
-    ))
-}
-
-/// Figure 6: ADPCM absolute cycles and WCET for both branches.
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_fig6(quick: bool) -> Result<String, CoreError> {
-    let fig = Figure3::run(&ADPCM, sizes(quick))?;
-    let (spm_r, cache_r) = fig.ratio_series();
-    Ok(format!(
-        "{}\n{}",
-        report::render_figure3(&fig, "Figure 6"),
-        report::render_ratios("Figure 6 (ratios)", &fig.benchmark, &spm_r, &cache_r)
-    ))
-}
-
-/// §4 tightness experiment: insertion sort with worst-case input.
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_tightness() -> Result<String, CoreError> {
-    let t = Tightness::run(&INSERTSORT, 0)?;
-    Ok(report::render_tightness(&t))
 }
 
 /// The L1 capacity the hierarchy scenario builds its axis around.
@@ -128,125 +63,359 @@ pub fn hierarchy_benchmark(quick: bool) -> &'static Benchmark {
     }
 }
 
-/// The checkpoint header binding a hierarchy-scenario checkpoint to this
-/// build (git revision) and the scenario's exact spec axis — a resume with
-/// a different revision, benchmark, or axis is rejected up front.
-fn hierarchy_checkpoint_header(quick: bool) -> CheckpointHeader {
-    let l1 = hierarchy_l1_size(quick);
-    let axis = FigureHierarchy::spec_axis(l1, &hierarchy_axis(l1));
-    CheckpointHeader::new(&git_revision(), &hierarchy_benchmark(quick).name, &axis)
-}
-
-/// The hierarchy comparison data (shared by the report experiment, the
-/// criterion bench and the `BENCH_hierarchy.json` artifact). Failures are
-/// contained per point (reported in [`FigureHierarchy::failed`]). With a
-/// `checkpoint` path, every completed point streams to that file as it
-/// finishes; when the file already holds this run's checkpoint, the
-/// stored points are reused bit-identically and only the missing ones
-/// are measured ([`SweepSession::open`]).
-///
-/// # Errors
-///
-/// Pipeline construction and checkpoint I/O failures; a checkpoint
-/// written by another revision or axis.
-pub fn hierarchy_figure(
-    quick: bool,
-    checkpoint: Option<&Path>,
-) -> Result<FigureHierarchy, CoreError> {
-    let session = match checkpoint {
-        Some(path) => SweepSession::open(path, &hierarchy_checkpoint_header(quick))?,
-        None => SweepSession::none(),
-    };
-    let l1 = hierarchy_l1_size(quick);
-    FigureHierarchy::run(
-        hierarchy_benchmark(quick),
-        l1,
-        &hierarchy_axis(l1),
-        &session,
-    )
-}
-
-/// Hierarchy scenario: the WCET-vs-simulation comparison across memory
-/// hierarchies — scratchpad (both main-memory timings), unified/split L1,
-/// and split L1 backed by a unified L2 at two capacities and two
-/// main-memory timings. `checkpoint` is passed to [`hierarchy_figure`].
-/// Full runs rewrite the tracked `BENCH_hierarchy.json` in the workspace
-/// root; quick smoke runs leave it untouched.
-///
-/// # Errors
-///
-/// Pipeline construction and checkpoint I/O failures; artifact IO errors
-/// are reported inline, not fatal.
-pub fn exp_hierarchy(quick: bool, checkpoint: Option<&Path>) -> Result<String, CoreError> {
-    // Counter/phase provenance needs a collector listening during the run.
-    // Only ride along when profiling is already active: installing a sink
-    // unconditionally would flip `spmlab_obs::enabled()` and serialise the
-    // sweep, costing far more than the provenance is worth on plain runs.
-    let collector = if spmlab_obs::enabled() {
-        let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
-        Some((spmlab_obs::add_sink(sink.clone()), sink))
-    } else {
-        None
-    };
-    let start = std::time::Instant::now();
-    let fig = hierarchy_figure(quick, checkpoint)?;
-    let wall = start.elapsed().as_secs_f64();
-    // The spec hash fingerprints the canonical sweep axis, so two
-    // artifacts with the same hash measured the same configurations even
-    // across axis-definition refactors.
-    let mut provenance = Provenance {
-        spec_hash: label_hash(&hierarchy_spec_axis(hierarchy_l1_size(quick))),
-        ..Provenance::default()
-    };
-    if let Some((guard, sink)) = collector {
-        // Stop recording before reading the totals back. Replay-eligible =
-        // served from a recorded trace (replayed, or the recording machine
-        // itself); full-sim = fell back to the interpreter.
-        drop(guard);
-        provenance.replay_points =
-            Some(sink.counter_total("sweep_replay") + sink.counter_total("sweep_recorded_reuse"));
-        provenance.full_sim_points = Some(sink.counter_total("sweep_full_sim"));
-        provenance.memo_hits = Some(sink.counter_total("sweep_memo_hit"));
-        provenance.memo_misses = Some(sink.counter_total("sweep_memo_miss"));
-        provenance.phase_ns = sink
-            .flat_profile()
-            .into_iter()
-            .map(|row| (row.name.to_string(), row.self_ns))
-            .collect();
-    }
-    let mut out = report::render_hierarchy(&fig);
-    out.push_str(&format!(
-        "sound (wcet >= sim) at every point: {}\n",
-        if fig.all_sound() { "yes" } else { "NO — BUG" }
-    ));
-    if let Some(path) = checkpoint {
-        out.push_str(&format!("checkpoint streamed to {}\n", path.display()));
-    }
-    // Only full runs refresh the tracked sweep artifact — a --quick smoke
-    // run must not clobber the committed full-axis numbers.
+/// The SPM×hierarchy scenario parameters: scratchpad capacities and the
+/// multi-level machines of [`hierarchy_spm_machines`].
+pub fn hierarchy_spm_params(quick: bool) -> (&'static Benchmark, Vec<u32>, u32) {
     if quick {
-        out.push_str("quick axis: BENCH_hierarchy.json left untouched\n");
+        (&ADPCM, vec![512], 512)
     } else {
-        let json_path = workspace_root().join("BENCH_hierarchy.json");
-        match std::fs::write(&json_path, hierarchy_json(&fig, wall, Some(&provenance))) {
-            Ok(()) => out.push_str(&format!("wrote {}\n", json_path.display())),
-            Err(e) => out.push_str(&format!("could not write {}: {e}\n", json_path.display())),
+        (&G721, vec![1024, 4096], 1024)
+    }
+}
+
+/// The unified cache size of the associativity ablation.
+fn assoc_size(quick: bool) -> u32 {
+    if quick {
+        1024
+    } else {
+        4096
+    }
+}
+
+/// The results of a grid figure in axis order; any failed point fails the
+/// figure, as [`spec_sweep`] does.
+fn results(outcomes: Vec<SpecOutcome>) -> Result<Vec<ConfigResult>, CoreError> {
+    let points = collect_points(outcomes)?;
+    Ok(points.into_iter().map(|p| p.result).collect())
+}
+
+/// A two-series figure's results, split into its halves.
+fn halves(outcomes: Vec<SpecOutcome>) -> Result<(Vec<ConfigResult>, Vec<ConfigResult>), CoreError> {
+    let mut first = results(outcomes)?;
+    let second = first.split_off(first.len() / 2);
+    Ok((first, second))
+}
+
+/// A Figure 3-shaped report: both panels, then the ratio plot.
+fn render_two_panel(
+    quick: bool,
+    benchmark: &str,
+    outcomes: Vec<SpecOutcome>,
+    figure: &str,
+    ratios: &str,
+) -> Result<String, CoreError> {
+    let fig = Figure3::new(benchmark, sizes(quick), results(outcomes)?);
+    let (spm_r, cache_r) = fig.ratio_series();
+    Ok(format!(
+        "{}\n{}",
+        report::render_figure3(&fig, figure),
+        report::render_ratios(ratios, &fig.benchmark, &spm_r, &cache_r)
+    ))
+}
+
+/// A two-series ablation as a table: one row per capacity, `row` filling
+/// the columns from the first and second half of the axis.
+fn render_ablation(
+    quick: bool,
+    outcomes: Vec<SpecOutcome>,
+    title: &str,
+    headers: &[&str],
+    row: fn(&ConfigResult, &ConfigResult) -> Vec<String>,
+) -> Result<String, CoreError> {
+    let (first, second) = halves(outcomes)?;
+    let rows: Vec<Vec<String>> = sizes(quick)
+        .iter()
+        .zip(first.iter().zip(&second))
+        .map(|(size, (a, b))| [vec![size.to_string()], row(a, b)].concat())
+        .collect();
+    Ok(format!("{title}\n{}", report::render_table(headers, &rows)))
+}
+
+/// "yes", or a loud marker for a violated invariant.
+fn yes(holds: bool) -> &'static str {
+    if holds {
+        "yes"
+    } else {
+        "NO — BUG"
+    }
+}
+
+/// One experiment of the report, found by [`experiment`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Experiment {
+    /// Its id in [`EXPERIMENTS`].
+    pub id: &'static str,
+}
+
+/// Ids that name `fig3`: Figure 3's two panels and Figure 4 print with it.
+const FIG3_ALIASES: [&str; 3] = ["fig3a", "fig3b", "fig4"];
+
+/// The experiment `id` names, if any.
+pub fn experiment(id: &str) -> Option<Experiment> {
+    let id = if FIG3_ALIASES.contains(&id) {
+        "fig3"
+    } else {
+        id
+    };
+    EXPERIMENTS
+        .iter()
+        .find(|e| **e == id)
+        .map(|&id| Experiment { id })
+}
+
+/// Sweeps a figure's grid unsharded and without a checkpoint, through the
+/// code `experiments sweep` runs ([`dse::sweep_axis`]).
+fn sweep_grid(grid: &GridSpec) -> Result<Vec<SpecOutcome>, CoreError> {
+    let (axis, _) = grid.axis().expect("figure grids are valid");
+    let bench = dse::grid_benchmark(grid).expect("figure grids name built-in benchmarks");
+    dse::sweep_axis(bench, &axis, Shard::single(), &SweepSession::none())
+}
+
+/// Sweeps grid figure `id`, returning its grid and per-point outcomes.
+fn figure_outcomes(
+    id: &'static str,
+    quick: bool,
+) -> Result<(GridSpec, Vec<SpecOutcome>), CoreError> {
+    let grid = Experiment { id }.grid(quick).expect("a grid figure");
+    let outcomes = sweep_grid(&grid)?;
+    Ok((grid, outcomes))
+}
+
+impl Experiment {
+    /// The grid a sweep figure is: its `spmlab::config` axis as an
+    /// explicit `points` list, on its benchmark. `None` for experiments
+    /// that are not one grid.
+    pub fn grid(self, quick: bool) -> Option<GridSpec> {
+        let szs = sizes(quick);
+        let (bench, points) = match self.id {
+            "fig3" => (&G721, figure3_axis(szs)),
+            "fig5" => (&MULTISORT, figure3_axis(szs)),
+            "fig6" => (&ADPCM, figure3_axis(szs)),
+            "hierarchy" => (
+                hierarchy_benchmark(quick),
+                hierarchy_figure_axis(hierarchy_l1_size(quick)),
+            ),
+            "hierarchy-spm" => {
+                let (bench, spm_sizes, l1) = hierarchy_spm_params(quick);
+                let machines = hierarchy_spm_machines(l1);
+                (bench, hierarchy_spm_axis(&spm_sizes, &machines))
+            }
+            "ablation-persistence" => (&G721, persistence_axis(szs)),
+            "ablation-icache" => (&G721, icache_axis(szs)),
+            "ablation-assoc" => {
+                let axis = assoc_axis(assoc_size(quick)).into_iter();
+                (&G721, axis.map(|(_, spec)| spec).collect())
+            }
+            _ => return None,
+        };
+        Some(GridSpec {
+            benchmark: bench.name.to_string(),
+            points: Some(points),
+            ..GridSpec::default()
+        })
+    }
+
+    /// Runs the experiment and renders its report. A grid figure sweeps
+    /// its grid unsharded through [`dse::sweep_axis`]; a full `hierarchy`
+    /// run also rewrites the tracked `BENCH_hierarchy.json` in the
+    /// workspace root.
+    ///
+    /// # Errors
+    ///
+    /// Pipeline failures, and for grid figures other than `hierarchy` a
+    /// failed point. Artifact IO errors are reported inline, not fatal.
+    pub fn run(self, quick: bool) -> Result<String, CoreError> {
+        let Some(grid) = self.grid(quick) else {
+            return match self.id {
+                "table1" => Ok(report::render_table1(&table1())),
+                "table2" => Ok(report::render_table2(&table2(&paper_benchmarks())?)),
+                // §4 tightness: insertion sort with worst-case input.
+                "tightness" => Ok(report::render_tightness(&Tightness::run(&INSERTSORT, 0)?)),
+                "multilevel-precision" => exp_multilevel_precision(quick),
+                "write-policy" => exp_write_policy(quick),
+                _ => exp_ablation_wcet_alloc(quick),
+            };
+        };
+        let artifact = self.id == "hierarchy" && !quick;
+        // Counter/phase provenance needs a collector listening during the
+        // run. Only ride along when profiling is already active:
+        // installing a sink unconditionally would flip
+        // `spmlab_obs::enabled()` and serialise the sweep.
+        let collector = (artifact && spmlab_obs::enabled()).then(|| {
+            let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
+            (spmlab_obs::add_sink(sink.clone()), sink)
+        });
+        let start = std::time::Instant::now();
+        let outcomes = sweep_grid(&grid)?;
+        let wall = start.elapsed().as_secs_f64();
+        if !artifact {
+            return self.render_outcomes(quick, &grid.benchmark, outcomes);
+        }
+        // The spec hash is the `axis_hash` of the swept axis, so the
+        // artifact matches the header of any checkpoint stream of it.
+        let mut provenance = Provenance {
+            spec_hash: axis_hash(grid.points.as_deref().unwrap_or_default()),
+            ..Provenance::default()
+        };
+        if let Some((guard, sink)) = collector {
+            // Stop recording before reading the totals back.
+            drop(guard);
+            provenance.record_counters(&sink);
+            provenance.phase_ns = sink
+                .flat_profile()
+                .into_iter()
+                .map(|row| (row.name.to_string(), row.self_ns))
+                .collect();
+        }
+        let fig = FigureHierarchy::new(&grid.benchmark, outcomes.clone());
+        let mut out = self.render_outcomes(quick, &grid.benchmark, outcomes)?;
+        let path = workspace_root().join("BENCH_hierarchy.json");
+        out.push_str(
+            &match std::fs::write(&path, hierarchy_json(&fig, wall, Some(&provenance))) {
+                Ok(()) => format!("wrote {}\n", path.display()),
+                Err(e) => format!("could not write {}: {e}\n", path.display()),
+            },
+        );
+        Ok(out)
+    }
+
+    /// Renders a merged or unsharded checkpoint stream of this
+    /// experiment's grid exactly as [`Experiment::run`] renders a direct
+    /// sweep (minus the artifact a full `hierarchy` run writes).
+    ///
+    /// # Errors
+    ///
+    /// Not a grid figure; a stream that does not parse, belongs to another
+    /// benchmark or axis, or misses a point; a failed point where the
+    /// figure does not list failures.
+    pub fn render(self, quick: bool, stream: &str) -> Result<String, String> {
+        let grid = self
+            .grid(quick)
+            .ok_or_else(|| format!("`{}` is not a grid figure", self.id))?;
+        let (axis, _) = grid.axis()?;
+        let outcomes = merge_texts(&[stream])?.outcomes(&grid.benchmark, &axis)?;
+        let text = self.render_outcomes(quick, &grid.benchmark, outcomes);
+        text.map_err(|e| e.to_string())
+    }
+
+    /// Renders this grid figure from its per-point outcomes in axis order.
+    fn render_outcomes(
+        self,
+        quick: bool,
+        benchmark: &str,
+        outcomes: Vec<SpecOutcome>,
+    ) -> Result<String, CoreError> {
+        match self.id {
+            "fig3" => render_two_panel(quick, benchmark, outcomes, "Figure 3", "Figure 4"),
+            // Figure 5: MultiSort WCET/sim ratios.
+            "fig5" => render_two_panel(
+                quick,
+                benchmark,
+                outcomes,
+                "Figure 5 (underlying sweeps)",
+                "Figure 5",
+            ),
+            // Figure 6: ADPCM absolute cycles and WCET for both branches.
+            "fig6" => render_two_panel(quick, benchmark, outcomes, "Figure 6", "Figure 6 (ratios)"),
+            // The WCET-vs-simulation comparison across memory hierarchies;
+            // failed points are listed, not fatal.
+            "hierarchy" => {
+                let fig = FigureHierarchy::new(benchmark, outcomes);
+                let mut out = report::render_hierarchy(&fig);
+                out.push_str(&format!(
+                    "sound (wcet >= sim) at every point: {}\n",
+                    yes(fig.all_sound())
+                ));
+                // Only full runs refresh the tracked sweep artifact.
+                if quick {
+                    out.push_str("quick axis: BENCH_hierarchy.json left untouched\n");
+                }
+                Ok(out)
+            }
+            // Scratchpad and multi-level hierarchy in one machine, with the
+            // WCET-aware allocator optimising against the multi-level
+            // critical path instead of flat region timing.
+            "hierarchy-spm" => {
+                let fig = FigureSpmHierarchy::new(benchmark, &collect_points(outcomes)?);
+                Ok(format!(
+                    "{}hierarchy-aware wcet <= region-objective wcet at every point: {}\n\
+                     sound (wcet >= sim) at every point: {}\n",
+                    report::render_spm_hierarchy(&fig),
+                    yes(fig.aware_never_worse()),
+                    yes(fig.all_sound())
+                ))
+            }
+            // Paper §5: "the full scale of cache analysis techniques …
+            // would probably lead to improved cache results".
+            "ablation-persistence" => render_ablation(
+                quick,
+                outcomes,
+                "Ablation: cache WCET, MUST-only vs +persistence (G.721)",
+                &["bytes", "must-only", "+persistence", "gain"],
+                |m, p| {
+                    let gain = (1.0 - p.wcet_cycles as f64 / m.wcet_cycles as f64) * 100.0;
+                    vec![
+                        m.wcet_cycles.to_string(),
+                        p.wcet_cycles.to_string(),
+                        format!("{gain:.1}%"),
+                    ]
+                },
+            ),
+            // Paper §5 future work: "other cache configurations, e.g.
+            // instruction caches instead of unified caches".
+            "ablation-icache" => render_ablation(
+                quick,
+                outcomes,
+                "Ablation: unified vs instruction-only cache (G.721)",
+                &["bytes", "uni sim", "uni wcet", "icache sim", "icache wcet"],
+                |u, i| {
+                    [u.sim_cycles, u.wcet_cycles, i.sim_cycles, i.wcet_cycles]
+                        .map(|c| c.to_string())
+                        .to_vec()
+                },
+            ),
+            // Paper §5 future work: "set associative caches".
+            _ => {
+                let size = assoc_size(quick);
+                let rows: Vec<Vec<String>> = assoc_axis(size)
+                    .iter()
+                    .zip(results(outcomes)?)
+                    .map(|((name, _), r)| {
+                        let ratio = format!("{:.3}", r.ratio());
+                        vec![
+                            name.to_string(),
+                            r.sim_cycles.to_string(),
+                            r.wcet_cycles.to_string(),
+                            ratio,
+                        ]
+                    })
+                    .collect();
+                Ok(format!(
+                    "Ablation: associativity/replacement at {size} B (G.721)\n{}",
+                    report::render_table(&["configuration", "sim", "wcet", "ratio"], &rows)
+                ))
+            }
         }
     }
-    Ok(out)
 }
 
-/// FNV-1a 64 hash (hex) of an axis's labels — the `spec_hash` of a
-/// `BENCH_*.json` provenance block.
-fn label_hash(specs: &[MemArchSpec]) -> String {
-    fnv1a64(
-        &specs
-            .iter()
-            .map(MemArchSpec::label)
-            .collect::<Vec<_>>()
-            .join("|"),
-    )
-}
+/// All experiment ids in report order.
+pub const EXPERIMENTS: [&str; 14] = [
+    "table1",
+    "table2",
+    "fig3",
+    "fig5",
+    "fig6",
+    "tightness",
+    "hierarchy",
+    "hierarchy-spm",
+    "multilevel-precision",
+    "write-policy",
+    "ablation-persistence",
+    "ablation-icache",
+    "ablation-assoc",
+    "ablation-wcet-alloc",
+];
 
 /// Where a `BENCH_*.json` artifact's numbers came from: the canonical
 /// hash of the swept spec axis plus — when the run was profiled — the
@@ -270,6 +439,17 @@ pub struct Provenance {
 }
 
 impl Provenance {
+    /// Reads the replay/full-sim split and the memo counters from `sink`.
+    /// Replay-eligible = served from a recorded trace (replayed, or the
+    /// recording machine itself); full-sim = fell back to the interpreter.
+    fn record_counters(&mut self, sink: &spmlab_obs::collector::MemorySink) {
+        self.replay_points =
+            Some(sink.counter_total("sweep_replay") + sink.counter_total("sweep_recorded_reuse"));
+        self.full_sim_points = Some(sink.counter_total("sweep_full_sim"));
+        self.memo_hits = Some(sink.counter_total("sweep_memo_hit"));
+        self.memo_misses = Some(sink.counter_total("sweep_memo_miss"));
+    }
+
     /// The artifact's `"provenance"` member (leading comma included),
     /// stamped with the current git revision.
     fn json_block(&self) -> String {
@@ -320,33 +500,29 @@ pub fn git_revision() -> String {
 /// Serialises the hierarchy comparison as the `BENCH_hierarchy.json`
 /// artifact (hand-rolled JSON: the build environment has no serde_json),
 /// with an optional `"provenance"` block recording the git revision,
-/// canonical spec-axis hash and — when the run was profiled —
+/// the swept axis's `axis_hash` and — when the run was profiled —
 /// replay/memo counters and per-phase self times.
 pub fn hierarchy_json(
     fig: &FigureHierarchy,
     wall_seconds: f64,
     provenance: Option<&Provenance>,
 ) -> String {
-    // Degraded flags in `rows()` order (SPM pairs first, then hierarchy
-    // points) — a widened-but-sound bound is marked, never passed off as
-    // precise.
-    let mut degraded: Vec<bool> = Vec::new();
-    for p in &fig.spm {
-        degraded.push(p.table1.degraded);
-        degraded.push(p.dram.degraded);
-    }
-    degraded.extend(fig.points.iter().map(|p| p.degraded));
     let mut rows = String::new();
-    for (i, (label, sim, wcet)) in fig.rows().into_iter().enumerate() {
+    for (i, p) in fig.points.iter().enumerate() {
+        let r = &p.result;
         if i > 0 {
             rows.push(',');
         }
+        // A widened-but-sound bound is marked, never passed off as
+        // precise.
         rows.push_str(&format!(
-            "\n    {{\"config\": \"{}\", \"sim_cycles\": {sim}, \"wcet_cycles\": {wcet}, \
+            "\n    {{\"config\": \"{}\", \"sim_cycles\": {}, \"wcet_cycles\": {}, \
              \"ratio\": {:.4}, \"degraded\": {}}}",
-            label.replace('"', "'"),
-            wcet as f64 / sim.max(1) as f64,
-            degraded.get(i).copied().unwrap_or(false)
+            r.label.replace('"', "'"),
+            r.sim_cycles,
+            r.wcet_cycles,
+            r.ratio(),
+            r.degraded
         ));
     }
     // Failed points are part of the artifact, never silently dropped.
@@ -512,19 +688,11 @@ pub fn exp_multilevel_precision(quick: bool) -> Result<String, CoreError> {
     );
     out.push_str(&format!(
         "never looser than the baseline: {}\n",
-        if points.iter().all(|p| p.wcet <= p.baseline_wcet) {
-            "yes"
-        } else {
-            "NO — BUG"
-        }
+        yes(points.iter().all(|p| p.wcet <= p.baseline_wcet))
     ));
     out.push_str(&format!(
         "L2 hits classified behind an L1: {}\n",
-        if points.iter().any(|p| p.behind_l1 && p.l2_hits > 0) {
-            "yes"
-        } else {
-            "NO — BUG"
-        }
+        yes(points.iter().any(|p| p.behind_l1 && p.l2_hits > 0))
     ));
     Ok(out)
 }
@@ -600,7 +768,6 @@ pub fn write_policy_sweep(quick: bool) -> Result<WritePolicySweep, CoreError> {
     let bench = if quick { &ADPCM } else { &G721 };
     let l1 = hierarchy_l1_size(quick);
     let specs = write_policy_axis(l1);
-    let spec_hash = label_hash(&specs);
 
     // Full-simulation reference: same pipeline, trace dropped. A sink
     // listens here too so both timed phases carry identical
@@ -648,14 +815,8 @@ pub fn write_policy_sweep(quick: bool) -> Result<WritePolicySweep, CoreError> {
         );
     }
 
-    let provenance = Provenance {
-        spec_hash,
-        replay_points: Some(
-            sink.counter_total("sweep_replay") + sink.counter_total("sweep_recorded_reuse"),
-        ),
-        full_sim_points: Some(sink.counter_total("sweep_full_sim")),
-        memo_hits: Some(sink.counter_total("sweep_memo_hit")),
-        memo_misses: Some(sink.counter_total("sweep_memo_miss")),
+    let mut provenance = Provenance {
+        spec_hash: axis_hash(&specs),
         phase_ns: vec![
             ("sweep-replay".into(), (replay_wall * 1e9).round() as u64),
             (
@@ -663,7 +824,9 @@ pub fn write_policy_sweep(quick: bool) -> Result<WritePolicySweep, CoreError> {
                 (full_sim_wall * 1e9).round() as u64,
             ),
         ],
+        ..Provenance::default()
     };
+    provenance.record_counters(&sink);
     let points = results
         .chunks(2)
         .map(|pair| WritePolicyPoint {
@@ -773,11 +936,7 @@ pub fn exp_write_policy(quick: bool) -> Result<String, CoreError> {
     );
     out.push_str(&format!(
         "sound (wcet >= sim) at every point, both policies: {}\n",
-        if write_policy_sound(points) {
-            "yes"
-        } else {
-            "NO — BUG"
-        }
+        yes(write_policy_sound(points))
     ));
     out.push_str(&format!(
         "replay vs full simulation: bit-identical at every point; \
@@ -806,158 +965,6 @@ pub fn exp_write_policy(quick: bool) -> Result<String, CoreError> {
         }
     }
     Ok(out)
-}
-
-/// Ablation: MUST-only vs MUST+persistence cache analysis (paper §5:
-/// "the full scale of cache analysis techniques … would probably lead to
-/// improved cache results").
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_ablation_persistence(quick: bool) -> Result<String, CoreError> {
-    let (must, pers) = persistence_ablation_points(quick)?;
-    let rows: Vec<Vec<String>> = sizes(quick)
-        .iter()
-        .zip(must.iter().zip(&pers))
-        .map(|(size, (m, p))| {
-            vec![
-                size.to_string(),
-                m.wcet_cycles.to_string(),
-                p.wcet_cycles.to_string(),
-                format!(
-                    "{:.1}%",
-                    (1.0 - p.wcet_cycles as f64 / m.wcet_cycles as f64) * 100.0
-                ),
-            ]
-        })
-        .collect();
-    Ok(format!(
-        "Ablation: cache WCET, MUST-only vs +persistence (G.721)\n{}",
-        report::render_table(&["bytes", "must-only", "+persistence", "gain"], &rows)
-    ))
-}
-
-/// Runs `first` followed by `second` on `bench` as one sweep and returns
-/// the two halves' results — the shape of every two-series ablation.
-fn sweep_pair(
-    bench: &Benchmark,
-    first: Vec<MemArchSpec>,
-    second: Vec<MemArchSpec>,
-) -> Result<(Vec<ConfigResult>, Vec<ConfigResult>), CoreError> {
-    let pipeline = Pipeline::new(bench)?;
-    let n = first.len();
-    let mut axis = first;
-    axis.extend(second);
-    let mut results: Vec<ConfigResult> = spec_sweep(&pipeline, &axis)?
-        .into_iter()
-        .map(|p| p.result)
-        .collect();
-    let rest = results.split_off(n);
-    Ok((results, rest))
-}
-
-/// The G.721 unified-cache sweeps behind [`exp_ablation_persistence`]:
-/// MUST-only, then MUST+persistence.
-fn persistence_ablation_points(
-    quick: bool,
-) -> Result<(Vec<ConfigResult>, Vec<ConfigResult>), CoreError> {
-    let must = cache_axis(sizes(quick));
-    let pers = must
-        .iter()
-        .map(|spec| MemArchSpec {
-            persistence: true,
-            ..spec.clone()
-        })
-        .collect();
-    sweep_pair(&G721, must, pers)
-}
-
-/// Ablation: unified vs instruction-only cache analysis (paper §5 future
-/// work: "other cache configurations, e.g. instruction caches instead of
-/// unified caches").
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_ablation_icache(quick: bool) -> Result<String, CoreError> {
-    let szs = sizes(quick);
-    let icache = szs
-        .iter()
-        .map(|&s| MemArchSpec::single_cache(CacheConfig::instr_only(s)))
-        .collect();
-    let (unified, icache) = sweep_pair(&G721, cache_axis(szs), icache)?;
-    let rows: Vec<Vec<String>> = szs
-        .iter()
-        .zip(unified.iter().zip(&icache))
-        .map(|(size, (u, i))| {
-            vec![
-                size.to_string(),
-                u.sim_cycles.to_string(),
-                u.wcet_cycles.to_string(),
-                i.sim_cycles.to_string(),
-                i.wcet_cycles.to_string(),
-            ]
-        })
-        .collect();
-    Ok(format!(
-        "Ablation: unified vs instruction-only cache (G.721)\n{}",
-        report::render_table(
-            &["bytes", "uni sim", "uni wcet", "icache sim", "icache wcet"],
-            &rows
-        )
-    ))
-}
-
-/// Ablation: associativity and replacement policy (paper §5 future work:
-/// "set associative caches").
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_ablation_assoc(quick: bool) -> Result<String, CoreError> {
-    let pipeline = Pipeline::new(&G721)?;
-    let size = if quick { 1024 } else { 4096 };
-    let configs: Vec<(&str, CacheConfig)> = vec![
-        ("direct-mapped", CacheConfig::unified(size)),
-        (
-            "2-way LRU",
-            CacheConfig::set_assoc(size, 2, Replacement::Lru),
-        ),
-        (
-            "4-way LRU",
-            CacheConfig::set_assoc(size, 4, Replacement::Lru),
-        ),
-        (
-            "4-way random",
-            CacheConfig::set_assoc(size, 4, Replacement::Random { seed: 7 }),
-        ),
-        (
-            "4-way round-robin",
-            CacheConfig::set_assoc(size, 4, Replacement::RoundRobin),
-        ),
-    ];
-    let specs: Vec<MemArchSpec> = configs
-        .iter()
-        .map(|(_, cfg)| MemArchSpec::single_cache(cfg.clone()))
-        .collect();
-    let points = spec_sweep(&pipeline, &specs)?;
-    let rows: Vec<Vec<String>> = configs
-        .iter()
-        .zip(&points)
-        .map(|((name, _), p)| {
-            vec![
-                (*name).to_string(),
-                p.result.sim_cycles.to_string(),
-                p.result.wcet_cycles.to_string(),
-                format!("{:.3}", p.result.ratio()),
-            ]
-        })
-        .collect();
-    Ok(format!(
-        "Ablation: associativity/replacement at {size} B (G.721)\n{}",
-        report::render_table(&["configuration", "sim", "wcet", "ratio"], &rows)
-    ))
 }
 
 /// Serializes the G.721 (ADPCM for quick runs) baseline's ordered (v2)
@@ -1006,17 +1013,20 @@ pub fn exp_ablation_wcet_alloc(quick: bool) -> Result<String, CoreError> {
     };
     let mut rows = Vec::new();
     for bench in [&INSERTSORT, &MULTISORT] {
-        let wcet_aware = szs
-            .iter()
-            .map(|&size| MemArchSpec::spm_with(size, SpmAllocation::WcetRegion))
-            .collect();
-        let (energy, wcet) = sweep_pair(bench, spm_axis(szs), wcet_aware)?;
-        for (size, (e, w)) in szs.iter().zip(energy.iter().zip(&wcet)) {
+        // Energy-optimal allocations first, then the WCET-aware ones.
+        let mut axis = spm_axis(szs);
+        axis.extend(
+            szs.iter()
+                .map(|&size| MemArchSpec::spm_with(size, SpmAllocation::WcetRegion)),
+        );
+        let points = spec_sweep(&Pipeline::new(bench)?, &axis)?;
+        let (energy, wcet) = points.split_at(szs.len());
+        for (size, (e, w)) in szs.iter().zip(energy.iter().zip(wcet)) {
             rows.push(vec![
                 bench.name.to_string(),
                 size.to_string(),
-                e.wcet_cycles.to_string(),
-                w.wcet_cycles.to_string(),
+                e.result.wcet_cycles.to_string(),
+                w.result.wcet_cycles.to_string(),
             ]);
         }
     }
@@ -1032,73 +1042,6 @@ pub fn exp_ablation_wcet_alloc(quick: bool) -> Result<String, CoreError> {
             &rows
         )
     ))
-}
-
-/// The SPM×hierarchy scenario parameters: scratchpad capacities and the
-/// multi-level machines of [`hierarchy_spm_machines`].
-pub fn hierarchy_spm_params(quick: bool) -> (&'static Benchmark, Vec<u32>, u32) {
-    if quick {
-        (&ADPCM, vec![512], 512)
-    } else {
-        (&G721, vec![1024, 4096], 1024)
-    }
-}
-
-/// The SPM×hierarchy comparison data (shared by the report experiment and
-/// the claims).
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn hierarchy_spm_figure(quick: bool) -> Result<FigureSpmHierarchy, CoreError> {
-    let (bench, spm_sizes, l1) = hierarchy_spm_params(quick);
-    FigureSpmHierarchy::run(bench, &spm_sizes, &hierarchy_spm_machines(l1))
-}
-
-/// SPM×hierarchy scenario: the first result the composable spec unlocks —
-/// scratchpad and multi-level hierarchy in one machine, with the
-/// WCET-aware allocator optimising against the multi-level critical path
-/// instead of flat region timing.
-///
-/// # Errors
-///
-/// Pipeline failures.
-pub fn exp_hierarchy_spm(quick: bool) -> Result<String, CoreError> {
-    let fig = hierarchy_spm_figure(quick)?;
-    let mut out = report::render_spm_hierarchy(&fig);
-    out.push_str(&format!(
-        "hierarchy-aware wcet <= region-objective wcet at every point: {}\n",
-        if fig.aware_never_worse() {
-            "yes"
-        } else {
-            "NO — BUG"
-        }
-    ));
-    out.push_str(&format!(
-        "sound (wcet >= sim) at every point: {}\n",
-        if fig.all_sound() { "yes" } else { "NO — BUG" }
-    ));
-    Ok(out)
-}
-
-/// Every spec of the standard experiment axes, labelled — the
-/// `--dump-spec` inventory. Any line's JSON can be fed back through
-/// `--spec` to reproduce that sweep point.
-pub fn dump_specs(quick: bool) -> Vec<(String, MemArchSpec)> {
-    let szs = sizes(quick);
-    let l1 = hierarchy_l1_size(quick);
-    let (_, spm_sizes, spm_l1) = hierarchy_spm_params(quick);
-    spm_axis(szs)
-        .into_iter()
-        .chain(cache_axis(szs))
-        .chain(hierarchy_spec_axis(l1))
-        .chain(hierarchy_spm_axis(
-            &spm_sizes,
-            &hierarchy_spm_machines(spm_l1),
-        ))
-        .chain(write_policy_axis(l1))
-        .map(|s| (s.label(), s))
-        .collect()
 }
 
 /// Runs one spec on one benchmark and renders the result row plus the
@@ -1141,75 +1084,10 @@ pub fn run_spec_on(bench_name: &str, spec_json: &str) -> Result<String, String> 
     ))
 }
 
-/// Ids [`run_experiment`] accepts besides [`EXPERIMENTS`]: Figure 3's
-/// two panels and Figure 4 print together with `fig3`.
-const FIG3_ALIASES: [&str; 3] = ["fig3a", "fig3b", "fig4"];
-
-/// Whether [`run_experiment`] knows `id`.
-pub fn is_experiment(id: &str) -> bool {
-    EXPERIMENTS.contains(&id) || FIG3_ALIASES.contains(&id)
-}
-
-/// Runs one experiment by id. `checkpoint` only applies to `hierarchy`
-/// (see [`exp_hierarchy`]).
-///
-/// # Errors
-///
-/// Unknown ids or pipeline failures.
-pub fn run_experiment(
-    id: &str,
-    quick: bool,
-    checkpoint: Option<&Path>,
-) -> Result<String, CoreError> {
-    let id = if FIG3_ALIASES.contains(&id) {
-        "fig3"
-    } else {
-        id
-    };
-    match id {
-        "table1" => Ok(exp_table1()),
-        "table2" => exp_table2(),
-        "fig3" => exp_fig3_fig4(quick),
-        "fig5" => exp_fig5(quick),
-        "fig6" => exp_fig6(quick),
-        "tightness" => exp_tightness(),
-        "hierarchy" => exp_hierarchy(quick, checkpoint),
-        "hierarchy-spm" => exp_hierarchy_spm(quick),
-        "multilevel-precision" => exp_multilevel_precision(quick),
-        "write-policy" => exp_write_policy(quick),
-        "ablation-persistence" => exp_ablation_persistence(quick),
-        "ablation-icache" => exp_ablation_icache(quick),
-        "ablation-assoc" => exp_ablation_assoc(quick),
-        "ablation-wcet-alloc" => exp_ablation_wcet_alloc(quick),
-        other => Err(CoreError::Cc(spmlab_cc::CcError::Sema {
-            pos: spmlab_cc::Pos::default(),
-            msg: format!("unknown experiment `{other}`"),
-        })),
-    }
-}
-
 /// The workspace root (where the tracked bench artifacts live).
 pub fn workspace_root() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
-
-/// All experiment ids in report order.
-pub const EXPERIMENTS: [&str; 14] = [
-    "table1",
-    "table2",
-    "fig3",
-    "fig5",
-    "fig6",
-    "tightness",
-    "hierarchy",
-    "hierarchy-spm",
-    "multilevel-precision",
-    "write-policy",
-    "ablation-persistence",
-    "ablation-icache",
-    "ablation-assoc",
-    "ablation-wcet-alloc",
-];
 
 /// Spot checks of the paper's qualitative claims, used by tests and the
 /// `verify` subcommand. Returns a list of `(claim, holds)` pairs.
@@ -1220,7 +1098,8 @@ pub const EXPERIMENTS: [&str; 14] = [
 pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     let szs = sizes(quick);
     let mut claims = Vec::new();
-    let fig = Figure3::run(&G721, szs)?;
+    let (grid, outcomes) = figure_outcomes("fig3", quick)?;
+    let fig = Figure3::new(&grid.benchmark, szs, results(outcomes)?);
     let (spm_r, cache_r) = fig.ratio_series();
 
     // Claim 1: scratchpad WCET decreases as capacity grows.
@@ -1277,20 +1156,20 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // Claim 7 (beyond the paper): the invariant extends to multi-level
     // hierarchies, and the scratchpad bound stays tighter than every
     // cached configuration's.
-    let hier = hierarchy_figure(quick, None)?;
+    let (grid, outcomes) = figure_outcomes("hierarchy", quick)?;
+    let hier = FigureHierarchy::new(&grid.benchmark, outcomes);
     claims.push((
         "hierarchy: WCET ≥ simulation at every configuration".into(),
         hier.all_sound(),
     ));
-    let spm_ratio = hier
-        .spm
+    let (spm, cached): (Vec<_>, Vec<_>) = hier.points.iter().partition(|p| p.spec.spm.is_some());
+    let spm_ratio = spm
         .iter()
-        .map(|p| p.table1.ratio())
+        .map(|p| p.result.ratio())
         .fold(f64::MIN, f64::max);
-    let cached_best = hier
-        .points
+    let cached_best = cached
         .iter()
-        .map(ConfigResult::ratio)
+        .map(|p| p.result.ratio())
         .fold(f64::MAX, f64::min);
     claims.push((
         "hierarchy: scratchpad WCET/sim ratio beats every cache hierarchy".into(),
@@ -1316,7 +1195,8 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // allocating against the multi-level critical path never yields a
     // worse bound than the seed's region-timing allocation, and every
     // point stays sound.
-    let spm_hier = hierarchy_spm_figure(quick)?;
+    let (grid, outcomes) = figure_outcomes("hierarchy-spm", quick)?;
+    let spm_hier = FigureSpmHierarchy::new(&grid.benchmark, &collect_points(outcomes)?);
     claims.push((
         format!(
             "{}: hierarchy-aware allocation WCET ≤ region-timing allocation at every \
@@ -1337,7 +1217,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
 
     // Claim 12 (the persistence ablation): first-miss persistence only
     // ever tightens the MUST-only bound, and stays sound.
-    let (must, pers) = persistence_ablation_points(quick)?;
+    let (must, pers) = halves(figure_outcomes("ablation-persistence", quick)?.1)?;
     claims.push((
         "ablation-persistence: +persistence ≤ MUST-only and ≥ sim at every size".into(),
         must.iter()
@@ -1346,4 +1226,78 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     ));
 
     Ok(claims)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn figure_grids_round_trip_and_keep_their_config_axes() {
+        for quick in [true, false] {
+            let (spm_bench, spm_sizes, spm_l1) = hierarchy_spm_params(quick);
+            let expected: Vec<(&str, String, Vec<MemArchSpec>)> = vec![
+                ("fig3", "g721".into(), figure3_axis(sizes(quick))),
+                ("fig5", "multisort".into(), figure3_axis(sizes(quick))),
+                ("fig6", "adpcm".into(), figure3_axis(sizes(quick))),
+                (
+                    "hierarchy",
+                    hierarchy_benchmark(quick).name.to_string(),
+                    hierarchy_figure_axis(hierarchy_l1_size(quick)),
+                ),
+                (
+                    "hierarchy-spm",
+                    spm_bench.name.to_string(),
+                    hierarchy_spm_axis(&spm_sizes, &hierarchy_spm_machines(spm_l1)),
+                ),
+                (
+                    "ablation-persistence",
+                    "g721".into(),
+                    persistence_axis(sizes(quick)),
+                ),
+                ("ablation-icache", "g721".into(), icache_axis(sizes(quick))),
+                (
+                    "ablation-assoc",
+                    "g721".into(),
+                    assoc_axis(assoc_size(quick))
+                        .into_iter()
+                        .map(|(_, s)| s)
+                        .collect(),
+                ),
+            ];
+            let grid_ids: Vec<&str> = EXPERIMENTS
+                .into_iter()
+                .filter(|id| experiment(id).unwrap().grid(quick).is_some())
+                .collect();
+            let expected_ids: Vec<&str> = expected.iter().map(|e| e.0).collect();
+            assert_eq!(grid_ids, expected_ids);
+            for (id, bench, axis) in expected {
+                let grid = experiment(id).unwrap().grid(quick).unwrap();
+                assert_eq!(GridSpec::from_json(&grid.to_json()).unwrap(), grid, "{id}");
+                assert_eq!(grid.benchmark, bench, "{id}");
+                assert_eq!(grid.axis().unwrap().0, axis, "{id}: axis as written");
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchy_grid_streams_keep_their_axis_hash() {
+        // The hashes the hierarchy figure's checkpoint headers carried
+        // before the figure became a grid: its streams stay resumable.
+        for (quick, hash) in [(true, "fe618877c985f45f"), (false, "9ac907570a62f685")] {
+            let grid = experiment("hierarchy").unwrap().grid(quick).unwrap();
+            let (axis, _) = grid.axis().unwrap();
+            assert_eq!(axis.len(), 8);
+            assert_eq!(axis_hash(&axis), hash);
+        }
+    }
+
+    #[test]
+    fn unknown_and_non_grid_ids() {
+        assert!(experiment("nosuch").is_none());
+        assert_eq!(experiment("fig4").map(|e| e.id), Some("fig3"));
+        let table1 = experiment("table1").unwrap();
+        assert!(table1.grid(true).is_none());
+        assert!(table1.render(true, "").is_err());
+    }
 }

@@ -4,12 +4,13 @@
 //! line binding the file to a git revision, benchmark, and spec axis,
 //! followed by one [`PointRecord`] per *completed* sweep point, flushed as
 //! each point finishes. A killed run therefore loses at most the points
-//! that were in flight; rerunning `experiments --checkpoint ckpt.jsonl`
-//! validates the header against the current run and replays only the
-//! missing points, reconstructing everything else from the records —
-//! bit-identically, because the records round-trip every field of
-//! [`ConfigResult`] exactly (energy as IEEE
-//! bit patterns, never re-parsed decimals).
+//! that were in flight; rerunning `experiments sweep --spec-grid <grid>
+//! --checkpoint <dir>` validates the header against the current run and
+//! replays only the missing points, reconstructing everything else from
+//! the records — bit-identically, because the records round-trip every
+//! field of [`ConfigResult`] exactly (energy as IEEE bit patterns, never
+//! re-parsed decimals). `experiments render <figure> <stream>` turns a
+//! complete stream of a figure's grid back into that figure.
 //!
 //! The format is append-only: a resumed run appends fresh records after
 //! the old ones and the reader keeps the *last* record per point index, so
@@ -46,9 +47,10 @@ pub fn spec_hash(canon: &MemArchSpec) -> String {
     fnv1a64(&format!("{canon:?}"))
 }
 
-/// Identity hash of a whole spec axis (order-sensitive).
-pub fn axis_hash(canons: &[MemArchSpec]) -> String {
-    let joined: Vec<String> = canons.iter().map(spec_hash).collect();
+/// Identity hash of a whole spec axis (order-sensitive), over the
+/// canonical specs so raw and canonical axes hash identically.
+pub fn axis_hash(specs: &[MemArchSpec]) -> String {
+    let joined: Vec<String> = specs.iter().map(|s| spec_hash(&s.canonical())).collect();
     fnv1a64(&joined.join("|"))
 }
 
@@ -80,15 +82,13 @@ pub struct CheckpointHeader {
 }
 
 impl CheckpointHeader {
-    /// Builds the header for a sweep of `specs` (canonicalised here, so
-    /// raw and canonical axes hash identically).
+    /// Builds the header for an unsharded sweep of `specs`.
     pub fn new(rev: &str, benchmark: &str, specs: &[MemArchSpec]) -> CheckpointHeader {
-        let canons: Vec<MemArchSpec> = specs.iter().map(MemArchSpec::canonical).collect();
         CheckpointHeader {
             version: CHECKPOINT_VERSION,
             rev: rev.to_string(),
             benchmark: benchmark.to_string(),
-            axis_hash: axis_hash(&canons),
+            axis_hash: axis_hash(specs),
             points: specs.len(),
             shard: None,
         }
@@ -377,16 +377,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointFile, CoreError> {
 ///
 /// A human-readable description of the first violation.
 pub fn parse_checkpoint_text(text: &str) -> Result<CheckpointFile, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty checkpoint")?;
-    let header =
-        CheckpointHeader::from_json_line(first).ok_or("first line is not a checkpoint header")?;
-    if header.version != CHECKPOINT_VERSION {
-        return Err(format!(
-            "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-            header.version
-        ));
-    }
+    let (header, lines) = split_header(text)?;
     let rest: Vec<(usize, &str)> = lines.filter(|(_, l)| !l.trim().is_empty()).collect();
     let mut records = BTreeMap::new();
     for (pos, (lineno, line)) in rest.iter().enumerate() {
@@ -413,6 +404,24 @@ pub fn parse_checkpoint_text(text: &str) -> Result<CheckpointFile, String> {
     Ok(CheckpointFile { header, records })
 }
 
+/// The header of a checkpoint stream, version-checked, and its remaining
+/// lines numbered from zero (the header is line 0).
+fn split_header(
+    text: &str,
+) -> Result<(CheckpointHeader, std::iter::Enumerate<std::str::Lines<'_>>), String> {
+    let mut lines = text.lines().enumerate();
+    let (_, first) = lines.next().ok_or("empty checkpoint")?;
+    let header =
+        CheckpointHeader::from_json_line(first).ok_or("first line is not a checkpoint header")?;
+    if header.version != CHECKPOINT_VERSION {
+        return Err(format!(
+            "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
+            header.version
+        ));
+    }
+    Ok((header, lines))
+}
+
 /// Summary statistics from a strict checkpoint validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointStats {
@@ -436,16 +445,7 @@ pub struct CheckpointStats {
 ///
 /// A human-readable description of the first violation.
 pub fn check_checkpoint(text: &str) -> Result<CheckpointStats, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty checkpoint")?;
-    let header =
-        CheckpointHeader::from_json_line(first).ok_or("first line is not a checkpoint header")?;
-    if header.version != CHECKPOINT_VERSION {
-        return Err(format!(
-            "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-            header.version
-        ));
-    }
+    let (header, lines) = split_header(text)?;
     let mut last: BTreeMap<usize, PointStatus> = BTreeMap::new();
     for (lineno, line) in lines {
         if line.trim().is_empty() {

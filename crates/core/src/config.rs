@@ -5,7 +5,7 @@
 //! experiment points are defined.
 
 use spmlab_isa::archspec::{MemArchSpec, SpmAllocation};
-use spmlab_isa::cachecfg::CacheConfig;
+use spmlab_isa::cachecfg::{CacheConfig, Replacement};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer, L1};
 
 /// The paper's capacity sweep: "scratchpad sizes from 64 bytes to 8k" and
@@ -33,11 +33,72 @@ pub fn cache_axis(sizes: &[u32]) -> Vec<MemArchSpec> {
         .collect()
 }
 
+/// Figures 3, 5 and 6 as one axis: [`spm_axis`] (panel a) followed by
+/// [`cache_axis`] (panel b).
+pub fn figure3_axis(sizes: &[u32]) -> Vec<MemArchSpec> {
+    let mut axis = spm_axis(sizes);
+    axis.extend(cache_axis(sizes));
+    axis
+}
+
+/// The persistence ablation: [`cache_axis`] analysed MUST-only, then the
+/// same caches with the persistence (first-miss) analysis.
+pub fn persistence_axis(sizes: &[u32]) -> Vec<MemArchSpec> {
+    let must = cache_axis(sizes);
+    let pers: Vec<MemArchSpec> = must
+        .iter()
+        .map(|spec| MemArchSpec {
+            persistence: true,
+            ..spec.clone()
+        })
+        .collect();
+    [must, pers].concat()
+}
+
+/// The instruction-cache ablation: [`cache_axis`], then instruction-only
+/// caches of the same sizes.
+pub fn icache_axis(sizes: &[u32]) -> Vec<MemArchSpec> {
+    let mut axis = cache_axis(sizes);
+    axis.extend(
+        sizes
+            .iter()
+            .map(|&s| MemArchSpec::single_cache(CacheConfig::instr_only(s))),
+    );
+    axis
+}
+
+/// The associativity ablation: one unified `size`-byte cache per named
+/// associativity and replacement policy.
+pub fn assoc_axis(size: u32) -> Vec<(&'static str, MemArchSpec)> {
+    [
+        ("direct-mapped", CacheConfig::unified(size)),
+        (
+            "2-way LRU",
+            CacheConfig::set_assoc(size, 2, Replacement::Lru),
+        ),
+        (
+            "4-way LRU",
+            CacheConfig::set_assoc(size, 4, Replacement::Lru),
+        ),
+        (
+            "4-way random",
+            CacheConfig::set_assoc(size, 4, Replacement::Random { seed: 7 }),
+        ),
+        (
+            "4-way round-robin",
+            CacheConfig::set_assoc(size, 4, Replacement::RoundRobin),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, cfg)| (name, MemArchSpec::single_cache(cfg)))
+    .collect()
+}
+
 /// The hierarchy axis of the experiment: single-level L1s (unified and
 /// split I/D), two-level configurations at two L2 capacities, and the same
 /// two-level machine over two main-memory timings (Table-1 SRAM-style and
 /// DRAM-style with burst setup latency). SPM points ride alongside as
-/// specs of their own — see [`crate::figures::FigureHierarchy`].
+/// specs of their own — see [`hierarchy_figure_axis`].
 pub fn hierarchy_axis(l1_size: u32) -> Vec<MemHierarchyConfig> {
     let split = || MemHierarchyConfig::split_l1(l1_size / 2, l1_size / 2);
     vec![
@@ -59,6 +120,17 @@ pub fn hierarchy_spec_axis(l1_size: u32) -> Vec<MemArchSpec> {
         .iter()
         .map(MemArchSpec::from_hierarchy)
         .collect()
+}
+
+/// The hierarchy figure's axis: an `l1_size`-byte scratchpad under both
+/// main-memory timings, then [`hierarchy_spec_axis`].
+pub fn hierarchy_figure_axis(l1_size: u32) -> Vec<MemArchSpec> {
+    let spm = MemArchSpec::spm(l1_size);
+    let dram = MemArchSpec {
+        main: MainMemoryTiming::dram(DRAM_LATENCY),
+        ..spm.clone()
+    };
+    [vec![spm, dram], hierarchy_spec_axis(l1_size)].concat()
 }
 
 /// The multi-level machines of the SPM×hierarchy axis: a split L1 backed
@@ -144,10 +216,12 @@ mod tests {
 
     #[test]
     fn axes_are_valid_specs() {
-        for spec in spm_axis(&PAPER_SIZES)
+        for spec in figure3_axis(&PAPER_SIZES)
             .into_iter()
-            .chain(cache_axis(&PAPER_SIZES))
-            .chain(hierarchy_spec_axis(1024))
+            .chain(persistence_axis(&PAPER_SIZES))
+            .chain(icache_axis(&PAPER_SIZES))
+            .chain(assoc_axis(4096).into_iter().map(|(_, s)| s))
+            .chain(hierarchy_figure_axis(1024))
             .chain(hierarchy_spm_axis(
                 &[512, 1024],
                 &hierarchy_spm_machines(1024),

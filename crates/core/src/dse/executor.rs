@@ -15,7 +15,7 @@
 //! `(k, n)`: shards are disjoint and their union is the grid by
 //! construction, with no coordination between processes.
 
-use crate::checkpoint::{axis_hash, CheckpointHeader, CHECKPOINT_VERSION};
+use crate::checkpoint::CheckpointHeader;
 use spmlab_isa::archspec::MemArchSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -155,14 +155,10 @@ pub fn shard_header(
     full_axis: &[MemArchSpec],
     shard: Shard,
 ) -> CheckpointHeader {
-    let canons: Vec<MemArchSpec> = full_axis.iter().map(MemArchSpec::canonical).collect();
     CheckpointHeader {
-        version: CHECKPOINT_VERSION,
-        rev: rev.to_string(),
-        benchmark: benchmark.to_string(),
-        axis_hash: axis_hash(&canons),
         points: shard.points(full_axis.len()),
         shard: (shard.count > 1).then_some((shard.index, shard.count)),
+        ..CheckpointHeader::new(rev, benchmark, full_axis)
     }
 }
 

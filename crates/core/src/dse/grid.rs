@@ -15,6 +15,12 @@
 //! The axis order is a function of the document alone: dimensions vary in
 //! a fixed order (persistence fastest, scratchpad size slowest), so every
 //! shard of a grid agrees on global point indices without coordination.
+//!
+//! A document may instead list its axis explicitly under `"points"`, one
+//! [`MemArchSpec`] document per point. That axis is taken as written:
+//! order and repeats are kept and specs are not canonicalised, so a
+//! figure's hand-picked axis keeps its labels and energy figures. A
+//! document gives either `points` or dimension keys, never both.
 
 use crate::checkpoint::spec_hash;
 use spmlab_isa::archspec::json::{self, Value};
@@ -81,6 +87,10 @@ pub struct GridSpec {
     pub store_buffers: Vec<Option<StoreBuffer>>,
     /// Whether the persistence (first-miss) analysis runs.
     pub persistence: Vec<bool>,
+    /// An explicit axis used as written instead of the dimension product
+    /// (`None` for a product grid); the dimensions then keep their
+    /// defaults.
+    pub points: Option<Vec<MemArchSpec>>,
 }
 
 /// What [`GridSpec::axis`] did to the raw Cartesian product.
@@ -110,6 +120,7 @@ impl Default for GridSpec {
             main_latencies: vec![0],
             store_buffers: vec![None],
             persistence: vec![false],
+            points: None,
         }
     }
 }
@@ -141,6 +152,9 @@ impl GridSpec {
     /// When the product overflows `usize` — such a grid cannot be
     /// enumerated on this machine at all.
     pub fn raw_points(&self) -> Result<usize, String> {
+        if let Some(points) = &self.points {
+            return Ok(points.len());
+        }
         [
             self.spm_sizes.len(),
             self.spm_allocs.len(),
@@ -161,7 +175,9 @@ impl GridSpec {
     /// Structural validation: every dimension non-empty and free of
     /// repeats, the product representable. Per-point *spec* validity is
     /// not checked here — invalid combinations are expected in a product
-    /// grid and are skipped (and counted) during enumeration.
+    /// grid and are skipped (and counted) during enumeration. An explicit
+    /// `points` axis must be non-empty, every spec in it valid, and the
+    /// dimensions left at their defaults.
     ///
     /// # Errors
     ///
@@ -180,6 +196,25 @@ impl GridSpec {
         }
         if self.benchmark.is_empty() {
             return Err(String::from("benchmark: must not be empty"));
+        }
+        if let Some(points) = &self.points {
+            let dims_default = GridSpec {
+                benchmark: self.benchmark.clone(),
+                points: self.points.clone(),
+                ..GridSpec::default()
+            } == *self;
+            if !dims_default {
+                return Err(String::from(
+                    "points: a grid gives either `points` or dimension keys, not both",
+                ));
+            }
+            if points.is_empty() {
+                return Err(String::from("points: list is empty"));
+            }
+            for (i, spec) in points.iter().enumerate() {
+                spec.validate().map_err(|e| format!("points[{i}]: {e}"))?;
+            }
+            return Ok(());
         }
         dim("spm_size", &self.spm_sizes)?;
         dim("spm_alloc", &self.spm_allocs)?;
@@ -202,6 +237,9 @@ impl GridSpec {
     /// `persistence` dimension varying fastest). The result is *not*
     /// validated or canonicalised.
     fn spec_at(&self, r: usize) -> MemArchSpec {
+        if let Some(points) = &self.points {
+            return points[r].clone();
+        }
         let mut rem = r;
         let mut digit = |len: usize| {
             let d = rem % len;
@@ -274,12 +312,24 @@ impl GridSpec {
     /// The deduplicated valid axis: one canonical [`MemArchSpec`] per
     /// distinct valid point, in grid enumeration order, plus the counts of
     /// what was skipped. Point *indices* into this axis are the global
-    /// indices sharding and checkpoint records use.
+    /// indices sharding and checkpoint records use. An explicit `points`
+    /// axis is returned as written.
     ///
     /// # Errors
     ///
     /// [`GridSpec::validate`] failures.
     pub fn axis(&self) -> Result<(Vec<MemArchSpec>, GridStats), String> {
+        if let Some(points) = &self.points {
+            self.validate()?;
+            let n = points.len();
+            let stats = GridStats {
+                raw: n,
+                invalid: 0,
+                duplicates: 0,
+                points: n,
+            };
+            return Ok((points.clone(), stats));
+        }
         let mut stats = GridStats {
             raw: self.raw_points()?,
             invalid: 0,
@@ -305,9 +355,20 @@ impl GridSpec {
     }
 
     /// Renders the canonical JSON document: every dimension explicit, as a
-    /// value array (range shorthands are expanded). `from_json` of the
-    /// result reproduces `self` exactly.
+    /// value array (range shorthands are expanded), or the `points` list.
+    /// `from_json` of the result reproduces `self` exactly.
     pub fn to_json(&self) -> String {
+        if let Some(points) = &self.points {
+            let specs: Vec<String> = points
+                .iter()
+                .map(|s| format!("    {}", s.to_json().replace('\n', "\n    ")))
+                .collect();
+            return format!(
+                "{{\n  \"benchmark\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
+                json::escape(&self.benchmark),
+                specs.join(",\n")
+            );
+        }
         let nums = |v: &[u32]| -> String {
             let s: Vec<String> = v.iter().map(u32::to_string).collect();
             format!("[{}]", s.join(","))
@@ -383,6 +444,7 @@ impl GridSpec {
             "main_latency",
             "store_buffer",
             "persistence",
+            "points",
         ];
         if let Value::Obj(map) = &v {
             for key in map.keys() {
@@ -397,6 +459,29 @@ impl GridSpec {
                 .as_str()
                 .ok_or("benchmark: expected a string")?
                 .to_string();
+        }
+        if let Some(d) = v.get("points") {
+            let dimension = known
+                .iter()
+                .find(|k| !matches!(**k, "benchmark" | "points") && v.get(k).is_some());
+            if let Some(key) = dimension {
+                return Err(format!(
+                    "points: a grid gives either `points` or dimension keys, not both (`{key}`)"
+                ));
+            }
+            let Value::Arr(items) = d else {
+                return Err(String::from("points: expected an array of specs"));
+            };
+            let points = items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    MemArchSpec::from_value(item).map_err(|e| format!("points[{i}]: {e}"))
+                })
+                .collect::<Result<_, _>>()?;
+            grid.points = Some(points);
+            grid.validate()?;
+            return Ok(grid);
         }
         if let Some(d) = v.get("spm_size") {
             grid.spm_sizes = num_dimension("spm_size", d)?
@@ -660,9 +745,36 @@ mod tests {
             r#"{"mystery_knob":[1]}"#,
             r#"{"persistence":[1]}"#,
             r#"{"store_buffer":[{"depth":4}]}"#,
+            r#"{"points":[{}],"l1_size":[256]}"#,
+            r#"{"points":[]}"#,
+            r#"{"points":[{"main":{"bus_bytes":0}}]}"#,
         ] {
             assert!(GridSpec::from_json(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn points_axis_is_taken_as_written() {
+        // A zero-byte L1 is not canonical, and the repeat is no duplicate:
+        // an explicit axis keeps both, in order.
+        let zero_l1 = MemArchSpec::single_cache(CacheConfig::unified(0));
+        let points = vec![MemArchSpec::spm(256), zero_l1, MemArchSpec::spm(256)];
+        let g = GridSpec {
+            benchmark: String::from("adpcm"),
+            points: Some(points.clone()),
+            ..GridSpec::default()
+        };
+        let back = GridSpec::from_json(&g.to_json()).unwrap();
+        assert_eq!(back, g);
+        let (axis, stats) = back.axis().unwrap();
+        assert_eq!(axis, points);
+        assert_ne!(axis[1], axis[1].canonical());
+        assert_eq!((stats.raw, stats.duplicates, stats.points), (3, 0, 3));
+        let mixed = GridSpec {
+            l1_sizes: vec![256],
+            ..g
+        };
+        assert!(mixed.validate().is_err(), "points beside a dimension");
     }
 
     #[test]

@@ -16,8 +16,12 @@
 //! unsharded run" is a plain byte comparison — the differential test
 //! `tests/dse.rs` pins.
 
-use crate::checkpoint::{parse_checkpoint_text, CheckpointHeader, PointRecord, PointStatus};
+use crate::checkpoint::{
+    parse_checkpoint_text, spec_hash, CheckpointHeader, PointRecord, PointStatus,
+};
 use crate::dse::frontier::Frontier;
+use crate::sweep::{FailedPoint, PointOutcome, SpecOutcome};
+use spmlab_isa::archspec::MemArchSpec;
 use std::collections::BTreeMap;
 
 /// One reassembled (or normalised) run: an unsharded header plus the last
@@ -55,6 +59,57 @@ impl MergedSweep {
             .values()
             .filter(|r| r.status == PointStatus::Failed)
             .count()
+    }
+
+    /// The per-point outcomes of this run as a sweep of `axis` on
+    /// `benchmark` would return them, so a figure renders the same from a
+    /// stream as from a direct run.
+    ///
+    /// # Errors
+    ///
+    /// The stream belongs to another benchmark or axis, a point has no
+    /// record, or a record's spec hash does not match its axis point.
+    pub fn outcomes(
+        &self,
+        benchmark: &str,
+        axis: &[MemArchSpec],
+    ) -> Result<Vec<SpecOutcome>, String> {
+        let expected = CheckpointHeader::new(&self.header.rev, benchmark, axis);
+        if self.header != expected {
+            return Err(format!(
+                "stream is for `{}` (axis {}, {} points), not `{benchmark}` (axis {}, {} points)",
+                self.header.benchmark,
+                self.header.axis_hash,
+                self.header.points,
+                expected.axis_hash,
+                expected.points,
+            ));
+        }
+        axis.iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let rec = self
+                    .records
+                    .get(&i)
+                    .ok_or_else(|| format!("point {i} has no record; resume the run"))?;
+                if rec.spec_hash != spec_hash(&spec.canonical()) {
+                    return Err(format!("point {i}: record is for another spec"));
+                }
+                let outcome = match rec.to_config_result() {
+                    Some(r) => PointOutcome::from_result(r),
+                    None => PointOutcome::Failed(FailedPoint {
+                        index: i,
+                        label: rec.label.clone(),
+                        error: rec.error.clone(),
+                        panicked: rec.panicked,
+                    }),
+                };
+                Ok(SpecOutcome {
+                    spec: spec.clone(),
+                    outcome,
+                })
+            })
+            .collect()
     }
 
     /// The Pareto frontier over every completed record.
@@ -180,9 +235,8 @@ pub fn merge_texts(texts: &[&str]) -> Result<MergedSweep, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{spec_hash, CHECKPOINT_VERSION};
+    use crate::checkpoint::CHECKPOINT_VERSION;
     use crate::dse::executor::{shard_header, Shard};
-    use spmlab_isa::archspec::MemArchSpec;
 
     fn axis(n: usize) -> Vec<MemArchSpec> {
         (0..n).map(|i| MemArchSpec::spm(64 << i)).collect()
@@ -286,6 +340,24 @@ mod tests {
         let merged = merge_texts(&[&shards[0], &shards[1]]).unwrap();
         assert_eq!(merged.header.points, 4);
         assert_eq!(merged.covered(), 3);
+    }
+
+    #[test]
+    fn outcomes_need_the_whole_axis_of_the_right_run() {
+        let ax = axis(3);
+        let shards = sharded_streams(&ax, 2);
+        let merged = merge_texts(&[&shards[0], &shards[1]]).unwrap();
+        let outcomes = merged.outcomes("b", &ax).unwrap();
+        let sims: Vec<u64> = outcomes
+            .iter()
+            .map(|o| o.outcome.result().unwrap().sim_cycles)
+            .collect();
+        assert_eq!(sims, [100, 101, 102], "axis order");
+        assert!(merged.outcomes("other", &ax).is_err(), "benchmark");
+        assert!(merged.outcomes("b", &axis(4)).is_err(), "axis");
+        let mut partial = merged.clone();
+        partial.records.remove(&1);
+        assert!(partial.outcomes("b", &ax).is_err(), "missing point");
     }
 
     #[test]

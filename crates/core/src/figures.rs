@@ -1,14 +1,13 @@
 //! Data structures regenerating each table and figure of the paper's
-//! evaluation section (see DESIGN.md §4 for the experiment index).
+//! evaluation section. A sweep figure is assembled from the per-point
+//! results of its axis in [`crate::config`], however they were measured:
+//! a direct sweep or a checkpoint stream.
 
-use crate::config::{cache_axis, spm_axis, DRAM_LATENCY};
 use crate::pipeline::{ConfigResult, Pipeline};
-use crate::sweep::{
-    spec_sweep, spec_sweep_with_session, FailedPoint, PointOutcome, SpecOutcome, SweepSession,
-};
+use crate::sweep::{partition, FailedPoint, SpecOutcome, SpecPoint};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
-use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
+use spmlab_isa::hierarchy::MemHierarchyConfig;
 use spmlab_isa::mem::{access_cycles, AccessWidth, RegionKind};
 use spmlab_workloads::Benchmark;
 
@@ -76,34 +75,24 @@ pub struct Figure3 {
     pub benchmark: String,
     /// Capacities swept, in bytes; both panels have one point per size.
     pub sizes: Vec<u32>,
-    /// Panel (a): scratchpad sweep ([`spm_axis`]).
+    /// Panel (a): scratchpad sweep ([`crate::config::spm_axis`]).
     pub spm: Vec<ConfigResult>,
-    /// Panel (b): unified direct-mapped cache sweep ([`cache_axis`]).
+    /// Panel (b): unified direct-mapped cache sweep
+    /// ([`crate::config::cache_axis`]).
     pub cache: Vec<ConfigResult>,
 }
 
 impl Figure3 {
-    /// Runs both panels for `benchmark` over `sizes` as one sweep:
-    /// [`spm_axis`] followed by [`cache_axis`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn run(benchmark: &Benchmark, sizes: &[u32]) -> Result<Figure3, CoreError> {
-        let pipeline = Pipeline::new(benchmark)?;
-        let mut axis = spm_axis(sizes);
-        axis.extend(cache_axis(sizes));
-        let mut spm: Vec<ConfigResult> = spec_sweep(&pipeline, &axis)?
-            .into_iter()
-            .map(|p| p.result)
-            .collect();
-        let cache = spm.split_off(sizes.len());
-        Ok(Figure3 {
-            benchmark: benchmark.name.to_string(),
+    /// Assembles both panels from the results of
+    /// [`crate::config::figure3_axis`] over `sizes`, in axis order.
+    pub fn new(benchmark: &str, sizes: &[u32], mut results: Vec<ConfigResult>) -> Figure3 {
+        let cache = results.split_off(sizes.len());
+        Figure3 {
+            benchmark: benchmark.to_string(),
             sizes: sizes.to_vec(),
-            spm,
+            spm: results,
             cache,
-        })
+        }
     }
 
     /// Figure 4/5 companion: WCET/sim ratio series for both branches,
@@ -165,143 +154,41 @@ impl Tightness {
 /// The hierarchy figure this reproduction adds beyond the paper: simulated
 /// cycles and static WCET bound for one benchmark across memory
 /// hierarchies — scratchpad points (over both main-memory timings) next to
-/// L1-only, split-L1 and L1+L2 machines. The predictability story of the
-/// paper extends level by level: the SPM bound stays tight while every
+/// L1-only, split-L1 and L1+L2 machines
+/// ([`crate::config::hierarchy_figure_axis`]). The predictability story of
+/// the paper extends level by level: the SPM bound stays tight while every
 /// cache level added widens the gap.
 #[derive(Debug, Clone)]
 pub struct FigureHierarchy {
     /// Benchmark name.
     pub benchmark: String,
-    /// Scratchpad reference points.
-    pub spm: Vec<SpmHierarchyPoint>,
-    /// Cache-hierarchy points, in `configs` order.
-    pub points: Vec<ConfigResult>,
+    /// Completed points in axis order: the scratchpad references, then the
+    /// cache hierarchies.
+    pub points: Vec<SpecPoint>,
     /// Points that failed under fault isolation — carried into the report
     /// explicitly, never silently dropped.
     pub failed: Vec<FailedPoint>,
 }
 
-/// One scratchpad reference point of the hierarchy figure: the same
-/// capacity measured over both main-memory timings.
-#[derive(Debug, Clone)]
-pub struct SpmHierarchyPoint {
-    /// Scratchpad capacity in bytes.
-    pub spm_size: u32,
-    /// Result over the paper's Table-1 main memory.
-    pub table1: ConfigResult,
-    /// Result over DRAM-style main memory ([`DRAM_LATENCY`] setup cycles).
-    pub dram: ConfigResult,
-}
-
 impl FigureHierarchy {
-    /// The figure as one `Vec<MemArchSpec>` axis: the SPM capacity under
-    /// both main-memory timings first, then every hierarchy in `configs`.
-    /// One axis means one sweep — and therefore one checkpoint stream
-    /// covering *every* point of the figure, SPM references included.
-    pub fn spec_axis(spm_size: u32, configs: &[MemHierarchyConfig]) -> Vec<MemArchSpec> {
-        let mut axis = vec![
-            MemArchSpec::spm(spm_size),
-            MemArchSpec {
-                main: MainMemoryTiming::dram(DRAM_LATENCY),
-                ..MemArchSpec::spm(spm_size)
-            },
-        ];
-        axis.extend(configs.iter().map(MemArchSpec::from_hierarchy));
-        axis
-    }
-
-    /// Runs the hierarchy comparison for `benchmark`: SPM at `spm_size`
-    /// under both main-memory timings, plus every hierarchy in `configs`.
-    /// Every point of the figure runs under one [`spec_sweep_with_session`]
-    /// axis, so failures are contained per point (reported in
-    /// [`FigureHierarchy::failed`]) and the `session` can checkpoint and
-    /// resume the whole figure.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError`] for failures outside point isolation: pipeline
-    /// construction and checkpoint I/O.
-    pub fn run(
-        benchmark: &Benchmark,
-        spm_size: u32,
-        configs: &[MemHierarchyConfig],
-        session: &SweepSession,
-    ) -> Result<FigureHierarchy, CoreError> {
-        let pipeline = Pipeline::new(benchmark)?;
-        let axis = FigureHierarchy::spec_axis(spm_size, configs);
-        let outcomes = spec_sweep_with_session(&pipeline, &axis, session)?;
-        Ok(FigureHierarchy::from_outcomes(
-            benchmark.name.to_string(),
-            spm_size,
-            outcomes,
-        ))
-    }
-
-    /// Assembles the figure from per-point outcomes (axis order per
-    /// [`FigureHierarchy::spec_axis`]). The SPM pair only forms a
-    /// [`SpmHierarchyPoint`] when both timings completed; otherwise the
-    /// failures land in `failed` (and any surviving half stays available
-    /// in the checkpoint, if one was written).
-    fn from_outcomes(
-        benchmark: String,
-        spm_size: u32,
-        mut outcomes: Vec<SpecOutcome>,
-    ) -> FigureHierarchy {
-        let mut failed = Vec::new();
-        let rest = outcomes.split_off(2.min(outcomes.len()));
-        let mut spm_results = Vec::new();
-        for so in outcomes {
-            match so.outcome {
-                PointOutcome::Ok(r) | PointOutcome::Degraded(r) => spm_results.push(r),
-                PointOutcome::Failed(fp) => failed.push(fp),
-            }
-        }
-        let spm = if spm_results.len() == 2 {
-            let mut it = spm_results.into_iter();
-            vec![SpmHierarchyPoint {
-                spm_size,
-                table1: it.next().expect("two results"),
-                dram: it.next().expect("two results"),
-            }]
-        } else {
-            Vec::new()
-        };
-        let mut points = Vec::new();
-        for so in rest {
-            match so.outcome {
-                PointOutcome::Ok(r) | PointOutcome::Degraded(r) => points.push(r),
-                PointOutcome::Failed(fp) => failed.push(fp),
-            }
-        }
+    /// Assembles the figure from the per-point outcomes of its axis.
+    pub fn new(benchmark: &str, outcomes: Vec<SpecOutcome>) -> FigureHierarchy {
+        let (points, failed) = partition(outcomes);
         FigureHierarchy {
-            benchmark,
-            spm,
+            benchmark: benchmark.to_string(),
             points,
             failed,
         }
     }
 
-    /// Every `(label, sim, wcet)` triple of the figure, SPM points first.
-    pub fn rows(&self) -> Vec<(String, u64, u64)> {
-        let mut rows = Vec::new();
-        for p in &self.spm {
-            rows.push((
-                p.table1.label.clone(),
-                p.table1.sim_cycles,
-                p.table1.wcet_cycles,
-            ));
-            rows.push((p.dram.label.clone(), p.dram.sim_cycles, p.dram.wcet_cycles));
-        }
-        for p in &self.points {
-            rows.push((p.label.clone(), p.sim_cycles, p.wcet_cycles));
-        }
-        rows
-    }
-
     /// The soundness invariant over every point of the figure; a failed
     /// point fails it too, since its bound was never checked.
     pub fn all_sound(&self) -> bool {
-        self.failed.is_empty() && self.rows().iter().all(|(_, sim, wcet)| wcet >= sim)
+        self.failed.is_empty()
+            && self
+                .points
+                .iter()
+                .all(|p| p.result.wcet_cycles >= p.result.sim_cycles)
     }
 }
 
@@ -337,20 +224,11 @@ pub struct FigureSpmHierarchy {
 }
 
 impl FigureSpmHierarchy {
-    /// Runs the [`crate::config::hierarchy_spm_axis`] for `benchmark`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline failures.
-    pub fn run(
-        benchmark: &Benchmark,
-        spm_sizes: &[u32],
-        machines: &[MemHierarchyConfig],
-    ) -> Result<FigureSpmHierarchy, CoreError> {
-        let pipeline = Pipeline::new(benchmark)?;
-        let specs = crate::config::hierarchy_spm_axis(spm_sizes, machines);
-        let results = spec_sweep(&pipeline, &specs)?;
-        let points = results
+    /// Assembles the figure from the completed points of
+    /// [`crate::config::hierarchy_spm_axis`], whose `[region, aware]`
+    /// pairs are adjacent.
+    pub fn new(benchmark: &str, points: &[SpecPoint]) -> FigureSpmHierarchy {
+        let points = points
             .chunks(2)
             .map(|pair| AllocComparePoint {
                 spm_size: pair[0].spec.spm_size(),
@@ -359,10 +237,10 @@ impl FigureSpmHierarchy {
                 aware: pair[1].result.clone(),
             })
             .collect();
-        Ok(FigureSpmHierarchy {
-            benchmark: benchmark.name.to_string(),
+        FigureSpmHierarchy {
+            benchmark: benchmark.to_string(),
             points,
-        })
+        }
     }
 
     /// The headline claim: the hierarchy-aware allocation's WCET bound is
@@ -424,20 +302,31 @@ mod tests {
 
     #[test]
     fn hierarchy_figure_is_sound_and_labelled() {
+        use crate::config::DRAM_LATENCY;
+        use crate::sweep::{spec_sweep_with_session, SweepSession};
         use spmlab_isa::cachecfg::CacheConfig;
-        let configs = vec![
-            MemHierarchyConfig::l1_only(CacheConfig::unified(512)),
-            MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(2048)),
+        use spmlab_isa::hierarchy::MainMemoryTiming;
+        let axis = vec![
+            MemArchSpec::spm(512),
+            MemArchSpec {
+                main: MainMemoryTiming::dram(DRAM_LATENCY),
+                ..MemArchSpec::spm(512)
+            },
+            MemArchSpec::from_hierarchy(&MemHierarchyConfig::l1_only(CacheConfig::unified(512))),
+            MemArchSpec::from_hierarchy(
+                &MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(2048)),
+            ),
         ];
-        let fig = FigureHierarchy::run(&INSERTSORT, 512, &configs, &SweepSession::none()).unwrap();
+        let pipeline = Pipeline::new(&INSERTSORT).unwrap();
+        let outcomes = spec_sweep_with_session(&pipeline, &axis, &SweepSession::none()).unwrap();
+        let fig = FigureHierarchy::new("insertsort", outcomes);
         assert!(fig.all_sound());
-        let rows = fig.rows();
+        let rows = &fig.points;
         assert_eq!(rows.len(), 4, "2 spm points + 2 hierarchies");
-        assert!(rows[0].0.starts_with("spm"));
-        assert!(rows.iter().any(|(l, _, _)| l.contains("l2 2048")));
+        assert!(rows[0].result.label.starts_with("spm"));
+        assert!(rows.iter().any(|p| p.result.label.contains("l2 2048")));
         // The SPM bound is far tighter than any cached configuration's.
-        let spm_ratio = rows[0].2 as f64 / rows[0].1 as f64;
-        let l1_ratio = rows[2].2 as f64 / rows[2].1 as f64;
+        let (spm_ratio, l1_ratio) = (rows[0].result.ratio(), rows[2].result.ratio());
         assert!(
             spm_ratio < l1_ratio,
             "spm {spm_ratio:.2} vs l1 {l1_ratio:.2}"
@@ -446,9 +335,12 @@ mod tests {
 
     #[test]
     fn spm_hierarchy_figure_compares_allocators() {
+        use crate::sweep::spec_sweep;
         use spmlab_isa::cachecfg::CacheConfig;
         let machines = vec![MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024))];
-        let fig = FigureSpmHierarchy::run(&INSERTSORT, &[256], &machines).unwrap();
+        let axis = crate::config::hierarchy_spm_axis(&[256], &machines);
+        let points = spec_sweep(&Pipeline::new(&INSERTSORT).unwrap(), &axis).unwrap();
+        let fig = FigureSpmHierarchy::new("insertsort", &points);
         assert_eq!(fig.points.len(), 1);
         assert!(fig.all_sound());
         assert!(

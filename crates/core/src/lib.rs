@@ -57,7 +57,8 @@ pub mod sweep;
 
 pub use checkpoint::{check_checkpoint, CheckpointHeader, CheckpointStats};
 pub use config::{
-    cache_axis, hierarchy_axis, hierarchy_spec_axis, hierarchy_spm_axis, hierarchy_spm_machines,
+    assoc_axis, cache_axis, figure3_axis, hierarchy_axis, hierarchy_figure_axis,
+    hierarchy_spec_axis, hierarchy_spm_axis, hierarchy_spm_machines, icache_axis, persistence_axis,
     spm_axis, write_policy_axis, DRAM_LATENCY, PAPER_SIZES, STORE_BUFFER,
 };
 pub use dse::{Frontier, FrontierPoint, GridSpec, GridStats, MergedSweep, Shard};

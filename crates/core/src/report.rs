@@ -132,34 +132,41 @@ pub fn render_ratios(
 /// Hardy–Puaut `A` filter), guaranteed L2 hits, and the remaining
 /// not-classified accesses that must be charged the worst path.
 pub fn render_hierarchy(fig: &crate::figures::FigureHierarchy) -> String {
-    let mut body: Vec<Vec<String>> = Vec::new();
-    for (label, sim, wcet) in fig.rows() {
-        body.push(vec![
-            label,
-            sim.to_string(),
-            wcet.to_string(),
-            format!("{:.3}", wcet as f64 / sim.max(1) as f64),
-            String::new(),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
-    }
-    // Fill classification columns for the cache-hierarchy points (the SPM
-    // rows need no microarchitectural analysis — that is the point).
-    let spm_rows = body.len() - fig.points.len();
-    for (row, p) in body[spm_rows..].iter_mut().zip(&fig.points) {
-        let c = &p.classify;
-        row[4] = (c.fetch_hits + c.data_hits).to_string();
-        row[5] = (c.fetch_always_miss + c.data_always_miss).to_string();
-        row[6] = c.l2_hits.to_string();
-        row[7] = (c.fetch_unclassified + c.data_unclassified).to_string();
-        // A widened-but-sound bound from an exhausted analysis budget is
-        // flagged in place, never passed off as a precise result.
-        if p.degraded {
-            row[0] = format!("{} [degraded]", row[0]);
-        }
-    }
+    let body: Vec<Vec<String>> = fig
+        .points
+        .iter()
+        .map(|p| {
+            let r = &p.result;
+            // A widened-but-sound bound from an exhausted analysis budget
+            // is flagged in place, never passed off as a precise result.
+            let label = if r.degraded {
+                format!("{} [degraded]", r.label)
+            } else {
+                r.label.clone()
+            };
+            let mut row = vec![
+                label,
+                r.sim_cycles.to_string(),
+                r.wcet_cycles.to_string(),
+                format!("{:.3}", r.ratio()),
+            ];
+            // Classification columns for the cache-hierarchy points (the
+            // SPM rows need no microarchitectural analysis — that is the
+            // point).
+            let c = &r.classify;
+            row.extend(if p.spec.spm.is_some() {
+                vec![String::new(); 4]
+            } else {
+                vec![
+                    (c.fetch_hits + c.data_hits).to_string(),
+                    (c.fetch_always_miss + c.data_always_miss).to_string(),
+                    c.l2_hits.to_string(),
+                    (c.fetch_unclassified + c.data_unclassified).to_string(),
+                ]
+            });
+            row
+        })
+        .collect();
     let mut out = format!(
         "Hierarchy comparison — {} benchmark\n{}",
         fig.benchmark,
@@ -182,7 +189,7 @@ pub fn render_hierarchy(fig: &crate::figures::FigureHierarchy) -> String {
         out.push_str(&format!(
             "{} of {} points FAILED:\n",
             fig.failed.len(),
-            fig.rows().len() + fig.failed.len()
+            fig.points.len() + fig.failed.len()
         ));
         for fp in &fig.failed {
             out.push_str(&format!("  {fp}\n"));

@@ -95,7 +95,7 @@ pub enum PointOutcome {
 }
 
 impl PointOutcome {
-    fn from_result(result: ConfigResult) -> PointOutcome {
+    pub(crate) fn from_result(result: ConfigResult) -> PointOutcome {
         if result.degraded {
             PointOutcome::Degraded(result)
         } else {
@@ -549,12 +549,9 @@ pub fn spec_sweep_with_session(
     Ok(outcomes)
 }
 
-/// Partitions per-point outcomes into the all-or-nothing shape of
-/// [`spec_sweep`]: all completed points on success, or
-/// [`CoreError::Sweep`] carrying both the failures *and* every completed
-/// point.
-fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, CoreError> {
-    let total = outcomes.len();
+/// Splits per-point outcomes into the completed points and the failures,
+/// both in axis order.
+pub(crate) fn partition(outcomes: Vec<SpecOutcome>) -> (Vec<SpecPoint>, Vec<FailedPoint>) {
     let mut completed = Vec::new();
     let mut failed = Vec::new();
     for so in outcomes {
@@ -566,6 +563,19 @@ fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, CoreErro
             PointOutcome::Failed(fp) => failed.push(fp),
         }
     }
+    (completed, failed)
+}
+
+/// The all-or-nothing shape of [`spec_sweep`]: all completed points on
+/// success, or [`CoreError::Sweep`] carrying both the failures *and*
+/// every completed point.
+///
+/// # Errors
+///
+/// [`CoreError::Sweep`] when any point failed.
+pub fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, CoreError> {
+    let total = outcomes.len();
+    let (completed, failed) = partition(outcomes);
     if failed.is_empty() {
         Ok(completed)
     } else {

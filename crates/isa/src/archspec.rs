@@ -1068,7 +1068,16 @@ impl MemArchSpec {
     /// [`SpecJsonError`] for malformed JSON or schema violations
     /// (validation failures are reported through the same error).
     pub fn from_json(text: &str) -> Result<MemArchSpec, SpecJsonError> {
-        let v = json::parse(text).map_err(|e| SpecJsonError(e.to_string()))?;
+        MemArchSpec::from_value(&json::parse(text).map_err(|e| SpecJsonError(e.to_string()))?)
+    }
+
+    /// [`MemArchSpec::from_json`] on an already-parsed document, such as
+    /// one entry of a grid's `points` list.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemArchSpec::from_json`].
+    pub fn from_value(v: &json::Value) -> Result<MemArchSpec, SpecJsonError> {
         if !matches!(v, json::Value::Obj(_)) {
             return Err(SpecJsonError("top level must be an object".into()));
         }

@@ -180,7 +180,10 @@ fn capacity_independent(r: &Reference, objectives: &[WcetConfig]) {
 fn quick_hierarchy_spm_report_matches_golden() {
     // `experiments --quick hierarchy-spm` prints a header line, the
     // report, and a blank line.
-    let report = spmlab_bench::exp_hierarchy_spm(true).unwrap();
+    let report = spmlab_bench::experiment("hierarchy-spm")
+        .unwrap()
+        .run(true)
+        .unwrap();
     let stdout = format!("==== hierarchy-spm ====\n{report}\n");
     assert_eq!(stdout, include_str!("hierarchy_spm_quick.stdout"));
 }

@@ -4,7 +4,8 @@
 //! included), a killed
 //! shard must resume to the same bytes, and the incremental Pareto
 //! frontier must agree with a brute-force O(n²) reference on random
-//! point sets.
+//! point sets. A figure rendered from its grid's merged shard streams
+//! prints exactly what the direct run prints.
 
 use spmlab::dse::executor::{shard_header, Shard};
 use spmlab::dse::frontier::{dominates, Frontier, FrontierPoint};
@@ -267,6 +268,32 @@ fn frontier_matches_reference_on_the_real_grid() {
         merged.frontier().points(),
         pareto_reference(&all).as_slice()
     );
+}
+
+#[test]
+fn figures_render_from_merged_shard_streams_as_the_direct_run() {
+    // `experiments render <id>` of a merged two-shard stream of the
+    // figure's grid (the `--dump-spec <id>` document) prints what
+    // `experiments <id>` prints.
+    for id in ["fig3", "hierarchy", "hierarchy-spm"] {
+        let figure = spmlab_bench::experiment(id).unwrap();
+        let grid_json = figure.grid(true).unwrap().to_json();
+        let dir = tempdir(&format!("render-{id}"));
+        let streams: Vec<String> = (0..2)
+            .map(|index| {
+                let shard = Shard { index, count: 2 };
+                run_sweep(&grid_json, shard, Some(&dir), false).unwrap();
+                let path = dir.join(format!("shard-{index}-of-2.jsonl"));
+                std::fs::read_to_string(path).unwrap()
+            })
+            .collect();
+        let merged = merge_texts(&[&streams[0], &streams[1]]).unwrap();
+        assert_eq!(
+            figure.render(true, &merged.to_jsonl()).unwrap(),
+            figure.run(true).unwrap(),
+            "{id}"
+        );
+    }
 }
 
 /// A fresh per-test scratch directory under the target dir.

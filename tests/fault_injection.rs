@@ -13,13 +13,16 @@
 
 use std::time::Duration;
 
+use spmlab::dse::{merge_texts, shard_header, Shard};
 use spmlab::faults::{arm, FaultAction, FaultPlan};
+use spmlab::figures::FigureHierarchy;
 use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
 use spmlab::{
     check_checkpoint, CheckpointHeader, CoreError, MemArchSpec, Pipeline, PointOutcome,
     SweepSession,
 };
-use spmlab_bench::{hierarchy_figure, hierarchy_json};
+use spmlab_bench::dse::{grid_benchmark, sweep_axis};
+use spmlab_bench::{experiment, hierarchy_json};
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer};
 use spmlab_workloads::INSERTSORT;
@@ -331,22 +334,36 @@ fn faulted_checkpoints_record_failures_and_resume_to_completion() {
 
 #[test]
 fn interrupted_g721_hierarchy_resumes_byte_identically() {
-    // The paper's eight-config G.721 hierarchy sweep, interrupted by an
-    // injected fault and resumed: the merged figure must render to the
-    // byte-identical JSON artifact of an uninterrupted run (a fixed wall
-    // time stands in for the only legitimately varying provenance field).
+    // The paper's eight-config G.721 hierarchy grid, swept on the
+    // `experiments sweep` path into its unsharded stream, interrupted by an
+    // injected fault and resumed: the figure rendered from the stream must
+    // give the byte-identical JSON artifact of an uninterrupted run (a
+    // fixed wall time stands in for the only legitimately varying
+    // provenance field).
     let ck_full = scratch("g721-full.jsonl");
     let ck_cut = scratch("g721-cut.jsonl");
-    // `hierarchy_figure` resumes an existing checkpoint: start from none.
+    // `SweepSession::open` resumes an existing stream: start from none.
     for path in [&ck_full, &ck_cut] {
         std::fs::remove_file(path).ok();
     }
+    let grid = experiment("hierarchy").unwrap().grid(false).unwrap();
+    let (axis, _) = grid.axis().unwrap();
+    let bench = grid_benchmark(&grid).unwrap();
+    let header = shard_header("test-rev", &bench.name, &axis, Shard::single());
+    let hierarchy_figure = |path: &std::path::Path| -> Result<FigureHierarchy, CoreError> {
+        let session = SweepSession::open(path, &header)?;
+        sweep_axis(bench, &axis, Shard::single(), &session)?;
+        drop(session);
+        let stream = merge_texts(&[&std::fs::read_to_string(path).unwrap()]).unwrap();
+        let outcomes = stream.outcomes(&bench.name, &axis).unwrap();
+        Ok(FigureHierarchy::new(&bench.name, outcomes))
+    };
 
     // Uninterrupted reference run. The armed-but-inert plan holds the
     // harness lock so no concurrent test can fault this sweep.
     let reference = {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
-        let fig = hierarchy_figure(false, Some(&ck_full)).expect("reference run");
+        let fig = hierarchy_figure(&ck_full).expect("reference run");
         assert!(fig.failed.is_empty());
         hierarchy_json(&fig, 1.0, None)
     };
@@ -354,7 +371,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
     // Faulted run: one measurement dies mid-sweep.
     {
         let guard = arm(FaultPlan::new("measure-spec", 3, FaultAction::Error));
-        let fig = hierarchy_figure(false, Some(&ck_cut)).expect("faulted run survives");
+        let fig = hierarchy_figure(&ck_cut).expect("faulted run survives");
         assert!(guard.fired());
         assert!(
             !fig.failed.is_empty(),
@@ -372,7 +389,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
         let cut = check_checkpoint(&std::fs::read_to_string(&ck_cut).unwrap()).expect("valid");
         assert!(cut.ok > 0, "completed points are there to reuse");
-        let fig = hierarchy_figure(false, Some(&ck_cut)).expect("resume completes");
+        let fig = hierarchy_figure(&ck_cut).expect("resume completes");
         assert!(fig.failed.is_empty(), "resume heals the failed points");
         hierarchy_json(&fig, 1.0, None)
     };
