@@ -15,9 +15,12 @@
 //! ```
 //!
 //! Every sweep figure (`fig3`, `fig5`, `fig6`, `hierarchy`,
-//! `hierarchy-spm` and the persistence, icache and associativity
-//! ablations) is one grid. `experiments <id>` sweeps it through the code
-//! `sweep` runs and renders it; `--dump-spec <id>` prints the grid as a
+//! `hierarchy-spm`, `write-policy` and the persistence, icache and
+//! associativity ablations) is one grid. `experiments <id>` sweeps it
+//! through the code `sweep` runs and renders it, and a full `hierarchy`
+//! or `write-policy` run rewrites its tracked `BENCH_*.json`; this binary
+//! is the only producer of every figure and artifact. `--dump-spec <id>`
+//! prints the grid as a
 //! document `sweep --spec-grid` accepts, and `render <id> <stream>` renders
 //! a merged or unsharded checkpoint stream of that grid exactly as the
 //! direct run prints it. So any figure can be sharded, checkpointed and

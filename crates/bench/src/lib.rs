@@ -14,9 +14,11 @@
 //! per-point outcomes ([`Experiment`]). `experiments <id>` sweeps the grid
 //! through the code `experiments sweep` runs and renders it; `experiments
 //! render <id> <stream>` renders a checkpoint stream of the same grid.
+//! Full `hierarchy` and `write-policy` runs also rewrite their tracked
+//! `BENCH_*.json` artifact through one writer, [`artifact_json`].
 //!
-//! The Criterion benches in `benches/` time the same artefact generators
-//! on reduced inputs, one group per paper artefact.
+//! Nothing here times anything for a claim: speed is measured by the
+//! separate `perfbench` package.
 
 pub mod dse;
 pub mod fuzz;
@@ -27,12 +29,13 @@ use spmlab::dse::{merge_texts, GridSpec};
 use spmlab::figures::{table1, table2, Figure3, FigureHierarchy, FigureSpmHierarchy, Tightness};
 use spmlab::pipeline::{ConfigResult, Pipeline};
 use spmlab::report;
-use spmlab::sweep::{collect_points, spec_sweep, SpecOutcome, SweepSession};
+use spmlab::sweep::{collect_points, spec_sweep, PointOutcome, SpecOutcome, SweepSession};
 use spmlab::{
     assoc_axis, figure3_axis, hierarchy_axis, hierarchy_figure_axis, hierarchy_spm_axis,
     hierarchy_spm_machines, icache_axis, persistence_axis, spm_axis, write_policy_axis, CoreError,
     MemArchSpec, Shard, SpmAllocation, PAPER_SIZES,
 };
+use spmlab_isa::archspec::json::escape;
 use spmlab_workloads::{paper_benchmarks, Benchmark, ADPCM, G721, INSERTSORT, MULTISORT};
 
 /// Experiment sizes: the paper's 64 B … 8 KiB, or a reduced set for quick
@@ -131,6 +134,68 @@ fn render_ablation(
     Ok(format!("{title}\n{}", report::render_table(headers, &rows)))
 }
 
+/// Whether every point of a grid was measured and is sound (WCET ≥
+/// simulation); a failed point fails it, since its bound was never
+/// checked.
+fn all_sound(outcomes: &[SpecOutcome]) -> bool {
+    outcomes.iter().all(|o| {
+        o.outcome
+            .result()
+            .is_some_and(|r| r.wcet_cycles >= r.sim_cycles)
+    })
+}
+
+/// The write-policy table: one row per `[write-through, write-back]`
+/// pair of [`write_policy_axis`], with the twin's change in simulated
+/// cycles and in the bound.
+fn render_write_policy(outcomes: Vec<SpecOutcome>) -> Result<String, CoreError> {
+    let sound = all_sound(&outcomes);
+    let points = results(outcomes)?;
+    let delta = |wt: u64, wb: u64| format!("{:+.1}%", (wb as f64 / wt.max(1) as f64 - 1.0) * 100.0);
+    let rows: Vec<Vec<String>> = points
+        .chunks(2)
+        .map(|pair| {
+            let (wt, wb) = (&pair[0], &pair[1]);
+            vec![
+                wb.label.clone(),
+                wt.sim_cycles.to_string(),
+                wt.wcet_cycles.to_string(),
+                wb.sim_cycles.to_string(),
+                wb.wcet_cycles.to_string(),
+                delta(wt.sim_cycles, wb.sim_cycles),
+                delta(wt.wcet_cycles, wb.wcet_cycles),
+            ]
+        })
+        .collect();
+    Ok(format!(
+        "Write policies: write-through (paper's machine) vs write-back / store buffer\n{}\
+         sound (wcet >= sim) at every point, both policies: {}\n",
+        report::render_table(
+            &[
+                "write-back twin",
+                "wt sim",
+                "wt wcet",
+                "wb sim",
+                "wb wcet",
+                "sim Δ",
+                "wcet Δ"
+            ],
+            &rows
+        ),
+        yes(sound)
+    ))
+}
+
+/// The tracked artifact a full run of grid figure `id` rewrites in the
+/// workspace root.
+fn artifact_file(id: &str) -> Option<&'static str> {
+    match id {
+        "hierarchy" => Some("BENCH_hierarchy.json"),
+        "write-policy" => Some("BENCH_write_policy.json"),
+        _ => None,
+    }
+}
+
 /// "yes", or a loud marker for a violated invariant.
 fn yes(holds: bool) -> &'static str {
     if holds {
@@ -200,6 +265,10 @@ impl Experiment {
                 let machines = hierarchy_spm_machines(l1);
                 (bench, hierarchy_spm_axis(&spm_sizes, &machines))
             }
+            "write-policy" => (
+                hierarchy_benchmark(quick),
+                write_policy_axis(hierarchy_l1_size(quick)),
+            ),
             "ablation-persistence" => (&G721, persistence_axis(szs)),
             "ablation-icache" => (&G721, icache_axis(szs)),
             "ablation-assoc" => {
@@ -217,8 +286,8 @@ impl Experiment {
 
     /// Runs the experiment and renders its report. A grid figure sweeps
     /// its grid unsharded through [`dse::sweep_axis`]; a full `hierarchy`
-    /// run also rewrites the tracked `BENCH_hierarchy.json` in the
-    /// workspace root.
+    /// or `write-policy` run also rewrites its tracked `BENCH_*.json` in
+    /// the workspace root.
     ///
     /// # Errors
     ///
@@ -232,25 +301,24 @@ impl Experiment {
                 // §4 tightness: insertion sort with worst-case input.
                 "tightness" => Ok(report::render_tightness(&Tightness::run(&INSERTSORT, 0)?)),
                 "multilevel-precision" => exp_multilevel_precision(quick),
-                "write-policy" => exp_write_policy(quick),
                 _ => exp_ablation_wcet_alloc(quick),
             };
         };
-        let artifact = self.id == "hierarchy" && !quick;
+        let artifact = artifact_file(self.id).filter(|_| !quick);
         // Counter/phase provenance needs a collector listening during the
         // run. Only ride along when profiling is already active:
         // installing a sink unconditionally would flip
         // `spmlab_obs::enabled()` and serialise the sweep.
-        let collector = (artifact && spmlab_obs::enabled()).then(|| {
+        let collector = (artifact.is_some() && spmlab_obs::enabled()).then(|| {
             let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
             (spmlab_obs::add_sink(sink.clone()), sink)
         });
         let start = std::time::Instant::now();
         let outcomes = sweep_grid(&grid)?;
         let wall = start.elapsed().as_secs_f64();
-        if !artifact {
+        let Some(file) = artifact else {
             return self.render_outcomes(quick, &grid.benchmark, outcomes);
-        }
+        };
         // The spec hash is the `axis_hash` of the swept axis, so the
         // artifact matches the header of any checkpoint stream of it.
         let mut provenance = Provenance {
@@ -267,15 +335,13 @@ impl Experiment {
                 .map(|row| (row.name.to_string(), row.self_ns))
                 .collect();
         }
-        let fig = FigureHierarchy::new(&grid.benchmark, outcomes.clone());
+        let json = artifact_json(&grid.benchmark, &outcomes, wall, Some(&provenance));
         let mut out = self.render_outcomes(quick, &grid.benchmark, outcomes)?;
-        let path = workspace_root().join("BENCH_hierarchy.json");
-        out.push_str(
-            &match std::fs::write(&path, hierarchy_json(&fig, wall, Some(&provenance))) {
-                Ok(()) => format!("wrote {}\n", path.display()),
-                Err(e) => format!("could not write {}: {e}\n", path.display()),
-            },
-        );
+        let path = workspace_root().join(file);
+        out.push_str(&match std::fs::write(&path, json) {
+            Ok(()) => format!("wrote {}\n", path.display()),
+            Err(e) => format!("could not write {}: {e}\n", path.display()),
+        });
         Ok(out)
     }
 
@@ -305,7 +371,7 @@ impl Experiment {
         benchmark: &str,
         outcomes: Vec<SpecOutcome>,
     ) -> Result<String, CoreError> {
-        match self.id {
+        let mut out = match self.id {
             "fig3" => render_two_panel(quick, benchmark, outcomes, "Figure 3", "Figure 4"),
             // Figure 5: MultiSort WCET/sim ratios.
             "fig5" => render_two_panel(
@@ -321,16 +387,11 @@ impl Experiment {
             // failed points are listed, not fatal.
             "hierarchy" => {
                 let fig = FigureHierarchy::new(benchmark, outcomes);
-                let mut out = report::render_hierarchy(&fig);
-                out.push_str(&format!(
-                    "sound (wcet >= sim) at every point: {}\n",
+                Ok(format!(
+                    "{}sound (wcet >= sim) at every point: {}\n",
+                    report::render_hierarchy(&fig),
                     yes(fig.all_sound())
-                ));
-                // Only full runs refresh the tracked sweep artifact.
-                if quick {
-                    out.push_str("quick axis: BENCH_hierarchy.json left untouched\n");
-                }
-                Ok(out)
+                ))
             }
             // Scratchpad and multi-level hierarchy in one machine, with the
             // WCET-aware allocator optimising against the multi-level
@@ -345,6 +406,9 @@ impl Experiment {
                     yes(fig.all_sound())
                 ))
             }
+            // The paper's machine writes through; its write-back twins
+            // and a store buffer, on the same shapes.
+            "write-policy" => render_write_policy(outcomes),
             // Paper §5: "the full scale of cache analysis techniques …
             // would probably lead to improved cache results".
             "ablation-persistence" => render_ablation(
@@ -395,7 +459,12 @@ impl Experiment {
                     report::render_table(&["configuration", "sim", "wcet", "ratio"], &rows)
                 ))
             }
+        }?;
+        // Only full runs refresh a tracked artifact.
+        if let Some(file) = artifact_file(self.id).filter(|_| quick) {
+            out.push_str(&format!("quick axis: {file} left untouched\n"));
         }
+        Ok(out)
     }
 }
 
@@ -442,7 +511,7 @@ impl Provenance {
     /// Reads the replay/full-sim split and the memo counters from `sink`.
     /// Replay-eligible = served from a recorded trace (replayed, or the
     /// recording machine itself); full-sim = fell back to the interpreter.
-    fn record_counters(&mut self, sink: &spmlab_obs::collector::MemorySink) {
+    pub fn record_counters(&mut self, sink: &spmlab_obs::collector::MemorySink) {
         self.replay_points =
             Some(sink.counter_total("sweep_replay") + sink.counter_total("sweep_recorded_reuse"));
         self.full_sim_points = Some(sink.counter_total("sweep_full_sim"));
@@ -463,7 +532,7 @@ impl Provenance {
             }
             phases.push_str(&format!(
                 "\n      {{\"phase\": \"{}\", \"self_ns\": {ns}}}",
-                name.replace('"', "'")
+                escape(name)
             ));
         }
         let phases = if phases.is_empty() {
@@ -473,8 +542,8 @@ impl Provenance {
         };
         format!(
             ",\n  \"provenance\": {{\n    \"rev\": \"{}\",\n    \"spec_hash\": \"{}\"{}{}{}{}{}\n  }}",
-            git_revision().replace('"', "'"),
-            self.spec_hash.replace('"', "'"),
+            escape(&git_revision()),
+            escape(&self.spec_hash),
             opt("replay_points", self.replay_points),
             opt("full_sim_points", self.full_sim_points),
             opt("memo_hits", self.memo_hits),
@@ -497,60 +566,55 @@ pub fn git_revision() -> String {
         .unwrap_or_else(|| String::from("unknown"))
 }
 
-/// Serialises the hierarchy comparison as the `BENCH_hierarchy.json`
-/// artifact (hand-rolled JSON: the build environment has no serde_json),
-/// with an optional `"provenance"` block recording the git revision,
-/// the swept axis's `axis_hash` and — when the run was profiled —
-/// replay/memo counters and per-phase self times.
-pub fn hierarchy_json(
-    fig: &FigureHierarchy,
+/// Serialises a grid figure's outcomes as its `BENCH_*.json` artifact
+/// (hand-rolled JSON: the build environment has no serde_json): one row
+/// per measured point, the failed points, and an optional `"provenance"`
+/// block recording the git revision, the swept axis's `axis_hash` and —
+/// when the run was profiled — replay/memo counters and per-phase self
+/// times.
+pub fn artifact_json(
+    benchmark: &str,
+    outcomes: &[SpecOutcome],
     wall_seconds: f64,
     provenance: Option<&Provenance>,
 ) -> String {
-    let mut rows = String::new();
-    for (i, p) in fig.points.iter().enumerate() {
-        let r = &p.result;
-        if i > 0 {
-            rows.push(',');
-        }
-        // A widened-but-sound bound is marked, never passed off as
-        // precise.
-        rows.push_str(&format!(
-            "\n    {{\"config\": \"{}\", \"sim_cycles\": {}, \"wcet_cycles\": {}, \
-             \"ratio\": {:.4}, \"degraded\": {}}}",
-            r.label.replace('"', "'"),
-            r.sim_cycles,
-            r.wcet_cycles,
-            r.ratio(),
-            r.degraded
-        ));
-    }
-    // Failed points are part of the artifact, never silently dropped.
-    let failed = if fig.failed.is_empty() {
-        String::new()
-    } else {
-        let mut entries = String::new();
-        for (i, fp) in fig.failed.iter().enumerate() {
-            if i > 0 {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
+    let (mut rows, mut failed) = (Vec::new(), Vec::new());
+    for o in outcomes {
+        match &o.outcome {
+            // A widened-but-sound bound is marked, never passed off as
+            // precise.
+            PointOutcome::Ok(r) | PointOutcome::Degraded(r) => rows.push(format!(
+                "\n    {{\"config\": \"{}\", \"sim_cycles\": {}, \"wcet_cycles\": {}, \
+                 \"ratio\": {:.4}, \"degraded\": {}}}",
+                escape(&r.label),
+                r.sim_cycles,
+                r.wcet_cycles,
+                r.ratio(),
+                r.degraded
+            )),
+            PointOutcome::Failed(fp) => failed.push(format!(
                 "\n    {{\"index\": {}, \"config\": \"{}\", \"error\": \"{}\", \
                  \"panicked\": {}}}",
                 fp.index,
-                fp.label.replace('"', "'"),
-                fp.error.replace('"', "'").replace('\n', " "),
+                escape(&fp.label),
+                escape(&fp.error),
                 fp.panicked
-            ));
+            )),
         }
-        format!(",\n  \"failed\": [{entries}\n  ]")
+    }
+    // Failed points are part of the artifact, never silently dropped.
+    let failed = if failed.is_empty() {
+        String::new()
+    } else {
+        format!(",\n  \"failed\": [{}\n  ]", failed.join(","))
     };
     let prov = provenance.map_or_else(String::new, Provenance::json_block);
     format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"wall_seconds\": {wall_seconds:.3},\n  \
-         \"sound\": {}{prov}{failed},\n  \"points\": [{rows}\n  ]\n}}\n",
-        fig.benchmark,
-        fig.all_sound()
+         \"sound\": {}{prov}{failed},\n  \"points\": [{}\n  ]\n}}\n",
+        escape(benchmark),
+        all_sound(outcomes),
+        rows.join(",")
     )
 }
 
@@ -694,276 +758,6 @@ pub fn exp_multilevel_precision(quick: bool) -> Result<String, CoreError> {
         "L2 hits classified behind an L1: {}\n",
         yes(points.iter().any(|p| p.behind_l1 && p.l2_hits > 0))
     ));
-    Ok(out)
-}
-
-/// One write-through/write-back pair of the `write-policy` experiment.
-#[derive(Debug, Clone)]
-pub struct WritePolicyPoint {
-    /// Label of the write-through reference machine.
-    pub wt_label: String,
-    /// Label of the write-back (or store-buffered) twin.
-    pub wb_label: String,
-    /// Simulated cycles, write-through.
-    pub wt_sim: u64,
-    /// WCET bound, write-through.
-    pub wt_wcet: u64,
-    /// Simulated cycles, write-back twin.
-    pub wb_sim: u64,
-    /// WCET bound, write-back twin.
-    pub wb_wcet: u64,
-}
-
-impl WritePolicyPoint {
-    /// Simulated-cycle change of the write-back twin vs write-through
-    /// (negative = faster).
-    pub fn sim_delta_pct(&self) -> f64 {
-        (self.wb_sim as f64 / self.wt_sim.max(1) as f64 - 1.0) * 100.0
-    }
-
-    /// WCET-bound change of the write-back twin vs write-through.
-    pub fn wcet_delta_pct(&self) -> f64 {
-        (self.wb_wcet as f64 / self.wt_wcet.max(1) as f64 - 1.0) * 100.0
-    }
-}
-
-/// A measured write-policy axis: the paired points plus the
-/// replay-vs-full-sim provenance the run demonstrated.
-#[derive(Debug, Clone)]
-pub struct WritePolicySweep {
-    /// Write-through/write-back pairs, axis order.
-    pub points: Vec<WritePolicyPoint>,
-    /// Replay/memo counters (from the replay-mode sweep) and the two
-    /// timed phases (`sweep-replay` / `sweep-full-sim`, nanoseconds).
-    pub provenance: Provenance,
-    /// Wall time of the replay-mode sweep, seconds.
-    pub replay_wall: f64,
-    /// Wall time of the full-simulation reference sweep, seconds.
-    pub full_sim_wall: f64,
-}
-
-impl WritePolicySweep {
-    /// Full-simulation wall time over replay wall time (> 1 means
-    /// replay was faster).
-    pub fn speedup(&self) -> f64 {
-        self.full_sim_wall / self.replay_wall.max(1e-9)
-    }
-}
-
-/// Measures the write-policy axis ([`write_policy_axis`]) on the G.721
-/// benchmark (ADPCM for quick runs) **twice**: once with the baseline's
-/// ordered (v2) trace replayed at every point — write-back and
-/// store-buffered machines included — and once with the trace disabled
-/// as the full-simulation reference. The two sweeps must agree
-/// bit-identically on cycles, bounds, checksums and (stats-derived)
-/// energy at every point; the replay sweep's counters and both phase
-/// times land in the returned provenance.
-///
-/// # Errors
-///
-/// Pipeline failures, or [`CoreError::ChecksumMismatch`]-style
-/// divergence mapped to a panic — replay/full-sim disagreement is a
-/// simulator bug, not a reportable measurement.
-pub fn write_policy_sweep(quick: bool) -> Result<WritePolicySweep, CoreError> {
-    let bench = if quick { &ADPCM } else { &G721 };
-    let l1 = hierarchy_l1_size(quick);
-    let specs = write_policy_axis(l1);
-
-    // Full-simulation reference: same pipeline, trace dropped. A sink
-    // listens here too so both timed phases carry identical
-    // instrumentation overhead — the speedup compares like with like.
-    let mut full_pipeline = Pipeline::new(bench)?;
-    full_pipeline.disable_trace();
-    let full_sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
-    let full_guard = spmlab_obs::add_sink(full_sink.clone());
-    let start = std::time::Instant::now();
-    let full = spec_sweep(&full_pipeline, &specs)?;
-    let full_sim_wall = start.elapsed().as_secs_f64();
-    drop(full_guard);
-    assert_eq!(
-        full_sink.counter_total("sweep_replay"),
-        0,
-        "trace-disabled reference must not replay"
-    );
-
-    // Replay mode, with a collector listening so the provenance can
-    // prove the flip (every point replayed, zero full-sim fallbacks).
-    let pipeline = Pipeline::new(bench)?;
-    let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
-    let guard = spmlab_obs::add_sink(sink.clone());
-    let start = std::time::Instant::now();
-    let results = spec_sweep(&pipeline, &specs)?;
-    let replay_wall = start.elapsed().as_secs_f64();
-    drop(guard);
-
-    // The differential: replay must be indistinguishable from full
-    // simulation at every point (energy is a pure function of the
-    // per-level memory statistics, so equal energy ⇒ equal stats
-    // weighting on top of the cycle/bound/checksum identity).
-    for (r, f) in results.iter().zip(&full) {
-        assert_eq!(
-            (r.result.sim_cycles, r.result.wcet_cycles, r.result.checksum),
-            (f.result.sim_cycles, f.result.wcet_cycles, f.result.checksum),
-            "replay diverged from full simulation at {}",
-            r.result.label
-        );
-        assert_eq!(
-            r.result.energy_nj.to_bits(),
-            f.result.energy_nj.to_bits(),
-            "replayed memory statistics diverged at {}",
-            r.result.label
-        );
-    }
-
-    let mut provenance = Provenance {
-        spec_hash: axis_hash(&specs),
-        phase_ns: vec![
-            ("sweep-replay".into(), (replay_wall * 1e9).round() as u64),
-            (
-                "sweep-full-sim".into(),
-                (full_sim_wall * 1e9).round() as u64,
-            ),
-        ],
-        ..Provenance::default()
-    };
-    provenance.record_counters(&sink);
-    let points = results
-        .chunks(2)
-        .map(|pair| WritePolicyPoint {
-            wt_label: pair[0].result.label.clone(),
-            wb_label: pair[1].result.label.clone(),
-            wt_sim: pair[0].result.sim_cycles,
-            wt_wcet: pair[0].result.wcet_cycles,
-            wb_sim: pair[1].result.sim_cycles,
-            wb_wcet: pair[1].result.wcet_cycles,
-        })
-        .collect();
-    Ok(WritePolicySweep {
-        points,
-        provenance,
-        replay_wall,
-        full_sim_wall,
-    })
-}
-
-/// Whether every point of the write-policy comparison is sound
-/// (WCET ≥ simulation on both sides of every pair) — the acceptance
-/// criterion `verify` checks as a claim.
-pub fn write_policy_sound(points: &[WritePolicyPoint]) -> bool {
-    points
-        .iter()
-        .all(|p| p.wt_wcet >= p.wt_sim && p.wb_wcet >= p.wb_sim)
-}
-
-/// Serialises the write-policy comparison as the
-/// `BENCH_write_policy.json` artifact (hand-rolled JSON; the build
-/// environment has no serde_json), with an optional `"provenance"` block:
-/// git revision, canonical axis hash, the replay/full-sim/memo counters
-/// of the replay-mode sweep, and the timed `sweep-replay` /
-/// `sweep-full-sim` phases that demonstrate the replay speedup.
-pub fn write_policy_json(
-    points: &[WritePolicyPoint],
-    quick: bool,
-    provenance: Option<&Provenance>,
-) -> String {
-    let mut rows = String::new();
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"write_through\": \"{}\", \"write_back\": \"{}\", \
-             \"wt_sim\": {}, \"wt_wcet\": {}, \"wb_sim\": {}, \"wb_wcet\": {}}}",
-            p.wt_label.replace('"', "'"),
-            p.wb_label.replace('"', "'"),
-            p.wt_sim,
-            p.wt_wcet,
-            p.wb_sim,
-            p.wb_wcet,
-        ));
-    }
-    let prov = provenance.map_or_else(String::new, Provenance::json_block);
-    format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"quick\": {quick},\n  \"sound\": {}{prov},\n  \
-         \"points\": [{rows}\n  ]\n}}\n",
-        if quick { &ADPCM.name } else { &G721.name },
-        write_policy_sound(points)
-    )
-}
-
-/// Write-policy scenario: write-through vs write-back (and a store
-/// buffer) across the standard machine shapes — simulated cycles, WCET
-/// bounds, and the per-pair deltas. The axis is measured twice (trace
-/// replay vs full simulation, bit-identical by construction); the
-/// report shows the replay speedup and the counter flip, and full runs
-/// rewrite the tracked `BENCH_write_policy.json` artifact in the
-/// workspace root (quick smoke runs leave it untouched).
-///
-/// # Errors
-///
-/// Pipeline failures; artifact IO errors are reported inline, not fatal.
-pub fn exp_write_policy(quick: bool) -> Result<String, CoreError> {
-    let sweep = write_policy_sweep(quick)?;
-    let points = &sweep.points;
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.wb_label.clone(),
-                p.wt_sim.to_string(),
-                p.wt_wcet.to_string(),
-                p.wb_sim.to_string(),
-                p.wb_wcet.to_string(),
-                format!("{:+.1}%", p.sim_delta_pct()),
-                format!("{:+.1}%", p.wcet_delta_pct()),
-            ]
-        })
-        .collect();
-    let mut out = format!(
-        "Write policies: write-through (paper's machine) vs write-back / store buffer\n{}",
-        report::render_table(
-            &[
-                "write-back twin",
-                "wt sim",
-                "wt wcet",
-                "wb sim",
-                "wb wcet",
-                "sim Δ",
-                "wcet Δ"
-            ],
-            &rows
-        )
-    );
-    out.push_str(&format!(
-        "sound (wcet >= sim) at every point, both policies: {}\n",
-        yes(write_policy_sound(points))
-    ));
-    out.push_str(&format!(
-        "replay vs full simulation: bit-identical at every point; \
-         {} replayed, {} full-sim fallbacks, {} memo hits; \
-         replay sweep {:.3}s vs full-sim sweep {:.3}s ({:.1}x)\n",
-        sweep.provenance.replay_points.unwrap_or(0),
-        sweep.provenance.full_sim_points.unwrap_or(0),
-        sweep.provenance.memo_hits.unwrap_or(0),
-        sweep.replay_wall,
-        sweep.full_sim_wall,
-        sweep.speedup(),
-    ));
-    // Only full runs refresh the tracked artifact — a --quick smoke run
-    // (CI) must not clobber the committed full-axis numbers, mirroring
-    // the hierarchy experiment's convention.
-    if quick {
-        out.push_str("quick axis: BENCH_write_policy.json left untouched\n");
-    } else {
-        let path = workspace_root().join("BENCH_write_policy.json");
-        match std::fs::write(
-            &path,
-            write_policy_json(points, quick, Some(&sweep.provenance)),
-        ) {
-            Ok(()) => out.push_str(&format!("wrote {}\n", path.display())),
-            Err(e) => out.push_str(&format!("could not write {}: {e}\n", path.display())),
-        }
-    }
     Ok(out)
 }
 
@@ -1209,10 +1003,10 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // Claim 11 (the write-policy axis): the charge-at-store write-back
     // rule keeps the bound sound when levels turn write-back and a store
     // buffer appears — sim ≤ bound at every point, both policies.
-    let wp = write_policy_sweep(quick)?.points;
+    let (_, outcomes) = figure_outcomes("write-policy", quick)?;
     claims.push((
         "write-policy: WCET ≥ simulation at every write-through AND write-back point".into(),
-        write_policy_sound(&wp),
+        all_sound(&outcomes),
     ));
 
     // Claim 12 (the persistence ablation): first-miss persistence only
@@ -1249,6 +1043,11 @@ mod tests {
                     "hierarchy-spm",
                     spm_bench.name.to_string(),
                     hierarchy_spm_axis(&spm_sizes, &hierarchy_spm_machines(spm_l1)),
+                ),
+                (
+                    "write-policy",
+                    hierarchy_benchmark(quick).name.to_string(),
+                    write_policy_axis(hierarchy_l1_size(quick)),
                 ),
                 (
                     "ablation-persistence",
@@ -1290,6 +1089,43 @@ mod tests {
             assert_eq!(axis.len(), 8);
             assert_eq!(axis_hash(&axis), hash);
         }
+    }
+
+    #[test]
+    fn artifact_reads_back_failed_point_text_exactly() {
+        use spmlab_isa::archspec::json::{parse, Value};
+        let error = "bad \"bound\"\nat line 2";
+        let outcomes = [SpecOutcome {
+            spec: MemArchSpec::uncached(),
+            outcome: PointOutcome::Failed(spmlab::FailedPoint {
+                index: 0,
+                label: "l1 \"512\"".into(),
+                error: error.into(),
+                panicked: false,
+            }),
+        }];
+        let provenance = Provenance {
+            phase_ns: vec![("sweep \"a\"\tb".into(), 7)],
+            ..Provenance::default()
+        };
+        let json = artifact_json("g721", &outcomes, 1.0, Some(&provenance));
+        let doc = parse(&json).expect("the artifact parses");
+        let first = |v: Option<&Value>| match v {
+            Some(Value::Arr(items)) => items[0].clone(),
+            _ => panic!("not a list in {json}"),
+        };
+        let failed = first(doc.get("failed"));
+        assert_eq!(failed.get("error").and_then(Value::as_str), Some(error));
+        assert_eq!(
+            failed.get("config").and_then(Value::as_str),
+            Some("l1 \"512\"")
+        );
+        let phase = first(doc.get("provenance").and_then(|p| p.get("phases")));
+        assert_eq!(
+            phase.get("phase").and_then(Value::as_str),
+            Some("sweep \"a\"\tb")
+        );
+        assert_eq!(doc.get("sound"), Some(&Value::Bool(false)));
     }
 
     #[test]

@@ -175,8 +175,8 @@ pub const STORE_BUFFER: StoreBuffer = StoreBuffer::new(4, 6);
 /// hierarchy experiment, the paper's write-through/no-allocate
 /// configuration next to its write-back/write-allocate twin (and, for
 /// the uncached shape, a store-buffered twin). Pairs are adjacent:
-/// `[write-through, write-back, …]` — the `write-policy` experiment and
-/// verify claim compare them point by point.
+/// `[write-through, write-back, …]` — the `write-policy` grid figure
+/// prints one row per pair, and its verify claim checks every point.
 pub fn write_policy_axis(l1_size: u32) -> Vec<MemArchSpec> {
     let half = l1_size / 2;
     let split_wt = || MemHierarchyConfig::split_l1(half, half);

@@ -231,14 +231,6 @@ impl Pipeline {
         self.analysis_budget = budget;
     }
 
-    /// Drops the recorded baseline trace: every subsequent point runs
-    /// full simulation (`sweep_full_sim`), never trace replay. The
-    /// reference mode for replay-vs-full-sim differentials and speedup
-    /// measurements — results must be bit-identical either way.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// The baseline execution's recorded trace, serialized in the
     /// versioned wire format (see `spmlab_sim::trace`), if the baseline
     /// produced a replayable one. The bytes round-trip through

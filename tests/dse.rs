@@ -275,7 +275,7 @@ fn figures_render_from_merged_shard_streams_as_the_direct_run() {
     // `experiments render <id>` of a merged two-shard stream of the
     // figure's grid (the `--dump-spec <id>` document) prints what
     // `experiments <id>` prints.
-    for id in ["fig3", "hierarchy", "hierarchy-spm"] {
+    for id in ["fig3", "hierarchy", "hierarchy-spm", "write-policy"] {
         let figure = spmlab_bench::experiment(id).unwrap();
         let grid_json = figure.grid(true).unwrap().to_json();
         let dir = tempdir(&format!("render-{id}"));

@@ -22,7 +22,7 @@ use spmlab::{
     SweepSession,
 };
 use spmlab_bench::dse::{grid_benchmark, sweep_axis};
-use spmlab_bench::{experiment, hierarchy_json};
+use spmlab_bench::{artifact_json, experiment};
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer};
 use spmlab_workloads::INSERTSORT;
@@ -350,36 +350,42 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
     let (axis, _) = grid.axis().unwrap();
     let bench = grid_benchmark(&grid).unwrap();
     let header = shard_header("test-rev", &bench.name, &axis, Shard::single());
-    let hierarchy_figure = |path: &std::path::Path| -> Result<FigureHierarchy, CoreError> {
-        let session = SweepSession::open(path, &header)?;
-        sweep_axis(bench, &axis, Shard::single(), &session)?;
-        drop(session);
-        let stream = merge_texts(&[&std::fs::read_to_string(path).unwrap()]).unwrap();
-        let outcomes = stream.outcomes(&bench.name, &axis).unwrap();
-        Ok(FigureHierarchy::new(&bench.name, outcomes))
-    };
+    // The figure rendered from the stream, and its JSON artifact.
+    let hierarchy_figure =
+        |path: &std::path::Path| -> Result<(FigureHierarchy, String), CoreError> {
+            let session = SweepSession::open(path, &header)?;
+            sweep_axis(bench, &axis, Shard::single(), &session)?;
+            drop(session);
+            let stream = merge_texts(&[&std::fs::read_to_string(path).unwrap()]).unwrap();
+            let outcomes = stream.outcomes(&bench.name, &axis).unwrap();
+            let json = artifact_json(&bench.name, &outcomes, 1.0, None);
+            Ok((FigureHierarchy::new(&bench.name, outcomes), json))
+        };
 
     // Uninterrupted reference run. The armed-but-inert plan holds the
     // harness lock so no concurrent test can fault this sweep.
     let reference = {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
-        let fig = hierarchy_figure(&ck_full).expect("reference run");
+        let (fig, json) = hierarchy_figure(&ck_full).expect("reference run");
         assert!(fig.failed.is_empty());
-        hierarchy_json(&fig, 1.0, None)
+        json
     };
 
     // Faulted run: one measurement dies mid-sweep.
     {
         let guard = arm(FaultPlan::new("measure-spec", 3, FaultAction::Error));
-        let fig = hierarchy_figure(&ck_cut).expect("faulted run survives");
+        let (fig, json) = hierarchy_figure(&ck_cut).expect("faulted run survives");
         assert!(guard.fired());
         assert!(
             !fig.failed.is_empty(),
             "the fault is reported in the figure"
         );
         assert!(!fig.all_sound(), "a failed point fails the soundness claim");
-        let json = hierarchy_json(&fig, 1.0, None);
         assert!(json.contains("\"failed\""), "and in the JSON artifact");
+        assert!(
+            json.contains("\"sound\": false"),
+            "which fails its soundness too"
+        );
     }
 
     // Resume without the fault: missing points re-measure, reused points
@@ -389,9 +395,9 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
         let cut = check_checkpoint(&std::fs::read_to_string(&ck_cut).unwrap()).expect("valid");
         assert!(cut.ok > 0, "completed points are there to reuse");
-        let fig = hierarchy_figure(&ck_cut).expect("resume completes");
+        let (fig, json) = hierarchy_figure(&ck_cut).expect("resume completes");
         assert!(fig.failed.is_empty(), "resume heals the failed points");
-        hierarchy_json(&fig, 1.0, None)
+        json
     };
     assert_eq!(
         reference, resumed,

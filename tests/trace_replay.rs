@@ -4,10 +4,11 @@
 //! `dirty_evictions` and `store_buffer_stalls`) — on *any* hierarchy a
 //! v2 trace claims to support, including write-back levels, store
 //! buffers and mixed WT-L1-over-WB-L2 stacks. Property tests draw the
-//! machines at random; a pinned counter test locks the write-policy
-//! axis' memo/replay split the way `tests/observability.rs` does for
-//! the write-through hierarchy scenario. Machines without a store
-//! buffer are priced from one latency-0 tally per cache geometry; the
+//! machines at random, and ADPCM's recording replays every machine of
+//! the write-policy axis; pinned counter tests lock that axis'
+//! memo/replay split the way `tests/observability.rs` does for the
+//! write-through hierarchy scenario. Machines without a store buffer
+//! are priced from one latency-0 tally per cache geometry; the
 //! pricing differential checks that against replay and simulation at
 //! random latencies (the sweep-level main-timing-group case lives in
 //! `tests/observability.rs`, whose tests all hold the sink lock, so its
@@ -456,14 +457,45 @@ fn mixed_stacks_replay_bit_identically() {
             .with_l2(CacheConfig::l2(1024).write_back())
             .with_main(MainMemoryTiming::dram(9).with_store_buffer(StoreBuffer::new(4, 5))),
     ];
-    for h in stacks {
-        let (cycles, stats) = rec.trace.replay(&h).unwrap();
-        let fresh = simulate(
-            &rec.exe,
-            &MachineConfig::with_hierarchy(h.clone()),
-            &SimOptions::default(),
+    assert_replay_matches_simulation(&rec.exe, &rec.trace, stacks, &SimOptions::default());
+}
+
+/// ADPCM's no-scratchpad link, recorded once, replays every machine of
+/// the quick write-policy axis — write-back levels and the store buffer
+/// included — exactly as a fresh simulation runs it.
+#[test]
+fn write_policy_axis_replays_adpcm_bit_identically() {
+    let options = SimOptions {
+        insn_stats: false,
+        ..SimOptions::default()
+    };
+    let module = ADPCM.compile().unwrap();
+    let l = ADPCM
+        .link_with_input(
+            &module,
+            &MemoryMap::no_spm(),
+            &SpmAssignment::none(),
+            &ADPCM.typical_input(),
         )
         .unwrap();
+    let (_, trace) = simulate_with_trace(&l.exe, &options).unwrap();
+    let axis = write_policy_axis(512);
+    assert_eq!(axis.len(), 10);
+    let machines = axis.iter().map(|spec| spec.canonical().hierarchy());
+    assert_replay_matches_simulation(&l.exe, &trace, machines, &options);
+}
+
+/// Replays `trace` on each of `machines` and checks cycles and every
+/// [`MemStats`] counter against a fresh simulation of `exe`.
+fn assert_replay_matches_simulation(
+    exe: &spmlab_isa::image::Executable,
+    trace: &MemTrace,
+    machines: impl IntoIterator<Item = MemHierarchyConfig>,
+    options: &SimOptions,
+) {
+    for h in machines {
+        let (cycles, stats) = trace.replay(&h).unwrap();
+        let fresh = simulate(exe, &MachineConfig::with_hierarchy(h.clone()), options).unwrap();
         assert_eq!(cycles, fresh.cycles, "{}: cycles diverged", h.label());
         assert_eq!(stats, fresh.mem_stats, "{}: stats diverged", h.label());
     }
@@ -598,27 +630,27 @@ fn write_policy_axis_memo_replay_split_pinned() {
     assert_ne!(points[0].result.sim_cycles, points[1].result.sim_cycles);
 }
 
-/// The `write-policy` experiment's provenance must show the flip this
-/// PR unlocked: every write-policy-dependent point served by trace
-/// replay, zero full-simulation fallbacks. (`write_policy_sweep` also
-/// asserts internally that replay and full simulation agree
-/// bit-identically on cycles, bounds, checksums and stats-derived
-/// energy at every point.)
+/// The quick `write-policy` grid run, profiled: its provenance counters
+/// show every distinct machine — write-back and store-buffered ones
+/// included — served by trace replay with zero full-simulation
+/// fallbacks, and the repeated all-write-through split-L1+L2 spec served
+/// from the memo.
 #[test]
 fn write_policy_experiment_provenance_shows_replay_flip() {
     let _x = spmlab_obs::exclusive();
-    let sweep = spmlab_bench::write_policy_sweep(true).unwrap();
-    assert_eq!(sweep.points.len(), 5, "five write-through/write-back pairs");
-    assert_eq!(sweep.provenance.replay_points, Some(9));
-    assert_eq!(sweep.provenance.full_sim_points, Some(0));
-    assert_eq!(sweep.provenance.memo_hits, Some(1));
-    assert_eq!(sweep.provenance.memo_misses, Some(9));
-    assert!(sweep.replay_wall > 0.0 && sweep.full_sim_wall > 0.0);
-    let phases: Vec<&str> = sweep
-        .provenance
-        .phase_ns
-        .iter()
-        .map(|(name, _)| name.as_str())
-        .collect();
-    assert_eq!(phases, ["sweep-replay", "sweep-full-sim"]);
+    let sink = Arc::new(MemorySink::default());
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let report = spmlab_bench::experiment("write-policy")
+        .unwrap()
+        .run(true)
+        .unwrap();
+    drop(guard);
+    assert!(report.contains("both policies: yes"), "{report}");
+    assert_eq!(sink.counter_total("sweep_points"), 10);
+    let mut provenance = spmlab_bench::Provenance::default();
+    provenance.record_counters(&sink);
+    assert_eq!(provenance.replay_points, Some(9));
+    assert_eq!(provenance.full_sim_points, Some(0));
+    assert_eq!(provenance.memo_hits, Some(1));
+    assert_eq!(provenance.memo_misses, Some(9));
 }
