@@ -282,7 +282,7 @@ fn main() {
             println!("{path}: OK — complete");
         }
         "fuzz" => run_fuzz(&cli),
-        // v2-trace artifact: the G.721 (ADPCM with --quick) baseline's
+        // Trace artifact: the G.721 (ADPCM with --quick) baseline's
         // ordered trace, round-trip-verified.
         "dump-trace" => {
             let [out] = cli.positional("an output path argument");

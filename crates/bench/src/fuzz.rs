@@ -11,7 +11,7 @@
 //! 3. **Simulator differential** — the program links and runs on the
 //!    uncached machine; the simulated `checksum` must equal the oracle.
 //! 4. **Replay differential** — the run is re-recorded as an ordered
-//!    (v2) event trace and replayed on every spec machine; replay must
+//!    event trace and replayed on every spec machine; replay must
 //!    be bit-identical to fresh simulation (cycles and every
 //!    [`spmlab_sim::MemStats`] counter) on each.
 //! 5. **Soundness** — a [`Pipeline`] over the generated benchmark runs
@@ -169,7 +169,7 @@ fn random_cache(state: &mut u64, scope: CacheScope) -> CacheConfig {
 /// machine on re-run with no state outside the seed. Roughly half the
 /// drawn machines are write-policy-dependent (write-back levels or
 /// store buffers), which keeps the replay differential exercising the
-/// ordered-event half of the v2 trace format.
+/// trace's ordered write events.
 #[must_use]
 pub fn random_spec_for_seed(seed: u64) -> (String, MemArchSpec) {
     let mut state = seed ^ 0xA076_1D64_78BD_642F;
@@ -296,7 +296,7 @@ fn check_program(
         ));
     }
 
-    // 4. Replay differential: the ordered (v2) trace recorded on the
+    // 4. Replay differential: the ordered trace recorded on the
     // uncached machine must replay bit-identically to fresh simulation
     // on every spec machine — cycles and all MemStats counters,
     // write-back/store-buffer machinery included.
@@ -304,12 +304,6 @@ fn check_program(
         .map_err(|e| ("trace-record", format!("trace recording failed: {e}")))?;
     for (label, spec) in specs {
         let h = spec.hierarchy();
-        if !trace.supports(&h) {
-            return Err((
-                "replay-unsupported",
-                format!("[{label}] v2 trace refuses {}", h.label()),
-            ));
-        }
         let (cycles, stats) = trace
             .replay(&h)
             .map_err(|e| ("replay-vs-sim", format!("[{label}] replay failed: {e}")))?;

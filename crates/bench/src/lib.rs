@@ -313,9 +313,7 @@ impl Experiment {
             let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
             (spmlab_obs::add_sink(sink.clone()), sink)
         });
-        let start = std::time::Instant::now();
         let outcomes = sweep_grid(&grid)?;
-        let wall = start.elapsed().as_secs_f64();
         let Some(file) = artifact else {
             return self.render_outcomes(quick, &grid.benchmark, outcomes);
         };
@@ -335,7 +333,7 @@ impl Experiment {
                 .map(|row| (row.name.to_string(), row.self_ns))
                 .collect();
         }
-        let json = artifact_json(&grid.benchmark, &outcomes, wall, Some(&provenance));
+        let json = artifact_json(&grid.benchmark, &outcomes, Some(&provenance));
         let mut out = self.render_outcomes(quick, &grid.benchmark, outcomes)?;
         let path = workspace_root().join(file);
         out.push_str(&match std::fs::write(&path, json) {
@@ -553,10 +551,11 @@ impl Provenance {
     }
 }
 
-/// The current short git revision, or `unknown` outside a checkout.
+/// The current short git revision, suffixed `-dirty` when tracked files
+/// have uncommitted changes, or `unknown` outside a checkout.
 pub fn git_revision() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -575,7 +574,6 @@ pub fn git_revision() -> String {
 pub fn artifact_json(
     benchmark: &str,
     outcomes: &[SpecOutcome],
-    wall_seconds: f64,
     provenance: Option<&Provenance>,
 ) -> String {
     let (mut rows, mut failed) = (Vec::new(), Vec::new());
@@ -610,8 +608,7 @@ pub fn artifact_json(
     };
     let prov = provenance.map_or_else(String::new, Provenance::json_block);
     format!(
-        "{{\n  \"benchmark\": \"{}\",\n  \"wall_seconds\": {wall_seconds:.3},\n  \
-         \"sound\": {}{prov}{failed},\n  \"points\": [{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"{}\",\n  \"sound\": {}{prov}{failed},\n  \"points\": [{}\n  ]\n}}\n",
         escape(benchmark),
         all_sound(outcomes),
         rows.join(",")
@@ -761,10 +758,10 @@ pub fn exp_multilevel_precision(quick: bool) -> Result<String, CoreError> {
     Ok(out)
 }
 
-/// Serializes the G.721 (ADPCM for quick runs) baseline's ordered (v2)
-/// memory trace in its versioned wire format to `path` — the CI
-/// artifact proving the recorded stream decodes and replays. The bytes
-/// are round-trip-verified (decode + uncached replay) before writing.
+/// Serializes the G.721 (ADPCM for quick runs) baseline's ordered memory
+/// trace in its wire format (version byte 2) to `path` — the CI artifact
+/// proving the recorded stream decodes and replays. The bytes are
+/// round-trip-verified (decode + uncached replay) before writing.
 ///
 /// # Errors
 ///
@@ -772,15 +769,12 @@ pub fn exp_multilevel_precision(quick: bool) -> Result<String, CoreError> {
 pub fn dump_trace(quick: bool, path: &std::path::Path) -> Result<String, CoreError> {
     let bench = if quick { &ADPCM } else { &G721 };
     let pipeline = Pipeline::new(bench)?;
-    let bytes = pipeline
-        .trace_bytes()
-        .expect("the uncached baseline always records a replayable v2 trace");
+    let bytes = pipeline.trace_bytes();
     let decoded =
         spmlab_sim::MemTrace::from_bytes(&bytes).expect("a freshly serialized trace must decode");
-    assert_eq!(decoded.version(), 2, "the recorder emits ordered traces");
     decoded
         .replay(&spmlab::MemHierarchyConfig::uncached())
-        .expect("a decoded v2 trace must replay");
+        .expect("a decoded trace must replay");
     match std::fs::write(path, &bytes) {
         Ok(()) => Ok(format!(
             "wrote {} ({} bytes, v2, {} events) for benchmark {}\n",
@@ -1108,7 +1102,7 @@ mod tests {
             phase_ns: vec![("sweep \"a\"\tb".into(), 7)],
             ..Provenance::default()
         };
-        let json = artifact_json("g721", &outcomes, 1.0, Some(&provenance));
+        let json = artifact_json("g721", &outcomes, Some(&provenance));
         let doc = parse(&json).expect("the artifact parses");
         let first = |v: Option<&Value>| match v {
             Some(Value::Arr(items)) => items[0].clone(),

@@ -99,9 +99,7 @@ struct SpmArtifacts {
     recorded_stats: MemStats,
     checksum: i32,
     spm_used: u32,
-    /// `None` when the program is timing-dependent (MMIO cycle-register
-    /// reads) and must be simulated per configuration.
-    trace: Option<MemTrace>,
+    trace: MemTrace,
 }
 
 /// A benchmark prepared for configuration sweeps: compiled once, linked
@@ -123,9 +121,8 @@ pub struct Pipeline {
     /// preparation error is kept and fails every point that needs it.
     no_spm_prepared: OnceLock<Result<Prepared, WcetError>>,
     /// The baseline execution's memory trace. Hierarchy points replay it
-    /// instead of re-interpreting the program (`None` when the program is
-    /// timing-dependent and must be simulated per configuration).
-    trace: Option<MemTrace>,
+    /// instead of re-interpreting the program.
+    trace: MemTrace,
     energy: EnergyModel,
     sim_options: SimOptions,
     /// Memoised WCET-driven allocations, keyed by capacity + objective:
@@ -214,7 +211,7 @@ impl Pipeline {
             // Every cache geometry of a sweep tallies this trace once:
             // worth a run index (scratchpad traces are tallied at most
             // twice and go without).
-            trace: trace.replayable().then(|| trace.with_run_index()),
+            trace: trace.with_run_index(),
             energy: EnergyModel::default(),
             sim_options,
             wcet_allocs: Mutex::new(BTreeMap::new()),
@@ -231,12 +228,11 @@ impl Pipeline {
         self.analysis_budget = budget;
     }
 
-    /// The baseline execution's recorded trace, serialized in the
-    /// versioned wire format (see `spmlab_sim::trace`), if the baseline
-    /// produced a replayable one. The bytes round-trip through
-    /// [`MemTrace::from_bytes`] and replay on any supported hierarchy.
-    pub fn trace_bytes(&self) -> Option<Vec<u8>> {
-        self.trace.as_ref().map(MemTrace::to_bytes)
+    /// The baseline execution's recorded trace, serialized in its wire
+    /// format (see `spmlab_sim::trace`). The bytes round-trip through
+    /// [`MemTrace::from_bytes`] and replay on any hierarchy.
+    pub fn trace_bytes(&self) -> Vec<u8> {
+        self.trace.to_bytes()
     }
 
     /// The per-point analysis budget in force.
@@ -296,9 +292,10 @@ impl Pipeline {
 
     /// Runs one memory-architecture spec end to end: allocate (per the
     /// spec's scratchpad strategy), link, simulate — replaying the
-    /// recorded memory trace instead of re-interpreting whenever the
-    /// program is timing-independent — and statically analyze with the
-    /// analyzer configuration the spec implies:
+    /// recorded memory trace instead of re-interpreting, unless a
+    /// recorded cycle-register value diverges under the spec's timing —
+    /// and statically analyze with the analyzer configuration the spec
+    /// implies:
     ///
     /// | shape                                  | analysis                      |
     /// |----------------------------------------|-------------------------------|
@@ -315,9 +312,8 @@ impl Pipeline {
     /// first-miss persistence extension. Write-policy-dependent shapes
     /// (any write-back level, or a store buffer) always take the full
     /// flags with the charge-at-store write-back rule
-    /// (`spmlab_wcet::dirty`). They replay from the ordered (v2) trace
-    /// like every other shape; only count-based (v1) traces force them
-    /// into full simulation (see `MemTrace::supports`).
+    /// (`spmlab_wcet::dirty`). They replay from the recorded trace like
+    /// every other shape.
     ///
     /// (Paper mode reproduces the paper's ARM7/aiT setup, and its numbers
     /// are pinned by `tests/spec_differential.rs` and
@@ -406,9 +402,7 @@ impl Pipeline {
     /// so one walk of the trace prices them all exactly (see
     /// `spmlab_sim::trace`).
     fn prices_latencies(&self, canon: &MemArchSpec) -> bool {
-        canon.spm.is_none()
-            && canon.main.store_buffer.is_none()
-            && self.trace.as_ref().is_some_and(|t| t.cycle_reads() == 0)
+        canon.spm.is_none() && canon.main.store_buffer.is_none() && self.trace.cycle_reads() == 0
     }
 
     /// The cheap half of [`Pipeline::run`]: labels a measurement and
@@ -438,20 +432,15 @@ impl Pipeline {
     /// Attempts to price `hierarchy` from `trace`, bumping the
     /// `sweep_replay` counter on success. Machines the trace can price
     /// from a latency-0 tally take it from `tally`, walking the trace
-    /// only when the slot is still empty. Returns `Ok(None)` when no
-    /// trace is available, the trace does not support the hierarchy
-    /// (count-based v1 trace × write-policy-dependent machine), or the
-    /// replay diverged on a recorded cycle-register value — every case
-    /// where the caller should simulate in full instead. Real replay
-    /// failures (watchdog expiry) propagate.
+    /// only when the slot is still empty. Returns `Ok(None)` only when
+    /// the replay diverged on a recorded cycle-register value, where the
+    /// caller should simulate in full instead. Real replay failures
+    /// (watchdog expiry) propagate.
     fn try_replay(
-        trace: Option<&MemTrace>,
+        trace: &MemTrace,
         hierarchy: &spmlab_isa::hierarchy::MemHierarchyConfig,
         tally: &mut Option<Tally>,
     ) -> Result<Option<(u64, MemStats)>, CoreError> {
-        let Some(trace) = trace.filter(|t| t.supports(hierarchy)) else {
-            return Ok(None);
-        };
         let replayed = if trace.priceable(hierarchy) {
             let shared = match tally {
                 Some(t) => t,
@@ -474,8 +463,8 @@ impl Pipeline {
     /// Cache/hierarchy branch: runs on the shared no-scratchpad link,
     /// replaying the baseline execution's memory trace under the spec's
     /// hierarchy (bit-identical to a fresh simulation, minus the
-    /// interpreter); falls back to full simulation when the trace cannot
-    /// price this machine (see [`Pipeline::try_replay`]). The replayed
+    /// interpreter); falls back to full simulation when the replay
+    /// diverges (see [`Pipeline::try_replay`]). The replayed
     /// memory image equals the baseline's, so its validated checksum
     /// carries over.
     ///
@@ -495,14 +484,12 @@ impl Pipeline {
         } else {
             &mut own_tally
         };
-        // Ordered (v2) traces replay any hierarchy, write-back and
-        // store-buffered machines included; count-based (v1) traces
-        // refuse write-policy-dependent shapes via `supports`. A replay
-        // divergence (a recorded MMIO cycle-register value that differs
-        // under the target timing) falls back to full simulation instead
-        // of failing the point.
+        // The trace replays any hierarchy, write-back and store-buffered
+        // machines included. A replay divergence (a recorded MMIO
+        // cycle-register value that differs under the target timing) falls
+        // back to full simulation instead of failing the point.
         let (sim_cycles, mem_stats, checksum) =
-            match Pipeline::try_replay(self.trace.as_ref(), &hierarchy, tally)? {
+            match Pipeline::try_replay(&self.trace, &hierarchy, tally)? {
                 Some((cycles, stats)) => (cycles, stats, self.expected_checksum),
                 None => {
                     spmlab_obs::counter("sweep_full_sim", 1);
@@ -570,9 +557,7 @@ impl Pipeline {
             // The recording machine *is* the uncached Table-1 machine.
             spmlab_obs::counter("sweep_recorded_reuse", 1);
             (arts.recorded_cycles, arts.recorded_stats.clone())
-        } else if let Some(replayed) =
-            Pipeline::try_replay(arts.trace.as_ref(), &hierarchy, &mut None)?
-        {
+        } else if let Some(replayed) = Pipeline::try_replay(&arts.trace, &hierarchy, &mut None)? {
             replayed
         } else {
             spmlab_obs::counter("sweep_full_sim", 1);
@@ -733,7 +718,7 @@ impl Pipeline {
             recorded_stats: recorded.mem_stats.clone(),
             checksum,
             spm_used,
-            trace: trace.replayable().then_some(trace),
+            trace,
             linked,
         });
         Ok(self

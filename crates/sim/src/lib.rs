@@ -102,7 +102,9 @@ pub enum SimError {
     },
     /// An undefined instruction was executed.
     UndefinedInsn { pc: u32, raw: u16 },
-    /// The watchdog cycle limit expired (runaway program).
+    /// The watchdog cycle limit expired (runaway program), or a traced
+    /// run left more than `u32::MAX` cycles between two main-memory
+    /// events, longer than the trace's deltas hold.
     Watchdog { cycles: u64 },
     /// A trace replay observed a recorded MMIO cycle-register value that
     /// differs under the target hierarchy's timing — the trace is valid,

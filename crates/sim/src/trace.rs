@@ -4,9 +4,8 @@
 //! per memory configuration — but the executed instruction stream and
 //! every data value are identical across configurations, because caches
 //! only change *timing*. The one architectural exception is the MMIO
-//! cycle register, whose value depends on timing; v2 traces record the
-//! observed values and validate them during replay instead of refusing
-//! outright.
+//! cycle register, whose value depends on timing; the trace records the
+//! observed values and replay validates them.
 //!
 //! [`simulate_with_trace`] therefore runs the full interpreter once (on
 //! the uncached machine) and records an **ordered event stream**: every
@@ -61,27 +60,22 @@
 //! lines, traces without an index or whose index could not be built —
 //! walks every event.
 //!
-//! ## Versioning
+//! ## Wire format
 //!
-//! * **v1** (count-based, the original format): read/fetch events plus
-//!   per-width write *counts*. Valid only for machines whose timing does
-//!   not depend on the write policy — write-through stores never touch a
-//!   tag store and cost only their width's main access time. Produced by
-//!   [`MemTrace::from_bytes`] for v1 byte streams, and by the recorder
-//!   only when an inter-event delta overflows 32 bits.
-//! * **v2** (ordered events, this revision): write events interleaved in
-//!   program order with inter-event cycle deltas and `now`-latch
-//!   positions, so write-back levels and store buffers replay exactly.
-//!   MMIO cycle-register reads carry their recorded value; replay
-//!   re-derives the register value under the target hierarchy and
-//!   returns [`SimError::ReplayDivergence`] when they differ (callers
-//!   fall back to full simulation — the same validity-check pattern as
-//!   [`MemTrace::supports`]).
+//! One format: the ordered event stream above, with write events
+//! interleaved in program order, inter-event cycle deltas and `now`-latch
+//! positions, so write-back levels and store buffers replay exactly. Its
+//! version byte is 2, the only one [`MemTrace::from_bytes`] accepts. MMIO
+//! cycle-register reads carry their recorded value; replay re-derives the
+//! register value under the target hierarchy and returns
+//! [`SimError::ReplayDivergence`] when they differ (callers fall back to
+//! full simulation). A recording whose inter-event gap does not fit the
+//! 32-bit deltas is an error of [`simulate_with_trace`], never a trace.
 
 use crate::hierarchy::HierarchyCaches;
 use crate::machine::{SimOptions, SimResult};
 use crate::memsys::{AccessKind, MemStats};
-use crate::{MachineConfig, SimError};
+use crate::SimError;
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_isa::image::Executable;
 use spmlab_isa::mem::AccessWidth;
@@ -112,7 +106,7 @@ const READS: [(AccessKind, AccessWidth); 4] = [
 /// accesses whose cost depends on the hierarchy — or an MMIO
 /// cycle-register read (whose *value* depends on the hierarchy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessEvent {
+pub(crate) struct AccessEvent {
     /// Accessed address (for `EV_CYCLE_READ`: the recorded value).
     pub addr: u32,
     /// `EV_FETCH` … `EV_CYCLE_READ`.
@@ -148,9 +142,9 @@ pub(crate) struct TraceRecorder {
     latch_at: Option<u64>,
     /// Cycle count immediately before the access being recorded.
     pre: u64,
-    /// An inter-event delta overflowed `u32`: the ordered stream is
-    /// unusable and the trace degrades to v1 semantics.
-    pub overflow: bool,
+    /// An inter-event delta overflowed `u32`: the ordered stream cannot
+    /// describe the run (see [`TraceRecorder::into_trace`]).
+    overflow: bool,
 }
 
 impl TraceRecorder {
@@ -225,6 +219,43 @@ impl TraceRecorder {
         self.cycle_reads += 1;
         self.push_event(value, EV_CYCLE_READ, 1);
     }
+
+    /// The trace of a recorded run that took `cycles` in all, with the
+    /// memory statistics `stats` of the uncached recording machine.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Watchdog`] when two consecutive events lie more than
+    /// `u32::MAX` cycles apart, which the ordered stream cannot describe.
+    fn into_trace(
+        self,
+        cycles: u64,
+        stats: &MemStats,
+        max_cycles: u64,
+    ) -> Result<MemTrace, SimError> {
+        if self.overflow {
+            return Err(SimError::Watchdog { cycles });
+        }
+        let table1 = MainMemoryTiming::table1();
+        let widths = [AccessWidth::Byte, AccessWidth::Half, AccessWidth::Word];
+        let mut main_cost = 0u64;
+        for (w, &width) in widths.iter().enumerate() {
+            main_cost += (self.main_reads[w] + self.main_writes[w]) * table1.access(width);
+        }
+        Ok(MemTrace {
+            base_cycles: cycles - main_cost,
+            tail_cycles: cycles.saturating_sub(self.cursor),
+            read_counts: self.main_reads,
+            main_writes: self.main_writes,
+            cycle_reads: self.cycle_reads,
+            // The recording machine is uncached, so its statistics hold
+            // no cache counters — they are exactly the invariant template.
+            stats_template: stats.clone(),
+            max_cycles,
+            events: self.events,
+            runs: None,
+        })
+    }
 }
 
 /// Errors decoding a serialized trace ([`MemTrace::from_bytes`]).
@@ -267,6 +298,8 @@ impl std::fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 const TRACE_MAGIC: &[u8; 8] = b"SPMTRACE";
+/// The wire format's version byte: the ordered event stream.
+const TRACE_VERSION: u8 = 2;
 const EVENT_BYTES: usize = 14;
 
 /// A recorded execution's hierarchy-independent skeleton.
@@ -277,7 +310,7 @@ pub struct MemTrace {
     /// (instruction base/extra cycles plus scratchpad/MMIO accesses).
     base_cycles: u64,
     /// Cycles of the recorded run after the last event's completion
-    /// (v2 replay adds them verbatim — they are hierarchy-independent).
+    /// (replay adds them verbatim — they are hierarchy-independent).
     tail_cycles: u64,
     /// Main read/fetch counts by width (fetches are halfword reads).
     read_counts: [u64; 3],
@@ -289,9 +322,6 @@ pub struct MemTrace {
     stats_template: MemStats,
     /// Watchdog limit the recording ran under.
     max_cycles: u64,
-    /// Format version: 1 = count-based (reads + write counts), 2 =
-    /// ordered event stream (reads, writes, latches, cycle-read values).
-    version: u8,
     /// The run index, built by the first tally that can use it; `None`
     /// unless opted in with [`MemTrace::with_run_index`]. The inner
     /// `None` marks a stream the index cannot describe. Derived from
@@ -311,7 +341,6 @@ impl PartialEq for MemTrace {
                 t.cycle_reads,
                 &t.stats_template,
                 t.max_cycles,
-                t.version,
             )
         }
         // The run index is derived from the events.
@@ -489,33 +518,18 @@ impl Tally {
 }
 
 impl MemTrace {
-    /// Whether the recorded execution may be replayed under other
-    /// hierarchies at all. v2 traces always are — timing-dependent MMIO
-    /// cycle-register reads carry their recorded values and are validated
-    /// during replay. v1 traces are replayable only when the program
-    /// never read the cycle register.
+    /// Always `true`: every trace replays under every hierarchy. Kept
+    /// only because `perfbench/` still calls it; the benchmark change
+    /// that deletes those calls (ROADMAP item (c)) deletes this too.
     pub fn replayable(&self) -> bool {
-        self.version >= 2 || self.cycle_reads == 0
+        true
     }
 
-    /// Whether this trace can price `hierarchy` specifically.
-    ///
-    /// * **v2** traces support every hierarchy: the ordered write events
-    ///   drive dirty bits, write-backs, write-allocate installs and
-    ///   store-buffer drains exactly. (For timing-dependent programs the
-    ///   replay may still return [`SimError::ReplayDivergence`] when a
-    ///   recorded cycle-register value differs under the target timing —
-    ///   callers fall back to full simulation.)
-    /// * **v1** traces carry write *counts* only (no store addresses or
-    ///   read/write interleaving), so a machine whose timing depends on
-    ///   the write policy (any write-back level, or a store buffer; see
-    ///   [`MemHierarchyConfig::write_policy_dependent`]) cannot be
-    ///   replayed and must be simulated in full.
-    pub fn supports(&self, hierarchy: &MemHierarchyConfig) -> bool {
-        if self.version >= 2 {
-            return true;
-        }
-        self.cycle_reads == 0 && !hierarchy.write_policy_dependent()
+    /// Always `true`: every trace prices every hierarchy. Kept only
+    /// because `perfbench/` still calls it; the benchmark change that
+    /// deletes those calls (ROADMAP item (c)) deletes this too.
+    pub fn supports(&self, _hierarchy: &MemHierarchyConfig) -> bool {
+        true
     }
 
     /// Opts this trace into run-indexed tallies: the first
@@ -544,24 +558,19 @@ impl MemTrace {
         self.events.len()
     }
 
-    /// The trace format version (1 = count-based, 2 = ordered events).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
     /// MMIO cycle-register reads recorded in the stream.
     pub fn cycle_reads(&self) -> u64 {
         self.cycle_reads
     }
 
-    /// Whether `hierarchy` can be priced from one latency-0 [`Tally`]:
-    /// the trace supports it, no store buffer sits in front of main memory
+    /// Whether `hierarchy` can be priced from one latency-0 [`Tally`]: no
+    /// store buffer sits in front of main memory
     /// (its drain timing depends on arrival times, which move with the
     /// latency) and the program never read the cycle register (whose
     /// recorded values would move too). Every such machine's cycle count
     /// is affine in `main.latency` with the tally's slope.
     pub fn priceable(&self, hierarchy: &MemHierarchyConfig) -> bool {
-        self.cycle_reads == 0 && hierarchy.main.store_buffer.is_none() && self.supports(hierarchy)
+        self.cycle_reads == 0 && hierarchy.main.store_buffer.is_none()
     }
 
     /// Prices the recorded execution under `hierarchy`, returning the
@@ -576,18 +585,14 @@ impl MemTrace {
     /// [`SimError::Watchdog`] when the replayed cycle count exceeds the
     /// recording's limit; [`SimError::ReplayDivergence`] when a recorded
     /// MMIO cycle-register value differs under the target hierarchy's
-    /// timing; [`SimError::Fault`] when the trace does not support
-    /// `hierarchy` at all (see [`MemTrace::supports`]); callers should
-    /// treat divergence and refusal as "fall back to full simulation",
-    /// not as fatal.
+    /// timing, which callers should treat as "fall back to full
+    /// simulation", not as fatal; [`SimError::Fault`] for a corrupt event
+    /// kind.
     pub fn replay(&self, hierarchy: &MemHierarchyConfig) -> Result<(u64, MemStats), SimError> {
         if self.priceable(hierarchy) {
             return self.tally(hierarchy)?.price(&hierarchy.main);
         }
         let _span = spmlab_obs::span("replay");
-        if !self.supports(hierarchy) {
-            return Err(self.refusal());
-        }
         if spmlab_obs::enabled() {
             spmlab_obs::counter("replay_events", self.events.len() as u64);
         }
@@ -598,32 +603,14 @@ impl MemTrace {
         Ok((cycles, stats))
     }
 
-    /// Why this trace cannot price a machine it does not support.
-    fn refusal(&self) -> SimError {
-        if self.cycle_reads > 0 {
-            SimError::Fault {
-                pc: 0,
-                addr: spmlab_isa::mem::MMIO_CYCLES,
-                what: "timing-dependent program cannot be replayed from a v1 trace",
-            }
-        } else {
-            SimError::Fault {
-                pc: 0,
-                addr: 0,
-                what: "write-policy-dependent hierarchy cannot be replayed from a \
-                       count-based (v1) trace",
-            }
-        }
-    }
-
     /// Walks the recorded stream once through `hierarchy`'s tag stores at
     /// main-memory latency 0, counting the main-memory transactions. The
     /// resulting [`Tally`] prices every machine that differs from
     /// `hierarchy` only in `main.latency` (see [`Tally::price`]).
     ///
     /// Write-through stores never touch a tag store and each cost one
-    /// main write, so they are priced from the per-width counters (v1
-    /// traces carry nothing else); write-back machines replay the write
+    /// main write, so they are priced from the per-width counters;
+    /// write-back machines replay the write
     /// events in program order. An uncached machine walks nothing at all,
     /// and a run-indexed trace walks only the fetches and reads that are
     /// not guaranteed first-level hits (see [`MemTrace::with_run_index`]).
@@ -641,9 +628,8 @@ impl MemTrace {
             return Err(SimError::Fault {
                 pc: 0,
                 addr: 0,
-                what: "store-buffered machines, timing-dependent programs and \
-                       write-policy-dependent machines on v1 traces cannot be priced \
-                       from a tally",
+                what: "store-buffered machines and timing-dependent programs cannot be \
+                       priced from a tally",
             });
         }
         let main = MainMemoryTiming {
@@ -804,7 +790,7 @@ impl MemTrace {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 + 2 + 28 * 8 + self.events.len() * EVENT_BYTES);
         out.extend_from_slice(TRACE_MAGIC);
-        out.push(self.version);
+        out.push(TRACE_VERSION);
         for v in self.header_words() {
             out.extend_from_slice(&v.to_le_bytes());
         }
@@ -862,7 +848,7 @@ impl MemTrace {
     /// # Errors
     ///
     /// [`TraceError::BadMagic`] for non-trace input,
-    /// [`TraceError::UnsupportedVersion`] for unknown format versions,
+    /// [`TraceError::UnsupportedVersion`] for any version byte but 2,
     /// [`TraceError::Truncated`] / [`TraceError::Corrupt`] for streams
     /// that end early or declare impossible contents.
     pub fn from_bytes(bytes: &[u8]) -> Result<MemTrace, TraceError> {
@@ -880,7 +866,7 @@ impl MemTrace {
             return Err(TraceError::BadMagic);
         }
         let version = take(&mut at, 1)?[0];
-        if !(1..=2).contains(&version) {
+        if version != TRACE_VERSION {
             return Err(TraceError::UnsupportedVersion { found: version });
         }
         let mut words = [0u64; 30];
@@ -900,9 +886,6 @@ impl MemTrace {
             let kind = b[4];
             if kind > EV_KIND_MAX {
                 return Err(TraceError::Corrupt("unknown event kind"));
-            }
-            if version < 2 && kind > EV_READ_WORD {
-                return Err(TraceError::Corrupt("write event in a v1 trace"));
             }
             if b[5] > 1 {
                 return Err(TraceError::Corrupt("latch flag out of range"));
@@ -942,7 +925,6 @@ impl MemTrace {
             main_writes: [words[7], words[8], words[9]],
             stats_template,
             max_cycles: words[0],
-            version,
             runs: None,
         })
     }
@@ -953,48 +935,23 @@ impl MemTrace {
 ///
 /// # Errors
 ///
-/// Any [`SimError`] of the underlying run.
+/// Any [`SimError`] of the underlying run, and [`SimError::Watchdog`]
+/// when two consecutive main-memory events lie more than `u32::MAX`
+/// cycles apart (beyond the default watchdog limit anyway).
 pub fn simulate_with_trace(
     exe: &Executable,
     options: &SimOptions,
 ) -> Result<(SimResult, MemTrace), SimError> {
     let (result, recorder) = crate::machine::simulate_recorded(exe, options)?;
-    let table1 = MainMemoryTiming::table1();
-    let widths = [AccessWidth::Byte, AccessWidth::Half, AccessWidth::Word];
-    let mut main_cost = 0u64;
-    for (w, &width) in widths.iter().enumerate() {
-        main_cost += (recorder.main_reads[w] + recorder.main_writes[w]) * table1.access(width);
-    }
-    // A delta that overflowed u32 makes the ordered stream unusable; the
-    // trace degrades to the count-based v1 semantics (practically
-    // unreachable: it needs > 2^32 cycles between two main accesses).
-    let version = if recorder.overflow { 1 } else { 2 };
-    let trace = MemTrace {
-        base_cycles: result.cycles - main_cost,
-        tail_cycles: result.cycles.saturating_sub(recorder.cursor),
-        read_counts: recorder.main_reads,
-        main_writes: recorder.main_writes,
-        cycle_reads: recorder.cycle_reads,
-        // The recording machine is uncached, so its statistics hold no
-        // cache counters — they are exactly the invariant template.
-        stats_template: result.mem_stats.clone(),
-        max_cycles: options.max_cycles,
-        version,
-        events: recorder.events,
-        runs: None,
-    };
+    let trace = recorder.into_trace(result.cycles, &result.mem_stats, options.max_cycles)?;
     Ok((result, trace))
-}
-
-/// The uncached recording reference as a [`MachineConfig`].
-pub fn recording_config() -> MachineConfig {
-    MachineConfig::uncached()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{simulate, SimOptions};
+    use crate::MachineConfig;
     use spmlab_cc::{compile, link, SpmAssignment};
     use spmlab_isa::cachecfg::CacheConfig;
     use spmlab_isa::hierarchy::StoreBuffer;
@@ -1026,7 +983,7 @@ mod tests {
     }
 
     /// Write-policy-dependent shapes: write-back levels, store buffers,
-    /// and mixed WT-over-WB stacks — replayable from v2 traces only.
+    /// and mixed WT-over-WB stacks.
     fn write_policy_dependent_hierarchies() -> Vec<MemHierarchyConfig> {
         vec![
             MemHierarchyConfig::l1_only(CacheConfig::unified(256).write_back()),
@@ -1061,8 +1018,6 @@ mod tests {
             ..SimOptions::default()
         };
         let (recorded, trace) = simulate_with_trace(&l.exe, &options).unwrap();
-        assert!(trace.replayable());
-        assert_eq!(trace.version(), 2);
         assert!(trace.events() > 0);
         for h in hierarchies() {
             let (cycles, stats) = trace.replay(&h).unwrap();
@@ -1076,7 +1031,7 @@ mod tests {
         assert_eq!(recorded.cycles, uncached.cycles);
     }
 
-    /// The new invariant: the ordered v2 stream replays write-back and
+    /// The ordered stream replays write-back and
     /// store-buffered machines bit-identically, including every
     /// write-policy statistic.
     #[test]
@@ -1094,55 +1049,12 @@ mod tests {
         };
         let (_, trace) = simulate_with_trace(&l.exe, &options).unwrap();
         for h in write_policy_dependent_hierarchies() {
-            assert!(trace.supports(&h), "{}: v2 must support", h.label());
             let (cycles, stats) = trace.replay(&h).unwrap();
             let fresh =
                 simulate(&l.exe, &MachineConfig::with_hierarchy(h.clone()), &options).unwrap();
             assert_eq!(cycles, fresh.cycles, "{}: cycles diverged", h.label());
             assert_eq!(stats, fresh.mem_stats, "{}: stats diverged", h.label());
         }
-    }
-
-    /// v1 traces (decoded from v1 bytes) still refuse write-policy-
-    /// dependent machines: `supports` says so and `replay` returns a
-    /// typed refusal — the sweep falls back to full simulation.
-    #[test]
-    fn v1_traces_refuse_write_policy_dependent_hierarchies() {
-        let l = link(
-            &compile(SRC).unwrap(),
-            &MemoryMap::no_spm(),
-            &SpmAssignment::none(),
-        )
-        .unwrap();
-        let (_, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
-        // Round-trip through bytes, stamping the stream down to v1 (drop
-        // the write events a v1 recorder would never have produced).
-        let mut v1 = trace.clone();
-        v1.version = 1;
-        v1.events.retain(|e| e.kind <= EV_READ_WORD);
-        let v1 = MemTrace::from_bytes(&v1.to_bytes()).unwrap();
-        assert_eq!(v1.version(), 1);
-        assert!(v1.replayable());
-        let wb = MemHierarchyConfig::l1_only(CacheConfig::unified(256).write_back());
-        assert!(!v1.supports(&wb));
-        assert!(v1.replay(&wb).is_err());
-        let sb = MemHierarchyConfig::uncached_with(
-            MainMemoryTiming::table1().with_store_buffer(StoreBuffer::new(4, 6)),
-        );
-        assert!(!v1.supports(&sb));
-        assert!(v1.replay(&sb).is_err());
-        // Write-through machines replay from v1 exactly as before.
-        let wt = MemHierarchyConfig::l1_only(CacheConfig::unified(256));
-        assert!(v1.supports(&wt));
-        let fresh = simulate(
-            &l.exe,
-            &MachineConfig::with_hierarchy(wt.clone()),
-            &SimOptions::default(),
-        )
-        .unwrap();
-        let (cycles, stats) = v1.replay(&wt).unwrap();
-        assert_eq!(cycles, fresh.cycles);
-        assert_eq!(stats, fresh.mem_stats);
     }
 
     /// Reading the MMIO cycle register no longer poisons the trace: the
@@ -1159,7 +1071,6 @@ mod tests {
         };
         let l = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
         let (recorded, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
-        assert!(trace.replayable());
         assert!(trace.cycle_reads() > 0);
         // Same timing as the recording machine: values match, replay
         // succeeds bit-identically.
@@ -1168,7 +1079,6 @@ mod tests {
         // Different timing: the recorded value is stale — typed
         // divergence, so sweeps can fall back to full simulation.
         let slow = MemHierarchyConfig::uncached_with(MainMemoryTiming::dram(10));
-        assert!(trace.supports(&slow), "v2 supports; validity is dynamic");
         assert!(matches!(
             trace.replay(&slow),
             Err(SimError::ReplayDivergence { .. })
@@ -1187,7 +1097,6 @@ mod tests {
         .unwrap();
         let (_, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
         let decoded = MemTrace::from_bytes(&trace.to_bytes()).unwrap();
-        assert_eq!(decoded.version(), trace.version());
         assert_eq!(decoded.events, trace.events);
         assert_eq!(decoded.stats_template, trace.stats_template);
         for h in hierarchies()
@@ -1262,6 +1171,27 @@ mod tests {
         assert!(matches!(
             undeclared.tally(&machines[0]),
             Err(SimError::Fault { .. })
+        ));
+    }
+
+    /// A gap between two events beyond the 32-bit delta is a typed error,
+    /// not a trace; a gap of exactly `u32::MAX` cycles still records.
+    #[test]
+    fn recorder_gap_beyond_u32_is_a_typed_error() {
+        let record = |gap: u64| {
+            let mut rec = TraceRecorder::default();
+            rec.at(0);
+            rec.record_read(0x100, AccessKind::Read, AccessWidth::Word, 4);
+            rec.at(4 + gap);
+            rec.record_read(0x104, AccessKind::Read, AccessWidth::Word, 4);
+            rec.into_trace(8 + gap, &MemStats::default(), u64::MAX)
+        };
+        let edge = record(u64::from(u32::MAX)).expect("a u32::MAX gap fits");
+        assert_eq!(edge.events[1].delta_after, u32::MAX);
+        let over = u64::from(u32::MAX) + 1;
+        assert!(matches!(
+            record(over),
+            Err(SimError::Watchdog { cycles }) if cycles == 8 + over
         ));
     }
 

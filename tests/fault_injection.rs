@@ -337,9 +337,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
     // The paper's eight-config G.721 hierarchy grid, swept on the
     // `experiments sweep` path into its unsharded stream, interrupted by an
     // injected fault and resumed: the figure rendered from the stream must
-    // give the byte-identical JSON artifact of an uninterrupted run (a
-    // fixed wall time stands in for the only legitimately varying
-    // provenance field).
+    // give the byte-identical JSON artifact of an uninterrupted run.
     let ck_full = scratch("g721-full.jsonl");
     let ck_cut = scratch("g721-cut.jsonl");
     // `SweepSession::open` resumes an existing stream: start from none.
@@ -358,7 +356,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
             drop(session);
             let stream = merge_texts(&[&std::fs::read_to_string(path).unwrap()]).unwrap();
             let outcomes = stream.outcomes(&bench.name, &axis).unwrap();
-            let json = artifact_json(&bench.name, &outcomes, 1.0, None);
+            let json = artifact_json(&bench.name, &outcomes, None);
             Ok((FigureHierarchy::new(&bench.name, outcomes), json))
         };
 

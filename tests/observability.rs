@@ -90,9 +90,7 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
     assert_eq!(axis.len(), 24);
     let _x = spmlab_obs::exclusive();
     let p = Pipeline::new(&INSERTSORT).unwrap();
-    let events = MemTrace::from_bytes(&p.trace_bytes().unwrap())
-        .unwrap()
-        .events() as u64;
+    let events = MemTrace::from_bytes(&p.trace_bytes()).unwrap().events() as u64;
 
     let outcomes = {
         let sink = Arc::new(MemorySink::default());

@@ -67,7 +67,6 @@ fn recorded() -> &'static Recorded {
         )
         .unwrap();
         let (_, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
-        assert_eq!(trace.version(), 2, "recorder must produce ordered traces");
         let indexed = trace.clone().with_run_index();
         Recorded {
             exe: l.exe,
@@ -176,7 +175,6 @@ proptest! {
     #[test]
     fn replay_is_bit_identical_to_fresh_simulation(h in arb_hierarchy()) {
         let rec = recorded();
-        prop_assert!(rec.trace.supports(&h), "v2 supports every hierarchy");
         let (cycles, stats) = rec.trace.replay(&h).unwrap();
         let fresh = simulate(
             &rec.exe,
@@ -501,38 +499,18 @@ fn assert_replay_matches_simulation(
     }
 }
 
-/// Hand-crafts a wire-format v1 trace (magic, version byte 1, the 30
-/// header words, zero events) so the public API can exercise the v1
-/// compatibility matrix without an in-crate constructor.
-fn v1_trace_bytes(cycle_reads: u64) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(b"SPMTRACE");
-    bytes.push(1);
-    let mut words = [0u64; 30];
-    words[0] = u64::MAX; // max_cycles: never trip the replay watchdog
-    words[1] = 1_000; // base_cycles
-    words[3] = cycle_reads;
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    bytes.extend_from_slice(&0u64.to_le_bytes()); // event count
-    bytes
-}
-
-/// The `supports()` validity matrix, exhaustively: v1 works exactly on
-/// write-policy-independent machines without cycle reads; v2 supports
-/// everything (timing-dependent MMIO reads are validated dynamically at
-/// replay time instead of refused statically).
+/// Every machine replays the recorded trace, write-back and
+/// store-buffered ones included; a trace with MMIO cycle-register reads
+/// either replays or reports a typed divergence (validity is checked at
+/// replay time, never refused up front).
 #[test]
-fn supports_validity_matrix() {
-    let wt_machines = [
+fn every_machine_replays_the_recorded_trace() {
+    let machines = [
         MemHierarchyConfig::uncached(),
         MemHierarchyConfig::uncached_with(MainMemoryTiming::dram(10)),
         MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
         MemHierarchyConfig::split_l1(128, 128),
         MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024)),
-    ];
-    let wpd_machines = [
         MemHierarchyConfig::l1_only(CacheConfig::unified(256).write_back()),
         MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024).write_back()),
         MemHierarchyConfig::uncached_with(
@@ -541,49 +519,29 @@ fn supports_validity_matrix() {
         MemHierarchyConfig::l1_only(CacheConfig::unified(128).write_back())
             .with_main(MainMemoryTiming::dram(8).with_store_buffer(StoreBuffer::new(2, 4))),
     ];
-
-    // v1 without cycle reads: write-through yes, write-policy-dependent no.
-    let v1 = MemTrace::from_bytes(&v1_trace_bytes(0)).unwrap();
-    assert_eq!(v1.version(), 1);
-    assert!(v1.replayable());
-    for h in &wt_machines {
-        assert!(v1.supports(h), "v1 must support WT machine {}", h.label());
-    }
-    for h in &wpd_machines {
-        assert!(!v1.supports(h), "v1 must refuse WPD machine {}", h.label());
-        assert!(v1.replay(h).is_err(), "v1 replay must refuse {}", h.label());
-    }
-
-    // v1 with cycle reads: not replayable anywhere (the recorded MMIO
-    // values were never stored in a count-based trace).
-    let v1_mmio = MemTrace::from_bytes(&v1_trace_bytes(3)).unwrap();
-    assert!(!v1_mmio.replayable());
-    for h in wt_machines.iter().chain(&wpd_machines) {
-        assert!(!v1_mmio.supports(h), "timing-dependent v1 supports nothing");
-        assert!(v1_mmio.replay(h).is_err());
-    }
-
-    // v2: supports every machine, cycle reads or not.
-    let v2 = &recorded().trace;
-    assert_eq!(v2.version(), 2);
-    for h in wt_machines.iter().chain(&wpd_machines) {
-        assert!(v2.supports(h), "v2 must support {}", h.label());
+    let trace = &recorded().trace;
+    for h in &machines {
         assert!(
-            v2.replay(h).is_ok(),
-            "v2 replay must succeed on {}",
+            trace.replay(h).is_ok(),
+            "replay must succeed on {}",
             h.label()
         );
     }
 
-    // v2 with MMIO cycle-register reads: still supported everywhere —
-    // validity is checked dynamically (ReplayDivergence on mismatch).
     let src = "int t; void main() { t = __cycles(); }";
     if let Ok(module) = compile(src) {
         let l = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
         let (_, mmio) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
         assert!(mmio.cycle_reads() > 0);
-        for h in wt_machines.iter().chain(&wpd_machines) {
-            assert!(mmio.supports(h), "v2 MMIO trace must support {}", h.label());
+        for h in &machines {
+            assert!(
+                matches!(
+                    mmio.replay(h),
+                    Ok(_) | Err(SimError::ReplayDivergence { .. })
+                ),
+                "MMIO trace on {}",
+                h.label()
+            );
         }
     }
 }

@@ -282,21 +282,30 @@ fn deeply_nested_json_is_rejected_without_overflow() {
     assert!(check_stream(&deep).is_err());
 }
 
-/// A future trace version is a typed error, not a panic or a
-/// misinterpretation: decoders built for v1/v2 must refuse v3 streams.
+/// Any trace version but 2 is a typed error, not a panic or a
+/// misinterpretation: a future v3 stream, a zero byte, and a retired v1
+/// stream alike.
 #[test]
 fn trace_version_mismatch_is_typed() {
     let mut bytes = sample_trace_bytes().to_vec();
     assert_eq!(bytes[8], 2, "sample stream is v2");
-    bytes[8] = 3;
+    for version in [3, 0] {
+        bytes[8] = version;
+        assert_eq!(
+            MemTrace::from_bytes(&bytes),
+            Err(TraceError::UnsupportedVersion { found: version })
+        );
+    }
+    // A hand-crafted v1 stream: magic, version byte 1, the 30 header
+    // words, zero events.
+    let mut v1 = b"SPMTRACE".to_vec();
+    v1.push(1);
+    for w in [u64::MAX, 1_000].into_iter().chain([0; 29]) {
+        v1.extend_from_slice(&w.to_le_bytes());
+    }
     assert_eq!(
-        MemTrace::from_bytes(&bytes),
-        Err(TraceError::UnsupportedVersion { found: 3 })
-    );
-    bytes[8] = 0;
-    assert_eq!(
-        MemTrace::from_bytes(&bytes),
-        Err(TraceError::UnsupportedVersion { found: 0 })
+        MemTrace::from_bytes(&v1),
+        Err(TraceError::UnsupportedVersion { found: 1 })
     );
     // And the hardening cost no accepting power: the intact stream
     // still decodes.
