@@ -90,6 +90,21 @@ pub(crate) struct UnitShare {
     classified: Vec<Classified>,
 }
 
+/// The machine a canonical spec measures: `canon` with its store buffer
+/// dropped when no store can reach it
+/// ([`MemHierarchyConfig::buffers_stores`](spmlab_isa::hierarchy::MemHierarchyConfig::buffers_stores)).
+/// Behind an absorbing write-back level the buffer is idle, so the
+/// buffered point's simulation and analysis are those of its unbuffered
+/// twin; measuring the twin lets it price from a shared latency-0 tally
+/// and share the twin's sweep memo entry.
+pub(crate) fn measured_machine(canon: &MemArchSpec) -> MemArchSpec {
+    let mut m = canon.clone();
+    if !canon.hierarchy().buffers_stores() {
+        m.main.store_buffer = None;
+    }
+    m
+}
+
 /// Link + recording of one scratchpad configuration, shared by every spec
 /// that resolves to the same `(capacity, assignment)` — an N-timing sweep
 /// links and interprets once, then replays.
@@ -389,6 +404,7 @@ impl Pipeline {
     ) -> Result<ArchMeasurement, CoreError> {
         let _s = spmlab_obs::span_with("measure-spec", || canon.label());
         crate::faults::fault_point("measure-spec")?;
+        let canon = &measured_machine(canon);
         match &canon.spm {
             Some(spm) => self.measure_spm(canon, spm),
             None => self.measure_no_spm(canon, share),
@@ -400,7 +416,8 @@ impl Pipeline {
     /// store buffer, on a pipeline whose recorded trace has no
     /// cycle-register reads. Such points replay the same cache geometry,
     /// so one walk of the trace prices them all exactly (see
-    /// `spmlab_sim::trace`).
+    /// `spmlab_sim::trace`). `canon` is a [`measured_machine`], so an idle
+    /// buffer has already been dropped and does not disqualify it.
     fn prices_latencies(&self, canon: &MemArchSpec) -> bool {
         canon.spm.is_none() && canon.main.store_buffer.is_none() && self.trace.cycle_reads() == 0
     }

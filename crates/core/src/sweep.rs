@@ -33,7 +33,7 @@ use crate::checkpoint::{
     ckpt_err, spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus,
 };
 use crate::dse::executor::execute;
-use crate::pipeline::{ConfigResult, Pipeline, UnitShare};
+use crate::pipeline::{measured_machine, ConfigResult, Pipeline, UnitShare};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
@@ -322,7 +322,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// latencies from one trace tally, store-buffered members replay the
 /// ordered trace each, and members analysed on the hierarchy path under
 /// an unlimited budget share one cache classification, so only costing
-/// and IPET run per point. Fault points, `catch_unwind` and checkpoint
+/// and IPET run per point. A buffer behind an absorbing write-back level
+/// is idle, and its point shares its unbuffered twin's measurement
+/// outright. Fault points, `catch_unwind` and checkpoint
 /// records stay per point, so a failure fails exactly the points that
 /// depend on it.
 ///
@@ -762,8 +764,12 @@ fn level_key(cfg: &CacheConfig, fp: Option<&Footprint>) -> String {
 /// — where write-allocate makes store addresses load-bearing —
 /// additionally require the footprint to cover every store target
 /// ([`Footprint::writes_covered`]); conflict-freedom then rules out
-/// evictions for dirty lines exactly as it does for clean ones.
+/// evictions for dirty lines exactly as it does for clean ones. A store
+/// buffer that no store reaches is keyed as absent
+/// ([`measured_machine`]), so a buffered point behind an absorbing
+/// write-back level shares its unbuffered twin's measurement.
 pub(crate) fn effective_spec_key(canon: &MemArchSpec, fp: Option<&Footprint>) -> String {
+    let canon = &measured_machine(canon);
     let fp = if canon.spm.is_some() {
         None
     } else if canon.hierarchy().write_policy_dependent() {

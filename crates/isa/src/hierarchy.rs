@@ -431,13 +431,24 @@ impl MemHierarchyConfig {
         }
     }
 
+    /// Whether a store can reach the store buffer: one is configured and
+    /// no write-back level absorbs stores first
+    /// ([`StoreAbsorb::Main`]). Behind an absorbing write-back level the
+    /// buffer is idle — the simulator's write path and the analyzer's
+    /// store charge both consult it only under `StoreAbsorb::Main` — so
+    /// the machine times exactly like its unbuffered twin.
+    pub fn buffers_stores(&self) -> bool {
+        self.main.store_buffer.is_some() && self.store_absorb() == StoreAbsorb::Main
+    }
+
     /// Whether this machine's *timing of recorded read/fetch traffic plus
     /// counted writes* can be reproduced from a write-through access
     /// trace: `false` as soon as any level is write-back (store addresses
     /// and their interleaving with reads then change cache state) or a
     /// store buffer is configured (write cost then depends on arrival
-    /// times). Trace replay refuses such machines and the sweep falls
-    /// back to full simulation — see `spmlab_sim::trace`.
+    /// times). Such machines replay on the ordered engine, which keeps
+    /// the recorded interleaving of reads and stores — see
+    /// `spmlab_sim::trace`.
     pub fn write_policy_dependent(&self) -> bool {
         let wb = |c: &CacheConfig| c.size > 0 && c.write_policy.is_write_back();
         let l1 = match &self.l1 {
@@ -711,6 +722,65 @@ mod tests {
         assert_eq!(sb.store_absorb(), StoreAbsorb::Main);
         assert!(sb.write_policy_dependent());
         assert!(!MemHierarchyConfig::uncached().write_policy_dependent());
+    }
+
+    #[test]
+    fn buffers_stores_truth_table() {
+        let sb = MainMemoryTiming::table1().with_store_buffer(StoreBuffer::new(4, 8));
+        let wb_l1d = MemHierarchyConfig {
+            l1: L1::Split {
+                i: Some(CacheConfig::instr_only(512)),
+                d: Some(CacheConfig::data_only(512).write_back()),
+            },
+            l2: None,
+            main: MainMemoryTiming::table1(),
+        };
+        let cases = [
+            // All write-through: every store reaches main memory, so a
+            // configured buffer takes it.
+            (
+                "all write-through",
+                MemHierarchyConfig::split_l1(512, 512).with_l2(CacheConfig::l2(4096)),
+                true,
+            ),
+            ("uncached", MemHierarchyConfig::uncached(), true),
+            // Write-back levels absorb every store before main memory.
+            ("write-back L1D", wb_l1d.clone(), false),
+            (
+                "write-back L1D over a write-back L2",
+                wb_l1d.with_l2(CacheConfig::l2(4096).write_back()),
+                false,
+            ),
+            (
+                "write-back L2 behind a write-through L1",
+                MemHierarchyConfig::split_l1(512, 512).with_l2(CacheConfig::l2(4096).write_back()),
+                false,
+            ),
+            (
+                "L1-less write-back L2",
+                MemHierarchyConfig::uncached().with_l2(CacheConfig::l2(4096).write_back()),
+                false,
+            ),
+            // An instruction-only L1 never sees a store.
+            (
+                "instruction-only write-back L1",
+                MemHierarchyConfig::l1_only(CacheConfig::instr_only(512).write_back()),
+                true,
+            ),
+        ];
+        for (name, h, reaches_main) in cases {
+            assert!(!h.buffers_stores(), "{name}: no buffer configured");
+            assert_eq!(
+                h.clone().with_main(sb).buffers_stores(),
+                reaches_main,
+                "{name}"
+            );
+            assert_eq!(
+                h.store_absorb() == StoreAbsorb::Main,
+                reaches_main,
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Workspace-level observability tests: the instrumentation the pipeline
 //! emits while sweeping (sweep memo/replay counters pinned on the paper's
-//! eight-config G.721 hierarchy scenario, and the trace walks and
-//! classifications of a main-timing-grouped grid), the JSON-lines profile stream a
+//! eight-config G.721 hierarchy scenario, the trace walks and
+//! classifications of a main-timing-grouped grid, and the memo hits of a
+//! write-back grid's idle store buffers), the JSON-lines profile stream a
 //! profiled run records, and property tests over the span-tree collector.
 //!
 //! Every test that installs a sink takes `spmlab_obs::exclusive()` first:
@@ -15,12 +16,13 @@ use std::sync::Arc;
 
 use common::{reference_greedy, reference_hierarchy_aware, routed};
 use proptest::prelude::*;
-use spmlab::dse::GridSpec;
+use spmlab::dse::{GridSpec, L1Shape};
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
 use spmlab::{hierarchy_spec_axis, MainMemoryTiming, MemArchSpec, SweepSession, DRAM_LATENCY};
 use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::archspec::SpmAllocation;
+use spmlab_isa::cachecfg::WritePolicy;
 use spmlab_isa::hierarchy::StoreBuffer;
 use spmlab_obs::collector::MemorySink;
 use spmlab_obs::jsonl::JsonlSink;
@@ -139,6 +141,72 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
             "{}",
             r.label
         );
+    }
+}
+
+/// A write-back grid's store buffers are idle: every store is absorbed
+/// by a write-back L1 before it could reach one. Over four geometries
+/// (unified or split write-back L1, without or with a write-back L2) ×
+/// three main latencies, each buffered point shares its unbuffered
+/// twin's measurement (a memo hit), so the sweep walks the trace once
+/// per geometry and costs only the unbuffered points. A grid of buffered
+/// points alone still walks once per geometry: its members price their
+/// latencies from one tally. Every point equals a direct
+/// `Pipeline::run`.
+#[test]
+fn write_back_grid_shares_idle_store_buffer_points() {
+    let grid = |store_buffers| GridSpec {
+        l1_shapes: vec![L1Shape::Unified, L1Shape::Split],
+        l1_sizes: vec![256],
+        l1_policies: vec![WritePolicy::WriteBack],
+        l2_sizes: vec![0, 4096],
+        l2_policies: vec![WritePolicy::WriteBack],
+        main_latencies: vec![0, 10, 40],
+        store_buffers,
+        ..GridSpec::default()
+    };
+    let both = grid(vec![None, Some(StoreBuffer::new(4, 8))])
+        .axis()
+        .unwrap()
+        .0;
+    let only_buffered = grid(vec![Some(StoreBuffer::new(4, 8))]).axis().unwrap().0;
+    assert_eq!(both.len(), 24);
+    assert_eq!(only_buffered.len(), 12);
+    let _x = spmlab_obs::exclusive();
+    let p = Pipeline::new(&INSERTSORT).unwrap();
+    let events = MemTrace::from_bytes(&p.trace_bytes()).unwrap().events() as u64;
+
+    for (axis, buffered_points) in [(both, 12), (only_buffered, 0)] {
+        let sink = Arc::new(MemorySink::default());
+        let guard = spmlab_obs::add_sink(sink.clone());
+        let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap();
+        drop(guard);
+        let measured = axis.len() as u64 - buffered_points;
+        assert_eq!(sink.counter_total("sweep_memo_hit"), buffered_points);
+        assert_eq!(sink.counter_total("sweep_memo_miss"), measured);
+        assert_eq!(sink.counter_total("sweep_replay"), measured);
+        assert_eq!(sink.counter_total("sweep_full_sim"), 0);
+        let walked = sink.counter_total("replay_events") + sink.counter_total("replay_elided");
+        assert_eq!(walked, 4 * events, "one walk per geometry");
+        let spans = sink.spans();
+        let count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
+        assert_eq!(count("wcet-pass-fixpoints"), 4, "one per geometry");
+        assert_eq!(count("wcet-pass-costing"), measured);
+        for o in &outcomes {
+            let r = o.outcome.result().expect("no point fails");
+            let direct = p.run(&o.spec).unwrap();
+            assert_eq!(r.label, direct.label);
+            assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
+            assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
+            assert_eq!(r.classify, direct.classify, "{}", r.label);
+            assert_eq!(r.degraded, direct.degraded, "{}", r.label);
+            assert_eq!(
+                r.energy_nj.to_bits(),
+                direct.energy_nj.to_bits(),
+                "{}",
+                r.label
+            );
+        }
     }
 }
 

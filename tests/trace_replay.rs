@@ -15,7 +15,10 @@
 //! `replay_events` count sees no foreign replays). Run-indexed tallies,
 //! which skip guaranteed first-level hits, must equal the per-event
 //! tally of the same trace: on random machines here, and on every cache
-//! geometry of the `dse-wt` benchmark grid for three real kernels.
+//! geometry of the `dse-wt` benchmark grid for three real kernels. A
+//! store buffer behind a write-back level that absorbs every store must
+//! change nothing — simulation, analysis or `Pipeline::run` — which is
+//! what lets the sweep share such a point with its unbuffered twin.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -24,7 +27,7 @@ use proptest::prelude::*;
 use spmlab::dse::{GridSpec, L1Shape};
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::spec_sweep;
-use spmlab::write_policy_axis;
+use spmlab::{write_policy_axis, ConfigResult, MemArchSpec};
 use spmlab_cc::{compile, link, SpmAssignment};
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer, L1};
@@ -611,4 +614,148 @@ fn write_policy_experiment_provenance_shows_replay_flip() {
     assert_eq!(provenance.full_sim_points, Some(0));
     assert_eq!(provenance.memo_hits, Some(1));
     assert_eq!(provenance.memo_misses, Some(9));
+}
+
+/// Machines whose write-back levels absorb every store before it can
+/// reach main memory: a write-back L1 with or without an L2 behind it, a
+/// write-through L1 in front of a write-back L2, and an L1-less
+/// write-back L2.
+fn absorbing_machines() -> Vec<MemHierarchyConfig> {
+    let wb_l1d = || MemHierarchyConfig {
+        l1: L1::Split {
+            i: Some(CacheConfig::instr_only(256)),
+            d: Some(CacheConfig::data_only(256).write_back()),
+        },
+        l2: None,
+        main: MainMemoryTiming::table1(),
+    };
+    vec![
+        wb_l1d(),
+        MemHierarchyConfig::l1_only(CacheConfig::unified(1024).write_back()),
+        wb_l1d().with_l2(CacheConfig::l2(4096).write_back()),
+        MemHierarchyConfig::l1_only(CacheConfig::unified(512).write_back())
+            .with_l2(CacheConfig::l2(4096))
+            .with_main(MainMemoryTiming::dram(10)),
+        MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(4096).write_back()),
+        MemHierarchyConfig::uncached()
+            .with_l2(CacheConfig::l2(2048).write_back())
+            .with_main(MainMemoryTiming::dram(10)),
+    ]
+}
+
+/// `h` with `sb` in front of its main memory.
+fn buffered(h: &MemHierarchyConfig, sb: StoreBuffer) -> MemHierarchyConfig {
+    h.clone().with_main(h.main.with_store_buffer(sb))
+}
+
+/// A store buffer behind a write-back level that absorbs every store is
+/// idle: on ADPCM and a generated program, for every absorbing shape and
+/// two buffer shapes, a fresh simulation, a fresh analysis and
+/// `Pipeline::run` (a scratchpad spec over a write-back L1 included) all
+/// equal the unbuffered twin's, and the buffer never stalls. The
+/// control: on all-write-through machines, where stores do reach the
+/// buffer, it changes the cycles or stalls.
+#[test]
+fn idle_store_buffers_change_nothing() {
+    // `Pipeline::run` emits replay counters: hold the sink lock so the
+    // counter pins of concurrently running tests do not see them.
+    let _x = spmlab_obs::exclusive();
+    let buffers = [StoreBuffer::new(4, 8), StoreBuffer::new(1, 40)];
+    let options = SimOptions {
+        insn_stats: false,
+        ..SimOptions::default()
+    };
+    let generated = gen::generate_for_seed(2, &gen::reference_arch()).benchmark();
+    for b in [ADPCM.clone(), generated] {
+        let module = b.compile().unwrap();
+        let l = b
+            .link_with_input(
+                &module,
+                &MemoryMap::no_spm(),
+                &SpmAssignment::none(),
+                &b.typical_input(),
+            )
+            .unwrap();
+        let sim = |h: &MemHierarchyConfig| {
+            simulate(&l.exe, &MachineConfig::with_hierarchy(h.clone()), &options).unwrap()
+        };
+        let analyze = |h: &MemHierarchyConfig| {
+            spmlab_wcet::analyze(
+                &l.exe,
+                &spmlab_wcet::WcetConfig::with_hierarchy(h.clone()),
+                &l.annotations,
+            )
+            .unwrap()
+        };
+        for h in absorbing_machines() {
+            let plain = sim(&h);
+            let plain_bound = analyze(&h);
+            for sb in buffers {
+                let hb = buffered(&h, sb);
+                assert!(!hb.buffers_stores(), "{}", hb.label());
+                let fresh = sim(&hb);
+                assert_eq!(fresh.cycles, plain.cycles, "{}: {}", b.name, hb.label());
+                assert_eq!(
+                    fresh.mem_stats,
+                    plain.mem_stats,
+                    "{}: {}",
+                    b.name,
+                    hb.label()
+                );
+                assert_eq!(fresh.mem_stats.store_buffer_stalls, 0);
+                assert_eq!(analyze(&hb), plain_bound, "{}: {}", b.name, hb.label());
+            }
+        }
+        let mut specs: Vec<MemArchSpec> = absorbing_machines()
+            .iter()
+            .map(MemArchSpec::from_hierarchy)
+            .collect();
+        specs.push(MemArchSpec {
+            l1: L1::Unified(CacheConfig::unified(512).write_back()),
+            ..MemArchSpec::spm(512)
+        });
+        let p = Pipeline::new(&b).unwrap();
+        for spec in specs {
+            let plain = p.run(&spec).unwrap();
+            for sb in buffers {
+                let spec_b = MemArchSpec {
+                    main: spec.main.with_store_buffer(sb),
+                    ..spec.clone()
+                };
+                let r = p.run(&spec_b).unwrap();
+                assert_ne!(r.label, plain.label, "the buffer stays in the label");
+                assert_same_result(&r, &plain);
+            }
+        }
+        for h in [
+            MemHierarchyConfig::uncached(),
+            MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(4096)),
+        ] {
+            let plain = sim(&h);
+            for sb in buffers {
+                let hb = buffered(&h, sb);
+                assert!(hb.buffers_stores(), "{}", hb.label());
+                let fresh = sim(&hb);
+                assert!(
+                    fresh.cycles != plain.cycles || fresh.mem_stats.store_buffer_stalls > 0,
+                    "{}: the buffer on {} changed nothing",
+                    b.name,
+                    hb.label()
+                );
+            }
+        }
+    }
+}
+
+/// Every field of two results but the label agrees, energy bit for bit.
+fn assert_same_result(a: &ConfigResult, b: &ConfigResult) {
+    let what = format!("{} vs {}", a.label, b.label);
+    assert_eq!(a.sim_cycles, b.sim_cycles, "{what}");
+    assert_eq!(a.wcet_cycles, b.wcet_cycles, "{what}");
+    assert_eq!(a.checksum, b.checksum, "{what}");
+    assert_eq!(a.energy_nj.to_bits(), b.energy_nj.to_bits(), "{what}");
+    assert_eq!(a.spm_used, b.spm_used, "{what}");
+    assert_eq!(a.spm_objects, b.spm_objects, "{what}");
+    assert_eq!(a.classify, b.classify, "{what}");
+    assert_eq!(a.degraded, b.degraded, "{what}");
 }
