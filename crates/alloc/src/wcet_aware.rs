@@ -38,9 +38,9 @@
 use spmlab_cc::{link, spm_end, CcError, ObjModule, SpmAssignment};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::mem::MemoryMap;
-use spmlab_wcet::{analyze, WcetConfig, WcetError};
+use spmlab_wcet::{analyze_with, IpetModels, WcetConfig, WcetError};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Outcome of the WCET-driven allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,11 +81,12 @@ fn wcet_of(
     assignment: &SpmAssignment,
     extra_annotations: &AnnotationSet,
     config: &WcetConfig,
+    ipet: &IpetModels,
 ) -> Result<u64, WcetAllocError> {
     let linked = link(module, map, assignment).map_err(WcetAllocError::Link)?;
     let mut ann = linked.annotations.clone();
     ann.merge_from(extra_annotations);
-    let res = analyze(&linked.exe, config, &ann).map_err(WcetAllocError::Wcet)?;
+    let res = analyze_with(&linked.exe, config, &ann, ipet).map_err(WcetAllocError::Wcet)?;
     Ok(res.wcet_cycles)
 }
 
@@ -184,9 +185,14 @@ pub fn allocate_hierarchy_aware(
 /// call on it must pass the same two. It is safe to share between threads;
 /// it is locked only to look up and to record, never while a trial runs.
 /// Debug builds re-run every trial the memo answers and assert the bound.
+///
+/// Every trial it runs solves IPET on its [`IpetModels`] store, so the
+/// trials of all assignments and objectives build each function shape's
+/// model once.
 #[derive(Debug, Default)]
 pub struct TrialMemo {
     state: Mutex<MemoState>,
+    ipet: Arc<IpetModels>,
 }
 
 #[derive(Debug, Default)]
@@ -204,9 +210,18 @@ struct MemoState {
 }
 
 impl TrialMemo {
-    /// An empty memo.
+    /// An empty memo with a fresh [`IpetModels`] store.
     pub fn new() -> TrialMemo {
         TrialMemo::default()
+    }
+
+    /// An empty memo whose trials solve IPET on `ipet`, a store shared
+    /// with the caller's other analyses.
+    pub fn with_ipet_models(ipet: Arc<IpetModels>) -> TrialMemo {
+        TrialMemo {
+            state: Mutex::default(),
+            ipet,
+        }
     }
 
     fn state(&self) -> MutexGuard<'_, MemoState> {
@@ -394,6 +409,7 @@ impl Trials<'_> {
                 assignment,
                 self.extra_annotations,
                 self.config,
+                &self.memo.ipet,
             )
         };
         let Some(objective) = self.objective else {
@@ -546,6 +562,7 @@ mod tests {
                     &region.assignment,
                     &annot,
                     &cfg,
+                    &IpetModels::new(),
                 )
                 .unwrap();
                 assert!(
@@ -562,6 +579,7 @@ mod tests {
                     &aware.assignment,
                     &annot,
                     &cfg,
+                    &IpetModels::new(),
                 )
                 .unwrap();
                 assert_eq!(aware.final_wcet, rescore);

@@ -21,7 +21,8 @@ use spmlab_sim::{
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
-    analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig, WcetError,
+    analyze_with, classify, cost, prepare, AnalysisBudget, Classified, IpetModels, Prepared,
+    WcetConfig, WcetError,
 };
 use spmlab_workloads::Benchmark;
 use std::collections::BTreeMap;
@@ -146,6 +147,10 @@ pub struct Pipeline {
     /// The bounds of every allocation trial the WCET-driven greedies have
     /// run, shared across capacities and objectives.
     alloc_trials: wcet_aware::TrialMemo,
+    /// The IPET models of every function shape this pipeline's analyses
+    /// have solved: the no-scratchpad program's, every scratchpad link's
+    /// and every allocation trial's share one store.
+    ipet_models: Arc<IpetModels>,
     /// Memoised scratchpad links/recordings, keyed by capacity + assignment.
     spm_links: Mutex<BTreeMap<String, Arc<SpmArtifacts>>>,
     /// Per-point resource budget stamped onto every analyzer config; the
@@ -215,6 +220,7 @@ impl Pipeline {
                 got,
             });
         }
+        let ipet_models = Arc::new(IpetModels::new());
         Ok(Pipeline {
             benchmark: benchmark.clone(),
             module,
@@ -230,7 +236,8 @@ impl Pipeline {
             energy: EnergyModel::default(),
             sim_options,
             wcet_allocs: Mutex::new(BTreeMap::new()),
-            alloc_trials: wcet_aware::TrialMemo::new(),
+            alloc_trials: wcet_aware::TrialMemo::with_ipet_models(ipet_models.clone()),
+            ipet_models,
             spm_links: Mutex::new(BTreeMap::new()),
             analysis_budget: AnalysisBudget::unlimited(),
         })
@@ -348,15 +355,17 @@ impl Pipeline {
         Ok(self.package_spec(spec, &m))
     }
 
-    /// Wraps a call to the WCET analyzer in an `"analyze"` span.
+    /// Wraps a call to the WCET analyzer, on the pipeline's IPET models,
+    /// in an `"analyze"` span.
     fn analyzed(
+        &self,
         exe: &spmlab_isa::Executable,
         wcfg: &WcetConfig,
         annot: &spmlab_isa::annot::AnnotationSet,
     ) -> Result<spmlab_wcet::WcetResult, CoreError> {
         let _s = spmlab_obs::span("analyze");
         crate::faults::fault_point("analyze")?;
-        Ok(analyze(exe, wcfg, annot)?)
+        Ok(analyze_with(exe, wcfg, annot, &self.ipet_models)?)
     }
 
     /// The analyzer configuration for a canonical spec (see
@@ -538,7 +547,7 @@ impl Pipeline {
                     slots.len() - 1
                 }
             };
-            cost(prepared, &linked.exe, &wcfg, &slots[i])?
+            cost(prepared, &linked.exe, &wcfg, &slots[i], &self.ipet_models)?
         };
         Ok(ArchMeasurement {
             sim_cycles,
@@ -586,7 +595,7 @@ impl Pipeline {
             self.check(&sim, &arts.linked.exe)?;
             (sim.cycles, sim.mem_stats)
         };
-        let wcet = Pipeline::analyzed(&arts.linked.exe, &wcfg, &arts.linked.annotations)?;
+        let wcet = self.analyzed(&arts.linked.exe, &wcfg, &arts.linked.annotations)?;
         Ok(ArchMeasurement {
             sim_cycles,
             wcet_cycles: wcet.wcet_cycles,

@@ -1,7 +1,7 @@
 //! Depth-first branch & bound on top of the simplex relaxation.
 
 use crate::model::{Constraint, Model, Op, Sense, Solution};
-use crate::simplex::solve_relaxation;
+use crate::simplex::{phase1, Phase1};
 use crate::{IlpError, INT_EPS};
 
 /// Default node budget; IPET and knapsack instances in this workspace stay
@@ -23,8 +23,27 @@ pub fn solve(model: &Model) -> Result<Solution, IlpError> {
 
 /// Like [`solve`], with an explicit node budget.
 pub fn solve_with_limit(model: &Model, node_limit: usize) -> Result<Solution, IlpError> {
+    solve_from(model, &model.objective, &phase1(model, &[])?, node_limit)
+}
+
+/// Branch & bound on `model`'s rows under `objective` (one coefficient
+/// per variable, replacing the model's own), starting from `root`, the
+/// [`phase1`] state of `model` with no extra rows. A caller that keeps
+/// `root` solves the same rows under many objectives without repeating
+/// phase 1; the arithmetic is that of [`solve_with_limit`] on the model
+/// with `objective` set.
+///
+/// # Errors
+///
+/// As for [`solve`].
+pub fn solve_from(
+    model: &Model,
+    objective: &[f64],
+    root: &Phase1,
+    node_limit: usize,
+) -> Result<Solution, IlpError> {
     let int_vars = model.integer_vars();
-    let root = solve_relaxation(model, &[])?;
+    let root = root.optimise(objective)?;
     if int_vars.is_empty() || integral(&root, &int_vars) {
         return Ok(round_solution(root, &int_vars));
     }
@@ -71,7 +90,7 @@ pub fn solve_with_limit(model: &Model, node_limit: usize) -> Result<Solution, Il
                         op,
                         rhs,
                     });
-                    match solve_relaxation(model, &b) {
+                    match phase1(model, &b).and_then(|p| p.optimise(objective)) {
                         Ok(r) => stack.push((b, r)),
                         Err(IlpError::Infeasible) => {}
                         Err(e) => return Err(e),

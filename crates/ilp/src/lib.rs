@@ -8,8 +8,12 @@
 //!
 //! * [`model::Model`] — a small modelling API (variables, linear
 //!   constraints, objective),
-//! * [`simplex`] — a dense two-phase primal simplex solver,
-//! * [`branch`] — depth-first branch & bound for integrality,
+//! * [`simplex`] — a dense two-phase primal simplex solver whose
+//!   objective-free phase-1 state ([`simplex::Phase1`]) can be kept and
+//!   re-optimised under any number of objectives,
+//! * [`branch`] — depth-first branch & bound for integrality, from a fresh
+//!   model ([`branch::solve`]) or from a kept phase-1 state
+//!   ([`branch::solve_from`]),
 //! * [`knapsack`] — an exact dynamic program for 0/1 knapsacks, used both
 //!   directly and as a cross-check of the ILP path.
 //!

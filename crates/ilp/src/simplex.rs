@@ -10,8 +10,79 @@ use crate::{IlpError, EPS};
 
 /// Solves the LP relaxation of `model` (integrality ignored), with
 /// `extra` appended as additional constraints (used by branch & bound for
-/// branching bounds).
+/// branching bounds): [`phase1`], then [`Phase1::optimise`] with the
+/// model's own objective.
 pub fn solve_relaxation(model: &Model, extra: &[Constraint]) -> Result<Solution, IlpError> {
+    phase1(model, extra)?.optimise(&model.objective)
+}
+
+/// Solves the LP (relaxation) of `model` directly.
+pub fn solve_lp(model: &Model) -> Result<Solution, IlpError> {
+    solve_relaxation(model, &[])
+}
+
+/// A dense row-major tableau: each row holds `stride - 1` coefficient
+/// columns followed by its right-hand side.
+#[derive(Debug, Clone)]
+struct Tableau {
+    a: Vec<f64>,
+    stride: usize,
+}
+
+impl Tableau {
+    fn rows(&self) -> usize {
+        self.a.len() / self.stride
+    }
+
+    /// The coefficient columns, not counting the right-hand side.
+    fn cols(&self) -> usize {
+        self.stride - 1
+    }
+
+    fn at(&self, r: usize, j: usize) -> f64 {
+        self.a[r * self.stride + j]
+    }
+
+    fn row(&self, r: usize) -> &[f64] {
+        &self.a[r * self.stride..(r + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        &mut self.a[r * self.stride..(r + 1) * self.stride]
+    }
+}
+
+/// The objective-free half of a simplex solve: the tableau of a model's
+/// rows (constraints, then `extra`, then upper bounds, normalised to a
+/// non-negative right-hand side) after phase 1 has found a feasible basis
+/// and driven the artificials out of it. Phase 1 never reads the
+/// objective, so one `Phase1` serves any number of
+/// [`optimise`](Phase1::optimise) calls with different objectives, each
+/// doing exactly the arithmetic a fresh [`solve_relaxation`] would.
+///
+/// Phase 2 never prices an artificial in and never reads an artificial
+/// column, so the kept tableau drops those columns. An artificial left
+/// basic in a redundant row keeps its column index, past the kept ones,
+/// and costs zero.
+#[derive(Debug, Clone)]
+pub struct Phase1 {
+    /// Columns: structural | slacks/surpluses | rhs.
+    t: Tableau,
+    basis: Vec<usize>,
+    /// Structural variables.
+    n: usize,
+    sense: Sense,
+    iter_limit: usize,
+}
+
+/// Runs phase 1 on the rows of `model` plus `extra`.
+///
+/// # Errors
+///
+/// [`IlpError::BadVariable`] for a term outside the model,
+/// [`IlpError::Infeasible`] when the rows admit no point, and
+/// [`IlpError::IterationLimit`] on numerical trouble.
+pub fn phase1(model: &Model, extra: &[Constraint]) -> Result<Phase1, IlpError> {
     let n = model.num_vars();
 
     // Collect rows: model constraints, upper bounds, extra constraints.
@@ -61,31 +132,35 @@ pub fn solve_relaxation(model: &Model, extra: &[Constraint]) -> Result<Solution,
         .count();
     let ncols = n + n_slack + n_art;
 
-    let mut t = vec![vec![0.0f64; ncols + 1]; m];
+    let mut t = Tableau {
+        a: vec![0.0f64; m * (ncols + 1)],
+        stride: ncols + 1,
+    };
     let mut basis = vec![0usize; m];
     let mut is_artificial = vec![false; ncols];
     {
         let mut slack_at = n;
         let mut art_at = n + n_slack;
         for (r, (coeffs, op, rhs)) in rows.iter().enumerate() {
-            t[r][..n].copy_from_slice(coeffs);
-            t[r][ncols] = *rhs;
+            let row = t.row_mut(r);
+            row[..n].copy_from_slice(coeffs);
+            row[ncols] = *rhs;
             match op {
                 Op::Le => {
-                    t[r][slack_at] = 1.0;
+                    row[slack_at] = 1.0;
                     basis[r] = slack_at;
                     slack_at += 1;
                 }
                 Op::Ge => {
-                    t[r][slack_at] = -1.0;
+                    row[slack_at] = -1.0;
                     slack_at += 1;
-                    t[r][art_at] = 1.0;
+                    row[art_at] = 1.0;
                     is_artificial[art_at] = true;
                     basis[r] = art_at;
                     art_at += 1;
                 }
                 Op::Eq => {
-                    t[r][art_at] = 1.0;
+                    row[art_at] = 1.0;
                     is_artificial[art_at] = true;
                     basis[r] = art_at;
                     art_at += 1;
@@ -107,12 +182,12 @@ pub fn solve_relaxation(model: &Model, extra: &[Constraint]) -> Result<Solution,
         // Zero out reduced costs of basic artificials.
         for r in 0..m {
             if is_artificial[basis[r]] {
-                for j in 0..=ncols {
-                    obj[j] -= t[r][j];
+                for (o, &x) in obj.iter_mut().zip(t.row(r)) {
+                    *o -= x;
                 }
             }
         }
-        run_pivots(&mut t, &mut obj, &mut basis, None, iter_limit)?;
+        run_pivots(&mut t, &mut obj, &mut basis, iter_limit)?;
         // Phase-1 objective value = -obj[ncols].
         if -obj[ncols] > 1e-6 {
             return Err(IlpError::Infeasible);
@@ -120,7 +195,7 @@ pub fn solve_relaxation(model: &Model, extra: &[Constraint]) -> Result<Solution,
         // Drive remaining basic artificials out of the basis.
         for r in 0..m {
             if is_artificial[basis[r]] {
-                let pivot_col = (0..n + n_slack).find(|&j| t[r][j].abs() > EPS);
+                let pivot_col = (0..n + n_slack).find(|&j| t.at(r, j).abs() > EPS);
                 if let Some(j) = pivot_col {
                     pivot(&mut t, &mut obj, &mut basis, r, j);
                 }
@@ -130,81 +205,102 @@ pub fn solve_relaxation(model: &Model, extra: &[Constraint]) -> Result<Solution,
         }
     }
 
-    // Phase 2: optimise the real objective, never pricing artificials in.
-    let mut obj = vec![0.0f64; ncols + 1];
-    let flip = match model.sense {
-        Sense::Maximize => -1.0,
-        Sense::Minimize => 1.0,
+    // Keep the structural and slack columns and the right-hand side.
+    let width = n + n_slack;
+    let mut kept = Tableau {
+        a: Vec::with_capacity(m * (width + 1)),
+        stride: width + 1,
     };
-    for (o, &c) in obj.iter_mut().take(n).zip(&model.objective) {
-        *o = flip * c;
-    }
     for r in 0..m {
-        let b = basis[r];
-        let cb = obj[b];
-        if cb != 0.0 {
-            for j in 0..=ncols {
-                obj[j] -= cb * t[r][j];
+        let row = t.row(r);
+        kept.a.extend_from_slice(&row[..width]);
+        kept.a.push(row[ncols]);
+    }
+    Ok(Phase1 {
+        t: kept,
+        basis,
+        n,
+        sense: model.sense,
+        iter_limit,
+    })
+}
+
+impl Phase1 {
+    /// Phase 2 on a copy of this feasible tableau: optimises `objective`
+    /// (one coefficient per structural variable, in the model's sense),
+    /// never pricing artificials in, and extracts the solution.
+    ///
+    /// # Panics
+    ///
+    /// When `objective` does not have one entry per model variable.
+    ///
+    /// # Errors
+    ///
+    /// [`IlpError::Unbounded`] or [`IlpError::IterationLimit`].
+    pub fn optimise(&self, objective: &[f64]) -> Result<Solution, IlpError> {
+        let n = self.n;
+        assert_eq!(objective.len(), n, "one objective coefficient per variable");
+        let mut t = self.t.clone();
+        let mut basis = self.basis.clone();
+        let width = t.cols();
+
+        let mut obj = vec![0.0f64; width + 1];
+        let flip = match self.sense {
+            Sense::Maximize => -1.0,
+            Sense::Minimize => 1.0,
+        };
+        for (o, &c) in obj.iter_mut().take(n).zip(objective) {
+            *o = flip * c;
+        }
+        for (r, &b) in basis.iter().enumerate() {
+            // A basic artificial (past `width`) costs zero.
+            let cb = obj.get(b).copied().unwrap_or(0.0);
+            if cb != 0.0 {
+                for (o, &x) in obj.iter_mut().zip(t.row(r)) {
+                    *o -= cb * x;
+                }
             }
         }
-    }
-    run_pivots(
-        &mut t,
-        &mut obj,
-        &mut basis,
-        Some(&is_artificial),
-        iter_limit,
-    )?;
+        run_pivots(&mut t, &mut obj, &mut basis, self.iter_limit)?;
 
-    // Extract the solution.
-    let mut values = vec![0.0f64; n];
-    for r in 0..m {
-        if basis[r] < n {
-            values[basis[r]] = t[r][ncols];
+        // Extract the solution.
+        let mut values = vec![0.0f64; n];
+        for (r, &b) in basis.iter().enumerate() {
+            if b < n {
+                values[b] = t.at(r, width);
+            }
         }
+        let objective: f64 = values.iter().zip(objective).map(|(x, c)| x * c).sum();
+        Ok(Solution { values, objective })
     }
-    let objective: f64 = values
-        .iter()
-        .zip(model.objective.iter())
-        .map(|(x, c)| x * c)
-        .sum();
-    Ok(Solution { values, objective })
 }
 
-/// Solves the LP (relaxation) of `model` directly.
-pub fn solve_lp(model: &Model) -> Result<Solution, IlpError> {
-    solve_relaxation(model, &[])
-}
-
+/// Pivots until no column of `t` has a negative reduced cost.
 fn run_pivots(
-    t: &mut [Vec<f64>],
+    t: &mut Tableau,
     obj: &mut [f64],
     basis: &mut [usize],
-    banned: Option<&[bool]>,
     iter_limit: usize,
 ) -> Result<(), IlpError> {
-    let m = t.len();
+    let m = t.rows();
     if m == 0 {
         return Ok(());
     }
-    let ncols = t[0].len() - 1;
+    let ncols = t.cols();
     let bland_after = iter_limit / 2;
     for iter in 0..iter_limit {
         let bland = iter >= bland_after;
         // Entering column: negative reduced cost.
         let mut enter: Option<usize> = None;
         let mut best = -EPS;
-        for j in 0..ncols {
-            if banned.is_some_and(|b| b[j]) {
-                continue;
-            }
-            if obj[j] < -EPS {
+        for (j, &c) in obj.iter().enumerate().take(ncols) {
+            if c < -EPS {
                 if bland {
                     enter = Some(j);
                     break;
                 }
-                if obj[j] < best {
-                    best = obj[j];
+                if c < best {
+                    best = c;
                     enter = Some(j);
                 }
             }
@@ -214,8 +310,9 @@ fn run_pivots(
         let mut leave: Option<usize> = None;
         let mut best_ratio = f64::INFINITY;
         for r in 0..m {
-            if t[r][j] > EPS {
-                let ratio = t[r][ncols] / t[r][j];
+            let a = t.at(r, j);
+            if a > EPS {
+                let ratio = t.at(r, ncols) / a;
                 let better = ratio < best_ratio - EPS
                     || (ratio < best_ratio + EPS && leave.is_some_and(|l| basis[r] < basis[l]));
                 if leave.is_none() || better {
@@ -232,33 +329,30 @@ fn run_pivots(
     Err(IlpError::IterationLimit)
 }
 
-fn pivot(t: &mut [Vec<f64>], obj: &mut [f64], basis: &mut [usize], r: usize, j: usize) {
-    let m = t.len();
-    let ncols = t[0].len() - 1;
-    let p = t[r][j];
-    for v in t[r].iter_mut() {
+fn pivot(t: &mut Tableau, obj: &mut [f64], basis: &mut [usize], r: usize, j: usize) {
+    let stride = t.stride;
+    let p = t.at(r, j);
+    for v in t.row_mut(r).iter_mut() {
         *v /= p;
     }
-    for i in 0..m {
-        if i == r || t[i][j].abs() == 0.0 {
+    let (above, rest) = t.a.split_at_mut(r * stride);
+    let (row_r, below) = rest.split_at_mut(stride);
+    for row_i in above
+        .chunks_exact_mut(stride)
+        .chain(below.chunks_exact_mut(stride))
+    {
+        if row_i[j].abs() == 0.0 {
             continue;
         }
-        let f = t[i][j];
-        let (row_i, row_r) = if i < r {
-            let (lo, hi) = t.split_at_mut(r);
-            (&mut lo[i], &hi[0])
-        } else {
-            let (lo, hi) = t.split_at_mut(i);
-            (&mut hi[0], &lo[r])
-        };
-        for (x, &p) in row_i.iter_mut().zip(row_r.iter()).take(ncols + 1) {
+        let f = row_i[j];
+        for (x, &p) in row_i.iter_mut().zip(row_r.iter()) {
             *x -= f * p;
         }
         row_i[j] = 0.0;
     }
     if obj[j].abs() > 0.0 {
         let f = obj[j];
-        for (o, &p) in obj.iter_mut().zip(t[r].iter()).take(ncols + 1) {
+        for (o, &p) in obj.iter_mut().zip(row_r.iter()) {
             *o -= f * p;
         }
         obj[j] = 0.0;
@@ -371,6 +465,27 @@ mod tests {
         m.add_le(&[(x, 1.0)], 1.0);
         let s = solve_lp(&m).unwrap();
         assert!(close(s.objective, 0.0));
+    }
+
+    #[test]
+    fn one_phase1_serves_every_objective() {
+        // Phase 1 never reads the objective: re-optimising its state gives
+        // a fresh solve's solution bit for bit, objective after objective.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", VarKind::Continuous, None);
+        let y = m.add_var("y", VarKind::Continuous, Some(5.0));
+        let z = m.add_var("z", VarKind::Continuous, None);
+        m.add_eq(&[(x, 1.0), (y, 1.0), (z, 1.0)], 7.0);
+        m.add_ge(&[(x, 1.0), (z, -1.0)], -2.0);
+        m.add_le(&[(x, 2.0), (y, 1.0)], 9.0);
+        let root = phase1(&m, &[]).unwrap();
+        for objective in [[1.0, 0.0, 0.0], [0.0, 3.0, 1.0], [2.0, -1.0, 5.0], [0.0; 3]] {
+            m.set_objective(&[(x, objective[0]), (y, objective[1]), (z, objective[2])]);
+            assert_eq!(root.optimise(&objective), solve_lp(&m), "{objective:?}");
+        }
+        // An infeasible system fails in phase 1, before any objective.
+        m.add_ge(&[(x, 1.0), (y, 1.0), (z, 1.0)], 8.0);
+        assert_eq!(phase1(&m, &[]).unwrap_err(), IlpError::Infeasible);
     }
 
     #[test]

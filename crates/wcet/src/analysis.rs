@@ -3,8 +3,8 @@
 use crate::cache::{self, Classification, ClassifyStats, Persistence};
 use crate::cfg::{build_all, FuncCfg};
 use crate::fixpoint::FixpointBudget;
-use crate::ipet;
-use crate::loops::{natural_loops, NaturalLoop};
+use crate::ipet::{FlowFacts, IpetModels, Shape};
+use crate::loops::natural_loops;
 use crate::multilevel::{self, MultiCtx, MultiState};
 use crate::report::{FuncWcet, WcetResult};
 use crate::stack::total_depths;
@@ -235,13 +235,11 @@ pub fn topo_order(cfgs: &BTreeMap<u32, FuncCfg>) -> Result<Vec<u32>, WcetError> 
     Ok(order)
 }
 
-/// Loops, loop bounds and loop totals of one function — the flow facts
-/// IPET needs, none of which depend on the memory hierarchy.
+/// One function's flow facts and the IPET [`Shape`] they give it.
 #[derive(Debug)]
 struct FuncFlow {
-    loops: Vec<NaturalLoop>,
-    bounds: BTreeMap<u32, u32>,
-    totals: BTreeMap<u32, u32>,
+    facts: FlowFacts,
+    shape: Shape,
 }
 
 /// The hierarchy-independent half of an analysis ([`prepare`]): CFGs,
@@ -267,6 +265,14 @@ impl Prepared {
     /// The reconstructed control-flow graphs, keyed by function address.
     pub fn cfgs(&self) -> &BTreeMap<u32, FuncCfg> {
         &self.cfgs
+    }
+
+    /// The IPET [`Shape`] of every function whose loops could be bounded,
+    /// in callee-first order: what [`IpetModels`] keys its models by.
+    pub fn shapes(&self) -> impl Iterator<Item = &Shape> {
+        self.flows
+            .iter()
+            .filter_map(|f| Some(&f.as_ref().ok()?.shape))
     }
 
     /// The verified worst-case stack depth of the entry function, in
@@ -311,11 +317,13 @@ pub fn prepare(
                 .iter()
                 .filter_map(|l| Some((l.header, annot.loop_total(l.header)?)))
                 .collect();
-            Ok(FuncFlow {
+            let facts = FlowFacts {
                 loops,
                 bounds,
                 totals,
-            })
+            };
+            let shape = Shape::of(cfg, &facts);
+            Ok(FuncFlow { facts, shape })
         });
         let failed = flow.is_err();
         flows.push(flow);
@@ -478,10 +486,11 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
 
 /// The costing pass: per function, callees first (it needs callee WCET
 /// bounds), block costs from the classified in-states (TOP where none
-/// was recorded, as for a hierarchy with no cache level), then IPET —
-/// with one first miss per loop entry for every line charged a
-/// persistent hit. This is the only stage that reads latencies, so it
-/// runs once per configuration.
+/// was recorded, as for a hierarchy with no cache level), then IPET on
+/// the model of the function's [`Shape`] in `models` — with one first
+/// miss per loop entry for every line charged a persistent hit. This is
+/// the only stage that reads latencies, so it runs once per
+/// configuration.
 ///
 /// # Panics
 ///
@@ -496,6 +505,25 @@ pub fn cost(
     exe: &Executable,
     config: &WcetConfig,
     classified: &Classified,
+    models: &IpetModels,
+) -> Result<WcetResult, WcetError> {
+    cost_with(
+        prepared,
+        exe,
+        config,
+        classified,
+        |cfg, flow, costs, penalties| models.solve(cfg, &flow.facts, &flow.shape, costs, penalties),
+    )
+}
+
+/// [`cost`] with `ipet` solving each function: given its CFG, its flow,
+/// its block costs in address order and its loop-entry penalties.
+fn cost_with(
+    prepared: &Prepared,
+    exe: &Executable,
+    config: &WcetConfig,
+    classified: &Classified,
+    mut ipet: impl FnMut(&FuncCfg, &FuncFlow, &[u64], &BTreeMap<u32, u64>) -> Result<u64, WcetError>,
 ) -> Result<WcetResult, WcetError> {
     assert!(
         classified.serves(config),
@@ -517,11 +545,8 @@ pub fn cost(
     for (&faddr, flow) in order.iter().zip(flows) {
         let cfg = &cfgs[&faddr];
         let _f = spmlab_obs::span_with("wcet-fn-cost", || cfg.name.clone());
-        let FuncFlow {
-            loops,
-            bounds: loop_bounds,
-            totals,
-        } = flow.as_ref().map_err(Clone::clone)?;
+        let flow = flow.as_ref().map_err(Clone::clone)?;
+        let loops = &flow.facts.loops;
 
         let mut classify = ClassifyStats::default();
         let hierarchy = &config.hierarchy;
@@ -566,17 +591,9 @@ pub fn cost(
             )
         });
 
-        let mut wcet = ipet::solve_with_totals(
-            cfg,
-            &block_costs,
-            loops,
-            loop_bounds,
-            &entry_penalties,
-            totals,
-        )?;
+        let mut wcet = ipet(cfg, flow, &block_costs, &entry_penalties)?;
         if let Some(costs) = must_only_costs {
-            let must_only =
-                ipet::solve_with_totals(cfg, &costs, loops, loop_bounds, &BTreeMap::new(), totals)?;
+            let must_only = ipet(cfg, flow, &costs, &BTreeMap::new())?;
             wcet = wcet.min(must_only);
         }
         wcet_by_addr.insert(faddr, wcet);
@@ -609,8 +626,8 @@ pub fn cost(
     })
 }
 
-/// Costs every block of `cfg` under the hierarchy model from its
-/// classified in-state (TOP where none was recorded).
+/// Costs every block of `cfg`, in address order, under the hierarchy
+/// model from its classified in-state (TOP where none was recorded).
 fn hierarchy_block_costs(
     cfg: &FuncCfg,
     in_states: &BTreeMap<u32, MultiState>,
@@ -619,13 +636,13 @@ fn hierarchy_block_costs(
     stats: &mut ClassifyStats,
     classification: &mut Classification,
     mut persistence: Option<&mut Persistence>,
-) -> BTreeMap<u32, u64> {
+) -> Vec<u64> {
     let top = MultiState::top(ctx);
     cfg.blocks
         .iter()
-        .map(|(&b, block)| {
-            let in_state = in_states.get(&b).unwrap_or(&top);
-            let c = multilevel::block_cost(
+        .map(|(b, block)| {
+            let in_state = in_states.get(b).unwrap_or(&top);
+            multilevel::block_cost(
                 block,
                 in_state,
                 ctx,
@@ -633,8 +650,7 @@ fn hierarchy_block_costs(
                 stats,
                 classification,
                 persistence.as_deref_mut(),
-            );
-            (b, c)
+            )
         })
         .collect()
 }
@@ -642,7 +658,8 @@ fn hierarchy_block_costs(
 /// Runs the full analysis — [`prepare`], then [`classify`], then
 /// [`cost`]: CFG reconstruction, loop bounding, stack-depth analysis,
 /// cache classification, microarchitectural timing and per-function
-/// IPET, combined bottom-up over the call graph.
+/// IPET, combined bottom-up over the call graph. This is
+/// [`analyze_with`] on a fresh [`IpetModels`] store.
 ///
 /// # Errors
 ///
@@ -653,9 +670,24 @@ pub fn analyze(
     config: &WcetConfig,
     annotations: &AnnotationSet,
 ) -> Result<WcetResult, WcetError> {
+    analyze_with(exe, config, annotations, &IpetModels::new())
+}
+
+/// [`analyze`], solving IPET on the models of `models`: analyses that
+/// share a store build each function shape's model once between them.
+///
+/// # Errors
+///
+/// As for [`analyze`].
+pub fn analyze_with(
+    exe: &Executable,
+    config: &WcetConfig,
+    annotations: &AnnotationSet,
+    models: &IpetModels,
+) -> Result<WcetResult, WcetError> {
     let prepared = prepare(exe, annotations, config.auto_loop_bounds)?;
     let classified = classify(&prepared, exe, config);
-    cost(&prepared, exe, config, &classified)
+    cost(&prepared, exe, config, &classified, models)
 }
 
 #[cfg(test)]
@@ -964,6 +996,84 @@ mod tests {
         assert!(
             deadlined.wcet_cycles >= hs.cycles,
             "degraded must stay sound"
+        );
+    }
+
+    /// Every IPET solve of the shipped kernels and of generated programs
+    /// 0..=3, under region timing, six write-through DSE geometries and
+    /// persistence: the stored model on one shared store gives the cold
+    /// solve's bound, to the cycle, or its error.
+    #[test]
+    fn stored_models_match_cold_solves_on_every_function() {
+        use spmlab_isa::cachecfg::CacheConfig;
+        let arch = spmlab_workloads::gen::reference_arch();
+        let programs: Vec<spmlab_workloads::Benchmark> = spmlab_workloads::all_benchmarks()
+            .into_iter()
+            .cloned()
+            .chain(
+                (0..=3)
+                    .map(|seed| spmlab_workloads::gen::generate_for_seed(seed, &arch).benchmark()),
+            )
+            .collect();
+        let at = |h: MemHierarchyConfig, latency: u64| MemHierarchyConfig {
+            main: MainMemoryTiming::dram(latency),
+            ..h
+        };
+        let configs = [
+            WcetConfig::region_timing(),
+            WcetConfig::with_cache(CacheConfig::unified(256)),
+            WcetConfig::with_hierarchy(at(MemHierarchyConfig::split_l1(1024, 1024), 10)),
+            WcetConfig::with_hierarchy(at(
+                MemHierarchyConfig::l1_only(CacheConfig::unified(4096))
+                    .with_l2(CacheConfig::l2(4096)),
+                40,
+            )),
+            WcetConfig::with_hierarchy(at(
+                MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(16384)),
+                0,
+            )),
+            WcetConfig::with_hierarchy(at(
+                MemHierarchyConfig::uncached().with_l2(CacheConfig::l2(4096)),
+                40,
+            )),
+            WcetConfig::with_hierarchy(at(MemHierarchyConfig::split_l1(4096, 4096), 40)),
+            WcetConfig::with_cache_persistence(CacheConfig::unified(1024)),
+        ];
+        let models = IpetModels::new();
+        let mut solves = 0usize;
+        for b in &programs {
+            let module = b.compile().unwrap();
+            let l = b
+                .link_with_input(
+                    &module,
+                    &MemoryMap::no_spm(),
+                    &SpmAssignment::none(),
+                    &b.typical_input(),
+                )
+                .unwrap();
+            let prepared = prepare(&l.exe, &l.annotations, true).unwrap();
+            for config in &configs {
+                let classified = classify(&prepared, &l.exe, config);
+                cost_with(
+                    &prepared,
+                    &l.exe,
+                    config,
+                    &classified,
+                    |cfg, flow, costs, pens| {
+                        solves += 1;
+                        let stored = models.solve(cfg, &flow.facts, &flow.shape, costs, pens);
+                        let cold = crate::ipet::tests::cold_solve(cfg, &flow.facts, costs, pens);
+                        assert_eq!(stored, cold, "{} `{}` under {config:?}", b.name, cfg.name);
+                        stored
+                    },
+                )
+                .unwrap();
+            }
+        }
+        assert!(
+            models.len() * configs.len() <= solves,
+            "{} shapes over {solves} solves",
+            models.len()
         );
     }
 

@@ -23,7 +23,10 @@
 //!    scratchpad branch ("no additional analysis module required"):
 //!    nothing is classified and every access is priced by its region;
 //! 5. **IPET** — per-function implicit path enumeration as an ILP solved by
-//!    [`spmlab_ilp`] ([`ipet`]), combined bottom-up over the call graph.
+//!    [`spmlab_ilp`] ([`ipet`]), combined bottom-up over the call graph:
+//!    each function shape's constraint system is built and taken through
+//!    simplex phase 1 once ([`IpetModels`]), every bound is priced by
+//!    phase 2 alone and certified against the flow facts.
 //!
 //! The headline guarantee, exercised heavily by the test-suite: for every
 //! program whose annotations hold on a given input, the reported bound is
@@ -58,9 +61,11 @@ pub mod stack;
 mod timing;
 
 pub use analysis::{
-    analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig,
+    analyze, analyze_with, classify, cost, prepare, AnalysisBudget, Classified, Prepared,
+    WcetConfig,
 };
 pub use fixpoint::FixpointBudget;
+pub use ipet::IpetModels;
 pub use report::{FuncWcet, WcetResult};
 
 /// Errors from WCET analysis.
@@ -87,6 +92,9 @@ pub enum WcetError {
     Ilp(spmlab_ilp::IlpError),
     /// The stack-depth analysis found inconsistent stack heights.
     StackImbalance { func: String, addr: u32 },
+    /// The IPET solver's counts violate the function's flow facts: its
+    /// bound is not certified.
+    IpetCertificate { func: String, reason: String },
 }
 
 impl std::fmt::Display for WcetError {
@@ -114,6 +122,9 @@ impl std::fmt::Display for WcetError {
             WcetError::Ilp(e) => write!(f, "IPET solver: {e}"),
             WcetError::StackImbalance { func, addr } => {
                 write!(f, "inconsistent stack height in `{func}` at {addr:#x}")
+            }
+            WcetError::IpetCertificate { func, reason } => {
+                write!(f, "IPET certificate failed in `{func}`: {reason}")
             }
         }
     }

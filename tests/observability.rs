@@ -11,7 +11,7 @@
 
 mod common;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use common::{reference_greedy, reference_hierarchy_aware, routed};
@@ -271,6 +271,53 @@ fn spm_grid_analyses_each_allocation_trial_once() {
         sink.counter_total("alloc_trial_memo_miss"),
         distinct.len() as u64
     );
+}
+
+/// IPET models: a cache grid builds one model per distinct function shape
+/// of the program, and every other solve runs on a stored model. Each
+/// solve is one `ipet` span inside its function's `wcet-fn-cost` span.
+#[test]
+fn sweep_builds_one_ipet_model_per_function_shape() {
+    let grid = GridSpec {
+        l1_sizes: vec![0, 256],
+        l2_sizes: vec![0, 4096],
+        main_latencies: vec![0, 10],
+        ..GridSpec::default()
+    };
+    let axis = grid.axis().unwrap().0;
+    let linked = INSERTSORT
+        .build(
+            &spmlab_isa::mem::MemoryMap::no_spm(),
+            &spmlab_cc::SpmAssignment::none(),
+            &INSERTSORT.typical_input(),
+        )
+        .unwrap();
+    let prepared = spmlab_wcet::prepare(&linked.exe, &linked.annotations, true).unwrap();
+    let shapes: HashSet<&spmlab_wcet::ipet::Shape> = prepared.shapes().collect();
+
+    let _x = spmlab_obs::exclusive();
+    let p = Pipeline::new(&INSERTSORT).unwrap();
+    let sink = Arc::new(MemorySink::default());
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap();
+    drop(guard);
+    assert!(outcomes.iter().all(|o| o.outcome.result().is_some()));
+
+    let spans = sink.spans();
+    let solves: Vec<_> = spans.iter().filter(|s| s.name == "ipet").collect();
+    let built = sink.counter_total("ipet_model_built");
+    let reused = sink.counter_total("ipet_model_reused");
+    assert_eq!(built, shapes.len() as u64);
+    assert_eq!(built + reused, solves.len() as u64);
+    assert_eq!(
+        solves.len(),
+        axis.len() * prepared.cfgs().len(),
+        "one solve per function and point"
+    );
+    for s in solves {
+        let parent = spans.iter().find(|p| Some(p.id) == s.parent).unwrap();
+        assert_eq!(parent.name, "wcet-fn-cost");
+    }
 }
 
 /// A profiled run records a well-formed JSON-lines stream (balanced span

@@ -343,12 +343,14 @@ fn dse_families() -> &'static [Vec<MemHierarchyConfig>] {
 }
 
 /// The staged analysis is exact under sharing: for every geometry, `cost`
-/// over one `classify` of the family's first member returns, for every
-/// member, the `WcetResult` a fresh `analyze` returns.
+/// over one `classify` of the family's first member, on one IPET model
+/// store for every geometry, returns, for every member, the `WcetResult`
+/// a fresh `analyze` returns.
 fn assert_shared_classification_is_exact(name: &str, linked: &spmlab_cc::LinkedProgram) {
-    use spmlab_wcet::{analyze, classify, cost, prepare, WcetConfig};
+    use spmlab_wcet::{analyze, classify, cost, prepare, IpetModels, WcetConfig};
     let (exe, annot) = (&linked.exe, &linked.annotations);
     let prepared = prepare(exe, annot, true).expect("prepare");
+    let models = IpetModels::new();
     for family in dse_families() {
         let shared = classify(
             &prepared,
@@ -359,7 +361,7 @@ fn assert_shared_classification_is_exact(name: &str, linked: &spmlab_cc::LinkedP
             let config = WcetConfig::with_hierarchy(h.clone());
             assert!(shared.serves(&config), "{name}: {h:?}");
             assert_eq!(
-                cost(&prepared, exe, &config, &shared),
+                cost(&prepared, exe, &config, &shared, &models),
                 analyze(exe, &config, annot),
                 "{name}: {h:?}"
             );
