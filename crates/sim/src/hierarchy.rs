@@ -535,6 +535,20 @@ impl HierarchyCaches {
         count.saturating_mul(route.l1_hit)
     }
 
+    /// Credits `count` store hits at a write-back L1 without a tag-store
+    /// lookup, returning their cycles: the cost [`HierarchyCaches::write`]
+    /// charges for such a hit, which records no counters. Exact only for
+    /// stores to the most recently used line of an absorbing L1 that saw
+    /// nothing else since and is already dirty — a hit that changes no
+    /// state (see `MemTrace::tally`).
+    pub(crate) fn credit_store_hits(&self, count: u64) -> u64 {
+        debug_assert!(
+            count == 0 || self.write_route.absorb == StoreAbsorb::L1,
+            "a store hit needs an absorbing L1"
+        );
+        count.saturating_mul(self.write_route.l1_store_hit)
+    }
+
     /// A data write to main-memory space at time `now`, routed by the
     /// store-absorb rule ([`MemHierarchyConfig::store_absorb`]):
     ///

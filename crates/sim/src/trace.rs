@@ -35,30 +35,44 @@
 //!
 //! ## Skipping guaranteed first-level hits
 //!
-//! Most fetches and many reads touch the line their cache touched last.
-//! A trace opted in with [`MemTrace::with_run_index`] builds, on its first
-//! tally, a run index: one pass over the events at 16-byte line
-//! granularity that keeps every fetch or read at least one of two rules
-//! cannot skip, and counts per rule and kind the events it can:
+//! Most fetches and many data accesses touch the line their cache touched
+//! last. A trace opted in with [`MemTrace::with_run_index`] builds, on the
+//! first tally that can use it, a run index: one pass over the events at
+//! 16-byte line granularity that keeps every access at least one of two
+//! rules cannot skip, and counts per rule and class (fetch, read, write)
+//! the accesses it can. Under a rule, an access is skipped when its line
+//! is the line of the previous access in its stream:
 //!
-//! * *same-stream*: a fetch to the previous fetch's line, or a read to
-//!   the previous read's line — used when a split L1 gives each kind a
-//!   cache of its own;
-//! * *shared*: a fetch or read to the previous fetch-or-read's line —
-//!   used when both kinds reach one first cache (a unified L1, or an L2
-//!   with no L1 in front).
+//! * *same-stream*: fetches form one stream and data accesses the other
+//!   — used when a split L1 gives each a cache of its own;
+//! * *shared*: every access is in one stream — used when all of them
+//!   reach one first cache (a unified L1, or an L2 with no L1 in front).
 //!
-//! Write-through tallies (`!write_policy_dependent()`) whose first-level
-//! lines are all at least 16 bytes then walk only the index entries
-//! their rule keeps and credit the rest as first-level hits
-//! (`HierarchyCaches::credit_hits`). That is exact: a skipped access
-//! hits the most recently used line of a cache that saw nothing else in
-//! between (write-through stores touch no tag store), and such a hit
-//! changes no state — LRU order stays (ticks are only compared within a
-//! set), and round-robin and random replacement act on misses only.
-//! Every other tally — scoped unified L1s, write-back machines, shorter
-//! lines, traces without an index or whose index could not be built —
-//! walks every event.
+//! Such an access hits the most recently used line of a cache that saw
+//! nothing else in between, and the hit changes no state: LRU order stays
+//! (ticks are only compared within a set), and round-robin and random
+//! replacement act on misses only. A tally walks the index entries its
+//! rule keeps and credits the rest as first-level hits
+//! (`HierarchyCaches::credit_hits`, `HierarchyCaches::credit_store_hits`).
+//! There are two indexes, each built on first use:
+//!
+//! * *write-through* tallies (`!write_policy_dependent()`) whose
+//!   first-level lines are all at least 16 bytes read an index of fetches
+//!   and reads only: write-through stores touch no tag store, so the data
+//!   stream is the reads;
+//! * *write-back* tallies whose stores a write-back L1 absorbs
+//!   (`store_absorb() == StoreAbsorb::L1`), with both first-level caches
+//!   present and lines of at least 16 bytes, read an index whose data
+//!   stream holds reads and writes. A run (consecutive same-line accesses
+//!   in one stream) keeps its head and, when the head is not a write, its
+//!   first write: that write may dirty a clean line. Every later access
+//!   of the run hits a line that is already dirty, and the dirty bit is
+//!   idempotent, so a skipped store changes no state and, like any store
+//!   hit, records no counter and sends nothing to the L2 or main memory.
+//!
+//! Every other tally — scoped unified L1s, write-back L2s absorbing the
+//! stores, shorter lines, traces without an index or whose index could not
+//! be built — walks every event.
 //!
 //! ## Wire format
 //!
@@ -76,7 +90,7 @@ use crate::hierarchy::HierarchyCaches;
 use crate::machine::{SimOptions, SimResult};
 use crate::memsys::{AccessKind, MemStats};
 use crate::SimError;
-use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb};
 use spmlab_isa::image::Executable;
 use spmlab_isa::mem::AccessWidth;
 use std::sync::OnceLock;
@@ -322,11 +336,12 @@ pub struct MemTrace {
     stats_template: MemStats,
     /// Watchdog limit the recording ran under.
     max_cycles: u64,
-    /// The run index, built by the first tally that can use it; `None`
-    /// unless opted in with [`MemTrace::with_run_index`]. The inner
-    /// `None` marks a stream the index cannot describe. Derived from
-    /// `events`: neither compared nor serialized.
-    runs: Option<OnceLock<Option<RunIndex>>>,
+    /// The run indexes, by [`Stores`], each built by the first tally that
+    /// can use it; `None` unless opted in with
+    /// [`MemTrace::with_run_index`]. An inner `None` marks a stream the
+    /// index cannot describe. Derived from `events`: neither compared nor
+    /// serialized.
+    runs: Option<[OnceLock<Option<RunIndex>>; 2]>,
 }
 
 impl PartialEq for MemTrace {
@@ -354,15 +369,29 @@ impl Eq for MemTrace {}
 /// 2^21.
 const RUN_ADDR_BITS: u32 = 21;
 const RUN_ADDR_MASK: u32 = (1 << RUN_ADDR_BITS) - 1;
+/// Bits of a run-index entry holding the event kind (`EV_FETCH` …
+/// `EV_WRITE_WORD`), above the address.
+const RUN_KIND_BITS: u32 = 3;
 
 /// Which accesses a tally may skip as guaranteed first-level hits (see
 /// the module docs).
 #[derive(Debug, Clone, Copy)]
 enum RunRule {
-    /// A split L1: each kind's first cache sees only that kind.
+    /// A split L1: fetches reach one first cache, data accesses the
+    /// other.
     SameStream = 0,
-    /// Fetches and reads share their first cache.
+    /// Every access reaches one first cache.
     Shared = 1,
+}
+
+/// Which run index a tally reads: the write-through one leaves stores
+/// out, the write-back one walks them in program order.
+#[derive(Debug, Clone, Copy)]
+enum Stores {
+    /// Stores touch no tag store (write-through tallies).
+    Left = 0,
+    /// Stores hit or write-allocate in the L1 (write-back tallies).
+    Walked = 1,
 }
 
 impl RunRule {
@@ -370,64 +399,96 @@ impl RunRule {
     /// line the index serves is at least this long.
     const LINE: u32 = 16;
 
-    /// The rule that is exact for `hierarchy`'s write-through tally, if
-    /// any.
-    fn for_machine(hierarchy: &MemHierarchyConfig) -> Option<RunRule> {
-        if hierarchy.write_policy_dependent() {
-            return None;
-        }
+    /// The rule that is exact for `hierarchy`'s tally, if any, and which
+    /// index it reads: write-through tallies whose first caches have
+    /// lines of at least [`RunRule::LINE`] bytes, and write-back tallies
+    /// whose stores a write-back L1 absorbs, when both first-level
+    /// caches exist and have such lines.
+    fn for_machine(hierarchy: &MemHierarchyConfig) -> Option<(RunRule, Stores)> {
         let long = |c: &spmlab_isa::cachecfg::CacheConfig| c.line >= RunRule::LINE;
-        match (hierarchy.l1_for(true), hierarchy.l1_for(false)) {
-            (Some(i), Some(d)) if long(i) && long(d) => Some(if hierarchy.l1_unified() {
-                RunRule::Shared
-            } else {
-                RunRule::SameStream
-            }),
-            (None, None) => hierarchy
+        let stores = if !hierarchy.write_policy_dependent() {
+            Stores::Left
+        } else if hierarchy.store_absorb() == StoreAbsorb::L1 {
+            Stores::Walked
+        } else {
+            return None;
+        };
+        match (hierarchy.l1_for(true), hierarchy.l1_for(false), stores) {
+            (Some(i), Some(d), _) if long(i) && long(d) => Some((
+                if hierarchy.l1_unified() {
+                    RunRule::Shared
+                } else {
+                    RunRule::SameStream
+                },
+                stores,
+            )),
+            (None, None, Stores::Left) => hierarchy
                 .l2
                 .as_ref()
                 .filter(|c| long(c))
-                .map(|_| RunRule::Shared),
+                .map(|_| (RunRule::Shared, stores)),
             _ => None,
         }
     }
 
     /// The entry bit marking an access this rule skips.
     fn skip_bit(self) -> u32 {
-        1 << (RUN_ADDR_BITS + 2 + self as u32)
+        1 << (RUN_ADDR_BITS + RUN_KIND_BITS + self as u32)
     }
 }
 
-/// The fetches and reads of a trace that at least one [`RunRule`] cannot
-/// skip, in program order, plus what each rule skips.
+/// The accesses of a trace that at least one [`RunRule`] cannot skip, in
+/// program order, plus what each rule skips: fetches and reads, and under
+/// [`Stores::Walked`] writes too.
 #[derive(Debug, Clone)]
 struct RunIndex {
     /// One entry per kept access: the address in the low
-    /// [`RUN_ADDR_BITS`] bits, the event kind (`EV_FETCH` …
-    /// `EV_READ_WORD`) in the next two, then one skip bit per rule.
+    /// [`RUN_ADDR_BITS`] bits, the event kind in the next
+    /// [`RUN_KIND_BITS`], then one skip bit per rule.
     heads: Vec<u32>,
     /// Entries each rule walks.
     walked: [u64; 2],
-    /// Accesses each rule skips, by rule, then fetches and reads.
-    elided: [[u64; 2]; 2],
+    /// Accesses each rule skips, by rule, then fetches, reads and writes.
+    elided: [[u64; 3]; 2],
+    /// Whether the entries include stores.
+    stores: Stores,
 }
 
 impl RunIndex {
     /// Indexes `events`; `None` when an event is a cycle-register read
-    /// or a fetch or read whose address does not fit an entry — streams
-    /// the per-event walk must judge.
-    fn build(events: &[AccessEvent]) -> Option<RunIndex> {
+    /// or an indexed access whose address does not fit an entry —
+    /// streams the per-event walk must judge.
+    ///
+    /// Under each rule an access is skipped when its line is the line of
+    /// the previous access in its stream, except for the first write of
+    /// a run (a maximal sequence of same-line accesses in one stream)
+    /// whose head is not a write: that write may dirty a clean line, so
+    /// it is kept. Every later access of the run hits an L1's most
+    /// recently used line, already dirty once the run wrote.
+    fn build(events: &[AccessEvent], stores: Stores) -> Option<RunIndex> {
+        match stores {
+            Stores::Left => RunIndex::build_with::<false>(events),
+            Stores::Walked => RunIndex::build_with::<true>(events),
+        }
+    }
+
+    /// [`RunIndex::build`] with [`Stores::Walked`] when `WRITES`, so the
+    /// write-through pass carries no dirty-bit state.
+    fn build_with<const WRITES: bool>(events: &[AccessEvent]) -> Option<RunIndex> {
         const NONE: u32 = u32::MAX;
         let mut heads = Vec::new();
         let mut walked = [0u64; 2];
-        let mut elided = [[0u64; 2]; 2];
-        // The last line fetched, read, and either.
+        let mut elided = [[0u64; 3]; 2];
+        // The last line fetched, accessed as data, and either; and whether
+        // the data and the shared run have written.
         let mut last = [NONE; 2];
         let mut last_any = NONE;
+        let (mut wrote, mut wrote_any) = (false, false);
         for ev in events {
-            let data = match ev.kind {
+            let class = match ev.kind {
                 EV_FETCH => 0,
                 EV_READ_BYTE..=EV_READ_WORD => 1,
+                EV_WRITE_BYTE..=EV_WRITE_WORD if WRITES => 2,
                 EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
                 _ => return None,
             };
@@ -435,13 +496,24 @@ impl RunIndex {
                 return None;
             }
             let line = ev.addr / RunRule::LINE;
-            let skips = [last[data] == line, last_any == line];
+            let data = class.min(1);
+            let mut skips = [last[data] == line, last_any == line];
             last[data] = line;
             last_any = line;
+            if WRITES {
+                // Only a run's first write may find its line clean.
+                let write = class == 2;
+                if data == 1 {
+                    skips[0] &= wrote | !write;
+                    wrote = skips[0] & wrote | write;
+                }
+                skips[1] &= wrote_any | !write;
+                wrote_any = skips[1] & wrote_any | write;
+            }
             let mut head = ev.addr | u32::from(ev.kind) << RUN_ADDR_BITS;
             for rule in [RunRule::SameStream, RunRule::Shared] {
                 if skips[rule as usize] {
-                    elided[rule as usize][data] += 1;
+                    elided[rule as usize][class] += 1;
                     head |= rule.skip_bit();
                 } else {
                     walked[rule as usize] += 1;
@@ -456,7 +528,53 @@ impl RunIndex {
             heads,
             walked,
             elided,
+            stores: if WRITES { Stores::Walked } else { Stores::Left },
         })
+    }
+
+    /// Walks the entries `rule` keeps through `caches` and credits the
+    /// accesses it skips as first-level hits, returning their cycles.
+    fn walk(&self, rule: RunRule, caches: &mut HierarchyCaches, stats: &mut MemStats) -> u64 {
+        let mut cycles = match self.stores {
+            Stores::Left => self.walk_heads::<false>(rule, caches, stats),
+            Stores::Walked => self.walk_heads::<true>(rule, caches, stats),
+        };
+        let [fetches, reads, writes] = self.elided[rule as usize];
+        for (kind, count) in [(AccessKind::Fetch, fetches), (AccessKind::Read, reads)] {
+            cycles = cycles.saturating_add(caches.credit_hits(kind, count, stats));
+        }
+        cycles.saturating_add(caches.credit_store_hits(writes))
+    }
+
+    /// The cycles of the entries `rule` keeps. Without `WRITES` every
+    /// entry is a fetch or read, and the loop never tests for a store.
+    /// Kept out of line so that each loop gets registers of its own
+    /// rather than sharing them with the rest of `tally`.
+    #[inline(never)]
+    fn walk_heads<const WRITES: bool>(
+        &self,
+        rule: RunRule,
+        caches: &mut HierarchyCaches,
+        stats: &mut MemStats,
+    ) -> u64 {
+        let skip = rule.skip_bit();
+        let mut cycles = 0u64;
+        for &head in &self.heads {
+            if head & skip != 0 {
+                continue;
+            }
+            let addr = head & RUN_ADDR_MASK;
+            let kind = (head >> RUN_ADDR_BITS) as usize & ((1 << RUN_KIND_BITS) - 1);
+            let cost = if WRITES && kind > EV_READ_WORD as usize {
+                let width = AccessWidth::ALL[kind - EV_WRITE_BYTE as usize];
+                caches.write(addr, width, 0, stats)
+            } else {
+                let (kind, width) = READS[kind & 3];
+                caches.read(addr, kind, width, stats).0
+            };
+            cycles = cycles.saturating_add(cost);
+        }
+        cycles
     }
 }
 
@@ -533,23 +651,25 @@ impl MemTrace {
     }
 
     /// Opts this trace into run-indexed tallies: the first
-    /// [`MemTrace::tally`] that can use the index builds it (at most 4
-    /// bytes per fetch or read), and every write-through tally with
-    /// first-level lines of at least 16 bytes then skips the guaranteed
-    /// first-level hits (see the module docs). Worth it for a trace
-    /// tallied many times, such as a sweep's baseline; results are
-    /// bit-identical either way.
+    /// [`MemTrace::tally`] that can use an index builds it (at most 4
+    /// bytes per indexed access), and every write-through tally with
+    /// first-level lines of at least 16 bytes, and every write-back tally
+    /// whose stores such a first level absorbs, then skips the guaranteed
+    /// first-level hits (see the module docs). Write-through and
+    /// write-back tallies read an index each: the write-back one walks
+    /// the stores too. Worth it for a trace tallied many times, such as a
+    /// sweep's baseline; results are bit-identical either way.
     pub fn with_run_index(mut self) -> MemTrace {
-        self.runs = Some(OnceLock::new());
+        self.runs = Some(Default::default());
         self
     }
 
     /// The run index and the rule `hierarchy` may skip by, when this
     /// trace is opted in and both exist.
     fn run_index(&self, hierarchy: &MemHierarchyConfig) -> Option<(&RunIndex, RunRule)> {
-        let rule = RunRule::for_machine(hierarchy)?;
-        let runs = self.runs.as_ref()?;
-        let runs = runs.get_or_init(|| RunIndex::build(&self.events));
+        let (rule, stores) = RunRule::for_machine(hierarchy)?;
+        let runs = &self.runs.as_ref()?[stores as usize];
+        let runs = runs.get_or_init(|| RunIndex::build(&self.events, stores));
         Some((runs.as_ref()?, rule))
     }
 
@@ -612,8 +732,11 @@ impl MemTrace {
     /// main write, so they are priced from the per-width counters;
     /// write-back machines replay the write
     /// events in program order. An uncached machine walks nothing at all,
-    /// and a run-indexed trace walks only the fetches and reads that are
-    /// not guaranteed first-level hits (see [`MemTrace::with_run_index`]).
+    /// and a run-indexed trace walks only the accesses that are not
+    /// guaranteed first-level hits: fetches and reads on a write-through
+    /// machine, and on a write-back machine with an absorbing L1 also the
+    /// stores, each line's first store of a run included (see
+    /// [`MemTrace::with_run_index`]).
     /// The `replay_events` counter reports the events or index entries
     /// the walk visited, `replay_elided` the events it skipped.
     ///
@@ -657,18 +780,7 @@ impl MemTrace {
             });
             let walked = match self.run_index(hierarchy) {
                 Some((runs, rule)) => {
-                    let skip = rule.skip_bit();
-                    for &head in &runs.heads {
-                        if head & skip == 0 {
-                            let (kind, width) = READS[(head >> RUN_ADDR_BITS) as usize & 3];
-                            let cost = caches.read(head & RUN_ADDR_MASK, kind, width, &mut stats).0;
-                            cycles = cycles.saturating_add(cost);
-                        }
-                    }
-                    let [fetches, reads] = runs.elided[rule as usize];
-                    for (kind, count) in [(AccessKind::Fetch, fetches), (AccessKind::Read, reads)] {
-                        cycles = cycles.saturating_add(caches.credit_hits(kind, count, &mut stats));
-                    }
+                    cycles = cycles.saturating_add(runs.walk(rule, &mut caches, &mut stats));
                     runs.walked[rule as usize]
                 }
                 None => {
@@ -954,7 +1066,7 @@ mod tests {
     use crate::MachineConfig;
     use spmlab_cc::{compile, link, SpmAssignment};
     use spmlab_isa::cachecfg::CacheConfig;
-    use spmlab_isa::hierarchy::StoreBuffer;
+    use spmlab_isa::hierarchy::{StoreBuffer, L1};
     use spmlab_isa::mem::MemoryMap;
 
     const SRC: &str = "
@@ -1126,7 +1238,8 @@ mod tests {
         .unwrap();
         let (_, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
         let reads = trace.read_counts.iter().sum::<u64>();
-        let runs = RunIndex::build(&trace.events).expect("the recording is indexable");
+        let runs =
+            RunIndex::build(&trace.events, Stores::Left).expect("the recording is indexable");
         assert!(runs.heads.len() < reads as usize);
         for rule in [RunRule::SameStream, RunRule::Shared] {
             let elided = runs.elided[rule as usize].iter().sum::<u64>();
@@ -1155,16 +1268,16 @@ mod tests {
         let machines = [
             MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
             MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(2048)),
+            MemHierarchyConfig::l1_only(CacheConfig::unified(256).write_back()),
         ];
         for t in [undeclared, wide] {
             let indexed = t.clone().with_run_index();
             for h in &machines {
                 assert_eq!(tally(&indexed, h), tally(&t, h), "{}", h.label());
             }
-            assert!(matches!(
-                indexed.runs.as_ref().and_then(OnceLock::get),
-                Some(None)
-            ));
+            for runs in indexed.runs.as_ref().expect("opted in") {
+                assert!(matches!(runs.get(), Some(None)));
+            }
         }
         let mut undeclared = trace.with_run_index();
         undeclared.events[0].kind = EV_CYCLE_READ;
@@ -1172,6 +1285,184 @@ mod tests {
             undeclared.tally(&machines[0]),
             Err(SimError::Fault { .. })
         ));
+    }
+
+    /// A trace recorded from `(kind, addr)` events, back to back on the
+    /// uncached machine.
+    fn hand_trace(events: &[(u8, u32)]) -> MemTrace {
+        let main = MainMemoryTiming::table1();
+        let mut rec = TraceRecorder::default();
+        let mut at = 0;
+        for &(kind, addr) in events {
+            rec.at(at);
+            match kind {
+                EV_FETCH..=EV_READ_WORD => {
+                    let (kind, width) = READS[kind as usize];
+                    rec.record_read(addr, kind, width, main.access(width));
+                    at += main.access(width);
+                }
+                _ => {
+                    let width = AccessWidth::ALL[(kind - EV_WRITE_BYTE) as usize];
+                    rec.record_write(addr, width, main.access(width));
+                    at += main.access(width);
+                }
+            }
+        }
+        rec.into_trace(at, &MemStats::default(), u64::MAX)
+            .expect("no gaps")
+    }
+
+    /// The write-back run index on a hand-built stream: a write that may
+    /// dirty a clean line is kept, every later access to the run's line
+    /// is skipped, each rule accounts for every access, and the
+    /// write-through index on the same stream holds no write.
+    #[test]
+    fn write_back_run_index_keeps_each_runs_first_write() {
+        let (f, a, b) = (0x100, 0x2000, 0x2010);
+        let events = [
+            (EV_FETCH, f),
+            (EV_READ_WORD, a),
+            (EV_FETCH, f + 2),
+            (EV_WRITE_WORD, a + 4),
+            (EV_WRITE_BYTE, a + 8),
+            (EV_READ_HALF, a + 2),
+            (EV_WRITE_HALF, b),
+            (EV_READ_WORD, b + 4),
+            (EV_WRITE_WORD, b + 8),
+        ];
+        let trace = hand_trace(&events);
+        let runs = RunIndex::build(&trace.events, Stores::Walked).expect("indexable");
+        let entry = |i: usize, same_stream: bool, shared: bool| {
+            let (kind, addr) = events[i];
+            let mut head = addr | u32::from(kind) << RUN_ADDR_BITS;
+            for (skips, rule) in [
+                (same_stream, RunRule::SameStream),
+                (shared, RunRule::Shared),
+            ] {
+                if skips {
+                    head |= rule.skip_bit();
+                }
+            }
+            head
+        };
+        // The data stream reads `a`, then writes it twice and reads it:
+        // the first write is kept (it dirties the line), the rest are
+        // hits on a dirty line. A run headed by a write (`b`) keeps its
+        // head only. The second fetch of `f` hits under the same-stream
+        // rule only: under the shared rule the read of `a` came between.
+        assert_eq!(
+            runs.heads,
+            [
+                entry(0, false, false),
+                entry(1, false, false),
+                entry(2, true, false),
+                entry(3, false, false),
+                entry(6, false, false),
+            ]
+        );
+        assert_eq!(runs.walked, [4, 5]);
+        assert_eq!(runs.elided, [[1, 2, 2], [0, 2, 2]]);
+        let accesses = trace
+            .read_counts
+            .iter()
+            .chain(&trace.main_writes)
+            .sum::<u64>();
+        for rule in [RunRule::SameStream, RunRule::Shared] {
+            let elided = runs.elided[rule as usize].iter().sum::<u64>();
+            assert_eq!(runs.walked[rule as usize] + elided, accesses, "{rule:?}");
+        }
+
+        let through = RunIndex::build(&trace.events, Stores::Left).expect("indexable");
+        assert!(through
+            .heads
+            .iter()
+            .all(|&h| (h >> RUN_ADDR_BITS) as u8 & 7 <= EV_READ_WORD));
+        let reads = trace.read_counts.iter().sum::<u64>();
+        for rule in [RunRule::SameStream, RunRule::Shared] {
+            let [fetches, reads_elided, writes] = through.elided[rule as usize];
+            assert_eq!(writes, 0, "{rule:?}");
+            assert_eq!(
+                through.walked[rule as usize] + fetches + reads_elided,
+                reads
+            );
+        }
+    }
+
+    /// Write-back tallies through the run index equal the per-event walk
+    /// on a stream whose dirtied lines are evicted again — on unified
+    /// and split, direct-mapped and two-way L1s, with and without a
+    /// write-back L2 — and write-back machines whose stores an L2 absorbs,
+    /// or whose L1 lines are short, never build the index.
+    #[test]
+    fn write_back_run_index_tallies_match_the_per_event_walk() {
+        // 0x2000 and 0x2040 share a set of a 64-byte direct-mapped L1 and
+        // the two-way one's set with 0x2080.
+        let mut events = Vec::new();
+        for round in 0..3u32 {
+            for line in [0x2000, 0x2040, 0x2080] {
+                events.extend([
+                    (EV_FETCH, 0x100 + 4 * round),
+                    (EV_READ_WORD, line),
+                    (EV_WRITE_WORD, line + 4),
+                    (EV_FETCH, 0x102 + 4 * round),
+                    (EV_WRITE_BYTE, line + 9),
+                    (EV_READ_HALF, line + 2),
+                ]);
+            }
+            events.push((EV_WRITE_HALF, 0x20c0 + 16 * round));
+        }
+        let trace = hand_trace(&events);
+        let split = |d: CacheConfig| MemHierarchyConfig {
+            l1: L1::Split {
+                i: Some(CacheConfig::instr_only(64)),
+                d: Some(CacheConfig {
+                    scope: spmlab_isa::cachecfg::CacheScope::DataOnly,
+                    ..d
+                }),
+            },
+            ..MemHierarchyConfig::uncached()
+        };
+        let direct = CacheConfig::unified(64).write_back();
+        let two_way =
+            CacheConfig::set_assoc(64, 2, spmlab_isa::cachecfg::Replacement::Lru).write_back();
+        let l2 = CacheConfig::l2(128).write_back();
+        let tally = |t: &MemTrace, h: &MemHierarchyConfig| {
+            let t = t.tally(h).unwrap();
+            (t.cycles, t.transactions, t.stats)
+        };
+        for (h, evicts_to_main) in [
+            (MemHierarchyConfig::l1_only(direct.clone()), true),
+            (MemHierarchyConfig::l1_only(two_way.clone()), true),
+            (split(direct.clone()), true),
+            (split(two_way.clone()), true),
+            (
+                MemHierarchyConfig::l1_only(direct.clone()).with_l2(l2.clone()),
+                false,
+            ),
+            (split(two_way).with_l2(l2.clone()), false),
+        ] {
+            let indexed = trace.clone().with_run_index();
+            let fast = tally(&indexed, &h);
+            assert_eq!(fast, tally(&trace, &h), "{}", h.label());
+            assert!(fast.2.dirty_evictions > 0, "{}", h.label());
+            if evicts_to_main {
+                assert!(fast.2.write_backs > 0, "{}", h.label());
+            }
+            let runs = indexed.runs.as_ref().expect("opted in");
+            assert!(runs[Stores::Left as usize].get().is_none());
+            let index = runs[Stores::Walked as usize].get();
+            let index = index.and_then(Option::as_ref).expect("built");
+            assert!(index.heads.len() < events.len(), "{}", h.label());
+        }
+        for h in [
+            MemHierarchyConfig::split_l1(64, 64).with_l2(l2),
+            MemHierarchyConfig::l1_only(CacheConfig { line: 8, ..direct }),
+        ] {
+            let indexed = trace.clone().with_run_index();
+            assert_eq!(tally(&indexed, &h), tally(&trace, &h), "{}", h.label());
+            let runs = indexed.runs.as_ref().expect("opted in");
+            assert!(runs.iter().all(|r| r.get().is_none()), "{}", h.label());
+        }
     }
 
     /// A gap between two events beyond the 32-bit delta is a typed error,

@@ -151,8 +151,9 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
 /// twin's measurement (a memo hit), so the sweep walks the trace once
 /// per geometry and costs only the unbuffered points. A grid of buffered
 /// points alone still walks once per geometry: its members price their
-/// latencies from one tally. Every point equals a direct
-/// `Pipeline::run`.
+/// latencies from one tally. Each walk goes through the run index,
+/// skipping guaranteed L1 hits, and visits a pinned number of entries.
+/// Every point equals a direct `Pipeline::run`.
 #[test]
 fn write_back_grid_shares_idle_store_buffer_points() {
     let grid = |store_buffers| GridSpec {
@@ -186,8 +187,14 @@ fn write_back_grid_shares_idle_store_buffer_points() {
         assert_eq!(sink.counter_total("sweep_memo_miss"), measured);
         assert_eq!(sink.counter_total("sweep_replay"), measured);
         assert_eq!(sink.counter_total("sweep_full_sim"), 0);
-        let walked = sink.counter_total("replay_events") + sink.counter_total("replay_elided");
-        assert_eq!(walked, 4 * events, "one walk per geometry");
+        let walked = sink.counter_total("replay_events");
+        let elided = sink.counter_total("replay_elided");
+        assert_eq!(walked + elided, 4 * events, "one walk per geometry");
+        // Every geometry's write-back L1 absorbs the stores, so each walk
+        // skips the guaranteed L1 hits: 14,555 events per walk, and the
+        // split and unified walks of both L2 sizes visit 32,882 in all.
+        assert_eq!(events, 14_555);
+        assert_eq!((walked, elided), (32_882, 25_338));
         let spans = sink.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
         assert_eq!(count("wcet-pass-fixpoints"), 4, "one per geometry");

@@ -15,7 +15,8 @@
 //! `replay_events` count sees no foreign replays). Run-indexed tallies,
 //! which skip guaranteed first-level hits, must equal the per-event
 //! tally of the same trace: on random machines here, and on every cache
-//! geometry of the `dse-wt` benchmark grid for three real kernels. A
+//! geometry of the `dse-wt` and `dse-wb` benchmark grids for three real
+//! kernels. A
 //! store buffer behind a write-back level that absorbs every store must
 //! change nothing — simulation, analysis or `Pipeline::run` — which is
 //! what lets the sweep share such a point with its unbuffered twin.
@@ -30,7 +31,7 @@ use spmlab::sweep::spec_sweep;
 use spmlab::{write_policy_axis, ConfigResult, MemArchSpec};
 use spmlab_cc::{compile, link, SpmAssignment};
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
-use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreBuffer, L1};
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb, StoreBuffer, L1};
 use spmlab_isa::mem::MemoryMap;
 use spmlab_obs::collector::MemorySink;
 use spmlab_sim::{
@@ -281,12 +282,18 @@ fn tally_parts(tally: &Tally, main: &MainMemoryTiming) -> (u64, u64, MemStats) {
 
 /// The cache geometries the `dse-wt` benchmark grid tallies: no L1, or a
 /// unified or split write-through L1 of 256 B to 4 KiB, over no L2 or a
-/// 4 or 16 KiB L2.
-fn dse_wt_geometries() -> Vec<MemHierarchyConfig> {
+/// 4 or 16 KiB L2. With `policy` write-back, those of the `dse-wb` grid:
+/// a write-back L1 of 256 B to 4 KiB over no L2 or a write-back one.
+fn dse_geometries(policy: WritePolicy) -> Vec<MemHierarchyConfig> {
     let grid = GridSpec {
         l1_shapes: vec![L1Shape::Unified, L1Shape::Split],
-        l1_sizes: vec![0, 256, 1024, 4096],
+        l1_sizes: match policy {
+            WritePolicy::WriteThrough => vec![0, 256, 1024, 4096],
+            WritePolicy::WriteBack => vec![256, 1024, 4096],
+        },
+        l1_policies: vec![policy],
         l2_sizes: vec![0, 4096, 16384],
+        l2_policies: vec![policy],
         main_latencies: vec![0],
         ..GridSpec::default()
     };
@@ -299,18 +306,22 @@ fn dse_wt_geometries() -> Vec<MemHierarchyConfig> {
 }
 
 /// Run-indexed tallies on real kernels: for adpcm, multisort and the
-/// generated `gen-0001`, on every cache geometry of the `dse-wt` grid,
-/// the indexed tally equals the per-event tally on cycles, transactions
-/// and every `MemStats` counter, and skips events on the way. One fresh
-/// simulation per hierarchy shape anchors both.
+/// generated `gen-0001`, on every cache geometry of the `dse-wt` and
+/// `dse-wb` grids, the indexed tally equals the per-event tally on
+/// cycles, transactions and every `MemStats` counter, and skips events
+/// on the way. One fresh simulation per hierarchy shape anchors both.
 #[test]
 fn run_indexed_tallies_match_per_event_tallies_on_kernels() {
-    let geometries = dse_wt_geometries();
+    let through = dse_geometries(WritePolicy::WriteThrough);
     assert_eq!(
-        geometries.len(),
+        through.len(),
         21,
         "uncached, two L2-only and 18 L1 geometries"
     );
+    let back = dse_geometries(WritePolicy::WriteBack);
+    assert_eq!(back.len(), 18, "18 write-back L1 geometries");
+    assert!(back.iter().all(|h| h.store_absorb() == StoreAbsorb::L1));
+    let geometries = [through, back].concat();
     let generated = gen::generate_for_seed(1, &gen::reference_arch()).benchmark();
     assert!(generated.name.starts_with("gen-0001"), "{}", generated.name);
     let options = SimOptions {
@@ -358,7 +369,7 @@ fn run_indexed_tallies_match_per_event_tallies_on_kernels() {
                 L1::Unified(_) => 1,
                 L1::Split { .. } => 2,
             };
-            let shape = (l1_shape, h.l2.is_some());
+            let shape = (l1_shape, h.l2.is_some(), h.write_policy_dependent());
             if anchored.insert(shape) {
                 let fresh =
                     simulate(&l.exe, &MachineConfig::with_hierarchy(h.clone()), &options).unwrap();
@@ -371,7 +382,7 @@ fn run_indexed_tallies_match_per_event_tallies_on_kernels() {
                 );
             }
         }
-        assert_eq!(anchored.len(), 6, "every shape anchored once");
+        assert_eq!(anchored.len(), 10, "every shape anchored once");
     }
 }
 

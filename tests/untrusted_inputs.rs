@@ -105,14 +105,16 @@ fn sample_trace_bytes() -> &'static [u8] {
     })
 }
 
-/// Replays a decoded trace on a write-through unified L1 and a
-/// write-through split L1 + L2 through the run index: each gives what the
-/// per-event walk gives, a result or the same typed error.
+/// Replays a decoded trace on a write-through unified L1, a write-through
+/// split L1 + L2 and a write-back unified L1 through the run indexes:
+/// each gives what the per-event walk gives, a result or the same typed
+/// error.
 fn indexed_replay_matches(trace: &MemTrace) -> Result<(), TestCaseError> {
     let indexed = trace.clone().with_run_index();
     for h in [
         MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
         MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024)),
+        MemHierarchyConfig::l1_only(CacheConfig::unified(256).write_back()),
     ] {
         prop_assert_eq!(indexed.replay(&h), trace.replay(&h), "{}", h.label());
     }
@@ -135,7 +137,8 @@ proptest! {
     /// Truncating or splicing a *valid* v2 stream yields either a typed
     /// decode error or a structurally valid trace whose replay — on an
     /// uncached and a write-back machine, and run-indexed on two
-    /// write-through machines — returns without panicking.
+    /// write-through machines and a write-back one — returns without
+    /// panicking.
     #[test]
     fn truncated_spliced_trace_bytes_never_panic(
         cut in 0usize..4096,
