@@ -28,7 +28,8 @@
 //! `Vec<MemArchSpec>` axes (the paper's 64 B … 8 KiB capacity sweeps, the
 //! hierarchy axis, the SPM×hierarchy allocator axis); [`sweep`] runs any
 //! axis through its two entry points, [`sweep::spec_sweep`] and the
-//! checkpointable [`sweep::spec_sweep_with_session`]; [`figures`]
+//! checkpointable [`sweep::spec_sweep_with_session`], executing a
+//! sharing plan decided before anything is measured; [`figures`]
 //! packages each table/figure of the evaluation section; [`report`]
 //! renders them as text tables.
 //!
@@ -52,6 +53,7 @@ pub mod dse;
 pub mod faults;
 pub mod figures;
 pub mod pipeline;
+mod plan;
 pub mod report;
 pub mod sweep;
 

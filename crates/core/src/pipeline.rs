@@ -2,11 +2,10 @@
 //!
 //! [`Pipeline::run`] is the single entry point: it takes a declarative
 //! [`MemArchSpec`] (scratchpad + cache levels + main-memory timing) and
-//! routes to link → simulate (trace-replay when eligible) → analyze. The
-//! legacy `run_*` shims were removed in this release after two deprecated
-//! releases; `tests/spec_differential.rs` keeps the golden pins on
-//! `run(&spec)`.
+//! measures it as a sweep plan of one point: link → simulate (trace
+//! replay) → analyze.
 
+use crate::plan::{Rep, Slots, SweepPlan};
 use crate::CoreError;
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::{knapsack, wcet_aware};
@@ -21,8 +20,8 @@ use spmlab_sim::{
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
-    analyze_with, classify, cost, prepare, AnalysisBudget, Classified, IpetModels, Prepared,
-    WcetConfig, WcetError,
+    analyze_with, classify, cost, prepare, AnalysisBudget, IpetModels, Prepared, WcetConfig,
+    WcetError,
 };
 use spmlab_workloads::Benchmark;
 use std::collections::BTreeMap;
@@ -65,45 +64,17 @@ impl ConfigResult {
 /// One spec's raw measurement: everything [`ConfigResult`] needs except
 /// the label and the (capacity-dependent) energy figure. Sweep points
 /// whose canonical specs are effectively identical share one measurement
-/// (see `sweep::spec_sweep`).
+/// (see `plan::SweepPlan`).
 #[derive(Debug, Clone)]
 pub(crate) struct ArchMeasurement {
     pub sim_cycles: u64,
     pub wcet_cycles: u64,
-    pub checksum: i32,
     pub mem_stats: MemStats,
     pub classify: ClassifyStats,
     pub spm_used: u32,
     pub spm_objects: Vec<String>,
     /// The analyzer widened under its budget (see [`ConfigResult::degraded`]).
     pub widened: bool,
-}
-
-/// What the members of one sweep executor unit share (see
-/// `sweep::spec_sweep_with_session`): the latency-0 trace tally of its
-/// priceable members (see [`Pipeline::prices_latencies`]) and one cache
-/// classification per analyzer configuration its members route to (a
-/// paper-mode twin classifies apart from its full-flag siblings). It
-/// lives only as long as its unit; [`Pipeline::run`] is a unit of one.
-#[derive(Default)]
-pub(crate) struct UnitShare {
-    tally: Option<Tally>,
-    classified: Vec<Classified>,
-}
-
-/// The machine a canonical spec measures: `canon` with its store buffer
-/// dropped when no store can reach it
-/// ([`MemHierarchyConfig::buffers_stores`](spmlab_isa::hierarchy::MemHierarchyConfig::buffers_stores)).
-/// Behind an absorbing write-back level the buffer is idle, so the
-/// buffered point's simulation and analysis are those of its unbuffered
-/// twin; measuring the twin lets it price from a shared latency-0 tally
-/// and share the twin's sweep memo entry.
-pub(crate) fn measured_machine(canon: &MemArchSpec) -> MemArchSpec {
-    let mut m = canon.clone();
-    if !canon.hierarchy().buffers_stores() {
-        m.main.store_buffer = None;
-    }
-    m
 }
 
 /// Link + recording of one scratchpad configuration, shared by every spec
@@ -113,7 +84,6 @@ struct SpmArtifacts {
     linked: spmlab_cc::LinkedProgram,
     recorded_cycles: u64,
     recorded_stats: MemStats,
-    checksum: i32,
     spm_used: u32,
     trace: MemTrace,
 }
@@ -294,7 +264,9 @@ impl Pipeline {
         &self.baseline_profile
     }
 
-    fn check(&self, res: &SimResult, exe: &spmlab_isa::Executable) -> Result<i32, CoreError> {
+    /// Fails unless a simulation ends with the host twin's checksum, which
+    /// every measurement therefore reports.
+    fn check(&self, res: &SimResult, exe: &spmlab_isa::Executable) -> Result<(), CoreError> {
         let got = res
             .read_global(exe, "checksum")
             .unwrap_or(self.expected_checksum.wrapping_add(1));
@@ -305,7 +277,7 @@ impl Pipeline {
                 got,
             });
         }
-        Ok(got)
+        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -350,85 +322,47 @@ impl Pipeline {
     /// simulation, WCET or checksum failures.
     pub fn run(&self, spec: &MemArchSpec) -> Result<ConfigResult, CoreError> {
         spec.validate().map_err(CoreError::Spec)?;
-        let canon = spec.canonical();
-        let m = self.measure_spec(&canon, &mut UnitShare::default())?;
+        let plan = SweepPlan::build(self, &[(0, &spec.canonical())]);
+        let m = self.measure_spec(&plan.units[0][0], &mut Slots::default())?;
         Ok(self.package_spec(spec, &m))
-    }
-
-    /// Wraps a call to the WCET analyzer, on the pipeline's IPET models,
-    /// in an `"analyze"` span.
-    fn analyzed(
-        &self,
-        exe: &spmlab_isa::Executable,
-        wcfg: &WcetConfig,
-        annot: &spmlab_isa::annot::AnnotationSet,
-    ) -> Result<spmlab_wcet::WcetResult, CoreError> {
-        let _s = spmlab_obs::span("analyze");
-        crate::faults::fault_point("analyze")?;
-        Ok(analyze_with(exe, wcfg, annot, &self.ipet_models)?)
     }
 
     /// The analyzer configuration for a canonical spec (see
     /// [`Pipeline::run`]'s routing table), stamped with the pipeline's
     /// [`AnalysisBudget`].
     pub(crate) fn wcet_config_for(&self, canon: &MemArchSpec) -> WcetConfig {
-        WcetConfig {
-            budget: self.analysis_budget,
-            ..Pipeline::routed_config(canon)
-        }
-    }
-
-    /// The budget-free routing decision for a canonical spec.
-    fn routed_config(canon: &MemArchSpec) -> WcetConfig {
-        if canon.persistence {
-            if let L1::Unified(c) = &canon.l1 {
-                return WcetConfig::with_cache_persistence(c.clone());
-            }
-        }
-        if canon.spm.is_none()
+        let paper_mode = canon.spm.is_none()
             && canon.l2.is_none()
             && canon.main == MainMemoryTiming::table1()
-            && !canon.hierarchy().write_policy_dependent()
-        {
-            if let L1::Unified(c) = &canon.l1 {
-                return WcetConfig::with_cache(c.clone());
-            }
+            && !canon.hierarchy().write_policy_dependent();
+        let routed = match &canon.l1 {
+            L1::Unified(c) if canon.persistence => WcetConfig::with_cache_persistence(c.clone()),
+            L1::Unified(c) if paper_mode => WcetConfig::with_cache(c.clone()),
+            _ => WcetConfig::with_hierarchy(canon.hierarchy()),
+        };
+        WcetConfig {
+            budget: self.analysis_budget,
+            ..routed
         }
-        WcetConfig::with_hierarchy(canon.hierarchy())
     }
 
-    /// The expensive half of [`Pipeline::run`]: measures one *canonical*
-    /// spec. Label-free and energy-free so sweep points whose canonical
-    /// specs are effectively identical can share one measurement.
-    ///
-    /// `share` is what the no-scratchpad members of one sweep unit —
-    /// specs that differ only in their main-memory timing — share: the
-    /// first member that needs the latency-0 tally or the cache
-    /// classification fills its slot, the others reuse it.
-    /// [`Pipeline::run`] is the unit of one, passing empty slots.
+    /// The expensive half of [`Pipeline::run`]: measures one planned
+    /// representative. Label-free and energy-free so sweep points whose
+    /// canonical specs are effectively identical can share one
+    /// measurement. `slots` are its unit's: the first member that needs
+    /// the tally or classification the plan assigned fills the slot, the
+    /// others reuse it.
     pub(crate) fn measure_spec(
         &self,
-        canon: &MemArchSpec,
-        share: &mut UnitShare,
+        rep: &Rep,
+        slots: &mut Slots,
     ) -> Result<ArchMeasurement, CoreError> {
-        let _s = spmlab_obs::span_with("measure-spec", || canon.label());
+        let _s = spmlab_obs::span_with("measure-spec", || rep.machine.label());
         crate::faults::fault_point("measure-spec")?;
-        let canon = &measured_machine(canon);
-        match &canon.spm {
-            Some(spm) => self.measure_spm(canon, spm),
-            None => self.measure_no_spm(canon, share),
+        match &rep.machine.spm {
+            Some(spm) => self.measure_spm(&rep.machine, spm),
+            None => self.measure_no_spm(rep, slots),
         }
-    }
-
-    /// Whether `canon` may share a latency-0 tally with specs that differ
-    /// from it only in `main.latency`: a no-scratchpad spec without a
-    /// store buffer, on a pipeline whose recorded trace has no
-    /// cycle-register reads. Such points replay the same cache geometry,
-    /// so one walk of the trace prices them all exactly (see
-    /// `spmlab_sim::trace`). `canon` is a [`measured_machine`], so an idle
-    /// buffer has already been dropped and does not disqualify it.
-    fn prices_latencies(&self, canon: &MemArchSpec) -> bool {
-        canon.spm.is_none() && canon.main.store_buffer.is_none() && self.trace.cycle_reads() == 0
     }
 
     /// The cheap half of [`Pipeline::run`]: labels a measurement and
@@ -441,7 +375,7 @@ impl Pipeline {
             label: spec.label(),
             sim_cycles: m.sim_cycles,
             wcet_cycles: m.wcet_cycles,
-            checksum: m.checksum,
+            checksum: self.expected_checksum,
             energy_nj: self.energy.run_energy_nj(
                 &m.mem_stats,
                 m.sim_cycles,
@@ -455,33 +389,42 @@ impl Pipeline {
         }
     }
 
-    /// Attempts to price `hierarchy` from `trace`, bumping the
-    /// `sweep_replay` counter on success. Machines the trace can price
-    /// from a latency-0 tally take it from `tally`, walking the trace
-    /// only when the slot is still empty. Returns `Ok(None)` only when
-    /// the replay diverged on a recorded cycle-register value, where the
-    /// caller should simulate in full instead. Real replay failures
-    /// (watchdog expiry) propagate.
-    fn try_replay(
+    /// Prices `hierarchy` on `exe` from its recorded `trace`, bumping the
+    /// `sweep_replay` counter. With a shared `tally` slot it prices from
+    /// that latency-0 tally, walking the trace only when the slot is still
+    /// empty. A replay that diverged on a recorded cycle-register value
+    /// falls back to a full, checksum-checked simulation instead of
+    /// failing the point. Real replay failures (watchdog expiry)
+    /// propagate.
+    fn simulated(
+        &self,
+        exe: &spmlab_isa::Executable,
         trace: &MemTrace,
         hierarchy: &spmlab_isa::hierarchy::MemHierarchyConfig,
-        tally: &mut Option<Tally>,
-    ) -> Result<Option<(u64, MemStats)>, CoreError> {
-        let replayed = if trace.priceable(hierarchy) {
-            let shared = match tally {
-                Some(t) => t,
-                None => tally.insert(trace.tally(hierarchy)?),
-            };
-            shared.price(&hierarchy.main)
-        } else {
-            trace.replay(hierarchy)
+        tally: Option<&mut Option<Tally>>,
+    ) -> Result<(u64, MemStats), CoreError> {
+        let replayed = match tally {
+            Some(slot) => {
+                let shared = match slot {
+                    Some(t) => t,
+                    None => slot.insert(trace.tally(hierarchy)?),
+                };
+                shared.price(&hierarchy.main)
+            }
+            None => trace.replay(hierarchy),
         };
         match replayed {
-            Ok((cycles, stats)) => {
+            Ok(priced) => {
                 spmlab_obs::counter("sweep_replay", 1);
-                Ok(Some((cycles, stats)))
+                Ok(priced)
             }
-            Err(SimError::ReplayDivergence { .. }) => Ok(None),
+            Err(SimError::ReplayDivergence { .. }) => {
+                spmlab_obs::counter("sweep_full_sim", 1);
+                let machine = MachineConfig::with_hierarchy(hierarchy.clone());
+                let sim = simulate(exe, &machine, &self.sweep_options())?;
+                self.check(&sim, exe)?;
+                Ok((sim.cycles, sim.mem_stats))
+            }
             Err(e) => Err(e.into()),
         }
     }
@@ -489,70 +432,36 @@ impl Pipeline {
     /// Cache/hierarchy branch: runs on the shared no-scratchpad link,
     /// replaying the baseline execution's memory trace under the spec's
     /// hierarchy (bit-identical to a fresh simulation, minus the
-    /// interpreter); falls back to full simulation when the replay
-    /// diverges (see [`Pipeline::try_replay`]). The replayed
-    /// memory image equals the baseline's, so its validated checksum
-    /// carries over.
+    /// interpreter; see [`Pipeline::simulated`]). The replayed memory
+    /// image equals the baseline's, so its validated checksum carries
+    /// over.
     ///
     /// The analysis runs on the pipeline's prepared no-scratchpad program;
-    /// under an unlimited budget, hierarchy-path members of a unit share
-    /// one classification and only cost and IPET run per point.
-    fn measure_no_spm(
-        &self,
-        canon: &MemArchSpec,
-        share: &mut UnitShare,
-    ) -> Result<ArchMeasurement, CoreError> {
+    /// members that the plan gives one classification slot classify
+    /// once, and only cost and IPET run per point.
+    fn measure_no_spm(&self, rep: &Rep, slots: &mut Slots) -> Result<ArchMeasurement, CoreError> {
         let linked = &self.no_spm_link;
-        let hierarchy = canon.hierarchy();
-        let mut own_tally = None;
-        let tally = if self.prices_latencies(canon) {
-            &mut share.tally
-        } else {
-            &mut own_tally
-        };
-        // The trace replays any hierarchy, write-back and store-buffered
-        // machines included. A replay divergence (a recorded MMIO
-        // cycle-register value that differs under the target timing) falls
-        // back to full simulation instead of failing the point.
-        let (sim_cycles, mem_stats, checksum) =
-            match Pipeline::try_replay(&self.trace, &hierarchy, tally)? {
-                Some((cycles, stats)) => (cycles, stats, self.expected_checksum),
-                None => {
-                    spmlab_obs::counter("sweep_full_sim", 1);
-                    let sim = simulate(
-                        &linked.exe,
-                        &MachineConfig::with_hierarchy(hierarchy.clone()),
-                        &self.sweep_options(),
-                    )?;
-                    let checksum = self.check(&sim, &linked.exe)?;
-                    (sim.cycles, sim.mem_stats, checksum)
-                }
-            };
+        let tally = rep.tally.map(|t| slots.tallies.entry(t).or_default());
+        let hierarchy = rep.machine.hierarchy();
+        let (sim_cycles, mem_stats) =
+            self.simulated(&linked.exe, &self.trace, &hierarchy, tally)?;
         let wcet = {
             let _s = spmlab_obs::span("analyze");
             crate::faults::fault_point("analyze")?;
-            let wcfg = self.wcet_config_for(canon);
+            let wcfg = self.wcet_config_for(&rep.machine);
             debug_assert!(wcfg.auto_loop_bounds, "no_spm_prepared assumes auto bounds");
             let prepared = self.no_spm_prepared()?;
-            let mut own_classified = Vec::new();
-            let slots = if wcfg.budget.is_limited() {
-                &mut own_classified
-            } else {
-                &mut share.classified
+            let mut own = None;
+            let slot = match rep.classified {
+                Some(c) => slots.classified.entry(c).or_default(),
+                None => &mut own,
             };
-            let i = match slots.iter().position(|c| c.serves(&wcfg)) {
-                Some(i) => i,
-                None => {
-                    slots.push(classify(prepared, &linked.exe, &wcfg));
-                    slots.len() - 1
-                }
-            };
-            cost(prepared, &linked.exe, &wcfg, &slots[i], &self.ipet_models)?
+            let classified = slot.get_or_insert_with(|| classify(prepared, &linked.exe, &wcfg));
+            cost(prepared, &linked.exe, &wcfg, classified, &self.ipet_models)?
         };
         Ok(ArchMeasurement {
             sim_cycles,
             wcet_cycles: wcet.wcet_cycles,
-            checksum,
             mem_stats,
             classify: wcet.total_classify(),
             spm_used: 0,
@@ -576,30 +485,24 @@ impl Pipeline {
             self.resolve_assignment(spm, &wcfg)?
         };
         let arts = self.spm_artifacts(spm.size, &assignment)?;
-        let hierarchy = canon.hierarchy();
         let recording_is_target =
             !canon.has_cache_levels() && canon.main == MainMemoryTiming::table1();
         let (sim_cycles, mem_stats) = if recording_is_target {
             // The recording machine *is* the uncached Table-1 machine.
             spmlab_obs::counter("sweep_recorded_reuse", 1);
             (arts.recorded_cycles, arts.recorded_stats.clone())
-        } else if let Some(replayed) = Pipeline::try_replay(&arts.trace, &hierarchy, &mut None)? {
-            replayed
         } else {
-            spmlab_obs::counter("sweep_full_sim", 1);
-            let sim = simulate(
-                &arts.linked.exe,
-                &MachineConfig::with_hierarchy(hierarchy.clone()),
-                &self.sweep_options(),
-            )?;
-            self.check(&sim, &arts.linked.exe)?;
-            (sim.cycles, sim.mem_stats)
+            self.simulated(&arts.linked.exe, &arts.trace, &canon.hierarchy(), None)?
         };
-        let wcet = self.analyzed(&arts.linked.exe, &wcfg, &arts.linked.annotations)?;
+        let wcet = {
+            let _s = spmlab_obs::span("analyze");
+            crate::faults::fault_point("analyze")?;
+            let linked = &arts.linked;
+            analyze_with(&linked.exe, &wcfg, &linked.annotations, &self.ipet_models)?
+        };
         Ok(ArchMeasurement {
             sim_cycles,
             wcet_cycles: wcet.wcet_cycles,
-            checksum: arts.checksum,
             mem_stats,
             classify: wcet.total_classify(),
             spm_used: arts.spm_used,
@@ -735,14 +638,13 @@ impl Pipeline {
             .benchmark
             .link_with_input(&self.module, &map, assignment, &self.input)?;
         let (recorded, trace) = simulate_with_trace(&linked.exe, &self.sweep_options())?;
-        let checksum = self.check(&recorded, &linked.exe)?;
+        self.check(&recorded, &linked.exe)?;
         let spm_used = linked
             .exe
             .bytes_in_region(spmlab_isa::mem::RegionKind::Scratchpad) as u32;
         let arts = Arc::new(SpmArtifacts {
             recorded_cycles: recorded.cycles,
             recorded_stats: recorded.mem_stats.clone(),
-            checksum,
             spm_used,
             trace,
             linked,
@@ -760,6 +662,12 @@ impl Pipeline {
     /// key derivation reads its image layout and annotations).
     pub(crate) fn no_spm_link(&self) -> &spmlab_cc::LinkedProgram {
         &self.no_spm_link
+    }
+
+    /// The baseline execution's trace, which every no-scratchpad point
+    /// prices.
+    pub(crate) fn trace(&self) -> &MemTrace {
+        &self.trace
     }
 
     /// The prepared analysis of [`Pipeline::no_spm_link`], built on first

@@ -1,14 +1,15 @@
 //! Configuration sweeps over memory-architecture specs.
 //!
 //! [`spec_sweep`] is the engine: it takes any `Vec<MemArchSpec>` axis,
-//! fans the points out across worker threads (`std::thread::scope` —
-//! every point only reads the shared [`Pipeline`]), and memoises points
-//! whose *effective* configuration is identical. The memo keys on the
-//! spec's **canonical form** (so equal-after-validation specs — e.g.
-//! zero-size disabled levels — share one measurement) further collapsed by
-//! the footprint argument: a cache level large enough that every address
-//! the program can touch maps to its own set behaves identically at every
-//! larger capacity.
+//! plans which points share a measurement, a trace tally or a cache
+//! classification (`plan::SweepPlan`), and fans the plan's units out
+//! across worker threads (`std::thread::scope` — every point only reads
+//! the shared [`Pipeline`]). The memo keys on the spec's **canonical
+//! form** (so equal-after-validation specs — e.g. zero-size disabled
+//! levels — share one measurement) further collapsed by the footprint
+//! argument: a cache level large enough that every address the program
+//! can touch maps to its own set behaves identically at every larger
+//! capacity.
 //!
 //! Every sweep in the workspace — the paper's capacity figures, the
 //! hierarchy figure, the ablations, DSE shards — builds its axis from
@@ -33,13 +34,11 @@ use crate::checkpoint::{
     ckpt_err, spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus,
 };
 use crate::dse::executor::execute;
-use crate::pipeline::{measured_machine, ConfigResult, Pipeline, UnitShare};
+use crate::pipeline::{ConfigResult, Pipeline};
+use crate::plan::{Rep, Slots, SweepPlan};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
-use spmlab_isa::cachecfg::{CacheConfig, Replacement};
-use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -313,20 +312,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// it resumes, stored points are reused bit-identically and only the
 /// missing ones are measured.
 ///
-/// The unit of parallel work is a **main-timing group**: the measured
-/// no-scratchpad configurations whose effective keys differ only in
-/// `main.latency` and `main.store_buffer`; every scratchpad configuration
-/// is a group of one. One worker measures the members in turn, and they
-/// share what does not depend on main-memory timing: members without a
-/// store buffer (on a trace without cycle-register reads) price their
-/// latencies from one trace tally, store-buffered members replay the
-/// ordered trace each, and members analysed on the hierarchy path under
-/// an unlimited budget share one cache classification, so only costing
-/// and IPET run per point. A buffer behind an absorbing write-back level
-/// is idle, and its point shares its unbuffered twin's measurement
-/// outright. Fault points, `catch_unwind` and checkpoint
-/// records stay per point, so a failure fails exactly the points that
-/// depend on it.
+/// The sweep executes a plan made before anything is measured
+/// (`plan::SweepPlan`): which points share one measurement, one latency-0
+/// trace tally or one cache classification, and so which form one
+/// executor unit. Units run in parallel, each measured in turn by one
+/// worker. Fault points, `catch_unwind` and checkpoint records stay per
+/// point, so a failure fails exactly the points that depend on it.
 ///
 /// The raw checkpoint stream is in *completion* order, flushed per
 /// point; it differs between runs and thread counts. Byte equality of
@@ -393,98 +384,55 @@ pub fn spec_sweep_with_session(
         }
     }
 
-    // Memoisation over the points that still need measuring: first spec
-    // per distinct effective key measures; its dependents share.
-    let footprint = sweep_footprint(pipeline);
-    let mut rep_of_key: BTreeMap<String, usize> = BTreeMap::new();
-    let mut reps: Vec<usize> = Vec::new();
-    let mut dependents: Vec<Vec<usize>> = Vec::new();
-    let mut needed = 0usize;
-    for i in 0..n {
-        if slots[i].is_some() {
-            continue;
-        }
-        needed += 1;
-        match rep_of_key.entry(effective_spec_key(&canons[i], footprint.as_ref())) {
-            Entry::Vacant(v) => {
-                v.insert(reps.len());
-                reps.push(i);
-                dependents.push(vec![i]);
-            }
-            Entry::Occupied(o) => dependents[*o.get()].push(i),
-        }
-    }
+    // The sharing plan over the points that still need measuring.
+    let pending: Vec<_> = canons
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| slots[*i].is_none())
+        .collect();
+    let plan = SweepPlan::build(pipeline, &pending);
+    let measured: usize = plan.units.iter().map(Vec::len).sum();
     if spmlab_obs::enabled() {
         spmlab_obs::counter("sweep_points", n as u64);
-        spmlab_obs::counter("sweep_memo_miss", reps.len() as u64);
-        spmlab_obs::counter("sweep_memo_hit", (needed - reps.len()) as u64);
+        spmlab_obs::counter("sweep_memo_miss", measured as u64);
+        spmlab_obs::counter("sweep_memo_hit", (pending.len() - measured) as u64);
         spmlab_obs::counter("sweep_resume_reused", reused);
     }
 
-    // Main-timing groups over the representatives: one unit shares its
-    // trace tally and cache classification (see the doc comment above).
-    let mut group_of_key: BTreeMap<String, usize> = BTreeMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (j, &gi) in reps.iter().enumerate() {
-        let canon = &canons[gi];
-        if canon.spm.is_some() {
-            groups.push(vec![j]);
-            continue;
-        }
-        let untimed = MemArchSpec {
-            main: MainMemoryTiming {
-                latency: 0,
-                store_buffer: None,
-                ..canon.main
-            },
-            ..canon.clone()
-        };
-        match group_of_key.entry(effective_spec_key(&untimed, footprint.as_ref())) {
-            Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![j]);
-            }
-            Entry::Occupied(o) => groups[*o.get()].push(j),
-        }
-    }
-
-    let total = reps.len() as u64;
     let start_ns = spmlab_obs::now_ns();
     let measured_count = AtomicUsize::new(0);
     // Checkpoint I/O failures inside workers are remembered (first one
     // wins) and surfaced after the scope — they must not tear down
     // in-flight measurements.
     let write_err: Mutex<Option<CoreError>> = Mutex::new(None);
-    let measure_rep = |j: usize, share: &mut UnitShare| -> Vec<(usize, PointOutcome)> {
-        let gi = reps[j];
-        let attempt = catch_unwind(AssertUnwindSafe(
-            || -> Result<Vec<(usize, ConfigResult)>, CoreError> {
-                let m = pipeline.measure_spec(&canons[gi], share)?;
-                Ok(dependents[j]
-                    .iter()
-                    .map(|&i| (i, pipeline.package_spec(&specs[i], &m)))
-                    .collect())
-            },
-        ));
-        let (error, panicked) = match &attempt {
-            Ok(Ok(_)) => (String::new(), false),
-            Ok(Err(e)) => (e.to_string(), false),
-            Err(payload) => (panic_message(payload.as_ref()), true),
+    let measure_rep = |rep: &Rep, slots: &mut Slots| -> Vec<(usize, PointOutcome)> {
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let m = pipeline.measure_spec(rep, slots)?;
+            let package = |&i: &usize| pipeline.package_spec(&specs[i], &m);
+            Ok::<Vec<ConfigResult>, CoreError>(rep.points.iter().map(package).collect())
+        }));
+        let results = match attempt {
+            Ok(Ok(results)) => Ok(results),
+            Ok(Err(e)) => Err((e.to_string(), false)),
+            Err(payload) => Err((panic_message(payload.as_ref()), true)),
         };
-        let batch: Vec<(usize, PointOutcome)> = match attempt {
-            Ok(Ok(results)) => results
-                .into_iter()
-                .map(|(i, r)| (i, PointOutcome::from_result(r)))
-                .collect(),
-            _ => dependents[j]
+        let batch: Vec<(usize, PointOutcome)> = match results {
+            Ok(results) => {
+                let outcomes = results.into_iter().map(PointOutcome::from_result);
+                rep.points.iter().copied().zip(outcomes).collect()
+            }
+            Err((error, panicked)) => rep
+                .points
                 .iter()
                 .map(|&i| {
+                    let label = specs[i].label();
+                    let error = error.clone();
                     (
                         i,
                         PointOutcome::Failed(FailedPoint {
                             index: i,
-                            label: specs[i].label(),
-                            error: error.clone(),
+                            label,
+                            error,
                             panicked,
                         }),
                     )
@@ -514,15 +462,15 @@ pub fn spec_sweep_with_session(
             let done = measured_count.fetch_add(1, Ordering::Relaxed) as u64 + 1;
             let secs = (spmlab_obs::now_ns() - start_ns) as f64 / 1e9;
             let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-            spmlab_obs::progress(done, total, &format!("{rate:.2} points/s"));
+            spmlab_obs::progress(done, measured as u64, &format!("{rate:.2} points/s"));
         }
         batch
     };
-    let batches: Vec<Vec<(usize, PointOutcome)>> = execute(groups.len(), |g| {
-        let mut share = UnitShare::default();
-        groups[g]
+    let batches: Vec<Vec<(usize, PointOutcome)>> = execute(plan.units.len(), |u| {
+        let mut slots = Slots::default();
+        plan.units[u]
             .iter()
-            .flat_map(|&j| measure_rep(j, &mut share))
+            .flat_map(|rep| measure_rep(rep, &mut slots))
             .collect()
     });
     if let Some(e) = write_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
@@ -609,200 +557,10 @@ pub fn spec_sweep(pipeline: &Pipeline, specs: &[MemArchSpec]) -> Result<Vec<Spec
     )?)
 }
 
-/// The address intervals one no-scratchpad execution (and its WCET
-/// analysis) can touch in main memory, plus the annotated array ranges
-/// the abstract domain weakens. Drives the effective-configuration memo.
-#[derive(Debug, Clone)]
-pub(crate) struct Footprint {
-    intervals: Vec<(u32, u32)>,
-    ranges: Vec<(u32, u32)>,
-    /// Every *store* target is constrained and inside the enumerated
-    /// intervals too. Write-policy-dependent machines (write-allocate
-    /// installs make store addresses tag-store-relevant) may only
-    /// footprint-collapse when this holds; all-write-through machines
-    /// don't care (their stores never touch a tag store).
-    writes_covered: bool,
-}
-
-/// Computes the sweep footprint for `pipeline`'s no-scratchpad link:
-/// the loaded image, every annotated access range, and the analyzer's
-/// verified stack window. `None` (no memoisation) when the stack bound is
-/// unavailable or any read's address cannot be constrained at all — an
-/// `Unknown` access may concretely touch any main-memory line, escaping
-/// every interval the footprint could enumerate.
-pub(crate) fn sweep_footprint(pipeline: &Pipeline) -> Option<Footprint> {
-    let linked = pipeline.no_spm_link();
-    // Unannotated loads default to `AddrInfo::Unknown`; walking the real
-    // instruction stream (not just the annotation set, which omits them)
-    // is the only way to see these. An unconstrained *store* merely
-    // clears `writes_covered`: write-through machines collapse anyway
-    // (their stores never touch a tag store and cost only the access
-    // width), while write-policy-dependent machines — where
-    // write-allocate makes store addresses load-bearing — collapse only
-    // with full write coverage (see `effective_spec_key`).
-    let prepared = pipeline.no_spm_prepared().ok()?;
-    let mut writes_covered = true;
-    for cfg in prepared.cfgs().values() {
-        for block in cfg.blocks.values() {
-            for (addr, insn) in &block.insns {
-                for acc in spmlab_wcet::addrinfo::data_accesses(insn, *addr, &linked.annotations) {
-                    if matches!(acc.info, spmlab_isa::annot::AddrInfo::Unknown) {
-                        if acc.is_write {
-                            // An unconstrained store only matters on
-                            // machines where store addresses touch a tag
-                            // store: the footprint survives, but loses
-                            // write coverage.
-                            writes_covered = false;
-                        } else {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let map = &linked.exe.memory_map;
-    let main_lo = map.main_base;
-    let main_hi = map.main_base.saturating_add(map.main_size);
-    let clip = |lo: u32, hi: u32| -> Option<(u32, u32)> {
-        let lo = lo.max(main_lo);
-        let hi = hi.min(main_hi);
-        (hi > lo).then_some((lo, hi))
-    };
-    // The stack window needs a *verified* depth bound: preparation fails
-    // without one, and then the memo stays off.
-    let stack_bytes = prepared.stack_bytes();
-    let mut intervals = Vec::new();
-    let mut ranges = Vec::new();
-    for r in &linked.exe.regions {
-        if let Some(iv) = clip(r.addr, r.addr.saturating_add(r.bytes.len() as u32)) {
-            intervals.push(iv);
-        }
-    }
-    for acc in linked.annotations.accesses() {
-        match acc.addr {
-            spmlab_isa::annot::AddrInfo::Exact(a) => {
-                if let Some(iv) = clip(a, a.saturating_add(4)) {
-                    intervals.push(iv);
-                }
-            }
-            spmlab_isa::annot::AddrInfo::Range { lo, hi } => {
-                if let Some(iv) = clip(lo, hi) {
-                    intervals.push(iv);
-                    ranges.push(iv);
-                }
-            }
-            // Stack accesses are covered by the verified stack window
-            // added below; Unknown reads disabled the memo above.
-            _ => {}
-        }
-    }
-    if let Some(iv) = clip(map.stack_top.saturating_sub(stack_bytes), map.stack_top) {
-        intervals.push(iv);
-    }
-    Some(Footprint {
-        intervals,
-        ranges,
-        writes_covered,
-    })
-}
-
-/// Whether `cfg` is *conflict-free* over the footprint: every reachable
-/// line maps to its own set (so no eviction can ever occur, concretely or
-/// abstractly), and no annotated range reaches the analyzer's
-/// weaken-every-set threshold. Under these conditions the level's
-/// behaviour is fully determined by line size, associativity, latency and
-/// scope — capacity beyond the footprint and the replacement policy's
-/// victim choice are irrelevant.
-fn conflict_free(cfg: &CacheConfig, fp: &Footprint) -> bool {
-    let sets = cfg.num_sets() as u64;
-    let line = cfg.line.max(1);
-    for &(lo, hi) in &fp.ranges {
-        let k = ((hi - 1) / line) as u64 - (lo / line) as u64 + 1;
-        if k >= sets {
-            return false;
-        }
-    }
-    let mut lines: BTreeSet<u32> = BTreeSet::new();
-    for &(lo, hi) in &fp.intervals {
-        for l in (lo / line)..=((hi - 1) / line) {
-            lines.insert(l);
-            if lines.len() as u64 > sets {
-                return false; // More lines than sets: cannot be injective.
-            }
-        }
-    }
-    let set_indices: BTreeSet<u32> = lines.iter().map(|&l| l % sets as u32).collect();
-    set_indices.len() == lines.len()
-}
-
-/// The memo key of one cache level: conflict-free levels collapse to
-/// their behaviourally relevant parameters; everything else keys on the
-/// exact configuration.
-fn level_key(cfg: &CacheConfig, fp: Option<&Footprint>) -> String {
-    if let Some(fp) = fp {
-        if conflict_free(cfg, fp) {
-            return format!(
-                "free(line={},assoc={},lat={},scope={:?},lru={})",
-                cfg.line,
-                cfg.assoc,
-                cfg.hit_latency,
-                cfg.scope,
-                matches!(cfg.replacement, Replacement::Lru),
-            );
-        }
-    }
-    format!("{cfg:?}")
-}
-
-/// The effective-configuration memo key of one **canonical** spec: two
-/// specs with equal keys produce identical simulations *and* identical
-/// WCET analyses for this program, so one measurement serves both sweep
-/// points. The footprint collapse only applies to no-scratchpad specs —
-/// the footprint describes the shared no-scratchpad link, while
-/// scratchpad specs run their own image. Write-policy-dependent machines
-/// — where write-allocate makes store addresses load-bearing —
-/// additionally require the footprint to cover every store target
-/// ([`Footprint::writes_covered`]); conflict-freedom then rules out
-/// evictions for dirty lines exactly as it does for clean ones. A store
-/// buffer that no store reaches is keyed as absent
-/// ([`measured_machine`]), so a buffered point behind an absorbing
-/// write-back level shares its unbuffered twin's measurement.
-pub(crate) fn effective_spec_key(canon: &MemArchSpec, fp: Option<&Footprint>) -> String {
-    let canon = &measured_machine(canon);
-    let fp = if canon.spm.is_some() {
-        None
-    } else if canon.hierarchy().write_policy_dependent() {
-        // Write-allocate makes store addresses load-bearing: the collapse
-        // additionally needs every store target inside the footprint.
-        fp.filter(|f| f.writes_covered)
-    } else {
-        fp
-    };
-    let l1 = match &canon.l1 {
-        L1::None => String::from("none"),
-        L1::Unified(c) => format!("u[{}]", level_key(c, fp)),
-        L1::Split { i, d } => format!(
-            "s[{},{}]",
-            i.as_ref()
-                .map_or_else(|| String::from("-"), |c| level_key(c, fp)),
-            d.as_ref()
-                .map_or_else(|| String::from("-"), |c| level_key(c, fp)),
-        ),
-    };
-    let l2 = canon
-        .l2
-        .as_ref()
-        .map_or_else(|| String::from("-"), |c| level_key(c, fp));
-    format!(
-        "{:?}|{l1}|{l2}|{:?}|{}",
-        canon.spm, canon.main, canon.persistence
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmlab_isa::cachecfg::CacheConfig;
     use spmlab_isa::hierarchy::MemHierarchyConfig;
     use spmlab_workloads::INSERTSORT;
 
@@ -910,106 +668,6 @@ mod tests {
             );
             assert!((point.result.energy_nj - direct.energy_nj).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn oversized_levels_share_an_effective_key() {
-        // Once a cache level's sets cover the whole footprint one line
-        // each, growing it further cannot change behaviour: the memo must
-        // key both capacities identically — and distinct small levels must
-        // never collapse.
-        let fp = Footprint {
-            intervals: vec![(0x0010_0000, 0x0010_0400)], // 1 KiB ⇒ 64 16-B lines
-            ranges: vec![],
-            writes_covered: true,
-        };
-        let small_a = CacheConfig::unified(64);
-        let small_b = CacheConfig::unified(128);
-        assert_ne!(
-            level_key(&small_a, Some(&fp)),
-            level_key(&small_b, Some(&fp)),
-            "conflicting capacities stay distinct"
-        );
-        let big_a = CacheConfig::unified(2048); // 128 sets ≥ 64 lines
-        let big_b = CacheConfig::unified(8192);
-        assert_eq!(
-            level_key(&big_a, Some(&fp)),
-            level_key(&big_b, Some(&fp)),
-            "covering capacities collapse"
-        );
-        let s_a = MemArchSpec::single_cache(big_a);
-        let s_b = MemArchSpec::single_cache(big_b);
-        assert_eq!(
-            effective_spec_key(&s_a.canonical(), Some(&fp)),
-            effective_spec_key(&s_b.canonical(), Some(&fp))
-        );
-    }
-
-    #[test]
-    fn equal_after_validation_specs_share_a_key() {
-        // The canonical form is the memo key: a spec with zero-size
-        // (disabled) levels keys identically to the plainly-written
-        // machine, with or without a footprint.
-        use spmlab_isa::archspec::{SpmAllocation, SpmSpec};
-        let zero = CacheConfig {
-            size: 0,
-            ..CacheConfig::unified(64)
-        };
-        let noisy = MemArchSpec {
-            spm: Some(SpmSpec {
-                size: 0,
-                alloc: SpmAllocation::ProfileKnapsack,
-            }),
-            l1: L1::Split {
-                i: Some(zero.clone()),
-                d: None,
-            },
-            l2: Some(zero),
-            main: spmlab_isa::hierarchy::MainMemoryTiming::table1(),
-            persistence: false,
-        };
-        let plain = MemArchSpec::uncached();
-        assert_eq!(
-            effective_spec_key(&noisy.canonical(), None),
-            effective_spec_key(&plain.canonical(), None)
-        );
-        // Scratchpad specs must never collapse via the (no-spm) footprint.
-        let spm_a = MemArchSpec::builder()
-            .spm(256)
-            .l1(CacheConfig::unified(2048))
-            .build()
-            .unwrap();
-        let spm_b = MemArchSpec::builder()
-            .spm(256)
-            .l1(CacheConfig::unified(8192))
-            .build()
-            .unwrap();
-        let fp = Footprint {
-            intervals: vec![(0x0010_0000, 0x0010_0400)],
-            ranges: vec![],
-            writes_covered: true,
-        };
-        assert_ne!(
-            effective_spec_key(&spm_a.canonical(), Some(&fp)),
-            effective_spec_key(&spm_b.canonical(), Some(&fp))
-        );
-        // Write-policy-dependent specs collapse only with write coverage.
-        let wb_a = MemArchSpec::single_cache(CacheConfig::unified(2048).write_back());
-        let wb_b = MemArchSpec::single_cache(CacheConfig::unified(8192).write_back());
-        assert_eq!(
-            effective_spec_key(&wb_a.canonical(), Some(&fp)),
-            effective_spec_key(&wb_b.canonical(), Some(&fp)),
-            "conflict-free WB levels collapse when stores are covered"
-        );
-        let uncovered = Footprint {
-            writes_covered: false,
-            ..fp.clone()
-        };
-        assert_ne!(
-            effective_spec_key(&wb_a.canonical(), Some(&uncovered)),
-            effective_spec_key(&wb_b.canonical(), Some(&uncovered)),
-            "unconstrained stores keep exact keys on WB machines"
-        );
     }
 
     #[test]
@@ -1143,21 +801,5 @@ mod tests {
         let err = SweepSession::resume_from(&path, &other).unwrap_err();
         assert!(matches!(err, CoreError::Checkpoint(_)), "{err}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn range_spanning_all_sets_blocks_the_memo() {
-        // An annotated array range that reaches the weaken-every-set
-        // threshold behaves differently at different set counts, so such
-        // levels must keep exact keys.
-        let fp = Footprint {
-            intervals: vec![(0x0010_0000, 0x0010_0100)],
-            ranges: vec![(0x0010_0000, 0x0010_0100)], // 16 lines
-            writes_covered: true,
-        };
-        let cfg = CacheConfig::unified(256); // 16 sets ⇒ range covers all
-        assert!(!conflict_free(&cfg, &fp));
-        let big = CacheConfig::unified(1024); // 64 sets > 16 lines
-        assert!(conflict_free(&big, &fp));
     }
 }

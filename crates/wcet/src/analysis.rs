@@ -173,6 +173,20 @@ impl WcetConfig {
             ..WcetConfig::with_hierarchy(hierarchy)
         }
     }
+
+    /// This configuration with `main.latency` zeroed and the store buffer
+    /// dropped: configurations with equal keys classify identically,
+    /// because only the costing walk reads the main-memory timing (see
+    /// [`classify`]).
+    pub fn classification_key(&self) -> WcetConfig {
+        let mut key = self.clone();
+        key.hierarchy.main = MainMemoryTiming {
+            latency: 0,
+            store_buffer: None,
+            ..key.hierarchy.main
+        };
+        key
+    }
 }
 
 /// Topological order of the call graph, callees first.
@@ -358,24 +372,11 @@ pub struct Classified {
 
 impl Classified {
     /// Whether this classification is exact for `config`: true when
-    /// `config` equals the one it was computed for up to the hierarchy's
-    /// main-memory latency and store buffer, which only the costing walk
-    /// reads.
+    /// `config` has the [classification key](WcetConfig::classification_key)
+    /// of the one it was computed for.
     pub fn serves(&self, config: &WcetConfig) -> bool {
-        self.key == classification_key(config)
+        self.key == config.classification_key()
     }
-}
-
-/// `config` with `main.latency` zeroed and the store buffer dropped:
-/// configurations with equal keys classify identically.
-fn classification_key(config: &WcetConfig) -> WcetConfig {
-    let mut key = config.clone();
-    key.hierarchy.main = MainMemoryTiming {
-        latency: 0,
-        store_buffer: None,
-        ..key.hierarchy.main
-    };
-    key
 }
 
 /// The classification passes over a [`Prepared`] program, none for a
@@ -397,7 +398,7 @@ fn classification_key(config: &WcetConfig) -> WcetConfig {
 /// The wall-clock deadline of `config.budget` is anchored here and
 /// covers this call and the [`cost`] calls that use its result.
 pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> Classified {
-    let key = classification_key(config);
+    let key = config.classification_key();
     let budget = config.budget.fixpoint_budget();
     let mut widened = false;
     let hierarchy = &config.hierarchy;

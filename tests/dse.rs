@@ -5,7 +5,8 @@
 //! shard must resume to the same bytes, and the incremental Pareto
 //! frontier must agree with a brute-force O(n²) reference on random
 //! point sets. A figure rendered from its grid's merged shard streams
-//! prints exactly what the direct run prints.
+//! prints exactly what the direct run prints, and a mixed grid's records
+//! match their golden byte for byte.
 
 use spmlab::dse::executor::{shard_header, Shard};
 use spmlab::dse::frontier::{dominates, Frontier, FrontierPoint};
@@ -179,6 +180,22 @@ fn torn_checkpoint_headers_restart_and_foreign_headers_are_refused() {
         "{err}"
     );
     assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
+}
+
+/// A 216-point ADPCM grid mixing scratchpads, write-through and
+/// write-back L1/L2 caches, main latencies and store buffers (168 points
+/// measured, 48 sharing a measurement) sweeps in process to records
+/// byte-identical to the pinned golden.
+#[test]
+fn mixed_grid_records_match_the_golden() {
+    let dir = tempdir("dse-mixed");
+    let grid_json = include_str!("../examples/grid_mixed.json");
+    let report = run_sweep(grid_json, Shard::single(), Some(&dir), false).unwrap();
+    assert!(report.contains("216 ok, 0 degraded, 0 failed"), "{report}");
+    let stream = std::fs::read_to_string(dir.join("shard-0-of-1.jsonl")).unwrap();
+    let merged = merge_texts(&[&stream]).unwrap().to_jsonl();
+    let records = merged.split_once('\n').unwrap().1;
+    assert_eq!(records, include_str!("grid_mixed_merged.jsonl"));
 }
 
 /// Brute-force O(n²) Pareto reference: a point survives iff no other

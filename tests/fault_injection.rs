@@ -45,10 +45,10 @@ fn small_axis() -> Vec<MemArchSpec> {
     ]
 }
 
-/// Two cache shapes at three main-memory latencies: the sweep measures
-/// each shape's points as one main-timing group sharing a single trace
-/// tally. (A unified and a split L1 never share a memo key, so every
-/// point is its own measurement.)
+/// Two cache shapes at three main-memory latencies: the sweep plan makes
+/// each shape's points one executor unit sharing a single trace tally. (A
+/// unified and a split L1 never share a memo key, so every point is its
+/// own measurement.)
 fn latency_axis() -> Vec<MemArchSpec> {
     let shapes = [
         MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
@@ -66,8 +66,8 @@ fn latency_axis() -> Vec<MemArchSpec> {
 }
 
 /// One split-L1 geometry at three main-memory latencies, without and with
-/// a store buffer: a single main-timing group, which the sweep measures as
-/// one unit — serially, in axis order — sharing one cache classification.
+/// a store buffer: the sweep plan makes them one executor unit, measured
+/// serially in axis order, sharing one cache classification.
 fn main_timing_axis() -> Vec<MemArchSpec> {
     let shape = MemHierarchyConfig::split_l1(256, 256);
     let mut axis = Vec::new();
@@ -142,7 +142,7 @@ fn typed_errors_fail_exactly_the_affected_points() {
 fn panics_are_contained_per_point() {
     // A panic fails exactly the point it hits: the pipeline's memo locks
     // recover from poisoning, so every other point — including the
-    // other members of a main-timing group sharing one trace tally — still
+    // other members of an executor unit sharing one trace tally — still
     // completes, with the numbers a direct run gives.
     let cases = [
         ("measure-spec", small_axis()),

@@ -1,13 +1,13 @@
 //! Workspace-level observability tests: the instrumentation the pipeline
 //! emits while sweeping (sweep memo/replay counters pinned on the paper's
 //! eight-config G.721 hierarchy scenario, the trace walks and
-//! classifications of a main-timing-grouped grid, and the memo hits of a
+//! classifications of a grid with a latency axis, and the memo hits of a
 //! write-back grid's idle store buffers), the JSON-lines profile stream a
 //! profiled run records, and property tests over the span-tree collector.
 //!
-//! Every test that installs a sink takes `spmlab_obs::exclusive()` first:
-//! the sink registry is process-global, and a concurrently-running test
-//! would otherwise see foreign events.
+//! Every test that installs a sink or runs instrumented code takes
+//! `spmlab_obs::exclusive()` first: the sink registry is process-global,
+//! so a sink would otherwise see a concurrently-running test's events.
 
 mod common;
 
@@ -292,6 +292,7 @@ fn sweep_builds_one_ipet_model_per_function_shape() {
         ..GridSpec::default()
     };
     let axis = grid.axis().unwrap().0;
+    let _x = spmlab_obs::exclusive();
     let linked = INSERTSORT
         .build(
             &spmlab_isa::mem::MemoryMap::no_spm(),
@@ -302,7 +303,6 @@ fn sweep_builds_one_ipet_model_per_function_shape() {
     let prepared = spmlab_wcet::prepare(&linked.exe, &linked.annotations, true).unwrap();
     let shapes: HashSet<&spmlab_wcet::ipet::Shape> = prepared.shapes().collect();
 
-    let _x = spmlab_obs::exclusive();
     let p = Pipeline::new(&INSERTSORT).unwrap();
     let sink = Arc::new(MemorySink::default());
     let guard = spmlab_obs::add_sink(sink.clone());

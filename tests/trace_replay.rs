@@ -10,7 +10,7 @@
 //! write-through hierarchy scenario. Machines without a store buffer
 //! are priced from one latency-0 tally per cache geometry; the
 //! pricing differential checks that against replay and simulation at
-//! random latencies (the sweep-level main-timing-group case lives in
+//! random latencies (the sweep-level shared-tally case lives in
 //! `tests/observability.rs`, whose tests all hold the sink lock, so its
 //! `replay_events` count sees no foreign replays). Run-indexed tallies,
 //! which skip guaranteed first-level hits, must equal the per-event
