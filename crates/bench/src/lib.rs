@@ -507,11 +507,10 @@ pub struct Provenance {
 
 impl Provenance {
     /// Reads the replay/full-sim split and the memo counters from `sink`.
-    /// Replay-eligible = served from a recorded trace (replayed, or the
-    /// recording machine itself); full-sim = fell back to the interpreter.
+    /// Replay-eligible = priced from a recorded trace; full-sim = fell
+    /// back to the interpreter.
     pub fn record_counters(&mut self, sink: &spmlab_obs::collector::MemorySink) {
-        self.replay_points =
-            Some(sink.counter_total("sweep_replay") + sink.counter_total("sweep_recorded_reuse"));
+        self.replay_points = Some(sink.counter_total("sweep_replay"));
         self.full_sim_points = Some(sink.counter_total("sweep_full_sim"));
         self.memo_hits = Some(sink.counter_total("sweep_memo_hit"));
         self.memo_misses = Some(sink.counter_total("sweep_memo_miss"));

@@ -2,26 +2,29 @@
 //!
 //! [`Pipeline::run`] is the single entry point: it takes a declarative
 //! [`MemArchSpec`] (scratchpad + cache levels + main-memory timing) and
-//! measures it as a sweep plan of one point: link → simulate (trace
-//! replay) → analyze.
+//! measures it as a sweep plan of one point. Every point measures through
+//! one path over a link, the no-scratchpad baseline being the capacity-0
+//! link: resolve the link, price its recorded trace under the point's
+//! hierarchy (trace replay), then analyze its program, prepared once per
+//! link.
 
 use crate::plan::{Rep, Slots, SweepPlan};
 use crate::CoreError;
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::{knapsack, wcet_aware};
-use spmlab_cc::{ObjModule, SpmAssignment};
+use spmlab_cc::{LinkedProgram, ObjModule, SpmAssignment};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::archspec::{MemArchSpec, SpmAllocation, SpmSpec};
 use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
 use spmlab_isa::mem::MemoryMap;
+use spmlab_isa::Executable;
 use spmlab_sim::{
     simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, Profile, SimError,
     SimOptions, SimResult, Tally,
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
-    analyze_with, classify, cost, prepare, AnalysisBudget, IpetModels, Prepared, WcetConfig,
-    WcetError,
+    classify, cost, prepare, AnalysisBudget, IpetModels, Prepared, WcetConfig, WcetError,
 };
 use spmlab_workloads::Benchmark;
 use std::collections::BTreeMap;
@@ -77,52 +80,137 @@ pub(crate) struct ArchMeasurement {
     pub widened: bool,
 }
 
-/// Link + recording of one scratchpad configuration, shared by every spec
-/// that resolves to the same `(capacity, assignment)` — an N-timing sweep
-/// links and interprets once, then replays.
-struct SpmArtifacts {
-    linked: spmlab_cc::LinkedProgram,
-    recorded_cycles: u64,
-    recorded_stats: MemStats,
+/// One linked executable of the benchmark and everything measured about
+/// it once: the recorded trace of its checksum-checked run, which every
+/// hierarchy prices, and the hierarchy-independent analysis stage, which
+/// every analyzer configuration classifies and costs. The no-scratchpad
+/// baseline is the capacity-0 link; each scratchpad `(capacity,
+/// assignment)` has its own.
+pub(crate) struct Link {
+    pub linked: LinkedProgram,
+    pub trace: MemTrace,
+    /// Scratchpad bytes the image occupies.
     spm_used: u32,
-    trace: MemTrace,
+    /// Built on first use, so linking does not pay for it. A preparation
+    /// error is kept and fails every point that needs it.
+    prepared: OnceLock<Result<Prepared, WcetError>>,
+}
+
+impl Link {
+    fn new(linked: LinkedProgram, trace: MemTrace) -> Link {
+        let spm_used = linked
+            .exe
+            .bytes_in_region(spmlab_isa::mem::RegionKind::Scratchpad) as u32;
+        Link {
+            linked,
+            trace,
+            spm_used,
+            prepared: OnceLock::new(),
+        }
+    }
+
+    /// The prepared analysis of this link's program; its error, if
+    /// preparation failed.
+    pub(crate) fn prepared(&self) -> Result<&Prepared, CoreError> {
+        let linked = &self.linked;
+        self.prepared
+            .get_or_init(|| prepare(&linked.exe, &linked.annotations))
+            .as_ref()
+            .map_err(|e| CoreError::Wcet(e.clone()))
+    }
+}
+
+/// A compute-once memo, one cell per key: the first caller for a key
+/// computes while later callers for it wait, then share its result. An
+/// error or a panic is not cached — it fails its own caller, and the next
+/// caller computes afresh. Each lookup bumps the memo's hit or miss
+/// counter.
+struct Memo<T> {
+    cells: Mutex<BTreeMap<String, Arc<Mutex<Option<T>>>>>,
+    hit: &'static str,
+    miss: &'static str,
+}
+
+impl<T: Clone> Memo<T> {
+    fn new(hit: &'static str, miss: &'static str) -> Memo<T> {
+        Memo {
+            cells: Mutex::default(),
+            hit,
+            miss,
+        }
+    }
+
+    fn get_or_compute(
+        &self,
+        key: String,
+        compute: impl FnOnce() -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let cell = self
+            .cells
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default()
+            .clone();
+        // A panicking computation poisons the cell with `None` inside.
+        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = slot.as_ref() {
+            spmlab_obs::counter(self.hit, 1);
+            return Ok(v.clone());
+        }
+        spmlab_obs::counter(self.miss, 1);
+        let v = compute()?;
+        *slot = Some(v.clone());
+        Ok(v)
+    }
+}
+
+/// Fails unless a simulation of `exe` ends with the host twin's checksum
+/// `expected`, which every measurement therefore reports.
+fn check(
+    benchmark: &Benchmark,
+    expected: i32,
+    res: &SimResult,
+    exe: &Executable,
+) -> Result<(), CoreError> {
+    let got = res
+        .read_global(exe, "checksum")
+        .unwrap_or(expected.wrapping_add(1));
+    if got != expected {
+        return Err(CoreError::ChecksumMismatch {
+            benchmark: benchmark.name.to_string(),
+            expected,
+            got,
+        });
+    }
+    Ok(())
 }
 
 /// A benchmark prepared for configuration sweeps: compiled once, linked
-/// once for the cache/hierarchy branch, profiled once on the baseline
-/// (exactly the paper's workflow — the knapsack uses the same access
-/// counts for every capacity).
+/// and profiled once on the baseline (exactly the paper's workflow — the
+/// knapsack uses the same access counts for every capacity), and linked
+/// once per scratchpad configuration.
 pub struct Pipeline {
     benchmark: Benchmark,
     module: ObjModule,
     input: Vec<i32>,
     expected_checksum: i32,
     baseline_profile: Profile,
-    /// The no-scratchpad link every cache/hierarchy point runs — shared so
-    /// an N-point sweep links once, not N times.
-    no_spm_link: spmlab_cc::LinkedProgram,
-    /// The hierarchy-independent analysis stage of `no_spm_link`, built on
-    /// first use (so pipeline set-up does not pay for it) with automatic
-    /// loop bounds, which every routed configuration enables. A
-    /// preparation error is kept and fails every point that needs it.
-    no_spm_prepared: OnceLock<Result<Prepared, WcetError>>,
-    /// The baseline execution's memory trace. Hierarchy points replay it
-    /// instead of re-interpreting the program.
-    trace: MemTrace,
+    /// The capacity-0 link every no-scratchpad point measures on.
+    baseline: Arc<Link>,
     energy: EnergyModel,
     sim_options: SimOptions,
-    /// Memoised WCET-driven allocations, keyed by capacity + objective:
-    /// one compute-once cell per key (see [`Pipeline::wcet_alloc_memo`]).
-    wcet_allocs: Mutex<BTreeMap<String, Arc<Mutex<Option<SpmAssignment>>>>>,
+    /// WCET-driven allocations, keyed by capacity + objective.
+    wcet_allocs: Memo<SpmAssignment>,
     /// The bounds of every allocation trial the WCET-driven greedies have
     /// run, shared across capacities and objectives.
     alloc_trials: wcet_aware::TrialMemo,
     /// The IPET models of every function shape this pipeline's analyses
-    /// have solved: the no-scratchpad program's, every scratchpad link's
-    /// and every allocation trial's share one store.
+    /// have solved: every link's and every allocation trial's share one
+    /// store.
     ipet_models: Arc<IpetModels>,
-    /// Memoised scratchpad links/recordings, keyed by capacity + assignment.
-    spm_links: Mutex<BTreeMap<String, Arc<SpmArtifacts>>>,
+    /// Scratchpad links, keyed by capacity + assignment.
+    spm_links: Memo<Arc<Link>>,
     /// Per-point resource budget stamped onto every analyzer config; the
     /// default imposes no limits. Exhausting it degrades precision (the
     /// point is tagged `degraded`), never soundness.
@@ -180,16 +268,7 @@ impl Pipeline {
                     benchmark: benchmark.name.to_string(),
                     reason: e,
                 })?;
-        let got = res
-            .read_global(&baseline.exe, "checksum")
-            .unwrap_or(expected_checksum.wrapping_add(1));
-        if got != expected_checksum {
-            return Err(CoreError::ChecksumMismatch {
-                benchmark: benchmark.name.to_string(),
-                expected: expected_checksum,
-                got,
-            });
-        }
+        check(benchmark, expected_checksum, &res, &baseline.exe)?;
         let ipet_models = Arc::new(IpetModels::new());
         Ok(Pipeline {
             benchmark: benchmark.clone(),
@@ -197,18 +276,16 @@ impl Pipeline {
             input,
             expected_checksum,
             baseline_profile: res.profile,
-            no_spm_link: baseline,
-            no_spm_prepared: OnceLock::new(),
             // Every cache geometry of a sweep tallies this trace once:
             // worth a run index (scratchpad traces are tallied at most
             // twice and go without).
-            trace: trace.with_run_index(),
+            baseline: Arc::new(Link::new(baseline, trace.with_run_index())),
             energy: EnergyModel::default(),
             sim_options,
-            wcet_allocs: Mutex::new(BTreeMap::new()),
+            wcet_allocs: Memo::new("alloc_memo_hit", "alloc_memo_miss"),
             alloc_trials: wcet_aware::TrialMemo::with_ipet_models(ipet_models.clone()),
             ipet_models,
-            spm_links: Mutex::new(BTreeMap::new()),
+            spm_links: Memo::new("spm_link_memo_hit", "spm_link_memo_miss"),
             analysis_budget: AnalysisBudget::unlimited(),
         })
     }
@@ -224,7 +301,7 @@ impl Pipeline {
     /// format (see `spmlab_sim::trace`). The bytes round-trip through
     /// [`MemTrace::from_bytes`] and replay on any hierarchy.
     pub fn trace_bytes(&self) -> Vec<u8> {
-        self.trace.to_bytes()
+        self.baseline.trace.to_bytes()
     }
 
     /// The per-point analysis budget in force.
@@ -264,20 +341,11 @@ impl Pipeline {
         &self.baseline_profile
     }
 
-    /// Fails unless a simulation ends with the host twin's checksum, which
-    /// every measurement therefore reports.
-    fn check(&self, res: &SimResult, exe: &spmlab_isa::Executable) -> Result<(), CoreError> {
-        let got = res
-            .read_global(exe, "checksum")
-            .unwrap_or(self.expected_checksum.wrapping_add(1));
-        if got != self.expected_checksum {
-            return Err(CoreError::ChecksumMismatch {
-                benchmark: self.benchmark.name.to_string(),
-                expected: self.expected_checksum,
-                got,
-            });
-        }
-        Ok(())
+    /// The capacity-0 link every no-scratchpad point measures on: the
+    /// memo keys of the sweep plan read its image, annotations, trace and
+    /// prepared program.
+    pub(crate) fn baseline(&self) -> &Link {
+        &self.baseline
     }
 
     // -----------------------------------------------------------------
@@ -285,10 +353,13 @@ impl Pipeline {
     // -----------------------------------------------------------------
 
     /// Runs one memory-architecture spec end to end: allocate (per the
-    /// spec's scratchpad strategy), link, simulate — replaying the
-    /// recorded memory trace instead of re-interpreting, unless a
-    /// recorded cycle-register value diverges under the spec's timing —
-    /// and statically analyze with the analyzer configuration the spec
+    /// spec's scratchpad strategy) and link — the no-scratchpad baseline
+    /// is the pipeline's capacity-0 link, every scratchpad link is made
+    /// once per `(capacity, assignment)` — then simulate by pricing the
+    /// link's recorded memory trace under the spec's hierarchy instead of
+    /// re-interpreting, unless a recorded cycle-register value diverges
+    /// under the spec's timing, and statically analyze the link's program
+    /// (prepared once per link) with the analyzer configuration the spec
     /// implies:
     ///
     /// | shape                                  | analysis                      |
@@ -347,11 +418,12 @@ impl Pipeline {
     }
 
     /// The expensive half of [`Pipeline::run`]: measures one planned
-    /// representative. Label-free and energy-free so sweep points whose
-    /// canonical specs are effectively identical can share one
-    /// measurement. `slots` are its unit's: the first member that needs
-    /// the tally or classification the plan assigned fills the slot, the
-    /// others reuse it.
+    /// representative on its link. Label-free and energy-free so sweep
+    /// points whose canonical specs are effectively identical can share
+    /// one measurement. `slots` are its unit's: the first member that
+    /// needs the tally or classification the plan assigned fills the
+    /// slot, the others reuse it; a member the plan assigned none prices
+    /// and classifies on its own.
     pub(crate) fn measure_spec(
         &self,
         rep: &Rep,
@@ -359,10 +431,44 @@ impl Pipeline {
     ) -> Result<ArchMeasurement, CoreError> {
         let _s = spmlab_obs::span_with("measure-spec", || rep.machine.label());
         crate::faults::fault_point("measure-spec")?;
-        match &rep.machine.spm {
-            Some(spm) => self.measure_spm(&rep.machine, spm),
-            None => self.measure_no_spm(rep, slots),
-        }
+        let machine = &rep.machine;
+        let wcfg = self.wcet_config_for(machine);
+        let (link, spm_objects) = match &machine.spm {
+            None => (self.baseline.clone(), Vec::new()),
+            Some(spm) => {
+                let assignment = {
+                    let _s = spmlab_obs::span("alloc");
+                    crate::faults::fault_point("alloc")?;
+                    self.resolve_assignment(spm, &wcfg)?
+                };
+                let objects = assignment.iter().map(str::to_string).collect();
+                (self.spm_link(spm.size, &assignment)?, objects)
+            }
+        };
+        let tally = rep.tally.map(|t| slots.tallies.entry(t).or_default());
+        let (sim_cycles, mem_stats) = self.simulated(&link, &machine.hierarchy(), tally)?;
+        let exe = &link.linked.exe;
+        let wcet = {
+            let _s = spmlab_obs::span("analyze");
+            crate::faults::fault_point("analyze")?;
+            let prepared = link.prepared()?;
+            let mut own = None;
+            let slot = match rep.classified {
+                Some(c) => slots.classified.entry(c).or_default(),
+                None => &mut own,
+            };
+            let classified = slot.get_or_insert_with(|| classify(prepared, exe, &wcfg));
+            cost(prepared, exe, &wcfg, classified, &self.ipet_models)?
+        };
+        Ok(ArchMeasurement {
+            sim_cycles,
+            wcet_cycles: wcet.wcet_cycles,
+            mem_stats,
+            classify: wcet.total_classify(),
+            spm_used: link.spm_used,
+            spm_objects,
+            widened: wcet.widened,
+        })
     }
 
     /// The cheap half of [`Pipeline::run`]: labels a measurement and
@@ -389,20 +495,21 @@ impl Pipeline {
         }
     }
 
-    /// Prices `hierarchy` on `exe` from its recorded `trace`, bumping the
+    /// Prices `hierarchy` on `link` from its recorded trace, bumping the
     /// `sweep_replay` counter. With a shared `tally` slot it prices from
     /// that latency-0 tally, walking the trace only when the slot is still
-    /// empty. A replay that diverged on a recorded cycle-register value
-    /// falls back to a full, checksum-checked simulation instead of
-    /// failing the point. Real replay failures (watchdog expiry)
-    /// propagate.
+    /// empty. The replayed memory image equals the recorded one, so its
+    /// validated checksum carries over. A replay that diverged on a
+    /// recorded cycle-register value falls back to a full,
+    /// checksum-checked simulation instead of failing the point. Real
+    /// replay failures (watchdog expiry) propagate.
     fn simulated(
         &self,
-        exe: &spmlab_isa::Executable,
-        trace: &MemTrace,
+        link: &Link,
         hierarchy: &spmlab_isa::hierarchy::MemHierarchyConfig,
         tally: Option<&mut Option<Tally>>,
     ) -> Result<(u64, MemStats), CoreError> {
+        let trace = &link.trace;
         let replayed = match tally {
             Some(slot) => {
                 let shared = match slot {
@@ -420,95 +527,14 @@ impl Pipeline {
             }
             Err(SimError::ReplayDivergence { .. }) => {
                 spmlab_obs::counter("sweep_full_sim", 1);
+                let exe = &link.linked.exe;
                 let machine = MachineConfig::with_hierarchy(hierarchy.clone());
                 let sim = simulate(exe, &machine, &self.sweep_options())?;
-                self.check(&sim, exe)?;
+                check(&self.benchmark, self.expected_checksum, &sim, exe)?;
                 Ok((sim.cycles, sim.mem_stats))
             }
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Cache/hierarchy branch: runs on the shared no-scratchpad link,
-    /// replaying the baseline execution's memory trace under the spec's
-    /// hierarchy (bit-identical to a fresh simulation, minus the
-    /// interpreter; see [`Pipeline::simulated`]). The replayed memory
-    /// image equals the baseline's, so its validated checksum carries
-    /// over.
-    ///
-    /// The analysis runs on the pipeline's prepared no-scratchpad program;
-    /// members that the plan gives one classification slot classify
-    /// once, and only cost and IPET run per point.
-    fn measure_no_spm(&self, rep: &Rep, slots: &mut Slots) -> Result<ArchMeasurement, CoreError> {
-        let linked = &self.no_spm_link;
-        let tally = rep.tally.map(|t| slots.tallies.entry(t).or_default());
-        let hierarchy = rep.machine.hierarchy();
-        let (sim_cycles, mem_stats) =
-            self.simulated(&linked.exe, &self.trace, &hierarchy, tally)?;
-        let wcet = {
-            let _s = spmlab_obs::span("analyze");
-            crate::faults::fault_point("analyze")?;
-            let wcfg = self.wcet_config_for(&rep.machine);
-            debug_assert!(wcfg.auto_loop_bounds, "no_spm_prepared assumes auto bounds");
-            let prepared = self.no_spm_prepared()?;
-            let mut own = None;
-            let slot = match rep.classified {
-                Some(c) => slots.classified.entry(c).or_default(),
-                None => &mut own,
-            };
-            let classified = slot.get_or_insert_with(|| classify(prepared, &linked.exe, &wcfg));
-            cost(prepared, &linked.exe, &wcfg, classified, &self.ipet_models)?
-        };
-        Ok(ArchMeasurement {
-            sim_cycles,
-            wcet_cycles: wcet.wcet_cycles,
-            mem_stats,
-            classify: wcet.total_classify(),
-            spm_used: 0,
-            spm_objects: Vec::new(),
-            widened: wcet.widened,
-        })
-    }
-
-    /// Scratchpad branch: resolves the allocation strategy, links and
-    /// interprets once per `(capacity, assignment)` (memoised), then
-    /// prices the recorded trace under the spec's hierarchy and timing.
-    fn measure_spm(
-        &self,
-        canon: &MemArchSpec,
-        spm: &SpmSpec,
-    ) -> Result<ArchMeasurement, CoreError> {
-        let wcfg = self.wcet_config_for(canon);
-        let assignment = {
-            let _s = spmlab_obs::span("alloc");
-            crate::faults::fault_point("alloc")?;
-            self.resolve_assignment(spm, &wcfg)?
-        };
-        let arts = self.spm_artifacts(spm.size, &assignment)?;
-        let recording_is_target =
-            !canon.has_cache_levels() && canon.main == MainMemoryTiming::table1();
-        let (sim_cycles, mem_stats) = if recording_is_target {
-            // The recording machine *is* the uncached Table-1 machine.
-            spmlab_obs::counter("sweep_recorded_reuse", 1);
-            (arts.recorded_cycles, arts.recorded_stats.clone())
-        } else {
-            self.simulated(&arts.linked.exe, &arts.trace, &canon.hierarchy(), None)?
-        };
-        let wcet = {
-            let _s = spmlab_obs::span("analyze");
-            crate::faults::fault_point("analyze")?;
-            let linked = &arts.linked;
-            analyze_with(&linked.exe, &wcfg, &linked.annotations, &self.ipet_models)?
-        };
-        Ok(ArchMeasurement {
-            sim_cycles,
-            wcet_cycles: wcet.wcet_cycles,
-            mem_stats,
-            classify: wcet.total_classify(),
-            spm_used: arts.spm_used,
-            spm_objects: assignment.iter().map(str::to_string).collect(),
-            widened: wcet.widened,
-        })
     }
 
     /// Maps a scratchpad strategy to a concrete assignment. WCET-driven
@@ -538,7 +564,8 @@ impl Pipeline {
                 // greedy serves the WcetRegion specs and every WcetAware
                 // objective at that capacity.
                 let region = self.region_alloc(spm.size)?;
-                self.wcet_alloc_memo(format!("aware|{}|{wcfg:?}", spm.size), || {
+                let key = format!("aware|{}|{wcfg:?}", spm.size);
+                self.wcet_allocs.get_or_compute(key, || {
                     self.counting_trials(|trials| {
                         trials.allocate_hierarchy_aware(
                             &self.module,
@@ -555,16 +582,17 @@ impl Pipeline {
 
     /// The memoised region-timing greedy allocation for one capacity.
     fn region_alloc(&self, size: u32) -> Result<SpmAssignment, CoreError> {
-        self.wcet_alloc_memo(format!("region|{size}"), || {
-            self.counting_trials(|trials| {
-                trials.allocate_with(
-                    &self.module,
-                    size,
-                    &AnnotationSet::new(),
-                    &WcetConfig::region_timing(),
-                )
+        self.wcet_allocs
+            .get_or_compute(format!("region|{size}"), || {
+                self.counting_trials(|trials| {
+                    trials.allocate_with(
+                        &self.module,
+                        size,
+                        &AnnotationSet::new(),
+                        &WcetConfig::region_timing(),
+                    )
+                })
             })
-        })
     }
 
     /// Runs one greedy on the pipeline's trial memo and reports the
@@ -583,101 +611,26 @@ impl Pipeline {
         Ok(res?.assignment)
     }
 
-    /// The compute-once memo cell for `key`: the first caller computes
-    /// while later callers for the same key wait, then share its result.
-    /// An error or a panic is not cached — it fails its own caller, and
-    /// the next caller computes afresh.
-    fn wcet_alloc_memo(
-        &self,
-        key: String,
-        compute: impl FnOnce() -> Result<SpmAssignment, CoreError>,
-    ) -> Result<SpmAssignment, CoreError> {
-        let cell = self
-            .wcet_allocs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_default()
-            .clone();
-        // A panicking computation poisons the cell with `None` inside.
-        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(a) = slot.as_ref() {
-            spmlab_obs::counter("alloc_memo_hit", 1);
-            return Ok(a.clone());
-        }
-        spmlab_obs::counter("alloc_memo_miss", 1);
-        let a = compute()?;
-        *slot = Some(a.clone());
-        Ok(a)
-    }
-
-    /// Links and interprets one scratchpad configuration (memoised): the
-    /// allocation, link and execution happen a single time per
-    /// `(capacity, assignment)`; each timing/hierarchy re-prices the
-    /// recorded trace.
-    fn spm_artifacts(
-        &self,
-        size: u32,
-        assignment: &SpmAssignment,
-    ) -> Result<Arc<SpmArtifacts>, CoreError> {
-        let key = format!("{size}|{assignment:?}");
-        if let Some(a) = self
-            .spm_links
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            spmlab_obs::counter("spm_link_memo_hit", 1);
-            return Ok(a.clone());
-        }
-        spmlab_obs::counter("spm_link_memo_miss", 1);
-        let _s = spmlab_obs::span("spm-link");
-        crate::faults::fault_point("link")?;
-        let map = MemoryMap::with_spm(size);
-        let linked = self
-            .benchmark
-            .link_with_input(&self.module, &map, assignment, &self.input)?;
-        let (recorded, trace) = simulate_with_trace(&linked.exe, &self.sweep_options())?;
-        self.check(&recorded, &linked.exe)?;
-        let spm_used = linked
-            .exe
-            .bytes_in_region(spmlab_isa::mem::RegionKind::Scratchpad) as u32;
-        let arts = Arc::new(SpmArtifacts {
-            recorded_cycles: recorded.cycles,
-            recorded_stats: recorded.mem_stats.clone(),
-            spm_used,
-            trace,
-            linked,
-        });
-        Ok(self
-            .spm_links
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(arts)
-            .clone())
-    }
-
-    /// The no-scratchpad executable the cache/hierarchy points run (memo
-    /// key derivation reads its image layout and annotations).
-    pub(crate) fn no_spm_link(&self) -> &spmlab_cc::LinkedProgram {
-        &self.no_spm_link
-    }
-
-    /// The baseline execution's trace, which every no-scratchpad point
-    /// prices.
-    pub(crate) fn trace(&self) -> &MemTrace {
-        &self.trace
-    }
-
-    /// The prepared analysis of [`Pipeline::no_spm_link`], built on first
-    /// use; its error, if preparation failed.
-    pub(crate) fn no_spm_prepared(&self) -> Result<&Prepared, CoreError> {
-        let linked = &self.no_spm_link;
-        self.no_spm_prepared
-            .get_or_init(|| prepare(&linked.exe, &linked.annotations, true))
-            .as_ref()
-            .map_err(|e| CoreError::Wcet(e.clone()))
+    /// The scratchpad link of `(size, assignment)`, linked and recorded
+    /// once: every timing and hierarchy re-prices its trace.
+    fn spm_link(&self, size: u32, assignment: &SpmAssignment) -> Result<Arc<Link>, CoreError> {
+        self.spm_links
+            .get_or_compute(format!("{size}|{assignment:?}"), || {
+                let _s = spmlab_obs::span("spm-link");
+                crate::faults::fault_point("link")?;
+                let map = MemoryMap::with_spm(size);
+                let linked =
+                    self.benchmark
+                        .link_with_input(&self.module, &map, assignment, &self.input)?;
+                let (recorded, trace) = simulate_with_trace(&linked.exe, &self.sweep_options())?;
+                check(
+                    &self.benchmark,
+                    self.expected_checksum,
+                    &recorded,
+                    &linked.exe,
+                )?;
+                Ok(Arc::new(Link::new(linked, trace)))
+            })
     }
 }
 
@@ -757,7 +710,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     start.wait();
-                    let got = p.wcet_alloc_memo(String::from("k"), || {
+                    let got = p.wcet_allocs.get_or_compute(String::from("k"), || {
                         runs.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(50));
                         Ok(a.clone())
@@ -768,22 +721,25 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::SeqCst), 1);
         // An error fails its own caller only; the next caller computes.
-        let err = p.wcet_alloc_memo(String::from("e"), || {
+        let err = p.wcet_allocs.get_or_compute(String::from("e"), || {
             Err(CoreError::Injected("alloc".into()))
         });
         assert!(err.is_err());
         assert_eq!(
-            p.wcet_alloc_memo(String::from("e"), || Ok(a.clone()))
+            p.wcet_allocs
+                .get_or_compute(String::from("e"), || Ok(a.clone()))
                 .unwrap(),
             a
         );
         // So does a panic, which poisons the cell's lock.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.wcet_alloc_memo(String::from("p"), || panic!("greedy panicked"))
+            p.wcet_allocs
+                .get_or_compute(String::from("p"), || panic!("greedy panicked"))
         }));
         assert!(panicked.is_err());
         assert_eq!(
-            p.wcet_alloc_memo(String::from("p"), || Ok(a.clone()))
+            p.wcet_allocs
+                .get_or_compute(String::from("p"), || Ok(a.clone()))
                 .unwrap(),
             a
         );

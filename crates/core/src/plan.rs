@@ -109,7 +109,7 @@ impl SweepPlan {
             };
             let wcfg = pipeline.wcet_config_for(&machine);
             let tally = share(
-                (no_spm && pipeline.trace().priceable(&machine.hierarchy()))
+                (no_spm && pipeline.baseline().trace.priceable(&machine.hierarchy()))
                     .then(|| format!("tally {geometry}|{tallied:?}")),
             );
             let classified = share(
@@ -174,7 +174,8 @@ struct Footprint {
 /// `Unknown` access may concretely touch any main-memory line, escaping
 /// every interval the footprint could enumerate.
 fn sweep_footprint(pipeline: &Pipeline) -> Option<Footprint> {
-    let linked = pipeline.no_spm_link();
+    let baseline = pipeline.baseline();
+    let linked = &baseline.linked;
     // Unannotated loads default to `AddrInfo::Unknown`; walking the real
     // instruction stream (not just the annotation set, which omits them)
     // is the only way to see these. An unconstrained *store* merely
@@ -183,7 +184,7 @@ fn sweep_footprint(pipeline: &Pipeline) -> Option<Footprint> {
     // width), while write-policy-dependent machines — where
     // write-allocate makes store addresses load-bearing — collapse only
     // with full write coverage (see `geometry_key`).
-    let prepared = pipeline.no_spm_prepared().ok()?;
+    let prepared = baseline.prepared().ok()?;
     let mut writes_covered = true;
     for cfg in prepared.cfgs().values() {
         for block in cfg.blocks.values() {
@@ -532,7 +533,7 @@ mod tests {
             points - sink.total("sweep_memo_hit")
         );
         let walked = sink.total("replay_events") + sink.total("replay_elided");
-        assert_eq!(counts.walks * p.trace().events(), walked);
+        assert_eq!(counts.walks * p.baseline().trace.events(), walked);
         assert_eq!(counts.classifications, sink.total("wcet-pass-fixpoints"));
     }
 

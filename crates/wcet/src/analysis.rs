@@ -75,8 +75,6 @@ pub struct WcetConfig {
     /// Modelled for a single write-through L1 with no L2 behind it (see
     /// [`cache::persistence`]) and ignored for every other hierarchy.
     pub persistence: bool,
-    /// Enable the automatic counted-loop bound detector.
-    pub auto_loop_bounds: bool,
     /// Run the L2 MUST analysis (cached hierarchies only). When false every
     /// access that is not Always-Hit at L1 is charged the full L2-miss
     /// penalty — the baseline the monotonicity sanity checks compare
@@ -143,7 +141,6 @@ impl WcetConfig {
         WcetConfig {
             hierarchy,
             persistence: false,
-            auto_loop_bounds: true,
             l2_must_analysis: true,
             may_analysis: true,
             interprocedural: true,
@@ -306,11 +303,7 @@ impl Prepared {
 /// CFG, call-graph and stack-depth failures. A loop-bounding failure is
 /// not an error here: it is recorded and [`cost`] returns it when it
 /// reaches that function.
-pub fn prepare(
-    exe: &Executable,
-    annotations: &AnnotationSet,
-    auto_loop_bounds: bool,
-) -> Result<Prepared, WcetError> {
+pub fn prepare(exe: &Executable, annotations: &AnnotationSet) -> Result<Prepared, WcetError> {
     let _pass = spmlab_obs::span("wcet-pass-prepare");
     let cfgs = build_all(exe)?;
     let order = topo_order(&cfgs)?;
@@ -326,7 +319,7 @@ pub fn prepare(
     for faddr in &order {
         let cfg = &cfgs[faddr];
         let flow = natural_loops(cfg).and_then(|loops| {
-            let bounds = bounds::loop_bounds(cfg, &loops, &annot, auto_loop_bounds)?;
+            let bounds = bounds::loop_bounds(cfg, &loops, &annot)?;
             let totals = loops
                 .iter()
                 .filter_map(|l| Some((l.header, annot.loop_total(l.header)?)))
@@ -686,7 +679,7 @@ pub fn analyze_with(
     annotations: &AnnotationSet,
     models: &IpetModels,
 ) -> Result<WcetResult, WcetError> {
-    let prepared = prepare(exe, annotations, config.auto_loop_bounds)?;
+    let prepared = prepare(exe, annotations)?;
     let classified = classify(&prepared, exe, config);
     cost(&prepared, exe, config, &classified, models)
 }
@@ -794,7 +787,7 @@ mod tests {
         // Nothing to classify: no summaries, no fixpoint states, and the
         // empty result serves every main-memory timing.
         let l = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
-        let prepared = prepare(&l.exe, &l.annotations, true).unwrap();
+        let prepared = prepare(&l.exe, &l.annotations).unwrap();
         let classified = classify(&prepared, &l.exe, &WcetConfig::region_timing());
         assert!(classified.summaries.is_empty() && classified.states.is_empty());
         assert!(classified.serves(&WcetConfig::region_timing_with(MainMemoryTiming::dram(10))));
@@ -1052,7 +1045,7 @@ mod tests {
                     &b.typical_input(),
                 )
                 .unwrap();
-            let prepared = prepare(&l.exe, &l.annotations, true).unwrap();
+            let prepared = prepare(&l.exe, &l.annotations).unwrap();
             for config in &configs {
                 let classified = classify(&prepared, &l.exe, config);
                 cost_with(

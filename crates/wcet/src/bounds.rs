@@ -50,13 +50,12 @@ pub fn loop_bounds(
     cfg: &FuncCfg,
     loops: &[NaturalLoop],
     annotations: &AnnotationSet,
-    auto: bool,
 ) -> Result<BTreeMap<u32, u32>, WcetError> {
     let mut out = BTreeMap::new();
     for l in loops {
         let bound = annotations
             .loop_bound(l.header)
-            .or_else(|| if auto { auto_bound(cfg, l) } else { None })
+            .or_else(|| auto_bound(cfg, l))
             .ok_or(WcetError::UnboundedLoop {
                 func: cfg.name.clone(),
                 header: l.header,
@@ -228,12 +227,15 @@ mod tests {
 
     #[test]
     fn annotation_bound_used() {
+        // The detector derives 7 for this counted loop; the annotation
+        // takes precedence.
         let (cfg, loops, ann) = setup(
-            "int x; void main() { int i; for (i = 0; i < 7; i = i + 1) { __loopbound(7); x = x + 1; } }",
+            "int x; void main() { int i; for (i = 0; i < 7; i = i + 1) { __loopbound(9); x = x + 1; } }",
             "main",
         );
-        let bounds = loop_bounds(&cfg, &loops, &ann, false).unwrap();
-        assert_eq!(bounds.values().copied().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(auto_bound(&cfg, &loops[0]), Some(7));
+        let bounds = loop_bounds(&cfg, &loops, &ann).unwrap();
+        assert_eq!(bounds.values().copied().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]
@@ -243,7 +245,7 @@ mod tests {
             "int x; void main() { int i; for (i = 0; i < 12; i = i + 1) { x = x + 1; } }",
             "main",
         );
-        let bounds = loop_bounds(&cfg, &loops, &ann, true).unwrap();
+        let bounds = loop_bounds(&cfg, &loops, &ann).unwrap();
         assert_eq!(bounds.values().copied().collect::<Vec<_>>(), vec![12]);
     }
 
@@ -275,7 +277,7 @@ mod tests {
         // Auto fails (limit is a load, compare is register-register), but
         // the annotation provides 99.
         assert_eq!(auto_bound(&cfg, &loops[0]), None);
-        let bounds = loop_bounds(&cfg, &loops, &ann, true).unwrap();
+        let bounds = loop_bounds(&cfg, &loops, &ann).unwrap();
         assert_eq!(bounds.values().copied().collect::<Vec<_>>(), vec![99]);
     }
 
@@ -285,7 +287,7 @@ mod tests {
             "int n; int x; void main() { int i; for (i = 0; i < n; i = i + 1) { x = x + 1; } }",
             "main",
         );
-        let err = loop_bounds(&cfg, &loops, &ann, true).unwrap_err();
+        let err = loop_bounds(&cfg, &loops, &ann).unwrap_err();
         assert!(matches!(err, WcetError::UnboundedLoop { .. }));
     }
 

@@ -533,7 +533,7 @@ pub(crate) mod tests {
 
     fn facts_of(cfg: &FuncCfg, annot: &spmlab_isa::annot::AnnotationSet) -> FlowFacts {
         let loops = natural_loops(cfg).unwrap();
-        let bounds = crate::bounds::loop_bounds(cfg, &loops, annot, true).unwrap();
+        let bounds = crate::bounds::loop_bounds(cfg, &loops, annot).unwrap();
         let totals = loops
             .iter()
             .filter_map(|l| Some((l.header, annot.loop_total(l.header)?)))

@@ -219,6 +219,48 @@ fn faults_inside_a_shared_unit_fail_only_their_member() {
     }
 }
 
+/// One scratchpad link under six machines: the knapsack's 256-byte
+/// assignment without and with a unified L1, at three main latencies.
+fn shared_link_axis() -> Vec<MemArchSpec> {
+    let mut axis = Vec::new();
+    for l1 in [
+        MemHierarchyConfig::uncached(),
+        MemHierarchyConfig::l1_only(CacheConfig::unified(1024)),
+    ] {
+        for latency in [0, 10, 40] {
+            let hierarchy = l1.clone().with_main(MainMemoryTiming::dram(latency));
+            axis.push(MemArchSpec {
+                spm: MemArchSpec::spm(256).spm,
+                ..MemArchSpec::from_hierarchy(&hierarchy)
+            });
+        }
+    }
+    axis
+}
+
+#[test]
+fn concurrent_points_link_a_shared_scratchpad_configuration_once() {
+    // Every point resolves to the same `(capacity, assignment)`: the
+    // first worker links it while the others wait for that link, so the
+    // `link` phase is reached once and a fault armed at its second call
+    // never fires.
+    let guard = arm(inert());
+    let p = Pipeline::new(&INSERTSORT).expect("pipeline");
+    guard.rearm(FaultPlan::new("link", 2, FaultAction::Error));
+    let outcomes = spec_sweep_with_session(&p, &shared_link_axis(), &SweepSession::none())
+        .expect("sweep survives");
+    assert!(!guard.fired(), "the shared link was linked twice");
+    drop(guard);
+    for o in &outcomes {
+        let r = o.outcome.result().expect("no point fails");
+        let direct = p.run(&o.spec).expect("direct run");
+        assert_eq!(r.label, direct.label);
+        assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
+        assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
+        assert_eq!(r.spm_objects, direct.spm_objects, "{}", r.label);
+    }
+}
+
 #[test]
 fn prep_phase_faults_surface_from_pipeline_construction() {
     // `compile` and the baseline `link` run once, before any sweep point

@@ -1,8 +1,9 @@
 //! Workspace-level observability tests: the instrumentation the pipeline
 //! emits while sweeping (sweep memo/replay counters pinned on the paper's
 //! eight-config G.721 hierarchy scenario, the trace walks and
-//! classifications of a grid with a latency axis, and the memo hits of a
-//! write-back grid's idle store buffers), the JSON-lines profile stream a
+//! classifications of a grid with a latency axis, the memo hits of a
+//! write-back grid's idle store buffers, and one preparation per
+//! scratchpad link), the JSON-lines profile stream a
 //! profiled run records, and property tests over the span-tree collector.
 //!
 //! Every test that installs a sink or runs instrumented code takes
@@ -19,7 +20,10 @@ use proptest::prelude::*;
 use spmlab::dse::{GridSpec, L1Shape};
 use spmlab::pipeline::Pipeline;
 use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
-use spmlab::{hierarchy_spec_axis, MainMemoryTiming, MemArchSpec, SweepSession, DRAM_LATENCY};
+use spmlab::{
+    hierarchy_spec_axis, MainMemoryTiming, MemArchSpec, SpecOutcome, SpmSpec, SweepSession,
+    DRAM_LATENCY,
+};
 use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::archspec::SpmAllocation;
 use spmlab_isa::cachecfg::WritePolicy;
@@ -33,9 +37,8 @@ use spmlab_workloads::{inputs, G721, INSERTSORT};
 /// Satellite regression pin: the eight-config G.721 hierarchy scenario
 /// (two scratchpad points + the six-machine cache axis) must keep its
 /// replay-eligible vs full-simulation split. Every cache machine on the
-/// axis is write-through, so all six replay from the recorded trace; the
-/// Table-1 scratchpad point *is* the recording machine (reused, not
-/// re-simulated) and the DRAM scratchpad point replays. A config slipping
+/// axis is write-through, so all six replay from the recorded trace, and
+/// both scratchpad points price their link's trace. A config slipping
 /// from replay to full simulation (e.g. a write-back level sneaking into
 /// the axis, or trace support regressing) changes these counts.
 #[test]
@@ -67,10 +70,8 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
     assert_eq!(sink.counter_total("sweep_memo_miss"), 6);
     assert_eq!(sink.counter_total("sweep_memo_hit"), 0);
     assert_eq!(sink.counter_total("sweep_full_sim"), 0, "no fallback");
-    // Six axis replays + the DRAM scratchpad replay; the Table-1
-    // scratchpad reuses the recording run itself.
-    assert_eq!(sink.counter_total("sweep_replay"), 7);
-    assert_eq!(sink.counter_total("sweep_recorded_reuse"), 1);
+    // Six axis replays + the two scratchpad replays.
+    assert_eq!(sink.counter_total("sweep_replay"), 8);
 }
 
 /// The sweep-level sharing case: a grid with `main_latency` and store
@@ -127,21 +128,7 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         assert_eq!(count("wcet-pass-costing"), 24, "costing stays per point");
         outcomes
     };
-    for o in &outcomes {
-        let r = o.outcome.result().expect("no point fails");
-        let direct = p.run(&o.spec).unwrap();
-        assert_eq!(r.label, direct.label);
-        assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
-        assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
-        assert_eq!(r.classify, direct.classify, "{}", r.label);
-        assert_eq!(r.degraded, direct.degraded, "{}", r.label);
-        assert_eq!(
-            r.energy_nj.to_bits(),
-            direct.energy_nj.to_bits(),
-            "{}",
-            r.label
-        );
-    }
+    assert_each_equals_a_direct_run(&p, &outcomes);
 }
 
 /// A write-back grid's store buffers are idle: every store is absorbed
@@ -199,22 +186,73 @@ fn write_back_grid_shares_idle_store_buffer_points() {
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
         assert_eq!(count("wcet-pass-fixpoints"), 4, "one per geometry");
         assert_eq!(count("wcet-pass-costing"), measured);
-        for o in &outcomes {
-            let r = o.outcome.result().expect("no point fails");
-            let direct = p.run(&o.spec).unwrap();
-            assert_eq!(r.label, direct.label);
-            assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
-            assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
-            assert_eq!(r.classify, direct.classify, "{}", r.label);
-            assert_eq!(r.degraded, direct.degraded, "{}", r.label);
-            assert_eq!(
-                r.energy_nj.to_bits(),
-                direct.energy_nj.to_bits(),
-                "{}",
-                r.label
-            );
-        }
+        assert_each_equals_a_direct_run(&p, &outcomes);
     }
+}
+
+/// Every outcome of a sweep completed and equals a direct
+/// `Pipeline::run` of its spec, energy bits included.
+fn assert_each_equals_a_direct_run(p: &Pipeline, outcomes: &[SpecOutcome]) {
+    for o in outcomes {
+        let r = o.outcome.result().expect("no point fails");
+        let direct = p.run(&o.spec).unwrap();
+        assert_eq!(r.label, direct.label);
+        assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
+        assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
+        assert_eq!(r.classify, direct.classify, "{}", r.label);
+        assert_eq!(r.degraded, direct.degraded, "{}", r.label);
+        assert_eq!(
+            r.energy_nj.to_bits(),
+            direct.energy_nj.to_bits(),
+            "{}",
+            r.label
+        );
+    }
+}
+
+/// A scratchpad-only grid (two capacities × knapsack or a fixed
+/// assignment × no or a unified 1 KiB L1 × two main latencies) measures
+/// every point on its scratchpad link and prepares each link's program
+/// once, however many hierarchies and timings price it. With no
+/// no-scratchpad point, the baseline is never prepared.
+#[test]
+fn scratchpad_grid_prepares_once_per_link() {
+    let grid = GridSpec {
+        spm_sizes: vec![256, 1024],
+        spm_allocs: vec![SpmAllocation::ProfileKnapsack],
+        l1_shapes: vec![L1Shape::Unified],
+        l1_sizes: vec![0, 1024],
+        l2_sizes: vec![0],
+        main_latencies: vec![0, 10],
+        ..GridSpec::default()
+    };
+    let knapsack = grid.axis().unwrap().0;
+    let fixed = knapsack.iter().map(|spec| MemArchSpec {
+        spm: spec.spm.as_ref().map(|spm| SpmSpec {
+            alloc: SpmAllocation::Fixed(vec![String::from("data")]),
+            ..spm.clone()
+        }),
+        ..spec.clone()
+    });
+    let axis: Vec<MemArchSpec> = knapsack.iter().cloned().chain(fixed).collect();
+    assert_eq!(axis.len(), 16);
+    let _x = spmlab_obs::exclusive();
+    let p = Pipeline::new(&INSERTSORT).unwrap();
+    let sink = Arc::new(MemorySink::default());
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap();
+    drop(guard);
+    let links = sink.counter_total("spm_link_memo_miss");
+    assert!((1..=4).contains(&links), "{links} links");
+    let prepares = sink
+        .spans()
+        .iter()
+        .filter(|s| s.name == "wcet-pass-prepare")
+        .count() as u64;
+    assert_eq!(prepares, links, "one preparation per link");
+    assert_eq!(sink.counter_total("sweep_replay"), 16);
+    assert_eq!(sink.counter_total("sweep_full_sim"), 0);
+    assert_each_equals_a_direct_run(&p, &outcomes);
 }
 
 /// The allocator's trial memo over a small scratchpad grid (two
@@ -300,7 +338,7 @@ fn sweep_builds_one_ipet_model_per_function_shape() {
             &INSERTSORT.typical_input(),
         )
         .unwrap();
-    let prepared = spmlab_wcet::prepare(&linked.exe, &linked.annotations, true).unwrap();
+    let prepared = spmlab_wcet::prepare(&linked.exe, &linked.annotations).unwrap();
     let shapes: HashSet<&spmlab_wcet::ipet::Shape> = prepared.shapes().collect();
 
     let p = Pipeline::new(&INSERTSORT).unwrap();

@@ -349,7 +349,7 @@ fn dse_families() -> &'static [Vec<MemHierarchyConfig>] {
 fn assert_shared_classification_is_exact(name: &str, linked: &spmlab_cc::LinkedProgram) {
     use spmlab_wcet::{analyze, classify, cost, prepare, IpetModels, WcetConfig};
     let (exe, annot) = (&linked.exe, &linked.annotations);
-    let prepared = prepare(exe, annot, true).expect("prepare");
+    let prepared = prepare(exe, annot).expect("prepare");
     let models = IpetModels::new();
     for family in dse_families() {
         let shared = classify(

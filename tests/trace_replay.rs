@@ -580,10 +580,6 @@ fn write_policy_axis_memo_replay_split_pinned() {
     assert_eq!(sink.counter_total("sweep_points"), 10);
     assert_eq!(sink.counter_total("sweep_memo_miss"), 9);
     assert_eq!(sink.counter_total("sweep_memo_hit"), 1);
-    // The no-SPM measure path replays even the recording machine's own
-    // spec (bit-identical by the tests above, so reuse would only be an
-    // optimization); all nine distinct machines replay.
-    assert_eq!(sink.counter_total("sweep_recorded_reuse"), 0);
     assert_eq!(
         sink.counter_total("sweep_replay"),
         9,
