@@ -10,18 +10,21 @@
 //! everything comes from the analyzer, keeping the method fully static
 //! like the paper's vision.
 //!
-//! Trials go through a [`TrialMemo`], which keeps only integers: per
-//! assignment, where its scratchpad layout ends ([`spmlab_cc::spm_end`]),
-//! and per (assignment, objective), the bound. The linker places
-//! scratchpad objects from the bottom of the scratchpad and never moves
-//! back, so a trial fits a capacity exactly when its layout ends within
-//! it, and every capacity it fits links it to the same image up to the
-//! map's `spm_size`. Its bound therefore does not depend on the capacity,
-//! and only the first trial of an (assignment, objective) pair links and
-//! analyses. The public functions use a fresh memo per
-//! call; `spmlab_core`'s pipeline keeps one for all the greedies it runs,
-//! so the greedies for several capacities and objectives pay for their
-//! shared trials once.
+//! Trials go through a [`TrialMemo`], which keeps integers and one
+//! analysis preparation: per assignment, where its scratchpad layout ends
+//! ([`spmlab_cc::spm_end`]), per (assignment, objective), the bound, and
+//! the [`Prepared`] program of the first link it analyses. The linker
+//! places scratchpad objects from the bottom of the scratchpad and never
+//! moves back, so a trial fits a capacity exactly when its layout ends
+//! within it, and every capacity it fits links it to the same image up to
+//! the map's `spm_size`. Its bound therefore does not depend on the
+//! capacity, and only the first trial of an (assignment, objective) pair
+//! links and analyses. Every link of one module has the same code up to
+//! where each function lands, so a trial does not rebuild CFGs and loops:
+//! it [relocates](Prepared::relocate) the kept preparation to its link.
+//! The public functions use a fresh memo per call; `spmlab_core`'s
+//! pipeline keeps one for all the greedies it runs, so the greedies for
+//! several capacities and objectives pay for their shared trials once.
 //!
 //! The objective is pluggable: [`allocate`] optimises the flat Table-1
 //! region-timing bound (the seed behaviour), while [`allocate_with`] takes
@@ -38,9 +41,9 @@
 use spmlab_cc::{link, spm_end, CcError, ObjModule, SpmAssignment};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::mem::MemoryMap;
-use spmlab_wcet::{analyze_with, IpetModels, WcetConfig, WcetError};
+use spmlab_wcet::{classify, cost, prepare, IpetModels, Prepared, WcetConfig, WcetError};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Outcome of the WCET-driven allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,21 +77,6 @@ impl std::fmt::Display for WcetAllocError {
 }
 
 impl std::error::Error for WcetAllocError {}
-
-fn wcet_of(
-    module: &ObjModule,
-    map: &MemoryMap,
-    assignment: &SpmAssignment,
-    extra_annotations: &AnnotationSet,
-    config: &WcetConfig,
-    ipet: &IpetModels,
-) -> Result<u64, WcetAllocError> {
-    let linked = link(module, map, assignment).map_err(WcetAllocError::Link)?;
-    let mut ann = linked.annotations.clone();
-    ann.merge_from(extra_annotations);
-    let res = analyze_with(&linked.exe, config, &ann, ipet).map_err(WcetAllocError::Wcet)?;
-    Ok(res.wcet_cycles)
-}
 
 /// Greedily allocates objects to minimise the flat region-timing WCET
 /// bound (the seed objective).
@@ -168,7 +156,10 @@ pub fn allocate_hierarchy_aware(
 
 /// Allocation trials already paid for: per assignment, where its
 /// scratchpad layout ends, and per (assignment, objective), its WCET
-/// bound. Only integers are kept, never a linked image or an analysis.
+/// bound. Beside these integers it keeps one analysis preparation, the
+/// [`Prepared`] program of the first link it analysed, and every later
+/// trial [relocates](Prepared::relocate) it to its own link instead of
+/// preparing afresh; a failed preparation is not kept.
 ///
 /// A trial at capacity `c` fits exactly when its layout ends at or below
 /// `c` (see [`spmlab_cc::spm_end`]); one that does not fit fails with the
@@ -178,13 +169,15 @@ pub fn allocate_hierarchy_aware(
 /// whether the map has a scratchpad at all (capacity 0 has none), so the
 /// no-scratchpad baseline keeps its own entry. Under a limited
 /// [`AnalysisBudget`](spmlab_wcet::AnalysisBudget) a bound may depend on
-/// the wall clock, so such objectives bypass the memo and every trial
-/// runs fresh.
+/// the wall clock, so such objectives bypass the memo's bounds and every
+/// trial is linked and analysed; it still relocates the kept preparation,
+/// which no budget limits.
 ///
 /// A memo belongs to one module and one set of extra annotations: every
 /// call on it must pass the same two. It is safe to share between threads;
 /// it is locked only to look up and to record, never while a trial runs.
-/// Debug builds re-run every trial the memo answers and assert the bound.
+/// Debug builds re-run every trial the memo answers, relocating as any
+/// trial does, and assert the bound.
 ///
 /// Every trial it runs solves IPET on its [`IpetModels`] store, so the
 /// trials of all assignments and objectives build each function shape's
@@ -193,6 +186,8 @@ pub fn allocate_hierarchy_aware(
 pub struct TrialMemo {
     state: Mutex<MemoState>,
     ipet: Arc<IpetModels>,
+    /// The preparation every trial after the first relocates.
+    source: OnceLock<Prepared>,
 }
 
 #[derive(Debug, Default)]
@@ -221,6 +216,7 @@ impl TrialMemo {
         TrialMemo {
             state: Mutex::default(),
             ipet,
+            source: OnceLock::new(),
         }
     }
 
@@ -347,6 +343,33 @@ impl TrialMemo {
         }
     }
 
+    /// The bound of `assignment` linked for `map`, analysed from a
+    /// relocation of the kept preparation, or from a fresh one that is
+    /// then kept.
+    fn wcet_of(
+        &self,
+        module: &ObjModule,
+        map: &MemoryMap,
+        assignment: &SpmAssignment,
+        extra_annotations: &AnnotationSet,
+        config: &WcetConfig,
+    ) -> Result<u64, WcetAllocError> {
+        let linked = link(module, map, assignment).map_err(WcetAllocError::Link)?;
+        let exe = &linked.exe;
+        let mut ann = linked.annotations;
+        ann.merge_from(extra_annotations);
+        let prepared = match self.source.get() {
+            Some(source) => source.relocate(exe, &ann),
+            None => prepare(exe, &ann),
+        }
+        .map_err(WcetAllocError::Wcet)?;
+        let classified = classify(&prepared, exe, config);
+        let res = cost(&prepared, exe, config, &classified, &self.ipet);
+        // Keeps the first preparation; a relocated one is dropped.
+        let _ = self.source.set(prepared);
+        Ok(res.map_err(WcetAllocError::Wcet)?.wcet_cycles)
+    }
+
     /// Trials of `module` under `config`, with the objective's index
     /// resolved once (`None` under a limited budget: no memo).
     fn trials<'a>(
@@ -403,13 +426,12 @@ impl Trials<'_> {
     /// (capacity 0: no scratchpad).
     fn wcet(&self, capacity: u32, assignment: &SpmAssignment) -> Result<u64, WcetAllocError> {
         let fresh = || {
-            wcet_of(
+            self.memo.wcet_of(
                 self.module,
                 &MemoryMap::with_spm(capacity),
                 assignment,
                 self.extra_annotations,
                 self.config,
-                &self.memo.ipet,
             )
         };
         let Some(objective) = self.objective else {
@@ -453,6 +475,20 @@ impl Trials<'_> {
 mod tests {
     use super::*;
     use spmlab_cc::compile;
+
+    /// The bound of `assignment` at `capacity`, linked and analysed
+    /// afresh.
+    fn analysed(
+        module: &ObjModule,
+        capacity: u32,
+        assignment: &SpmAssignment,
+        cfg: &WcetConfig,
+    ) -> u64 {
+        let l = link(module, &MemoryMap::with_spm(capacity), assignment).unwrap();
+        spmlab_wcet::analyze(&l.exe, cfg, &l.annotations)
+            .unwrap()
+            .wcet_cycles
+    }
 
     const SRC: &str = "
         int buf[16]; int out;
@@ -556,15 +592,7 @@ mod tests {
                 let aware =
                     allocate_hierarchy_aware(&module, capacity, &annot, &cfg, None).unwrap();
                 let region = allocate(&module, capacity, &annot).unwrap();
-                let region_scored = wcet_of(
-                    &module,
-                    &MemoryMap::with_spm(capacity),
-                    &region.assignment,
-                    &annot,
-                    &cfg,
-                    &IpetModels::new(),
-                )
-                .unwrap();
+                let region_scored = analysed(&module, capacity, &region.assignment, &cfg);
                 assert!(
                     aware.final_wcet <= region_scored,
                     "capacity {capacity}: hierarchy-aware {} must not exceed \
@@ -573,15 +601,7 @@ mod tests {
                 );
                 // The reported bound matches a fresh scoring of the chosen
                 // assignment (no stale objective mixing).
-                let rescore = wcet_of(
-                    &module,
-                    &MemoryMap::with_spm(capacity),
-                    &aware.assignment,
-                    &annot,
-                    &cfg,
-                    &IpetModels::new(),
-                )
-                .unwrap();
+                let rescore = analysed(&module, capacity, &aware.assignment, &cfg);
                 assert_eq!(aware.final_wcet, rescore);
             }
         }

@@ -304,35 +304,15 @@ impl Experiment {
                 _ => exp_ablation_wcet_alloc(quick),
             };
         };
-        let artifact = artifact_file(self.id).filter(|_| !quick);
-        // Counter/phase provenance needs a collector listening during the
-        // run. Only ride along when profiling is already active:
-        // installing a sink unconditionally would flip
-        // `spmlab_obs::enabled()` and serialise the sweep.
-        let collector = (artifact.is_some() && spmlab_obs::enabled()).then(|| {
-            let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
-            (spmlab_obs::add_sink(sink.clone()), sink)
-        });
         let outcomes = sweep_grid(&grid)?;
-        let Some(file) = artifact else {
+        let Some(file) = artifact_file(self.id).filter(|_| !quick) else {
             return self.render_outcomes(quick, &grid.benchmark, outcomes);
         };
         // The spec hash is the `axis_hash` of the swept axis, so the
         // artifact matches the header of any checkpoint stream of it.
-        let mut provenance = Provenance {
+        let provenance = Provenance {
             spec_hash: axis_hash(grid.points.as_deref().unwrap_or_default()),
-            ..Provenance::default()
         };
-        if let Some((guard, sink)) = collector {
-            // Stop recording before reading the totals back.
-            drop(guard);
-            provenance.record_counters(&sink);
-            provenance.phase_ns = sink
-                .flat_profile()
-                .into_iter()
-                .map(|row| (row.name.to_string(), row.self_ns))
-                .collect();
-        }
         let json = artifact_json(&grid.benchmark, &outcomes, Some(&provenance));
         let mut out = self.render_outcomes(quick, &grid.benchmark, outcomes)?;
         let path = workspace_root().join(file);
@@ -485,67 +465,23 @@ pub const EXPERIMENTS: [&str; 14] = [
 ];
 
 /// Where a `BENCH_*.json` artifact's numbers came from: the canonical
-/// hash of the swept spec axis plus — when the run was profiled — the
-/// replay/full-sim split, the sweep memo hit rate, and per-phase self
-/// times.
+/// hash of the swept spec axis, stamped with the git revision that wrote
+/// it. A profiled run writes the same artifact; its counters and phase
+/// times go to the profile stream.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Provenance {
     /// FNV-1a 64 hash (hex) of the canonical spec axis swept.
     pub spec_hash: String,
-    /// Points priced by trace replay (profiled runs only).
-    pub replay_points: Option<u64>,
-    /// Points that fell back to full simulation (profiled runs only).
-    pub full_sim_points: Option<u64>,
-    /// Sweep points served from the effective-spec memo.
-    pub memo_hits: Option<u64>,
-    /// Sweep points actually measured.
-    pub memo_misses: Option<u64>,
-    /// Per-phase self time `(name, ns)`, largest first (profiled runs
-    /// only; empty otherwise).
-    pub phase_ns: Vec<(String, u64)>,
 }
 
 impl Provenance {
-    /// Reads the replay/full-sim split and the memo counters from `sink`.
-    /// Replay-eligible = priced from a recorded trace; full-sim = fell
-    /// back to the interpreter.
-    pub fn record_counters(&mut self, sink: &spmlab_obs::collector::MemorySink) {
-        self.replay_points = Some(sink.counter_total("sweep_replay"));
-        self.full_sim_points = Some(sink.counter_total("sweep_full_sim"));
-        self.memo_hits = Some(sink.counter_total("sweep_memo_hit"));
-        self.memo_misses = Some(sink.counter_total("sweep_memo_miss"));
-    }
-
     /// The artifact's `"provenance"` member (leading comma included),
     /// stamped with the current git revision.
     fn json_block(&self) -> String {
-        let opt = |name: &str, v: Option<u64>| {
-            v.map_or_else(String::new, |v| format!(",\n    \"{name}\": {v}"))
-        };
-        let mut phases = String::new();
-        for (i, (name, ns)) in self.phase_ns.iter().enumerate() {
-            if i > 0 {
-                phases.push(',');
-            }
-            phases.push_str(&format!(
-                "\n      {{\"phase\": \"{}\", \"self_ns\": {ns}}}",
-                escape(name)
-            ));
-        }
-        let phases = if phases.is_empty() {
-            String::new()
-        } else {
-            format!(",\n    \"phases\": [{phases}\n    ]")
-        };
         format!(
-            ",\n  \"provenance\": {{\n    \"rev\": \"{}\",\n    \"spec_hash\": \"{}\"{}{}{}{}{}\n  }}",
+            ",\n  \"provenance\": {{\n    \"rev\": \"{}\",\n    \"spec_hash\": \"{}\"\n  }}",
             escape(&git_revision()),
             escape(&self.spec_hash),
-            opt("replay_points", self.replay_points),
-            opt("full_sim_points", self.full_sim_points),
-            opt("memo_hits", self.memo_hits),
-            opt("memo_misses", self.memo_misses),
-            phases
         )
     }
 }
@@ -567,9 +503,7 @@ pub fn git_revision() -> String {
 /// Serialises a grid figure's outcomes as its `BENCH_*.json` artifact
 /// (hand-rolled JSON: the build environment has no serde_json): one row
 /// per measured point, the failed points, and an optional `"provenance"`
-/// block recording the git revision, the swept axis's `axis_hash` and —
-/// when the run was profiled — replay/memo counters and per-phase self
-/// times.
+/// block recording the git revision and the swept axis's `axis_hash`.
 pub fn artifact_json(
     benchmark: &str,
     outcomes: &[SpecOutcome],
@@ -1097,11 +1031,7 @@ mod tests {
                 panicked: false,
             }),
         }];
-        let provenance = Provenance {
-            phase_ns: vec![("sweep \"a\"\tb".into(), 7)],
-            ..Provenance::default()
-        };
-        let json = artifact_json("g721", &outcomes, Some(&provenance));
+        let json = artifact_json("g721", &outcomes, None);
         let doc = parse(&json).expect("the artifact parses");
         let first = |v: Option<&Value>| match v {
             Some(Value::Arr(items)) => items[0].clone(),
@@ -1112,11 +1042,6 @@ mod tests {
         assert_eq!(
             failed.get("config").and_then(Value::as_str),
             Some("l1 \"512\"")
-        );
-        let phase = first(doc.get("provenance").and_then(|p| p.get("phases")));
-        assert_eq!(
-            phase.get("phase").and_then(Value::as_str),
-            Some("sweep \"a\"\tb")
         );
         assert_eq!(doc.get("sound"), Some(&Value::Bool(false)));
     }

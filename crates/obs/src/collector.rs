@@ -1,7 +1,6 @@
 //! In-memory event collector: records the span tree and aggregates
 //! counters/gauges so callers can query per-phase timings programmatically
-//! (the bench provenance block and the `--profile` breakdown table are
-//! both rendered from a [`MemorySink`]).
+//! (the `--profile` breakdown table is rendered from a [`MemorySink`]).
 
 use crate::{Sink, SpanMeta};
 use std::collections::BTreeMap;

@@ -16,7 +16,7 @@
 //!
 //! | sink | purpose |
 //! |------|---------|
-//! | [`collector::MemorySink`] | in-memory span tree + counter totals for programmatic access (per-phase breakdowns, provenance blocks, tests) |
+//! | [`collector::MemorySink`] | in-memory span tree + counter totals for programmatic access (per-phase breakdowns, tests) |
 //! | [`jsonl::JsonlSink`] | JSON-lines event stream to a file or stderr (`experiments --profile`) |
 //!
 //! Sinks *stack*: [`add_sink`] registers one more recipient and returns a

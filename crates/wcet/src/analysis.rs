@@ -1,19 +1,21 @@
 //! Whole-program analysis orchestration.
 
 use crate::cache::{self, Classification, ClassifyStats, Persistence};
-use crate::cfg::{build_all, FuncCfg};
+use crate::cfg::{build_all, BasicBlock, FuncCfg};
 use crate::fixpoint::FixpointBudget;
 use crate::ipet::{FlowFacts, IpetModels, Shape};
-use crate::loops::natural_loops;
+use crate::loops::{natural_loops, NaturalLoop};
 use crate::multilevel::{self, MultiCtx, MultiState};
 use crate::report::{FuncWcet, WcetResult};
 use crate::stack::total_depths;
 use crate::{bounds, WcetError};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope};
+use spmlab_isa::decode::decode;
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
-use spmlab_isa::image::Executable;
-use std::collections::BTreeMap;
+use spmlab_isa::image::{Executable, SymbolKind};
+use spmlab_isa::insn::Insn;
+use std::collections::{BTreeMap, HashMap};
 
 /// Resource budget for one [`analyze`] call, expressed in wall-clock
 /// milliseconds and fixpoint iterations so the config stays `Eq`-able and
@@ -31,8 +33,8 @@ pub struct AnalysisBudget {
     pub max_fixpoint_iters: Option<u64>,
     /// Wall-clock budget for the analysis, in milliseconds, measured from
     /// [`classify`] entry and covering its [`cost`] pass; the budget-free
-    /// [`prepare`] stage runs before the clock starts (`None` = no
-    /// deadline).
+    /// [`prepare`] and [`Prepared::relocate`] stages run before the clock
+    /// starts (`None` = no deadline).
     pub deadline_ms: Option<u64>,
 }
 
@@ -247,7 +249,7 @@ pub fn topo_order(cfgs: &BTreeMap<u32, FuncCfg>) -> Result<Vec<u32>, WcetError> 
 }
 
 /// One function's flow facts and the IPET [`Shape`] they give it.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct FuncFlow {
     facts: FlowFacts,
     shape: Shape,
@@ -256,8 +258,9 @@ struct FuncFlow {
 /// The hierarchy-independent half of an analysis ([`prepare`]): CFGs,
 /// call-graph order, the stack window and every function's flow facts.
 /// One `Prepared` serves any number of [`classify`] / [`cost`] calls on
-/// the executable it was built from.
-#[derive(Debug)]
+/// the executable it was built from, and [`Prepared::relocate`] moves it
+/// to another link of the same program.
+#[derive(Debug, PartialEq)]
 pub struct Prepared {
     cfgs: BTreeMap<u32, FuncCfg>,
     /// Call-graph topological order, callees first.
@@ -305,7 +308,19 @@ impl Prepared {
 /// reaches that function.
 pub fn prepare(exe: &Executable, annotations: &AnnotationSet) -> Result<Prepared, WcetError> {
     let _pass = spmlab_obs::span("wcet-pass-prepare");
-    let cfgs = build_all(exe)?;
+    prepared_from(build_all(exe)?, exe, annotations, natural_loops)
+}
+
+/// The part of [`prepare`] that reads the image only through `cfgs`:
+/// call-graph order, stack depths and the stack-window annotation, then
+/// loop bounds, loop totals and shapes per function in callee-first
+/// order, each function's natural loops given by `loops_of`.
+fn prepared_from(
+    cfgs: BTreeMap<u32, FuncCfg>,
+    exe: &Executable,
+    annotations: &AnnotationSet,
+    mut loops_of: impl FnMut(&FuncCfg) -> Result<Vec<NaturalLoop>, WcetError>,
+) -> Result<Prepared, WcetError> {
     let order = topo_order(&cfgs)?;
     let depths = total_depths(&cfgs, &order)?;
 
@@ -318,7 +333,7 @@ pub fn prepare(exe: &Executable, annotations: &AnnotationSet) -> Result<Prepared
     let mut flows = Vec::with_capacity(order.len());
     for faddr in &order {
         let cfg = &cfgs[faddr];
-        let flow = natural_loops(cfg).and_then(|loops| {
+        let flow = loops_of(cfg).and_then(|loops| {
             let bounds = bounds::loop_bounds(cfg, &loops, &annot)?;
             let totals = loops
                 .iter()
@@ -345,6 +360,147 @@ pub fn prepare(exe: &Executable, annotations: &AnnotationSet) -> Result<Prepared
         annot,
         flows,
     })
+}
+
+impl Prepared {
+    /// [`prepare`] of `exe`, another link of the program this was
+    /// prepared from, computed by moving this preparation's structure:
+    /// each function's CFG and natural loops shift by the distance its
+    /// symbol moved, functions matched by name, every `BL` offset and call
+    /// target is remapped to its callee's new entry, and the rest of
+    /// [`prepare`] — call-graph order, stack depths, loop bounds and
+    /// totals from `annotations`, shapes — runs as it does there.
+    ///
+    /// The move is used only where it is checked exact: every function of
+    /// either image matches one of the other by name, every function moved
+    /// by a multiple of 4 bytes (literal loads are word-aligned), every
+    /// `BL` targets a function entry, and every moved instruction decodes,
+    /// at its new address in `exe`, to itself. Anything else runs
+    /// [`prepare`] instead.
+    ///
+    /// # Errors
+    ///
+    /// As for [`prepare`].
+    pub fn relocate(
+        &self,
+        exe: &Executable,
+        annotations: &AnnotationSet,
+    ) -> Result<Prepared, WcetError> {
+        {
+            let _pass = spmlab_obs::span("wcet-pass-relocate");
+            if let Some((cfgs, mut loops)) = self.moved_to(exe) {
+                return prepared_from(cfgs, exe, annotations, |cfg| {
+                    loops
+                        .remove(&cfg.entry)
+                        .map_or_else(|| natural_loops(cfg), Ok)
+                });
+            }
+        }
+        prepare(exe, annotations)
+    }
+
+    /// The CFGs, keyed by function address, and the natural loops of every
+    /// function whose loops this preparation found, keyed by function
+    /// entry, moved to where `exe` places each function; `None` when a
+    /// check of [`Prepared::relocate`] fails.
+    #[allow(clippy::type_complexity)]
+    fn moved_to(
+        &self,
+        exe: &Executable,
+    ) -> Option<(BTreeMap<u32, FuncCfg>, BTreeMap<u32, Vec<NaturalLoop>>)> {
+        let symbols: HashMap<&str, _> = exe.functions().map(|s| (s.name.as_str(), s)).collect();
+        if symbols.len() != self.cfgs.len() || exe.functions().count() != self.cfgs.len() {
+            return None;
+        }
+        // Per old entry: the new entry and code size.
+        let mut places = BTreeMap::new();
+        for (&old, cfg) in &self.cfgs {
+            let sym = symbols.get(cfg.name.as_str())?;
+            let SymbolKind::Func { code_size } = sym.kind else {
+                return None;
+            };
+            sym.addr.checked_add(code_size)?;
+            if sym.addr.wrapping_sub(old) % 4 != 0 {
+                return None;
+            }
+            places.insert(old, (sym.addr, code_size));
+        }
+
+        let mut cfgs = BTreeMap::new();
+        for (&old, cfg) in &self.cfgs {
+            let (entry, code_size) = places[&old];
+            // Every address of a CFG lies at or after its entry.
+            let at = |a: u32| entry.wrapping_add(a.wrapping_sub(old));
+            let mut blocks = BTreeMap::new();
+            for (&start, block) in &cfg.blocks {
+                let mut insns = Vec::with_capacity(block.insns.len());
+                let mut calls = Vec::with_capacity(block.calls.len());
+                for &(addr, insn) in &block.insns {
+                    // Read the halfwords `build_cfg` reads at this offset.
+                    let offset = addr.wrapping_sub(old);
+                    if offset.checked_add(2)? > code_size {
+                        return None;
+                    }
+                    let pc = entry + offset;
+                    let next = (offset + 4 <= code_size)
+                        .then(|| exe.read_half(pc + 2))
+                        .flatten();
+                    let insn = match insn {
+                        Insn::Bl { off } => {
+                            let target = addr.wrapping_add(4).wrapping_add(off as u32);
+                            let &(callee, _) = places.get(&target)?;
+                            calls.push(callee);
+                            Insn::Bl {
+                                off: callee.wrapping_sub(pc.wrapping_add(4)) as i32,
+                            }
+                        }
+                        insn => insn,
+                    };
+                    if decode(exe.read_half(pc)?, next).0 != insn {
+                        return None;
+                    }
+                    insns.push((pc, insn));
+                }
+                let block = BasicBlock {
+                    start: at(start),
+                    insns,
+                    succs: block.succs.iter().map(|&s| at(s)).collect(),
+                    calls,
+                    is_exit: block.is_exit,
+                };
+                blocks.insert(block.start, block);
+            }
+            let moved = FuncCfg {
+                name: cfg.name.clone(),
+                entry,
+                blocks,
+            };
+            if cfgs.insert(entry, moved).is_some() {
+                return None;
+            }
+        }
+
+        let mut loops = BTreeMap::new();
+        for (old, flow) in self.order.iter().zip(&self.flows) {
+            let Ok(flow) = flow else { continue };
+            let (entry, _) = places[old];
+            let at = |a: u32| entry.wrapping_add(a.wrapping_sub(*old));
+            let edges = |es: &[(u32, u32)]| es.iter().map(|&(s, d)| (at(s), at(d))).collect();
+            let moved = flow
+                .facts
+                .loops
+                .iter()
+                .map(|l| NaturalLoop {
+                    header: at(l.header),
+                    body: l.body.iter().map(|&b| at(b)).collect(),
+                    back_edges: edges(&l.back_edges),
+                    entry_edges: edges(&l.entry_edges),
+                })
+                .collect();
+            loops.insert(entry, moved);
+        }
+        Some((cfgs, loops))
+    }
 }
 
 /// The timing-independent cache classification of one configuration
@@ -650,10 +806,10 @@ fn hierarchy_block_costs(
 }
 
 /// Runs the full analysis — [`prepare`], then [`classify`], then
-/// [`cost`]: CFG reconstruction, loop bounding, stack-depth analysis,
-/// cache classification, microarchitectural timing and per-function
-/// IPET, combined bottom-up over the call graph. This is
-/// [`analyze_with`] on a fresh [`IpetModels`] store.
+/// [`cost`] on a fresh [`IpetModels`] store: CFG reconstruction, loop
+/// bounding, stack-depth analysis, cache classification,
+/// microarchitectural timing and per-function IPET, combined bottom-up
+/// over the call graph.
 ///
 /// # Errors
 ///
@@ -664,24 +820,9 @@ pub fn analyze(
     config: &WcetConfig,
     annotations: &AnnotationSet,
 ) -> Result<WcetResult, WcetError> {
-    analyze_with(exe, config, annotations, &IpetModels::new())
-}
-
-/// [`analyze`], solving IPET on the models of `models`: analyses that
-/// share a store build each function shape's model once between them.
-///
-/// # Errors
-///
-/// As for [`analyze`].
-pub fn analyze_with(
-    exe: &Executable,
-    config: &WcetConfig,
-    annotations: &AnnotationSet,
-    models: &IpetModels,
-) -> Result<WcetResult, WcetError> {
     let prepared = prepare(exe, annotations)?;
     let classified = classify(&prepared, exe, config);
-    cost(&prepared, exe, config, &classified, models)
+    cost(&prepared, exe, config, &classified, &IpetModels::new())
 }
 
 #[cfg(test)]
@@ -1069,6 +1210,91 @@ mod tests {
             "{} shapes over {solves} solves",
             models.len()
         );
+    }
+
+    const CALL_SRC: &str = "
+        int buf[8]; int x;
+        int g(int a) { int i; for (i = 0; i < 8; i = i + 1) { __loopbound(8); a = a + buf[i]; } return a; }
+        void main() { int i; for (i = 0; i < 4; i = i + 1) { __loopbound(4); x = g(x) + 1; } }
+    ";
+
+    /// Runs `f` with a collector installed and counts the spans named
+    /// `name` it opened on this thread.
+    fn spans_in<R>(name: &str, f: impl FnOnce() -> R) -> (R, usize) {
+        let sink = std::sync::Arc::new(spmlab_obs::collector::MemorySink::default());
+        let guard = spmlab_obs::add_sink(sink.clone());
+        let outer = spmlab_obs::span("test");
+        let r = f();
+        let id = outer.id();
+        drop(outer);
+        drop(guard);
+        let spans = sink.spans();
+        let tid = spans.iter().find(|s| Some(s.id) == id).map(|s| s.tid);
+        let count = spans
+            .iter()
+            .filter(|s| s.name == name && Some(s.tid) == tid)
+            .count();
+        (r, count)
+    }
+
+    #[test]
+    fn relocation_moves_a_preparation_to_another_link() {
+        let _x = spmlab_obs::exclusive();
+        let module = compile(CALL_SRC).unwrap();
+        let base = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
+        let source = prepare(&base.exe, &base.annotations).unwrap();
+        // `g` moves to the scratchpad and `main` stays: every call into it
+        // gets a new offset.
+        for names in [vec!["g"], vec!["main"], vec!["g", "buf", "x"]] {
+            let l = link(
+                &module,
+                &MemoryMap::with_spm(2048),
+                &SpmAssignment::of(names),
+            )
+            .unwrap();
+            let mut extra = l.annotations.clone();
+            for b in l.annotations.loop_bounds() {
+                extra.set_loop_total(b.header_addr, b.max_iterations);
+            }
+            for ann in [&l.annotations, &extra] {
+                let ((moved, prepares), relocates) = spans_in("wcet-pass-relocate", || {
+                    spans_in("wcet-pass-prepare", || source.relocate(&l.exe, ann))
+                });
+                assert_eq!(moved, prepare(&l.exe, ann));
+                assert_eq!((prepares, relocates), (0, 1), "relocated, not prepared");
+            }
+        }
+    }
+
+    #[test]
+    fn relocation_falls_back_to_preparing_unmatched_images() {
+        let _x = spmlab_obs::exclusive();
+        let l = linked(CALL_SRC, MemoryMap::no_spm(), SpmAssignment::none());
+        let source = prepare(&l.exe, &l.annotations).unwrap();
+        let other = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
+        // One instruction of `g` patched to another valid one.
+        let mut patched = l.exe.clone();
+        let (at, _) = source.cfgs()[&l.exe.symbol("g").unwrap().addr]
+            .blocks
+            .values()
+            .flat_map(|b| &b.insns)
+            .find(|(_, i)| matches!(i, Insn::MovImm { .. }))
+            .copied()
+            .unwrap();
+        let byte = l.exe.read_byte(at).unwrap();
+        patched.patch_bytes(at, &[byte ^ 1]).unwrap();
+        let mut renamed = l.exe.clone();
+        for s in &mut renamed.symbols {
+            if s.name == "g" {
+                s.name = "h".into();
+            }
+        }
+        for exe in [&other.exe, &patched, &renamed] {
+            let (moved, prepares) =
+                spans_in("wcet-pass-prepare", || source.relocate(exe, &l.annotations));
+            assert_eq!(moved, prepare(exe, &l.annotations));
+            assert_eq!(prepares, 1, "fell back to one preparation");
+        }
     }
 
     #[test]

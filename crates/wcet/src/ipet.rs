@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// (maximum back-edge executions per function invocation — aiT-style flow
 /// constraints, essential for triangular loop nests). Both maps are keyed
 /// by loop header, and every loop has a bound.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct FlowFacts {
     /// Natural loops, inner loops first.
     pub loops: Vec<NaturalLoop>,

@@ -61,8 +61,7 @@ pub mod stack;
 mod timing;
 
 pub use analysis::{
-    analyze, analyze_with, classify, cost, prepare, AnalysisBudget, Classified, Prepared,
-    WcetConfig,
+    analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig,
 };
 pub use fixpoint::FixpointBudget;
 pub use ipet::IpetModels;

@@ -7,6 +7,8 @@
 //! - greedies run through one shared memo, in the pipeline's order, return
 //!   the allocations of a reference greedy that links and analyses every
 //!   trial afresh;
+//! - every trialled link's analysis preparation, relocated from the
+//!   no-scratchpad link's as the memo relocates it, equals a fresh one;
 //! - the `experiments --quick hierarchy-spm` report (placements and
 //!   bounds) is byte-identical to the checked-in golden file.
 
@@ -15,10 +17,12 @@ mod common;
 use common::{objectives, programs, reference_greedy, reference_hierarchy_aware, CAPACITIES};
 use spmlab_alloc::wcet_aware::{TrialMemo, WcetAllocation};
 use spmlab_cc::{link, spm_end, ObjModule, SpmAssignment};
+use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::mem::MemoryMap;
-use spmlab_wcet::{analyze, WcetConfig};
+use spmlab_obs::collector::MemorySink;
+use spmlab_wcet::{analyze, prepare, WcetConfig};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One program's reference allocations and the trials behind them.
 struct Reference {
@@ -174,6 +178,74 @@ fn capacity_independent(r: &Reference, objectives: &[WcetConfig]) {
             r.name
         );
     }
+}
+
+#[test]
+fn relocated_preparations_equal_fresh_ones() {
+    let _x = spmlab_obs::exclusive();
+    std::thread::scope(|scope| {
+        for r in reference() {
+            scope.spawn(move || relocations_exact(r));
+        }
+    });
+}
+
+/// For every assignment `r`'s greedies trialled, at every capacity it
+/// fits, with its link's annotations and with extra loop totals merged
+/// in: the no-scratchpad link's preparation relocated to it equals a fresh
+/// preparation, and no relocation falls back to preparing.
+fn relocations_exact(r: &Reference) {
+    let base = link(&r.module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
+    let source = prepare(&base.exe, &base.annotations).unwrap();
+    let sink = Arc::new(MemorySink::default());
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let outer = spmlab_obs::span("relocations");
+    let mut relocations = 0;
+    for names in &r.trialled {
+        for &c in &CAPACITIES {
+            let Ok(linked) = link(
+                &r.module,
+                &MemoryMap::with_spm(c),
+                &SpmAssignment::of(names),
+            ) else {
+                continue;
+            };
+            let mut extra = AnnotationSet::new();
+            for b in linked.annotations.loop_bounds() {
+                extra.set_loop_total(b.header_addr, b.max_iterations);
+            }
+            let mut merged = linked.annotations.clone();
+            merged.merge_from(&extra);
+            for ann in [&linked.annotations, &merged] {
+                relocations += 1;
+                assert_eq!(
+                    source.relocate(&linked.exe, ann),
+                    prepare(&linked.exe, ann),
+                    "{}: {names:?} at {c} B",
+                    r.name
+                );
+            }
+        }
+    }
+    let id = outer.id();
+    drop(outer);
+    drop(guard);
+    let spans = sink.spans();
+    let tid = spans.iter().find(|s| Some(s.id) == id).map(|s| s.tid);
+    let count = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.name == name && Some(s.tid) == tid)
+            .count()
+    };
+    assert!(relocations > CAPACITIES.len(), "{}", r.name);
+    assert_eq!(count("wcet-pass-relocate"), relocations, "{}", r.name);
+    assert_eq!(
+        count("wcet-pass-prepare"),
+        relocations,
+        "{}: only the fresh preparations prepare",
+        r.name
+    );
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! emits while sweeping (sweep memo/replay counters pinned on the paper's
 //! eight-config G.721 hierarchy scenario, the trace walks and
 //! classifications of a grid with a latency axis, the memo hits of a
-//! write-back grid's idle store buffers, and one preparation per
-//! scratchpad link), the JSON-lines profile stream a
+//! write-back grid's idle store buffers, one preparation per scratchpad
+//! link, and allocation trials that relocate one preparation), the
+//! JSON-lines profile stream a
 //! profiled run records, and property tests over the span-tree collector.
 //!
 //! Every test that installs a sink or runs instrumented code takes
@@ -261,7 +262,10 @@ fn scratchpad_grid_prepares_once_per_link() {
 /// greedies share trials across capacities and objectives, and
 /// link and analyse each distinct (assignment, objective, map has a
 /// scratchpad) exactly once — the count a per-trial reference greedy
-/// yields for the same allocations.
+/// yields for the same allocations. Only the memo's first trial prepares
+/// its program for analysis; every later one relocates that preparation
+/// (debug builds also relocate to re-check each memo hit), so the sweep
+/// prepares once per scratchpad link and once more.
 #[test]
 fn spm_grid_analyses_each_allocation_trial_once() {
     let grid = GridSpec {
@@ -311,11 +315,19 @@ fn spm_grid_analyses_each_allocation_trial_once() {
             record(log, obj);
         }
     }
-    assert!(sink.counter_total("alloc_trial_memo_hit") > 0);
+    let hits = sink.counter_total("alloc_trial_memo_hit");
+    let misses = sink.counter_total("alloc_trial_memo_miss");
+    assert!(hits > 0);
+    assert_eq!(misses, distinct.len() as u64);
+
+    let spans = sink.spans();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
     assert_eq!(
-        sink.counter_total("alloc_trial_memo_miss"),
-        distinct.len() as u64
+        count("wcet-pass-prepare"),
+        1 + sink.counter_total("spm_link_memo_miss")
     );
+    let rechecks = if cfg!(debug_assertions) { hits } else { 0 };
+    assert_eq!(count("wcet-pass-relocate"), misses - 1 + rechecks);
 }
 
 /// IPET models: a cache grid builds one model per distinct function shape

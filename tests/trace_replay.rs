@@ -598,8 +598,8 @@ fn write_policy_axis_memo_replay_split_pinned() {
     assert_ne!(points[0].result.sim_cycles, points[1].result.sim_cycles);
 }
 
-/// The quick `write-policy` grid run, profiled: its provenance counters
-/// show every distinct machine — write-back and store-buffered ones
+/// The quick `write-policy` grid run, profiled: its sweep counters show
+/// every distinct machine — write-back and store-buffered ones
 /// included — served by trace replay with zero full-simulation
 /// fallbacks, and the repeated all-write-through split-L1+L2 spec served
 /// from the memo.
@@ -615,12 +615,10 @@ fn write_policy_experiment_provenance_shows_replay_flip() {
     drop(guard);
     assert!(report.contains("both policies: yes"), "{report}");
     assert_eq!(sink.counter_total("sweep_points"), 10);
-    let mut provenance = spmlab_bench::Provenance::default();
-    provenance.record_counters(&sink);
-    assert_eq!(provenance.replay_points, Some(9));
-    assert_eq!(provenance.full_sim_points, Some(0));
-    assert_eq!(provenance.memo_hits, Some(1));
-    assert_eq!(provenance.memo_misses, Some(9));
+    assert_eq!(sink.counter_total("sweep_replay"), 9);
+    assert_eq!(sink.counter_total("sweep_full_sim"), 0);
+    assert_eq!(sink.counter_total("sweep_memo_hit"), 1);
+    assert_eq!(sink.counter_total("sweep_memo_miss"), 9);
 }
 
 /// Machines whose write-back levels absorb every store before it can
