@@ -22,6 +22,11 @@
 //! links and analyses. Every link of one module has the same code up to
 //! where each function lands, so a trial does not rebuild CFGs and loops:
 //! it [relocates](Prepared::relocate) the kept preparation to its link.
+//! A greedy may name *twins*, objectives that differ from its own only in
+//! main-memory timing: classification reads no latency
+//! ([`WcetConfig::classification_key`]), so a trial classifies once and
+//! is costed under its objective and under every twin still without a
+//! bound for it, and the twins' greedies find those trials paid for.
 //! The public functions use a fresh memo per call; `spmlab_core`'s
 //! pipeline keeps one for all the greedies it runs, so the greedies for
 //! several capacities and objectives pay for their shared trials once.
@@ -150,6 +155,7 @@ pub fn allocate_hierarchy_aware(
         capacity,
         extra_annotations,
         config,
+        &[],
         region_assignment,
     )
 }
@@ -160,6 +166,14 @@ pub fn allocate_hierarchy_aware(
 /// [`Prepared`] program of the first link it analysed, and every later
 /// trial [relocates](Prepared::relocate) it to its own link instead of
 /// preparing afresh; a failed preparation is not kept.
+///
+/// A trial that misses under objective `o` links, relocates and
+/// classifies once, then costs under `o` and under each twin the greedy
+/// names that has `o`'s [classification
+/// key](WcetConfig::classification_key) and no bound yet for the
+/// assignment (at its has-a-scratchpad), recording each bound; only the
+/// miss under `o` counts as one. No classification is kept: the bounds
+/// stay integers.
 ///
 /// A trial at capacity `c` fits exactly when its layout ends at or below
 /// `c` (see [`spmlab_cc::spm_end`]); one that does not fit fails with the
@@ -176,8 +190,9 @@ pub fn allocate_hierarchy_aware(
 /// A memo belongs to one module and one set of extra annotations: every
 /// call on it must pass the same two. It is safe to share between threads;
 /// it is locked only to look up and to record, never while a trial runs.
-/// Debug builds re-run every trial the memo answers, relocating as any
-/// trial does, and assert the bound.
+/// Debug builds re-run every trial the memo answers, relocating and
+/// classifying afresh under the trial's own objective, and assert the
+/// bound, so a bound costed for a twin is checked when the twin uses it.
 ///
 /// Every trial it runs solves IPET on its [`IpetModels`] store, so the
 /// trials of all assignments and objectives build each function shape's
@@ -252,12 +267,169 @@ impl TrialMemo {
         extra_annotations: &AnnotationSet,
         config: &WcetConfig,
     ) -> Result<WcetAllocation, WcetAllocError> {
-        let trials = self.trials(module, extra_annotations, config);
-        let baseline_wcet = trials.wcet(0, &SpmAssignment::none())?;
+        self.trials(module, extra_annotations, config, &[])
+            .greedy(capacity)
+    }
+
+    /// The portfolio of [`allocate_hierarchy_aware`], trialling both
+    /// greedies and the re-scoring through this memo. The trials under
+    /// `config` also cost for `twins`, the objectives whose greedies are
+    /// expected to trial the same assignments (see [`TrialMemo`]); twins
+    /// that do not classify as `config` does are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the baseline program cannot be linked or analysed.
+    pub fn allocate_hierarchy_aware(
+        &self,
+        module: &ObjModule,
+        capacity: u32,
+        extra_annotations: &AnnotationSet,
+        config: &WcetConfig,
+        twins: &[WcetConfig],
+        region_assignment: Option<&SpmAssignment>,
+    ) -> Result<WcetAllocation, WcetAllocError> {
+        let trials = self.trials(module, extra_annotations, config, twins);
+        let aware = trials.greedy(capacity)?;
+        let region = match region_assignment {
+            Some(a) => a.clone(),
+            None => {
+                self.allocate_with(
+                    module,
+                    capacity,
+                    extra_annotations,
+                    &WcetConfig::region_timing(),
+                )?
+                .assignment
+            }
+        };
+        if region == aware.assignment {
+            return Ok(aware);
+        }
+        let region_under_config = trials.wcet(capacity, &region)?;
+        if region_under_config < aware.final_wcet {
+            Ok(WcetAllocation {
+                assignment: region,
+                baseline_wcet: aware.baseline_wcet,
+                final_wcet: region_under_config,
+                steps: Vec::new(), // Not produced by the greedy path under `config`.
+            })
+        } else {
+            Ok(aware)
+        }
+    }
+
+    /// The bounds of `assignment` linked for `map` under `config` and
+    /// under each of `twins`, which classify as `config` does: linked,
+    /// analysed from a relocation of the kept preparation (or from a fresh
+    /// one that is then kept) and classified once, then costed per
+    /// configuration. A twin whose costing fails gets no bound.
+    fn wcet_of(
+        &self,
+        module: &ObjModule,
+        map: &MemoryMap,
+        assignment: &SpmAssignment,
+        extra_annotations: &AnnotationSet,
+        config: &WcetConfig,
+        twins: &[&WcetConfig],
+    ) -> Result<(u64, Vec<Option<u64>>), WcetAllocError> {
+        let linked = link(module, map, assignment).map_err(WcetAllocError::Link)?;
+        let exe = &linked.exe;
+        let mut ann = linked.annotations;
+        ann.merge_from(extra_annotations);
+        let prepared = match self.source.get() {
+            Some(source) => source.relocate(exe, &ann),
+            None => prepare(exe, &ann),
+        }
+        .map_err(WcetAllocError::Wcet)?;
+        let classified = classify(&prepared, exe, config);
+        let bound = |c: &WcetConfig| {
+            cost(&prepared, exe, c, &classified, &self.ipet).map(|r| r.wcet_cycles)
+        };
+        let res = bound(config);
+        let twins = twins.iter().map(|t| bound(t).ok()).collect();
+        // Keeps the first preparation; a relocated one is dropped.
+        let _ = self.source.set(prepared);
+        Ok((res.map_err(WcetAllocError::Wcet)?, twins))
+    }
+
+    /// Trials of `module` under `config`, with the indices of the
+    /// objective and of its twins resolved once: `None` under a limited
+    /// budget (no memo), and only the twins with `config`'s
+    /// classification key.
+    fn trials<'a>(
+        &'a self,
+        module: &'a ObjModule,
+        extra_annotations: &'a AnnotationSet,
+        config: &'a WcetConfig,
+        twins: &'a [WcetConfig],
+    ) -> Trials<'a> {
+        let mut objective = None;
+        let mut costed_with = Vec::new();
+        if !config.budget.is_limited() {
+            let mut s = self.state();
+            let key = config.classification_key();
+            objective = Some(s.objective(config));
+            for twin in twins {
+                if twin != config && twin.classification_key() == key {
+                    costed_with.push((s.objective(twin), twin));
+                }
+            }
+        }
+        Trials {
+            memo: self,
+            module,
+            extra_annotations,
+            config,
+            objective,
+            twins: costed_with,
+        }
+    }
+}
+
+impl MemoState {
+    /// The index of objective `config`, recorded on first sight.
+    fn objective(&mut self, config: &WcetConfig) -> usize {
+        match self.objectives.iter().position(|c| c == config) {
+            Some(i) => i,
+            None => {
+                self.objectives.push(config.clone());
+                self.objectives.len() - 1
+            }
+        }
+    }
+
+    /// The index of `assignment` and where its scratchpad layout ends,
+    /// recorded on first sight.
+    fn assignment(&mut self, module: &ObjModule, assignment: &SpmAssignment) -> (usize, u64) {
+        if let Some(&entry) = self.assignments.get(assignment) {
+            return entry;
+        }
+        let entry = (self.assignments.len(), spm_end(module, assignment));
+        self.assignments.insert(assignment.clone(), entry);
+        entry
+    }
+}
+
+/// One greedy's view of a [`TrialMemo`]: its module, annotations,
+/// objective and the twins its misses also cost for, by index.
+struct Trials<'a> {
+    memo: &'a TrialMemo,
+    module: &'a ObjModule,
+    extra_annotations: &'a AnnotationSet,
+    config: &'a WcetConfig,
+    objective: Option<usize>,
+    twins: Vec<(usize, &'a WcetConfig)>,
+}
+
+impl Trials<'_> {
+    /// The greedy of [`allocate_with`] over these trials.
+    fn greedy(&self, capacity: u32) -> Result<WcetAllocation, WcetAllocError> {
+        let baseline_wcet = self.wcet(0, &SpmAssignment::none())?;
 
         let mut assignment = SpmAssignment::none();
-        let mut current = trials.wcet(capacity, &assignment)?;
-        let mut remaining: Vec<(String, u32)> = module.memory_objects();
+        let mut current = self.wcet(capacity, &assignment)?;
+        let mut remaining: Vec<(String, u32)> = self.module.memory_objects();
         let mut used = 0u32;
         let mut steps = Vec::new();
 
@@ -270,7 +442,7 @@ impl TrialMemo {
                 }
                 let mut trial = assignment.clone();
                 trial.insert(name.clone());
-                let w = match trials.wcet(capacity, &trial) {
+                let w = match self.wcet(capacity, &trial) {
                     Ok(w) => w,
                     Err(WcetAllocError::Link(_)) => continue, // Doesn't fit with padding.
                     Err(e) => return Err(e),
@@ -298,146 +470,24 @@ impl TrialMemo {
         })
     }
 
-    /// The portfolio of [`allocate_hierarchy_aware`], trialling both
-    /// greedies and the re-scoring through this memo.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the baseline program cannot be linked or analysed.
-    pub fn allocate_hierarchy_aware(
-        &self,
-        module: &ObjModule,
-        capacity: u32,
-        extra_annotations: &AnnotationSet,
-        config: &WcetConfig,
-        region_assignment: Option<&SpmAssignment>,
-    ) -> Result<WcetAllocation, WcetAllocError> {
-        let aware = self.allocate_with(module, capacity, extra_annotations, config)?;
-        let region = match region_assignment {
-            Some(a) => a.clone(),
-            None => {
-                self.allocate_with(
-                    module,
-                    capacity,
-                    extra_annotations,
-                    &WcetConfig::region_timing(),
-                )?
-                .assignment
-            }
-        };
-        if region == aware.assignment {
-            return Ok(aware);
-        }
-        let region_under_config = self
-            .trials(module, extra_annotations, config)
-            .wcet(capacity, &region)?;
-        if region_under_config < aware.final_wcet {
-            Ok(WcetAllocation {
-                assignment: region,
-                baseline_wcet: aware.baseline_wcet,
-                final_wcet: region_under_config,
-                steps: Vec::new(), // Not produced by the greedy path under `config`.
-            })
-        } else {
-            Ok(aware)
-        }
-    }
-
-    /// The bound of `assignment` linked for `map`, analysed from a
-    /// relocation of the kept preparation, or from a fresh one that is
-    /// then kept.
-    fn wcet_of(
-        &self,
-        module: &ObjModule,
-        map: &MemoryMap,
-        assignment: &SpmAssignment,
-        extra_annotations: &AnnotationSet,
-        config: &WcetConfig,
-    ) -> Result<u64, WcetAllocError> {
-        let linked = link(module, map, assignment).map_err(WcetAllocError::Link)?;
-        let exe = &linked.exe;
-        let mut ann = linked.annotations;
-        ann.merge_from(extra_annotations);
-        let prepared = match self.source.get() {
-            Some(source) => source.relocate(exe, &ann),
-            None => prepare(exe, &ann),
-        }
-        .map_err(WcetAllocError::Wcet)?;
-        let classified = classify(&prepared, exe, config);
-        let res = cost(&prepared, exe, config, &classified, &self.ipet);
-        // Keeps the first preparation; a relocated one is dropped.
-        let _ = self.source.set(prepared);
-        Ok(res.map_err(WcetAllocError::Wcet)?.wcet_cycles)
-    }
-
-    /// Trials of `module` under `config`, with the objective's index
-    /// resolved once (`None` under a limited budget: no memo).
-    fn trials<'a>(
-        &'a self,
-        module: &'a ObjModule,
-        extra_annotations: &'a AnnotationSet,
-        config: &'a WcetConfig,
-    ) -> Trials<'a> {
-        let objective = (!config.budget.is_limited()).then(|| {
-            let mut s = self.state();
-            match s.objectives.iter().position(|c| c == config) {
-                Some(i) => i,
-                None => {
-                    s.objectives.push(config.clone());
-                    s.objectives.len() - 1
-                }
-            }
-        });
-        Trials {
-            memo: self,
-            module,
-            extra_annotations,
-            config,
-            objective,
-        }
-    }
-}
-
-impl MemoState {
-    /// The index of `assignment` and where its scratchpad layout ends,
-    /// recorded on first sight.
-    fn assignment(&mut self, module: &ObjModule, assignment: &SpmAssignment) -> (usize, u64) {
-        if let Some(&entry) = self.assignments.get(assignment) {
-            return entry;
-        }
-        let entry = (self.assignments.len(), spm_end(module, assignment));
-        self.assignments.insert(assignment.clone(), entry);
-        entry
-    }
-}
-
-/// One greedy's view of a [`TrialMemo`]: its module, annotations and
-/// objective.
-struct Trials<'a> {
-    memo: &'a TrialMemo,
-    module: &'a ObjModule,
-    extra_annotations: &'a AnnotationSet,
-    config: &'a WcetConfig,
-    objective: Option<usize>,
-}
-
-impl Trials<'_> {
     /// The bound of `assignment` linked for a `capacity`-byte scratchpad
     /// (capacity 0: no scratchpad).
     fn wcet(&self, capacity: u32, assignment: &SpmAssignment) -> Result<u64, WcetAllocError> {
-        let fresh = || {
+        let analysed = |twins: &[&WcetConfig]| {
             self.memo.wcet_of(
                 self.module,
                 &MemoryMap::with_spm(capacity),
                 assignment,
                 self.extra_annotations,
                 self.config,
+                twins,
             )
         };
+        let fresh = || analysed(&[]).map(|(w, _)| w);
         let Some(objective) = self.objective else {
             return fresh();
         };
-        let key = {
+        let (key, pending) = {
             let mut s = self.memo.state();
             let (id, end) = s.assignment(self.module, assignment);
             if end > u64::from(capacity) {
@@ -461,12 +511,24 @@ impl Trials<'_> {
                 );
                 return Ok(w);
             }
-            key
+            let pending: Vec<(usize, &WcetConfig)> = self
+                .twins
+                .iter()
+                .copied()
+                .filter(|&(t, _)| !s.bounds.contains_key(&(id, t, key.2)))
+                .collect();
+            (key, pending)
         };
-        let w = fresh()?;
+        let configs: Vec<&WcetConfig> = pending.iter().map(|&(_, c)| c).collect();
+        let (w, twins) = analysed(&configs)?;
         let mut s = self.memo.state();
         s.misses += 1;
         s.bounds.insert(key, w);
+        for (&(t, _), tw) in pending.iter().zip(twins) {
+            if let Some(tw) = tw {
+                s.bounds.insert((key.0, t, key.2), tw);
+            }
+        }
         Ok(w)
     }
 }

@@ -439,7 +439,7 @@ impl Pipeline {
                 let assignment = {
                     let _s = spmlab_obs::span("alloc");
                     crate::faults::fault_point("alloc")?;
-                    self.resolve_assignment(spm, &wcfg)?
+                    self.resolve_assignment(spm, &wcfg, &rep.twins)?
                 };
                 let objects = assignment.iter().map(str::to_string).collect();
                 (self.spm_link(spm.size, &assignment)?, objects)
@@ -541,11 +541,14 @@ impl Pipeline {
     /// allocations are memoised per capacity + objective, and every greedy
     /// trials through the pipeline's one [`wcet_aware::TrialMemo`], so an
     /// assignment is linked and analysed once per objective however many
-    /// capacities trial it.
+    /// capacities trial it. A `WcetAware` greedy also costs its trials for
+    /// `twins`, the objectives of its plan's allocation node, so an
+    /// assignment is classified once per classification key.
     fn resolve_assignment(
         &self,
         spm: &SpmSpec,
         wcfg: &WcetConfig,
+        twins: &[WcetConfig],
     ) -> Result<SpmAssignment, CoreError> {
         match &spm.alloc {
             SpmAllocation::Empty => Ok(SpmAssignment::none()),
@@ -572,6 +575,7 @@ impl Pipeline {
                             spm.size,
                             &AnnotationSet::new(),
                             wcfg,
+                            twins,
                             Some(&region),
                         )
                     })

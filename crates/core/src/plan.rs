@@ -3,29 +3,45 @@
 //!
 //! - Points whose [`measured_machine`]s have equal timing and equal
 //!   [`geometry_key`] share one measurement, their representative's.
-//! - No-scratchpad representatives that the trace prices from a latency-0
-//!   tally ([`MemTrace::priceable`](spmlab_sim::MemTrace::priceable)) and
-//!   that differ only in `main.latency` share one tally.
-//! - No-scratchpad representatives with a cache level and one
+//! - A representative has a *fixed link* when its link depends on neither
+//!   the hierarchy nor the timing: no scratchpad (the capacity-0 link), or
+//!   a scratchpad whose assignment is `Empty`, `Fixed`, `ProfileKnapsack`
+//!   or `WcetRegion`. MiniC's path does not depend on where objects lie,
+//!   so every link of a program reads the cycle register as often as the
+//!   baseline does.
+//! - Fixed-link representatives that the baseline trace prices from a
+//!   latency-0 tally
+//!   ([`MemTrace::priceable`](spmlab_sim::MemTrace::priceable)) and that
+//!   differ only in `main.latency` share one tally (the [`geometry_key`]
+//!   holds the scratchpad spec, so only one link's points share).
+//! - Fixed-link representatives with a cache level, one scratchpad spec
+//!   and one
 //!   [`WcetConfig::classification_key`](spmlab_wcet::WcetConfig::classification_key)
 //!   share one classification, under an unlimited budget: classification
 //!   reads no latency.
-//! - Representatives joined by a shared tally or classification form one
-//!   executor unit, which one worker measures in turn, so shared results
-//!   live only as long as their unit. A scratchpad point is a unit of one.
+//! - `WcetAware` representatives with a cache level, one scratchpad spec
+//!   and one classification key form one allocation node, under an
+//!   unlimited budget: each greedy names the node's objectives as its
+//!   [twins](spmlab_alloc::wcet_aware::TrialMemo), so a trial classified
+//!   for one is costed for all of them.
+//! - Representatives joined by a shared tally, classification or
+//!   allocation form one executor unit, which one worker measures in
+//!   turn, so shared results live only as long as their unit and twins
+//!   never race on two workers.
 //!
-//! On a sweep without scratchpad points each count predicts a traced
-//! counter: points less representatives are `sweep_memo_hit`; tallies of
-//! cached machines plus the representatives replayed on their own are the
-//! walks of the trace, (`replay_events` + `replay_elided`) / events; and
-//! classifications are `wcet-pass-fixpoints` spans.
+//! Each count predicts a traced counter: points less representatives are
+//! `sweep_memo_hit`; tallies of cached machines plus the representatives
+//! replayed on their own are the walks of the traces, on a sweep without
+//! scratchpad points (`replay_events` + `replay_elided`) / events; and,
+//! where no WCET-aware greedy classifies trials, classifications are
+//! `wcet-pass-fixpoints` spans.
 
 use crate::pipeline::Pipeline;
-use spmlab_isa::archspec::MemArchSpec;
+use spmlab_isa::archspec::{MemArchSpec, SpmAllocation};
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
 use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
 use spmlab_sim::Tally;
-use spmlab_wcet::Classified;
+use spmlab_wcet::{Classified, WcetConfig};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,6 +56,9 @@ pub(crate) struct Rep {
     pub tally: Option<usize>,
     /// The node of the classification it costs from, if shared.
     pub classified: Option<usize>,
+    /// The routed objectives of the `WcetAware` representatives its
+    /// allocation node joins, its own included; empty without one.
+    pub twins: Vec<WcetConfig>,
 }
 
 /// The shared results of one unit execution by node, each filled by the
@@ -79,6 +98,10 @@ impl SweepPlan {
         };
         let mut node_of: BTreeMap<String, usize> = BTreeMap::new();
         let mut first: Vec<usize> = Vec::new();
+        // The objectives of each allocation node's members, and each
+        // representative's allocation node.
+        let mut objectives: BTreeMap<usize, Vec<WcetConfig>> = BTreeMap::new();
+        let mut alloc_of: Vec<Option<usize>> = Vec::new();
         for &(i, canon) in points {
             let machine = measured_machine(canon);
             let geometry = geometry_key(&machine, fp.as_ref());
@@ -102,30 +125,42 @@ impl SweepPlan {
                     n
                 })
             };
-            let no_spm = machine.spm.is_none();
+            let fixed_link = machine
+                .spm
+                .as_ref()
+                .is_none_or(|s| s.alloc != SpmAllocation::WcetAware);
             let tallied = MainMemoryTiming {
                 latency: 0,
                 ..machine.main
             };
             let wcfg = pipeline.wcet_config_for(&machine);
             let tally = share(
-                (no_spm && pipeline.baseline().trace.priceable(&machine.hierarchy()))
+                (fixed_link && pipeline.baseline().trace.priceable(&machine.hierarchy()))
                     .then(|| format!("tally {geometry}|{tallied:?}")),
             );
-            let classified = share(
-                (no_spm && machine.has_cache_levels() && !wcfg.budget.is_limited())
-                    .then(|| format!("classify {:?}", wcfg.classification_key())),
-            );
+            let classifies = machine.has_cache_levels() && !wcfg.budget.is_limited();
+            let class = || format!("{:?}|{:?}", machine.spm, wcfg.classification_key());
+            let classified =
+                share((fixed_link && classifies).then(|| format!("classify {}", class())));
+            let alloc = share((!fixed_link && classifies).then(|| format!("alloc {}", class())));
+            if let Some(n) = alloc {
+                objectives.entry(n).or_default().push(wcfg);
+            }
+            alloc_of.push(alloc);
             reps.push(Rep {
                 machine,
                 points: vec![i],
                 tally,
                 classified,
+                twins: Vec::new(),
             });
         }
         let mut units: Vec<Vec<Rep>> = Vec::new();
         let mut unit_of = vec![0; reps.len()];
-        for (r, rep) in reps.into_iter().enumerate() {
+        for (r, mut rep) in reps.into_iter().enumerate() {
+            if let Some(n) = alloc_of[r] {
+                rep.twins.clone_from(&objectives[&n]);
+            }
             let head = find(&root, r);
             if head == r {
                 unit_of[r] = units.len();
@@ -336,7 +371,6 @@ mod tests {
     use super::*;
     use crate::dse::{GridSpec, L1Shape};
     use crate::sweep::{spec_sweep_with_session, SweepSession};
-    use spmlab_isa::archspec::SpmAllocation;
     use spmlab_isa::cachecfg::WritePolicy;
     use spmlab_isa::hierarchy::StoreBuffer;
     use spmlab_obs::{Sink, SpanMeta};
@@ -356,10 +390,12 @@ mod tests {
         points: usize,
         representatives: usize,
         units: usize,
-        /// Walks of the no-scratchpad trace: one per tally of a cached
-        /// machine, one per representative replayed on its own.
+        /// Walks of a link's trace: one per tally of a cached machine, one
+        /// per representative replayed on its own (an uncached machine
+        /// priced from its own tally walks nothing).
         walks: usize,
-        /// Classifications of a cached no-scratchpad machine, shared or not.
+        /// Classifications of a cached machine's link, shared or not
+        /// (a WCET-aware greedy's trials not included).
         classifications: usize,
     }
 
@@ -384,8 +420,7 @@ mod tests {
         let points: Vec<(usize, &MemArchSpec)> = canons.iter().enumerate().collect();
         let plan = SweepPlan::build(p, &points);
         let reps: Vec<&Rep> = plan.units.iter().flatten().collect();
-        let no_spm = |r: &&&Rep| r.machine.spm.is_none();
-        let cached = |r: &&&Rep| no_spm(r) && r.machine.has_cache_levels();
+        let cached = |r: &&&Rep| r.machine.has_cache_levels();
         let distinct =
             |nodes: Vec<Option<usize>>| nodes.iter().flatten().collect::<BTreeSet<_>>().len();
         Counts {
@@ -395,8 +430,8 @@ mod tests {
             walks: distinct(reps.iter().filter(cached).map(|r| r.tally).collect())
                 + reps
                     .iter()
-                    .filter(no_spm)
                     .filter(|r| r.tally.is_none())
+                    .filter(|r| cached(r) || !p.baseline().trace.priceable(&r.machine.hierarchy()))
                     .count(),
             classifications: distinct(reps.iter().map(|r| r.classified).collect())
                 + reps
@@ -457,8 +492,14 @@ mod tests {
     /// once more for the three latency-0 unified L1s that take paper mode.
     /// `dse-wb` measures only the 54 unbuffered points (its store buffers
     /// are idle), one unit, walk and classification per geometry.
-    /// `spm-alloc` is all scratchpad: units of one, and planning them
-    /// never prepares the no-scratchpad program.
+    /// `spm-alloc` is all scratchpad, and planning it never prepares the
+    /// no-scratchpad program. Its 40 knapsack and `wcet-region` points
+    /// have fixed links and pair up with their latency twins: 20 units,
+    /// each one tally (walking only for the 10 cached pairs) and, cached,
+    /// one classification. Its 15 WCET-aware points form 5 allocation
+    /// nodes of the 1 KiB-L1 latency twins, and 5 units of one for the
+    /// uncached latency-10 points; the 10 cached ones walk and classify
+    /// on their own.
     #[test]
     fn plan_counts_pinned_on_the_perfbench_grid_shapes() {
         let _x = spmlab_obs::exclusive();
@@ -499,7 +540,10 @@ mod tests {
         let got = [counts(dse_wt), counts(dse_wb), spm];
         let dse_wt = [63, 63, 21, 20, 23];
         let dse_wb = [108, 54, 18, 18, 18];
-        assert_eq!(got.map(|c| c.array()), [dse_wt, dse_wb, [55, 55, 55, 0, 0]]);
+        assert_eq!(
+            got.map(|c| c.array()),
+            [dse_wt, dse_wb, [55, 55, 30, 20, 20]]
+        );
     }
 
     /// On a no-scratchpad insertsort grid with write policy, latency and
@@ -507,7 +551,11 @@ mod tests {
     /// it predicts: 6 idle-buffered points share their twin's measurement,
     /// the 12 buffered write-through and uncached points walk the trace on
     /// their own beside 5 tallies of cached machines, and 6 classifications
-    /// serve 24 cached representatives.
+    /// serve 24 cached representatives. On a cached knapsack and
+    /// `wcet-region` scratchpad grid, whose greedy trials classify nothing,
+    /// latency twins share their link's tally and classification: 16
+    /// points in 8 units, each one walk (one `replay` span) and one
+    /// classification.
     #[test]
     fn plan_counts_equal_the_traced_counters() {
         let grid = GridSpec {
@@ -535,6 +583,88 @@ mod tests {
         let walked = sink.total("replay_events") + sink.total("replay_elided");
         assert_eq!(counts.walks * p.baseline().trace.events(), walked);
         assert_eq!(counts.classifications, sink.total("wcet-pass-fixpoints"));
+
+        let spm_grid = GridSpec {
+            spm_sizes: vec![128, 512],
+            spm_allocs: vec![SpmAllocation::ProfileKnapsack, SpmAllocation::WcetRegion],
+            l1_sizes: vec![256],
+            l2_sizes: vec![0, 4096],
+            main_latencies: vec![0, 10],
+            ..GridSpec::default()
+        };
+        let axis = spm_grid.axis().unwrap().0;
+        let counts = plan_counts(&p, &axis);
+        assert_eq!(counts.array(), [16, 16, 8, 8, 8]);
+        let (outcomes, sink) =
+            traced(|| spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap());
+        for o in &outcomes {
+            let r = o.outcome.result().expect("every point measures");
+            let direct = p.run(&o.spec).unwrap();
+            assert_eq!(
+                (r.sim_cycles, r.wcet_cycles, &r.spm_objects),
+                (direct.sim_cycles, direct.wcet_cycles, &direct.spm_objects),
+                "{}",
+                r.label
+            );
+        }
+        assert_eq!(counts.points, sink.total("sweep_points"));
+        assert_eq!(sink.total("sweep_memo_hit"), 0);
+        assert_eq!(counts.walks, sink.total("replay"));
+        assert_eq!(counts.classifications, sink.total("wcet-pass-fixpoints"));
+    }
+
+    /// A program that reads the cycle register records traces no tally
+    /// prices, whatever its link: its scratchpad latency twins share no
+    /// tally, and every point still equals `Pipeline::run`. Toolchains
+    /// without the `__cycles` intrinsic have no such program.
+    #[test]
+    fn timing_dependent_scratchpad_points_share_no_tally() {
+        use spmlab_workloads::{Benchmark, InputGen, Reference};
+        use std::borrow::Cow;
+        let src = "int input[4] = {0}; int n_samples = 4; int t; int checksum;\n\
+                   void main() { int i; t = __cycles(); \
+                   for (i = 0; i < 4; i = i + 1) { __loopbound(4); \
+                   checksum = checksum * 17 + input[i]; } }";
+        let (Ok(program), Ok(_)) = (spmlab_cc::parse_source(src), spmlab_cc::compile(src)) else {
+            return; // No __cycles intrinsic in this toolchain: nothing to test.
+        };
+        let bench = Benchmark {
+            name: Cow::Borrowed("cycles"),
+            description: Cow::Borrowed("reads the cycle register"),
+            source: Cow::Borrowed(src),
+            input_global: Cow::Borrowed("input"),
+            count_global: Cow::Borrowed("n_samples"),
+            typical_input: InputGen::Fixed(Arc::new(vec![3, -7, 11, 100])),
+            worst_input: None,
+            reference_checksum: Reference::Interp {
+                program: Arc::new(program),
+                max_steps: 100_000,
+            },
+        };
+        let p = Pipeline::new(&bench).unwrap();
+        assert!(p.baseline().trace.cycle_reads() > 0);
+        let grid = GridSpec {
+            spm_sizes: vec![128],
+            spm_allocs: vec![SpmAllocation::ProfileKnapsack, SpmAllocation::WcetRegion],
+            l1_sizes: vec![0, 256],
+            main_latencies: vec![0, 10],
+            ..GridSpec::default()
+        };
+        let axis = grid.axis().unwrap().0;
+        let canons: Vec<MemArchSpec> = axis.iter().map(MemArchSpec::canonical).collect();
+        let points: Vec<(usize, &MemArchSpec)> = canons.iter().enumerate().collect();
+        let plan = SweepPlan::build(&p, &points);
+        assert!(plan.units.iter().flatten().all(|r| r.tally.is_none()));
+        for o in spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap() {
+            let r = o.outcome.result().expect("every point measures");
+            let direct = p.run(&o.spec).unwrap();
+            assert_eq!(
+                (r.sim_cycles, r.wcet_cycles, &r.spm_objects),
+                (direct.sim_cycles, direct.wcet_cycles, &direct.spm_objects),
+                "{}",
+                r.label
+            );
+        }
     }
 
     #[test]

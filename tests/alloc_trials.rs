@@ -6,7 +6,8 @@
 //!   fit rule rejects exactly the assignments the linker rejects;
 //! - greedies run through one shared memo, in the pipeline's order, return
 //!   the allocations of a reference greedy that links and analyses every
-//!   trial afresh;
+//!   trial afresh, and greedies that name their latency twins do so while
+//!   classifying each trial once per classification key;
 //! - every trialled link's analysis preparation, relocated from the
 //!   no-scratchpad link's as the memo relocates it, equals a fresh one;
 //! - the `experiments --quick hierarchy-spm` report (placements and
@@ -33,6 +34,9 @@ struct Reference {
     allocations: Vec<(WcetAllocation, Vec<WcetAllocation>)>,
     /// Every assignment some trial linked and analysed.
     trialled: BTreeSet<Vec<String>>,
+    /// Every trial that linked, as (index into [`objectives`], the map has
+    /// a scratchpad, assignment).
+    trials: BTreeSet<(usize, bool, Vec<String>)>,
 }
 
 /// The per-trial reference over every program × capacity × objective,
@@ -47,10 +51,16 @@ fn reference() -> &'static [Reference] {
                 .map(|(name, module)| {
                     let objectives = &objectives;
                     scope.spawn(move || {
-                        let mut log = Vec::new();
+                        let mut trials: BTreeSet<(usize, bool, Vec<String>)> = BTreeSet::new();
+                        let mut record = |o: usize, log: Vec<(u32, SpmAssignment)>| {
+                            for (c, a) in log {
+                                trials.insert((o, c > 0, a.iter().map(str::to_string).collect()));
+                            }
+                        };
                         let allocations = CAPACITIES
                             .iter()
                             .map(|&c| {
+                                let mut log = Vec::new();
                                 let region = reference_greedy(
                                     &module,
                                     c,
@@ -58,31 +68,32 @@ fn reference() -> &'static [Reference] {
                                     &mut log,
                                 )
                                 .unwrap();
-                                let aware = objectives[1..]
-                                    .iter()
-                                    .map(|obj| {
-                                        reference_hierarchy_aware(
+                                record(0, log);
+                                let aware = (1..objectives.len())
+                                    .map(|o| {
+                                        let mut log = Vec::new();
+                                        let aware = reference_hierarchy_aware(
                                             &module,
                                             c,
-                                            obj,
+                                            &objectives[o],
                                             &region.assignment,
                                             &mut log,
                                         )
-                                        .unwrap()
+                                        .unwrap();
+                                        record(o, log);
+                                        aware
                                     })
                                     .collect();
                                 (region, aware)
                             })
                             .collect();
-                        let trialled = log
-                            .into_iter()
-                            .map(|(_, a)| a.iter().map(str::to_string).collect())
-                            .collect();
+                        let trialled = trials.iter().map(|(_, _, a)| a.clone()).collect();
                         Reference {
                             name,
                             module,
                             allocations,
                             trialled,
+                            trials,
                         }
                     })
                 })
@@ -106,13 +117,73 @@ fn memoised_greedies_equal_the_per_trial_reference() {
             assert_eq!(&region, region_ref, "{} region greedy at {c} B", r.name);
             for (obj, want) in objectives[1..].iter().zip(aware_ref) {
                 let got = memo
-                    .allocate_hierarchy_aware(&r.module, c, &none, obj, Some(&region.assignment))
+                    .allocate_hierarchy_aware(
+                        &r.module,
+                        c,
+                        &none,
+                        obj,
+                        &[],
+                        Some(&region.assignment),
+                    )
                     .unwrap();
                 assert_eq!(&got, want, "{} at {c} B under {obj:?}", r.name);
             }
         }
         let (hits, misses) = memo.take_counts();
         assert!(hits > 0, "{}: {hits} hits, {misses} misses", r.name);
+    }
+}
+
+/// The 1 KiB-L1 objectives at main latency 0 and 10 classify alike. Run
+/// through one memo as each other's twins, beside the region-timing
+/// greedy, their greedies return the per-trial reference's allocations,
+/// and a trial misses once per distinct (assignment, classification key,
+/// map has a scratchpad) among the reference's trials under the three
+/// objectives: every trial one twin linked and classified is costed for
+/// the other. Debug builds re-check each hit by classifying afresh under
+/// its own objective, so every twin-costed bound a greedy used is checked.
+#[test]
+fn twin_greedies_classify_each_trial_once() {
+    let objectives = objectives();
+    let twins = &objectives[2..];
+    assert_eq!(twins[0].classification_key(), twins[1].classification_key());
+    assert_ne!(twins[0], twins[1]);
+    for r in reference() {
+        let memo = TrialMemo::new();
+        let none = Default::default();
+        for (&c, (region_ref, aware_ref)) in CAPACITIES.iter().zip(&r.allocations) {
+            let region = memo
+                .allocate_with(&r.module, c, &none, &objectives[0])
+                .unwrap();
+            assert_eq!(&region, region_ref, "{} region greedy at {c} B", r.name);
+            for (obj, want) in twins.iter().zip(&aware_ref[1..]) {
+                let got = memo
+                    .allocate_hierarchy_aware(
+                        &r.module,
+                        c,
+                        &none,
+                        obj,
+                        twins,
+                        Some(&region.assignment),
+                    )
+                    .unwrap();
+                assert_eq!(&got, want, "{} at {c} B under {obj:?}", r.name);
+            }
+        }
+        let classified: BTreeSet<(String, bool, &Vec<String>)> = r
+            .trials
+            .iter()
+            .filter(|(o, ..)| *o != 1)
+            .map(|(o, spm, a)| {
+                (
+                    format!("{:?}", objectives[*o].classification_key()),
+                    *spm,
+                    a,
+                )
+            })
+            .collect();
+        let (hits, misses) = memo.take_counts();
+        assert_eq!(misses, classified.len() as u64, "{}: {hits} hits", r.name);
     }
 }
 
