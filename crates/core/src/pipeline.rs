@@ -8,7 +8,7 @@
 //! hierarchy (trace replay), then analyze its program, prepared once per
 //! link.
 
-use crate::plan::{Rep, Slots, SweepPlan};
+use crate::plan::{Rep, SweepPlan};
 use crate::CoreError;
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::{knapsack, wcet_aware};
@@ -24,7 +24,8 @@ use spmlab_sim::{
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
-    classify, cost, prepare, AnalysisBudget, IpetModels, Prepared, WcetConfig, WcetError,
+    classify, cost, prepare, AnalysisBudget, Classified, IpetModels, Prepared, WcetConfig,
+    WcetError,
 };
 use spmlab_workloads::Benchmark;
 use std::collections::BTreeMap;
@@ -118,6 +119,39 @@ impl Link {
             .as_ref()
             .map_err(|e| CoreError::Wcet(e.clone()))
     }
+}
+
+/// What one executor unit's representatives share, each result computed
+/// by the first member that needs it and keyed by what it is computed
+/// from: its link, by identity, and its machine with the latency removed.
+/// A unit's members have one scratchpad capacity and one collapsed
+/// geometry (see `plan::SweepPlan`), so a tally's key holds only what
+/// the geometry leaves open, the main-memory timing with its latency
+/// zeroed.
+#[derive(Default)]
+pub(crate) struct Slots {
+    tallies: Vec<(Arc<Link>, MainMemoryTiming, Tally)>,
+    classified: Vec<(Arc<Link>, WcetConfig, Classified)>,
+}
+
+/// The result `slots` holds for `link` under `key`, computed on a miss.
+fn shared<'a, K: PartialEq, V, E>(
+    slots: &'a mut Vec<(Arc<Link>, K, V)>,
+    link: &Arc<Link>,
+    key: K,
+    compute: impl FnOnce() -> Result<V, E>,
+) -> Result<&'a V, E> {
+    let found = slots
+        .iter()
+        .position(|(l, k, _)| Arc::ptr_eq(l, link) && *k == key);
+    let i = match found {
+        Some(i) => i,
+        None => {
+            slots.push((link.clone(), key, compute()?));
+            slots.len() - 1
+        }
+    };
+    Ok(&slots[i].2)
 }
 
 /// A compute-once memo, one cell per key: the first caller for a key
@@ -342,8 +376,8 @@ impl Pipeline {
     }
 
     /// The capacity-0 link every no-scratchpad point measures on: the
-    /// memo keys of the sweep plan read its image, annotations, trace and
-    /// prepared program.
+    /// sweep plan's footprint reads its image, annotations and prepared
+    /// program.
     pub(crate) fn baseline(&self) -> &Link {
         &self.baseline
     }
@@ -420,10 +454,11 @@ impl Pipeline {
     /// The expensive half of [`Pipeline::run`]: measures one planned
     /// representative on its link. Label-free and energy-free so sweep
     /// points whose canonical specs are effectively identical can share
-    /// one measurement. `slots` are its unit's: the first member that
-    /// needs the tally or classification the plan assigned fills the
-    /// slot, the others reuse it; a member the plan assigned none prices
-    /// and classifies on its own.
+    /// one measurement. `slots` are its unit's: a priceable machine
+    /// prices from the latency-0 tally of its link, and under an
+    /// unlimited budget a machine costs from the classification of its
+    /// link and classification key; the first member that needs one
+    /// computes it, the others with the same link and key reuse it.
     pub(crate) fn measure_spec(
         &self,
         rep: &Rep,
@@ -445,19 +480,22 @@ impl Pipeline {
                 (self.spm_link(spm.size, &assignment)?, objects)
             }
         };
-        let tally = rep.tally.map(|t| slots.tallies.entry(t).or_default());
-        let (sim_cycles, mem_stats) = self.simulated(&link, &machine.hierarchy(), tally)?;
+        let (sim_cycles, mem_stats) = self.simulated(&link, &machine.hierarchy(), slots)?;
         let exe = &link.linked.exe;
         let wcet = {
             let _s = spmlab_obs::span("analyze");
             crate::faults::fault_point("analyze")?;
             let prepared = link.prepared()?;
+            let compute = || classify(prepared, exe, &wcfg);
             let mut own = None;
-            let slot = match rep.classified {
-                Some(c) => slots.classified.entry(c).or_default(),
-                None => &mut own,
+            let classified = if wcfg.budget.is_limited() {
+                &*own.insert(compute())
+            } else {
+                let key = wcfg.classification_key();
+                shared(&mut slots.classified, &link, key, || {
+                    Ok::<_, CoreError>(compute())
+                })?
             };
-            let classified = slot.get_or_insert_with(|| classify(prepared, exe, &wcfg));
             cost(prepared, exe, &wcfg, classified, &self.ipet_models)?
         };
         Ok(ArchMeasurement {
@@ -496,29 +534,30 @@ impl Pipeline {
     }
 
     /// Prices `hierarchy` on `link` from its recorded trace, bumping the
-    /// `sweep_replay` counter. With a shared `tally` slot it prices from
-    /// that latency-0 tally, walking the trace only when the slot is still
-    /// empty. The replayed memory image equals the recorded one, so its
+    /// `sweep_replay` counter. A [priceable](MemTrace::priceable) machine
+    /// prices from the link's latency-0 tally in `slots`, walking the
+    /// trace only when no unit member has tallied it yet; any other
+    /// replays. The replayed memory image equals the recorded one, so its
     /// validated checksum carries over. A replay that diverged on a
     /// recorded cycle-register value falls back to a full,
     /// checksum-checked simulation instead of failing the point. Real
     /// replay failures (watchdog expiry) propagate.
     fn simulated(
         &self,
-        link: &Link,
+        link: &Arc<Link>,
         hierarchy: &spmlab_isa::hierarchy::MemHierarchyConfig,
-        tally: Option<&mut Option<Tally>>,
+        slots: &mut Slots,
     ) -> Result<(u64, MemStats), CoreError> {
         let trace = &link.trace;
-        let replayed = match tally {
-            Some(slot) => {
-                let shared = match slot {
-                    Some(t) => t,
-                    None => slot.insert(trace.tally(hierarchy)?),
-                };
-                shared.price(&hierarchy.main)
-            }
-            None => trace.replay(hierarchy),
+        let replayed = if trace.priceable(hierarchy) {
+            let tallied = MainMemoryTiming {
+                latency: 0,
+                ..hierarchy.main
+            };
+            shared(&mut slots.tallies, link, tallied, || trace.tally(hierarchy))
+                .and_then(|t| t.price(&hierarchy.main))
+        } else {
+            trace.replay(hierarchy)
         };
         match replayed {
             Ok(priced) => {
@@ -542,7 +581,7 @@ impl Pipeline {
     /// trials through the pipeline's one [`wcet_aware::TrialMemo`], so an
     /// assignment is linked and analysed once per objective however many
     /// capacities trial it. A `WcetAware` greedy also costs its trials for
-    /// `twins`, the objectives of its plan's allocation node, so an
+    /// `twins`, the `WcetAware` objectives of its plan unit, so an
     /// assignment is classified once per classification key.
     fn resolve_assignment(
         &self,

@@ -1,48 +1,32 @@
 //! The sharing plan of one sweep: [`SweepPlan::build`] decides, before
-//! anything is measured, what the sweep's points share.
+//! anything is measured, which points share a measurement and which
+//! representatives one worker measures in turn.
 //!
-//! - Points whose [`measured_machine`]s have equal timing and equal
-//!   [`geometry_key`] share one measurement, their representative's.
-//! - A representative has a *fixed link* when its link depends on neither
-//!   the hierarchy nor the timing: no scratchpad (the capacity-0 link), or
-//!   a scratchpad whose assignment is `Empty`, `Fixed`, `ProfileKnapsack`
-//!   or `WcetRegion`. MiniC's path does not depend on where objects lie,
-//!   so every link of a program reads the cycle register as often as the
-//!   baseline does.
-//! - Fixed-link representatives that the baseline trace prices from a
-//!   latency-0 tally
-//!   ([`MemTrace::priceable`](spmlab_sim::MemTrace::priceable)) and that
-//!   differ only in `main.latency` share one tally (the [`geometry_key`]
-//!   holds the scratchpad spec, so only one link's points share).
-//! - Fixed-link representatives with a cache level, one scratchpad spec
-//!   and one
-//!   [`WcetConfig::classification_key`](spmlab_wcet::WcetConfig::classification_key)
-//!   share one classification, under an unlimited budget: classification
-//!   reads no latency.
-//! - `WcetAware` representatives with a cache level, one scratchpad spec
-//!   and one classification key form one allocation node, under an
-//!   unlimited budget: each greedy names the node's objectives as its
+//! - Points whose [`measured_machine`]s have equal scratchpad specs, equal
+//!   main-memory timing and equal [`geometry_key`] share one measurement,
+//!   their representative's.
+//! - Representatives with equal scratchpad capacity and equal
+//!   [`geometry_key`] form one executor unit, whatever their allocation
+//!   and timing: their links are one capacity's, so a unit is where two
+//!   representatives can land on one link. The unit's members share what
+//!   that link computes, keyed by what it is computed from (see
+//!   [`Pipeline::measure_spec`]): a latency-0 trace tally, and a cache
+//!   classification, which reads no latency
+//!   ([`WcetConfig::classification_key`](spmlab_wcet::WcetConfig::classification_key)).
+//!   Shared results live only as long as their unit.
+//! - Each `WcetAware` representative with a cache level names its unit's
+//!   `WcetAware` objectives as its
 //!   [twins](spmlab_alloc::wcet_aware::TrialMemo), so a trial classified
-//!   for one is costed for all of them.
-//! - Representatives joined by a shared tally, classification or
-//!   allocation form one executor unit, which one worker measures in
-//!   turn, so shared results live only as long as their unit and twins
-//!   never race on two workers.
+//!   for one is costed for all of them, and twins never race on two
+//!   workers.
 //!
-//! Each count predicts a traced counter: points less representatives are
-//! `sweep_memo_hit`; tallies of cached machines plus the representatives
-//! replayed on their own are the walks of the traces, on a sweep without
-//! scratchpad points (`replay_events` + `replay_elided`) / events; and,
-//! where no WCET-aware greedy classifies trials, classifications are
-//! `wcet-pass-fixpoints` spans.
+//! Points less representatives is the traced `sweep_memo_hit` counter.
 
 use crate::pipeline::Pipeline;
 use spmlab_isa::archspec::{MemArchSpec, SpmAllocation};
 use spmlab_isa::cachecfg::{CacheConfig, Replacement};
-use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
-use spmlab_sim::Tally;
-use spmlab_wcet::{Classified, WcetConfig};
-use std::collections::btree_map::Entry;
+use spmlab_isa::hierarchy::L1;
+use spmlab_wcet::WcetConfig;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One measured machine and the sweep points that share its measurement.
@@ -52,26 +36,14 @@ pub(crate) struct Rep {
     /// Axis indices of the points sharing the measurement, the
     /// representative first.
     pub points: Vec<usize>,
-    /// The node of the latency-0 tally it prices from, if shared.
-    pub tally: Option<usize>,
-    /// The node of the classification it costs from, if shared.
-    pub classified: Option<usize>,
-    /// The routed objectives of the `WcetAware` representatives its
-    /// allocation node joins, its own included; empty without one.
+    /// The routed objectives of its unit's `WcetAware` representatives
+    /// with a cache level, its own included, when it is one of them;
+    /// empty otherwise.
     pub twins: Vec<WcetConfig>,
 }
 
-/// The shared results of one unit execution by node, each filled by the
-/// first member that needs it.
-#[derive(Default)]
-pub(crate) struct Slots {
-    pub tallies: BTreeMap<usize, Option<Tally>>,
-    pub classified: BTreeMap<usize, Option<Classified>>,
-}
-
 /// What a sweep measures and shares: its executor units, each the
-/// representatives one worker measures in turn, in the order of their
-/// first representative.
+/// representatives one worker measures in turn, in first-seen order.
 pub(crate) struct SweepPlan {
     pub units: Vec<Vec<Rep>>,
 }
@@ -84,89 +56,47 @@ impl SweepPlan {
         // takes two to share.
         let no_spm = points.iter().filter(|(_, c)| c.spm.is_none()).count();
         let fp = (no_spm > 1).then(|| sweep_footprint(pipeline)).flatten();
-        let mut rep_of_key: BTreeMap<String, usize> = BTreeMap::new();
-        let mut reps: Vec<Rep> = Vec::new();
-        // Units are the connected components of the shared nodes: `root`
-        // links each representative toward the first of its unit, and
-        // `first` holds each node's first representative.
-        let mut root: Vec<usize> = Vec::new();
-        let find = |root: &[usize], mut r: usize| {
-            while root[r] != r {
-                r = root[r];
-            }
-            r
-        };
-        let mut node_of: BTreeMap<String, usize> = BTreeMap::new();
-        let mut first: Vec<usize> = Vec::new();
-        // The objectives of each allocation node's members, and each
-        // representative's allocation node.
-        let mut objectives: BTreeMap<usize, Vec<WcetConfig>> = BTreeMap::new();
-        let mut alloc_of: Vec<Option<usize>> = Vec::new();
+        let mut unit_of_key: BTreeMap<String, usize> = BTreeMap::new();
+        let mut units: Vec<Vec<Rep>> = Vec::new();
         for &(i, canon) in points {
             let machine = measured_machine(canon);
             let geometry = geometry_key(&machine, fp.as_ref());
-            let r = reps.len();
-            match rep_of_key.entry(format!("{geometry}|{:?}", machine.main)) {
-                Entry::Occupied(o) => {
-                    reps[*o.get()].points.push(i);
-                    continue;
-                }
-                Entry::Vacant(v) => v.insert(r),
-            };
-            root.push(r);
-            let mut share = |key: Option<String>| {
-                key.map(|k| {
-                    let n = *node_of.entry(k).or_insert(first.len());
-                    if n == first.len() {
-                        first.push(r);
-                    }
-                    let (a, b) = (find(&root, first[n]), find(&root, r));
-                    root[a.max(b)] = a.min(b);
-                    n
-                })
-            };
-            let fixed_link = machine
-                .spm
-                .as_ref()
-                .is_none_or(|s| s.alloc != SpmAllocation::WcetAware);
-            let tallied = MainMemoryTiming {
-                latency: 0,
-                ..machine.main
-            };
-            let wcfg = pipeline.wcet_config_for(&machine);
-            let tally = share(
-                (fixed_link && pipeline.baseline().trace.priceable(&machine.hierarchy()))
-                    .then(|| format!("tally {geometry}|{tallied:?}")),
-            );
-            let classifies = machine.has_cache_levels() && !wcfg.budget.is_limited();
-            let class = || format!("{:?}|{:?}", machine.spm, wcfg.classification_key());
-            let classified =
-                share((fixed_link && classifies).then(|| format!("classify {}", class())));
-            let alloc = share((!fixed_link && classifies).then(|| format!("alloc {}", class())));
-            if let Some(n) = alloc {
-                objectives.entry(n).or_default().push(wcfg);
-            }
-            alloc_of.push(alloc);
-            reps.push(Rep {
-                machine,
-                points: vec![i],
-                tally,
-                classified,
-                twins: Vec::new(),
-            });
-        }
-        let mut units: Vec<Vec<Rep>> = Vec::new();
-        let mut unit_of = vec![0; reps.len()];
-        for (r, mut rep) in reps.into_iter().enumerate() {
-            if let Some(n) = alloc_of[r] {
-                rep.twins.clone_from(&objectives[&n]);
-            }
-            let head = find(&root, r);
-            if head == r {
-                unit_of[r] = units.len();
+            let capacity = machine.spm.as_ref().map(|s| s.size);
+            let key = format!("{capacity:?}|{geometry}");
+            let u = *unit_of_key.entry(key).or_insert(units.len());
+            if u == units.len() {
                 units.push(Vec::new());
             }
-            units[unit_of[head]].push(rep);
+            // A unit fixes capacity and geometry: its members share a
+            // measurement when allocation and timing are equal too.
+            let unit = &mut units[u];
+            let same =
+                |r: &&mut Rep| r.machine.spm == machine.spm && r.machine.main == machine.main;
+            match unit.iter_mut().find(same) {
+                Some(rep) => rep.points.push(i),
+                None => unit.push(Rep {
+                    machine,
+                    points: vec![i],
+                    twins: Vec::new(),
+                }),
+            }
+        }
+        let aware = |r: &Rep| {
+            r.machine.has_cache_levels()
+                && r.machine
+                    .spm
+                    .as_ref()
+                    .is_some_and(|s| s.alloc == SpmAllocation::WcetAware)
+        };
+        for unit in &mut units {
+            let objectives: Vec<WcetConfig> = unit
+                .iter()
+                .filter(|r| aware(r))
+                .map(|r| pipeline.wcet_config_for(&r.machine))
+                .collect();
+            for rep in unit.iter_mut().filter(|r| aware(r)) {
+                rep.twins.clone_from(&objectives);
+            }
         }
         SweepPlan { units }
     }
@@ -330,8 +260,8 @@ fn level_key(cfg: &CacheConfig, fp: Option<&Footprint>) -> String {
     format!("{cfg:?}")
 }
 
-/// The memo key of a measured machine less its main-memory timing: two
-/// machines with equal keys and equal timing produce identical
+/// The memo key of a measured machine's caches: two machines with equal
+/// keys, equal scratchpad specs and equal timing produce identical
 /// simulations *and* identical WCET analyses for this program, so one
 /// measurement serves both. The footprint collapse only applies to no-scratchpad machines
 /// — the footprint describes the shared no-scratchpad link, while
@@ -363,7 +293,7 @@ fn geometry_key(machine: &MemArchSpec, fp: Option<&Footprint>) -> String {
         .l2
         .as_ref()
         .map_or_else(|| String::from("-"), |c| level_key(c, fp));
-    format!("{:?}|{l1}|{l2}|{}", machine.spm, machine.persistence)
+    format!("{l1}|{l2}|{}", machine.persistence)
 }
 
 #[cfg(test)]
@@ -381,65 +311,18 @@ mod tests {
     /// The memo key of one canonical spec, as the plan forms it.
     fn effective_spec_key(canon: &MemArchSpec, fp: Option<&Footprint>) -> String {
         let machine = measured_machine(canon);
-        format!("{}|{:?}", geometry_key(&machine, fp), machine.main)
-    }
-
-    /// A plan's node counts.
-    #[derive(Debug, PartialEq, Eq)]
-    struct Counts {
-        points: usize,
-        representatives: usize,
-        units: usize,
-        /// Walks of a link's trace: one per tally of a cached machine, one
-        /// per representative replayed on its own (an uncached machine
-        /// priced from its own tally walks nothing).
-        walks: usize,
-        /// Classifications of a cached machine's link, shared or not
-        /// (a WCET-aware greedy's trials not included).
-        classifications: usize,
-    }
-
-    impl Counts {
-        /// Points, representatives, units, walks and classifications.
-        fn array(&self) -> [usize; 5] {
-            let c = self;
-            [
-                c.points,
-                c.representatives,
-                c.units,
-                c.walks,
-                c.classifications,
-            ]
-        }
+        let geometry = geometry_key(&machine, fp);
+        format!("{:?}|{geometry}|{:?}", machine.spm, machine.main)
     }
 
     /// Plans every point of `axis`, as a sweep without resumed points
-    /// does, and counts its nodes.
-    fn plan_counts(p: &Pipeline, axis: &[MemArchSpec]) -> Counts {
+    /// does: its points, representatives and units.
+    fn plan_counts(p: &Pipeline, axis: &[MemArchSpec]) -> [usize; 3] {
         let canons: Vec<MemArchSpec> = axis.iter().map(MemArchSpec::canonical).collect();
         let points: Vec<(usize, &MemArchSpec)> = canons.iter().enumerate().collect();
         let plan = SweepPlan::build(p, &points);
-        let reps: Vec<&Rep> = plan.units.iter().flatten().collect();
-        let cached = |r: &&&Rep| r.machine.has_cache_levels();
-        let distinct =
-            |nodes: Vec<Option<usize>>| nodes.iter().flatten().collect::<BTreeSet<_>>().len();
-        Counts {
-            points: axis.len(),
-            representatives: reps.len(),
-            units: plan.units.len(),
-            walks: distinct(reps.iter().filter(cached).map(|r| r.tally).collect())
-                + reps
-                    .iter()
-                    .filter(|r| r.tally.is_none())
-                    .filter(|r| cached(r) || !p.baseline().trace.priceable(&r.machine.hierarchy()))
-                    .count(),
-            classifications: distinct(reps.iter().map(|r| r.classified).collect())
-                + reps
-                    .iter()
-                    .filter(cached)
-                    .filter(|r| r.classified.is_none())
-                    .count(),
-        }
+        let reps = plan.units.iter().map(Vec::len).sum();
+        [axis.len(), reps, plan.units.len()]
     }
 
     /// Totals this thread's counters and span opens by name. A sweep runs
@@ -451,6 +334,14 @@ mod tests {
     }
 
     impl ThreadTotals {
+        /// A sink totalling the calling thread's events.
+        fn new() -> Arc<ThreadTotals> {
+            Arc::new(ThreadTotals {
+                thread: std::thread::current().id(),
+                totals: Mutex::default(),
+            })
+        }
+
         fn add(&self, name: &'static str, delta: u64) {
             if std::thread::current().id() == self.thread {
                 *self.totals.lock().unwrap().entry(name).or_insert(0) += delta;
@@ -474,16 +365,37 @@ mod tests {
         fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
     }
 
-    /// Runs `f` with a [`ThreadTotals`] sink installed.
-    fn traced<R>(f: impl FnOnce() -> R) -> (R, Arc<ThreadTotals>) {
-        let sink = Arc::new(ThreadTotals {
-            thread: std::thread::current().id(),
-            totals: Mutex::default(),
-        });
+    /// Sweeps `axis` on `p` with a [`ThreadTotals`] sink installed; with
+    /// `check`, every point must equal `Pipeline::run`.
+    fn traced_sweep(p: &Pipeline, axis: &[MemArchSpec], check: bool) -> Arc<ThreadTotals> {
+        let sink = ThreadTotals::new();
         let guard = spmlab_obs::add_sink(sink.clone());
-        let r = f();
+        let outcomes = spec_sweep_with_session(p, axis, &SweepSession::none()).unwrap();
         drop(guard);
-        (r, sink)
+        for o in &outcomes {
+            let r = o.outcome.result().expect("every point measures");
+            if check {
+                let direct = p.run(&o.spec).unwrap();
+                assert_eq!(
+                    (r.sim_cycles, r.wcet_cycles, &r.spm_objects),
+                    (direct.sim_cycles, direct.wcet_cycles, &direct.spm_objects),
+                    "{}",
+                    r.label
+                );
+            }
+        }
+        assert_eq!(sink.total("sweep_points"), axis.len());
+        sink
+    }
+
+    /// The walks of the baseline trace a traced no-scratchpad sweep made,
+    /// counted in events (an uncached tally walks nothing), and its
+    /// classifications.
+    fn walks_and_classifications(p: &Pipeline, sink: &ThreadTotals) -> [usize; 2] {
+        let walked = sink.total("replay_events") + sink.total("replay_elided");
+        let events = p.baseline().trace.events();
+        assert_eq!(walked % events, 0, "whole walks only");
+        [walked / events, sink.total("wcet-pass-fixpoints")]
     }
 
     /// The three perfbench grid shapes on G.721 (reduced input). `dse-wt`
@@ -493,13 +405,7 @@ mod tests {
     /// `dse-wb` measures only the 54 unbuffered points (its store buffers
     /// are idle), one unit, walk and classification per geometry.
     /// `spm-alloc` is all scratchpad, and planning it never prepares the
-    /// no-scratchpad program. Its 40 knapsack and `wcet-region` points
-    /// have fixed links and pair up with their latency twins: 20 units,
-    /// each one tally (walking only for the 10 cached pairs) and, cached,
-    /// one classification. Its 15 WCET-aware points form 5 allocation
-    /// nodes of the 1 KiB-L1 latency twins, and 5 units of one for the
-    /// uncached latency-10 points; the 10 cached ones walk and classify
-    /// on their own.
+    /// no-scratchpad program: one unit per capacity and L1 size.
     #[test]
     fn plan_counts_pinned_on_the_perfbench_grid_shapes() {
         let _x = spmlab_obs::exclusive();
@@ -513,14 +419,20 @@ mod tests {
         let dse_wt = GridSpec {
             l1_sizes: vec![0, 256, 1024, 4096],
             ..base.clone()
-        };
+        }
+        .axis()
+        .unwrap()
+        .0;
         let dse_wb = GridSpec {
             l1_sizes: vec![256, 1024, 4096],
             l1_policies: vec![WritePolicy::WriteBack],
             l2_policies: vec![WritePolicy::WriteBack],
             store_buffers: vec![None, Some(StoreBuffer::new(4, 8))],
             ..base
-        };
+        }
+        .axis()
+        .unwrap()
+        .0;
         let spm_alloc = GridSpec {
             spm_sizes: vec![128, 256, 512, 1024, 2048],
             spm_allocs: vec![
@@ -533,29 +445,36 @@ mod tests {
             l2_sizes: vec![0],
             main_latencies: vec![0, 10],
             ..GridSpec::default()
-        };
-        let counts = |grid: GridSpec| plan_counts(&p, &grid.axis().unwrap().0);
-        let (spm, sink) = traced(|| counts(spm_alloc));
+        }
+        .axis()
+        .unwrap()
+        .0;
+        let sink = ThreadTotals::new();
+        let guard = spmlab_obs::add_sink(sink.clone());
+        let spm = plan_counts(&p, &spm_alloc);
+        drop(guard);
         assert_eq!(sink.total("wcet-pass-prepare"), 0, "no footprint needed");
-        let got = [counts(dse_wt), counts(dse_wb), spm];
-        let dse_wt = [63, 63, 21, 20, 23];
-        let dse_wb = [108, 54, 18, 18, 18];
         assert_eq!(
-            got.map(|c| c.array()),
-            [dse_wt, dse_wb, [55, 55, 30, 20, 20]]
+            [plan_counts(&p, &dse_wt), plan_counts(&p, &dse_wb), spm],
+            [[63, 63, 21], [108, 54, 18], [55, 55, 10]]
         );
+        let traced =
+            |axis: &[MemArchSpec]| walks_and_classifications(&p, &traced_sweep(&p, axis, false));
+        assert_eq!([traced(&dse_wt), traced(&dse_wb)], [[20, 23], [18, 18]]);
     }
 
     /// On a no-scratchpad insertsort grid with write policy, latency and
-    /// store-buffer axes, each count of the plan equals the traced counter
-    /// it predicts: 6 idle-buffered points share their twin's measurement,
-    /// the 12 buffered write-through and uncached points walk the trace on
-    /// their own beside 5 tallies of cached machines, and 6 classifications
-    /// serve 24 cached representatives. On a cached knapsack and
-    /// `wcet-region` scratchpad grid, whose greedy trials classify nothing,
-    /// latency twins share their link's tally and classification: 16
-    /// points in 8 units, each one walk (one `replay` span) and one
-    /// classification.
+    /// store-buffer axes, the plan's points and representatives equal the
+    /// traced `sweep_points` and misses: 6 idle-buffered points share
+    /// their twin's measurement, the 12 buffered write-through and
+    /// uncached points walk the trace on their own beside 5 tallies of
+    /// cached machines, and 6 classifications serve 24 cached
+    /// representatives. On a cached knapsack and `wcet-region` scratchpad
+    /// grid, whose greedy trials classify nothing, the 16 points form one
+    /// unit per capacity and L2 size, and points on one link share its
+    /// tally and classification: at 512 bytes both allocators choose one
+    /// link, so 3 links make 6 walks (`replay` spans) and 6
+    /// classifications.
     #[test]
     fn plan_counts_equal_the_traced_counters() {
         let grid = GridSpec {
@@ -569,20 +488,11 @@ mod tests {
         let axis = grid.axis().unwrap().0;
         let _x = spmlab_obs::exclusive();
         let p = Pipeline::new(&INSERTSORT).unwrap();
-        let counts = plan_counts(&p, &axis);
-        assert_eq!(counts.array(), [36, 30, 9, 17, 6]);
-        let (outcomes, sink) =
-            traced(|| spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap());
-        assert!(outcomes.iter().all(|o| o.outcome.result().is_some()));
-        let points = sink.total("sweep_points");
-        assert_eq!(counts.points, points);
-        assert_eq!(
-            counts.representatives,
-            points - sink.total("sweep_memo_hit")
-        );
-        let walked = sink.total("replay_events") + sink.total("replay_elided");
-        assert_eq!(counts.walks * p.baseline().trace.events(), walked);
-        assert_eq!(counts.classifications, sink.total("wcet-pass-fixpoints"));
+        let [points, reps, units] = plan_counts(&p, &axis);
+        assert_eq!([points, reps, units], [36, 30, 6]);
+        let sink = traced_sweep(&p, &axis, false);
+        assert_eq!(reps, points - sink.total("sweep_memo_hit"));
+        assert_eq!(walks_and_classifications(&p, &sink), [17, 6]);
 
         let spm_grid = GridSpec {
             spm_sizes: vec![128, 512],
@@ -593,78 +503,51 @@ mod tests {
             ..GridSpec::default()
         };
         let axis = spm_grid.axis().unwrap().0;
-        let counts = plan_counts(&p, &axis);
-        assert_eq!(counts.array(), [16, 16, 8, 8, 8]);
-        let (outcomes, sink) =
-            traced(|| spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap());
-        for o in &outcomes {
-            let r = o.outcome.result().expect("every point measures");
-            let direct = p.run(&o.spec).unwrap();
-            assert_eq!(
-                (r.sim_cycles, r.wcet_cycles, &r.spm_objects),
-                (direct.sim_cycles, direct.wcet_cycles, &direct.spm_objects),
-                "{}",
-                r.label
-            );
-        }
-        assert_eq!(counts.points, sink.total("sweep_points"));
+        assert_eq!(plan_counts(&p, &axis), [16, 16, 4]);
+        let sink = traced_sweep(&p, &axis, true);
         assert_eq!(sink.total("sweep_memo_hit"), 0);
-        assert_eq!(counts.walks, sink.total("replay"));
-        assert_eq!(counts.classifications, sink.total("wcet-pass-fixpoints"));
+        assert_eq!(sink.total("replay"), 6);
+        assert_eq!(sink.total("wcet-pass-fixpoints"), 6);
     }
 
-    /// A program that reads the cycle register records traces no tally
-    /// prices, whatever its link: its scratchpad latency twins share no
-    /// tally, and every point still equals `Pipeline::run`. Toolchains
-    /// without the `__cycles` intrinsic have no such program.
+    /// A `WcetAware` point whose greedy lands on the link of a knapsack
+    /// or `wcet-region` point of its unit prices from that link's tally
+    /// and costs from its classification. Insertsort's 128-byte greedies
+    /// land on the knapsack's link, beside the region greedy's own: with
+    /// the greedies already memoised, the sweep walks and classifies once
+    /// per link, and every point equals `Pipeline::run`.
     #[test]
-    fn timing_dependent_scratchpad_points_share_no_tally() {
-        use spmlab_workloads::{Benchmark, InputGen, Reference};
-        use std::borrow::Cow;
-        let src = "int input[4] = {0}; int n_samples = 4; int t; int checksum;\n\
-                   void main() { int i; t = __cycles(); \
-                   for (i = 0; i < 4; i = i + 1) { __loopbound(4); \
-                   checksum = checksum * 17 + input[i]; } }";
-        let (Ok(program), Ok(_)) = (spmlab_cc::parse_source(src), spmlab_cc::compile(src)) else {
-            return; // No __cycles intrinsic in this toolchain: nothing to test.
-        };
-        let bench = Benchmark {
-            name: Cow::Borrowed("cycles"),
-            description: Cow::Borrowed("reads the cycle register"),
-            source: Cow::Borrowed(src),
-            input_global: Cow::Borrowed("input"),
-            count_global: Cow::Borrowed("n_samples"),
-            typical_input: InputGen::Fixed(Arc::new(vec![3, -7, 11, 100])),
-            worst_input: None,
-            reference_checksum: Reference::Interp {
-                program: Arc::new(program),
-                max_steps: 100_000,
-            },
-        };
-        let p = Pipeline::new(&bench).unwrap();
-        assert!(p.baseline().trace.cycle_reads() > 0);
+    fn wcet_aware_points_share_the_link_they_land_on() {
+        let _x = spmlab_obs::exclusive();
+        let p = Pipeline::new(&INSERTSORT).unwrap();
         let grid = GridSpec {
             spm_sizes: vec![128],
-            spm_allocs: vec![SpmAllocation::ProfileKnapsack, SpmAllocation::WcetRegion],
-            l1_sizes: vec![0, 256],
+            spm_allocs: vec![
+                SpmAllocation::ProfileKnapsack,
+                SpmAllocation::WcetRegion,
+                SpmAllocation::WcetAware,
+            ],
+            l1_sizes: vec![256],
             main_latencies: vec![0, 10],
             ..GridSpec::default()
         };
         let axis = grid.axis().unwrap().0;
-        let canons: Vec<MemArchSpec> = axis.iter().map(MemArchSpec::canonical).collect();
-        let points: Vec<(usize, &MemArchSpec)> = canons.iter().enumerate().collect();
-        let plan = SweepPlan::build(&p, &points);
-        assert!(plan.units.iter().flatten().all(|r| r.tally.is_none()));
-        for o in spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap() {
-            let r = o.outcome.result().expect("every point measures");
-            let direct = p.run(&o.spec).unwrap();
-            assert_eq!(
-                (r.sim_cycles, r.wcet_cycles, &r.spm_objects),
-                (direct.sim_cycles, direct.wcet_cycles, &direct.spm_objects),
-                "{}",
-                r.label
-            );
+        let mut links = BTreeMap::new();
+        for spec in &axis {
+            let aware = spec.spm.as_ref().unwrap().alloc == SpmAllocation::WcetAware;
+            let objects = p.run(spec).unwrap().spm_objects;
+            *links.entry(objects).or_insert(0) += usize::from(!aware);
         }
+        assert_eq!(links.len(), 2);
+        assert!(
+            links.values().all(|&n| n > 0),
+            "no link of its own: {links:?}"
+        );
+        assert_eq!(plan_counts(&p, &axis), [6, 6, 1]);
+        let sink = traced_sweep(&p, &axis, true);
+        assert_eq!(sink.total("alloc_trial_memo_miss"), 0, "greedies memoised");
+        assert_eq!(sink.total("replay"), 2);
+        assert_eq!(sink.total("wcet-pass-fixpoints"), 2);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Configuration sweeps over memory-architecture specs.
 //!
 //! [`spec_sweep`] is the engine: it takes any `Vec<MemArchSpec>` axis,
-//! plans which points share a measurement, a trace tally or a cache
-//! classification (`plan::SweepPlan`), and fans the plan's units out
-//! across worker threads (`std::thread::scope` — every point only reads
-//! the shared [`Pipeline`]). The memo keys on the spec's **canonical
-//! form** (so equal-after-validation specs — e.g. zero-size disabled
-//! levels — share one measurement) further collapsed by the footprint
-//! argument: a cache level large enough that every address the program
-//! can touch maps to its own set behaves identically at every larger
-//! capacity.
+//! plans which points share a measurement and which form one executor
+//! unit (`plan::SweepPlan`), and fans the plan's units out across worker
+//! threads (`std::thread::scope` — every point only reads the shared
+//! [`Pipeline`]). A unit's points share the trace tallies and cache
+//! classifications of the links they land on. The memo keys on the
+//! spec's **canonical form** (so equal-after-validation specs — e.g.
+//! zero-size disabled levels — share one measurement) further collapsed
+//! by the footprint argument: a cache level large enough that every
+//! address the program can touch maps to its own set behaves identically
+//! at every larger capacity.
 //!
 //! Every sweep in the workspace — the paper's capacity figures, the
 //! hierarchy figure, the ablations, DSE shards — builds its axis from
@@ -34,8 +35,8 @@ use crate::checkpoint::{
     ckpt_err, spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus,
 };
 use crate::dse::executor::execute;
-use crate::pipeline::{ConfigResult, Pipeline};
-use crate::plan::{Rep, Slots, SweepPlan};
+use crate::pipeline::{ConfigResult, Pipeline, Slots};
+use crate::plan::{Rep, SweepPlan};
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
 use std::collections::BTreeMap;
@@ -313,11 +314,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// missing ones are measured.
 ///
 /// The sweep executes a plan made before anything is measured
-/// (`plan::SweepPlan`): which points share one measurement, one latency-0
-/// trace tally or one cache classification, and so which form one
-/// executor unit. Units run in parallel, each measured in turn by one
-/// worker. Fault points, `catch_unwind` and checkpoint records stay per
-/// point, so a failure fails exactly the points that depend on it.
+/// (`plan::SweepPlan`): which points share one measurement, and which
+/// form one executor unit, the representatives of one scratchpad
+/// capacity and cache geometry. Units run in parallel, each measured in
+/// turn by one worker, whose members share a link's latency-0 trace
+/// tally and cache classification whenever they land on one link
+/// (`Pipeline::measure_spec`). Fault points, `catch_unwind` and
+/// checkpoint records stay per point, so a failure fails exactly the
+/// points that depend on it.
 ///
 /// The raw checkpoint stream is in *completion* order, flushed per
 /// point; it differs between runs and thread counts. Byte equality of

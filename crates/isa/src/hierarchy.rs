@@ -159,11 +159,6 @@ impl MainMemoryTiming {
         self.latency + self.beats(bytes) * self.beat_cycles
     }
 
-    /// The worst-case access cost over all widths.
-    pub fn worst_access(&self) -> u64 {
-        self.access(AccessWidth::Word)
-    }
-
     /// Worst-case cycles for one core store that reaches main memory:
     /// the full write cost without a store buffer, or the 1-cycle accept
     /// plus one full drain when a [`StoreBuffer`] is configured (the

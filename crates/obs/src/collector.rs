@@ -51,7 +51,6 @@ struct Inner {
     index: BTreeMap<u64, usize>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
-    progress: Vec<(u64, u64, String)>,
 }
 
 /// Thread-safe in-memory sink. Install with [`crate::add_sink`], then read
@@ -94,10 +93,7 @@ impl Sink for MemorySink {
         inner.gauges.insert(name, value);
     }
 
-    fn progress(&self, done: u64, total: u64, detail: &str, _t_ns: u64, _tid: u64) {
-        let mut inner = self.inner.lock().expect("collector");
-        inner.progress.push((done, total, detail.to_string()));
-    }
+    fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
 }
 
 impl MemorySink {
@@ -136,11 +132,6 @@ impl MemorySink {
             .gauges
             .get(name)
             .copied()
-    }
-
-    /// Number of progress events seen.
-    pub fn progress_events(&self) -> usize {
-        self.inner.lock().expect("collector").progress.len()
     }
 
     /// Checks the recorded spans form a well-formed forest:

@@ -47,6 +47,10 @@ pub mod memsys;
 pub mod profile;
 pub mod trace;
 
+#[cfg(test)]
+#[path = "../../../tests/common/cycle_reader.rs"]
+mod cycle_reader;
+
 pub use cache::{AccessResult, CacheConfig, CacheScope, Replacement, WritePolicy};
 pub use hierarchy::{HierarchyCaches, ReadOutcome};
 pub use machine::{simulate, ExitReason, SimOptions, SimResult};

@@ -94,11 +94,6 @@ impl MemStats {
             RegionKind::Mmio => self.mmio += 1,
         }
     }
-
-    /// Total core-visible accesses.
-    pub fn total_accesses(&self) -> u64 {
-        self.spm.iter().sum::<u64>() + self.main.iter().sum::<u64>() + self.mmio
-    }
 }
 
 /// The full memory system backing the simulation loop in `machine`.
@@ -367,14 +362,6 @@ impl MemSystem {
             width,
             &self.caches.config().main,
         ))
-    }
-
-    /// Probes whether `addr`'s line is in the L1 serving data reads,
-    /// falling back to the fetch side (tests only).
-    pub fn cache_probe(&self, addr: u32) -> Option<bool> {
-        self.caches
-            .probe_l1(addr, false)
-            .or_else(|| self.caches.probe_l1(addr, true))
     }
 }
 

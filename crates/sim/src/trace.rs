@@ -1174,20 +1174,14 @@ mod tests {
     /// timing, and divergence is a typed error elsewhere.
     #[test]
     fn cycle_register_reads_replay_recorded_values() {
-        let src = "
-            int t;
-            void main() { t = __cycles(); }
-        ";
-        let Ok(module) = compile(src) else {
-            return; // No __cycles intrinsic in this toolchain: nothing to test.
-        };
-        let l = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
-        let (recorded, trace) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
+        let exe = crate::cycle_reader::cycle_reader();
+        let (recorded, trace) = simulate_with_trace(&exe, &SimOptions::default()).unwrap();
         assert!(trace.cycle_reads() > 0);
         // Same timing as the recording machine: values match, replay
         // succeeds bit-identically.
         let (cycles, _) = trace.replay(&MemHierarchyConfig::uncached()).unwrap();
         assert_eq!(cycles, recorded.cycles);
+        assert!(!trace.priceable(&MemHierarchyConfig::uncached()));
         // Different timing: the recorded value is stale — typed
         // divergence, so sweeps can fall back to full simulation.
         let slow = MemHierarchyConfig::uncached_with(MainMemoryTiming::dram(10));

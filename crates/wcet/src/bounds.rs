@@ -7,38 +7,8 @@ use crate::loops::NaturalLoop;
 use crate::WcetError;
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::cond::Cond;
-use spmlab_isa::insn::{AluOp, Insn};
-use spmlab_isa::reg::Reg;
+use spmlab_isa::insn::Insn;
 use std::collections::BTreeMap;
-
-/// Registers written by an instruction (flags excluded).
-pub fn written_regs(insn: &Insn) -> Vec<Reg> {
-    match insn {
-        Insn::ShiftImm { rd, .. }
-        | Insn::AddReg { rd, .. }
-        | Insn::SubReg { rd, .. }
-        | Insn::AddImm3 { rd, .. }
-        | Insn::SubImm3 { rd, .. }
-        | Insn::MovImm { rd, .. }
-        | Insn::AddImm { rd, .. }
-        | Insn::SubImm { rd, .. }
-        | Insn::MovReg { rd, .. }
-        | Insn::Sdiv { rd, .. }
-        | Insn::Udiv { rd, .. }
-        | Insn::LdrLit { rd, .. }
-        | Insn::LdrReg { rd, .. }
-        | Insn::LdrImm { rd, .. }
-        | Insn::LdrSp { rd, .. }
-        | Insn::Adr { rd, .. }
-        | Insn::AddSp { rd, .. } => vec![*rd],
-        Insn::Alu { op, rd, .. } => match op {
-            AluOp::Tst | AluOp::Cmp | AluOp::Cmn => vec![],
-            _ => vec![*rd],
-        },
-        Insn::Pop { regs, .. } => regs.iter().collect(),
-        _ => vec![],
-    }
-}
 
 /// Resolves a bound for every loop.
 ///

@@ -421,11 +421,6 @@ impl MultiState {
         // exit union only extends, so this cannot resurrect anything).
         self.prune_dirty();
     }
-
-    /// The L2 MUST state (tests and diagnostics).
-    pub fn l2_state(&self) -> Option<&AbstractCache> {
-        self.l2.as_ref()
-    }
 }
 
 /// Per-level interference record of one function (transitively including

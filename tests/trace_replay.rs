@@ -39,6 +39,9 @@ use spmlab_sim::{
 };
 use spmlab_workloads::{gen, inputs, ADPCM, G721, MULTISORT};
 
+#[path = "common/cycle_reader.rs"]
+mod cycle_reader;
+
 /// A store-heavy kernel: the write pattern walks two arrays with
 /// different strides so dirty lines collide in small caches (evictions
 /// and write-backs actually fire) while the reductions keep read
@@ -435,11 +438,8 @@ fn priced_watchdog_fails_only_its_own_point() {
 /// recorded values move with the latency.
 #[test]
 fn timing_dependent_traces_are_not_priceable() {
-    let Ok(module) = compile("int t; void main() { t = __cycles(); }") else {
-        return; // No __cycles intrinsic in this toolchain: nothing to test.
-    };
-    let l = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
-    let (_, mmio) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
+    let exe = cycle_reader::cycle_reader();
+    let (_, mmio) = simulate_with_trace(&exe, &SimOptions::default()).unwrap();
     assert!(mmio.cycle_reads() > 0);
     for h in [
         MemHierarchyConfig::uncached(),
@@ -542,21 +542,18 @@ fn every_machine_replays_the_recorded_trace() {
         );
     }
 
-    let src = "int t; void main() { t = __cycles(); }";
-    if let Ok(module) = compile(src) {
-        let l = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap();
-        let (_, mmio) = simulate_with_trace(&l.exe, &SimOptions::default()).unwrap();
-        assert!(mmio.cycle_reads() > 0);
-        for h in &machines {
-            assert!(
-                matches!(
-                    mmio.replay(h),
-                    Ok(_) | Err(SimError::ReplayDivergence { .. })
-                ),
-                "MMIO trace on {}",
-                h.label()
-            );
-        }
+    let (_, mmio) =
+        simulate_with_trace(&cycle_reader::cycle_reader(), &SimOptions::default()).unwrap();
+    assert!(mmio.cycle_reads() > 0);
+    for h in &machines {
+        assert!(
+            matches!(
+                mmio.replay(h),
+                Ok(_) | Err(SimError::ReplayDivergence { .. })
+            ),
+            "MMIO trace on {}",
+            h.label()
+        );
     }
 }
 
