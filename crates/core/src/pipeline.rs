@@ -88,8 +88,8 @@ pub(crate) struct ArchMeasurement {
 /// baseline is the capacity-0 link; each scratchpad `(capacity,
 /// assignment)` has its own.
 pub(crate) struct Link {
-    pub linked: LinkedProgram,
-    pub trace: MemTrace,
+    linked: LinkedProgram,
+    trace: MemTrace,
     /// Scratchpad bytes the image occupies.
     spm_used: u32,
     /// Built on first use, so linking does not pay for it. A preparation
@@ -112,7 +112,7 @@ impl Link {
 
     /// The prepared analysis of this link's program; its error, if
     /// preparation failed.
-    pub(crate) fn prepared(&self) -> Result<&Prepared, CoreError> {
+    fn prepared(&self) -> Result<&Prepared, CoreError> {
         let linked = &self.linked;
         self.prepared
             .get_or_init(|| prepare(&linked.exe, &linked.annotations))
@@ -124,10 +124,9 @@ impl Link {
 /// What one executor unit's representatives share, each result computed
 /// by the first member that needs it and keyed by what it is computed
 /// from: its link, by identity, and its machine with the latency removed.
-/// A unit's members have one scratchpad capacity and one collapsed
-/// geometry (see `plan::SweepPlan`), so a tally's key holds only what
-/// the geometry leaves open, the main-memory timing with its latency
-/// zeroed.
+/// A unit's members have one scratchpad capacity and one cache geometry
+/// (see `plan::SweepPlan`), so a tally's key holds only what the
+/// geometry leaves open, the main-memory timing with its latency zeroed.
 #[derive(Default)]
 pub(crate) struct Slots {
     tallies: Vec<(Arc<Link>, MainMemoryTiming, Tally)>,
@@ -373,13 +372,6 @@ impl Pipeline {
     /// The baseline (no scratchpad, no cache) profile.
     pub fn baseline_profile(&self) -> &Profile {
         &self.baseline_profile
-    }
-
-    /// The capacity-0 link every no-scratchpad point measures on: the
-    /// sweep plan's footprint reads its image, annotations and prepared
-    /// program.
-    pub(crate) fn baseline(&self) -> &Link {
-        &self.baseline
     }
 
     // -----------------------------------------------------------------

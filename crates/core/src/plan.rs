@@ -2,11 +2,13 @@
 //! anything is measured, which points share a measurement and which
 //! representatives one worker measures in turn.
 //!
-//! - Points whose [`measured_machine`]s have equal scratchpad specs, equal
-//!   main-memory timing and equal [`geometry_key`] share one measurement,
-//!   their representative's.
-//! - Representatives with equal scratchpad capacity and equal
-//!   [`geometry_key`] form one executor unit, whatever their allocation
+//! - Points share a measurement, their representative's, by equality
+//!   only: their [`measured_machine`]s are equal. Two rules make machines
+//!   equal. The canonical form keys equal-after-validation specs alike
+//!   (zero-size levels are disabled ones), and an idle store buffer is
+//!   dropped.
+//! - Representatives that [`share_a_unit`] (one scratchpad capacity, one
+//!   cache geometry) form one executor unit, whatever their allocation
 //!   and timing: their links are one capacity's, so a unit is where two
 //!   representatives can land on one link. The unit's members share what
 //!   that link computes, keyed by what it is computed from (see
@@ -24,10 +26,7 @@
 
 use crate::pipeline::Pipeline;
 use spmlab_isa::archspec::{MemArchSpec, SpmAllocation};
-use spmlab_isa::cachecfg::{CacheConfig, Replacement};
-use spmlab_isa::hierarchy::L1;
 use spmlab_wcet::WcetConfig;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One measured machine and the sweep points that share its measurement.
 pub(crate) struct Rep {
@@ -52,21 +51,19 @@ impl SweepPlan {
     /// Plans the measurement of `points`, each an axis index and its
     /// canonical spec, on `pipeline`.
     pub(crate) fn build(pipeline: &Pipeline, points: &[(usize, &MemArchSpec)]) -> SweepPlan {
-        // The footprint only decides which no-scratchpad points share: it
-        // takes two to share.
-        let no_spm = points.iter().filter(|(_, c)| c.spm.is_none()).count();
-        let fp = (no_spm > 1).then(|| sweep_footprint(pipeline)).flatten();
-        let mut unit_of_key: BTreeMap<String, usize> = BTreeMap::new();
         let mut units: Vec<Vec<Rep>> = Vec::new();
         for &(i, canon) in points {
             let machine = measured_machine(canon);
-            let geometry = geometry_key(&machine, fp.as_ref());
-            let capacity = machine.spm.as_ref().map(|s| s.size);
-            let key = format!("{capacity:?}|{geometry}");
-            let u = *unit_of_key.entry(key).or_insert(units.len());
-            if u == units.len() {
-                units.push(Vec::new());
-            }
+            let u = match units
+                .iter()
+                .position(|u| share_a_unit(&u[0].machine, &machine))
+            {
+                Some(u) => u,
+                None => {
+                    units.push(Vec::new());
+                    units.len() - 1
+                }
+            };
             // A unit fixes capacity and geometry: its members share a
             // measurement when allocation and timing are equal too.
             let unit = &mut units[u];
@@ -117,183 +114,13 @@ fn measured_machine(canon: &MemArchSpec) -> MemArchSpec {
     m
 }
 
-/// The address intervals one no-scratchpad execution (and its WCET
-/// analysis) can touch in main memory, plus the annotated array ranges
-/// the abstract domain weakens. Drives the effective-configuration memo.
-#[derive(Debug, Clone)]
-struct Footprint {
-    intervals: Vec<(u32, u32)>,
-    ranges: Vec<(u32, u32)>,
-    /// Every *store* target is constrained and inside the enumerated
-    /// intervals too. Write-policy-dependent machines (write-allocate
-    /// installs make store addresses tag-store-relevant) may only
-    /// footprint-collapse when this holds; all-write-through machines
-    /// don't care (their stores never touch a tag store).
-    writes_covered: bool,
-}
-
-/// Computes the sweep footprint for `pipeline`'s no-scratchpad link:
-/// the loaded image, every annotated access range, and the analyzer's
-/// verified stack window. `None` (no memoisation) when the stack bound is
-/// unavailable or any read's address cannot be constrained at all — an
-/// `Unknown` access may concretely touch any main-memory line, escaping
-/// every interval the footprint could enumerate.
-fn sweep_footprint(pipeline: &Pipeline) -> Option<Footprint> {
-    let baseline = pipeline.baseline();
-    let linked = &baseline.linked;
-    // Unannotated loads default to `AddrInfo::Unknown`; walking the real
-    // instruction stream (not just the annotation set, which omits them)
-    // is the only way to see these. An unconstrained *store* merely
-    // clears `writes_covered`: write-through machines collapse anyway
-    // (their stores never touch a tag store and cost only the access
-    // width), while write-policy-dependent machines — where
-    // write-allocate makes store addresses load-bearing — collapse only
-    // with full write coverage (see `geometry_key`).
-    let prepared = baseline.prepared().ok()?;
-    let mut writes_covered = true;
-    for cfg in prepared.cfgs().values() {
-        for block in cfg.blocks.values() {
-            for (addr, insn) in &block.insns {
-                for acc in spmlab_wcet::addrinfo::data_accesses(insn, *addr, &linked.annotations) {
-                    if matches!(acc.info, spmlab_isa::annot::AddrInfo::Unknown) {
-                        if acc.is_write {
-                            writes_covered = false;
-                        } else {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let map = &linked.exe.memory_map;
-    let main_lo = map.main_base;
-    let main_hi = map.main_base.saturating_add(map.main_size);
-    let clip = |lo: u32, hi: u32| -> Option<(u32, u32)> {
-        let lo = lo.max(main_lo);
-        let hi = hi.min(main_hi);
-        (hi > lo).then_some((lo, hi))
-    };
-    // The stack window needs a *verified* depth bound: preparation fails
-    // without one, and then the memo stays off.
-    let stack_bytes = prepared.stack_bytes();
-    let mut intervals = Vec::new();
-    let mut ranges = Vec::new();
-    for r in &linked.exe.regions {
-        if let Some(iv) = clip(r.addr, r.addr.saturating_add(r.bytes.len() as u32)) {
-            intervals.push(iv);
-        }
-    }
-    for acc in linked.annotations.accesses() {
-        match acc.addr {
-            spmlab_isa::annot::AddrInfo::Exact(a) => {
-                if let Some(iv) = clip(a, a.saturating_add(4)) {
-                    intervals.push(iv);
-                }
-            }
-            spmlab_isa::annot::AddrInfo::Range { lo, hi } => {
-                if let Some(iv) = clip(lo, hi) {
-                    intervals.push(iv);
-                    ranges.push(iv);
-                }
-            }
-            // Stack accesses are covered by the verified stack window
-            // added below; Unknown reads disabled the memo above.
-            _ => {}
-        }
-    }
-    if let Some(iv) = clip(map.stack_top.saturating_sub(stack_bytes), map.stack_top) {
-        intervals.push(iv);
-    }
-    Some(Footprint {
-        intervals,
-        ranges,
-        writes_covered,
-    })
-}
-
-/// Whether `cfg` is *conflict-free* over the footprint: every reachable
-/// line maps to its own set (so no eviction can ever occur, concretely or
-/// abstractly), and no annotated range reaches the analyzer's
-/// weaken-every-set threshold. Under these conditions the level's
-/// behaviour is fully determined by line size, associativity, latency and
-/// scope — capacity beyond the footprint and the replacement policy's
-/// victim choice are irrelevant.
-fn conflict_free(cfg: &CacheConfig, fp: &Footprint) -> bool {
-    let sets = cfg.num_sets() as u64;
-    let line = cfg.line.max(1);
-    for &(lo, hi) in &fp.ranges {
-        let k = ((hi - 1) / line) as u64 - (lo / line) as u64 + 1;
-        if k >= sets {
-            return false;
-        }
-    }
-    let mut lines: BTreeSet<u32> = BTreeSet::new();
-    for &(lo, hi) in &fp.intervals {
-        for l in (lo / line)..=((hi - 1) / line) {
-            lines.insert(l);
-            if lines.len() as u64 > sets {
-                return false; // More lines than sets: cannot be injective.
-            }
-        }
-    }
-    let set_indices: BTreeSet<u32> = lines.iter().map(|&l| l % sets as u32).collect();
-    set_indices.len() == lines.len()
-}
-
-/// The memo key of one cache level: conflict-free levels collapse to
-/// their behaviourally relevant parameters; everything else keys on the
-/// exact configuration.
-fn level_key(cfg: &CacheConfig, fp: Option<&Footprint>) -> String {
-    if let Some(fp) = fp {
-        if conflict_free(cfg, fp) {
-            return format!(
-                "free(line={},assoc={},lat={},scope={:?},lru={})",
-                cfg.line,
-                cfg.assoc,
-                cfg.hit_latency,
-                cfg.scope,
-                matches!(cfg.replacement, Replacement::Lru),
-            );
-        }
-    }
-    format!("{cfg:?}")
-}
-
-/// The memo key of a measured machine's caches: two machines with equal
-/// keys, equal scratchpad specs and equal timing produce identical
-/// simulations *and* identical WCET analyses for this program, so one
-/// measurement serves both. The footprint collapse only applies to no-scratchpad machines
-/// — the footprint describes the shared no-scratchpad link, while
-/// scratchpad specs run their own image. Write-policy-dependent machines
-/// — where write-allocate makes store addresses load-bearing —
-/// additionally require the footprint to cover every store target
-/// ([`Footprint::writes_covered`]); conflict-freedom then rules out
-/// evictions for dirty lines exactly as it does for clean ones.
-fn geometry_key(machine: &MemArchSpec, fp: Option<&Footprint>) -> String {
-    let fp = if machine.spm.is_some() {
-        None
-    } else if machine.hierarchy().write_policy_dependent() {
-        fp.filter(|f| f.writes_covered)
-    } else {
-        fp
-    };
-    let l1 = match &machine.l1 {
-        L1::None => String::from("none"),
-        L1::Unified(c) => format!("u[{}]", level_key(c, fp)),
-        L1::Split { i, d } => format!(
-            "s[{},{}]",
-            i.as_ref()
-                .map_or_else(|| String::from("-"), |c| level_key(c, fp)),
-            d.as_ref()
-                .map_or_else(|| String::from("-"), |c| level_key(c, fp)),
-        ),
-    };
-    let l2 = machine
-        .l2
-        .as_ref()
-        .map_or_else(|| String::from("-"), |c| level_key(c, fp));
-    format!("{l1}|{l2}|{}", machine.persistence)
+/// Whether two measured machines belong to one executor unit: one
+/// scratchpad capacity, and equal cache levels and persistence analysis.
+fn share_a_unit(a: &MemArchSpec, b: &MemArchSpec) -> bool {
+    a.spm.as_ref().map(|s| s.size) == b.spm.as_ref().map(|s| s.size)
+        && a.l1 == b.l1
+        && a.l2 == b.l2
+        && a.persistence == b.persistence
 }
 
 #[cfg(test)]
@@ -301,19 +128,16 @@ mod tests {
     use super::*;
     use crate::dse::{GridSpec, L1Shape};
     use crate::sweep::{spec_sweep_with_session, SweepSession};
+    use spmlab_isa::cachecfg::CacheConfig;
     use spmlab_isa::cachecfg::WritePolicy;
     use spmlab_isa::hierarchy::StoreBuffer;
+    use spmlab_isa::hierarchy::L1;
     use spmlab_obs::{Sink, SpanMeta};
+    use spmlab_sim::MemTrace;
     use spmlab_workloads::{inputs, G721, INSERTSORT};
+    use std::collections::BTreeMap;
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
-
-    /// The memo key of one canonical spec, as the plan forms it.
-    fn effective_spec_key(canon: &MemArchSpec, fp: Option<&Footprint>) -> String {
-        let machine = measured_machine(canon);
-        let geometry = geometry_key(&machine, fp);
-        format!("{:?}|{geometry}|{:?}", machine.spm, machine.main)
-    }
 
     /// Plans every point of `axis`, as a sweep without resumed points
     /// does: its points, representatives and units.
@@ -393,7 +217,7 @@ mod tests {
     /// classifications.
     fn walks_and_classifications(p: &Pipeline, sink: &ThreadTotals) -> [usize; 2] {
         let walked = sink.total("replay_events") + sink.total("replay_elided");
-        let events = p.baseline().trace.events();
+        let events = MemTrace::from_bytes(&p.trace_bytes()).unwrap().events();
         assert_eq!(walked % events, 0, "whole walks only");
         [walked / events, sink.total("wcet-pass-fixpoints")]
     }
@@ -404,8 +228,8 @@ mod tests {
     /// once more for the three latency-0 unified L1s that take paper mode.
     /// `dse-wb` measures only the 54 unbuffered points (its store buffers
     /// are idle), one unit, walk and classification per geometry.
-    /// `spm-alloc` is all scratchpad, and planning it never prepares the
-    /// no-scratchpad program: one unit per capacity and L1 size.
+    /// `spm-alloc` is all scratchpad: one unit per capacity and L1 size.
+    /// Planning compares machines only, so it prepares no program.
     #[test]
     fn plan_counts_pinned_on_the_perfbench_grid_shapes() {
         let _x = spmlab_obs::exclusive();
@@ -451,13 +275,14 @@ mod tests {
         .0;
         let sink = ThreadTotals::new();
         let guard = spmlab_obs::add_sink(sink.clone());
-        let spm = plan_counts(&p, &spm_alloc);
+        let counts = [&dse_wt, &dse_wb, &spm_alloc].map(|axis| plan_counts(&p, axis));
         drop(guard);
-        assert_eq!(sink.total("wcet-pass-prepare"), 0, "no footprint needed");
         assert_eq!(
-            [plan_counts(&p, &dse_wt), plan_counts(&p, &dse_wb), spm],
-            [[63, 63, 21], [108, 54, 18], [55, 55, 10]]
+            sink.total("wcet-pass-prepare"),
+            0,
+            "planning prepares nothing"
         );
+        assert_eq!(counts, [[63, 63, 21], [108, 54, 18], [55, 55, 10]]);
         let traced =
             |axis: &[MemArchSpec]| walks_and_classifications(&p, &traced_sweep(&p, axis, false));
         assert_eq!([traced(&dse_wt), traced(&dse_wb)], [[20, 23], [18, 18]]);
@@ -550,45 +375,12 @@ mod tests {
         assert_eq!(sink.total("wcet-pass-fixpoints"), 2);
     }
 
-    #[test]
-    fn oversized_levels_share_an_effective_key() {
-        // Once a cache level's sets cover the whole footprint one line
-        // each, growing it further cannot change behaviour: the memo must
-        // key both capacities identically — and distinct small levels must
-        // never collapse.
-        let fp = Footprint {
-            intervals: vec![(0x0010_0000, 0x0010_0400)], // 1 KiB ⇒ 64 16-B lines
-            ranges: vec![],
-            writes_covered: true,
-        };
-        let small_a = CacheConfig::unified(64);
-        let small_b = CacheConfig::unified(128);
-        assert_ne!(
-            level_key(&small_a, Some(&fp)),
-            level_key(&small_b, Some(&fp)),
-            "conflicting capacities stay distinct"
-        );
-        let big_a = CacheConfig::unified(2048); // 128 sets ≥ 64 lines
-        let big_b = CacheConfig::unified(8192);
-        assert_eq!(
-            level_key(&big_a, Some(&fp)),
-            level_key(&big_b, Some(&fp)),
-            "covering capacities collapse"
-        );
-        let s_a = MemArchSpec::single_cache(big_a);
-        let s_b = MemArchSpec::single_cache(big_b);
-        assert_eq!(
-            effective_spec_key(&s_a.canonical(), Some(&fp)),
-            effective_spec_key(&s_b.canonical(), Some(&fp))
-        );
-    }
-
+    /// The canonical form is the memo key: a spec with zero-size
+    /// (disabled) levels shares the measurement of the plainly written
+    /// machine.
     #[test]
     fn equal_after_validation_specs_share_a_key() {
-        // The canonical form is the memo key: a spec with zero-size
-        // (disabled) levels keys identically to the plainly-written
-        // machine, with or without a footprint.
-        use spmlab_isa::archspec::{SpmAllocation, SpmSpec};
+        use spmlab_isa::archspec::SpmSpec;
         let zero = CacheConfig {
             size: 0,
             ..CacheConfig::unified(64)
@@ -606,63 +398,10 @@ mod tests {
             main: spmlab_isa::hierarchy::MainMemoryTiming::table1(),
             persistence: false,
         };
-        let plain = MemArchSpec::uncached();
+        let p = Pipeline::new(&INSERTSORT).unwrap();
         assert_eq!(
-            effective_spec_key(&noisy.canonical(), None),
-            effective_spec_key(&plain.canonical(), None)
+            plan_counts(&p, &[noisy, MemArchSpec::uncached()]),
+            [2, 1, 1]
         );
-        // Scratchpad specs must never collapse via the (no-spm) footprint.
-        let spm_a = MemArchSpec::builder()
-            .spm(256)
-            .l1(CacheConfig::unified(2048))
-            .build()
-            .unwrap();
-        let spm_b = MemArchSpec::builder()
-            .spm(256)
-            .l1(CacheConfig::unified(8192))
-            .build()
-            .unwrap();
-        let fp = Footprint {
-            intervals: vec![(0x0010_0000, 0x0010_0400)],
-            ranges: vec![],
-            writes_covered: true,
-        };
-        assert_ne!(
-            effective_spec_key(&spm_a.canonical(), Some(&fp)),
-            effective_spec_key(&spm_b.canonical(), Some(&fp))
-        );
-        // Write-policy-dependent specs collapse only with write coverage.
-        let wb_a = MemArchSpec::single_cache(CacheConfig::unified(2048).write_back());
-        let wb_b = MemArchSpec::single_cache(CacheConfig::unified(8192).write_back());
-        assert_eq!(
-            effective_spec_key(&wb_a.canonical(), Some(&fp)),
-            effective_spec_key(&wb_b.canonical(), Some(&fp)),
-            "conflict-free WB levels collapse when stores are covered"
-        );
-        let uncovered = Footprint {
-            writes_covered: false,
-            ..fp.clone()
-        };
-        assert_ne!(
-            effective_spec_key(&wb_a.canonical(), Some(&uncovered)),
-            effective_spec_key(&wb_b.canonical(), Some(&uncovered)),
-            "unconstrained stores keep exact keys on WB machines"
-        );
-    }
-
-    #[test]
-    fn range_spanning_all_sets_blocks_the_memo() {
-        // An annotated array range that reaches the weaken-every-set
-        // threshold behaves differently at different set counts, so such
-        // levels must keep exact keys.
-        let fp = Footprint {
-            intervals: vec![(0x0010_0000, 0x0010_0100)],
-            ranges: vec![(0x0010_0000, 0x0010_0100)], // 16 lines
-            writes_covered: true,
-        };
-        let cfg = CacheConfig::unified(256); // 16 sets ⇒ range covers all
-        assert!(!conflict_free(&cfg, &fp));
-        let big = CacheConfig::unified(1024); // 64 sets > 16 lines
-        assert!(conflict_free(&big, &fp));
     }
 }

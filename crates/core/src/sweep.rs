@@ -5,12 +5,11 @@
 //! unit (`plan::SweepPlan`), and fans the plan's units out across worker
 //! threads (`std::thread::scope` — every point only reads the shared
 //! [`Pipeline`]). A unit's points share the trace tallies and cache
-//! classifications of the links they land on. The memo keys on the
-//! spec's **canonical form** (so equal-after-validation specs — e.g.
-//! zero-size disabled levels — share one measurement) further collapsed
-//! by the footprint argument: a cache level large enough that every
-//! address the program can touch maps to its own set behaves identically
-//! at every larger capacity.
+//! classifications of the links they land on. Points share a
+//! measurement by equality only: the memo keys on the spec's **canonical
+//! form** (so equal-after-validation specs — e.g. zero-size disabled
+//! levels — share one measurement) with an idle store buffer dropped
+//! (one that no store reaches behind an absorbing write-back level).
 //!
 //! Every sweep in the workspace — the paper's capacity figures, the
 //! hierarchy figure, the ablations, DSE shards — builds its axis from
@@ -642,8 +641,8 @@ mod tests {
     fn write_back_hierarchy_sweep_matches_individual_runs() {
         // The memoised + replayed sweep must equal point-by-point direct
         // runs on write-policy-dependent machines too — this exercises
-        // both the ordered-trace replay and the write-covered footprint
-        // collapse (when eligible) end to end.
+        // the ordered-trace replay end to end, on write-back levels too
+        // large to conflict as well as on small ones.
         use spmlab_isa::hierarchy::StoreBuffer;
         let p = Pipeline::new(&INSERTSORT).unwrap();
         let configs = vec![

@@ -288,12 +288,6 @@ impl Prepared {
             .iter()
             .filter_map(|f| Some(&f.as_ref().ok()?.shape))
     }
-
-    /// The verified worst-case stack depth of the entry function, in
-    /// bytes ([`WcetResult::stack_bytes`]).
-    pub fn stack_bytes(&self) -> u32 {
-        self.entry_depth
-    }
 }
 
 /// Builds the hierarchy-independent part of an analysis: CFG

@@ -46,7 +46,6 @@
 
 pub mod addrinfo;
 pub mod analysis;
-pub mod annotfile;
 pub mod bounds;
 pub mod cache;
 pub mod cfg;

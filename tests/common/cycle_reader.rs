@@ -1,6 +1,8 @@
-//! A hand-assembled program that reads the MMIO cycle register, which
-//! MiniC has no way to express. The simulator's unit tests and the
-//! workspace trace tests both include this file by path.
+//! A hand-assembled program that reads the MMIO cycle register through
+//! a literal address, the shortest such program (MiniC reaches the
+//! register only through an out-of-bounds array index). The simulator's
+//! unit tests and the workspace trace tests both include this file by
+//! path.
 
 use spmlab_isa::asm::{FuncBuilder, LitValue};
 use spmlab_isa::image::{Executable, LoadRegion, Symbol, SymbolKind};

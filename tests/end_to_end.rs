@@ -8,6 +8,7 @@ use spmlab::{cache_axis, spm_axis, MemArchSpec};
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::knapsack;
 use spmlab_cc::SpmAssignment;
+use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::mem::{MemoryMap, RegionKind};
 use spmlab_sim::{simulate, MachineConfig, SimOptions};
@@ -149,33 +150,6 @@ fn checksum_validation_catches_wrong_reference() {
 }
 
 #[test]
-fn annotation_file_roundtrip_through_analysis() {
-    // Dump the auto-generated annotations to the aiT-style text format,
-    // parse them back, and confirm the analysis result is identical.
-    let input = inputs::random_ints(16, 3, -50, 50);
-    let module = INSERTSORT.compile().unwrap();
-    let l = INSERTSORT
-        .link_with_input(
-            &module,
-            &MemoryMap::no_spm(),
-            &SpmAssignment::none(),
-            &input,
-        )
-        .unwrap();
-    let direct = spmlab_wcet::analyze(
-        &l.exe,
-        &spmlab_wcet::WcetConfig::region_timing(),
-        &l.annotations,
-    )
-    .unwrap();
-    let text = spmlab_wcet::annotfile::render(&l.annotations);
-    let parsed = spmlab_wcet::annotfile::parse(&text, &l.exe).unwrap();
-    let via_file =
-        spmlab_wcet::analyze(&l.exe, &spmlab_wcet::WcetConfig::region_timing(), &parsed).unwrap();
-    assert_eq!(direct.wcet_cycles, via_file.wcet_cycles);
-}
-
-#[test]
 fn flow_facts_tighten_but_never_break_soundness() {
     // Removing the __looptotal flow facts must loosen (or keep) the bound;
     // both must stay above the simulation.
@@ -197,13 +171,21 @@ fn flow_facts_tighten_but_never_break_soundness() {
         &l.annotations,
     )
     .unwrap();
-    // Strip flow facts by re-rendering without `flow` lines.
-    let text: String = spmlab_wcet::annotfile::render(&l.annotations)
-        .lines()
-        .filter(|line| !line.starts_with("flow"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let stripped = spmlab_wcet::annotfile::parse(&text, &l.exe).unwrap();
+    // Strip flow facts: copy everything but the loop totals.
+    let mut stripped = AnnotationSet::new();
+    for b in l.annotations.loop_bounds() {
+        stripped.set_loop_bound(b.header_addr, b.max_iterations);
+    }
+    for a in l.annotations.accesses() {
+        stripped.set_access(a.insn_addr, a.width, a.addr);
+    }
+    if let Some((lo, hi)) = l.annotations.stack_window() {
+        stripped.set_stack_window(lo, hi);
+    }
+    assert!(
+        l.annotations.loop_totals().next().is_some(),
+        "flow facts to strip"
+    );
     let without_facts =
         spmlab_wcet::analyze(&l.exe, &spmlab_wcet::WcetConfig::region_timing(), &stripped).unwrap();
 

@@ -32,12 +32,12 @@ use spmlab::{write_policy_axis, ConfigResult, MemArchSpec};
 use spmlab_cc::{compile, link, SpmAssignment};
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb, StoreBuffer, L1};
-use spmlab_isa::mem::MemoryMap;
+use spmlab_isa::mem::{MemoryMap, MMIO_CYCLES};
 use spmlab_obs::collector::MemorySink;
 use spmlab_sim::{
     simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, SimError, SimOptions, Tally,
 };
-use spmlab_workloads::{gen, inputs, ADPCM, G721, MULTISORT};
+use spmlab_workloads::{gen, inputs, Benchmark, InputGen, Reference, ADPCM, G721, MULTISORT};
 
 #[path = "common/cycle_reader.rs"]
 mod cycle_reader;
@@ -448,6 +448,61 @@ fn timing_dependent_traces_are_not_priceable() {
     ] {
         assert!(!mmio.priceable(&h), "{}", h.label());
         assert!(mmio.tally(&h).is_err(), "{}", h.label());
+    }
+}
+
+/// A MiniC program that reads the cycle register: the harness patches
+/// `input[0]` so that the out-of-bounds `a[input[0]]` lands on
+/// `MMIO_CYCLES`, and the oracle ignores the value read.
+const CYCLE_INDEX_SRC: &str = "int input[1]; int n; int a[1]; int checksum;
+    void main() { int t; t = a[input[0]]; checksum = 7; }";
+
+/// A point whose recorded cycle-register value diverges under its timing
+/// falls back to a full simulation of its link. The baseline trace of
+/// [`CYCLE_INDEX_SRC`] holds one cycle read: the uncached point replays
+/// it, the 256-byte L1 point diverges, and both equal a direct
+/// simulation of the baseline link.
+#[test]
+fn diverging_cycle_reads_fall_back_to_full_simulation() {
+    let bench = Benchmark {
+        name: "cycle-index".into(),
+        description: "reads the cycle register through an out-of-bounds index".into(),
+        source: CYCLE_INDEX_SRC.into(),
+        input_global: "input".into(),
+        count_global: "n".into(),
+        typical_input: InputGen::Fixed(Arc::new(vec![0])),
+        worst_input: None,
+        reference_checksum: Reference::Host(|_| 7),
+    };
+    let module = bench.compile().unwrap();
+    let link_with = |input: &[i32]| {
+        bench
+            .link_with_input(&module, &MemoryMap::no_spm(), &SpmAssignment::none(), input)
+            .unwrap()
+    };
+    let a = link_with(&[0]).exe.symbol("a").unwrap().addr;
+    let input = vec![((MMIO_CYCLES - a) / 4) as i32];
+    let baseline = link_with(&input);
+    let (_, trace) = simulate_with_trace(&baseline.exe, &SimOptions::default()).unwrap();
+    assert_eq!(trace.cycle_reads(), 1);
+
+    let _x = spmlab_obs::exclusive();
+    let p = Pipeline::with_input(&bench, input).unwrap();
+    let specs = [
+        MemArchSpec::uncached(),
+        MemArchSpec::single_cache(CacheConfig::unified(256)),
+    ];
+    let sink = Arc::new(MemorySink::default());
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let points = spec_sweep(&p, &specs).unwrap();
+    drop(guard);
+    assert_eq!(sink.counter_total("sweep_replay"), 1);
+    assert_eq!(sink.counter_total("sweep_full_sim"), 1);
+    for pt in &points {
+        let machine = MachineConfig::with_hierarchy(pt.spec.hierarchy());
+        let direct = simulate(&baseline.exe, &machine, &SimOptions::default()).unwrap();
+        assert_eq!(pt.result.sim_cycles, direct.cycles, "{}", pt.result.label);
+        assert_eq!(pt.result.checksum, 7, "{}", pt.result.label);
     }
 }
 
