@@ -181,11 +181,7 @@ pub fn allocate_hierarchy_aware(
 /// to the same image at every capacity it fits, up to the map's
 /// `spm_size`, so its bound is shared by all of them. The key also records
 /// whether the map has a scratchpad at all (capacity 0 has none), so the
-/// no-scratchpad baseline keeps its own entry. Under a limited
-/// [`AnalysisBudget`](spmlab_wcet::AnalysisBudget) a bound may depend on
-/// the wall clock, so such objectives bypass the memo's bounds and every
-/// trial is linked and analysed; it still relocates the kept preparation,
-/// which no budget limits.
+/// no-scratchpad baseline keeps its own entry.
 ///
 /// A memo belongs to one module and one set of extra annotations: every
 /// call on it must pass the same two. It is safe to share between threads;
@@ -354,9 +350,8 @@ impl TrialMemo {
     }
 
     /// Trials of `module` under `config`, with the indices of the
-    /// objective and of its twins resolved once: `None` under a limited
-    /// budget (no memo), and only the twins with `config`'s
-    /// classification key.
+    /// objective and of its twins, those with `config`'s classification
+    /// key, resolved once.
     fn trials<'a>(
         &'a self,
         module: &'a ObjModule,
@@ -364,18 +359,14 @@ impl TrialMemo {
         config: &'a WcetConfig,
         twins: &'a [WcetConfig],
     ) -> Trials<'a> {
-        let mut objective = None;
-        let mut costed_with = Vec::new();
-        if !config.budget.is_limited() {
-            let mut s = self.state();
-            let key = config.classification_key();
-            objective = Some(s.objective(config));
-            for twin in twins {
-                if twin != config && twin.classification_key() == key {
-                    costed_with.push((s.objective(twin), twin));
-                }
-            }
-        }
+        let mut s = self.state();
+        let key = config.classification_key();
+        let objective = s.objective(config);
+        let costed_with = twins
+            .iter()
+            .filter(|&twin| twin != config && twin.classification_key() == key)
+            .map(|twin| (s.objective(twin), twin))
+            .collect();
         Trials {
             memo: self,
             module,
@@ -418,7 +409,7 @@ struct Trials<'a> {
     module: &'a ObjModule,
     extra_annotations: &'a AnnotationSet,
     config: &'a WcetConfig,
-    objective: Option<usize>,
+    objective: usize,
     twins: Vec<(usize, &'a WcetConfig)>,
 }
 
@@ -484,9 +475,6 @@ impl Trials<'_> {
             )
         };
         let fresh = || analysed(&[]).map(|(w, _)| w);
-        let Some(objective) = self.objective else {
-            return fresh();
-        };
         let (key, pending) = {
             let mut s = self.memo.state();
             let (id, end) = s.assignment(self.module, assignment);
@@ -500,7 +488,7 @@ impl Trials<'_> {
                 );
                 return res;
             }
-            let key = (id, objective, capacity > 0);
+            let key = (id, self.objective, capacity > 0);
             if let Some(&w) = s.bounds.get(&key) {
                 s.hits += 1;
                 drop(s);
@@ -619,24 +607,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn limited_budget_bypasses_the_memo() {
-        let module = compile(SRC).unwrap();
-        let annot = AnnotationSet::new();
-        let budgeted = WcetConfig {
-            budget: spmlab_wcet::AnalysisBudget {
-                max_fixpoint_iters: Some(1 << 20),
-                deadline_ms: None,
-            },
-            ..WcetConfig::region_timing()
-        };
-        let memo = TrialMemo::new();
-        let first = memo.allocate_with(&module, 512, &annot, &budgeted).unwrap();
-        let second = memo.allocate_with(&module, 512, &annot, &budgeted).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(memo.take_counts(), (0, 0), "every trial ran fresh");
     }
 
     #[test]

@@ -142,8 +142,8 @@ impl CheckpointHeader {
 pub enum PointStatus {
     /// Measured normally.
     Ok,
-    /// Measured under an exhausted analysis budget: the bound is widened
-    /// but still sound.
+    /// Measured, but a WCET fixpoint hit its structural iteration cap: the
+    /// bound is widened but still sound.
     Degraded,
     /// The point failed (typed error or contained panic); resume re-runs
     /// it.

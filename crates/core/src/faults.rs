@@ -35,7 +35,7 @@ pub enum FaultAction {
     /// Return [`CoreError::Injected`] — exercises typed-error containment.
     Error,
     /// Sleep for the given duration, then continue normally — exercises
-    /// deadline budgets and slow-point behavior without failing the point.
+    /// slow-point behavior without failing the point.
     Delay(Duration),
 }
 

@@ -24,11 +24,9 @@ use spmlab_sim::{
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
-    classify, cost, prepare, AnalysisBudget, Classified, IpetModels, Prepared, WcetConfig,
-    WcetError,
+    classify, cost, prepare, Classified, IpetModels, Prepared, WcetConfig, WcetError,
 };
 use spmlab_workloads::Benchmark;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Outcome of running one benchmark under one memory configuration:
@@ -52,7 +50,7 @@ pub struct ConfigResult {
     pub spm_objects: Vec<String>,
     /// Cache classification statistics (cache configurations only).
     pub classify: ClassifyStats,
-    /// `true` when the WCET analysis exhausted its [`AnalysisBudget`] and
+    /// `true` when a WCET fixpoint hit its structural iteration cap and
     /// widened to a conservative (still sound, less precise) bound — the
     /// sweep layer reports such points as `Degraded`.
     pub degraded: bool,
@@ -77,7 +75,7 @@ pub(crate) struct ArchMeasurement {
     pub classify: ClassifyStats,
     pub spm_used: u32,
     pub spm_objects: Vec<String>,
-    /// The analyzer widened under its budget (see [`ConfigResult::degraded`]).
+    /// A fixpoint hit its structural cap (see [`ConfigResult::degraded`]).
     pub widened: bool,
 }
 
@@ -158,14 +156,17 @@ fn shared<'a, K: PartialEq, V, E>(
 /// error or a panic is not cached — it fails its own caller, and the next
 /// caller computes afresh. Each lookup bumps the memo's hit or miss
 /// counter.
-struct Memo<T> {
-    cells: Mutex<BTreeMap<String, Arc<Mutex<Option<T>>>>>,
+struct Memo<K, T> {
+    cells: Mutex<Vec<(K, Cell<T>)>>,
     hit: &'static str,
     miss: &'static str,
 }
 
-impl<T: Clone> Memo<T> {
-    fn new(hit: &'static str, miss: &'static str) -> Memo<T> {
+/// One [`Memo`] key's result, `None` until computed.
+type Cell<T> = Arc<Mutex<Option<T>>>;
+
+impl<K: PartialEq, T: Clone> Memo<K, T> {
+    fn new(hit: &'static str, miss: &'static str) -> Memo<K, T> {
         Memo {
             cells: Mutex::default(),
             hit,
@@ -175,16 +176,20 @@ impl<T: Clone> Memo<T> {
 
     fn get_or_compute(
         &self,
-        key: String,
+        key: K,
         compute: impl FnOnce() -> Result<T, CoreError>,
     ) -> Result<T, CoreError> {
-        let cell = self
-            .cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_default()
-            .clone();
+        let cell = {
+            let mut cells = self.cells.lock().unwrap_or_else(PoisonError::into_inner);
+            match cells.iter().find(|(k, _)| *k == key) {
+                Some((_, cell)) => cell.clone(),
+                None => {
+                    let cell = Cell::default();
+                    cells.push((key, cell.clone()));
+                    cell
+                }
+            }
+        };
         // A panicking computation poisons the cell with `None` inside.
         let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = slot.as_ref() {
@@ -233,8 +238,9 @@ pub struct Pipeline {
     baseline: Arc<Link>,
     energy: EnergyModel,
     sim_options: SimOptions,
-    /// WCET-driven allocations, keyed by capacity + objective.
-    wcet_allocs: Memo<SpmAssignment>,
+    /// WCET-driven allocations, keyed by capacity and the hierarchy-aware
+    /// greedy's objective (`None`: the region-timing greedy).
+    wcet_allocs: Memo<(u32, Option<WcetConfig>), SpmAssignment>,
     /// The bounds of every allocation trial the WCET-driven greedies have
     /// run, shared across capacities and objectives.
     alloc_trials: wcet_aware::TrialMemo,
@@ -243,11 +249,7 @@ pub struct Pipeline {
     /// store.
     ipet_models: Arc<IpetModels>,
     /// Scratchpad links, keyed by capacity + assignment.
-    spm_links: Memo<Arc<Link>>,
-    /// Per-point resource budget stamped onto every analyzer config; the
-    /// default imposes no limits. Exhausting it degrades precision (the
-    /// point is tagged `degraded`), never soundness.
-    analysis_budget: AnalysisBudget,
+    spm_links: Memo<(u32, SpmAssignment), Arc<Link>>,
 }
 
 impl Pipeline {
@@ -319,15 +321,7 @@ impl Pipeline {
             alloc_trials: wcet_aware::TrialMemo::with_ipet_models(ipet_models.clone()),
             ipet_models,
             spm_links: Memo::new("spm_link_memo_hit", "spm_link_memo_miss"),
-            analysis_budget: AnalysisBudget::unlimited(),
         })
-    }
-
-    /// Sets the per-point [`AnalysisBudget`] every subsequent analysis
-    /// runs under. Exhausting it yields a widened-but-sound bound tagged
-    /// `degraded`, never an unsound one.
-    pub fn set_analysis_budget(&mut self, budget: AnalysisBudget) {
-        self.analysis_budget = budget;
     }
 
     /// The baseline execution's recorded trace, serialized in its wire
@@ -335,11 +329,6 @@ impl Pipeline {
     /// [`MemTrace::from_bytes`] and replay on any hierarchy.
     pub fn trace_bytes(&self) -> Vec<u8> {
         self.baseline.trace.to_bytes()
-    }
-
-    /// The per-point analysis budget in force.
-    pub fn analysis_budget(&self) -> AnalysisBudget {
-        self.analysis_budget
     }
 
     /// Simulation options for sweep points: identical timing, but with the
@@ -425,21 +414,16 @@ impl Pipeline {
     }
 
     /// The analyzer configuration for a canonical spec (see
-    /// [`Pipeline::run`]'s routing table), stamped with the pipeline's
-    /// [`AnalysisBudget`].
+    /// [`Pipeline::run`]'s routing table).
     pub(crate) fn wcet_config_for(&self, canon: &MemArchSpec) -> WcetConfig {
         let paper_mode = canon.spm.is_none()
             && canon.l2.is_none()
             && canon.main == MainMemoryTiming::table1()
             && !canon.hierarchy().write_policy_dependent();
-        let routed = match &canon.l1 {
+        match &canon.l1 {
             L1::Unified(c) if canon.persistence => WcetConfig::with_cache_persistence(c.clone()),
             L1::Unified(c) if paper_mode => WcetConfig::with_cache(c.clone()),
             _ => WcetConfig::with_hierarchy(canon.hierarchy()),
-        };
-        WcetConfig {
-            budget: self.analysis_budget,
-            ..routed
         }
     }
 
@@ -447,10 +431,10 @@ impl Pipeline {
     /// representative on its link. Label-free and energy-free so sweep
     /// points whose canonical specs are effectively identical can share
     /// one measurement. `slots` are its unit's: a priceable machine
-    /// prices from the latency-0 tally of its link, and under an
-    /// unlimited budget a machine costs from the classification of its
-    /// link and classification key; the first member that needs one
-    /// computes it, the others with the same link and key reuse it.
+    /// prices from the latency-0 tally of its link, and a machine costs
+    /// from the classification of its link and classification key; the
+    /// first member that needs one computes it, the others with the same
+    /// link and key reuse it.
     pub(crate) fn measure_spec(
         &self,
         rep: &Rep,
@@ -478,16 +462,10 @@ impl Pipeline {
             let _s = spmlab_obs::span("analyze");
             crate::faults::fault_point("analyze")?;
             let prepared = link.prepared()?;
-            let compute = || classify(prepared, exe, &wcfg);
-            let mut own = None;
-            let classified = if wcfg.budget.is_limited() {
-                &*own.insert(compute())
-            } else {
-                let key = wcfg.classification_key();
-                shared(&mut slots.classified, &link, key, || {
-                    Ok::<_, CoreError>(compute())
-                })?
-            };
+            let key = wcfg.classification_key();
+            let classified = shared(&mut slots.classified, &link, key, || {
+                Ok::<_, CoreError>(classify(prepared, exe, &wcfg))
+            })?;
             cost(prepared, exe, &wcfg, classified, &self.ipet_models)?
         };
         Ok(ArchMeasurement {
@@ -598,7 +576,7 @@ impl Pipeline {
                 // greedy serves the WcetRegion specs and every WcetAware
                 // objective at that capacity.
                 let region = self.region_alloc(spm.size)?;
-                let key = format!("aware|{}|{wcfg:?}", spm.size);
+                let key = (spm.size, Some(wcfg.clone()));
                 self.wcet_allocs.get_or_compute(key, || {
                     self.counting_trials(|trials| {
                         trials.allocate_hierarchy_aware(
@@ -617,17 +595,16 @@ impl Pipeline {
 
     /// The memoised region-timing greedy allocation for one capacity.
     fn region_alloc(&self, size: u32) -> Result<SpmAssignment, CoreError> {
-        self.wcet_allocs
-            .get_or_compute(format!("region|{size}"), || {
-                self.counting_trials(|trials| {
-                    trials.allocate_with(
-                        &self.module,
-                        size,
-                        &AnnotationSet::new(),
-                        &WcetConfig::region_timing(),
-                    )
-                })
+        self.wcet_allocs.get_or_compute((size, None), || {
+            self.counting_trials(|trials| {
+                trials.allocate_with(
+                    &self.module,
+                    size,
+                    &AnnotationSet::new(),
+                    &WcetConfig::region_timing(),
+                )
             })
+        })
     }
 
     /// Runs one greedy on the pipeline's trial memo and reports the
@@ -650,7 +627,7 @@ impl Pipeline {
     /// once: every timing and hierarchy re-prices its trace.
     fn spm_link(&self, size: u32, assignment: &SpmAssignment) -> Result<Arc<Link>, CoreError> {
         self.spm_links
-            .get_or_compute(format!("{size}|{assignment:?}"), || {
+            .get_or_compute((size, assignment.clone()), || {
                 let _s = spmlab_obs::span("spm-link");
                 crate::faults::fault_point("link")?;
                 let map = MemoryMap::with_spm(size);
@@ -745,7 +722,7 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     start.wait();
-                    let got = p.wcet_allocs.get_or_compute(String::from("k"), || {
+                    let got = p.wcet_allocs.get_or_compute((1, None), || {
                         runs.fetch_add(1, Ordering::SeqCst);
                         std::thread::sleep(std::time::Duration::from_millis(50));
                         Ok(a.clone())
@@ -756,25 +733,25 @@ mod tests {
         });
         assert_eq!(runs.load(Ordering::SeqCst), 1);
         // An error fails its own caller only; the next caller computes.
-        let err = p.wcet_allocs.get_or_compute(String::from("e"), || {
-            Err(CoreError::Injected("alloc".into()))
-        });
+        let err = p
+            .wcet_allocs
+            .get_or_compute((2, None), || Err(CoreError::Injected("alloc".into())));
         assert!(err.is_err());
         assert_eq!(
             p.wcet_allocs
-                .get_or_compute(String::from("e"), || Ok(a.clone()))
+                .get_or_compute((2, None), || Ok(a.clone()))
                 .unwrap(),
             a
         );
         // So does a panic, which poisons the cell's lock.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             p.wcet_allocs
-                .get_or_compute(String::from("p"), || panic!("greedy panicked"))
+                .get_or_compute((3, None), || panic!("greedy panicked"))
         }));
         assert!(panicked.is_err());
         assert_eq!(
             p.wcet_allocs
-                .get_or_compute(String::from("p"), || Ok(a.clone()))
+                .get_or_compute((3, None), || Ok(a.clone()))
                 .unwrap(),
             a
         );

@@ -137,8 +137,9 @@ pub fn render_hierarchy(fig: &crate::figures::FigureHierarchy) -> String {
         .iter()
         .map(|p| {
             let r = &p.result;
-            // A widened-but-sound bound from an exhausted analysis budget
-            // is flagged in place, never passed off as a precise result.
+            // A widened-but-sound bound from a fixpoint that hit its
+            // structural cap is flagged in place, never passed off as a
+            // precise result.
             let label = if r.degraded {
                 format!("{} [degraded]", r.label)
             } else {

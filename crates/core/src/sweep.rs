@@ -84,9 +84,8 @@ impl std::fmt::Display for FailedPoint {
 pub enum PointOutcome {
     /// Measured normally.
     Ok(ConfigResult),
-    /// Measured under an exhausted
-    /// [`AnalysisBudget`](spmlab_wcet::AnalysisBudget): the WCET bound is
-    /// widened but still sound.
+    /// Measured, but a WCET fixpoint hit its structural iteration cap: the
+    /// bound is widened but still sound.
     Degraded(ConfigResult),
     /// The point failed; the error (or contained panic) is reported here
     /// instead of aborting the sweep.
@@ -747,19 +746,54 @@ mod tests {
         }
     }
 
+    /// A point checkpointed as degraded resumes as `Degraded` with its
+    /// recorded numbers, and the stream counts it.
     #[test]
-    fn exhausted_budget_degrades_points_without_failing_them() {
-        let mut p = Pipeline::new(&INSERTSORT).unwrap();
-        p.set_analysis_budget(spmlab_wcet::AnalysisBudget {
-            max_fixpoint_iters: Some(1),
-            deadline_ms: None,
-        });
-        let specs = vec![MemArchSpec::single_cache(CacheConfig::unified(256))];
-        let outcomes = spec_sweep_with_session(&p, &specs, &SweepSession::none()).unwrap();
-        assert!(outcomes[0].outcome.is_degraded(), "budget of 1 must widen");
-        let r = outcomes[0].outcome.result().unwrap();
-        assert!(r.degraded);
-        assert!(r.wcet_cycles >= r.sim_cycles, "degraded bound stays sound");
+    fn degraded_record_resumes_degraded() {
+        let p = Pipeline::new(&INSERTSORT).unwrap();
+        let specs = vec![
+            MemArchSpec::spm(128),
+            MemArchSpec::single_cache(CacheConfig::unified(256)),
+        ];
+        let dir = std::env::temp_dir().join(format!("spmlab-sweep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("degraded.jsonl");
+        let header = CheckpointHeader::new("testrev", "insertsort", &specs);
+        let session = SweepSession::checkpoint_to(&path, &header).unwrap();
+        let full = spec_sweep_with_session(&p, &specs, &session).unwrap();
+        drop(session);
+        assert!(full
+            .iter()
+            .all(|o| matches!(o.outcome, PointOutcome::Ok(_))));
+        // Mark the cache point as a capped fixpoint would have.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let marked: String = text
+            .lines()
+            .map(|line| {
+                let line = if line.starts_with("{\"index\":1,") {
+                    line.replacen("\"status\":\"ok\"", "\"status\":\"degraded\"", 1)
+                } else {
+                    line.to_string()
+                };
+                line + "\n"
+            })
+            .collect();
+        assert_eq!(marked.matches("\"status\":\"degraded\"").count(), 1);
+        std::fs::write(&path, marked).unwrap();
+        let resumed = SweepSession::resume_from(&path, &header).unwrap();
+        assert_eq!(resumed.resumed_points(), 2);
+        let replay = spec_sweep_with_session(&p, &specs, &resumed).unwrap();
+        drop(resumed);
+        assert!(matches!(replay[0].outcome, PointOutcome::Ok(_)));
+        let PointOutcome::Degraded(r) = &replay[1].outcome else {
+            panic!("{:?}", replay[1].outcome);
+        };
+        let f = full[1].outcome.result().unwrap();
+        assert_eq!((r.sim_cycles, r.wcet_cycles), (f.sim_cycles, f.wcet_cycles));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let stats = crate::checkpoint::check_checkpoint(&text).expect("stream validates");
+        assert_eq!((stats.ok, stats.degraded), (1, 1));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::cache::{self, Classification, ClassifyStats, Persistence};
 use crate::cfg::{build_all, BasicBlock, FuncCfg};
-use crate::fixpoint::FixpointBudget;
 use crate::ipet::{FlowFacts, IpetModels, Shape};
 use crate::loops::{natural_loops, NaturalLoop};
 use crate::multilevel::{self, MultiCtx, MultiState};
@@ -16,52 +15,6 @@ use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_isa::image::{Executable, SymbolKind};
 use spmlab_isa::insn::Insn;
 use std::collections::{BTreeMap, HashMap};
-
-/// Resource budget for one [`analyze`] call, expressed in wall-clock
-/// milliseconds and fixpoint iterations so the config stays `Eq`-able and
-/// serializable (the absolute [`std::time::Instant`] deadline is derived
-/// at [`classify`] entry).
-///
-/// Exhausting either limit is *sound*: the affected fixpoints widen to the
-/// conservative `top` state, the bound can only go up, and the result is
-/// tagged `widened` — the caller surfaces it as a `Degraded` outcome
-/// instead of a silent lie or an unbounded hang.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AnalysisBudget {
-    /// Cap on worklist iterations per fixpoint solve (`None` = only the
-    /// structural defensive cap applies).
-    pub max_fixpoint_iters: Option<u64>,
-    /// Wall-clock budget for the analysis, in milliseconds, measured from
-    /// [`classify`] entry and covering its [`cost`] pass; the budget-free
-    /// [`prepare`] and [`Prepared::relocate`] stages run before the clock
-    /// starts (`None` = no deadline).
-    pub deadline_ms: Option<u64>,
-}
-
-impl AnalysisBudget {
-    /// No caller-imposed limits — the default for every stock config.
-    pub const fn unlimited() -> AnalysisBudget {
-        AnalysisBudget {
-            max_fixpoint_iters: None,
-            deadline_ms: None,
-        }
-    }
-
-    /// Whether any limit is set.
-    pub fn is_limited(&self) -> bool {
-        self.max_fixpoint_iters.is_some() || self.deadline_ms.is_some()
-    }
-
-    /// The per-solve [`FixpointBudget`], anchoring `deadline_ms` at `now`.
-    fn fixpoint_budget(&self) -> FixpointBudget {
-        FixpointBudget {
-            max_iterations: self.max_fixpoint_iters,
-            deadline: self
-                .deadline_ms
-                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-        }
-    }
-}
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,22 +35,20 @@ pub struct WcetConfig {
     /// penalty — the baseline the monotonicity sanity checks compare
     /// against.
     pub l2_must_analysis: bool,
-    /// Run the cold-start MAY analysis (cached hierarchies only): accesses
-    /// absent from their L1 MAY state are classified Always-Miss, the
-    /// Hardy–Puaut `A` filter that lets the L2 MUST analysis classify hits
-    /// behind an L1. When false every non-AH access is Not-Classified.
-    pub may_analysis: bool,
-    /// Thread abstract states across the call graph (cached hierarchies
-    /// only): functions are analyzed in call-graph reverse-postorder and
-    /// each function's fixpoint starts from the join of its callers'
-    /// states at the call sites instead of the conservative TOP. The
-    /// program entry starts from the cold-boot state; functions with no
-    /// recorded caller (and everything when this is false) fall back to
-    /// TOP.
-    pub interprocedural: bool,
-    /// Resource budget; exhausting it degrades precision (widening to the
-    /// conservative state, `widened = true`), never soundness.
-    pub budget: AnalysisBudget,
+    /// Run the interprocedural MAY analysis (cached hierarchies only).
+    ///
+    /// The cold-start MAY pass classifies accesses absent from their L1
+    /// MAY state Always-Miss, the Hardy–Puaut `A` filter that lets the L2
+    /// MUST analysis classify hits behind an L1. Abstract states are
+    /// threaded across the call graph: functions are analyzed in
+    /// call-graph reverse-postorder and each function's fixpoint starts
+    /// from the join of its callers' states at the call sites, the program
+    /// entry from the cold-boot state, and functions with no recorded
+    /// caller from the conservative TOP.
+    ///
+    /// When false every function starts from TOP, calls clobber the whole
+    /// state, and every non-AH access is Not-Classified.
+    pub interprocedural_may: bool,
 }
 
 impl WcetConfig {
@@ -144,9 +95,7 @@ impl WcetConfig {
             hierarchy,
             persistence: false,
             l2_must_analysis: true,
-            may_analysis: true,
-            interprocedural: true,
-            budget: AnalysisBudget::unlimited(),
+            interprocedural_may: true,
         }
     }
 
@@ -167,8 +116,7 @@ impl WcetConfig {
     /// `multilevel-precision` experiment quantifies by how much).
     pub fn with_hierarchy_baseline(hierarchy: MemHierarchyConfig) -> WcetConfig {
         WcetConfig {
-            may_analysis: false,
-            interprocedural: false,
+            interprocedural_may: false,
             ..WcetConfig::with_hierarchy(hierarchy)
         }
     }
@@ -509,8 +457,6 @@ pub struct Classified {
     summaries: BTreeMap<u32, multilevel::CallSummary>,
     states: BTreeMap<u32, BTreeMap<u32, MultiState>>,
     widened: bool,
-    /// The fixpoint budget, its deadline anchored at [`classify`] entry.
-    budget: FixpointBudget,
 }
 
 impl Classified {
@@ -537,12 +483,8 @@ impl Classified {
 /// callers' states at the call sites, the program entry starts cold
 /// (empty caches at boot), and functions with no recorded caller fall
 /// back to the conservative TOP.
-///
-/// The wall-clock deadline of `config.budget` is anchored here and
-/// covers this call and the [`cost`] calls that use its result.
 pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> Classified {
     let key = config.classification_key();
-    let budget = config.budget.fixpoint_budget();
     let mut widened = false;
     let hierarchy = &config.hierarchy;
     if !hierarchy.has_cache_levels() {
@@ -553,7 +495,6 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
             summaries: BTreeMap::new(),
             states: BTreeMap::new(),
             widened,
-            budget,
         };
     }
     let Prepared {
@@ -561,7 +502,7 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
     } = prepared;
 
     let mut summaries = BTreeMap::new();
-    if config.interprocedural {
+    if config.interprocedural_may {
         let _pass = spmlab_obs::span("wcet-pass-summaries");
         for &faddr in order {
             let ctx = MultiCtx {
@@ -569,9 +510,8 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
                 map: &exe.memory_map,
                 annot,
                 l2_analysis: config.l2_must_analysis,
-                may_analysis: config.may_analysis,
+                may_analysis: config.interprocedural_may,
                 summaries: Some(&summaries),
-                budget,
             };
             let _f = spmlab_obs::span_with("wcet-fn-summary", || cfgs[&faddr].name.clone());
             let s = multilevel::summarize_function(&cfgs[&faddr], &ctx);
@@ -586,15 +526,14 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
         map: &exe.memory_map,
         annot,
         l2_analysis: config.l2_must_analysis,
-        may_analysis: config.may_analysis,
-        summaries: config.interprocedural.then_some(&summaries),
-        budget,
+        may_analysis: config.interprocedural_may,
+        summaries: config.interprocedural_may.then_some(&summaries),
     };
     let mut entries: BTreeMap<u32, MultiState> = BTreeMap::new();
     let mut states = BTreeMap::new();
     for &faddr in order.iter().rev() {
         let cfg = &cfgs[&faddr];
-        let entry = if !config.interprocedural {
+        let entry = if !config.interprocedural_may {
             MultiState::top(&ctx)
         } else if faddr == exe.entry {
             // Cold boot: MUST empty *and* MAY empty — every first touch
@@ -613,7 +552,7 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
         let fp = multilevel::must_fixpoint(cfg, &ctx, entry);
         widened |= fp.widened;
         let in_states = fp.in_states;
-        if config.interprocedural {
+        if config.interprocedural_may {
             multilevel::propagate_entry_states(cfg, &in_states, &ctx, &mut entries);
         }
         states.insert(faddr, in_states);
@@ -624,7 +563,6 @@ pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> C
         summaries,
         states,
         widened,
-        budget,
     }
 }
 
@@ -699,9 +637,8 @@ fn cost_with(
             map: &exe.memory_map,
             annot,
             l2_analysis: config.l2_must_analysis,
-            may_analysis: config.may_analysis,
-            summaries: config.interprocedural.then_some(&classified.summaries),
-            budget: classified.budget,
+            may_analysis: config.interprocedural_may,
+            summaries: config.interprocedural_may.then_some(&classified.summaries),
         };
         let mut persistence = config
             .persistence
@@ -1065,67 +1002,27 @@ mod tests {
         );
     }
 
+    /// A classification whose fixpoints hit their structural cap marks
+    /// the bound it costs as widened; an exact one does not.
     #[test]
-    fn exhausted_budget_degrades_but_stays_sound() {
-        // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
+    fn widened_classification_widens_the_cost() {
+        // A widened cost emits `wcet_widened_results`: hold the sink lock
         // so a concurrently counting test cannot see it.
         let _x = spmlab_obs::exclusive();
         let l = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
-        let cache = spmlab_isa::cachecfg::CacheConfig::unified(1024);
-        let s = simulate(
-            &l.exe,
-            &MachineConfig::with_cache(cache.clone()),
-            &SimOptions::default(),
-        )
-        .unwrap();
-        let unlimited = analyze(
-            &l.exe,
-            &WcetConfig::with_cache(cache.clone()),
-            &l.annotations,
-        )
-        .unwrap();
-        // Iteration cap of 1 in paper mode: every fixpoint widens to top,
-        // the result is flagged, and the bound can only grow.
-        let capped = analyze(
-            &l.exe,
-            &WcetConfig {
-                budget: AnalysisBudget {
-                    max_fixpoint_iters: Some(1),
-                    deadline_ms: None,
-                },
-                ..WcetConfig::with_cache(cache.clone())
-            },
-            &l.annotations,
-        )
-        .unwrap();
-        assert!(capped.widened, "iteration cap of 1 must widen");
-        assert!(capped.wcet_cycles >= s.cycles, "degraded must stay sound");
-        assert!(capped.wcet_cycles >= unlimited.wcet_cycles);
-        // Expired deadline with the full hierarchy flags: same story.
-        let h = spmlab_isa::hierarchy::MemHierarchyConfig::l1_only(cache.clone());
-        let hs = simulate(
-            &l.exe,
-            &MachineConfig::with_hierarchy(h.clone()),
-            &SimOptions::default(),
-        )
-        .unwrap();
-        let deadlined = analyze(
-            &l.exe,
-            &WcetConfig {
-                budget: AnalysisBudget {
-                    max_fixpoint_iters: None,
-                    deadline_ms: Some(0),
-                },
-                ..WcetConfig::with_hierarchy(h)
-            },
-            &l.annotations,
-        )
-        .unwrap();
-        assert!(deadlined.widened, "deadline 0 must widen");
+        let config = WcetConfig::with_cache(spmlab_isa::cachecfg::CacheConfig::unified(1024));
+        let prepared = prepare(&l.exe, &l.annotations).unwrap();
+        let mut classified = classify(&prepared, &l.exe, &config);
+        let models = IpetModels::new();
+        let exact = cost(&prepared, &l.exe, &config, &classified, &models).unwrap();
+        assert!(!exact.widened);
+        classified.widened = true;
+        let widened = cost(&prepared, &l.exe, &config, &classified, &models).unwrap();
         assert!(
-            deadlined.wcet_cycles >= hs.cycles,
-            "degraded must stay sound"
+            widened.widened,
+            "a widened classification must widen the bound"
         );
+        assert_eq!(widened.wcet_cycles, exact.wcet_cycles);
     }
 
     /// Every IPET solve of the shipped kernels and of generated programs

@@ -19,36 +19,6 @@
 use crate::cfg::{BasicBlock, FuncCfg};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::time::Instant;
-
-/// Caller-imposed resource limits for one [`must_fixpoint`] solve, on top
-/// of the structural `budget_factor * blocks` defensive cap.
-///
-/// Both limits are *sound* to exhaust: the solver widens every state to
-/// `top` and reports `widened = true`, exactly like the structural cap, so
-/// a budget-limited analysis degrades to a conservative bound instead of
-/// hanging or lying. `Default` imposes no extra limits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FixpointBudget {
-    /// Hard cap on worklist pops for this solve (no 4096 floor — an
-    /// explicit cap means the caller *wants* early widening).
-    pub max_iterations: Option<u64>,
-    /// Absolute wall-clock deadline; checked once per pop.
-    pub deadline: Option<Instant>,
-}
-
-impl FixpointBudget {
-    /// No caller-imposed limits (the structural cap still applies).
-    pub const UNLIMITED: FixpointBudget = FixpointBudget {
-        max_iterations: None,
-        deadline: None,
-    };
-
-    fn exhausted(&self, iterations: usize) -> bool {
-        self.max_iterations.is_some_and(|m| iterations as u64 > m)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
 
 /// Outcome of a [`must_fixpoint`] run: the per-block in-states plus the
 /// solver's own accounting, so callers can distinguish a genuine fixpoint
@@ -94,16 +64,12 @@ impl<S> FixpointResult<S> {
 ///   converge in a handful of passes per block). Exhausting the budget is
 ///   *not* silent: the result's `widened` flag is set and a
 ///   `fixpoint_budget_exhausted` counter is emitted;
-/// * `budget` — caller-imposed [`FixpointBudget`] (iteration cap and/or
-///   wall-clock deadline) layered on top of the structural cap; exhausting
-///   it widens identically, so a deadline produces a degraded-but-sound
-///   bound rather than an overrun.
 ///
 /// Blocks unreachable from the entry receive no in-state (callers fall
 /// back to `top` for them), exactly like the previous solver.
 ///
 /// ```
-/// use spmlab_wcet::fixpoint::{must_fixpoint, FixpointBudget};
+/// use spmlab_wcet::fixpoint::must_fixpoint;
 /// # use spmlab_wcet::cfg::{BasicBlock, FuncCfg};
 /// # use std::collections::BTreeMap;
 /// # let block = |start: u32, succs: Vec<u32>| BasicBlock {
@@ -128,7 +94,6 @@ impl<S> FixpointResult<S> {
 ///     },
 ///     |s, b| { s.insert(b.start); },
 ///     64,
-///     FixpointBudget::UNLIMITED,
 /// );
 /// assert!(!result.widened, "a two-block chain converges well within budget");
 /// let states = result.in_states;
@@ -142,7 +107,6 @@ pub fn must_fixpoint<S, T, J, F>(
     join_into: J,
     mut transfer: F,
     budget_factor: usize,
-    budget: FixpointBudget,
 ) -> FixpointResult<S>
 where
     S: Clone,
@@ -165,9 +129,8 @@ where
     while let Some(Reverse(i)) = heap.pop() {
         queued[i] = false;
         iterations += 1;
-        if iterations > structural_budget.max(4096) || budget.exhausted(iterations) {
-            // Defensive cap or caller budget: fall back to the safe top
-            // state everywhere.
+        if iterations > structural_budget.max(4096) {
+            // Defensive cap: fall back to the safe top state everywhere.
             for (_, s) in in_states.iter_mut() {
                 *s = top();
             }
@@ -307,7 +270,6 @@ mod tests {
                 s.insert(block.start);
             },
             64,
-            FixpointBudget::UNLIMITED,
         );
         assert_eq!(
             transfers.get(),
@@ -339,7 +301,6 @@ mod tests {
                 s.insert(block.start);
             },
             64,
-            FixpointBudget::UNLIMITED,
         );
         // The header is entered from 0 (giving {0}) and from 4 (giving
         // {0, 2, 4}); the intersection keeps only {0}.
@@ -367,7 +328,6 @@ mod tests {
                 s.insert(block.start);
             },
             64,
-            FixpointBudget::UNLIMITED,
         )
         .into_states();
         assert!(states.contains_key(&0) && states.contains_key(&2));
@@ -394,7 +354,6 @@ mod tests {
             },
             |s, _| *s += 1,
             1,
-            FixpointBudget::UNLIMITED,
         );
         drop(guard);
         assert!(result.widened, "exhausting the budget must be observable");
@@ -408,69 +367,6 @@ mod tests {
             "bail-out must emit the exhaustion counter"
         );
         assert_eq!(sink.counter_total("fixpoint_runs"), 1);
-    }
-
-    /// A caller-imposed iteration cap widens long before the structural
-    /// 4096 floor — an explicit cap has no floor by design.
-    #[test]
-    fn caller_iteration_cap_widens_without_floor() {
-        // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
-        // so a concurrently counting test cannot see it.
-        let _x = spmlab_obs::exclusive();
-        let cfg = cfg_of(&[(0, &[2][..]), (2, &[0][..])]);
-        let result = must_fixpoint(
-            &cfg,
-            || 0u64,
-            0u64,
-            |a: &mut u64, b: &u64| {
-                *a = a.wrapping_add(*b).wrapping_add(1);
-                true // Claims to change forever.
-            },
-            |s, _| *s += 1,
-            64,
-            FixpointBudget {
-                max_iterations: Some(3),
-                deadline: None,
-            },
-        );
-        assert!(result.widened, "explicit cap must trigger widening");
-        assert_eq!(result.iterations, 4, "cap of 3 stops on the 4th pop");
-        for (_, v) in result.in_states {
-            assert_eq!(v, 0, "cap must reset every state to top");
-        }
-    }
-
-    /// An already-expired deadline widens on the first pop; the result is
-    /// top everywhere, i.e. degraded but sound.
-    #[test]
-    fn expired_deadline_widens_immediately() {
-        // Exhaustion emits `fixpoint_budget_exhausted`: hold the sink lock
-        // so a concurrently counting test cannot see it.
-        let _x = spmlab_obs::exclusive();
-        let cfg = cfg_of(&[(0, &[2][..]), (2, &[][..])]);
-        let result = must_fixpoint(
-            &cfg,
-            BTreeSet::<u32>::new,
-            BTreeSet::from([7u32]),
-            |a: &mut BTreeSet<u32>, b: &BTreeSet<u32>| {
-                let before = a.len();
-                a.retain(|x| b.contains(x));
-                a.len() != before
-            },
-            |s, block| {
-                s.insert(block.start);
-            },
-            64,
-            FixpointBudget {
-                max_iterations: None,
-                deadline: Some(Instant::now()),
-            },
-        );
-        assert!(result.widened);
-        assert_eq!(result.iterations, 1);
-        for (_, v) in result.in_states {
-            assert!(v.is_empty(), "deadline must reset every state to top");
-        }
     }
 
     /// A converging run reports `widened == false` and no exhaustion
@@ -494,7 +390,6 @@ mod tests {
                 s.insert(block.start);
             },
             64,
-            FixpointBudget::UNLIMITED,
         );
         drop(guard);
         assert!(!result.widened);

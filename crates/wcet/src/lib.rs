@@ -59,10 +59,7 @@ pub mod stack;
 #[cfg(test)]
 mod timing;
 
-pub use analysis::{
-    analyze, classify, cost, prepare, AnalysisBudget, Classified, Prepared, WcetConfig,
-};
-pub use fixpoint::FixpointBudget;
+pub use analysis::{analyze, classify, cost, prepare, Classified, Prepared, WcetConfig};
 pub use ipet::IpetModels;
 pub use report::{FuncWcet, WcetResult};
 

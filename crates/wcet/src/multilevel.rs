@@ -116,7 +116,6 @@
 //!     l2_analysis: true,
 //!     may_analysis: true,
 //!     summaries: None,
-//!     budget: spmlab_wcet::fixpoint::FixpointBudget::UNLIMITED,
 //! };
 //! // One NOP fetched from main memory, analyzed from the cold boot
 //! // state: the L1I is provably empty, so the fetch is an Always-Miss —
@@ -171,9 +170,6 @@ pub struct MultiCtx<'a> {
     /// clobbering the whole state; when `None` (or a callee is missing),
     /// calls fall back to the conservative [`MultiState::clobber`].
     pub summaries: Option<&'a BTreeMap<u32, CallSummary>>,
-    /// Caller-imposed fixpoint budget (iteration cap / deadline); the
-    /// default imposes nothing beyond the structural cap.
-    pub budget: crate::fixpoint::FixpointBudget,
 }
 
 impl MultiCtx<'_> {
@@ -1215,7 +1211,6 @@ pub fn must_fixpoint(
         MultiState::join_into,
         |s, block| walk_block(s, block, ctx, None, None),
         64 * max_assoc,
-        ctx.budget,
     )
 }
 
@@ -1298,7 +1293,6 @@ mod tests {
             l2_analysis: true,
             may_analysis: true,
             summaries: None,
-            budget: crate::fixpoint::FixpointBudget::UNLIMITED,
         }
     }
 

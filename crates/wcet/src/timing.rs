@@ -42,7 +42,6 @@ mod tests {
             l2_analysis: true,
             may_analysis: true,
             summaries: None,
-            budget: crate::fixpoint::FixpointBudget::UNLIMITED,
         };
         let mut stats = ClassifyStats::default();
         let mut cls = Classification::default();

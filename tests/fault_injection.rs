@@ -296,40 +296,6 @@ fn delays_do_not_fail_points() {
 }
 
 #[test]
-fn exhausted_budgets_degrade_soundly_not_fatally() {
-    // Hold the harness lock so a concurrently armed fault cannot leak into
-    // this sweep; the plan itself targets a phase that never runs.
-    let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
-    let mut p = Pipeline::new(&INSERTSORT).expect("pipeline");
-    p.set_analysis_budget(spmlab_wcet::AnalysisBudget {
-        max_fixpoint_iters: Some(1),
-        deadline_ms: None,
-    });
-    let outcomes =
-        spec_sweep_with_session(&p, &small_axis(), &SweepSession::none()).expect("sweep survives");
-    for o in &outcomes {
-        let r = o
-            .outcome
-            .result()
-            .expect("budget exhaustion never fails a point");
-        if o.outcome.is_degraded() {
-            assert!(r.degraded);
-        }
-        assert!(
-            r.wcet_cycles >= r.sim_cycles,
-            "degraded bound stays sound: {}",
-            r.label
-        );
-    }
-    // The cached machine cannot converge its MUST fixpoint in one
-    // iteration: at least one point is degraded, proving the budget bites.
-    assert!(
-        outcomes.iter().any(|o| o.outcome.is_degraded()),
-        "a one-iteration budget must widen some point"
-    );
-}
-
-#[test]
 fn faulted_checkpoints_record_failures_and_resume_to_completion() {
     // The small-axis version of the G.721 scenario below, checking the
     // checkpoint *contents* around a fault: failed points are recorded
