@@ -7,11 +7,15 @@
 //! experiments list                       # usage and available ids
 //! experiments --profile[=out.jsonl] <id> # instrumented run + phase table
 //! experiments --dump-spec [--quick] <id> # a figure's grid as JSON
+//! experiments --spec spec.json [--bench name]        # one machine, one report
 //! experiments sweep --spec-grid grid.json --shard 0/2 --checkpoint dir
 //! experiments merge-shards out.jsonl a.jsonl b.jsonl # reassemble + frontier
 //! experiments [--quick] render <id> <stream.jsonl>   # a figure from a stream
 //! experiments check-checkpoint <c.jsonl>             # strict stream gate
+//! experiments check-profile <p.jsonl>                # profile stream gate
 //! experiments fuzz --seed-range 0..500               # differential fuzzing
+//! experiments gen-corpus tests/corpus                # rewrite the golden corpus
+//! experiments [--quick] dump-trace <out.bin>         # baseline trace artifact
 //! ```
 //!
 //! Every sweep figure (`fig3`, `fig5`, `fig6`, `hierarchy`,
@@ -35,7 +39,7 @@
 //! `.mc` repro (`--repro-out`, default `fuzz-repro.mc`);
 //! `--inject-miscompile` plants a wrong strength-reduction and demands the
 //! harness catch and shrink it. `--profile` records every span, counter
-//! and gauge to a JSON-lines file (`=-` streams to stderr) and prints a
+//! and progress event to a JSON-lines file (`=-` streams to stderr) and prints a
 //! per-phase breakdown; profiled sweeps run single-threaded so phase
 //! self-times add up to the wall time.
 //!
@@ -58,10 +62,11 @@ fn usage() -> String {
          \x20      experiments [--quick] render <figure> <stream.jsonl>\n\
          \x20      experiments --spec <file.json> [--bench <name>]\n\
          \x20      experiments sweep --spec-grid <grid.json> [--shard k/n] \
-         [--checkpoint <dir>] [--dry-run]\n\
+         [--checkpoint <dir>] [--dry-run] [--profile[=out.jsonl|=-]]\n\
          \x20      experiments merge-shards <out.jsonl> <shard.jsonl>...\n\
          \x20      experiments fuzz --seed-range <a..b> [--spec <file.json>] \
          [--inject-miscompile] [--repro-out <f.mc>]\n\
+         \x20      experiments gen-corpus <dir>\n\
          \x20      experiments [--quick] dump-trace <out.bin>",
         EXPERIMENTS.join("|")
     )
@@ -256,8 +261,8 @@ fn main() {
             match check_stream(&read(&path)) {
                 Ok(s) => println!(
                     "{path}: OK — {} lines ({} span opens, {} closes, {} counters, \
-                     {} gauges, {} progress)",
-                    s.lines, s.span_opens, s.span_closes, s.counters, s.gauges, s.progress
+                     {} progress)",
+                    s.lines, s.span_opens, s.span_closes, s.counters, s.progress
                 ),
                 Err(e) => fail(1, &format!("{path}: INVALID — {e}")),
             }
@@ -438,7 +443,7 @@ fn run_experiments(cli: &Cli, quick: bool, profile: Option<String>) {
     let profile_state = profile.as_deref().map(install_profile);
 
     for (id, e) in &selected {
-        let span = spmlab_obs::span_labeled("experiment", id);
+        let span = spmlab_obs::span_with("experiment", || id.to_string());
         let result = e.run(quick);
         drop(span);
         let text = result.unwrap_or_else(|err| fail(1, &format!("error in `{id}`: {err}")));

@@ -43,7 +43,7 @@ pub fn sweep_axis(
     shard: Shard,
     session: &SweepSession,
 ) -> Result<Vec<SpecOutcome>, CoreError> {
-    let _span = spmlab_obs::span_labeled("dse_shard", &shard.to_string());
+    let _span = spmlab_obs::span_with("dse_shard", || shard.to_string());
     let pipeline = spmlab::pipeline::Pipeline::new(bench)?;
     spec_sweep_with_session(&pipeline, &shard.take(axis), session)
 }

@@ -20,8 +20,6 @@ pub struct StreamSummary {
     pub span_closes: usize,
     /// `counter` events.
     pub counters: usize,
-    /// `gauge` events.
-    pub gauges: usize,
     /// `progress` events.
     pub progress: usize,
 }
@@ -88,7 +86,6 @@ pub fn check_stream(text: &str) -> Result<StreamSummary, String> {
                 }
             }
             "counter" => summary.counters += 1,
-            "gauge" => summary.gauges += 1,
             "progress" => summary.progress += 1,
             other => return Err(format!("line {n}: unknown event kind \"{other}\"")),
         }
@@ -131,12 +128,11 @@ mod tests {
         let sink = Arc::new(JsonlSink::new(buf.clone()));
         let guard = spmlab_obs::add_sink(sink);
         {
-            let _root = spmlab_obs::span_labeled("experiment", "hierarchy \"quoted\"");
+            let _root = spmlab_obs::span_with("experiment", || "hierarchy \"quoted\"".to_string());
             {
                 let _sim = spmlab_obs::span("simulate");
                 spmlab_obs::counter("sim_instructions", 42);
             }
-            spmlab_obs::gauge("points", 8);
             spmlab_obs::progress(1, 8, "1.0 points/s");
         }
         drop(guard);
@@ -145,13 +141,17 @@ mod tests {
         assert_eq!(summary.span_opens, 2);
         assert_eq!(summary.span_closes, 2);
         assert_eq!(summary.counters, 1);
-        assert_eq!(summary.gauges, 1);
         assert_eq!(summary.progress, 1);
     }
 
     #[test]
     fn checker_rejects_malformed_streams() {
         assert!(check_stream("not json").is_err());
+        assert!(
+            check_stream("{\"ev\":\"gauge\",\"name\":\"g\",\"value\":8,\"t_ns\":5,\"tid\":1}")
+                .is_err(),
+            "an unknown event kind must fail"
+        );
         assert!(check_stream("{\"ev\":\"span_close\",\"id\":1,\"t_ns\":5,\"tid\":1}").is_err());
         assert!(
             check_stream("{\"ev\":\"span_open\",\"id\":1,\"t_ns\":5,\"tid\":1}").is_err(),

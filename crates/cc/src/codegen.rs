@@ -149,21 +149,31 @@ impl<'a> Gen<'a> {
     }
 
     /// SP-relative slot index for a local, accounting for words currently
-    /// pushed below the frame.
-    fn slot_imm(&self, slot: usize) -> u8 {
+    /// pushed below the frame. `LdrSp`/`StrSp` encode it in 8 bits, so a
+    /// deep local under many spilled words is a compile error.
+    fn slot_imm(&self, slot: usize) -> Result<u8, CcError> {
         let biased = slot as u32 + self.spill_words;
-        debug_assert!(biased <= 255, "local slot offset overflow");
-        biased as u8
+        u8::try_from(biased).or_else(|_| {
+            self.sema_err(
+                self.tf.func.pos,
+                format!(
+                    "`{}` addresses a local at stack offset {} words; MiniC allows 255",
+                    self.tf.func.name, biased
+                ),
+            )
+        })
     }
 
-    fn load_local(&mut self, rd: Reg, slot: usize) {
-        let imm = self.slot_imm(slot);
+    fn load_local(&mut self, rd: Reg, slot: usize) -> Result<(), CcError> {
+        let imm = self.slot_imm(slot)?;
         self.f.push(Insn::LdrSp { rd, imm });
+        Ok(())
     }
 
-    fn store_local(&mut self, rd: Reg, slot: usize) {
-        let imm = self.slot_imm(slot);
+    fn store_local(&mut self, rd: Reg, slot: usize) -> Result<(), CcError> {
+        let imm = self.slot_imm(slot)?;
         self.f.push(Insn::StrSp { rd, imm });
+        Ok(())
     }
 
     fn gen_block(&mut self, stmts: &[Stmt]) -> Result<(), CcError> {
@@ -179,7 +189,7 @@ impl<'a> Gen<'a> {
                 if let Some(e) = init {
                     self.gen_expr(e, 0)?;
                     let slot = self.tf.local_slot(name).expect("sema resolved");
-                    self.store_local(R0, slot);
+                    self.store_local(R0, slot)?;
                 }
                 Ok(())
             }
@@ -435,8 +445,7 @@ impl<'a> Gen<'a> {
             }
             Expr::Var { name, pos } => {
                 if let Some(slot) = self.tf.local_slot(name) {
-                    self.load_local(rd, slot);
-                    return Ok(());
+                    return self.load_local(rd, slot);
                 }
                 let info = match self.tp.global_info.get(name) {
                     Some(i) => *i,
@@ -665,8 +674,7 @@ impl<'a> Gen<'a> {
             Expr::Var { name, .. } => {
                 self.gen_expr(rhs, d)?;
                 if let Some(slot) = self.tf.local_slot(name) {
-                    self.store_local(rd, slot);
-                    return Ok(());
+                    return self.store_local(rd, slot);
                 }
                 let info = self.tp.global_info[name.as_str()];
                 let width = width_of(info.ty);

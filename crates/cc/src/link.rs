@@ -350,7 +350,7 @@ mod tests {
         assert!(l.exe.symbol(START_SYMBOL).is_some());
         assert_eq!(l.exe.entry, l.exe.symbol(START_SYMBOL).unwrap().addr);
         // One bounded loop annotated inside `sum`.
-        assert_eq!(l.annotations.loop_count(), 1);
+        assert_eq!(l.annotations.loop_bounds().count(), 1);
         let sum = l.exe.symbol("sum").unwrap();
         let lb = l.annotations.loop_bounds().next().unwrap();
         assert!(lb.header_addr >= sum.addr && lb.header_addr < sum.addr + sum.size);

@@ -271,7 +271,7 @@ impl Pipeline {
     ///
     /// Compile, link or baseline-simulation failures.
     pub fn with_input(benchmark: &Benchmark, input: Vec<i32>) -> Result<Pipeline, CoreError> {
-        let _prep = spmlab_obs::span_labeled("prepare", &benchmark.name);
+        let _prep = spmlab_obs::span_with("prepare", || benchmark.name.to_string());
         let module = {
             let _s = spmlab_obs::span("compile");
             crate::faults::fault_point("compile")?;

@@ -185,7 +185,6 @@ mod tests {
         fn counter(&self, name: &'static str, delta: u64, _: u64, _: u64) {
             self.add(name, delta);
         }
-        fn gauge(&self, _: &'static str, _: u64, _: u64, _: u64) {}
         fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
     }
 

@@ -137,11 +137,6 @@ impl Model {
         self.vars.len()
     }
 
-    /// Number of constraints (upper bounds not included).
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// The name given to a variable.
     pub fn var_name(&self, v: Var) -> &str {
         &self.vars[v.0].name
@@ -190,7 +185,6 @@ mod tests {
         m.set_objective(&[(x, 1.0), (y, 2.0)]);
         m.add_le(&[(x, 1.0), (y, 1.0)], 5.0);
         assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.num_constraints(), 1);
         assert_eq!(m.var_name(x), "x");
         assert_eq!(m.integer_vars(), vec![1]);
     }

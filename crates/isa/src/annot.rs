@@ -169,16 +169,6 @@ impl AnnotationSet {
             self.stack_window = other.stack_window;
         }
     }
-
-    /// Number of annotated loops.
-    pub fn loop_count(&self) -> usize {
-        self.loop_bounds.len()
-    }
-
-    /// Number of annotated accesses.
-    pub fn access_count(&self) -> usize {
-        self.accesses.len()
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +200,5 @@ mod tests {
         assert_eq!(base.loop_bound(0x100), Some(8));
         assert_eq!(base.access(0x10).unwrap().addr, AddrInfo::Exact(0x500));
         assert_eq!(base.stack_window(), Some((0x1000, 0x2000)));
-    }
-
-    #[test]
-    fn counts() {
-        let mut a = AnnotationSet::new();
-        assert_eq!(a.loop_count(), 0);
-        a.set_loop_bound(1, 1);
-        a.set_access(2, AccessWidth::Byte, AddrInfo::Stack);
-        assert_eq!(a.loop_count(), 1);
-        assert_eq!(a.access_count(), 1);
     }
 }

@@ -1,5 +1,5 @@
 //! In-memory event collector: records the span tree and aggregates
-//! counters/gauges so callers can query per-phase timings programmatically
+//! counters so callers can query per-phase timings programmatically
 //! (the `--profile` breakdown table is rendered from a [`MemorySink`]).
 
 use crate::{Sink, SpanMeta};
@@ -50,7 +50,6 @@ struct Inner {
     spans: Vec<SpanRecord>,
     index: BTreeMap<u64, usize>,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
 }
 
 /// Thread-safe in-memory sink. Install with [`crate::add_sink`], then read
@@ -88,11 +87,6 @@ impl Sink for MemorySink {
         *inner.counters.entry(name).or_insert(0) += delta;
     }
 
-    fn gauge(&self, name: &'static str, value: u64, _t_ns: u64, _tid: u64) {
-        let mut inner = self.inner.lock().expect("collector");
-        inner.gauges.insert(name, value);
-    }
-
     fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
 }
 
@@ -122,16 +116,6 @@ impl MemorySink {
             .iter()
             .map(|(k, v)| (*k, *v))
             .collect()
-    }
-
-    /// Last-written value of gauge `name`.
-    pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        self.inner
-            .lock()
-            .expect("collector")
-            .gauges
-            .get(name)
-            .copied()
     }
 
     /// Checks the recorded spans form a well-formed forest:
@@ -216,7 +200,7 @@ impl MemorySink {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
@@ -246,17 +230,5 @@ mod tests {
         let leaf = rows.iter().find(|r| r.name == "leaf").unwrap();
         assert_eq!(leaf.count, 3);
         assert_eq!(leaf.self_ns, leaf.inclusive_ns, "leaves have no children");
-    }
-
-    #[test]
-    fn gauges_last_write_wins() {
-        let _x = crate::exclusive();
-        let sink = Arc::new(MemorySink::default());
-        let guard = crate::add_sink(sink.clone());
-        crate::gauge("g", 1);
-        crate::gauge("g", 7);
-        drop(guard);
-        assert_eq!(sink.gauge_value("g"), Some(7));
-        assert_eq!(sink.gauge_value("missing"), None);
     }
 }

@@ -8,7 +8,6 @@
 //! {"ev":"span_open","id":3,"parent":2,"name":"simulate","label":"g721","t_ns":123,"tid":1}
 //! {"ev":"span_close","id":3,"t_ns":456,"tid":1}
 //! {"ev":"counter","name":"sweep_memo_hit","delta":4,"t_ns":789,"tid":1}
-//! {"ev":"gauge","name":"sim_instructions","value":104857,"t_ns":790,"tid":1}
 //! {"ev":"progress","done":3,"total":8,"detail":"2.1 points/s","t_ns":791,"tid":1}
 //! ```
 //!
@@ -91,16 +90,6 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
             "{{\"ev\":\"counter\",\"name\":\"{}\",\"delta\":{},\"t_ns\":{},\"tid\":{}}}",
             escape(name),
             delta,
-            t_ns,
-            tid
-        ));
-    }
-
-    fn gauge(&self, name: &'static str, value: u64, t_ns: u64, tid: u64) {
-        self.write_line(format!(
-            "{{\"ev\":\"gauge\",\"name\":\"{}\",\"value\":{},\"t_ns\":{},\"tid\":{}}}",
-            escape(name),
-            value,
             t_ns,
             tid
         ));

@@ -3,14 +3,12 @@
 //! A zero-dependency observability layer the pipeline, analyzer, simulator
 //! and sweep engine report through: hierarchical **spans** (scoped RAII
 //! timers with parent/child nesting per thread), named **counters** and
-//! **gauges**, and periodic **progress** events — dispatched to pluggable
-//! [`Sink`]s.
+//! periodic **progress** events — dispatched to pluggable [`Sink`]s.
 //!
 //! The design centre is the *disabled* case: with no sink installed every
 //! hook is one relaxed atomic load ([`enabled`]) and an early return, so
-//! instrumented hot paths cost nothing measurable. Building the crate with
-//! `--no-default-features` goes further and compiles the hooks out
-//! entirely (empty inline functions, zero-sized span guards).
+//! instrumented hot paths cost nothing measurable and a lazily labelled
+//! span ([`span_with`]) never renders its label.
 //!
 //! Two sinks ship with the crate:
 //!
@@ -26,462 +24,273 @@
 //! ```
 //! use std::sync::Arc;
 //! let sink = Arc::new(spmlab_obs::collector::MemorySink::default());
-//! let engaged;
 //! {
 //!     let _guard = spmlab_obs::add_sink(sink.clone());
-//!     engaged = spmlab_obs::enabled(); // false in a --no-default-features build
+//!     assert!(spmlab_obs::enabled());
 //!     let _outer = spmlab_obs::span("experiment");
 //!     {
 //!         let _inner = spmlab_obs::span("simulate");
 //!         spmlab_obs::counter("instructions", 1000);
 //!     }
 //! }
-//! if engaged {
-//!     assert_eq!(sink.counter_total("instructions"), 1000);
-//!     let spans = sink.spans();
-//!     assert_eq!(spans.len(), 2);
-//!     assert_eq!(spans[1].parent, Some(spans[0].id), "simulate nests under experiment");
-//! }
+//! assert_eq!(sink.counter_total("instructions"), 1000);
+//! let spans = sink.spans();
+//! assert_eq!(spans.len(), 2);
+//! assert_eq!(spans[1].parent, Some(spans[0].id), "simulate nests under experiment");
 //! ```
 
 pub mod collector;
 pub mod jsonl;
 
-#[cfg(feature = "enabled")]
-mod hooks {
-    use std::cell::RefCell;
-    use std::marker::PhantomData;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock, RwLock};
-    use std::time::Instant;
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
-    /// Metadata of one open span, handed to sinks on open and close.
-    #[derive(Debug, Clone)]
-    pub struct SpanMeta {
-        /// Process-unique span id (monotonically allocated, never 0).
-        pub id: u64,
-        /// Enclosing span on the same thread, if any.
-        pub parent: Option<u64>,
-        /// Static span name (the phase: `"simulate"`, `"analyze"`, …).
-        pub name: &'static str,
-        /// Free-form instance label (a config label, a function name); may
-        /// be empty.
-        pub label: String,
-        /// Open timestamp, nanoseconds since the process epoch.
-        pub open_ns: u64,
-        /// Small process-unique id of the emitting thread.
-        pub tid: u64,
-    }
+/// Metadata of one open span, handed to sinks on open and close.
+#[derive(Debug, Clone)]
+pub struct SpanMeta {
+    /// Process-unique span id (monotonically allocated, never 0).
+    pub id: u64,
+    /// Enclosing span on the same thread, if any.
+    pub parent: Option<u64>,
+    /// Static span name (the phase: `"simulate"`, `"analyze"`, …).
+    pub name: &'static str,
+    /// Free-form instance label (a config label, a function name); may
+    /// be empty.
+    pub label: String,
+    /// Open timestamp, nanoseconds since the process epoch.
+    pub open_ns: u64,
+    /// Small process-unique id of the emitting thread.
+    pub tid: u64,
+}
 
-    /// An event recipient. All methods take `&self`: sinks are shared
-    /// across threads and synchronise internally.
-    pub trait Sink: Send + Sync {
-        /// A span opened.
-        fn span_open(&self, span: &SpanMeta);
-        /// A span closed (the same `span` passed to [`Sink::span_open`]).
-        fn span_close(&self, span: &SpanMeta, close_ns: u64);
-        /// A counter was incremented by `delta`.
-        fn counter(&self, name: &'static str, delta: u64, t_ns: u64, tid: u64);
-        /// A gauge was set to `value`.
-        fn gauge(&self, name: &'static str, value: u64, t_ns: u64, tid: u64);
-        /// Progress: `done` of `total` work items, with a free-form detail
-        /// (typically a throughput rendering).
-        fn progress(&self, done: u64, total: u64, detail: &str, t_ns: u64, tid: u64);
-    }
+/// An event recipient. All methods take `&self`: sinks are shared
+/// across threads and synchronise internally.
+pub trait Sink: Send + Sync {
+    /// A span opened.
+    fn span_open(&self, span: &SpanMeta);
+    /// A span closed (the same `span` passed to [`Sink::span_open`]).
+    fn span_close(&self, span: &SpanMeta, close_ns: u64);
+    /// A counter was incremented by `delta`.
+    fn counter(&self, name: &'static str, delta: u64, t_ns: u64, tid: u64);
+    /// Progress: `done` of `total` work items, with a free-form detail
+    /// (typically a throughput rendering).
+    fn progress(&self, done: u64, total: u64, detail: &str, t_ns: u64, tid: u64);
+}
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-    static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
-    static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
+static ENABLED: AtomicBool = AtomicBool::new(false);
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_SINK_ID: AtomicU64 = AtomicU64::new(1);
+static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
-    /// Counts entries into the sink-dispatch path. Exists so tests can
-    /// prove the disabled fast path never reaches dispatch — the
-    /// cfg-gated counter the no-op guarantees are asserted against.
+/// Counts entries into the sink-dispatch path. Exists so tests can
+/// prove the disabled fast path never reaches dispatch.
+#[cfg(test)]
+pub(crate) static DISPATCH_ENTRIES: AtomicU64 = AtomicU64::new(0);
+
+/// The installed sinks, newest last, keyed by their uninstall id.
+type SinkRegistry = RwLock<Vec<(u64, Arc<dyn Sink>)>>;
+
+fn registry() -> &'static SinkRegistry {
+    static REGISTRY: OnceLock<SinkRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(|| RwLock::new(Vec::new()))
+}
+
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Nanoseconds since the process epoch (first observability call).
+/// Monotonic: `Instant` is guaranteed non-decreasing.
+pub fn now_ns() -> u64 {
+    epoch().elapsed().as_nanos() as u64
+}
+
+thread_local! {
+    static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static THREAD_ID: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn thread_id() -> u64 {
+    THREAD_ID.with(|t| {
+        if t.get() == 0 {
+            t.set(NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed));
+        }
+        t.get()
+    })
+}
+
+/// Whether at least one sink is installed. One relaxed atomic load —
+/// the whole cost of every hook when observability is off.
+#[inline]
+pub fn enabled() -> bool {
+    ENABLED.load(Ordering::Relaxed)
+}
+
+fn dispatch(f: impl Fn(&dyn Sink)) {
     #[cfg(test)]
-    pub(crate) static DISPATCH_ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-    /// The installed sinks, newest last, keyed by their uninstall id.
-    type SinkRegistry = RwLock<Vec<(u64, Arc<dyn Sink>)>>;
-
-    fn registry() -> &'static SinkRegistry {
-        static REGISTRY: OnceLock<SinkRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| RwLock::new(Vec::new()))
+    DISPATCH_ENTRIES.fetch_add(1, Ordering::Relaxed);
+    for (_, sink) in registry().read().expect("sink registry").iter() {
+        f(&**sink);
     }
+}
 
-    fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
-    }
+/// Unregisters its sink when dropped.
+#[must_use = "dropping the guard immediately uninstalls the sink"]
+pub struct SinkGuard {
+    id: u64,
+}
 
-    /// Nanoseconds since the process epoch (first observability call).
-    /// Monotonic: `Instant` is guaranteed non-decreasing.
-    pub fn now_ns() -> u64 {
-        epoch().elapsed().as_nanos() as u64
-    }
-
-    thread_local! {
-        static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-        static THREAD_ID: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
-
-    fn thread_id() -> u64 {
-        THREAD_ID.with(|t| {
-            if t.get() == 0 {
-                t.set(NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed));
-            }
-            t.get()
-        })
-    }
-
-    /// Whether at least one sink is installed. One relaxed atomic load —
-    /// the whole cost of every hook when observability is off.
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    fn dispatch(f: impl Fn(&dyn Sink)) {
-        #[cfg(test)]
-        DISPATCH_ENTRIES.fetch_add(1, Ordering::Relaxed);
-        for (_, sink) in registry().read().expect("sink registry").iter() {
-            f(&**sink);
-        }
-    }
-
-    /// Unregisters its sink when dropped.
-    #[must_use = "dropping the guard immediately uninstalls the sink"]
-    pub struct SinkGuard {
-        id: u64,
-    }
-
-    impl Drop for SinkGuard {
-        fn drop(&mut self) {
-            let mut reg = registry().write().expect("sink registry");
-            reg.retain(|(id, _)| *id != self.id);
-            if reg.is_empty() {
-                ENABLED.store(false, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Installs `sink` (in addition to any already installed) and returns
-    /// the guard that uninstalls it. The epoch is pinned on first install,
-    /// so timestamps are comparable across sinks.
-    pub fn add_sink(sink: Arc<dyn Sink>) -> SinkGuard {
-        epoch();
-        let id = NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed);
+impl Drop for SinkGuard {
+    fn drop(&mut self) {
         let mut reg = registry().write().expect("sink registry");
-        reg.push((id, sink));
-        ENABLED.store(true, Ordering::Relaxed);
-        SinkGuard { id }
-    }
-
-    /// Serialises test sections that install sinks and assert on what they
-    /// collected — the registry is process-global, so concurrently running
-    /// tests would otherwise see each other's events.
-    pub fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Scoped RAII span. Opened by [`span`] / [`span_labeled`] /
-    /// [`span_with`]; emits the close event (and pops the per-thread
-    /// nesting stack) on drop. Deliberately `!Send`: a span measures a
-    /// scope on the thread that opened it.
-    pub struct Span {
-        meta: Option<SpanMeta>,
-        _not_send: PhantomData<*const ()>,
-    }
-
-    impl Span {
-        /// The span id, when observability was enabled at open.
-        pub fn id(&self) -> Option<u64> {
-            self.meta.as_ref().map(|m| m.id)
+        reg.retain(|(id, _)| *id != self.id);
+        if reg.is_empty() {
+            ENABLED.store(false, Ordering::Relaxed);
         }
     }
+}
 
-    impl Drop for Span {
-        fn drop(&mut self) {
-            if let Some(meta) = self.meta.take() {
-                SPAN_STACK.with(|s| {
-                    let mut s = s.borrow_mut();
-                    if s.last() == Some(&meta.id) {
-                        s.pop();
-                    }
-                });
-                let close_ns = now_ns();
-                dispatch(|sink| sink.span_close(&meta, close_ns));
-            }
+/// Installs `sink` (in addition to any already installed) and returns
+/// the guard that uninstalls it. The epoch is pinned on first install,
+/// so timestamps are comparable across sinks.
+pub fn add_sink(sink: Arc<dyn Sink>) -> SinkGuard {
+    epoch();
+    let id = NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed);
+    let mut reg = registry().write().expect("sink registry");
+    reg.push((id, sink));
+    ENABLED.store(true, Ordering::Relaxed);
+    SinkGuard { id }
+}
+
+/// Serialises test sections that install sinks and assert on what they
+/// collected — the registry is process-global, so concurrently running
+/// tests would otherwise see each other's events.
+pub fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Scoped RAII span. Opened by [`span`] / [`span_with`]; emits the close
+/// event (and pops the per-thread nesting stack) on drop. Deliberately
+/// `!Send`: a span measures a scope on the thread that opened it.
+pub struct Span {
+    meta: Option<SpanMeta>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Span {
+    /// The span id, when observability was enabled at open.
+    pub fn id(&self) -> Option<u64> {
+        self.meta.as_ref().map(|m| m.id)
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(meta) = self.meta.take() {
+            SPAN_STACK.with(|s| {
+                let mut s = s.borrow_mut();
+                if s.last() == Some(&meta.id) {
+                    s.pop();
+                }
+            });
+            let close_ns = now_ns();
+            dispatch(|sink| sink.span_close(&meta, close_ns));
         }
     }
+}
 
-    fn open_span(name: &'static str, label: String) -> Span {
-        let tid = thread_id();
-        let meta = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let meta = SpanMeta {
-                id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-                parent: s.last().copied(),
-                name,
-                label,
-                open_ns: now_ns(),
-                tid,
-            };
-            s.push(meta.id);
-            meta
-        });
-        dispatch(|sink| sink.span_open(&meta));
-        Span {
-            meta: Some(meta),
+fn open_span(name: &'static str, label: String) -> Span {
+    let tid = thread_id();
+    let meta = SPAN_STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let meta = SpanMeta {
+            id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
+            parent: s.last().copied(),
+            name,
+            label,
+            open_ns: now_ns(),
+            tid,
+        };
+        s.push(meta.id);
+        meta
+    });
+    dispatch(|sink| sink.span_open(&meta));
+    Span {
+        meta: Some(meta),
+        _not_send: PhantomData,
+    }
+}
+
+/// Opens a span named `name`, nested under the thread's innermost open
+/// span. No-op (and no allocation) when no sink is installed.
+#[inline]
+pub fn span(name: &'static str) -> Span {
+    span_with(name, String::new)
+}
+
+/// Opens a span with an instance label (a config label, a function
+/// name). The label is only *computed* when a sink is installed, so an
+/// uninstrumented run renders none.
+#[inline]
+pub fn span_with(name: &'static str, label: impl FnOnce() -> String) -> Span {
+    if !enabled() {
+        return Span {
+            meta: None,
             _not_send: PhantomData,
-        }
+        };
     }
-
-    /// Opens a span named `name`, nested under the thread's innermost open
-    /// span. No-op (and no allocation) when no sink is installed.
-    #[inline]
-    pub fn span(name: &'static str) -> Span {
-        if !enabled() {
-            return Span {
-                meta: None,
-                _not_send: PhantomData,
-            };
-        }
-        open_span(name, String::new())
-    }
-
-    /// Opens a span with an instance label (e.g. the sweep point's config
-    /// label or the analyzed function's name).
-    #[inline]
-    pub fn span_labeled(name: &'static str, label: &str) -> Span {
-        if !enabled() {
-            return Span {
-                meta: None,
-                _not_send: PhantomData,
-            };
-        }
-        open_span(name, label.to_string())
-    }
-
-    /// Opens a labeled span whose label is only *computed* when a sink is
-    /// installed — use when rendering the label is itself non-trivial.
-    #[inline]
-    pub fn span_with(name: &'static str, label: impl FnOnce() -> String) -> Span {
-        if !enabled() {
-            return Span {
-                meta: None,
-                _not_send: PhantomData,
-            };
-        }
-        open_span(name, label())
-    }
-
-    /// Increments counter `name` by `delta`. Counters aggregate by name
-    /// across the whole process (the in-memory collector sums them).
-    #[inline]
-    pub fn counter(name: &'static str, delta: u64) {
-        if !enabled() {
-            return;
-        }
-        let (t, tid) = (now_ns(), thread_id());
-        dispatch(|sink| sink.counter(name, delta, t, tid));
-    }
-
-    /// Sets gauge `name` to `value` (last write wins in the collector).
-    #[inline]
-    pub fn gauge(name: &'static str, value: u64) {
-        if !enabled() {
-            return;
-        }
-        let (t, tid) = (now_ns(), thread_id());
-        dispatch(|sink| sink.gauge(name, value, t, tid));
-    }
-
-    /// Emits a progress event: `done` of `total` items, plus a free-form
-    /// detail string (typically `"x.y points/s"`).
-    #[inline]
-    pub fn progress(done: u64, total: u64, detail: &str) {
-        if !enabled() {
-            return;
-        }
-        let (t, tid) = (now_ns(), thread_id());
-        dispatch(|sink| sink.progress(done, total, detail, t, tid));
-    }
+    open_span(name, label())
 }
 
-#[cfg(feature = "enabled")]
-pub use hooks::{
-    add_sink, counter, enabled, exclusive, gauge, now_ns, progress, span, span_labeled, span_with,
-    Sink, SinkGuard, Span, SpanMeta,
-};
-
-/// The compiled-out variant: every hook is an empty `#[inline]` function,
-/// [`Span`]/[`SinkGuard`] are zero-sized, and nothing can ever dispatch.
-/// Selected by building `spmlab-obs` with `--no-default-features`.
-#[cfg(not(feature = "enabled"))]
-mod hooks_off {
-    use std::sync::Arc;
-
-    /// Span metadata (inert in the compiled-out build).
-    #[derive(Debug, Clone)]
-    pub struct SpanMeta {
-        /// Process-unique span id.
-        pub id: u64,
-        /// Enclosing span, if any.
-        pub parent: Option<u64>,
-        /// Static span name.
-        pub name: &'static str,
-        /// Instance label.
-        pub label: String,
-        /// Open timestamp (ns since epoch).
-        pub open_ns: u64,
-        /// Emitting thread.
-        pub tid: u64,
+/// Increments counter `name` by `delta`. Counters aggregate by name
+/// across the whole process (the in-memory collector sums them).
+#[inline]
+pub fn counter(name: &'static str, delta: u64) {
+    if !enabled() {
+        return;
     }
-
-    /// Event recipient (never called in the compiled-out build).
-    pub trait Sink: Send + Sync {
-        /// A span opened.
-        fn span_open(&self, span: &SpanMeta);
-        /// A span closed.
-        fn span_close(&self, span: &SpanMeta, close_ns: u64);
-        /// A counter incremented.
-        fn counter(&self, name: &'static str, delta: u64, t_ns: u64, tid: u64);
-        /// A gauge set.
-        fn gauge(&self, name: &'static str, value: u64, t_ns: u64, tid: u64);
-        /// Progress.
-        fn progress(&self, done: u64, total: u64, detail: &str, t_ns: u64, tid: u64);
-    }
-
-    /// Zero-sized span guard.
-    pub struct Span;
-
-    impl Span {
-        /// Always `None` in the compiled-out build.
-        pub fn id(&self) -> Option<u64> {
-            None
-        }
-    }
-
-    /// Zero-sized sink guard.
-    pub struct SinkGuard;
-
-    /// Always `false`: nothing can be installed.
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// No-op; the guard is inert.
-    #[inline(always)]
-    pub fn add_sink(_sink: Arc<dyn Sink>) -> SinkGuard {
-        SinkGuard
-    }
-
-    /// Still serialises test sections for API compatibility.
-    pub fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Always 0 in the compiled-out build.
-    #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn span(_name: &'static str) -> Span {
-        Span
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn span_labeled(_name: &'static str, _label: &str) -> Span {
-        Span
-    }
-
-    /// No-op; `label` is never called.
-    #[inline(always)]
-    pub fn span_with(_name: &'static str, _label: impl FnOnce() -> String) -> Span {
-        Span
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn counter(_name: &'static str, _delta: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn gauge(_name: &'static str, _value: u64) {}
-
-    /// No-op.
-    #[inline(always)]
-    pub fn progress(_done: u64, _total: u64, _detail: &str) {}
+    let (t, tid) = (now_ns(), thread_id());
+    dispatch(|sink| sink.counter(name, delta, t, tid));
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use hooks_off::{
-    add_sink, counter, enabled, exclusive, gauge, now_ns, progress, span, span_labeled, span_with,
-    Sink, SinkGuard, Span, SpanMeta,
-};
-
-#[cfg(all(test, not(feature = "enabled")))]
-mod tests_compiled_out {
-    use super::*;
-    use std::sync::Arc;
-
-    /// In a `--no-default-features` build the hooks are compiled out:
-    /// installing a sink changes nothing, labels are never computed, and
-    /// the collector stays empty no matter what runs under the guard.
-    #[test]
-    fn hooks_are_inert() {
-        let sink = Arc::new(collector::MemorySink::default());
-        let _guard = add_sink(sink.clone());
-        assert!(!enabled());
-        {
-            let s = span("phase");
-            assert_eq!(s.id(), None);
-            let _l = span_with("labeled", || unreachable!("label must not be computed"));
-            counter("c", 99);
-            gauge("g", 3);
-            progress(1, 2, "x");
-        }
-        assert_eq!(sink.spans().len(), 0);
-        assert_eq!(sink.counter_total("c"), 0);
-        assert_eq!(std::mem::size_of::<Span>(), 0, "span guard is zero-sized");
-        assert_eq!(
-            std::mem::size_of::<SinkGuard>(),
-            0,
-            "sink guard is zero-sized"
-        );
+/// Emits a progress event: `done` of `total` items, plus a free-form
+/// detail string (typically `"x.y points/s"`).
+#[inline]
+pub fn progress(done: u64, total: u64, detail: &str) {
+    if !enabled() {
+        return;
     }
+    let (t, tid) = (now_ns(), thread_id());
+    dispatch(|sink| sink.progress(done, total, detail, t, tid));
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     /// The disabled fast path must never reach the dispatch layer: the
-    /// cfg-gated [`hooks::DISPATCH_ENTRIES`] counter stays frozen across
+    /// cfg-gated [`DISPATCH_ENTRIES`] counter stays frozen across
     /// thousands of hook calls with no sink installed.
     #[test]
     fn disabled_hooks_never_dispatch() {
         let _x = exclusive();
         assert!(!enabled());
-        let before = hooks::DISPATCH_ENTRIES.load(Ordering::Relaxed);
+        let before = DISPATCH_ENTRIES.load(Ordering::Relaxed);
         for i in 0..1000 {
             let _s = span("noop");
             let _l = span_with("noop-labeled", || unreachable!("label must stay lazy"));
             counter("c", i);
-            gauge("g", i);
             progress(i, 1000, "detail");
         }
         assert_eq!(
-            hooks::DISPATCH_ENTRIES.load(Ordering::Relaxed),
+            DISPATCH_ENTRIES.load(Ordering::Relaxed),
             before,
             "no sink installed ⇒ zero dispatch entries"
         );
@@ -515,7 +324,7 @@ mod tests {
             let outer = span("outer");
             let outer_id = outer.id().unwrap();
             {
-                let inner = span_labeled("inner", "first");
+                let inner = span_with("inner", || "first".to_string());
                 assert_eq!(
                     sink.spans()
                         .iter()

@@ -78,12 +78,6 @@ impl MachineConfig {
         MachineConfig::default()
     }
 
-    /// With a unified direct-mapped cache of `size` bytes (the paper's
-    /// cache branch).
-    pub fn with_unified_cache(size: u32) -> MachineConfig {
-        MachineConfig::with_cache(CacheConfig::unified(size))
-    }
-
     /// With a single cache of arbitrary geometry, routed by its scope.
     pub fn with_cache(cache: CacheConfig) -> MachineConfig {
         MachineConfig::with_hierarchy(MemHierarchyConfig::l1_only(cache))

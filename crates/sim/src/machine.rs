@@ -101,10 +101,7 @@ pub fn simulate(
 ) -> Result<SimResult, SimError> {
     let _span = spmlab_obs::span("simulate");
     let result = Machine::new(exe, config, options.clone()).run()?;
-    if spmlab_obs::enabled() {
-        spmlab_obs::gauge("sim_instructions", result.instructions);
-        spmlab_obs::counter("sim_instructions_total", result.instructions);
-    }
+    spmlab_obs::counter("sim_instructions_total", result.instructions);
     Ok(result)
 }
 
@@ -891,7 +888,7 @@ mod tests {
         let plain = simulate(&l.exe, &MachineConfig::uncached(), &SimOptions::default()).unwrap();
         let cached = simulate(
             &l.exe,
-            &MachineConfig::with_unified_cache(1024),
+            &MachineConfig::with_cache(crate::CacheConfig::unified(1024)),
             &SimOptions::default(),
         )
         .unwrap();

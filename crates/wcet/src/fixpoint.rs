@@ -39,14 +39,6 @@ pub struct FixpointResult<S> {
     pub joins_changed: usize,
 }
 
-impl<S> FixpointResult<S> {
-    /// The in-states, discarding the accounting — for callers that have
-    /// already recorded `widened`.
-    pub fn into_states(self) -> BTreeMap<u32, S> {
-        self.in_states
-    }
-}
-
 /// Computes the per-block *in*-states of a forward MUST-style analysis.
 ///
 /// * `top` — the *conservative* state (nothing guaranteed / anything
@@ -213,7 +205,6 @@ mod tests {
                 *self.totals.lock().unwrap().entry(name).or_insert(0) += delta;
             }
         }
-        fn gauge(&self, _: &'static str, _: u64, _: u64, _: u64) {}
         fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
     }
 
@@ -329,7 +320,7 @@ mod tests {
             },
             64,
         )
-        .into_states();
+        .in_states;
         assert!(states.contains_key(&0) && states.contains_key(&2));
         assert!(!states.contains_key(&100));
     }

@@ -404,3 +404,51 @@ proptest! {
         }
     }
 }
+
+// =====================================================================
+// Frame-offset limit: `LdrSp`/`StrSp` address a local in 8 bits of words,
+// and words spilled during nested evaluation count against it. A local
+// past the limit is a compile error, never a wrapped (wrong) offset.
+// =====================================================================
+
+/// `main` with `n` locals `vK = K + 1` and the right spine of nine additions
+/// `out = v0 + (v0 + … + (v0 + v{n-1}))`, whose last operand is read with
+/// words spilled below the frame.
+fn deep_frame_source(n: usize) -> String {
+    let mut src = String::from("int out;\nvoid main() {\n");
+    for k in 0..n {
+        src.push_str(&format!("  int v{k} = {};\n", k + 1));
+    }
+    let last = n - 1;
+    src.push_str(&format!(
+        "  out = v0 + (v0 + (v0 + (v0 + (v0 + (v0 + (v0 + (v0 + (v0 + v{last}))))))));\n}}\n"
+    ));
+    src
+}
+
+#[test]
+fn local_offset_past_255_words_is_a_sema_error() {
+    let err = spmlab_cc::compile(&deep_frame_source(255)).expect_err("offset past 8 bits");
+    match err {
+        spmlab_cc::CcError::Sema { msg, .. } => {
+            assert_eq!(
+                msg,
+                "`main` addresses a local at stack offset 258 words; MiniC allows 255"
+            );
+        }
+        other => panic!("expected a sema error, got {other:?}"),
+    }
+}
+
+#[test]
+fn deep_frame_within_255_words_compiles_and_simulates() {
+    let module = spmlab_cc::compile(&deep_frame_source(240)).expect("compiles");
+    let linked = link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).expect("links");
+    let sim = simulate(
+        &linked.exe,
+        &MachineConfig::uncached(),
+        &SimOptions::default(),
+    )
+    .expect("simulates");
+    assert_eq!(sim.read_global(&linked.exe, "out"), Some(9 + 240));
+}

@@ -82,7 +82,6 @@ const SAMPLE_PROFILE: &str = r#"{"ev":"meta","version":1}
 {"ev":"span_open","id":2,"parent":1,"name":"simulate","label":"g721","t_ns":12,"tid":1}
 {"ev":"counter","name":"sim_instructions","delta":42,"t_ns":13,"tid":1}
 {"ev":"span_close","id":2,"t_ns":20,"tid":1}
-{"ev":"gauge","name":"points","value":8,"t_ns":21,"tid":1}
 {"ev":"progress","done":1,"total":8,"detail":"1.0 points/s","t_ns":22,"tid":1}
 {"ev":"span_close","id":1,"t_ns":30,"tid":1}
 "#;
