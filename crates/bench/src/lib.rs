@@ -29,7 +29,7 @@ use spmlab::dse::{merge_texts, GridSpec};
 use spmlab::figures::{table1, table2, Figure3, FigureHierarchy, FigureSpmHierarchy, Tightness};
 use spmlab::pipeline::{ConfigResult, Pipeline};
 use spmlab::report;
-use spmlab::sweep::{collect_points, spec_sweep, PointOutcome, SpecOutcome, SweepSession};
+use spmlab::sweep::{spec_sweep_with_session, PointOutcome, SpecOutcome, SweepSession};
 use spmlab::{
     assoc_axis, figure3_axis, hierarchy_axis, hierarchy_figure_axis, hierarchy_spm_axis,
     hierarchy_spm_machines, icache_axis, persistence_axis, spm_axis, write_policy_axis, CoreError,
@@ -85,16 +85,18 @@ fn assoc_size(quick: bool) -> u32 {
     }
 }
 
-/// The results of a grid figure in axis order; any failed point fails the
-/// figure, as [`spec_sweep`] does.
-fn results(outcomes: Vec<SpecOutcome>) -> Result<Vec<ConfigResult>, CoreError> {
-    let points = collect_points(outcomes)?;
-    Ok(points.into_iter().map(|p| p.result).collect())
+/// The results of a grid figure in axis order; the first failed point
+/// fails the figure.
+fn results(outcomes: &[SpecOutcome]) -> Result<Vec<ConfigResult>, CoreError> {
+    outcomes
+        .iter()
+        .map(|o| o.outcome.measured().cloned())
+        .collect()
 }
 
 /// A two-series figure's results, split into its halves.
 fn halves(outcomes: Vec<SpecOutcome>) -> Result<(Vec<ConfigResult>, Vec<ConfigResult>), CoreError> {
-    let mut first = results(outcomes)?;
+    let mut first = results(&outcomes)?;
     let second = first.split_off(first.len() / 2);
     Ok((first, second))
 }
@@ -107,7 +109,7 @@ fn render_two_panel(
     figure: &str,
     ratios: &str,
 ) -> Result<String, CoreError> {
-    let fig = Figure3::new(benchmark, sizes(quick), results(outcomes)?);
+    let fig = Figure3::new(benchmark, sizes(quick), results(&outcomes)?);
     let (spm_r, cache_r) = fig.ratio_series();
     Ok(format!(
         "{}\n{}",
@@ -150,7 +152,7 @@ fn all_sound(outcomes: &[SpecOutcome]) -> bool {
 /// cycles and in the bound.
 fn render_write_policy(outcomes: Vec<SpecOutcome>) -> Result<String, CoreError> {
     let sound = all_sound(&outcomes);
-    let points = results(outcomes)?;
+    let points = results(&outcomes)?;
     let delta = |wt: u64, wb: u64| format!("{:+.1}%", (wb as f64 / wt.max(1) as f64 - 1.0) * 100.0);
     let rows: Vec<Vec<String>> = points
         .chunks(2)
@@ -364,7 +366,7 @@ impl Experiment {
             // The WCET-vs-simulation comparison across memory hierarchies;
             // failed points are listed, not fatal.
             "hierarchy" => {
-                let fig = FigureHierarchy::new(benchmark, outcomes);
+                let fig = FigureHierarchy::new(benchmark, &outcomes);
                 Ok(format!(
                     "{}sound (wcet >= sim) at every point: {}\n",
                     report::render_hierarchy(&fig),
@@ -375,7 +377,7 @@ impl Experiment {
             // WCET-aware allocator optimising against the multi-level
             // critical path instead of flat region timing.
             "hierarchy-spm" => {
-                let fig = FigureSpmHierarchy::new(benchmark, &collect_points(outcomes)?);
+                let fig = FigureSpmHierarchy::new(benchmark, &outcomes)?;
                 Ok(format!(
                     "{}hierarchy-aware wcet <= region-objective wcet at every point: {}\n\
                      sound (wcet >= sim) at every point: {}\n",
@@ -421,7 +423,7 @@ impl Experiment {
                 let size = assoc_size(quick);
                 let rows: Vec<Vec<String>> = assoc_axis(size)
                     .iter()
-                    .zip(results(outcomes)?)
+                    .zip(results(&outcomes)?)
                     .map(|((name, _), r)| {
                         let ratio = format!("{:.3}", r.ratio());
                         vec![
@@ -514,7 +516,7 @@ pub fn artifact_json(
         match &o.outcome {
             // A widened-but-sound bound is marked, never passed off as
             // precise.
-            PointOutcome::Ok(r) | PointOutcome::Degraded(r) => rows.push(format!(
+            PointOutcome::Measured(r) => rows.push(format!(
                 "\n    {{\"config\": \"{}\", \"sim_cycles\": {}, \"wcet_cycles\": {}, \
                  \"ratio\": {:.4}, \"degraded\": {}}}",
                 escape(&r.label),
@@ -740,14 +742,16 @@ pub fn exp_ablation_wcet_alloc(quick: bool) -> Result<String, CoreError> {
             szs.iter()
                 .map(|&size| MemArchSpec::spm_with(size, SpmAllocation::WcetRegion)),
         );
-        let points = spec_sweep(&Pipeline::new(bench)?, &axis)?;
-        let (energy, wcet) = points.split_at(szs.len());
-        for (size, (e, w)) in szs.iter().zip(energy.iter().zip(wcet)) {
+        let outcomes =
+            spec_sweep_with_session(&Pipeline::new(bench)?, &axis, &SweepSession::none())?;
+        let mut energy = results(&outcomes)?;
+        let wcet = energy.split_off(szs.len());
+        for (size, (e, w)) in szs.iter().zip(energy.iter().zip(&wcet)) {
             rows.push(vec![
                 bench.name.to_string(),
                 size.to_string(),
-                e.result.wcet_cycles.to_string(),
-                w.result.wcet_cycles.to_string(),
+                e.wcet_cycles.to_string(),
+                w.wcet_cycles.to_string(),
             ]);
         }
     }
@@ -820,7 +824,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     let szs = sizes(quick);
     let mut claims = Vec::new();
     let (grid, outcomes) = figure_outcomes("fig3", quick)?;
-    let fig = Figure3::new(&grid.benchmark, szs, results(outcomes)?);
+    let fig = Figure3::new(&grid.benchmark, szs, results(&outcomes)?);
     let (spm_r, cache_r) = fig.ratio_series();
 
     // Claim 1: scratchpad WCET decreases as capacity grows.
@@ -878,20 +882,20 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // hierarchies, and the scratchpad bound stays tighter than every
     // cached configuration's.
     let (grid, outcomes) = figure_outcomes("hierarchy", quick)?;
-    let hier = FigureHierarchy::new(&grid.benchmark, outcomes);
+    let hier = FigureHierarchy::new(&grid.benchmark, &outcomes);
     claims.push((
         "hierarchy: WCET ≥ simulation at every configuration".into(),
         hier.all_sound(),
     ));
-    let (spm, cached): (Vec<_>, Vec<_>) = hier.points.iter().partition(|p| p.spec.spm.is_some());
-    let spm_ratio = spm
-        .iter()
-        .map(|p| p.result.ratio())
-        .fold(f64::MIN, f64::max);
-    let cached_best = cached
-        .iter()
-        .map(|p| p.result.ratio())
-        .fold(f64::MAX, f64::min);
+    // The measured ratios of the scratchpad points, or of the cached ones.
+    let ratios = |spm: bool| {
+        outcomes
+            .iter()
+            .filter(move |o| o.spec.spm.is_some() == spm)
+            .filter_map(|o| Some(o.outcome.result()?.ratio()))
+    };
+    let spm_ratio = ratios(true).fold(f64::MIN, f64::max);
+    let cached_best = ratios(false).fold(f64::MAX, f64::min);
     claims.push((
         "hierarchy: scratchpad WCET/sim ratio beats every cache hierarchy".into(),
         spm_ratio < cached_best,
@@ -917,7 +921,7 @@ pub fn verify_claims(quick: bool) -> Result<Vec<(String, bool)>, CoreError> {
     // worse bound than the seed's region-timing allocation, and every
     // point stays sound.
     let (grid, outcomes) = figure_outcomes("hierarchy-spm", quick)?;
-    let spm_hier = FigureSpmHierarchy::new(&grid.benchmark, &collect_points(outcomes)?);
+    let spm_hier = FigureSpmHierarchy::new(&grid.benchmark, &outcomes)?;
     claims.push((
         format!(
             "{}: hierarchy-aware allocation WCET ≤ region-timing allocation at every \

@@ -20,6 +20,7 @@
 //! [`check_checkpoint`] is the strict variant CI gates on.
 
 use crate::pipeline::ConfigResult;
+use crate::sweep::{FailedPoint, PointOutcome};
 use crate::CoreError;
 use spmlab_isa::archspec::json::{self, escape, Value};
 use spmlab_isa::archspec::MemArchSpec;
@@ -137,41 +138,8 @@ impl CheckpointHeader {
     }
 }
 
-/// Completion status of one checkpointed point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PointStatus {
-    /// Measured normally.
-    Ok,
-    /// Measured, but a WCET fixpoint hit its structural iteration cap: the
-    /// bound is widened but still sound.
-    Degraded,
-    /// The point failed (typed error or contained panic); resume re-runs
-    /// it.
-    Failed,
-}
-
-impl PointStatus {
-    fn as_str(self) -> &'static str {
-        match self {
-            PointStatus::Ok => "ok",
-            PointStatus::Degraded => "degraded",
-            PointStatus::Failed => "failed",
-        }
-    }
-
-    fn parse(s: &str) -> Option<PointStatus> {
-        match s {
-            "ok" => Some(PointStatus::Ok),
-            "degraded" => Some(PointStatus::Degraded),
-            "failed" => Some(PointStatus::Failed),
-            _ => None,
-        }
-    }
-}
-
-/// One checkpointed sweep point: the full
-/// [`ConfigResult`] (exact, bit-level) for
-/// completed points, or the failure report for contained failures.
+/// One checkpointed sweep point: the point's own [`PointOutcome`], whose
+/// measurement round-trips exactly (energy as its IEEE bit pattern).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointRecord {
     /// Index within the swept axis.
@@ -179,123 +147,19 @@ pub struct PointRecord {
     /// [`spec_hash`] of the point's canonical spec — resume re-derives and
     /// compares it so a record is never applied to a different machine.
     pub spec_hash: String,
-    /// Completion status.
-    pub status: PointStatus,
-    /// Configuration label.
-    pub label: String,
-    /// Simulated cycles (0 for failed points).
-    pub sim_cycles: u64,
-    /// WCET bound (0 for failed points).
-    pub wcet_cycles: u64,
-    /// Validated checksum (0 for failed points).
-    pub checksum: i32,
-    /// `f64::to_bits` of the energy figure — exact round-trip.
-    pub energy_bits: u64,
-    /// Scratchpad bytes occupied.
-    pub spm_used: u32,
-    /// Objects placed in the scratchpad.
-    pub spm_objects: Vec<String>,
-    /// [`ClassifyStats::to_array`] of the classification counters.
-    pub classify: [u64; 10],
-    /// Failure description (empty unless `status == Failed`).
-    pub error: String,
-    /// Whether the failure was a contained panic (vs a typed error).
-    pub panicked: bool,
+    /// What the sweep measured, or how the point failed.
+    pub outcome: PointOutcome,
 }
 
 impl PointRecord {
-    /// Record for a completed (ok or degraded) point.
-    pub fn from_result(index: usize, spec_hash: String, r: &ConfigResult) -> PointRecord {
-        PointRecord {
-            index,
-            spec_hash,
-            status: if r.degraded {
-                PointStatus::Degraded
-            } else {
-                PointStatus::Ok
-            },
-            label: r.label.clone(),
-            sim_cycles: r.sim_cycles,
-            wcet_cycles: r.wcet_cycles,
-            checksum: r.checksum,
-            energy_bits: r.energy_nj.to_bits(),
-            spm_used: r.spm_used,
-            spm_objects: r.spm_objects.clone(),
-            classify: r.classify.to_array(),
-            error: String::new(),
-            panicked: false,
-        }
-    }
-
-    /// Record for a contained failure.
-    pub fn from_failure(
-        index: usize,
-        spec_hash: String,
-        label: &str,
-        error: &str,
-        panicked: bool,
-    ) -> PointRecord {
-        PointRecord {
-            index,
-            spec_hash,
-            status: PointStatus::Failed,
-            label: label.to_string(),
-            sim_cycles: 0,
-            wcet_cycles: 0,
-            checksum: 0,
-            energy_bits: 0,
-            spm_used: 0,
-            spm_objects: Vec::new(),
-            classify: [0; 10],
-            error: error.to_string(),
-            panicked,
-        }
-    }
-
-    /// Reconstructs the exact [`ConfigResult`] of a completed record.
-    /// Returns `None` for failed records — they have no result to reuse.
-    pub fn to_config_result(&self) -> Option<ConfigResult> {
-        if self.status == PointStatus::Failed {
-            return None;
-        }
-        Some(ConfigResult {
-            label: self.label.clone(),
-            sim_cycles: self.sim_cycles,
-            wcet_cycles: self.wcet_cycles,
-            checksum: self.checksum,
-            energy_nj: f64::from_bits(self.energy_bits),
-            spm_used: self.spm_used,
-            spm_objects: self.spm_objects.clone(),
-            classify: ClassifyStats::from_array(self.classify),
-            degraded: self.status == PointStatus::Degraded,
-        })
-    }
-
     /// The JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let classify: Vec<String> = self.classify.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"index\":{},\"spec_hash\":\"{}\",\"status\":\"{}\",\"label\":\"{}\",\
-             \"sim_cycles\":{},\"wcet_cycles\":{},\"checksum\":{},\"energy_bits\":{},\
-             \"spm_used\":{},\"spm_objects\":\"{}\",\"classify\":\"{}\",\
-             \"error\":\"{}\",\"panicked\":{}}}",
-            self.index,
-            escape(&self.spec_hash),
-            self.status.as_str(),
-            escape(&self.label),
-            self.sim_cycles,
-            self.wcet_cycles,
-            self.checksum,
-            self.energy_bits,
-            self.spm_used,
-            escape(&self.spm_objects.join(";")),
-            classify.join(","),
-            escape(&self.error),
-            self.panicked,
-        )
+        json_line(self.index, &self.spec_hash, &self.outcome)
     }
 
-    /// Parses a record line; `None` when malformed.
+    /// Parses a record line; `None` when malformed. A measured line must
+    /// carry no error, and a failed line nothing but its label and error:
+    /// the fields a status rules out are never silently dropped.
     pub fn from_json_line(line: &str) -> Option<PointRecord> {
         let v = json::parse(line).ok()?;
         let num = |key: &str| v.get(key).and_then(Value::as_u64);
@@ -307,30 +171,101 @@ impl PointRecord {
         if parts.next().is_some() {
             return None;
         }
+        let index = usize::try_from(num("index")?).ok()?;
         let objects = text(&v, "spm_objects")?;
-        Some(PointRecord {
-            index: usize::try_from(num("index")?).ok()?,
-            spec_hash: text(&v, "spec_hash")?.to_string(),
-            status: PointStatus::parse(text(&v, "status")?)?,
+        let result = ConfigResult {
             label: text(&v, "label")?.to_string(),
             sim_cycles: num("sim_cycles")?,
             wcet_cycles: num("wcet_cycles")?,
             checksum: i32::try_from(v.get("checksum")?.as_i64()?).ok()?,
-            energy_bits: num("energy_bits")?,
+            energy_nj: f64::from_bits(num("energy_bits")?),
             spm_used: u32::try_from(num("spm_used")?).ok()?,
             spm_objects: if objects.is_empty() {
                 Vec::new()
             } else {
                 objects.split(';').map(str::to_string).collect()
             },
-            classify,
-            error: text(&v, "error")?.to_string(),
-            panicked: match v.get("panicked")? {
-                Value::Bool(b) => *b,
-                _ => return None,
-            },
+            classify: ClassifyStats::from_array(classify),
+            degraded: false,
+        };
+        let error = text(&v, "error")?;
+        let panicked = match v.get("panicked")? {
+            Value::Bool(b) => *b,
+            _ => return None,
+        };
+        let status = text(&v, "status")?;
+        let outcome = match status {
+            "ok" | "degraded" if error.is_empty() && !panicked => {
+                PointOutcome::Measured(ConfigResult {
+                    degraded: status == "degraded",
+                    ..result
+                })
+            }
+            "failed" if result == failed_fields(result.label.clone()) => {
+                PointOutcome::Failed(FailedPoint {
+                    index,
+                    label: result.label,
+                    error: error.to_string(),
+                    panicked,
+                })
+            }
+            _ => return None,
+        };
+        Some(PointRecord {
+            index,
+            spec_hash: text(&v, "spec_hash")?.to_string(),
+            outcome,
         })
     }
+}
+
+/// The measurement fields of a failed point's line: its label, and zero
+/// everywhere else.
+fn failed_fields(label: String) -> ConfigResult {
+    ConfigResult {
+        label,
+        sim_cycles: 0,
+        wcet_cycles: 0,
+        checksum: 0,
+        energy_nj: 0.0,
+        spm_used: 0,
+        spm_objects: Vec::new(),
+        classify: ClassifyStats::default(),
+        degraded: false,
+    }
+}
+
+/// The record line of point `index` — borrowed, so a sweep streams each
+/// outcome without copying it into a [`PointRecord`].
+pub(crate) fn json_line(index: usize, spec_hash: &str, outcome: &PointOutcome) -> String {
+    let failed;
+    let (status, r, error, panicked) = match outcome {
+        PointOutcome::Measured(r) => {
+            let status = if r.degraded { "degraded" } else { "ok" };
+            (status, r, "", false)
+        }
+        PointOutcome::Failed(fp) => {
+            failed = failed_fields(fp.label.clone());
+            ("failed", &failed, fp.error.as_str(), fp.panicked)
+        }
+    };
+    let classify: Vec<String> = r.classify.to_array().iter().map(u64::to_string).collect();
+    format!(
+        "{{\"index\":{index},\"spec_hash\":\"{}\",\"status\":\"{status}\",\"label\":\"{}\",\
+         \"sim_cycles\":{},\"wcet_cycles\":{},\"checksum\":{},\"energy_bits\":{},\
+         \"spm_used\":{},\"spm_objects\":\"{}\",\"classify\":\"{}\",\
+         \"error\":\"{}\",\"panicked\":{panicked}}}",
+        escape(spec_hash),
+        escape(&r.label),
+        r.sim_cycles,
+        r.wcet_cycles,
+        r.checksum,
+        r.energy_nj.to_bits(),
+        r.spm_used,
+        escape(&r.spm_objects.join(";")),
+        classify.join(","),
+        escape(error),
+    )
 }
 
 /// The string field `key` of a parsed line.
@@ -377,29 +312,44 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointFile, CoreError> {
 ///
 /// A human-readable description of the first violation.
 pub fn parse_checkpoint_text(text: &str) -> Result<CheckpointFile, String> {
+    read_lines(text, false)
+}
+
+/// The one line reader behind [`parse_checkpoint_text`] (`strict` off)
+/// and [`check_checkpoint`] (`strict` on). A strict read also rejects
+/// blank lines, a truncated final line, a malformed spec hash, and a
+/// failed record with no error description.
+fn read_lines(text: &str, strict: bool) -> Result<CheckpointFile, String> {
     let (header, lines) = split_header(text)?;
-    let rest: Vec<(usize, &str)> = lines.filter(|(_, l)| !l.trim().is_empty()).collect();
+    let rest: Vec<(usize, &str)> = lines
+        .filter(|(_, l)| strict || !l.trim().is_empty())
+        .collect();
     let mut records = BTreeMap::new();
-    for (pos, (lineno, line)) in rest.iter().enumerate() {
-        match PointRecord::from_json_line(line) {
-            Some(rec) => {
-                if rec.index >= header.points {
-                    return Err(format!(
-                        "line {}: point index {} out of range (axis has {} points)",
-                        lineno + 1,
-                        rec.index,
-                        header.points
-                    ));
-                }
-                records.insert(rec.index, rec);
-            }
-            None if pos + 1 == rest.len() => {
-                // Truncated final line: the kill artifact; drop it.
-            }
-            None => {
-                return Err(format!("line {}: malformed point record", lineno + 1));
-            }
+    for (pos, &(lineno, line)) in rest.iter().enumerate() {
+        let fail = |what: String| Err(format!("line {}: {what}", lineno + 1));
+        if line.trim().is_empty() {
+            return fail(String::from("blank line in stream"));
         }
+        let Some(rec) = PointRecord::from_json_line(line) else {
+            if !strict && pos + 1 == rest.len() {
+                // Truncated final line: the kill artifact; drop it.
+                break;
+            }
+            return fail(String::from("malformed point record"));
+        };
+        if rec.index >= header.points {
+            return fail(format!(
+                "point index {} out of range (axis has {} points)",
+                rec.index, header.points
+            ));
+        }
+        if strict && rec.spec_hash.len() != 16 {
+            return fail(String::from("malformed spec hash"));
+        }
+        if strict && rec.outcome.failure().is_some_and(|fp| fp.error.is_empty()) {
+            return fail(String::from("failed record with no error description"));
+        }
+        records.insert(rec.index, rec);
     }
     Ok(CheckpointFile { header, records })
 }
@@ -429,11 +379,12 @@ pub struct CheckpointStats {
     pub points: usize,
     /// Distinct point indices covered by at least one record.
     pub covered: usize,
-    /// Distinct indices whose *last* record is `Ok`.
+    /// Distinct indices whose *last* record was measured precisely.
     pub ok: usize,
-    /// Distinct indices whose last record is `Degraded`.
+    /// Distinct indices whose last record was measured with a widened
+    /// (degraded) bound.
     pub degraded: usize,
-    /// Distinct indices whose last record is `Failed`.
+    /// Distinct indices whose last record failed.
     pub failed: usize,
 }
 
@@ -445,40 +396,16 @@ pub struct CheckpointStats {
 ///
 /// A human-readable description of the first violation.
 pub fn check_checkpoint(text: &str) -> Result<CheckpointStats, String> {
-    let (header, lines) = split_header(text)?;
-    let mut last: BTreeMap<usize, PointStatus> = BTreeMap::new();
-    for (lineno, line) in lines {
-        if line.trim().is_empty() {
-            return Err(format!("line {}: blank line in stream", lineno + 1));
-        }
-        let rec = PointRecord::from_json_line(line)
-            .ok_or_else(|| format!("line {}: malformed point record", lineno + 1))?;
-        if rec.index >= header.points {
-            return Err(format!(
-                "line {}: point index {} out of range (axis has {} points)",
-                lineno + 1,
-                rec.index,
-                header.points
-            ));
-        }
-        if rec.spec_hash.len() != 16 {
-            return Err(format!("line {}: malformed spec hash", lineno + 1));
-        }
-        if rec.status == PointStatus::Failed && rec.error.is_empty() {
-            return Err(format!(
-                "line {}: failed record with no error description",
-                lineno + 1
-            ));
-        }
-        last.insert(rec.index, rec.status);
-    }
-    let count = |want: PointStatus| last.values().filter(|&&s| s == want).count();
+    let file = read_lines(text, true)?;
+    let outcomes = || file.records.values().map(|r| &r.outcome);
+    let failed = outcomes().filter(|o| o.is_failed()).count();
+    let degraded = outcomes().filter(|o| o.is_degraded()).count();
     Ok(CheckpointStats {
-        points: header.points,
-        covered: last.len(),
-        ok: count(PointStatus::Ok),
-        degraded: count(PointStatus::Degraded),
-        failed: count(PointStatus::Failed),
+        points: file.header.points,
+        covered: file.records.len(),
+        ok: file.records.len() - failed - degraded,
+        degraded,
+        failed,
     })
 }
 
@@ -534,13 +461,19 @@ impl CheckpointWriter {
         })
     }
 
-    /// Appends one record line and flushes it.
+    /// Appends the record line of point `index` and flushes it.
     ///
     /// # Errors
     ///
     /// [`CoreError::Checkpoint`] on I/O failure.
-    pub fn write_record(&mut self, record: &PointRecord) -> Result<(), CoreError> {
-        writeln!(self.file, "{}", record.to_json_line()).map_err(|e| ckpt_err(&self.path, e))?;
+    pub fn write_record(
+        &mut self,
+        index: usize,
+        spec_hash: &str,
+        outcome: &PointOutcome,
+    ) -> Result<(), CoreError> {
+        let line = json_line(index, spec_hash, outcome);
+        writeln!(self.file, "{line}").map_err(|e| ckpt_err(&self.path, e))?;
         self.file.flush().map_err(|e| ckpt_err(&self.path, e))
     }
 }
@@ -568,47 +501,53 @@ mod tests {
         }
     }
 
+    fn measured(index: usize, spec: &str, degraded: bool) -> PointRecord {
+        PointRecord {
+            index,
+            spec_hash: fnv1a64(spec),
+            outcome: PointOutcome::Measured(sample_result(degraded)),
+        }
+    }
+
+    fn failed(index: usize, error: &str, panicked: bool) -> PointRecord {
+        PointRecord {
+            index,
+            spec_hash: fnv1a64("spec"),
+            outcome: PointOutcome::Failed(FailedPoint {
+                index,
+                label: "l1 512".into(),
+                error: error.into(),
+                panicked,
+            }),
+        }
+    }
+
     #[test]
     fn point_record_round_trips_exactly() {
         for degraded in [false, true] {
-            let r = sample_result(degraded);
-            let rec = PointRecord::from_result(3, fnv1a64("spec"), &r);
+            let rec = measured(3, "spec", degraded);
             let back = PointRecord::from_json_line(&rec.to_json_line()).unwrap();
-            assert_eq!(rec, back);
-            let cr = back.to_config_result().unwrap();
-            assert_eq!(cr.label, r.label);
-            assert_eq!(cr.sim_cycles, r.sim_cycles);
-            assert_eq!(cr.wcet_cycles, r.wcet_cycles);
-            assert_eq!(cr.checksum, r.checksum);
-            assert_eq!(cr.energy_nj.to_bits(), r.energy_nj.to_bits(), "bit-exact");
-            assert_eq!(cr.spm_objects, r.spm_objects);
-            assert_eq!(cr.classify, r.classify);
-            assert_eq!(cr.degraded, degraded);
+            assert_eq!(rec, back, "bit-exact, energy included");
+            assert_eq!(back.outcome.is_degraded(), degraded);
         }
     }
 
     #[test]
     fn failed_record_round_trips_and_has_no_result() {
-        let rec = PointRecord::from_failure(
-            7,
-            fnv1a64("spec"),
-            "l1 512",
-            "injected fault: phase `analyze` call #2",
-            true,
-        );
+        let rec = failed(7, "injected fault: phase `analyze` call #2", true);
         let back = PointRecord::from_json_line(&rec.to_json_line()).unwrap();
         assert_eq!(rec, back);
-        assert!(back.to_config_result().is_none());
+        assert!(back.outcome.result().is_none());
     }
 
     #[test]
     fn failed_record_error_text_round_trips_escaped() {
         let error = "panicked at 'x': \"quoted\" C:\\path\tcol\nnext line";
-        let rec = PointRecord::from_failure(2, fnv1a64("spec"), "l1 512", error, true);
+        let rec = failed(2, error, true);
         let line = rec.to_json_line();
         assert!(!line.contains('\n'), "one record per line");
         let back = PointRecord::from_json_line(&line).unwrap();
-        assert_eq!(back.error, error);
+        assert_eq!(back.outcome.failure().unwrap().error, error);
         assert_eq!(back, rec);
     }
 
@@ -638,7 +577,7 @@ mod tests {
             points: 4,
             shard: None,
         };
-        let rec = PointRecord::from_result(0, fnv1a64("s"), &sample_result(false));
+        let rec = measured(0, "s", false);
         let full = format!(
             "{}\n{}\n{}",
             header.to_json_line(),
@@ -678,7 +617,7 @@ mod tests {
             points: 4,
             shard: None,
         };
-        let rec0 = PointRecord::from_result(0, fnv1a64("s0"), &sample_result(false));
+        let rec0 = measured(0, "s0", false);
         std::fs::write(
             &path,
             format!(
@@ -690,8 +629,9 @@ mod tests {
         )
         .unwrap();
         let mut w = CheckpointWriter::append(&path).unwrap();
-        let rec1 = PointRecord::from_result(1, fnv1a64("s1"), &sample_result(true));
-        w.write_record(&rec1).unwrap();
+        let rec1 = measured(1, "s1", true);
+        w.write_record(rec1.index, &rec1.spec_hash, &rec1.outcome)
+            .unwrap();
         drop(w);
         let text = std::fs::read_to_string(&path).unwrap();
         let stats = check_checkpoint(&text).unwrap();
@@ -712,8 +652,8 @@ mod tests {
             points: 2,
             shard: None,
         };
-        let failed = PointRecord::from_failure(0, fnv1a64("s"), "l", "boom", false);
-        let fixed = PointRecord::from_result(0, fnv1a64("s"), &sample_result(false));
+        let failed = failed(0, "boom", false);
+        let fixed = measured(0, "spec", false);
         let text = format!(
             "{}\n{}\n{}\n",
             header.to_json_line(),

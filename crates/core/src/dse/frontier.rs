@@ -15,7 +15,7 @@
 //! index), so two runs over the same merged records render byte-identical
 //! frontiers regardless of insertion order.
 
-use crate::checkpoint::{PointRecord, PointStatus};
+use crate::checkpoint::PointRecord;
 
 /// One candidate (or surviving) frontier point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,14 +92,14 @@ impl Frontier {
     /// Offers a checkpoint record at global index `index`; failed records
     /// are skipped.
     pub fn insert_record(&mut self, index: usize, rec: &PointRecord) -> bool {
-        if rec.status == PointStatus::Failed {
+        let Some(r) = rec.outcome.result() else {
             return false;
-        }
+        };
         self.insert(FrontierPoint {
             index,
-            label: rec.label.clone(),
-            sim_cycles: rec.sim_cycles,
-            wcet_cycles: rec.wcet_cycles,
+            label: r.label.clone(),
+            sim_cycles: r.sim_cycles,
+            wcet_cycles: r.wcet_cycles,
         })
     }
 

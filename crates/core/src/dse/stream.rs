@@ -16,11 +16,9 @@
 //! unsharded run" is a plain byte comparison — the differential test
 //! `tests/dse.rs` pins.
 
-use crate::checkpoint::{
-    parse_checkpoint_text, spec_hash, CheckpointHeader, PointRecord, PointStatus,
-};
+use crate::checkpoint::{parse_checkpoint_text, spec_hash, CheckpointHeader, PointRecord};
 use crate::dse::frontier::Frontier;
-use crate::sweep::{FailedPoint, PointOutcome, SpecOutcome};
+use crate::sweep::{PointOutcome, SpecOutcome};
 use spmlab_isa::archspec::MemArchSpec;
 use std::collections::BTreeMap;
 
@@ -30,8 +28,8 @@ use std::collections::BTreeMap;
 pub struct MergedSweep {
     /// The unsharded header (`points` = full grid size).
     pub header: CheckpointHeader,
-    /// Last record per covered global index, `index` field rewritten to
-    /// the global value.
+    /// Last record per covered global index, its index (and a failed
+    /// point's) rewritten to the global value.
     pub records: BTreeMap<usize, PointRecord>,
 }
 
@@ -57,7 +55,7 @@ impl MergedSweep {
     pub fn failed(&self) -> usize {
         self.records
             .values()
-            .filter(|r| r.status == PointStatus::Failed)
+            .filter(|r| r.outcome.is_failed())
             .count()
     }
 
@@ -95,18 +93,9 @@ impl MergedSweep {
                 if rec.spec_hash != spec_hash(&spec.canonical()) {
                     return Err(format!("point {i}: record is for another spec"));
                 }
-                let outcome = match rec.to_config_result() {
-                    Some(r) => PointOutcome::from_result(r),
-                    None => PointOutcome::Failed(FailedPoint {
-                        index: i,
-                        label: rec.label.clone(),
-                        error: rec.error.clone(),
-                        panicked: rec.panicked,
-                    }),
-                };
                 Ok(SpecOutcome {
                     spec: spec.clone(),
-                    outcome,
+                    outcome: rec.outcome.clone(),
                 })
             })
             .collect()
@@ -219,6 +208,9 @@ pub fn merge_texts(texts: &[&str]) -> Result<MergedSweep, String> {
         }
         for (local, mut rec) in file.records {
             rec.index = shard.global(local);
+            if let PointOutcome::Failed(fp) = &mut rec.outcome {
+                fp.index = rec.index;
+            }
             records.insert(rec.index, rec);
         }
     }
@@ -237,6 +229,9 @@ mod tests {
     use super::*;
     use crate::checkpoint::CHECKPOINT_VERSION;
     use crate::dse::executor::{shard_header, Shard};
+    use crate::pipeline::ConfigResult;
+    use crate::sweep::FailedPoint;
+    use spmlab_wcet::cache::ClassifyStats;
 
     fn axis(n: usize) -> Vec<MemArchSpec> {
         (0..n).map(|i| MemArchSpec::spm(64 << i)).collect()
@@ -246,17 +241,17 @@ mod tests {
         PointRecord {
             index: local,
             spec_hash: spec_hash(&spec.canonical()),
-            status: PointStatus::Ok,
-            label: spec.label(),
-            sim_cycles: sim,
-            wcet_cycles: sim * 3,
-            checksum: 7,
-            energy_bits: (sim as f64).to_bits(),
-            spm_used: 0,
-            spm_objects: Vec::new(),
-            classify: [0; 10],
-            error: String::new(),
-            panicked: false,
+            outcome: PointOutcome::Measured(ConfigResult {
+                label: spec.label(),
+                sim_cycles: sim,
+                wcet_cycles: sim * 3,
+                checksum: 7,
+                energy_nj: sim as f64,
+                spm_used: 0,
+                spm_objects: Vec::new(),
+                classify: ClassifyStats::default(),
+                degraded: false,
+            }),
         }
     }
 
@@ -358,6 +353,41 @@ mod tests {
         let mut partial = merged.clone();
         partial.records.remove(&1);
         assert!(partial.outcomes("b", &ax).is_err(), "missing point");
+    }
+
+    #[test]
+    fn merge_rewrites_a_failed_record_to_its_global_index() {
+        // The one place a record's index changes: shard 1's local point 0
+        // is global point 1, for the record and for its failure report.
+        let ax = axis(4);
+        let mut shards = sharded_streams(&ax, 2);
+        let shard = Shard { index: 1, count: 2 };
+        let failed = PointRecord {
+            index: 0,
+            spec_hash: spec_hash(&ax[1].canonical()),
+            outcome: PointOutcome::Failed(FailedPoint {
+                index: 0,
+                label: ax[1].label(),
+                error: String::from("injected fault: phase `analyze` call #1"),
+                panicked: false,
+            }),
+        };
+        shards[1] = stream(
+            &shard_header("rev", "b", &ax, shard),
+            &[failed, rec(1, &ax[3], 103)],
+        );
+        let merged = merge_texts(&[&shards[0], &shards[1]]).unwrap();
+        assert_eq!((merged.covered(), merged.failed()), (4, 1));
+        let rec = &merged.records[&1];
+        assert_eq!(rec.index, 1);
+        assert_eq!(rec.outcome.failure().map(|fp| fp.index), Some(1));
+        let line = merged.to_jsonl().lines().nth(2).unwrap().to_string();
+        assert!(line.starts_with("{\"index\":1,"), "{line}");
+        assert!(line.contains("\"status\":\"failed\""), "{line}");
+        let outcomes = merged.outcomes("b", &ax).unwrap();
+        let fp = outcomes[1].outcome.failure().expect("point 1 failed");
+        assert_eq!(fp.index, 1);
+        assert_eq!(outcomes.iter().filter(|o| o.outcome.is_failed()).count(), 1);
     }
 
     #[test]

@@ -7,24 +7,23 @@
 //! contained `Failed` point (never a process abort), and a sweep killed by
 //! one must be recoverable via checkpoint resume.
 //!
-//! The harness is compiled out unless the `fault-injection` cargo feature
-//! is enabled — the hooks in [`crate::pipeline`] collapse to inlined
-//! no-ops, so production builds carry zero cost and cannot be armed. The
-//! workspace arms the feature for its *test* builds only (via the root
-//! package's dev-dependencies), which is what makes the plan "test-only".
+//! The harness is compiled into every build and stays inert until
+//! [`arm`] runs: unarmed, a hook in [`crate::pipeline`] costs one atomic
+//! load per phase entry. Only tests arm it, which is what makes the plan
+//! "test-only".
 //!
 //! ```no_run
-//! # #[cfg(feature = "fault-injection")] {
 //! use spmlab::faults::{arm, FaultAction, FaultPlan};
 //!
 //! // Fail the second measured point of a sweep with a typed error.
 //! let guard = arm(FaultPlan::new("measure-spec", 2, FaultAction::Error));
 //! // ... run the sweep; exactly one point comes back Failed ...
 //! assert!(guard.fired());
-//! # }
 //! ```
 
 use crate::CoreError;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// What to do when the armed phase call is reached.
@@ -62,43 +61,34 @@ impl FaultPlan {
     }
 }
 
-#[cfg(feature = "fault-injection")]
-mod armed {
-    use super::FaultPlan;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Mutex;
+/// Fast-path flag: `fault_point` is called on every phase entry, so the
+/// unarmed case must not take a lock.
+static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 
-    /// Fast-path flag: `fault_point` is called on every phase entry, so
-    /// the unarmed case must not take a lock.
-    pub(super) static ANY_ARMED: AtomicBool = AtomicBool::new(false);
+/// The armed plan plus its progress. One plan at a time; [`arm`]
+/// serializes concurrent tests through `HARNESS`.
+static STATE: Mutex<Option<Progress>> = Mutex::new(None);
 
-    /// The armed plan plus its progress. One plan at a time; [`super::arm`]
-    /// serializes concurrent tests through `HARNESS`.
-    pub(super) static STATE: Mutex<Option<Progress>> = Mutex::new(None);
+/// Serializes tests that arm faults (the plan is process-global).
+static HARNESS: Mutex<()> = Mutex::new(());
 
-    /// Serializes tests that arm faults (the plan is process-global).
-    pub(super) static HARNESS: Mutex<()> = Mutex::new(());
-
-    pub(super) struct Progress {
-        pub plan: FaultPlan,
-        pub seen: usize,
-        pub fired: bool,
-    }
+struct Progress {
+    plan: FaultPlan,
+    seen: usize,
+    fired: bool,
 }
 
 /// Keeps the plan armed; disarms on drop. Holds a process-global lock so
 /// concurrently running tests cannot see each other's faults.
 #[must_use = "the plan disarms when the guard drops"]
 pub struct FaultGuard {
-    #[cfg(feature = "fault-injection")]
-    _serial: std::sync::MutexGuard<'static, ()>,
+    _serial: MutexGuard<'static, ()>,
 }
 
-#[cfg(feature = "fault-injection")]
 impl FaultGuard {
     /// Whether the planned fault has fired yet.
     pub fn fired(&self) -> bool {
-        let state = armed::STATE.lock().unwrap_or_else(|p| p.into_inner());
+        let state = STATE.lock().unwrap_or_else(|p| p.into_inner());
         state.as_ref().is_some_and(|s| s.fired)
     }
 
@@ -107,7 +97,7 @@ impl FaultGuard {
     /// `Pipeline::new`, which passes the `compile` and `link` phases —
     /// and the faulted run after it.
     pub fn rearm(&self, plan: FaultPlan) {
-        *armed::STATE.lock().unwrap_or_else(|p| p.into_inner()) = Some(armed::Progress {
+        *STATE.lock().unwrap_or_else(|p| p.into_inner()) = Some(Progress {
             plan,
             seen: 0,
             fired: false,
@@ -115,67 +105,34 @@ impl FaultGuard {
     }
 }
 
-#[cfg(not(feature = "fault-injection"))]
-impl FaultGuard {
-    /// Whether the planned fault has fired yet (always `false` when the
-    /// harness is compiled out).
-    pub fn fired(&self) -> bool {
-        false
-    }
-
-    /// Replaces the armed plan (inert when the harness is compiled out).
-    pub fn rearm(&self, plan: FaultPlan) {
-        let _ = plan;
-    }
-}
-
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "fault-injection")]
-        {
-            *armed::STATE.lock().unwrap_or_else(|p| p.into_inner()) = None;
-            armed::ANY_ARMED.store(false, std::sync::atomic::Ordering::SeqCst);
-        }
+        *STATE.lock().unwrap_or_else(|p| p.into_inner()) = None;
+        ANY_ARMED.store(false, Ordering::SeqCst);
     }
 }
 
-/// Arms `plan` until the returned guard drops. Without the
-/// `fault-injection` feature this is inert: the hooks are compiled out and
-/// nothing ever fires.
-#[cfg(feature = "fault-injection")]
+/// Arms `plan` until the returned guard drops.
 pub fn arm(plan: FaultPlan) -> FaultGuard {
     // A panicking test may poison either lock; the state is
     // self-contained, so poisoning is harmless.
-    let serial = armed::HARNESS.lock().unwrap_or_else(|p| p.into_inner());
-    *armed::STATE.lock().unwrap_or_else(|p| p.into_inner()) = Some(armed::Progress {
+    let serial = HARNESS.lock().unwrap_or_else(|p| p.into_inner());
+    *STATE.lock().unwrap_or_else(|p| p.into_inner()) = Some(Progress {
         plan,
         seen: 0,
         fired: false,
     });
-    armed::ANY_ARMED.store(true, std::sync::atomic::Ordering::SeqCst);
+    ANY_ARMED.store(true, Ordering::SeqCst);
     FaultGuard { _serial: serial }
 }
 
-/// Arms `plan` until the returned guard drops. Without the
-/// `fault-injection` feature this is inert: the hooks are compiled out and
-/// nothing ever fires.
-#[cfg(not(feature = "fault-injection"))]
-pub fn arm(plan: FaultPlan) -> FaultGuard {
-    let _ = plan;
-    FaultGuard {}
-}
-
-/// Pipeline hook: called at the entry of each instrumented phase.
-///
-/// Compiled to an inlined `Ok(())` unless the `fault-injection` feature is
-/// on, so production phase entries pay nothing.
-#[cfg(feature = "fault-injection")]
+/// Pipeline hook: called at the entry of each instrumented phase. Unarmed,
+/// it returns after one atomic load.
 pub(crate) fn fault_point(phase: &str) -> Result<(), CoreError> {
-    use std::sync::atomic::Ordering;
-    if !armed::ANY_ARMED.load(Ordering::SeqCst) {
+    if !ANY_ARMED.load(Ordering::SeqCst) {
         return Ok(());
     }
-    let mut state = armed::STATE.lock().unwrap_or_else(|p| p.into_inner());
+    let mut state = STATE.lock().unwrap_or_else(|p| p.into_inner());
     let Some(progress) = state.as_mut() else {
         return Ok(());
     };
@@ -205,13 +162,7 @@ pub(crate) fn fault_point(phase: &str) -> Result<(), CoreError> {
     }
 }
 
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub(crate) fn fault_point(_phase: &str) -> Result<(), CoreError> {
-    Ok(())
-}
-
-#[cfg(all(test, feature = "fault-injection"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -4,7 +4,7 @@
 //! a direct sweep or a checkpoint stream.
 
 use crate::pipeline::{ConfigResult, Pipeline};
-use crate::sweep::{partition, FailedPoint, SpecOutcome, SpecPoint};
+use crate::sweep::SpecOutcome;
 use crate::CoreError;
 use spmlab_isa::archspec::MemArchSpec;
 use spmlab_isa::hierarchy::MemHierarchyConfig;
@@ -162,33 +162,29 @@ impl Tightness {
 pub struct FigureHierarchy {
     /// Benchmark name.
     pub benchmark: String,
-    /// Completed points in axis order: the scratchpad references, then the
-    /// cache hierarchies.
-    pub points: Vec<SpecPoint>,
-    /// Points that failed under fault isolation — carried into the report
-    /// explicitly, never silently dropped.
-    pub failed: Vec<FailedPoint>,
+    /// Every point in axis order: the scratchpad references, then the
+    /// cache hierarchies. Failed points stay in the figure and its
+    /// report, never silently dropped.
+    pub points: Vec<SpecOutcome>,
 }
 
 impl FigureHierarchy {
     /// Assembles the figure from the per-point outcomes of its axis.
-    pub fn new(benchmark: &str, outcomes: Vec<SpecOutcome>) -> FigureHierarchy {
-        let (points, failed) = partition(outcomes);
+    pub fn new(benchmark: &str, outcomes: &[SpecOutcome]) -> FigureHierarchy {
         FigureHierarchy {
             benchmark: benchmark.to_string(),
-            points,
-            failed,
+            points: outcomes.to_vec(),
         }
     }
 
     /// The soundness invariant over every point of the figure; a failed
     /// point fails it too, since its bound was never checked.
     pub fn all_sound(&self) -> bool {
-        self.failed.is_empty()
-            && self
-                .points
-                .iter()
-                .all(|p| p.result.wcet_cycles >= p.result.sim_cycles)
+        self.points.iter().all(|p| {
+            p.outcome
+                .result()
+                .is_some_and(|r| r.wcet_cycles >= r.sim_cycles)
+        })
     }
 }
 
@@ -224,23 +220,30 @@ pub struct FigureSpmHierarchy {
 }
 
 impl FigureSpmHierarchy {
-    /// Assembles the figure from the completed points of
+    /// Assembles the figure from the per-point outcomes of
     /// [`crate::config::hierarchy_spm_axis`], whose `[region, aware]`
     /// pairs are adjacent.
-    pub fn new(benchmark: &str, points: &[SpecPoint]) -> FigureSpmHierarchy {
-        let points = points
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Point`] for the first failed point: every comparison
+    /// needs both of its allocations.
+    pub fn new(benchmark: &str, outcomes: &[SpecOutcome]) -> Result<FigureSpmHierarchy, CoreError> {
+        let points = outcomes
             .chunks(2)
-            .map(|pair| AllocComparePoint {
-                spm_size: pair[0].spec.spm_size(),
-                machine: pair[0].spec.hierarchy(),
-                region: pair[0].result.clone(),
-                aware: pair[1].result.clone(),
+            .map(|pair| {
+                Ok(AllocComparePoint {
+                    spm_size: pair[0].spec.spm_size(),
+                    machine: pair[0].spec.hierarchy(),
+                    region: pair[0].outcome.measured()?.clone(),
+                    aware: pair[1].outcome.measured()?.clone(),
+                })
             })
-            .collect();
-        FigureSpmHierarchy {
+            .collect::<Result<_, CoreError>>()?;
+        Ok(FigureSpmHierarchy {
             benchmark: benchmark.to_string(),
             points,
-        }
+        })
     }
 
     /// The headline claim: the hierarchy-aware allocation's WCET bound is
@@ -319,14 +322,18 @@ mod tests {
         ];
         let pipeline = Pipeline::new(&INSERTSORT).unwrap();
         let outcomes = spec_sweep_with_session(&pipeline, &axis, &SweepSession::none()).unwrap();
-        let fig = FigureHierarchy::new("insertsort", outcomes);
+        let fig = FigureHierarchy::new("insertsort", &outcomes);
         assert!(fig.all_sound());
-        let rows = &fig.points;
+        let rows: Vec<&ConfigResult> = fig
+            .points
+            .iter()
+            .filter_map(|p| p.outcome.result())
+            .collect();
         assert_eq!(rows.len(), 4, "2 spm points + 2 hierarchies");
-        assert!(rows[0].result.label.starts_with("spm"));
-        assert!(rows.iter().any(|p| p.result.label.contains("l2 2048")));
+        assert!(rows[0].label.starts_with("spm"));
+        assert!(rows.iter().any(|r| r.label.contains("l2 2048")));
         // The SPM bound is far tighter than any cached configuration's.
-        let (spm_ratio, l1_ratio) = (rows[0].result.ratio(), rows[2].result.ratio());
+        let (spm_ratio, l1_ratio) = (rows[0].ratio(), rows[2].ratio());
         assert!(
             spm_ratio < l1_ratio,
             "spm {spm_ratio:.2} vs l1 {l1_ratio:.2}"
@@ -335,12 +342,13 @@ mod tests {
 
     #[test]
     fn spm_hierarchy_figure_compares_allocators() {
-        use crate::sweep::spec_sweep;
+        use crate::sweep::{spec_sweep_with_session, SweepSession};
         use spmlab_isa::cachecfg::CacheConfig;
         let machines = vec![MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024))];
         let axis = crate::config::hierarchy_spm_axis(&[256], &machines);
-        let points = spec_sweep(&Pipeline::new(&INSERTSORT).unwrap(), &axis).unwrap();
-        let fig = FigureSpmHierarchy::new("insertsort", &points);
+        let p = Pipeline::new(&INSERTSORT).unwrap();
+        let outcomes = spec_sweep_with_session(&p, &axis, &SweepSession::none()).unwrap();
+        let fig = FigureSpmHierarchy::new("insertsort", &outcomes).unwrap();
         assert_eq!(fig.points.len(), 1);
         assert!(fig.all_sound());
         assert!(

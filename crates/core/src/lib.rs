@@ -27,11 +27,11 @@
 //! cache levels + main-memory timing); [`config`] builds the standard
 //! `Vec<MemArchSpec>` axes (the paper's 64 B … 8 KiB capacity sweeps, the
 //! hierarchy axis, the SPM×hierarchy allocator axis); [`sweep`] runs any
-//! axis through its two entry points, [`sweep::spec_sweep`] and the
-//! checkpointable [`sweep::spec_sweep_with_session`], executing a
-//! sharing plan decided before anything is measured; [`figures`]
-//! packages each table/figure of the evaluation section; [`report`]
-//! renders them as text tables.
+//! axis through its one entry point, the checkpointable
+//! [`sweep::spec_sweep_with_session`], executing a sharing plan decided
+//! before anything is measured, into one [`PointOutcome`] per point;
+//! [`figures`] packages each table/figure of the evaluation section;
+//! [`report`] renders them as text tables.
 //!
 //! ```no_run
 //! use spmlab::pipeline::Pipeline;
@@ -67,7 +67,7 @@ pub use dse::{Frontier, FrontierPoint, GridSpec, GridStats, MergedSweep, Shard};
 pub use pipeline::{ConfigResult, Pipeline};
 pub use spmlab_isa::archspec::{MemArchSpec, SpecError, SpmAllocation, SpmSpec};
 pub use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
-pub use sweep::{FailedPoint, PointOutcome, SpecOutcome, SweepFailure, SweepSession};
+pub use sweep::{FailedPoint, PointOutcome, SpecOutcome, SweepSession};
 
 /// Errors from the experiment pipeline.
 #[derive(Debug)]
@@ -104,14 +104,13 @@ pub enum CoreError {
         /// What went wrong.
         reason: String,
     },
-    /// A fault injected by the test-only [`faults`] harness (never
-    /// produced outside `--features fault-injection` builds).
+    /// A fault injected by the test-only [`faults`] harness.
     Injected(String),
     /// A checkpoint file could not be written, read, or validated.
     Checkpoint(String),
-    /// One or more sweep points failed; the completed points are carried
-    /// alongside the failures instead of being discarded.
-    Sweep(Box<sweep::SweepFailure>),
+    /// A sweep point failed where every point was needed (the first
+    /// failed point of a figure's axis).
+    Point(FailedPoint),
 }
 
 impl std::fmt::Display for CoreError {
@@ -140,7 +139,7 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::Injected(m) => write!(f, "injected fault: {m}"),
             CoreError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
-            CoreError::Sweep(fail) => write!(f, "{fail}"),
+            CoreError::Point(fp) => write!(f, "{fp}"),
         }
     }
 }
@@ -158,7 +157,7 @@ impl std::error::Error for CoreError {
             | CoreError::Oracle { .. }
             | CoreError::Injected(_)
             | CoreError::Checkpoint(_)
-            | CoreError::Sweep(_) => None,
+            | CoreError::Point(_) => None,
         }
     }
 }

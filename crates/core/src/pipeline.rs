@@ -52,8 +52,25 @@ pub struct ConfigResult {
     pub classify: ClassifyStats,
     /// `true` when a WCET fixpoint hit its structural iteration cap and
     /// widened to a conservative (still sound, less precise) bound — the
-    /// sweep layer reports such points as `Degraded`.
+    /// sweep layer, its checkpoint lines and its reports mark such points
+    /// degraded.
     pub degraded: bool,
+}
+
+/// Equality as a checkpoint keeps it: the energy figure compares by its
+/// IEEE bit pattern.
+impl PartialEq for ConfigResult {
+    fn eq(&self, other: &ConfigResult) -> bool {
+        self.label == other.label
+            && self.sim_cycles == other.sim_cycles
+            && self.wcet_cycles == other.wcet_cycles
+            && self.checksum == other.checksum
+            && self.energy_nj.to_bits() == other.energy_nj.to_bits()
+            && self.spm_used == other.spm_used
+            && self.spm_objects == other.spm_objects
+            && self.classify == other.classify
+            && self.degraded == other.degraded
+    }
 }
 
 impl ConfigResult {

@@ -135,8 +135,8 @@ pub fn render_hierarchy(fig: &crate::figures::FigureHierarchy) -> String {
     let body: Vec<Vec<String>> = fig
         .points
         .iter()
-        .map(|p| {
-            let r = &p.result;
+        .filter_map(|p| Some((p, p.outcome.result()?)))
+        .map(|(p, r)| {
             // A widened-but-sound bound from a fixpoint that hit its
             // structural cap is flagged in place, never passed off as a
             // precise result.
@@ -186,13 +186,18 @@ pub fn render_hierarchy(fig: &crate::figures::FigureHierarchy) -> String {
         )
     );
     // Failed points are part of the report, never silently dropped.
-    if !fig.failed.is_empty() {
+    let failed: Vec<_> = fig
+        .points
+        .iter()
+        .filter_map(|p| p.outcome.failure())
+        .collect();
+    if !failed.is_empty() {
         out.push_str(&format!(
             "{} of {} points FAILED:\n",
-            fig.failed.len(),
-            fig.points.len() + fig.failed.len()
+            failed.len(),
+            fig.points.len()
         ));
-        for fp in &fig.failed {
+        for fp in failed {
             out.push_str(&format!("  {fp}\n"));
         }
     }

@@ -1,9 +1,10 @@
 //! Configuration sweeps over memory-architecture specs.
 //!
-//! [`spec_sweep`] is the engine: it takes any `Vec<MemArchSpec>` axis,
-//! plans which points share a measurement and which form one executor
-//! unit (`plan::SweepPlan`), and fans the plan's units out across worker
-//! threads (`std::thread::scope` — every point only reads the shared
+//! [`spec_sweep_with_session`] is the engine and the one entry point: it
+//! takes any `Vec<MemArchSpec>` axis, plans which points share a
+//! measurement and which form one executor unit (`plan::SweepPlan`), and
+//! fans the plan's units out across worker threads
+//! (`std::thread::scope` — every point only reads the shared
 //! [`Pipeline`]). A unit's points share the trace tallies and cache
 //! classifications of the links they land on. Points share a
 //! measurement by equality only: the memo keys on the spec's **canonical
@@ -14,25 +15,21 @@
 //! Every sweep in the workspace — the paper's capacity figures, the
 //! hierarchy figure, the ablations, DSE shards — builds its axis from
 //! [`crate::config`] (or a [`crate::dse::GridSpec`]) and runs it through
-//! one of two functions: [`spec_sweep`] (all-or-nothing) or
-//! [`spec_sweep_with_session`] (fault-isolated, checkpointable).
+//! [`spec_sweep_with_session`], with [`SweepSession::none`] when nothing
+//! is checkpointed.
 //!
 //! ## Fault isolation and resume
 //!
 //! Every point runs under `catch_unwind`: a panic or typed error in one
-//! point becomes a [`PointOutcome::Failed`] record for that point (and its
-//! memo-sharing dependents) while the rest of the axis completes.
-//! [`spec_sweep_with_session`] returns the per-point outcomes;
-//! [`spec_sweep`] keeps the all-or-nothing contract but carries the
-//! completed points *inside* its [`SweepFailure`] error instead of
-//! discarding them. A [`SweepSession`] additionally streams one JSONL
-//! [`PointRecord`] per completed point to
-//! a checkpoint file and, on resume, replays only the missing points —
-//! reusing stored results bit-identically.
+//! point becomes a [`PointOutcome::Failed`] outcome for that point (and its
+//! memo-sharing dependents) while the rest of the axis completes. A
+//! figure that needs every point turns the first failed one into its
+//! error ([`PointOutcome::measured`]). A [`SweepSession`] additionally
+//! streams one JSONL [`PointRecord`] per point — the point's own
+//! [`PointOutcome`] — to a checkpoint file and, on resume, replays only
+//! the missing points, reusing stored results bit-identically.
 
-use crate::checkpoint::{
-    ckpt_err, spec_hash, CheckpointHeader, CheckpointWriter, PointRecord, PointStatus,
-};
+use crate::checkpoint::{ckpt_err, spec_hash, CheckpointHeader, CheckpointWriter, PointRecord};
 use crate::dse::executor::execute;
 use crate::pipeline::{ConfigResult, Pipeline, Slots};
 use crate::plan::{Rep, SweepPlan};
@@ -44,18 +41,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One spec point of a sweep.
-#[derive(Debug, Clone)]
-pub struct SpecPoint {
-    /// The spec measured.
-    pub spec: MemArchSpec,
-    /// The measurement.
-    pub result: ConfigResult,
-}
-
 /// A sweep point that failed — contained, reported, never silently
 /// dropped.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailedPoint {
     /// Index within the swept axis.
     pub index: usize,
@@ -79,32 +67,24 @@ impl std::fmt::Display for FailedPoint {
     }
 }
 
-/// Per-point result of a fault-isolated sweep.
-#[derive(Debug, Clone)]
+/// Per-point result of a fault-isolated sweep — what a checkpoint record
+/// stores and a figure reads.
+#[derive(Debug, Clone, PartialEq)]
 pub enum PointOutcome {
-    /// Measured normally.
-    Ok(ConfigResult),
-    /// Measured, but a WCET fixpoint hit its structural iteration cap: the
-    /// bound is widened but still sound.
-    Degraded(ConfigResult),
+    /// Measured; [`ConfigResult::degraded`] is set when a WCET fixpoint
+    /// hit its structural iteration cap (the bound is widened but still
+    /// sound).
+    Measured(ConfigResult),
     /// The point failed; the error (or contained panic) is reported here
     /// instead of aborting the sweep.
     Failed(FailedPoint),
 }
 
 impl PointOutcome {
-    pub(crate) fn from_result(result: ConfigResult) -> PointOutcome {
-        if result.degraded {
-            PointOutcome::Degraded(result)
-        } else {
-            PointOutcome::Ok(result)
-        }
-    }
-
-    /// The measurement, for completed (ok or degraded) points.
+    /// The measurement, for measured points.
     pub fn result(&self) -> Option<&ConfigResult> {
         match self {
-            PointOutcome::Ok(r) | PointOutcome::Degraded(r) => Some(r),
+            PointOutcome::Measured(r) => Some(r),
             PointOutcome::Failed(_) => None,
         }
     }
@@ -113,13 +93,26 @@ impl PointOutcome {
     pub fn failure(&self) -> Option<&FailedPoint> {
         match self {
             PointOutcome::Failed(fp) => Some(fp),
-            _ => None,
+            PointOutcome::Measured(_) => None,
         }
     }
 
-    /// Whether this point completed with a widened (degraded) bound.
+    /// The measurement of a figure that needs every point: a failed
+    /// point is the figure's error.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Point`] carrying the failure, for failed points.
+    pub fn measured(&self) -> Result<&ConfigResult, CoreError> {
+        match self {
+            PointOutcome::Measured(r) => Ok(r),
+            PointOutcome::Failed(fp) => Err(CoreError::Point(fp.clone())),
+        }
+    }
+
+    /// Whether this point was measured with a widened (degraded) bound.
     pub fn is_degraded(&self) -> bool {
-        matches!(self, PointOutcome::Degraded(_))
+        self.result().is_some_and(|r| r.degraded)
     }
 
     /// Whether this point failed.
@@ -135,35 +128,6 @@ pub struct SpecOutcome {
     pub spec: MemArchSpec,
     /// What happened to it.
     pub outcome: PointOutcome,
-}
-
-/// The error payload of [`CoreError::Sweep`]: which points failed, plus
-/// every point that *did* complete — callers that want partial results on
-/// failure read them from here instead of losing the whole axis.
-#[derive(Debug)]
-pub struct SweepFailure {
-    /// Points that completed (ok or degraded), in axis order.
-    pub completed: Vec<SpecPoint>,
-    /// Points that failed, in axis order.
-    pub failed: Vec<FailedPoint>,
-    /// Total points in the axis.
-    pub total: usize,
-}
-
-impl std::fmt::Display for SweepFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} of {} sweep points failed ({} completed points retained)",
-            self.failed.len(),
-            self.total,
-            self.completed.len(),
-        )?;
-        if let Some(first) = self.failed.first() {
-            write!(f, "; first: {first}")?;
-        }
-        Ok(())
-    }
 }
 
 /// Checkpointing/resume context for one sweep. [`SweepSession::none`] runs
@@ -237,7 +201,7 @@ impl SweepSession {
         let resumed = file
             .records
             .into_iter()
-            .filter(|(_, r)| r.status != PointStatus::Failed)
+            .filter(|(_, r)| !r.outcome.is_failed())
             .collect();
         let writer = CheckpointWriter::append(path)?;
         Ok(SweepSession {
@@ -278,11 +242,16 @@ impl SweepSession {
         self.resumed.len()
     }
 
-    fn write(&self, record: &PointRecord) -> Result<(), CoreError> {
+    fn write(
+        &self,
+        index: usize,
+        spec_hash: &str,
+        outcome: &PointOutcome,
+    ) -> Result<(), CoreError> {
         if let Some(w) = &self.writer {
             w.lock()
                 .unwrap_or_else(|p| p.into_inner())
-                .write_record(record)?;
+                .write_record(index, spec_hash, outcome)?;
         }
         Ok(())
     }
@@ -346,20 +315,14 @@ pub fn spec_sweep_with_session(
     // Per-point validation: an invalid spec fails its own point only.
     for (i, spec) in specs.iter().enumerate() {
         if let Err(e) = spec.validate() {
-            let failed = FailedPoint {
+            let failed = PointOutcome::Failed(FailedPoint {
                 index: i,
                 label: spec.label(),
                 error: CoreError::Spec(e).to_string(),
                 panicked: false,
-            };
-            session.write(&PointRecord::from_failure(
-                i,
-                hashes[i].clone(),
-                &failed.label,
-                &failed.error,
-                false,
-            ))?;
-            slots[i] = Some(PointOutcome::Failed(failed));
+            });
+            session.write(i, &hashes[i], &failed)?;
+            slots[i] = Some(failed);
         }
     }
 
@@ -379,10 +342,8 @@ pub fn spec_sweep_with_session(
                     rec.spec_hash, hashes[i]
                 )));
             }
-            if let Some(result) = rec.to_config_result() {
-                reused += 1;
-                *slot = Some(PointOutcome::from_result(result));
-            }
+            reused += 1;
+            *slot = Some(rec.outcome.clone());
         }
     }
 
@@ -420,7 +381,7 @@ pub fn spec_sweep_with_session(
         };
         let batch: Vec<(usize, PointOutcome)> = match results {
             Ok(results) => {
-                let outcomes = results.into_iter().map(PointOutcome::from_result);
+                let outcomes = results.into_iter().map(PointOutcome::Measured);
                 rep.points.iter().copied().zip(outcomes).collect()
             }
             Err((error, panicked)) => rep
@@ -442,19 +403,7 @@ pub fn spec_sweep_with_session(
                 .collect(),
         };
         for (i, outcome) in &batch {
-            let record = match outcome {
-                PointOutcome::Ok(r) | PointOutcome::Degraded(r) => {
-                    PointRecord::from_result(*i, hashes[*i].clone(), r)
-                }
-                PointOutcome::Failed(fp) => PointRecord::from_failure(
-                    *i,
-                    hashes[*i].clone(),
-                    &fp.label,
-                    &fp.error,
-                    fp.panicked,
-                ),
-            };
-            if let Err(e) = session.write(&record) {
+            if let Err(e) = session.write(*i, &hashes[*i], outcome) {
                 let mut slot = write_err.lock().unwrap_or_else(|p| p.into_inner());
                 slot.get_or_insert(e);
                 break;
@@ -501,64 +450,6 @@ pub fn spec_sweep_with_session(
     Ok(outcomes)
 }
 
-/// Splits per-point outcomes into the completed points and the failures,
-/// both in axis order.
-pub(crate) fn partition(outcomes: Vec<SpecOutcome>) -> (Vec<SpecPoint>, Vec<FailedPoint>) {
-    let mut completed = Vec::new();
-    let mut failed = Vec::new();
-    for so in outcomes {
-        match so.outcome {
-            PointOutcome::Ok(r) | PointOutcome::Degraded(r) => completed.push(SpecPoint {
-                spec: so.spec,
-                result: r,
-            }),
-            PointOutcome::Failed(fp) => failed.push(fp),
-        }
-    }
-    (completed, failed)
-}
-
-/// The all-or-nothing shape of [`spec_sweep`]: all completed points on
-/// success, or [`CoreError::Sweep`] carrying both the failures *and*
-/// every completed point.
-///
-/// # Errors
-///
-/// [`CoreError::Sweep`] when any point failed.
-pub fn collect_points(outcomes: Vec<SpecOutcome>) -> Result<Vec<SpecPoint>, CoreError> {
-    let total = outcomes.len();
-    let (completed, failed) = partition(outcomes);
-    if failed.is_empty() {
-        Ok(completed)
-    } else {
-        Err(CoreError::Sweep(Box::new(SweepFailure {
-            completed,
-            failed,
-            total,
-        })))
-    }
-}
-
-/// Runs one spec per point of `specs` through
-/// [`spec_sweep_with_session`] without a checkpoint, all or nothing:
-/// every spec is validated before anything runs.
-///
-/// # Errors
-///
-/// [`CoreError::Spec`] for invalid specs (checked before anything runs),
-/// else [`CoreError::Sweep`] when any point fails — carrying the completed
-/// points alongside the failures rather than discarding them.
-pub fn spec_sweep(pipeline: &Pipeline, specs: &[MemArchSpec]) -> Result<Vec<SpecPoint>, CoreError> {
-    for spec in specs {
-        spec.validate().map_err(CoreError::Spec)?;
-    }
-    collect_points(spec_sweep_with_session(
-        pipeline,
-        specs,
-        &SweepSession::none(),
-    )?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,16 +457,26 @@ mod tests {
     use spmlab_isa::hierarchy::MemHierarchyConfig;
     use spmlab_workloads::INSERTSORT;
 
+    /// The measurements of an uncheckpointed sweep in axis order; every
+    /// point must measure.
+    fn measure(p: &Pipeline, specs: &[MemArchSpec]) -> Vec<ConfigResult> {
+        spec_sweep_with_session(p, specs, &SweepSession::none())
+            .unwrap()
+            .iter()
+            .map(|o| o.outcome.measured().unwrap().clone())
+            .collect()
+    }
+
     #[test]
     fn sweeps_cover_requested_sizes() {
         let p = Pipeline::new(&INSERTSORT).unwrap();
         let sizes = [64, 256];
-        let spm = spec_sweep(&p, &crate::config::spm_axis(&sizes)).unwrap();
+        let spm = measure(&p, &crate::config::spm_axis(&sizes));
         assert_eq!(spm.len(), 2);
-        assert_eq!(spm[0].spec.spm_size(), 64);
-        let cache = spec_sweep(&p, &crate::config::cache_axis(&sizes)).unwrap();
+        assert_eq!(spm[0].label, MemArchSpec::spm(64).label());
+        let cache = measure(&p, &crate::config::cache_axis(&sizes));
         assert_eq!(cache.len(), 2);
-        assert!(spm.iter().all(|pt| pt.result.ratio() >= 1.0));
+        assert!(spm.iter().all(|r| r.ratio() >= 1.0));
     }
 
     #[test]
@@ -591,21 +492,13 @@ mod tests {
             MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(8192)),
         ];
         let specs: Vec<MemArchSpec> = configs.iter().map(MemArchSpec::from_hierarchy).collect();
-        let swept = spec_sweep(&p, &specs).unwrap();
-        for (point, h) in swept.iter().zip(&configs) {
+        let swept = measure(&p, &specs);
+        for (r, h) in swept.iter().zip(&configs) {
             let direct = p.run(&MemArchSpec::from_hierarchy(h)).unwrap();
-            assert_eq!(
-                point.result.sim_cycles, direct.sim_cycles,
-                "{}",
-                direct.label
-            );
-            assert_eq!(
-                point.result.wcet_cycles, direct.wcet_cycles,
-                "{}",
-                direct.label
-            );
-            assert_eq!(point.result.label, direct.label);
-            assert!((point.result.energy_nj - direct.energy_nj).abs() < 1e-9);
+            assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", direct.label);
+            assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", direct.label);
+            assert_eq!(r.label, direct.label);
+            assert!((r.energy_nj - direct.energy_nj).abs() < 1e-9);
         }
     }
 
@@ -622,17 +515,13 @@ mod tests {
                 &MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024)),
             ),
         ];
-        let points = spec_sweep(&p, &specs).unwrap();
+        let points = measure(&p, &specs);
         assert_eq!(points.len(), 4);
-        for pt in &points {
-            assert!(
-                pt.result.wcet_cycles >= pt.result.sim_cycles,
-                "{}",
-                pt.result.label
-            );
-            let direct = p.run(&pt.spec).unwrap();
-            assert_eq!(pt.result.sim_cycles, direct.sim_cycles);
-            assert_eq!(pt.result.wcet_cycles, direct.wcet_cycles);
+        for (r, spec) in points.iter().zip(&specs) {
+            assert!(r.wcet_cycles >= r.sim_cycles, "{}", r.label);
+            let direct = p.run(spec).unwrap();
+            assert_eq!(r.sim_cycles, direct.sim_cycles);
+            assert_eq!(r.wcet_cycles, direct.wcet_cycles);
         }
     }
 
@@ -655,28 +544,20 @@ mod tests {
             ),
         ];
         let specs: Vec<MemArchSpec> = configs.iter().map(MemArchSpec::from_hierarchy).collect();
-        let swept = spec_sweep(&p, &specs).unwrap();
-        for (point, h) in swept.iter().zip(&configs) {
+        let swept = measure(&p, &specs);
+        for (r, h) in swept.iter().zip(&configs) {
             let direct = p.run(&MemArchSpec::from_hierarchy(h)).unwrap();
-            assert_eq!(
-                point.result.sim_cycles, direct.sim_cycles,
-                "{}",
-                direct.label
-            );
-            assert_eq!(
-                point.result.wcet_cycles, direct.wcet_cycles,
-                "{}",
-                direct.label
-            );
-            assert!((point.result.energy_nj - direct.energy_nj).abs() < 1e-9);
+            assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", direct.label);
+            assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", direct.label);
+            assert!((r.energy_nj - direct.energy_nj).abs() < 1e-9);
         }
     }
 
     #[test]
     fn failed_points_are_contained_and_reported() {
         // An invalid spec fails its own point; every other point of the
-        // axis still completes, and the all-or-nothing wrapper carries the
-        // completed points inside its error instead of dropping them.
+        // axis still completes, and a figure needing every point reports
+        // the failed one as its error.
         let p = Pipeline::new(&INSERTSORT).unwrap();
         let specs = vec![
             MemArchSpec::spm(256),
@@ -691,13 +572,12 @@ mod tests {
         assert!(!fp.panicked);
         assert!(fp.error.contains("invalid spec"), "{}", fp.error);
         assert!(outcomes[2].outcome.result().is_some(), "later points run");
-        match collect_points(outcomes).unwrap_err() {
-            CoreError::Sweep(f) => {
-                assert_eq!(f.completed.len(), 2);
-                assert_eq!(f.failed.len(), 1);
-                assert_eq!(f.total, 3);
-            }
-            other => panic!("expected CoreError::Sweep, got {other}"),
+        let completed = outcomes.iter().filter(|o| o.outcome.result().is_some());
+        let failed = outcomes.iter().filter(|o| o.outcome.is_failed());
+        assert_eq!((completed.count(), failed.count()), (2, 1));
+        match outcomes[1].outcome.measured().unwrap_err() {
+            CoreError::Point(err) => assert_eq!(&err, fp),
+            other => panic!("expected CoreError::Point, got {other}"),
         }
     }
 
@@ -746,8 +626,8 @@ mod tests {
         }
     }
 
-    /// A point checkpointed as degraded resumes as `Degraded` with its
-    /// recorded numbers, and the stream counts it.
+    /// A point checkpointed as degraded resumes degraded with its recorded
+    /// numbers, and the stream counts it.
     #[test]
     fn degraded_record_resumes_degraded() {
         let p = Pipeline::new(&INSERTSORT).unwrap();
@@ -762,9 +642,8 @@ mod tests {
         let session = SweepSession::checkpoint_to(&path, &header).unwrap();
         let full = spec_sweep_with_session(&p, &specs, &session).unwrap();
         drop(session);
-        assert!(full
-            .iter()
-            .all(|o| matches!(o.outcome, PointOutcome::Ok(_))));
+        assert!(full.iter().all(|o| o.outcome.result().is_some()));
+        assert!(!full.iter().any(|o| o.outcome.is_degraded()));
         // Mark the cache point as a capped fixpoint would have.
         let text = std::fs::read_to_string(&path).unwrap();
         let marked: String = text
@@ -784,10 +663,9 @@ mod tests {
         assert_eq!(resumed.resumed_points(), 2);
         let replay = spec_sweep_with_session(&p, &specs, &resumed).unwrap();
         drop(resumed);
-        assert!(matches!(replay[0].outcome, PointOutcome::Ok(_)));
-        let PointOutcome::Degraded(r) = &replay[1].outcome else {
-            panic!("{:?}", replay[1].outcome);
-        };
+        assert!(!replay[0].outcome.is_degraded());
+        assert!(replay[1].outcome.is_degraded(), "{:?}", replay[1].outcome);
+        let r = replay[1].outcome.result().unwrap();
         let f = full[1].outcome.result().unwrap();
         assert_eq!((r.sim_cycles, r.wcet_cycles), (f.sim_cycles, f.wcet_cycles));
         let text = std::fs::read_to_string(&path).unwrap();

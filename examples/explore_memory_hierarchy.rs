@@ -9,8 +9,10 @@
 
 use spmlab::pipeline::Pipeline;
 use spmlab::report::render_table;
-use spmlab::sweep::spec_sweep;
-use spmlab::{cache_axis, hierarchy_spec_axis, spm_axis, PAPER_SIZES};
+use spmlab::sweep::{spec_sweep_with_session, SweepSession};
+use spmlab::{
+    cache_axis, hierarchy_spec_axis, spm_axis, ConfigResult, CoreError, MemArchSpec, PAPER_SIZES,
+};
 use spmlab_workloads::benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,23 +42,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("exploring `{}` — {}\n", bench.name, bench.description);
 
     let pipeline = Pipeline::new(bench)?;
-    let spm = spec_sweep(&pipeline, &spm_axis(sizes))?;
-    let cache = spec_sweep(&pipeline, &cache_axis(sizes))?;
+    // Every point must measure: the first failed one is the error.
+    let sweep = |axis: &[MemArchSpec]| -> Result<Vec<ConfigResult>, CoreError> {
+        spec_sweep_with_session(&pipeline, axis, &SweepSession::none())?
+            .iter()
+            .map(|o| o.outcome.measured().cloned())
+            .collect()
+    };
+    let spm = sweep(&spm_axis(sizes))?;
+    let cache = sweep(&cache_axis(sizes))?;
 
-    let rows: Vec<Vec<String>> = spm
+    let rows: Vec<Vec<String>> = sizes
         .iter()
-        .zip(&cache)
-        .map(|(s, c)| {
+        .zip(spm.iter().zip(&cache))
+        .map(|(size, (s, c))| {
             vec![
-                s.spec.spm_size().to_string(),
-                s.result.sim_cycles.to_string(),
-                s.result.wcet_cycles.to_string(),
-                format!("{:.2}", s.result.ratio()),
-                format!("{:.0}", s.result.energy_nj / 1000.0),
-                c.result.sim_cycles.to_string(),
-                c.result.wcet_cycles.to_string(),
-                format!("{:.2}", c.result.ratio()),
-                format!("{:.0}", c.result.energy_nj / 1000.0),
+                size.to_string(),
+                s.sim_cycles.to_string(),
+                s.wcet_cycles.to_string(),
+                format!("{:.2}", s.ratio()),
+                format!("{:.0}", s.energy_nj / 1000.0),
+                c.sim_cycles.to_string(),
+                c.wcet_cycles.to_string(),
+                format!("{:.2}", c.ratio()),
+                format!("{:.0}", c.energy_nj / 1000.0),
             ]
         })
         .collect();
@@ -73,27 +82,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What did the knapsack pick at each capacity?
     println!("\nscratchpad contents chosen by the energy knapsack:");
-    for p in &spm {
-        println!(
-            "  {:>5} B: {}",
-            p.spec.spm_size(),
-            p.result.spm_objects.join(", ")
-        );
+    for (size, r) in sizes.iter().zip(&spm) {
+        println!("  {size:>5} B: {}", r.spm_objects.join(", "));
     }
 
     // The multi-level axis: split L1 I/D caches backed by a unified L2,
     // over SRAM-style and DRAM-style main memories.
     let l1 = 512;
-    let hier = spec_sweep(&pipeline, &hierarchy_spec_axis(l1))?;
+    let hier = sweep(&hierarchy_spec_axis(l1))?;
     let hrows: Vec<Vec<String>> = hier
         .iter()
-        .map(|p| {
+        .map(|r| {
             vec![
-                p.result.label.clone(),
-                p.result.sim_cycles.to_string(),
-                p.result.wcet_cycles.to_string(),
-                format!("{:.2}", p.result.ratio()),
-                p.result.classify.l2_hits.to_string(),
+                r.label.clone(),
+                r.sim_cycles.to_string(),
+                r.wcet_cycles.to_string(),
+                format!("{:.2}", r.ratio()),
+                r.classify.l2_hits.to_string(),
             ]
         })
         .collect();

@@ -274,11 +274,14 @@ fn frontier_matches_reference_on_the_real_grid() {
     let all: Vec<FrontierPoint> = merged
         .records
         .iter()
-        .map(|(g, r)| FrontierPoint {
-            index: *g,
-            label: r.label.clone(),
-            sim_cycles: r.sim_cycles,
-            wcet_cycles: r.wcet_cycles,
+        .filter_map(|(g, rec)| {
+            let r = rec.outcome.result()?;
+            Some(FrontierPoint {
+                index: *g,
+                label: r.label.clone(),
+                sim_cycles: r.sim_cycles,
+                wcet_cycles: r.wcet_cycles,
+            })
         })
         .collect();
     assert_eq!(

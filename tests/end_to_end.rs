@@ -3,8 +3,8 @@
 //! patching, and the energy model — everything a downstream user touches.
 
 use spmlab::pipeline::Pipeline;
-use spmlab::sweep::spec_sweep;
-use spmlab::{cache_axis, spm_axis, MemArchSpec};
+use spmlab::sweep::{spec_sweep_with_session, SweepSession};
+use spmlab::{cache_axis, spm_axis, ConfigResult, MemArchSpec};
 use spmlab_alloc::energy::EnergyModel;
 use spmlab_alloc::knapsack;
 use spmlab_cc::SpmAssignment;
@@ -21,30 +21,33 @@ fn paper_shape_on_reduced_adpcm() {
     // tracks simulation; cache WCET/sim ratio grows.
     let p = Pipeline::with_input(&ADPCM, inputs::speech_like(64, 5)).unwrap();
     let sizes = [64u32, 512, 4096];
-    let spm = spec_sweep(&p, &spm_axis(&sizes)).unwrap();
-    let cache = spec_sweep(&p, &cache_axis(&sizes)).unwrap();
+    let measure = |axis: &[MemArchSpec]| -> Vec<ConfigResult> {
+        let outcomes = spec_sweep_with_session(&p, axis, &SweepSession::none()).unwrap();
+        outcomes
+            .into_iter()
+            .map(|o| o.outcome.result().expect("no point fails").clone())
+            .collect()
+    };
+    let spm = measure(&spm_axis(&sizes));
+    let cache = measure(&cache_axis(&sizes));
 
     assert!(
-        spm.last().unwrap().result.wcet_cycles <= spm[0].result.wcet_cycles,
+        spm.last().unwrap().wcet_cycles <= spm[0].wcet_cycles,
         "spm wcet falls with capacity"
     );
-    let spm_ratios: Vec<f64> = spm.iter().map(|x| x.result.ratio()).collect();
+    let spm_ratios: Vec<f64> = spm.iter().map(ConfigResult::ratio).collect();
     let spread = spm_ratios.iter().cloned().fold(f64::MIN, f64::max)
         / spm_ratios.iter().cloned().fold(f64::MAX, f64::min);
     assert!(spread < 1.25, "spm ratio near-constant, spread {spread}");
 
-    let cache_ratios: Vec<f64> = cache.iter().map(|x| x.result.ratio()).collect();
+    let cache_ratios: Vec<f64> = cache.iter().map(ConfigResult::ratio).collect();
     assert!(
         cache_ratios.last().unwrap() > &cache_ratios[0],
         "cache ratio grows with size: {cache_ratios:?}"
     );
     // Scratchpad dominates the cache on the WCET metric at equal capacity.
-    for (s, c) in spm.iter().zip(&cache) {
-        assert!(
-            s.result.wcet_cycles <= c.result.wcet_cycles,
-            "at {} bytes",
-            s.spec.spm_size()
-        );
+    for ((s, c), size) in spm.iter().zip(&cache).zip(sizes) {
+        assert!(s.wcet_cycles <= c.wcet_cycles, "at {size} bytes");
     }
 }
 

@@ -7,20 +7,16 @@
 //! and *recoverable* (resuming the checkpoint of a faulted run reproduces
 //! the uninterrupted result bit-identically).
 //!
-//! The harness (`spmlab::faults`) only exists because the root package's
-//! dev-dependencies arm the `fault-injection` cargo feature for test
-//! builds; release library builds compile the hooks out.
+//! The harness (`spmlab::faults`) is part of every build and inert until
+//! a test arms it.
 
 use std::time::Duration;
 
 use spmlab::dse::{merge_texts, shard_header, Shard};
 use spmlab::faults::{arm, FaultAction, FaultPlan};
 use spmlab::figures::FigureHierarchy;
-use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
-use spmlab::{
-    check_checkpoint, CheckpointHeader, CoreError, MemArchSpec, Pipeline, PointOutcome,
-    SweepSession,
-};
+use spmlab::sweep::spec_sweep_with_session;
+use spmlab::{check_checkpoint, CheckpointHeader, CoreError, MemArchSpec, Pipeline, SweepSession};
 use spmlab_bench::dse::{grid_benchmark, sweep_axis};
 use spmlab_bench::{artifact_json, experiment};
 use spmlab_isa::cachecfg::CacheConfig;
@@ -122,18 +118,13 @@ fn typed_errors_fail_exactly_the_affected_points() {
         for r in completed {
             assert!(r.wcet_cycles >= r.sim_cycles, "{}", r.label);
         }
-        // The all-or-nothing wrapper reports the failure without dropping
-        // the completed points.
-        guard.rearm(FaultPlan::new(phase, 1, FaultAction::Error));
-        let err = spec_sweep(&p, &small_axis()).unwrap_err();
+        // A figure that needs every point reports the failed one as its
+        // error.
+        let err = outcomes.iter().find_map(|o| o.outcome.measured().err());
         drop(guard);
         match err {
-            CoreError::Sweep(f) => {
-                assert_eq!(f.completed.len(), 2, "phase `{phase}`");
-                assert_eq!(f.failed.len(), 1, "phase `{phase}`");
-                assert_eq!(f.total, 3, "phase `{phase}`");
-            }
-            other => panic!("expected CoreError::Sweep, got {other}"),
+            Some(CoreError::Point(fp)) => assert_eq!(&fp, failed[0], "phase `{phase}`"),
+            other => panic!("expected CoreError::Point, got {other:?}"),
         }
     }
 }
@@ -206,11 +197,8 @@ fn faults_inside_a_shared_unit_fail_only_their_member() {
                 assert_eq!(failed.panicked, action == FaultAction::Panic, "{action:?}");
                 continue;
             }
-            assert!(
-                matches!(o.outcome, PointOutcome::Ok(_)),
-                "{action:?}: point {i} completes"
-            );
             let r = o.outcome.result().expect("completed");
+            assert!(!r.degraded, "{action:?}: point {i} completes");
             let direct = p.run(&o.spec).expect("direct run");
             assert_eq!(r.sim_cycles, direct.sim_cycles, "{}", r.label);
             assert_eq!(r.wcet_cycles, direct.wcet_cycles, "{}", r.label);
@@ -290,9 +278,11 @@ fn delays_do_not_fail_points() {
         1,
         FaultAction::Delay(Duration::from_millis(20)),
     ));
-    let points = spec_sweep(&p, &small_axis()).expect("a slow point is not a failed point");
+    let outcomes = spec_sweep_with_session(&p, &small_axis(), &SweepSession::none()).unwrap();
     assert!(guard.fired());
-    assert_eq!(points.len(), 3);
+    assert_eq!(outcomes.len(), 3);
+    let completed = outcomes.iter().filter(|o| o.outcome.result().is_some());
+    assert_eq!(completed.count(), 3, "a slow point is not a failed point");
 }
 
 #[test]
@@ -340,6 +330,11 @@ fn faulted_checkpoints_record_failures_and_resume_to_completion() {
     std::fs::remove_file(&path).ok();
 }
 
+/// How many points of a figure failed.
+fn failed_points(fig: &FigureHierarchy) -> usize {
+    fig.points.iter().filter(|p| p.outcome.is_failed()).count()
+}
+
 #[test]
 fn interrupted_g721_hierarchy_resumes_byte_identically() {
     // The paper's eight-config G.721 hierarchy grid, swept on the
@@ -365,7 +360,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
             let stream = merge_texts(&[&std::fs::read_to_string(path).unwrap()]).unwrap();
             let outcomes = stream.outcomes(&bench.name, &axis).unwrap();
             let json = artifact_json(&bench.name, &outcomes, None);
-            Ok((FigureHierarchy::new(&bench.name, outcomes), json))
+            Ok((FigureHierarchy::new(&bench.name, &outcomes), json))
         };
 
     // Uninterrupted reference run. The armed-but-inert plan holds the
@@ -373,7 +368,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
     let reference = {
         let _serial = arm(FaultPlan::new("no-such-phase", 1, FaultAction::Error));
         let (fig, json) = hierarchy_figure(&ck_full).expect("reference run");
-        assert!(fig.failed.is_empty());
+        assert_eq!(failed_points(&fig), 0);
         json
     };
 
@@ -383,7 +378,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
         let (fig, json) = hierarchy_figure(&ck_cut).expect("faulted run survives");
         assert!(guard.fired());
         assert!(
-            !fig.failed.is_empty(),
+            failed_points(&fig) > 0,
             "the fault is reported in the figure"
         );
         assert!(!fig.all_sound(), "a failed point fails the soundness claim");
@@ -402,7 +397,7 @@ fn interrupted_g721_hierarchy_resumes_byte_identically() {
         let cut = check_checkpoint(&std::fs::read_to_string(&ck_cut).unwrap()).expect("valid");
         assert!(cut.ok > 0, "completed points are there to reuse");
         let (fig, json) = hierarchy_figure(&ck_cut).expect("resume completes");
-        assert!(fig.failed.is_empty(), "resume heals the failed points");
+        assert_eq!(failed_points(&fig), 0, "resume heals the failed points");
         json
     };
     assert_eq!(

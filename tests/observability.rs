@@ -20,7 +20,7 @@ use common::{reference_greedy, reference_hierarchy_aware, routed};
 use proptest::prelude::*;
 use spmlab::dse::{GridSpec, L1Shape};
 use spmlab::pipeline::Pipeline;
-use spmlab::sweep::{spec_sweep, spec_sweep_with_session};
+use spmlab::sweep::spec_sweep_with_session;
 use spmlab::{
     hierarchy_spec_axis, MainMemoryTiming, MemArchSpec, SpecOutcome, SpmSpec, SweepSession,
     DRAM_LATENCY,
@@ -58,10 +58,12 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
             ..MemArchSpec::spm(1024)
         })
         .unwrap();
-    let points = spec_sweep(&p, &hierarchy_spec_axis(1024)).unwrap();
+    let points =
+        spec_sweep_with_session(&p, &hierarchy_spec_axis(1024), &SweepSession::none()).unwrap();
     drop(guard);
 
     assert_eq!(points.len() + 2, 8, "the paper scenario has eight configs");
+    assert!(points.iter().all(|o| o.outcome.result().is_some()));
     assert!(spm_fast.wcet_cycles >= spm_fast.sim_cycles);
     assert!(spm_slow.wcet_cycles >= spm_slow.sim_cycles);
 
@@ -395,7 +397,9 @@ fn profiled_sweep_stream_is_valid_and_phases_cover_wall_time() {
     {
         let _root = spmlab_obs::span("profile-test-root");
         let p = Pipeline::with_input(&G721, inputs::speech_like(48, 0xC0FFEE)).unwrap();
-        let _ = spec_sweep(&p, &hierarchy_spec_axis(512)).unwrap();
+        let outcomes =
+            spec_sweep_with_session(&p, &hierarchy_spec_axis(512), &SweepSession::none()).unwrap();
+        assert!(outcomes.iter().all(|o| o.outcome.result().is_some()));
     }
     let wall_ns = start.elapsed().as_nanos() as u64;
     drop(mem_guard);

@@ -27,7 +27,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use spmlab::dse::{GridSpec, L1Shape};
 use spmlab::pipeline::Pipeline;
-use spmlab::sweep::spec_sweep;
+use spmlab::sweep::{spec_sweep_with_session, SweepSession};
 use spmlab::{write_policy_axis, ConfigResult, MemArchSpec};
 use spmlab_cc::{compile, link, SpmAssignment};
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
@@ -494,15 +494,16 @@ fn diverging_cycle_reads_fall_back_to_full_simulation() {
     ];
     let sink = Arc::new(MemorySink::default());
     let guard = spmlab_obs::add_sink(sink.clone());
-    let points = spec_sweep(&p, &specs).unwrap();
+    let points = spec_sweep_with_session(&p, &specs, &SweepSession::none()).unwrap();
     drop(guard);
     assert_eq!(sink.counter_total("sweep_replay"), 1);
     assert_eq!(sink.counter_total("sweep_full_sim"), 1);
     for pt in &points {
         let machine = MachineConfig::with_hierarchy(pt.spec.hierarchy());
         let direct = simulate(&baseline.exe, &machine, &SimOptions::default()).unwrap();
-        assert_eq!(pt.result.sim_cycles, direct.cycles, "{}", pt.result.label);
-        assert_eq!(pt.result.checksum, 7, "{}", pt.result.label);
+        let r = pt.outcome.result().expect("no point fails");
+        assert_eq!(r.sim_cycles, direct.cycles, "{}", r.label);
+        assert_eq!(r.checksum, 7, "{}", r.label);
     }
 }
 
@@ -625,8 +626,13 @@ fn write_policy_axis_memo_replay_split_pinned() {
     let guard = spmlab_obs::add_sink(sink.clone());
 
     let p = Pipeline::with_input(&G721, inputs::speech_like(48, 0xC0FFEE)).unwrap();
-    let points = spec_sweep(&p, &write_policy_axis(1024)).unwrap();
+    let outcomes =
+        spec_sweep_with_session(&p, &write_policy_axis(1024), &SweepSession::none()).unwrap();
     drop(guard);
+    let points: Vec<&ConfigResult> = outcomes
+        .iter()
+        .map(|o| o.outcome.result().expect("no point fails"))
+        .collect();
 
     assert_eq!(points.len(), 10, "the axis has ten points");
     assert_eq!(sink.counter_total("sweep_points"), 10);
@@ -646,8 +652,8 @@ fn write_policy_axis_memo_replay_split_pinned() {
     // The memoized duplicate pair must agree bit-for-bit, and the
     // write-back twins must actually differ from their write-through
     // partners (the axis is not degenerate).
-    assert_eq!(points[2].result.sim_cycles, points[4].result.sim_cycles);
-    assert_ne!(points[0].result.sim_cycles, points[1].result.sim_cycles);
+    assert_eq!(points[2].sim_cycles, points[4].sim_cycles);
+    assert_ne!(points[0].sim_cycles, points[1].sim_cycles);
 }
 
 /// The quick `write-policy` grid run, profiled: its sweep counters show

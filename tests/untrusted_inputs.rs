@@ -12,12 +12,14 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use spmlab::checkpoint::{spec_hash, PointRecord};
 use spmlab::dse::{merge_texts, GridSpec};
-use spmlab::{check_checkpoint, MemArchSpec};
+use spmlab::{check_checkpoint, ConfigResult, FailedPoint, MemArchSpec, PointOutcome};
 use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::cachecfg::CacheConfig;
 use spmlab_isa::hierarchy::MemHierarchyConfig;
 use spmlab_sim::{MemTrace, TraceError};
+use spmlab_wcet::cache::ClassifyStats;
 
 /// Arbitrary bytes decoded to a (possibly replacement-charactered) string.
 fn garbage(max: usize) -> impl Strategy<Value = String> {
@@ -65,14 +67,89 @@ fn sample_shard_stream() -> String {
     use spmlab::dse::executor::{shard_header, Shard};
     let axis = [MemArchSpec::uncached(), MemArchSpec::spm(1024)];
     let header = shard_header("rev", "g721", &axis, Shard { index: 0, count: 2 });
-    let rec = spmlab::checkpoint::PointRecord::from_failure(
-        0,
-        spmlab::checkpoint::spec_hash(&axis[0].canonical()),
-        "uncached",
-        "synthetic",
-        false,
-    );
+    let rec = PointRecord {
+        index: 0,
+        spec_hash: spec_hash(&axis[0].canonical()),
+        outcome: PointOutcome::Failed(FailedPoint {
+            index: 0,
+            label: "uncached".into(),
+            error: "synthetic".into(),
+            panicked: false,
+        }),
+    };
     format!("{}\n{}\n", header.to_json_line(), rec.to_json_line())
+}
+
+/// Characters that stress a record line's escaping: quotes, backslashes,
+/// line breaks, control and non-ASCII characters.
+const TRICKY_CHARS: [char; 12] = [
+    'a', '"', '\\', '\n', '\r', '\t', '\u{1}', 'é', 'µ', '—', ';', ' ',
+];
+
+/// Scratchpad object names: non-empty and free of the `;` that joins
+/// them on the line, like the identifiers they are.
+const OBJECT_NAMES: [&str; 4] = ["main", "buf_0", "naïve", "q\"uote\\"];
+
+fn tricky_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(prop::sample::select(&TRICKY_CHARS[..]), 0..12)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// A measurement, precise or degraded, with full-range numbers (energy
+/// bit patterns above 2^53, NaN included) and a label that needs
+/// escaping.
+fn any_result() -> impl Strategy<Value = ConfigResult> {
+    let counts = (any::<u64>(), any::<u64>(), any::<i32>(), any::<u32>());
+    let classify = prop::collection::vec(any::<u64>(), 10);
+    let objects = prop::collection::vec(prop::sample::select(&OBJECT_NAMES[..]), 0..4);
+    let energy_bits = (1u64 << 53)..=u64::MAX;
+    let parts = (
+        tricky_text(),
+        counts,
+        energy_bits,
+        classify,
+        objects,
+        any::<bool>(),
+    );
+    parts.prop_map(|(label, counts, bits, classify, objects, degraded)| {
+        let (sim_cycles, wcet_cycles, checksum, spm_used) = counts;
+        ConfigResult {
+            label,
+            sim_cycles,
+            wcet_cycles,
+            checksum,
+            energy_nj: f64::from_bits(bits),
+            spm_used,
+            spm_objects: objects.into_iter().map(String::from).collect(),
+            classify: ClassifyStats::from_array(classify.try_into().expect("ten counters")),
+            degraded,
+        }
+    })
+}
+
+/// A checkpoint record of any status: measured (ok or degraded) or
+/// failed, by a panic or a typed error.
+fn any_record() -> impl Strategy<Value = PointRecord> {
+    let failure =
+        (tricky_text(), tricky_text(), any::<bool>()).prop_map(|(label, error, panicked)| {
+            PointOutcome::Failed(FailedPoint {
+                index: 0,
+                label,
+                error,
+                panicked,
+            })
+        });
+    let outcome = prop_oneof![any_result().prop_map(PointOutcome::Measured), failure];
+    (0usize..1 << 20, any::<u64>(), outcome).prop_map(|(index, hash, mut outcome)| {
+        if let PointOutcome::Failed(fp) = &mut outcome {
+            fp.index = index;
+        }
+        PointRecord {
+            index,
+            spec_hash: format!("{hash:016x}"),
+            outcome,
+        }
+    })
 }
 
 /// A valid recorded profile stream: nested spans plus one event of
@@ -214,6 +291,17 @@ proptest! {
     }
 
     #[test]
+    fn checkpoint_records_round_trip_exactly(rec in any_record()) {
+        // A record reads back equal (energy bit for bit) and writes back
+        // the same bytes, so a resume or a merge never alters a point.
+        let line = rec.to_json_line();
+        prop_assert!(!line.contains('\n'), "one record per line");
+        let back = PointRecord::from_json_line(&line);
+        prop_assert_eq!(back.as_ref(), Some(&rec));
+        prop_assert_eq!(back.map(|b| b.to_json_line()), Some(line));
+    }
+
+    #[test]
     fn arbitrary_grid_json_never_panics(text in garbage(240)) {
         let _ = GridSpec::from_json(&text);
     }
@@ -282,6 +370,32 @@ fn deeply_nested_json_is_rejected_without_overflow() {
     assert!(check_checkpoint(&deep).is_err());
     assert!(merge_texts(&[&deep]).is_err());
     assert!(check_stream(&deep).is_err());
+}
+
+/// A hand-edited line whose fields contradict its status — an ok line
+/// carrying an error, a failed line carrying cycles — is malformed: no
+/// reader or merge rewrites it into something else.
+#[test]
+fn contradictory_checkpoint_lines_are_malformed() {
+    let stream = sample_shard_stream();
+    let (header, failed) = stream.trim_end().split_once('\n').expect("header + record");
+    assert!(PointRecord::from_json_line(failed).is_some());
+    let edits = [
+        failed.replacen("\"status\":\"failed\"", "\"status\":\"ok\"", 1),
+        failed.replacen("\"sim_cycles\":0", "\"sim_cycles\":5", 1),
+    ];
+    for edited in &edits {
+        assert_ne!(edited, failed, "the edit applies");
+        assert_eq!(PointRecord::from_json_line(edited), None, "{edited}");
+        // Mid-stream, the edit fails the lenient read behind every merge
+        // and the strict gate alike.
+        let text = format!("{header}\n{edited}\n{failed}\n");
+        let merged = merge_texts(&[&text]).expect_err("merge rejects the stream");
+        let checked = check_checkpoint(&text).expect_err("the gate rejects the stream");
+        for err in [merged, checked] {
+            assert!(err.contains("line 2: malformed point record"), "{err}");
+        }
+    }
 }
 
 /// Any trace version but 2 is a typed error, not a panic or a
