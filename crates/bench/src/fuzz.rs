@@ -625,7 +625,7 @@ mod tests {
             let (label_b, b) = random_spec_for_seed(seed);
             assert_eq!(label_a, label_b, "seed {seed}: label must be stable");
             assert_eq!(a, b, "seed {seed}: spec must be stable");
-            a.hierarchy().validate();
+            a.hierarchy().validate().unwrap();
         }
         // The stream must actually vary the machines and keep a healthy
         // share of write-policy-dependent ones for the replay stage.

@@ -126,15 +126,9 @@ impl Default for GridSpec {
 }
 
 fn alloc_name(a: &SpmAllocation) -> Result<&'static str, String> {
-    match a {
-        SpmAllocation::Empty => Ok("empty"),
-        SpmAllocation::ProfileKnapsack => Ok("knapsack"),
-        SpmAllocation::WcetAware => Ok("wcet"),
-        SpmAllocation::WcetRegion => Ok("wcet-region"),
-        SpmAllocation::Fixed(_) => Err(String::from(
-            "spm_alloc: fixed object lists are per-spec, not a grid dimension",
-        )),
-    }
+    a.name().ok_or_else(|| {
+        String::from("spm_alloc: fixed object lists are per-spec, not a grid dimension")
+    })
 }
 
 fn policy_name(p: WritePolicy) -> &'static str {
@@ -258,13 +252,7 @@ impl GridSpec {
         let spm_alloc = &self.spm_allocs[digit(self.spm_allocs.len())];
         let spm_size = self.spm_sizes[digit(self.spm_sizes.len())];
 
-        let with_policy = |c: CacheConfig, p: WritePolicy| -> CacheConfig {
-            if p.is_write_back() {
-                c.write_back()
-            } else {
-                c
-            }
-        };
+        let with_policy = |c, write_policy| CacheConfig { write_policy, ..c };
         let l1 = if l1_size == 0 {
             L1::None
         } else {
@@ -490,13 +478,7 @@ impl GridSpec {
                 .collect::<Result<_, _>>()?;
         }
         if let Some(d) = v.get("spm_alloc") {
-            grid.spm_allocs = str_dimension("spm_alloc", d, |s| match s {
-                "empty" => Some(SpmAllocation::Empty),
-                "knapsack" => Some(SpmAllocation::ProfileKnapsack),
-                "wcet" => Some(SpmAllocation::WcetAware),
-                "wcet-region" => Some(SpmAllocation::WcetRegion),
-                _ => None,
-            })?;
+            grid.spm_allocs = str_dimension("spm_alloc", d, SpmAllocation::from_name)?;
         }
         if let Some(d) = v.get("l1_shape") {
             grid.l1_shapes = str_dimension("l1_shape", d, L1Shape::parse)?;
@@ -508,7 +490,7 @@ impl GridSpec {
                 .collect::<Result<_, _>>()?;
         }
         if let Some(d) = v.get("l1_policy") {
-            grid.l1_policies = str_dimension("l1_policy", d, parse_policy)?;
+            grid.l1_policies = str_dimension("l1_policy", d, WritePolicy::from_name)?;
         }
         if let Some(d) = v.get("l2_size") {
             grid.l2_sizes = num_dimension("l2_size", d)?
@@ -517,7 +499,7 @@ impl GridSpec {
                 .collect::<Result<_, _>>()?;
         }
         if let Some(d) = v.get("l2_policy") {
-            grid.l2_policies = str_dimension("l2_policy", d, parse_policy)?;
+            grid.l2_policies = str_dimension("l2_policy", d, WritePolicy::from_name)?;
         }
         if let Some(d) = v.get("main_latency") {
             grid.main_latencies = num_dimension("main_latency", d)?;
@@ -564,14 +546,6 @@ impl GridSpec {
         }
         grid.validate()?;
         Ok(grid)
-    }
-}
-
-fn parse_policy(s: &str) -> Option<WritePolicy> {
-    match s {
-        "wt" | "write-through" => Some(WritePolicy::WriteThrough),
-        "wb" | "write-back" => Some(WritePolicy::WriteBack),
-        _ => None,
     }
 }
 
@@ -693,6 +667,64 @@ mod tests {
         .unwrap();
         assert_eq!(g.l1_sizes, vec![64, 128, 256, 512]);
         assert_eq!(g.main_latencies, vec![0, 5, 10]);
+    }
+
+    /// Spec JSON and grid JSON read allocation names and write-policy
+    /// spellings through one table each, so every spelling decodes alike
+    /// in both; each writer keeps its own spelling, and each reader its
+    /// own message for an unknown one.
+    #[test]
+    fn spec_and_grid_json_decode_spellings_alike() {
+        for name in ["empty", "knapsack", "wcet", "wcet-region"] {
+            let spec = format!(r#"{{"spm":{{"size":1024,"alloc":"{name}"}}}}"#);
+            let alloc = MemArchSpec::from_json(&spec).unwrap().spm.unwrap().alloc;
+            let grid = GridSpec::from_json(&format!(r#"{{"spm_alloc":["{name}"]}}"#)).unwrap();
+            assert_eq!(grid.spm_allocs, vec![alloc.clone()], "{name}");
+            assert_eq!(alloc.name(), Some(name), "both writers spell it back alike");
+        }
+        let (wt, wb) = (WritePolicy::WriteThrough, WritePolicy::WriteBack);
+        for (name, policy, long, short) in [
+            ("wt", wt, "write-through", "wt"),
+            ("write-through", wt, "write-through", "wt"),
+            ("wb", wb, "write-back", "wb"),
+            ("write-back", wb, "write-back", "wb"),
+        ] {
+            let doc = format!(r#"{{"l2":{{"size":4096,"write_policy":"{name}"}}}}"#);
+            let spec = MemArchSpec::from_json(&doc).unwrap();
+            assert_eq!(spec.l2.as_ref().unwrap().write_policy, policy, "{name}");
+            let doc = format!(r#"{{"l1_policy":["{name}"],"l2_policy":["{name}"]}}"#);
+            let grid = GridSpec::from_json(&doc).unwrap();
+            assert_eq!(
+                (grid.l1_policies.clone(), grid.l2_policies.clone()),
+                (vec![policy], vec![policy])
+            );
+            assert!(spec
+                .to_json()
+                .contains(&format!(r#""write_policy": "{long}""#)));
+            assert!(grid
+                .to_json()
+                .contains(&format!(r#""l2_policy": ["{short}"]"#)));
+        }
+        let spec_err = |text: &str| MemArchSpec::from_json(text).unwrap_err().to_string();
+        assert_eq!(
+            spec_err(r#"{"spm":{"size":1024,"alloc":"x"}}"#),
+            "spec json: spm: unknown alloc `x`"
+        );
+        assert_eq!(
+            spec_err(r#"{"l1":{"split":{"i":{"size":512,"write_policy":"x"}}}}"#),
+            "spec json: l1i: bad `write_policy`"
+        );
+        for (doc, text) in [
+            (r#"{"spm_alloc":["x"]}"#, "spm_alloc: unknown value `x`"),
+            (
+                r#"{"spm_alloc":["fixed"]}"#,
+                "spm_alloc: unknown value `fixed`",
+            ),
+            (r#"{"l1_policy":["x"]}"#, "l1_policy: unknown value `x`"),
+            (r#"{"l2_policy":["WB"]}"#, "l2_policy: unknown value `WB`"),
+        ] {
+            assert_eq!(GridSpec::from_json(doc).unwrap_err(), text);
+        }
     }
 
     #[test]

@@ -80,22 +80,6 @@ impl ConfigResult {
     }
 }
 
-/// One spec's raw measurement: everything [`ConfigResult`] needs except
-/// the label and the (capacity-dependent) energy figure. Sweep points
-/// whose canonical specs are effectively identical share one measurement
-/// (see `plan::SweepPlan`).
-#[derive(Debug, Clone)]
-pub(crate) struct ArchMeasurement {
-    pub sim_cycles: u64,
-    pub wcet_cycles: u64,
-    pub mem_stats: MemStats,
-    pub classify: ClassifyStats,
-    pub spm_used: u32,
-    pub spm_objects: Vec<String>,
-    /// A fixpoint hit its structural cap (see [`ConfigResult::degraded`]).
-    pub widened: bool,
-}
-
 /// One linked executable of the benchmark and everything measured about
 /// it once: the recorded trace of its checksum-checked run, which every
 /// hierarchy prices, and the hierarchy-independent analysis stage, which
@@ -426,8 +410,9 @@ impl Pipeline {
     pub fn run(&self, spec: &MemArchSpec) -> Result<ConfigResult, CoreError> {
         spec.validate().map_err(CoreError::Spec)?;
         let plan = SweepPlan::build(self, &[(0, &spec.canonical())]);
-        let m = self.measure_spec(&plan.units[0][0], &mut Slots::default())?;
-        Ok(self.package_spec(spec, &m))
+        let mut result = self.measure_spec(&plan.units[0][0], &mut Slots::default())?;
+        result.label = spec.label();
+        Ok(result)
     }
 
     /// The analyzer configuration for a canonical spec (see
@@ -444,19 +429,20 @@ impl Pipeline {
         }
     }
 
-    /// The expensive half of [`Pipeline::run`]: measures one planned
-    /// representative on its link. Label-free and energy-free so sweep
-    /// points whose canonical specs are effectively identical can share
-    /// one measurement. `slots` are its unit's: a priceable machine
-    /// prices from the latency-0 tally of its link, and a machine costs
-    /// from the classification of its link and classification key; the
-    /// first member that needs one computes it, the others with the same
-    /// link and key reuse it.
+    /// Measures one planned representative on its link: the result every
+    /// point sharing it reports, unlabelled until the caller gives it the
+    /// point's own label. Points share a representative only when their
+    /// measured machines are equal, so scratchpad capacity and cache
+    /// bytes, and with them the energy figure, are equal too. `slots` are
+    /// its unit's: a priceable machine prices from the latency-0 tally of
+    /// its link, and a machine costs from the classification of its link
+    /// and classification key; the first member that needs one computes
+    /// it, the others with the same link and key reuse it.
     pub(crate) fn measure_spec(
         &self,
         rep: &Rep,
         slots: &mut Slots,
-    ) -> Result<ArchMeasurement, CoreError> {
+    ) -> Result<ConfigResult, CoreError> {
         let _s = spmlab_obs::span_with("measure-spec", || rep.machine.label());
         crate::faults::fault_point("measure-spec")?;
         let machine = &rep.machine;
@@ -485,39 +471,23 @@ impl Pipeline {
             })?;
             cost(prepared, exe, &wcfg, classified, &self.ipet_models)?
         };
-        Ok(ArchMeasurement {
+        let cache_bytes = machine.cache_bytes();
+        Ok(ConfigResult {
+            label: String::new(),
             sim_cycles,
             wcet_cycles: wcet.wcet_cycles,
-            mem_stats,
-            classify: wcet.total_classify(),
-            spm_used: link.spm_used,
-            spm_objects,
-            widened: wcet.widened,
-        })
-    }
-
-    /// The cheap half of [`Pipeline::run`]: labels a measurement and
-    /// prices its energy for the *actual* configuration (capacity enters
-    /// the energy model even when timing is shared).
-    pub(crate) fn package_spec(&self, spec: &MemArchSpec, m: &ArchMeasurement) -> ConfigResult {
-        let canon = spec.canonical();
-        let cache_bytes = canon.cache_bytes();
-        ConfigResult {
-            label: spec.label(),
-            sim_cycles: m.sim_cycles,
-            wcet_cycles: m.wcet_cycles,
             checksum: self.expected_checksum,
             energy_nj: self.energy.run_energy_nj(
-                &m.mem_stats,
-                m.sim_cycles,
-                canon.spm_size(),
+                &mem_stats,
+                sim_cycles,
+                machine.spm_size(),
                 (cache_bytes > 0).then_some(cache_bytes),
             ),
-            spm_used: m.spm_used,
-            spm_objects: m.spm_objects.clone(),
-            classify: m.classify,
-            degraded: m.widened,
-        }
+            spm_used: link.spm_used,
+            spm_objects,
+            classify: wcet.total_classify(),
+            degraded: wcet.widened,
+        })
     }
 
     /// Prices `hierarchy` on `link` from its recorded trace, bumping the
@@ -706,15 +676,14 @@ mod tests {
         // The spec the legacy API could not express: scratchpad + caches
         // in one machine. Soundness and the obvious orderings must hold.
         let p = Pipeline::new(&INSERTSORT).unwrap();
-        let spec = MemArchSpec::builder()
-            .spm(256)
-            .split_l1(
-                Some(CacheConfig::instr_only(256)),
-                Some(CacheConfig::data_only(256)),
-            )
-            .l2(CacheConfig::l2(2048))
-            .build()
-            .unwrap();
+        let spec = MemArchSpec {
+            l1: L1::Split {
+                i: Some(CacheConfig::instr_only(256)),
+                d: Some(CacheConfig::data_only(256)),
+            },
+            l2: Some(CacheConfig::l2(2048)),
+            ..MemArchSpec::spm(256)
+        };
         let combo = p.run(&spec).unwrap();
         assert!(combo.wcet_cycles >= combo.sim_cycles, "sound");
         assert!(combo.spm_used > 0, "scratchpad actually used");

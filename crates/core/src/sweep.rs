@@ -370,9 +370,12 @@ pub fn spec_sweep_with_session(
     let write_err: Mutex<Option<CoreError>> = Mutex::new(None);
     let measure_rep = |rep: &Rep, slots: &mut Slots| -> Vec<(usize, PointOutcome)> {
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            let m = pipeline.measure_spec(rep, slots)?;
-            let package = |&i: &usize| pipeline.package_spec(&specs[i], &m);
-            Ok::<Vec<ConfigResult>, CoreError>(rep.points.iter().map(package).collect())
+            let result = pipeline.measure_spec(rep, slots)?;
+            let labelled = |&i: &usize| ConfigResult {
+                label: specs[i].label(),
+                ..result.clone()
+            };
+            Ok::<Vec<ConfigResult>, CoreError>(rep.points.iter().map(labelled).collect())
         }));
         let results = match attempt {
             Ok(Ok(results)) => Ok(results),

@@ -27,7 +27,9 @@
 //!
 //! Specs are **validated**, not trusted: [`MemArchSpec::validate`] checks
 //! the geometry/overlap/latency invariants and returns [`SpecError`]
-//! instead of panicking. [`MemArchSpec::canonical`] produces the canonical
+//! instead of panicking. Its machine rules are
+//! [`MemHierarchyConfig::validate`]'s, the one check the simulator also
+//! builds through. [`MemArchSpec::canonical`] produces the canonical
 //! form (disabled zero-size levels dropped, empty split collapsed, a
 //! zero-byte scratchpad removed, …) used as the sweep memo key: two specs
 //! with equal canonical forms describe the same machine and share one
@@ -36,18 +38,22 @@
 //! ```
 //! use spmlab_isa::archspec::{MemArchSpec, SpmAllocation};
 //! use spmlab_isa::cachecfg::CacheConfig;
-//! use spmlab_isa::hierarchy::MainMemoryTiming;
+//! use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
 //!
 //! // The paper's 1 KiB scratchpad point.
 //! let spm = MemArchSpec::spm(1024);
 //! // A split-L1 + L2 machine over DRAM-style main memory, with a
 //! // hierarchy-aware WCET allocation filling a 512-byte scratchpad.
-//! let spec = MemArchSpec::builder()
-//!     .spm_with(512, SpmAllocation::WcetAware)
-//!     .split_l1(Some(CacheConfig::instr_only(512)), Some(CacheConfig::data_only(512)))
-//!     .l2(CacheConfig::l2(4096))
-//!     .main(MainMemoryTiming::dram(10))
-//!     .build()?;
+//! let spec = MemArchSpec {
+//!     l1: L1::Split {
+//!         i: Some(CacheConfig::instr_only(512)),
+//!         d: Some(CacheConfig::data_only(512)),
+//!     },
+//!     l2: Some(CacheConfig::l2(4096)),
+//!     main: MainMemoryTiming::dram(10),
+//!     ..MemArchSpec::spm_with(512, SpmAllocation::WcetAware)
+//! };
+//! spec.validate()?;
 //! assert!(spec.has_cache_levels());
 //! let round = MemArchSpec::from_json(&spec.to_json())?;
 //! assert_eq!(round, spec);
@@ -80,6 +86,30 @@ pub enum SpmAllocation {
     Fixed(Vec<String>),
 }
 
+/// The one spelling of each named strategy, read and written by spec JSON
+/// and grid JSON alike.
+const ALLOC_NAMES: [(&str, SpmAllocation); 4] = [
+    ("empty", SpmAllocation::Empty),
+    ("knapsack", SpmAllocation::ProfileKnapsack),
+    ("wcet", SpmAllocation::WcetAware),
+    ("wcet-region", SpmAllocation::WcetRegion),
+];
+
+impl SpmAllocation {
+    /// The strategy named `name` (`"empty"`, `"knapsack"`, `"wcet"` or
+    /// `"wcet-region"`); `None` for any other spelling.
+    pub fn from_name(name: &str) -> Option<SpmAllocation> {
+        let (_, a) = ALLOC_NAMES.iter().find(|(n, _)| *n == name)?;
+        Some(a.clone())
+    }
+
+    /// The inverse of [`SpmAllocation::from_name`]; `None` for
+    /// [`SpmAllocation::Fixed`], which is a list, not a name.
+    pub fn name(&self) -> Option<&'static str> {
+        ALLOC_NAMES.iter().find(|(_, a)| a == self).map(|(n, _)| *n)
+    }
+}
+
 /// Scratchpad half of a spec: capacity plus allocation strategy.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpmSpec {
@@ -108,7 +138,8 @@ pub struct MemArchSpec {
     pub persistence: bool,
 }
 
-/// Validation failures of a [`MemArchSpec`].
+/// Validation failures of a machine description: a [`MemArchSpec`], its
+/// [`MemHierarchyConfig`] or one of its [`CacheConfig`] levels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The scratchpad would overlap the main-memory region.
@@ -155,33 +186,6 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-/// Non-panicking geometry check of one (enabled) cache level.
-fn check_cache(c: &CacheConfig, level: &'static str) -> Result<(), SpecError> {
-    let err = |what| Err(SpecError::BadCache { level, what });
-    if c.size == 0 {
-        return Ok(()); // Disabled level; canonicalised away.
-    }
-    if !c.size.is_power_of_two() {
-        return err("cache size must be a power of two");
-    }
-    if !c.line.is_power_of_two() || c.line < 4 {
-        return err("line size must be a power of two >= 4");
-    }
-    if c.line > c.size {
-        return err("line size exceeds cache size");
-    }
-    if c.assoc < 1 || c.assoc > c.size / c.line {
-        return err("bad associativity");
-    }
-    if !(c.size / c.line).is_multiple_of(c.assoc) {
-        return err("sets must divide evenly");
-    }
-    if c.hit_latency < 1 {
-        return err("hit latency must be at least one cycle");
-    }
-    Ok(())
-}
 
 impl MemArchSpec {
     /// No scratchpad, no caches, Table-1 main memory — the paper's
@@ -230,13 +234,6 @@ impl MemArchSpec {
         }
     }
 
-    /// Starts a builder (uncached baseline until configured).
-    pub fn builder() -> MemArchSpecBuilder {
-        MemArchSpecBuilder {
-            spec: MemArchSpec::uncached(),
-        }
-    }
-
     /// The cache-hierarchy part of the spec (levels + main timing) — what
     /// the simulator's memory system and the multi-level analysis consume.
     pub fn hierarchy(&self) -> MemHierarchyConfig {
@@ -270,8 +267,9 @@ impl MemArchSpec {
         l1 + self.l2.as_ref().map_or(0, |c| c.size)
     }
 
-    /// Checks every invariant: per-level cache geometry, split-half and L2
-    /// scopes, scratchpad/main overlap, main-memory timing, and the
+    /// Checks every invariant: the scratchpad/main overlap, then the
+    /// hierarchy's rules ([`MemHierarchyConfig::validate`]: per-level cache
+    /// geometry, split-half and L2 scopes, main-memory timing), then the
     /// persistence shape.
     ///
     /// # Errors
@@ -287,52 +285,7 @@ impl MemArchSpec {
                 });
             }
         }
-        match &self.l1 {
-            L1::None => {}
-            L1::Unified(c) => check_cache(c, "l1")?,
-            L1::Split { i, d } => {
-                if let Some(c) = i {
-                    check_cache(c, "l1i")?;
-                    if c.size > 0 && c.scope == CacheScope::DataOnly {
-                        return Err(SpecError::SplitScope(
-                            "instruction half cannot be data-only",
-                        ));
-                    }
-                }
-                if let Some(c) = d {
-                    check_cache(c, "l1d")?;
-                    if c.size > 0 && c.scope == CacheScope::InstrOnly {
-                        return Err(SpecError::SplitScope(
-                            "data half cannot be instruction-only",
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(l2) = &self.l2 {
-            check_cache(l2, "l2")?;
-            if l2.size > 0 && l2.scope != CacheScope::Unified {
-                return Err(SpecError::L2Scope);
-            }
-        }
-        if self.main.bus_bytes < 1 {
-            return Err(SpecError::BadMain(
-                "bus must move at least one byte per beat",
-            ));
-        }
-        if self.main.beat_cycles < 1 {
-            return Err(SpecError::BadMain("a beat takes at least one cycle"));
-        }
-        if let Some(sb) = &self.main.store_buffer {
-            if sb.depth < 1 {
-                return Err(SpecError::BadMain("store buffer needs at least one entry"));
-            }
-            if sb.drain_cycles < 1 {
-                return Err(SpecError::BadMain(
-                    "a store-buffer drain takes at least one cycle",
-                ));
-            }
-        }
+        self.hierarchy().validate()?;
         if self.persistence {
             let canon = self.canonical();
             if canon.spm.is_some() {
@@ -447,16 +400,14 @@ impl MemArchSpec {
     pub fn label(&self) -> String {
         let canon = self.canonical();
         let hier = canon.hierarchy();
-        let spm = canon.spm.as_ref().map(|s| {
-            let tag = match &s.alloc {
-                SpmAllocation::Empty => " empty",
-                SpmAllocation::ProfileKnapsack => "",
-                SpmAllocation::WcetAware => " wcet",
-                SpmAllocation::WcetRegion => " wcet-region",
-                SpmAllocation::Fixed(_) => " fixed",
-            };
-            format!("spm {}{tag}", s.size)
-        });
+        let spm = canon
+            .spm
+            .as_ref()
+            .map(|s| match (&s.alloc, s.alloc.name()) {
+                (SpmAllocation::ProfileKnapsack, _) => format!("spm {}", s.size),
+                (_, Some(name)) => format!("spm {} {name}", s.size),
+                (_, None) => format!("spm {} fixed", s.size),
+            });
         let base = match spm {
             None => hier.label(),
             Some(spm) if !canon.has_cache_levels() => {
@@ -487,69 +438,6 @@ impl MemArchSpec {
 impl Default for MemArchSpec {
     fn default() -> MemArchSpec {
         MemArchSpec::uncached()
-    }
-}
-
-/// Builder for [`MemArchSpec`]; [`MemArchSpecBuilder::build`] validates.
-#[derive(Debug, Clone)]
-pub struct MemArchSpecBuilder {
-    spec: MemArchSpec,
-}
-
-impl MemArchSpecBuilder {
-    /// Adds a knapsack-filled scratchpad of `size` bytes.
-    pub fn spm(self, size: u32) -> MemArchSpecBuilder {
-        self.spm_with(size, SpmAllocation::ProfileKnapsack)
-    }
-
-    /// Adds a scratchpad of `size` bytes with an explicit strategy.
-    pub fn spm_with(mut self, size: u32, alloc: SpmAllocation) -> MemArchSpecBuilder {
-        self.spec.spm = Some(SpmSpec { size, alloc });
-        self
-    }
-
-    /// Sets a single L1 (routed by its [`CacheScope`]).
-    pub fn l1(mut self, cache: CacheConfig) -> MemArchSpecBuilder {
-        self.spec.l1 = L1::Unified(cache);
-        self
-    }
-
-    /// Sets a split Harvard-style L1 (either half may be absent).
-    pub fn split_l1(
-        mut self,
-        i: Option<CacheConfig>,
-        d: Option<CacheConfig>,
-    ) -> MemArchSpecBuilder {
-        self.spec.l1 = L1::Split { i, d };
-        self
-    }
-
-    /// Adds a unified L2 behind the L1.
-    pub fn l2(mut self, l2: CacheConfig) -> MemArchSpecBuilder {
-        self.spec.l2 = Some(l2);
-        self
-    }
-
-    /// Replaces the main-memory timing.
-    pub fn main(mut self, main: MainMemoryTiming) -> MemArchSpecBuilder {
-        self.spec.main = main;
-        self
-    }
-
-    /// Enables the persistence (first-miss) analysis extension.
-    pub fn persistence(mut self, on: bool) -> MemArchSpecBuilder {
-        self.spec.persistence = on;
-        self
-    }
-
-    /// Validates and returns the spec.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SpecError`] of [`MemArchSpec::validate`].
-    pub fn build(self) -> Result<MemArchSpec, SpecError> {
-        self.spec.validate()?;
-        Ok(self.spec)
     }
 }
 
@@ -972,9 +860,8 @@ fn cache_from_json(v: &json::Value, level: &str) -> Result<CacheConfig, SpecJson
         Some(_) => return Err(err("bad `scope`")),
     };
     let write_policy = match v.get("write_policy").and_then(json::Value::as_str) {
-        None | Some("write-through") | Some("wt") => WritePolicy::WriteThrough,
-        Some("write-back") | Some("wb") => WritePolicy::WriteBack,
-        Some(_) => return Err(err("bad `write_policy`")),
+        None => WritePolicy::WriteThrough,
+        Some(s) => WritePolicy::from_name(s).ok_or_else(|| err("bad `write_policy`"))?,
     };
     Ok(CacheConfig {
         size,
@@ -1018,10 +905,6 @@ impl MemArchSpec {
             None => "null".to_string(),
             Some(s) => {
                 let alloc = match &s.alloc {
-                    SpmAllocation::Empty => "\"empty\"".to_string(),
-                    SpmAllocation::ProfileKnapsack => "\"knapsack\"".to_string(),
-                    SpmAllocation::WcetAware => "\"wcet\"".to_string(),
-                    SpmAllocation::WcetRegion => "\"wcet-region\"".to_string(),
                     SpmAllocation::Fixed(names) => format!(
                         "{{\"fixed\": [{}]}}",
                         names
@@ -1030,6 +913,7 @@ impl MemArchSpec {
                             .collect::<Vec<_>>()
                             .join(", ")
                     ),
+                    named => format!("\"{}\"", named.name().expect("a named strategy")),
                 };
                 format!("{{\"size\": {}, \"alloc\": {alloc}}}", s.size)
             }
@@ -1092,17 +976,9 @@ impl MemArchSpec {
                     "size",
                 )?;
                 let alloc = match s.get("alloc") {
-                    None | Some(json::Value::Str(_)) => {
-                        match s.get("alloc").and_then(json::Value::as_str) {
-                            None | Some("knapsack") => SpmAllocation::ProfileKnapsack,
-                            Some("empty") => SpmAllocation::Empty,
-                            Some("wcet") => SpmAllocation::WcetAware,
-                            Some("wcet-region") => SpmAllocation::WcetRegion,
-                            Some(other) => {
-                                return Err(SpecJsonError(format!("spm: unknown alloc `{other}`")))
-                            }
-                        }
-                    }
+                    None => SpmAllocation::ProfileKnapsack,
+                    Some(json::Value::Str(name)) => SpmAllocation::from_name(name)
+                        .ok_or_else(|| SpecJsonError(format!("spm: unknown alloc `{name}`")))?,
                     Some(a) => match a.get("fixed") {
                         Some(json::Value::Arr(items)) => {
                             let mut names = Vec::with_capacity(items.len());
@@ -1204,49 +1080,129 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn builder_and_validation() {
-        let spec = MemArchSpec::builder()
-            .spm(1024)
-            .l1(CacheConfig::unified(512))
-            .l2(CacheConfig::l2(4096))
-            .build()
-            .unwrap();
+    fn validation() {
+        let spec = MemArchSpec {
+            l1: L1::Unified(CacheConfig::unified(512)),
+            l2: Some(CacheConfig::l2(4096)),
+            ..MemArchSpec::spm(1024)
+        };
+        spec.validate().unwrap();
         assert!(spec.has_cache_levels());
         assert_eq!(spec.spm_size(), 1024);
         assert_eq!(spec.cache_bytes(), 512 + 4096);
 
-        // Non-power-of-two cache: rejected, not panicking.
-        let bad = MemArchSpec::single_cache(CacheConfig {
-            size: 300,
-            ..CacheConfig::unified(256)
-        });
-        assert!(matches!(bad.validate(), Err(SpecError::BadCache { .. })));
+        let persistent = MemArchSpec {
+            persistence: true,
+            ..MemArchSpec::single_cache(CacheConfig::unified(1024))
+        };
+        persistent.validate().unwrap();
 
-        // Scratchpad overlapping main memory.
-        let bad = MemArchSpec::spm(0x0020_0000);
-        assert!(matches!(bad.validate(), Err(SpecError::SpmTooLarge { .. })));
-
-        // L2 must be unified.
-        let bad = MemArchSpec {
-            l2: Some(CacheConfig::instr_only(4096)),
+        // Every refusal is a typed error, and every `SpecError` message
+        // is pinned through the rule that raises it: sweeps, grids and
+        // `--spec` report them verbatim.
+        let geom = |size, line, assoc, hit_latency| {
+            MemArchSpec::single_cache(CacheConfig {
+                size,
+                line,
+                assoc,
+                hit_latency,
+                ..CacheConfig::unified(64)
+            })
+        };
+        let split = |i, d| MemArchSpec {
+            l1: L1::Split { i, d },
             ..MemArchSpec::uncached()
         };
-        assert_eq!(bad.validate(), Err(SpecError::L2Scope));
-
-        // Persistence only on single-L1 Table-1 shapes.
-        assert!(MemArchSpec::builder()
-            .l1(CacheConfig::unified(1024))
-            .persistence(true)
-            .build()
-            .is_ok());
-        assert!(matches!(
-            MemArchSpec::builder()
-                .l1(CacheConfig::unified(1024))
-                .l2(CacheConfig::l2(4096))
-                .persistence(true)
-                .build(),
-            Err(SpecError::PersistenceShape(_))
-        ));
+        let l2 = |c| MemArchSpec {
+            l2: Some(c),
+            ..MemArchSpec::uncached()
+        };
+        let main = |main| MemArchSpec {
+            main,
+            ..MemArchSpec::uncached()
+        };
+        let persist = |spec| MemArchSpec {
+            persistence: true,
+            ..spec
+        };
+        let t1 = MainMemoryTiming::table1();
+        let cases = [
+            (
+                MemArchSpec::spm(0x0020_0000),
+                "scratchpad of 2097152 B overlaps main memory (max 1048576 B)",
+            ),
+            (geom(768, 16, 1, 1), "l1: cache size must be a power of two"),
+            (
+                geom(1024, 2, 1, 1),
+                "l1: line size must be a power of two >= 4",
+            ),
+            (geom(64, 128, 1, 1), "l1: line size exceeds cache size"),
+            (geom(1024, 16, 0, 1), "l1: bad associativity"),
+            (
+                geom(1024, 16, 1, 0),
+                "l1: hit latency must be at least one cycle",
+            ),
+            (
+                l2(CacheConfig::set_assoc(1024, 3, Replacement::Lru)),
+                "l2: sets must divide evenly",
+            ),
+            (
+                split(Some(CacheConfig::data_only(512)), None),
+                "split L1: instruction half cannot be data-only",
+            ),
+            (
+                split(None, Some(CacheConfig::instr_only(512))),
+                "split L1: data half cannot be instruction-only",
+            ),
+            (
+                l2(CacheConfig::instr_only(4096)),
+                "the second-level cache must be unified",
+            ),
+            (
+                main(MainMemoryTiming { bus_bytes: 0, ..t1 }),
+                "main memory: bus must move at least one byte per beat",
+            ),
+            (
+                main(MainMemoryTiming {
+                    beat_cycles: 0,
+                    ..t1
+                }),
+                "main memory: a beat takes at least one cycle",
+            ),
+            (
+                main(t1.with_store_buffer(StoreBuffer::new(0, 6))),
+                "main memory: store buffer needs at least one entry",
+            ),
+            (
+                main(t1.with_store_buffer(StoreBuffer::new(4, 0))),
+                "main memory: a store-buffer drain takes at least one cycle",
+            ),
+            (
+                persist(MemArchSpec::spm(1024)),
+                "persistence analysis: not supported together with a scratchpad",
+            ),
+            (
+                persist(MemArchSpec::uncached()),
+                "persistence analysis: requires exactly one single-level L1",
+            ),
+            (
+                persist(MemArchSpec::single_cache(
+                    CacheConfig::unified(1024).write_back(),
+                )),
+                "persistence analysis: requires a write-through L1 \
+                 (first-miss persistence has no write-back model)",
+            ),
+            (
+                persist(MemArchSpec {
+                    main: MainMemoryTiming::dram(4),
+                    ..geom(1024, 16, 1, 1)
+                }),
+                "persistence analysis: requires Table-1 main-memory timing (no store buffer)",
+            ),
+        ];
+        for (spec, text) in cases {
+            assert_eq!(spec.validate().unwrap_err().to_string(), text, "{spec:?}");
+        }
     }
 
     #[test]
@@ -1319,15 +1275,15 @@ mod tests {
         let h = MemHierarchyConfig::split_l1(512, 512).with_l2(CacheConfig::l2(4096));
         assert_eq!(MemArchSpec::from_hierarchy(&h).label(), h.label());
         assert_eq!(MemArchSpec::uncached().label(), "uncached");
-        let combo = MemArchSpec::builder()
-            .spm_with(512, SpmAllocation::WcetAware)
-            .split_l1(
-                Some(CacheConfig::instr_only(512)),
-                Some(CacheConfig::data_only(512)),
-            )
-            .l2(CacheConfig::l2(4096))
-            .build()
-            .unwrap();
+        let combo = MemArchSpec {
+            l1: L1::Split {
+                i: Some(CacheConfig::instr_only(512)),
+                d: Some(CacheConfig::data_only(512)),
+            },
+            l2: Some(CacheConfig::l2(4096)),
+            ..MemArchSpec::spm_with(512, SpmAllocation::WcetAware)
+        };
+        combo.validate().unwrap();
         assert_eq!(combo.label(), "spm 512 wcet + l1i512+l1d512+l2 4096");
     }
 
@@ -1341,13 +1297,14 @@ mod tests {
         assert_eq!(noisy.label(), plain.label());
         // Same for the instruction half of a split L1 — while the data
         // half's policy is load-bearing and survives.
-        let split = MemArchSpec::builder()
-            .split_l1(
-                Some(CacheConfig::instr_only(512).write_back()),
-                Some(CacheConfig::data_only(512).write_back()),
-            )
-            .build()
-            .unwrap();
+        let split = MemArchSpec {
+            l1: L1::Split {
+                i: Some(CacheConfig::instr_only(512).write_back()),
+                d: Some(CacheConfig::data_only(512).write_back()),
+            },
+            ..MemArchSpec::uncached()
+        };
+        split.validate().unwrap();
         match &split.canonical().l1 {
             L1::Split { i, d } => {
                 assert_eq!(i.as_ref().unwrap().write_policy, WritePolicy::WriteThrough);
@@ -1364,35 +1321,19 @@ mod tests {
 
     #[test]
     fn store_buffer_validation() {
+        // A buffered machine is valid (its zero-depth and zero-drain
+        // variants are refused in `validation`)…
         let ok = MemArchSpec {
             main: MainMemoryTiming::table1().with_store_buffer(StoreBuffer::new(4, 6)),
             ..MemArchSpec::uncached()
         };
         ok.validate().unwrap();
-        let bad = MemArchSpec {
-            main: MainMemoryTiming::table1().with_store_buffer(StoreBuffer::new(0, 6)),
-            ..MemArchSpec::uncached()
-        };
-        assert!(matches!(bad.validate(), Err(SpecError::BadMain(_))));
-        let bad = MemArchSpec {
-            main: MainMemoryTiming::table1().with_store_buffer(StoreBuffer::new(4, 0)),
-            ..MemArchSpec::uncached()
-        };
-        assert!(matches!(bad.validate(), Err(SpecError::BadMain(_))));
-        // Persistence needs the paper's exact machine: no store buffer,
-        // no write-back L1.
+        // …but persistence needs the paper's exact machine: no store
+        // buffer (and no write-back L1, also in `validation`).
         let bad = MemArchSpec {
             persistence: true,
             main: ok.main,
             ..MemArchSpec::single_cache(CacheConfig::unified(1024))
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(SpecError::PersistenceShape(_))
-        ));
-        let bad = MemArchSpec {
-            persistence: true,
-            ..MemArchSpec::single_cache(CacheConfig::unified(1024).write_back())
         };
         assert!(matches!(
             bad.validate(),
@@ -1417,20 +1358,22 @@ mod tests {
                 4,
                 Replacement::Random { seed: 7 },
             )),
-            MemArchSpec::builder()
-                .spm_with(512, SpmAllocation::WcetAware)
-                .split_l1(Some(CacheConfig::instr_only(512)), None)
-                .l2(CacheConfig::l2(8192))
-                .main(MainMemoryTiming::dram(12))
-                .build()
-                .unwrap(),
-            MemArchSpec::builder()
-                .l1(CacheConfig::unified(1024))
-                .persistence(true)
-                .build()
-                .unwrap(),
+            MemArchSpec {
+                l1: L1::Split {
+                    i: Some(CacheConfig::instr_only(512)),
+                    d: None,
+                },
+                l2: Some(CacheConfig::l2(8192)),
+                main: MainMemoryTiming::dram(12),
+                ..MemArchSpec::spm_with(512, SpmAllocation::WcetAware)
+            },
+            MemArchSpec {
+                persistence: true,
+                ..MemArchSpec::single_cache(CacheConfig::unified(1024))
+            },
         ];
         for spec in specs {
+            spec.validate().unwrap();
             let text = spec.to_json();
             let back = MemArchSpec::from_json(&text).unwrap_or_else(|e| {
                 panic!("{e} while parsing {text}");

@@ -2,6 +2,7 @@
 //! analyzer so both sides of the paper's comparison use the *same* machine
 //! model (any mismatch would invalidate the WCET ≥ simulation invariant).
 
+use crate::archspec::SpecError;
 use serde::{Deserialize, Serialize};
 
 /// Replacement policy for set-associative configurations (irrelevant for
@@ -65,6 +66,17 @@ pub enum WritePolicy {
 }
 
 impl WritePolicy {
+    /// The policy spelled `name`: `"wt"` or `"write-through"`, `"wb"` or
+    /// `"write-back"` (spec JSON writes the long spellings, grid JSON the
+    /// short ones); `None` for any other spelling.
+    pub fn from_name(name: &str) -> Option<WritePolicy> {
+        match name {
+            "wt" | "write-through" => Some(WritePolicy::WriteThrough),
+            "wb" | "write-back" => Some(WritePolicy::WriteBack),
+            _ => None,
+        }
+    }
+
     /// Whether this level allocates on store misses and carries dirty
     /// lines.
     pub fn is_write_back(self) -> bool {
@@ -154,7 +166,7 @@ impl CacheConfig {
 
     /// Number of sets.
     pub fn num_sets(&self) -> u32 {
-        (self.size / self.line / self.assoc).max(1)
+        self.size / self.line / self.assoc
     }
 
     /// The precomputed set/tag index math for this geometry.
@@ -162,54 +174,41 @@ impl CacheConfig {
         SetIndexer::new(self)
     }
 
-    /// The set index of an address.
-    pub fn set_of(&self, addr: u32) -> u32 {
-        self.indexer().set_of(addr)
-    }
-
-    /// The tag of an address.
-    pub fn tag_of(&self, addr: u32) -> u32 {
-        self.indexer().tag_of(addr)
-    }
-
     /// Cycles for a read hit served by this level.
     pub fn hit_cycles(&self) -> u64 {
         self.hit_latency as u64
     }
 
-    /// Cycles for a read miss: fill the whole line with 32-bit main-memory
-    /// reads (4 cycles each, per Table 1), plus one cycle to deliver.
-    pub fn miss_cycles(&self) -> u64 {
-        (self.line as u64 / 4) * 4 + 1
-    }
-
-    /// Validates the geometry.
+    /// The cache-geometry rules, stated once: hierarchies apply them to
+    /// each enabled level, and the simulator's tag stores on construction
+    /// (zero, a disabled level's size, is no power of two). `level` names
+    /// the level in the error. A geometry they accept has a power-of-two
+    /// set count, so [`SetIndexer`] needs no division.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-power-of-two sizes or impossible geometry; these are
-    /// construction-time programming errors.
-    pub fn validate(&self) {
-        assert!(
-            self.size.is_power_of_two(),
-            "cache size must be a power of two"
-        );
-        assert!(
-            self.line.is_power_of_two() && self.line >= 4,
-            "line size >= 4, power of two"
-        );
-        assert!(
-            self.assoc >= 1 && self.assoc <= self.size / self.line,
-            "bad associativity"
-        );
-        assert!(
-            (self.size / self.line).is_multiple_of(self.assoc),
-            "sets must divide evenly"
-        );
-        assert!(
-            self.hit_latency >= 1,
-            "hit latency must be at least one cycle"
-        );
+    /// The first violated rule as [`SpecError::BadCache`].
+    pub fn validate(&self, level: &'static str) -> Result<(), SpecError> {
+        let err = |what| Err(SpecError::BadCache { level, what });
+        if !self.size.is_power_of_two() {
+            return err("cache size must be a power of two");
+        }
+        if !self.line.is_power_of_two() || self.line < 4 {
+            return err("line size must be a power of two >= 4");
+        }
+        if self.line > self.size {
+            return err("line size exceeds cache size");
+        }
+        if self.assoc < 1 || self.assoc > self.size / self.line {
+            return err("bad associativity");
+        }
+        if !(self.size / self.line).is_multiple_of(self.assoc) {
+            return err("sets must divide evenly");
+        }
+        if self.hit_latency < 1 {
+            return err("hit latency must be at least one cycle");
+        }
+        Ok(())
     }
 }
 
@@ -218,35 +217,41 @@ impl CacheConfig {
 /// analyzer's abstract caches, hoisted here so the two sides can never
 /// disagree about line mapping.
 ///
-/// Line sizes are validated powers of two, so the line number is a shift;
-/// the set index uses a mask when the set count is a power of two (the
-/// common case) and falls back to division otherwise.
+/// A geometry [`CacheConfig::validate`] accepts has power-of-two line
+/// sizes and set counts, so the line number and the tag are shifts and
+/// the set index is a mask (zero for a single, fully associative set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetIndexer {
     line_shift: u32,
-    num_sets: u32,
-    /// `num_sets - 1` when `num_sets` is a power of two, else 0 (fallback).
+    /// `num_sets - 1`.
     set_mask: u32,
-    /// `log2(num_sets)` when a power of two (for the tag shift).
+    /// `log2(num_sets)` (for the tag shift).
     set_shift: u32,
 }
 
 impl SetIndexer {
     /// Builds the indexer for `cfg`'s geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the set count is not a power of two, a geometry
+    /// [`CacheConfig::validate`] refuses.
     pub fn new(cfg: &CacheConfig) -> SetIndexer {
         let num_sets = cfg.num_sets();
-        let pow2 = num_sets.is_power_of_two();
+        assert!(
+            num_sets.is_power_of_two(),
+            "{num_sets} sets: the set count of a valid geometry is a power of two"
+        );
         SetIndexer {
-            line_shift: cfg.line.max(1).trailing_zeros(),
-            num_sets,
-            set_mask: if pow2 { num_sets - 1 } else { 0 },
-            set_shift: if pow2 { num_sets.trailing_zeros() } else { 0 },
+            line_shift: cfg.line.trailing_zeros(),
+            set_mask: num_sets - 1,
+            set_shift: num_sets.trailing_zeros(),
         }
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> u32 {
-        self.num_sets
+        self.set_mask + 1
     }
 
     /// The line number of an address.
@@ -254,34 +259,25 @@ impl SetIndexer {
         addr >> self.line_shift
     }
 
+    /// The set a line number maps to.
+    pub fn set_of_line(&self, line: u32) -> u32 {
+        line & self.set_mask
+    }
+
     /// The set index of an address.
     pub fn set_of(&self, addr: u32) -> u32 {
-        let line = addr >> self.line_shift;
-        if self.set_mask != 0 {
-            line & self.set_mask
-        } else {
-            line % self.num_sets
-        }
+        self.set_of_line(addr >> self.line_shift)
     }
 
     /// The tag of an address.
     pub fn tag_of(&self, addr: u32) -> u32 {
-        let line = addr >> self.line_shift;
-        if self.set_mask != 0 {
-            line >> self.set_shift
-        } else {
-            line / self.num_sets
-        }
+        (addr >> self.line_shift) >> self.set_shift
     }
 
     /// Both halves at once (the hot-path entry point).
     pub fn set_and_tag(&self, addr: u32) -> (u32, u32) {
         let line = addr >> self.line_shift;
-        if self.set_mask != 0 {
-            (line & self.set_mask, line >> self.set_shift)
-        } else {
-            (line % self.num_sets, line / self.num_sets)
-        }
+        (line & self.set_mask, line >> self.set_shift)
     }
 
     /// The base address of the line identified by `(set, tag)` — the
@@ -289,61 +285,53 @@ impl SetIndexer {
     /// address of an evicted victim line (write-back caches report it for
     /// the write-back transfer).
     pub fn line_addr(&self, set: u32, tag: u32) -> u32 {
-        let line = if self.set_mask != 0 {
-            (tag << self.set_shift) | set
-        } else {
-            tag * self.num_sets + set
-        };
-        line << self.line_shift
+        ((tag << self.set_shift) | set) << self.line_shift
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn indexer_matches_division_math() {
-        for cfg in [
-            CacheConfig::unified(64),
-            CacheConfig::unified(8192),
-            CacheConfig::set_assoc(1024, 2, Replacement::Lru),
-            CacheConfig::l2(4096),
-        ] {
-            let ix = cfg.indexer();
-            for addr in (0u32..0x2000).step_by(7) {
-                let line = addr / cfg.line;
-                assert_eq!(ix.set_of(addr), line % cfg.num_sets(), "{addr:#x}");
-                assert_eq!(ix.tag_of(addr), line / cfg.num_sets(), "{addr:#x}");
-                assert_eq!(ix.set_and_tag(addr), (ix.set_of(addr), ix.tag_of(addr)));
-                assert_eq!(ix.line_of(addr), line);
-                let (s, t) = ix.set_and_tag(addr);
-                assert_eq!(ix.line_addr(s, t), addr & !(cfg.line - 1), "round-trips");
-            }
-        }
+    /// Every geometry the cache check accepts, over sizes 64 B–64 KiB,
+    /// lines 4–128 B and associativities from direct-mapped to fully
+    /// associative (one set).
+    fn arb_valid_geometry() -> impl Strategy<Value = CacheConfig> {
+        (6u32..=16, 2u32..=7, 0u32..=14).prop_filter_map(
+            "the cache check refuses it",
+            |(size_exp, line_exp, assoc_exp)| {
+                let cfg = CacheConfig {
+                    line: 1 << line_exp,
+                    assoc: 1 << assoc_exp,
+                    ..CacheConfig::unified(1 << size_exp)
+                };
+                cfg.validate("l1").is_ok().then_some(cfg)
+            },
+        )
     }
 
-    #[test]
-    fn indexer_handles_non_power_of_two_sets() {
-        // 3-way 768-byte cache: 16 sets... 768/16/3 = 16 sets (pow2), so
-        // force a non-pow2 count directly: 48 lines / 3 ways = 16. Use a
-        // 6-way instead: 96 lines / 6 = 16. Construct an artificial config
-        // with 12 sets via assoc 4 over 48 lines.
-        let cfg = CacheConfig {
-            size: 768,
-            line: 16,
-            assoc: 4,
-            replacement: Replacement::Lru,
-            scope: CacheScope::Unified,
-            hit_latency: 1,
-            write_policy: WritePolicy::WriteThrough,
-        };
-        assert_eq!(cfg.num_sets(), 12);
-        let ix = cfg.indexer();
-        for addr in (0u32..0x1000).step_by(5) {
-            let line = addr / 16;
-            assert_eq!(ix.set_of(addr), line % 12);
-            assert_eq!(ix.tag_of(addr), line / 12);
+    proptest! {
+        /// The indexer's shift-and-mask math equals the division math on
+        /// every accepted geometry, and `line_addr` inverts it.
+        #[test]
+        fn indexer_matches_division_math(
+            cfg in arb_valid_geometry(),
+            addrs in proptest::collection::vec(any::<u32>(), 1..32),
+        ) {
+            let sets = cfg.size / cfg.line / cfg.assoc;
+            prop_assert!(sets.is_power_of_two(), "{cfg:?}");
+            let ix = cfg.indexer();
+            prop_assert_eq!(ix.num_sets(), sets);
+            for addr in addrs {
+                let line = addr / cfg.line;
+                prop_assert_eq!(ix.line_of(addr), line);
+                prop_assert_eq!(ix.set_of(addr), line % sets, "{:#x} {:?}", addr, cfg);
+                prop_assert_eq!(ix.tag_of(addr), line / sets, "{:#x} {:?}", addr, cfg);
+                let (s, t) = ix.set_and_tag(addr);
+                prop_assert_eq!((s, t), (ix.set_of(addr), ix.tag_of(addr)));
+                prop_assert_eq!(ix.line_addr(s, t), addr & !(cfg.line - 1), "round-trips");
+            }
         }
     }
 
@@ -351,7 +339,6 @@ mod tests {
     fn geometry() {
         let cfg = CacheConfig::unified(8192);
         assert_eq!(cfg.num_sets(), 512);
-        assert_eq!(cfg.miss_cycles(), 17);
         assert_eq!(cfg.hit_cycles(), 1);
         let cfg = CacheConfig::set_assoc(8192, 4, Replacement::Lru);
         assert_eq!(cfg.num_sets(), 128);
@@ -359,11 +346,11 @@ mod tests {
 
     #[test]
     fn set_and_tag() {
-        let cfg = CacheConfig::unified(64); // 4 sets × 16 B
-        assert_eq!(cfg.set_of(0x00), 0);
-        assert_eq!(cfg.set_of(0x10), 1);
-        assert_eq!(cfg.set_of(0x40), 0, "wraps");
-        assert_ne!(cfg.tag_of(0x00), cfg.tag_of(0x40));
-        assert_eq!(cfg.tag_of(0x00), cfg.tag_of(0x04), "same line same tag");
+        let ix = CacheConfig::unified(64).indexer(); // 4 sets × 16 B
+        assert_eq!(ix.set_of(0x00), 0);
+        assert_eq!(ix.set_of(0x10), 1);
+        assert_eq!(ix.set_of(0x40), 0, "wraps");
+        assert_ne!(ix.tag_of(0x00), ix.tag_of(0x40));
+        assert_eq!(ix.tag_of(0x00), ix.tag_of(0x04), "same line same tag");
     }
 }

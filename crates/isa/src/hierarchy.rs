@@ -46,6 +46,7 @@
 //! buffer is full). See [`MemHierarchyConfig::store_absorb`] and the
 //! write-cost helpers below.
 
+use crate::archspec::SpecError;
 use crate::cachecfg::{CacheConfig, CacheScope};
 use crate::mem::AccessWidth;
 use serde::{Deserialize, Serialize};
@@ -517,55 +518,64 @@ impl MemHierarchyConfig {
         }
     }
 
-    /// Validates every level's geometry.
+    /// The machine rules: every enabled level's geometry
+    /// ([`CacheConfig::validate`]), the split-half and L2 scopes, the bus,
+    /// the beat and the store buffer. Disabled (size-0) levels are
+    /// skipped. [`MemArchSpec::validate`](crate::archspec::MemArchSpec::validate)
+    /// applies them, and the simulator builds no machine they refuse.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on invalid cache geometry or zero-width buses, which are
-    /// construction-time programming errors.
-    pub fn validate(&self) {
+    /// The first violated rule as a [`SpecError`].
+    pub fn validate(&self) -> Result<(), SpecError> {
         match &self.l1 {
             L1::None => {}
-            L1::Unified(c) => c.validate(),
+            L1::Unified(c) if c.size == 0 => {}
+            L1::Unified(c) => c.validate("l1")?,
             L1::Split { i, d } => {
-                if let Some(c) = i {
-                    c.validate();
-                    assert!(
-                        c.scope != CacheScope::DataOnly,
-                        "split L1 instruction half cannot be data-only"
-                    );
+                if let Some(c) = i.as_ref().filter(|c| c.size > 0) {
+                    c.validate("l1i")?;
+                    if c.scope == CacheScope::DataOnly {
+                        return Err(SpecError::SplitScope(
+                            "instruction half cannot be data-only",
+                        ));
+                    }
                 }
-                if let Some(c) = d {
-                    c.validate();
-                    assert!(
-                        c.scope != CacheScope::InstrOnly,
-                        "split L1 data half cannot be instruction-only"
-                    );
+                if let Some(c) = d.as_ref().filter(|c| c.size > 0) {
+                    c.validate("l1d")?;
+                    if c.scope == CacheScope::InstrOnly {
+                        return Err(SpecError::SplitScope(
+                            "data half cannot be instruction-only",
+                        ));
+                    }
                 }
             }
         }
-        if let Some(l2) = &self.l2 {
-            l2.validate();
-            assert!(
-                l2.scope == CacheScope::Unified,
-                "the second-level cache is always unified"
-            );
+        if let Some(l2) = self.l2.as_ref().filter(|c| c.size > 0) {
+            l2.validate("l2")?;
+            if l2.scope != CacheScope::Unified {
+                return Err(SpecError::L2Scope);
+            }
         }
-        assert!(
-            self.main.bus_bytes >= 1,
-            "bus must move at least one byte per beat"
-        );
-        assert!(
-            self.main.beat_cycles >= 1,
-            "a beat takes at least one cycle"
-        );
+        if self.main.bus_bytes < 1 {
+            return Err(SpecError::BadMain(
+                "bus must move at least one byte per beat",
+            ));
+        }
+        if self.main.beat_cycles < 1 {
+            return Err(SpecError::BadMain("a beat takes at least one cycle"));
+        }
         if let Some(sb) = &self.main.store_buffer {
-            assert!(sb.depth >= 1, "store buffer needs at least one entry");
-            assert!(
-                sb.drain_cycles >= 1,
-                "a store-buffer drain takes at least one cycle"
-            );
+            if sb.depth < 1 {
+                return Err(SpecError::BadMain("store buffer needs at least one entry"));
+            }
+            if sb.drain_cycles < 1 {
+                return Err(SpecError::BadMain(
+                    "a store-buffer drain takes at least one cycle",
+                ));
+            }
         }
+        Ok(())
     }
 
     /// Short human-readable label (`spm`, `l1 1024`, `l1i512+l1d512+l2 4096`,
@@ -664,7 +674,7 @@ mod tests {
     #[test]
     fn two_level_costs_are_ordered() {
         let h = MemHierarchyConfig::split_l1(512, 512).with_l2(CacheConfig::l2(4096));
-        h.validate();
+        h.validate().unwrap();
         let hit = h.l1_hit_cycles(true);
         let l2_hit = h.l1_miss_l2_hit_cycles(true);
         let l2_miss = h.l1_miss_l2_miss_cycles(true);
@@ -790,7 +800,7 @@ mod tests {
             l2: Some(CacheConfig::l2(4096).write_back()),
             main: MainMemoryTiming::table1(),
         };
-        h.validate();
+        h.validate().unwrap();
         assert_eq!(h.l1_writeback_cycles(), 3 + 16 / 4);
         // L2 victim: a 32-byte burst to Table-1 main memory.
         assert_eq!(h.l2_writeback_cycles(), 32);
@@ -821,7 +831,7 @@ mod tests {
         let sb = MainMemoryTiming::table1().with_store_buffer(StoreBuffer::new(2, 9));
         assert_eq!(sb.store_cycles_worst(AccessWidth::Byte), 10);
         let h = MemHierarchyConfig::uncached_with(sb);
-        h.validate();
+        h.validate().unwrap();
         assert_eq!(h.worst_store_cycles(AccessWidth::Word), 10);
         assert_eq!(
             MemHierarchyConfig::uncached().worst_store_cycles(AccessWidth::Word),

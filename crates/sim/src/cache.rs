@@ -70,8 +70,13 @@ impl AccessResult {
 
 impl Cache {
     /// Builds an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheConfig::validate`] refuses, a size-0
+    /// (disabled) level included.
     pub fn new(cfg: CacheConfig) -> Cache {
-        cfg.validate();
+        cfg.validate("cache").expect("a valid cache geometry");
         let sets = cfg.num_sets();
         let rng_seed = match cfg.replacement {
             Replacement::Random { seed } => seed | 1,
@@ -383,14 +388,6 @@ mod tests {
             pattern
         };
         assert_eq!(mk(42), mk(42));
-    }
-
-    #[test]
-    fn miss_cost_matches_paper() {
-        let cfg = CacheConfig::unified(1024);
-        // 4 words × 4 cycles + 1 delivery = 17; hit = 1.
-        assert_eq!(cfg.miss_cycles(), 17);
-        assert_eq!(cfg.hit_cycles(), 1);
     }
 
     #[test]

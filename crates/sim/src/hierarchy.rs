@@ -108,8 +108,8 @@ struct StoreBufferState {
 impl StoreBufferState {
     fn new(sb: &spmlab_isa::hierarchy::StoreBuffer) -> StoreBufferState {
         StoreBufferState {
-            depth: sb.depth.max(1) as usize,
-            drain: sb.drain_cycles.max(1),
+            depth: sb.depth as usize,
+            drain: sb.drain_cycles,
             clock: 0,
             pending: VecDeque::with_capacity(sb.depth as usize),
         }
@@ -287,8 +287,13 @@ impl HierarchyCaches {
     }
 
     /// Builds empty (all-invalid, all-clean) tag stores for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a machine [`MemHierarchyConfig::validate`] refuses, and
+    /// on a size-0 level, which has no tag store ([`Cache::new`]).
     pub fn new(cfg: MemHierarchyConfig) -> HierarchyCaches {
-        cfg.validate();
+        cfg.validate().expect("a valid memory hierarchy");
         let (l1u, l1i, l1d) = match &cfg.l1 {
             L1::None => (None, None, None),
             L1::Unified(c) => (Some(Cache::new(c.clone())), None, None),
@@ -880,5 +885,78 @@ mod tests {
             worst = worst.max(c);
         }
         assert!(worst <= 1 + 10, "stall bound violated: {worst}");
+    }
+
+    /// The simulator trusts the machine rules of `spmlab-isa` and no
+    /// others: over a seeded mix of valid and invalid levels, scopes,
+    /// buses and store buffers, `HierarchyCaches::new` builds exactly the
+    /// hierarchies `MemHierarchyConfig::validate` accepts and panics on
+    /// every one it refuses. The mix has no size-0 level: the canonical
+    /// form drops those, and a tag store refuses them (checked last).
+    #[test]
+    fn builds_exactly_what_validate_accepts() {
+        use spmlab_isa::hierarchy::L1;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut x = 0x5eed_u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let level = |next: &mut dyn FnMut(u64) -> u64| {
+            let scoped = [
+                CacheConfig::unified,
+                CacheConfig::instr_only,
+                CacheConfig::data_only,
+            ];
+            let c = CacheConfig {
+                line: [2, 4, 16, 24, 2048][next(5) as usize],
+                assoc: [0, 1, 2, 3, 64][next(5) as usize],
+                hit_latency: next(3) as u32,
+                ..scoped[next(3) as usize]([64, 96, 256, 1024, 4096][next(5) as usize])
+            };
+            if next(2) == 0 {
+                c
+            } else {
+                c.write_back()
+            }
+        };
+        let accepted = (0..2000)
+            .filter(|_| {
+                let l1 = match next(4) {
+                    0 => L1::None,
+                    1 => L1::Unified(level(&mut next)),
+                    _ => L1::Split {
+                        i: (next(4) > 0).then(|| level(&mut next)),
+                        d: (next(4) > 0).then(|| level(&mut next)),
+                    },
+                };
+                let l2 = (next(2) == 0).then(|| level(&mut next));
+                let main = MainMemoryTiming {
+                    latency: next(12),
+                    beat_cycles: next(3),
+                    bus_bytes: next(3) as u32 * 2,
+                    store_buffer: (next(4) == 0).then(|| StoreBuffer::new(next(3) as u32, next(3))),
+                };
+                let cfg = MemHierarchyConfig { l1, l2, main };
+                let valid = cfg.validate().is_ok();
+                let built = catch_unwind(AssertUnwindSafe(|| HierarchyCaches::new(cfg.clone())));
+                assert_eq!(built.is_ok(), valid, "{cfg:?}: {:?}", cfg.validate());
+                valid
+            })
+            .count();
+        assert!(
+            (100..1900).contains(&accepted),
+            "{accepted} of 2000 accepted"
+        );
+
+        let disabled = MemHierarchyConfig::l1_only(CacheConfig {
+            size: 0,
+            ..CacheConfig::unified(1024)
+        });
+        assert_eq!(disabled.validate(), Ok(()));
+        assert!(catch_unwind(|| HierarchyCaches::new(disabled)).is_err());
     }
 }

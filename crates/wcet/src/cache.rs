@@ -19,7 +19,7 @@ use crate::addrinfo::data_accesses;
 use crate::cfg::FuncCfg;
 use crate::loops::NaturalLoop;
 use spmlab_isa::annot::{AddrInfo, AnnotationSet};
-use spmlab_isa::cachecfg::{CacheConfig, CacheScope};
+use spmlab_isa::cachecfg::{CacheConfig, CacheScope, SetIndexer};
 use spmlab_isa::hierarchy::{MemHierarchyConfig, L1};
 use spmlab_isa::insn::Insn;
 use spmlab_isa::mem::{MemoryMap, RegionKind};
@@ -274,7 +274,7 @@ impl AbstractCache {
         }
         let mut line = first_line;
         loop {
-            self.weaken_set((line % num_sets) as usize, lru);
+            self.weaken_set(self.idx.set_of_line(line) as usize, lru);
             if line == last_line {
                 break;
             }
@@ -597,7 +597,7 @@ impl MayCache {
         }
         let mut line = first_line;
         loop {
-            self.widen_set((line % num_sets) as usize);
+            self.widen_set(self.idx.set_of_line(line) as usize);
             if line == last_line {
                 break;
             }
@@ -906,6 +906,7 @@ pub fn persistence(
     let data_cached = cache.scope != CacheScope::InstrOnly;
     let is_main = |a: u32| map.region_of(a) == RegionKind::Main;
     let line_size = cache.line;
+    let idx = cache.indexer();
     let hit = hierarchy.l1_hit_cycles(fetch_cached);
     let mut p = Persistence {
         line_size,
@@ -918,7 +919,7 @@ pub fn persistence(
     // persistent loop wins.
     for l in loops {
         let mut exact_lines: Vec<u32> = Vec::new();
-        let mut dirty_sets: Vec<bool> = vec![false; cache.num_sets() as usize];
+        let mut dirty_sets: Vec<bool> = vec![false; idx.num_sets() as usize];
         let mut has_call = false;
         for baddr in &l.body {
             let block = &cfg.blocks[baddr];
@@ -950,7 +951,7 @@ pub fn persistence(
                             {
                                 continue;
                             }
-                            mark_dirty(&mut dirty_sets, lo, hi, cache);
+                            mark_dirty(&mut dirty_sets, lo, hi, &idx);
                         }
                         AddrInfo::Stack | AddrInfo::Unknown => {
                             dirty_sets.iter_mut().for_each(|d| *d = true);
@@ -967,10 +968,10 @@ pub fn persistence(
         // Count lines per set.
         let mut per_set: BTreeMap<u32, u32> = BTreeMap::new();
         for &line in &exact_lines {
-            *per_set.entry(cache.set_of(line)).or_insert(0) += 1;
+            *per_set.entry(idx.set_of(line)).or_insert(0) += 1;
         }
         for &line in &exact_lines {
-            let set = cache.set_of(line);
+            let set = idx.set_of(line);
             if dirty_sets[set as usize] || per_set[&set] > cache.assoc {
                 continue;
             }
@@ -986,19 +987,19 @@ pub fn persistence(
     Some(p)
 }
 
-fn mark_dirty(dirty: &mut [bool], lo: u32, hi: u32, cfg: &CacheConfig) {
+fn mark_dirty(dirty: &mut [bool], lo: u32, hi: u32, idx: &SetIndexer) {
     if hi <= lo {
         return;
     }
-    let first = lo / cfg.line;
-    let last = (hi - 1) / cfg.line;
-    if last - first + 1 >= cfg.num_sets() {
+    let first = idx.line_of(lo);
+    let last = idx.line_of(hi - 1);
+    if last - first + 1 >= idx.num_sets() {
         dirty.iter_mut().for_each(|d| *d = true);
         return;
     }
     let mut l = first;
     loop {
-        dirty[(l % cfg.num_sets()) as usize] = true;
+        dirty[idx.set_of_line(l) as usize] = true;
         if l == last {
             break;
         }
@@ -1072,23 +1073,23 @@ pub fn span_region(map: &MemoryMap, lo: u32, hi: u32) -> RegionKind {
     }
 }
 
-/// The original `BTreeMap`-backed MUST domain, retained verbatim as the
+/// The original `BTreeMap`-backed MUST domain, retained as the
 /// executable specification of the abstract semantics. The packed
 /// [`AbstractCache`] must agree with it *exactly* on every operation; the
 /// proptest differential suite below drives both through random access
 /// sequences over random geometries and compares full states after every
-/// step.
+/// step. Line mapping is the shared [`SetIndexer`](spmlab_isa::cachecfg::SetIndexer)'s,
+/// which `spmlab-isa` pins against division math.
 #[cfg(test)]
 pub(crate) mod reference {
-    use spmlab_isa::cachecfg::CacheConfig;
+    use spmlab_isa::cachecfg::{CacheConfig, SetIndexer};
     use std::collections::BTreeMap;
 
     /// The reference MUST cache: per set, tag → maximal age.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct RefCache {
         assoc: u16,
-        num_sets: u32,
-        line: u32,
+        idx: SetIndexer,
         sets: Vec<BTreeMap<u32, u16>>,
     }
 
@@ -1096,22 +1097,14 @@ pub(crate) mod reference {
         pub fn top(cfg: &CacheConfig) -> RefCache {
             RefCache {
                 assoc: cfg.assoc.min(u16::MAX as u32) as u16,
-                num_sets: cfg.num_sets(),
-                line: cfg.line,
+                idx: cfg.indexer(),
                 sets: vec![BTreeMap::new(); cfg.num_sets() as usize],
             }
         }
 
-        fn set_of(&self, addr: u32) -> usize {
-            ((addr / self.line) % self.num_sets) as usize
-        }
-
-        fn tag_of(&self, addr: u32) -> u32 {
-            (addr / self.line) / self.num_sets
-        }
-
         pub fn contains(&self, addr: u32) -> bool {
-            self.sets[self.set_of(addr)].contains_key(&self.tag_of(addr))
+            let (set, tag) = self.idx.set_and_tag(addr);
+            self.sets[set as usize].contains_key(&tag)
         }
 
         pub fn join(&self, other: &RefCache) -> RefCache {
@@ -1127,8 +1120,7 @@ pub(crate) mod reference {
             }
             RefCache {
                 assoc: self.assoc,
-                num_sets: self.num_sets,
-                line: self.line,
+                idx: self.idx,
                 sets,
             }
         }
@@ -1153,10 +1145,9 @@ pub(crate) mod reference {
         }
 
         pub fn access_read_exact(&mut self, addr: u32, lru: bool) -> bool {
-            let set = self.set_of(addr);
-            let tag = self.tag_of(addr);
+            let (set, tag) = self.idx.set_and_tag(addr);
             let assoc = self.assoc;
-            let lines = &mut self.sets[set];
+            let lines = &mut self.sets[set as usize];
             let hit = lines.contains_key(&tag);
             Self::update_set(lines, tag, assoc, lru);
             hit
@@ -1189,9 +1180,9 @@ pub(crate) mod reference {
             if hi <= lo {
                 return;
             }
-            let first_line = lo / self.line;
-            let last_line = (hi - 1) / self.line;
-            if (last_line - first_line) as u64 + 1 >= self.num_sets as u64 {
+            let first_line = self.idx.line_of(lo);
+            let last_line = self.idx.line_of(hi - 1);
+            if (last_line - first_line) as u64 + 1 >= self.idx.num_sets() as u64 {
                 for s in 0..self.sets.len() {
                     self.weaken_set(s, lru);
                 }
@@ -1199,7 +1190,7 @@ pub(crate) mod reference {
             }
             let mut line = first_line;
             loop {
-                self.weaken_set((line % self.num_sets) as usize, lru);
+                self.weaken_set(self.idx.set_of_line(line) as usize, lru);
                 if line == last_line {
                     break;
                 }
@@ -1237,8 +1228,7 @@ pub(crate) mod reference {
     pub struct RefMayCache {
         assoc: u16,
         cap: usize,
-        num_sets: u32,
-        line: u32,
+        idx: SetIndexer,
         /// `None` = top.
         sets: Vec<Option<BTreeMap<u32, u16>>>,
     }
@@ -1249,31 +1239,21 @@ pub(crate) mod reference {
             RefMayCache {
                 assoc,
                 cap: assoc as usize + super::MAY_EXTRA_SLOTS as usize,
-                num_sets: cfg.num_sets(),
-                line: cfg.line,
+                idx: cfg.indexer(),
                 sets: vec![Some(BTreeMap::new()); cfg.num_sets() as usize],
             }
         }
 
-        fn set_of(&self, addr: u32) -> usize {
-            ((addr / self.line) % self.num_sets) as usize
-        }
-
-        fn tag_of(&self, addr: u32) -> u32 {
-            (addr / self.line) / self.num_sets
-        }
-
         pub fn contains(&self, addr: u32) -> bool {
-            match &self.sets[self.set_of(addr)] {
-                None => true,
-                Some(lines) => lines.contains_key(&self.tag_of(addr)),
-            }
+            let (set, tag) = self.idx.set_and_tag(addr);
+            self.sets[set as usize]
+                .as_ref()
+                .is_none_or(|lines| lines.contains_key(&tag))
         }
 
         pub fn access_read_exact(&mut self, addr: u32, lru: bool) -> bool {
-            let set = self.set_of(addr);
-            let tag = self.tag_of(addr);
-            let (assoc, cap) = (self.assoc, self.cap);
+            let (set, tag) = self.idx.set_and_tag(addr);
+            let (set, assoc, cap) = (set as usize, self.assoc, self.cap);
             let Some(lines) = &mut self.sets[set] else {
                 return true;
             };
@@ -1341,15 +1321,15 @@ pub(crate) mod reference {
             if hi <= lo {
                 return;
             }
-            let first_line = lo / self.line;
-            let last_line = (hi - 1) / self.line;
-            if (last_line - first_line) as u64 + 1 >= self.num_sets as u64 {
+            let first_line = self.idx.line_of(lo);
+            let last_line = self.idx.line_of(hi - 1);
+            if (last_line - first_line) as u64 + 1 >= self.idx.num_sets() as u64 {
                 self.make_top();
                 return;
             }
             let mut line = first_line;
             loop {
-                self.sets[(line % self.num_sets) as usize] = None;
+                self.sets[self.idx.set_of_line(line) as usize] = None;
                 if line == last_line {
                     break;
                 }
@@ -1601,7 +1581,7 @@ mod differential {
             hit_latency: 1,
             write_policy: spmlab_isa::cachecfg::WritePolicy::WriteThrough,
         };
-        cfg.validate();
+        cfg.validate("l1").unwrap();
         cfg
     }
 

@@ -1,15 +1,12 @@
-//! Generic MUST-style worklist fixpoint over a function CFG, shared by the
-//! single-level cache analysis and the multi-level hierarchy analysis so
-//! the two solvers can never drift apart.
+//! The worklist solver behind `multilevel::must_fixpoint`: a generic
+//! MUST-style forward fixpoint over one function CFG, with a structural
+//! cap on the number of block transfers.
 //!
 //! The solver visits blocks in **reverse postorder** through a priority
-//! worklist (a min-heap over RPO indices with a bitset membership guard),
-//! so forward dataflow reaches a block only after its forward predecessors
-//! in the common case — acyclic regions converge in one transfer per
-//! block, and loops need one extra pass per nesting level. This replaces
-//! the original LIFO vector whose `contains(&succ)` membership scan was
-//! `O(n)` per push and whose `keys().collect()` seeding visited blocks in
-//! arbitrary address order.
+//! worklist (a min-heap over RPO indices with a membership guard per
+//! block), so forward dataflow reaches a block only after its forward
+//! predecessors in the common case — acyclic regions converge in one
+//! transfer per block, and loops need one extra pass per nesting level.
 //!
 //! Change detection is delegated to the domain: `join_into` merges a
 //! predecessor's out-state into a successor's in-state *in place* and
@@ -22,13 +19,13 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 /// Outcome of a [`must_fixpoint`] run: the per-block in-states plus the
 /// solver's own accounting, so callers can distinguish a genuine fixpoint
-/// from the defensive budget fallback instead of silently consuming `top`
+/// from the structural-cap fallback instead of silently consuming `top`
 /// states.
 #[derive(Debug, Clone)]
 pub struct FixpointResult<S> {
     /// Per-block *in*-states (blocks unreachable from the entry absent).
     pub in_states: BTreeMap<u32, S>,
-    /// `true` when the iteration budget ran out and every state was
+    /// `true` when the structural cap was reached and every state was
     /// widened to `top`. The result is still *sound* (top is the
     /// conservative state) but maximally imprecise — callers should
     /// surface this instead of silently proceeding.
@@ -42,7 +39,7 @@ pub struct FixpointResult<S> {
 /// Computes the per-block *in*-states of a forward MUST-style analysis.
 ///
 /// * `top` — the *conservative* state (nothing guaranteed / anything
-///   possible), used for the defensive budget-cap fallback;
+///   possible), used for the structural-cap fallback;
 /// * `entry` — the in-state of the function's entry block. Intraprocedural
 ///   analyses pass `top()` here; the interprocedural multi-level analysis
 ///   passes the join of the caller states at every call site (or the
@@ -51,14 +48,14 @@ pub struct FixpointResult<S> {
 ///   intersection; in product MUST×MAY domains: per-component), returning
 ///   whether the left state changed;
 /// * `transfer` — applies one block's effect to a state;
-/// * `budget_factor` — iterations allowed per block before the solver
-///   gives up and returns `top` everywhere (a defensive cap; real inputs
-///   converge in a handful of passes per block). Exhausting the budget is
-///   *not* silent: the result's `widened` flag is set and a
-///   `fixpoint_budget_exhausted` counter is emitted;
+/// * `budget_factor` — the structural cap: block transfers allowed per
+///   block (at least 4096 in all) before the solver gives up and returns
+///   `top` everywhere. Real inputs converge in a handful of passes per
+///   block. Reaching the cap is *not* silent: the result's `widened` flag
+///   is set and a `fixpoint_budget_exhausted` counter is emitted.
 ///
 /// Blocks unreachable from the entry receive no in-state (callers fall
-/// back to `top` for them), exactly like the previous solver.
+/// back to `top` for them).
 ///
 /// ```
 /// use spmlab_wcet::fixpoint::must_fixpoint;
@@ -87,7 +84,7 @@ pub struct FixpointResult<S> {
 ///     |s, b| { s.insert(b.start); },
 ///     64,
 /// );
-/// assert!(!result.widened, "a two-block chain converges well within budget");
+/// assert!(!result.widened, "a two-block chain converges well within the cap");
 /// let states = result.in_states;
 /// assert!(states[&0].contains(&99), "the entry fact reaches the entry block");
 /// assert!(states[&2].contains(&99) && states[&2].contains(&0));
@@ -325,9 +322,9 @@ mod tests {
         assert!(!states.contains_key(&100));
     }
 
-    /// The defensive cap falls back to top everywhere (a domain whose join
-    /// always reports change never converges) — and the bail-out is no
-    /// longer silent: the result reports `widened` and the
+    /// The structural cap falls back to top everywhere (a domain whose
+    /// join always reports change never converges), and the bail-out is
+    /// not silent: the result reports `widened` and the
     /// `fixpoint_budget_exhausted` counter fires.
     #[test]
     fn budget_cap_falls_back_to_top_and_reports_widening() {
@@ -347,7 +344,7 @@ mod tests {
             1,
         );
         drop(guard);
-        assert!(result.widened, "exhausting the budget must be observable");
+        assert!(result.widened, "reaching the cap must be observable");
         assert!(result.iterations > 4096, "the cap is the 4096 floor here");
         for (_, v) in result.in_states {
             assert_eq!(v, 0, "cap must reset every state to top");

@@ -614,7 +614,7 @@ fn decode_hierarchy(bits: u32) -> MemHierarchyConfig {
         },
     };
     let h = MemHierarchyConfig { l1, l2, main };
-    h.validate();
+    h.validate().unwrap();
     h
 }
 

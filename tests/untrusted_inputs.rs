@@ -17,7 +17,7 @@ use spmlab::dse::{merge_texts, GridSpec};
 use spmlab::{check_checkpoint, ConfigResult, FailedPoint, MemArchSpec, PointOutcome};
 use spmlab_bench::jsonl::check_stream;
 use spmlab_isa::cachecfg::CacheConfig;
-use spmlab_isa::hierarchy::MemHierarchyConfig;
+use spmlab_isa::hierarchy::{MemHierarchyConfig, L1};
 use spmlab_sim::{MemTrace, TraceError};
 use spmlab_wcet::cache::ClassifyStats;
 
@@ -33,12 +33,14 @@ fn sample_spec_json(which: usize) -> String {
         0 => MemArchSpec::spm(1024).to_json(),
         1 => MemArchSpec::single_cache(CacheConfig::unified(256)).to_json(),
         2 => MemArchSpec::uncached().to_json(),
-        _ => MemArchSpec::builder()
-            .spm(512)
-            .l1(CacheConfig::unified(256))
-            .build()
-            .expect("valid spec")
-            .to_json(),
+        _ => {
+            let spec = MemArchSpec {
+                l1: L1::Unified(CacheConfig::unified(256)),
+                ..MemArchSpec::spm(512)
+            };
+            spec.validate().expect("valid spec");
+            spec.to_json()
+        }
     }
 }
 
