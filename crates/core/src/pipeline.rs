@@ -15,12 +15,12 @@ use spmlab_alloc::{knapsack, wcet_aware};
 use spmlab_cc::{LinkedProgram, ObjModule, SpmAssignment};
 use spmlab_isa::annot::AnnotationSet;
 use spmlab_isa::archspec::{MemArchSpec, SpmAllocation, SpmSpec};
-use spmlab_isa::hierarchy::{MainMemoryTiming, L1};
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, L1};
 use spmlab_isa::mem::MemoryMap;
 use spmlab_isa::Executable;
 use spmlab_sim::{
-    simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, Profile, SimError,
-    SimOptions, SimResult, Tally,
+    simulate, simulate_with_trace, FirstLevels, MachineConfig, MemStats, MemTrace, Profile,
+    SimError, SimOptions, SimResult, Tally,
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
@@ -123,13 +123,32 @@ impl Link {
 /// What one executor unit's representatives share, each result computed
 /// by the first member that needs it and keyed by what it is computed
 /// from: its link, by identity, and its machine with the latency removed.
-/// A unit's members have one scratchpad capacity and one cache geometry
-/// (see `plan::SweepPlan`), so a tally's key holds only what the
-/// geometry leaves open, the main-memory timing with its latency zeroed.
+/// A unit's members have one scratchpad capacity and one first level (see
+/// `plan::SweepPlan`), and a link's tallies share the first-level stages
+/// of its trace: a unit walks each of its links once per first level,
+/// whatever L2 sizes sit behind it. A tally's key is its whole machine
+/// with the main-memory latency zeroed, its L2 included.
 #[derive(Default)]
 pub(crate) struct Slots {
-    tallies: Vec<(Arc<Link>, MainMemoryTiming, Tally)>,
+    tallies: Vec<(Arc<Link>, MemHierarchyConfig, Tally)>,
+    /// The first-level stages of each link's trace, keyed by the link
+    /// alone: a set keys its stages by first level itself.
+    first_levels: Vec<(Arc<Link>, (), FirstLevels)>,
     classified: Vec<(Arc<Link>, WcetConfig, Classified)>,
+}
+
+impl Slots {
+    /// Drops the classifications `done` shared under its key once no
+    /// member of `rest`, the unit's members still to measure, classifies
+    /// under that key: a unit over several L2s would otherwise keep one
+    /// classification per cache geometry, the largest result it shares,
+    /// until its end.
+    pub(crate) fn release(&mut self, done: &Rep, rest: &[Rep]) {
+        if rest.iter().all(|r| r.classification != done.classification) {
+            self.classified
+                .retain(|(_, key, _)| *key != done.classification);
+        }
+    }
 }
 
 /// The result `slots` holds for `link` under `key`, computed on a miss.
@@ -138,7 +157,7 @@ fn shared<'a, K: PartialEq, V, E>(
     link: &Arc<Link>,
     key: K,
     compute: impl FnOnce() -> Result<V, E>,
-) -> Result<&'a V, E> {
+) -> Result<&'a mut V, E> {
     let found = slots
         .iter()
         .position(|(l, k, _)| Arc::ptr_eq(l, link) && *k == key);
@@ -149,7 +168,7 @@ fn shared<'a, K: PartialEq, V, E>(
             slots.len() - 1
         }
     };
-    Ok(&slots[i].2)
+    Ok(&mut slots[i].2)
 }
 
 /// A compute-once memo, one cell per key: the first caller for a key
@@ -312,9 +331,9 @@ impl Pipeline {
             input,
             expected_checksum,
             baseline_profile: res.profile,
-            // Every cache geometry of a sweep tallies this trace once:
-            // worth a run index (scratchpad traces are tallied at most
-            // twice and go without).
+            // Every first level of a sweep walks this trace once: worth
+            // a run index (scratchpad traces are tallied at most twice
+            // and go without).
             baseline: Arc::new(Link::new(baseline, trace.with_run_index())),
             energy: EnergyModel::default(),
             sim_options,
@@ -465,7 +484,7 @@ impl Pipeline {
             let _s = spmlab_obs::span("analyze");
             crate::faults::fault_point("analyze")?;
             let prepared = link.prepared()?;
-            let key = wcfg.classification_key();
+            let key = rep.classification.clone();
             let classified = shared(&mut slots.classified, &link, key, || {
                 Ok::<_, CoreError>(classify(prepared, exe, &wcfg))
             })?;
@@ -492,27 +511,41 @@ impl Pipeline {
 
     /// Prices `hierarchy` on `link` from its recorded trace, bumping the
     /// `sweep_replay` counter. A [priceable](MemTrace::priceable) machine
-    /// prices from the link's latency-0 tally in `slots`, walking the
-    /// trace only when no unit member has tallied it yet; any other
-    /// replays. The replayed memory image equals the recorded one, so its
-    /// validated checksum carries over. A replay that diverged on a
-    /// recorded cycle-register value falls back to a full,
-    /// checksum-checked simulation instead of failing the point. Real
-    /// replay failures (watchdog expiry) propagate.
+    /// prices from the link's latency-0 tally in `slots`, tallying only
+    /// when no unit member has tallied its machine yet, and walking the
+    /// trace's first level only when no unit member on the link has
+    /// walked it yet; any other replays. The replayed memory image
+    /// equals the recorded one, so its validated checksum carries over.
+    /// A replay that diverged on a recorded cycle-register value falls
+    /// back to a full, checksum-checked simulation instead of failing the
+    /// point. Real replay failures (watchdog expiry) propagate.
     fn simulated(
         &self,
         link: &Arc<Link>,
-        hierarchy: &spmlab_isa::hierarchy::MemHierarchyConfig,
+        hierarchy: &MemHierarchyConfig,
         slots: &mut Slots,
     ) -> Result<(u64, MemStats), CoreError> {
         let trace = &link.trace;
         let replayed = if trace.priceable(hierarchy) {
-            let tallied = MainMemoryTiming {
-                latency: 0,
-                ..hierarchy.main
+            let tallied = MemHierarchyConfig {
+                main: MainMemoryTiming {
+                    latency: 0,
+                    ..hierarchy.main
+                },
+                ..hierarchy.clone()
             };
-            shared(&mut slots.tallies, link, tallied, || trace.tally(hierarchy))
-                .and_then(|t| t.price(&hierarchy.main))
+            let Slots {
+                tallies,
+                first_levels,
+                ..
+            } = slots;
+            shared(tallies, link, tallied, || {
+                let first = shared(first_levels, link, (), || {
+                    Ok::<_, SimError>(FirstLevels::default())
+                })?;
+                trace.tally_sharing(hierarchy, first)
+            })
+            .and_then(|t| t.price(&hierarchy.main))
         } else {
             trace.replay(hierarchy)
         };
@@ -637,7 +670,6 @@ impl Pipeline {
 mod tests {
     use super::*;
     use spmlab_isa::cachecfg::CacheConfig;
-    use spmlab_isa::hierarchy::MemHierarchyConfig;
     use spmlab_workloads::{INSERTSORT, MULTISORT};
 
     #[test]

@@ -8,14 +8,17 @@
 //!   (zero-size levels are disabled ones), and an idle store buffer is
 //!   dropped.
 //! - Representatives that [`share_a_unit`] (one scratchpad capacity, one
-//!   cache geometry) form one executor unit, whatever their allocation
-//!   and timing: their links are one capacity's, so a unit is where two
-//!   representatives can land on one link. The unit's members share what
+//!   first level) form one executor unit, whatever their allocation,
+//!   L2 and timing: their links are one capacity's, so a unit is where
+//!   two representatives can land on one link, and their L2s see what
+//!   one walk of their L1 lets through. The unit's members share what
 //!   that link computes, keyed by what it is computed from (see
-//!   [`Pipeline::measure_spec`]): a latency-0 trace tally, and a cache
-//!   classification, which reads no latency
+//!   [`Pipeline::measure_spec`]): the first-level walk of its trace, a
+//!   latency-0 trace tally per machine, and a cache classification,
+//!   which reads no latency
 //!   ([`WcetConfig::classification_key`](spmlab_wcet::WcetConfig::classification_key)).
-//!   Shared results live only as long as their unit.
+//!   Shared results live only as long as their unit, and a
+//!   classification only until no member still to measure has its key.
 //! - Each `WcetAware` representative with a cache level names its unit's
 //!   `WcetAware` objectives as its
 //!   [twins](spmlab_alloc::wcet_aware::TrialMemo), so a trial classified
@@ -35,6 +38,10 @@ pub(crate) struct Rep {
     /// Axis indices of the points sharing the measurement, the
     /// representative first.
     pub points: Vec<usize>,
+    /// The classification key of its routed analyzer configuration
+    /// ([`WcetConfig::classification_key`]): its unit shares a link's
+    /// classification under it.
+    pub classification: WcetConfig,
     /// The routed objectives of its unit's `WcetAware` representatives
     /// with a cache level, its own included, when it is one of them;
     /// empty otherwise.
@@ -64,14 +71,13 @@ impl SweepPlan {
                     units.len() - 1
                 }
             };
-            // A unit fixes capacity and geometry: its members share a
-            // measurement when allocation and timing are equal too.
+            // Members of a unit share a measurement when their machines
+            // are equal.
             let unit = &mut units[u];
-            let same =
-                |r: &&mut Rep| r.machine.spm == machine.spm && r.machine.main == machine.main;
-            match unit.iter_mut().find(same) {
+            match unit.iter_mut().find(|r| r.machine == machine) {
                 Some(rep) => rep.points.push(i),
                 None => unit.push(Rep {
+                    classification: pipeline.wcet_config_for(&machine).classification_key(),
                     machine,
                     points: vec![i],
                     twins: Vec::new(),
@@ -115,11 +121,15 @@ fn measured_machine(canon: &MemArchSpec) -> MemArchSpec {
 }
 
 /// Whether two measured machines belong to one executor unit: one
-/// scratchpad capacity, and equal cache levels and persistence analysis.
+/// scratchpad capacity, and an equal first level (the L1 with its write
+/// policy) and persistence analysis, whatever L2 sits behind it. The L1
+/// never looks at the levels below it — the caches are not inclusive and
+/// nothing invalidates an L1 line from below — so the L2 of each member
+/// sees exactly what one walk of the L1 lets through: its misses, its
+/// dirty victims and the stores an L2 absorbs.
 fn share_a_unit(a: &MemArchSpec, b: &MemArchSpec) -> bool {
     a.spm.as_ref().map(|s| s.size) == b.spm.as_ref().map(|s| s.size)
         && a.l1 == b.l1
-        && a.l2 == b.l2
         && a.persistence == b.persistence
 }
 
@@ -222,13 +232,18 @@ mod tests {
     }
 
     /// The three perfbench grid shapes on G.721 (reduced input). `dse-wt`
-    /// measures all 63 points in one unit per geometry: its 20 cached
-    /// geometries walk the trace once each and classify once each, plus
-    /// once more for the three latency-0 unified L1s that take paper mode.
-    /// `dse-wb` measures only the 54 unbuffered points (its store buffers
-    /// are idle), one unit, walk and classification per geometry.
-    /// `spm-alloc` is all scratchpad: one unit per capacity and L1 size.
-    /// Planning compares machines only, so it prepares no program.
+    /// measures all 63 points in one unit per L1 geometry, 7 in all: its 6
+    /// cached L1 geometries walk the trace once each, whatever L2 sits
+    /// behind them, and its 2 L2-only machines walk it once each; the
+    /// uncached one walks nothing. Its 20 cached geometries classify once
+    /// each, plus once more for the three latency-0 unified L1s that take
+    /// paper mode. `dse-wb` measures only the 54 unbuffered points (its
+    /// store buffers are idle) in one unit and one walk per L1 geometry,
+    /// and classifies once per cache geometry. `spm-alloc` is all
+    /// scratchpad: one unit per capacity and L1 size. What an L1 lets
+    /// through to an L2 is counted apart (`replay_l2_events`), so the
+    /// walks stay whole. Planning compares machines only, so it prepares
+    /// no program.
     #[test]
     fn plan_counts_pinned_on_the_perfbench_grid_shapes() {
         let _x = spmlab_obs::exclusive();
@@ -281,24 +296,24 @@ mod tests {
             0,
             "planning prepares nothing"
         );
-        assert_eq!(counts, [[63, 63, 21], [108, 54, 18], [55, 55, 10]]);
+        assert_eq!(counts, [[63, 63, 7], [108, 54, 6], [55, 55, 10]]);
         let traced =
             |axis: &[MemArchSpec]| walks_and_classifications(&p, &traced_sweep(&p, axis, false));
-        assert_eq!([traced(&dse_wt), traced(&dse_wb)], [[20, 23], [18, 18]]);
+        assert_eq!([traced(&dse_wt), traced(&dse_wb)], [[8, 23], [6, 18]]);
     }
 
     /// On a no-scratchpad insertsort grid with write policy, latency and
     /// store-buffer axes, the plan's points and representatives equal the
     /// traced `sweep_points` and misses: 6 idle-buffered points share
     /// their twin's measurement, the 12 buffered write-through and
-    /// uncached points walk the trace on their own beside 5 tallies of
-    /// cached machines, and 6 classifications serve 24 cached
-    /// representatives. On a cached knapsack and `wcet-region` scratchpad
-    /// grid, whose greedy trials classify nothing, the 16 points form one
-    /// unit per capacity and L2 size, and points on one link share its
-    /// tally and classification: at 512 bytes both allocators choose one
-    /// link, so 3 links make 6 walks (`replay` spans) and 6
-    /// classifications.
+    /// uncached points walk the trace on their own beside 3 first walks
+    /// of cached machines (the L2 alone, and each L1 once for both L2
+    /// sizes), and 6 classifications serve 24 cached representatives. On
+    /// a cached knapsack and `wcet-region` scratchpad grid, whose greedy
+    /// trials classify nothing, the 16 points form one unit per capacity,
+    /// and points on one link share its tally and classification: at 512
+    /// bytes both allocators choose one link, so 3 links make 6 tallies
+    /// (`replay` spans) and 6 classifications.
     #[test]
     fn plan_counts_equal_the_traced_counters() {
         let grid = GridSpec {
@@ -313,10 +328,10 @@ mod tests {
         let _x = spmlab_obs::exclusive();
         let p = Pipeline::new(&INSERTSORT).unwrap();
         let [points, reps, units] = plan_counts(&p, &axis);
-        assert_eq!([points, reps, units], [36, 30, 6]);
+        assert_eq!([points, reps, units], [36, 30, 3]);
         let sink = traced_sweep(&p, &axis, false);
         assert_eq!(reps, points - sink.total("sweep_memo_hit"));
-        assert_eq!(walks_and_classifications(&p, &sink), [17, 6]);
+        assert_eq!(walks_and_classifications(&p, &sink), [15, 6]);
 
         let spm_grid = GridSpec {
             spm_sizes: vec![128, 512],
@@ -327,11 +342,37 @@ mod tests {
             ..GridSpec::default()
         };
         let axis = spm_grid.axis().unwrap().0;
-        assert_eq!(plan_counts(&p, &axis), [16, 16, 4]);
+        assert_eq!(plan_counts(&p, &axis), [16, 16, 2]);
         let sink = traced_sweep(&p, &axis, true);
         assert_eq!(sink.total("sweep_memo_hit"), 0);
         assert_eq!(sink.total("replay"), 6);
         assert_eq!(sink.total("wcet-pass-fixpoints"), 6);
+    }
+
+    /// One unit covers a write-through L1 over two L2 sizes of both write
+    /// policies at two latencies: every point equals `Pipeline::run`, so
+    /// no two L2s share a tally. The L1 is walked twice, once leaving the
+    /// stores to the counters for the write-through L2s and once sending
+    /// them in program order to the write-back L2s that absorb them;
+    /// each of the four L2s is fed what its walk let through, and each
+    /// cache geometry classifies once.
+    #[test]
+    fn one_unit_tallies_each_l2_behind_one_l1_walk() {
+        let grid = GridSpec {
+            l1_sizes: vec![256],
+            l2_sizes: vec![2048, 4096],
+            l2_policies: vec![WritePolicy::WriteThrough, WritePolicy::WriteBack],
+            main_latencies: vec![0, 10],
+            ..GridSpec::default()
+        };
+        let axis = grid.axis().unwrap().0;
+        let _x = spmlab_obs::exclusive();
+        let p = Pipeline::new(&INSERTSORT).unwrap();
+        assert_eq!(plan_counts(&p, &axis), [8, 8, 1]);
+        let sink = traced_sweep(&p, &axis, true);
+        assert_eq!(sink.total("replay"), 4, "one tally per L2");
+        assert!(sink.total("replay_l2_events") > 0);
+        assert_eq!(walks_and_classifications(&p, &sink), [2, 4]);
     }
 
     /// A `WcetAware` point whose greedy lands on the link of a knapsack

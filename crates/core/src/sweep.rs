@@ -283,10 +283,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The sweep executes a plan made before anything is measured
 /// (`plan::SweepPlan`): which points share one measurement, and which
 /// form one executor unit, the representatives of one scratchpad
-/// capacity and cache geometry. Units run in parallel, each measured in
-/// turn by one worker, whose members share a link's latency-0 trace
-/// tally and cache classification whenever they land on one link
-/// (`Pipeline::measure_spec`). Fault points, `catch_unwind` and
+/// capacity and L1 geometry. Units run in parallel, each measured in
+/// turn by one worker, whose members share a link's first-level walk,
+/// latency-0 trace tallies and cache classifications whenever they land
+/// on one link (`Pipeline::measure_spec`). Fault points, `catch_unwind` and
 /// checkpoint records stay per point, so a failure fails exactly the
 /// points that depend on it.
 ///
@@ -421,11 +421,14 @@ pub fn spec_sweep_with_session(
         batch
     };
     let batches: Vec<Vec<(usize, PointOutcome)>> = execute(plan.units.len(), |u| {
+        let unit = &plan.units[u];
         let mut slots = Slots::default();
-        plan.units[u]
-            .iter()
-            .flat_map(|rep| measure_rep(rep, &mut slots))
-            .collect()
+        let mut batch = Vec::new();
+        for (i, rep) in unit.iter().enumerate() {
+            batch.extend(measure_rep(rep, &mut slots));
+            slots.release(rep, &unit[i + 1..]);
+        }
+        batch
     });
     if let Some(e) = write_err.into_inner().unwrap_or_else(|p| p.into_inner()) {
         return Err(e);

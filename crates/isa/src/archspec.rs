@@ -853,15 +853,19 @@ fn cache_from_json(v: &json::Value, level: &str) -> Result<CacheConfig, SpecJson
             None => return Err(err("bad `replacement`")),
         },
     };
-    let scope = match v.get("scope").and_then(json::Value::as_str) {
-        None | Some("unified") => CacheScope::Unified,
-        Some("instr") => CacheScope::InstrOnly,
-        Some("data") => CacheScope::DataOnly,
+    // A value of another type than a string is as bad as an unknown
+    // name; only an absent (or `null`) one takes the default.
+    let scope = match v.get("scope").map(json::Value::as_str) {
+        None | Some(Some("unified")) => CacheScope::Unified,
+        Some(Some("instr")) => CacheScope::InstrOnly,
+        Some(Some("data")) => CacheScope::DataOnly,
         Some(_) => return Err(err("bad `scope`")),
     };
-    let write_policy = match v.get("write_policy").and_then(json::Value::as_str) {
+    let write_policy = match v.get("write_policy").map(json::Value::as_str) {
         None => WritePolicy::WriteThrough,
-        Some(s) => WritePolicy::from_name(s).ok_or_else(|| err("bad `write_policy`"))?,
+        Some(s) => s
+            .and_then(WritePolicy::from_name)
+            .ok_or_else(|| err("bad `write_policy`"))?,
     };
     Ok(CacheConfig {
         size,
@@ -1060,7 +1064,11 @@ impl MemArchSpec {
                 }
             }
         };
-        let persistence = matches!(v.get("persistence"), Some(json::Value::Bool(true)));
+        let persistence = match v.get("persistence") {
+            None => false,
+            Some(json::Value::Bool(b)) => *b,
+            Some(_) => return Err(SpecJsonError("`persistence` must be true or false".into())),
+        };
         let spec = MemArchSpec {
             spm,
             l1,

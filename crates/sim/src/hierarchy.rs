@@ -19,8 +19,16 @@
 //! policies and store buffers" section for the full cost model. An access
 //! that has no cache configured for its kind still bypasses the hierarchy
 //! entirely.
+//!
+//! A read or absorbed store is its first-level half (`read_l1`,
+//! `write_l1`) then, on an L1 miss, the part below the L1 (`fill_l1`,
+//! then `retire_l1_victim` for a dirty victim). The interpreter runs the
+//! halves back to back; a staged trace tally runs the first over the
+//! whole trace once and the second once per L2 behind it (see
+//! `MemTrace::tally_sharing`), so both callers share one model of the
+//! levels below the L1.
 
-use crate::cache::Cache;
+use crate::cache::{AccessResult, Cache};
 use crate::memsys::{AccessKind, MemStats};
 use spmlab_isa::hierarchy::{MemHierarchyConfig, StoreAbsorb, L1};
 use spmlab_isa::mem::AccessWidth;
@@ -66,15 +74,14 @@ struct Route {
 /// Precomputed write-path routing and cycle constants — the store-absorb
 /// rule plus every write-back transfer cost, all from the shared model in
 /// [`MemHierarchyConfig`] (see its `store_absorb` / `worst_store_cycles`
-/// helpers for the analyzer's side of the same constants).
+/// helpers for the analyzer's side of the same constants). A store an L1
+/// absorbs fills on a miss exactly as a data read miss does (see
+/// [`HierarchyCaches::fill_l1`]).
 #[derive(Debug, Clone, Copy)]
 struct WriteRoute {
     absorb: StoreAbsorb,
-    /// Absorb-at-L1 constants: store hit, write-allocate fill via L2 hit,
-    /// write-allocate fill worst (L2 miss or no L2).
+    /// Absorb-at-L1 store hit.
     l1_store_hit: u64,
-    l1_fill_l2_hit: u64,
-    l1_fill_worst: u64,
     /// Absorb-at-L2 constants: store hit, write-allocate fill from main.
     l2_store_hit: u64,
     l2_fill: u64,
@@ -83,8 +90,6 @@ struct WriteRoute {
     l2_wb: u64,
     /// Whether the L2 absorbs written-back L1 lines (write-back L2).
     l2_accepts_lines: bool,
-    /// 32-bit words of an L1 / L2 line (fill accounting).
-    l1_line_words: u64,
     /// Main-memory write cycles per width (no store buffer).
     main_write: [u64; 3],
     /// Whether any cache level sits in the data path (the write-through
@@ -249,16 +254,6 @@ impl HierarchyCaches {
             } else {
                 0
             },
-            l1_fill_l2_hit: if data_l1.is_some() && has_l2 {
-                cfg.l1_miss_l2_hit_cycles(false)
-            } else {
-                0
-            },
-            l1_fill_worst: match (data_l1.is_some(), has_l2) {
-                (true, true) => cfg.l1_miss_l2_miss_cycles(false),
-                (true, false) => cfg.l1_miss_no_l2_cycles(false),
-                _ => 0,
-            },
             l2_store_hit: if has_l2 {
                 cfg.l2_direct_hit_cycles()
             } else {
@@ -276,7 +271,6 @@ impl HierarchyCaches {
             },
             l2_wb: if has_l2 { cfg.l2_writeback_cycles() } else { 0 },
             l2_accepts_lines: l2_wb_policy,
-            l1_line_words: data_l1.map_or(0, |c| (c.line / 4) as u64),
             main_write: [
                 cfg.main.access(AccessWidth::Byte),
                 cfg.main.access(AccessWidth::Half),
@@ -339,139 +333,58 @@ impl HierarchyCaches {
     /// write-back L2 (possibly cascading into an L2 victim's burst to
     /// main), or as a burst straight to main memory when the L2 is
     /// write-through (which forwards the line) or absent. Returns the
-    /// transfer's cycles.
-    fn retire_l1_victim(&mut self, victim: u32, stats: &mut MemStats) -> u64 {
-        let wr = &self.write_route;
-        let (l1_wb, l2_wb, into_l2) = (wr.l1_wb, wr.l2_wb, wr.l2_accepts_lines);
+    /// transfer's cycles. With [`HierarchyCaches::fill_l1`], the part of
+    /// an L1 miss below the L1: the victim retires after the fill.
+    pub(crate) fn retire_l1_victim(&mut self, victim: u32, stats: &mut MemStats) -> u64 {
+        if !self.write_route.l2_accepts_lines {
+            return self.victims_to_main(1, stats);
+        }
+        let (l1_wb, l2_wb) = (self.write_route.l1_wb, self.write_route.l2_wb);
         stats.dirty_evictions += 1;
         let mut cycles = l1_wb;
-        if into_l2 {
-            let l2 = self.l2.as_mut().expect("write-back L2 accepts lines");
-            if let Some(_victim2) = l2.install_writeback(victim) {
-                stats.dirty_evictions += 1;
-                stats.write_backs += 1;
-                self.main_transactions += 1;
-                cycles += l2_wb;
-            }
-        } else {
+        let l2 = self.l2.as_mut().expect("write-back L2 accepts lines");
+        if let Some(_victim2) = l2.install_writeback(victim) {
+            stats.dirty_evictions += 1;
             stats.write_backs += 1;
             self.main_transactions += 1;
+            cycles += l2_wb;
         }
         cycles
     }
 
-    /// A read or fetch of `width` at `addr` in main-memory space. Returns
-    /// `(cycles, outcome)`; see [`ReadOutcome`] for the per-level report.
-    /// All routing decisions and cycle constants were resolved at
-    /// construction time; the per-access work is one or two tag-store
-    /// lookups plus counter updates — plus, on write-back configurations,
-    /// the dirty-victim retirement a fill can trigger.
-    pub fn read(
+    /// Retires `n` dirty L1 victims as bursts straight to main memory, no
+    /// write-back L2 taking them, returning their cycles.
+    #[inline]
+    pub(crate) fn victims_to_main(&mut self, n: u64, stats: &mut MemStats) -> u64 {
+        stats.dirty_evictions += n;
+        stats.write_backs += n;
+        self.main_transactions += n;
+        n.saturating_mul(self.write_route.l1_wb)
+    }
+
+    /// The part of an L1 miss below the L1: the level below the L1 serving
+    /// `fetch` supplies `addr`'s line — for a read or fetch miss, or for a
+    /// store miss the data side write-allocates. Returns the miss's
+    /// cycles, the L1 lookup included, and the L2's outcome when the L2
+    /// was consulted. The interpreter calls it on every L1 miss, and a
+    /// staged trace tally on every fill its first level sent down (see
+    /// `MemTrace::tally`).
+    #[inline]
+    pub(crate) fn fill_l1(
         &mut self,
         addr: u32,
-        kind: AccessKind,
-        width: AccessWidth,
+        fetch: bool,
         stats: &mut MemStats,
-    ) -> (u64, ReadOutcome) {
-        let fetch = kind == AccessKind::Fetch;
-        // Only the scalar constants each branch needs are read out of the
-        // route (copying the whole struct per access showed up in
-        // profiles).
-        let pick = if fetch {
-            self.fetch_route.pick
-        } else {
-            self.data_route.pick
-        };
-        let l1 = match pick {
-            L1Pick::None => {
-                // No L1 for this kind: route directly through the L2 when
-                // one exists, otherwise bypass to main memory.
-                let route = if fetch {
-                    &self.fetch_route
-                } else {
-                    &self.data_route
-                };
-                let (l2_direct_hit, l2_direct_miss) = (route.l2_direct_hit, route.l2_direct_miss);
-                let l2_wb = self.write_route.l2_wb;
-                return match &mut self.l2 {
-                    Some(l2) => {
-                        let r = l2.read(addr);
-                        if r.hit {
-                            stats.l2_hits += 1;
-                            (
-                                l2_direct_hit,
-                                ReadOutcome {
-                                    first_miss: Some(false),
-                                    l2_hit: Some(true),
-                                },
-                            )
-                        } else {
-                            stats.l2_misses += 1;
-                            stats.fill_words += self.l2_fill_words;
-                            let mut cycles = l2_direct_miss;
-                            self.main_transactions += 1;
-                            if r.writeback.is_some() {
-                                stats.dirty_evictions += 1;
-                                stats.write_backs += 1;
-                                self.main_transactions += 1;
-                                cycles += l2_wb;
-                            }
-                            (
-                                cycles,
-                                ReadOutcome {
-                                    first_miss: Some(true),
-                                    l2_hit: Some(false),
-                                },
-                            )
-                        }
-                    }
-                    None => {
-                        let w = match width {
-                            AccessWidth::Byte => 0,
-                            AccessWidth::Half => 1,
-                            AccessWidth::Word => 2,
-                        };
-                        self.main_transactions += 1;
-                        (route.bypass[w], ReadOutcome::BYPASS)
-                    }
-                };
-            }
-            L1Pick::Unified => self.l1u.as_mut().expect("route picked unified L1"),
-            L1Pick::Instr => self.l1i.as_mut().expect("route picked split L1I"),
-            L1Pick::Data => self.l1d.as_mut().expect("route picked split L1D"),
-        };
-        let l1r = l1.read(addr);
+    ) -> (u64, Option<bool>) {
         let route = if fetch {
             &self.fetch_route
         } else {
             &self.data_route
         };
-        if fetch {
-            if l1r.hit {
-                stats.l1i_hits += 1;
-            } else {
-                stats.l1i_misses += 1;
-            }
-        } else if l1r.hit {
-            stats.l1d_hits += 1;
-        } else {
-            stats.l1d_misses += 1;
-        }
-        if l1r.hit {
-            stats.cache_hits += 1;
-            return (
-                route.l1_hit,
-                ReadOutcome {
-                    first_miss: Some(false),
-                    l2_hit: None,
-                },
-            );
-        }
-        stats.cache_misses += 1;
         let (l1_miss_l2_hit, l1_miss_worst, fill_words) =
             (route.l1_miss_l2_hit, route.l1_miss_worst, route.fill_words);
         let l2_wb = self.write_route.l2_wb;
-        let (mut cycles, l2_hit) = match &mut self.l2 {
+        match &mut self.l2 {
             Some(l2) => {
                 let r = l2.read(addr);
                 if r.hit {
@@ -491,12 +404,173 @@ impl HierarchyCaches {
                     (c, Some(false))
                 }
             }
-            None => {
-                stats.fill_words += fill_words;
-                self.main_transactions += 1;
-                (l1_miss_worst, None)
-            }
+            None => (self.fills_from_main(fetch, 1, stats), None),
+        }
+    }
+
+    /// `n` fills of the L1 serving `fetch` straight from main memory, no
+    /// L2 between: their cycles.
+    #[inline]
+    pub(crate) fn fills_from_main(&mut self, fetch: bool, n: u64, stats: &mut MemStats) -> u64 {
+        let route = if fetch {
+            &self.fetch_route
+        } else {
+            &self.data_route
         };
+        stats.fill_words += n * route.fill_words;
+        self.main_transactions += n;
+        n.saturating_mul(route.l1_miss_worst)
+    }
+
+    /// `n` reads of `width` that no cache serves, each one main-memory
+    /// access: their cycles.
+    #[inline]
+    pub(crate) fn bypass(&mut self, width: AccessWidth, n: u64) -> u64 {
+        let w = match width {
+            AccessWidth::Byte => 0,
+            AccessWidth::Half => 1,
+            AccessWidth::Word => 2,
+        };
+        self.main_transactions += n;
+        n.saturating_mul(self.data_route.bypass[w])
+    }
+
+    /// The first-level half of a read or fetch: the L1 serving `fetch`
+    /// looks `addr` up and counts the outcome; `None` when no L1 serves
+    /// the kind. On a miss the line is filled into the L1, and the result
+    /// names a dirty victim the fill evicted.
+    #[inline(always)]
+    pub(crate) fn read_l1(
+        &mut self,
+        addr: u32,
+        fetch: bool,
+        stats: &mut MemStats,
+    ) -> Option<AccessResult> {
+        let pick = if fetch {
+            self.fetch_route.pick
+        } else {
+            self.data_route.pick
+        };
+        let l1 = match pick {
+            L1Pick::None => return None,
+            L1Pick::Unified => self.l1u.as_mut().expect("route picked unified L1"),
+            L1Pick::Instr => self.l1i.as_mut().expect("route picked split L1I"),
+            L1Pick::Data => self.l1d.as_mut().expect("route picked split L1D"),
+        };
+        let r = l1.read(addr);
+        if fetch {
+            if r.hit {
+                stats.l1i_hits += 1;
+            } else {
+                stats.l1i_misses += 1;
+            }
+        } else if r.hit {
+            stats.l1d_hits += 1;
+        } else {
+            stats.l1d_misses += 1;
+        }
+        if r.hit {
+            stats.cache_hits += 1;
+        } else {
+            stats.cache_misses += 1;
+        }
+        Some(r)
+    }
+
+    /// The first-level half of a store a write-back L1 absorbs: the L1 in
+    /// the data path dirties `addr`'s line, write-allocating it on a miss
+    /// (whose fill and dirty victim are the part below the L1).
+    #[inline]
+    pub(crate) fn write_l1(&mut self, addr: u32) -> AccessResult {
+        let l1 = match (&mut self.l1u, &mut self.l1d) {
+            (Some(l1u), _) => l1u,
+            (None, Some(l1d)) => l1d,
+            (None, None) => unreachable!("store absorb picked an L1"),
+        };
+        l1.write(addr)
+    }
+
+    /// Cycles of a hit in the L1 serving `fetch`.
+    pub(crate) fn l1_hit_cycles(&self, fetch: bool) -> u64 {
+        if fetch {
+            self.fetch_route.l1_hit
+        } else {
+            self.data_route.l1_hit
+        }
+    }
+
+    /// A read or fetch of `width` at `addr` in main-memory space. Returns
+    /// `(cycles, outcome)`; see [`ReadOutcome`] for the per-level report.
+    /// All routing decisions and cycle constants were resolved at
+    /// construction time; the per-access work is one or two tag-store
+    /// lookups plus counter updates — plus, on write-back configurations,
+    /// the dirty-victim retirement a fill can trigger.
+    pub fn read(
+        &mut self,
+        addr: u32,
+        kind: AccessKind,
+        width: AccessWidth,
+        stats: &mut MemStats,
+    ) -> (u64, ReadOutcome) {
+        let fetch = kind == AccessKind::Fetch;
+        let Some(l1r) = self.read_l1(addr, fetch, stats) else {
+            // No L1 for this kind: route directly through the L2 when
+            // one exists, otherwise bypass to main memory. Only the
+            // scalar constants each branch needs are read out of the
+            // route (copying the whole struct per access showed up in
+            // profiles).
+            let route = if fetch {
+                &self.fetch_route
+            } else {
+                &self.data_route
+            };
+            let (l2_direct_hit, l2_direct_miss) = (route.l2_direct_hit, route.l2_direct_miss);
+            let l2_wb = self.write_route.l2_wb;
+            return match &mut self.l2 {
+                Some(l2) => {
+                    let r = l2.read(addr);
+                    if r.hit {
+                        stats.l2_hits += 1;
+                        (
+                            l2_direct_hit,
+                            ReadOutcome {
+                                first_miss: Some(false),
+                                l2_hit: Some(true),
+                            },
+                        )
+                    } else {
+                        stats.l2_misses += 1;
+                        stats.fill_words += self.l2_fill_words;
+                        let mut cycles = l2_direct_miss;
+                        self.main_transactions += 1;
+                        if r.writeback.is_some() {
+                            stats.dirty_evictions += 1;
+                            stats.write_backs += 1;
+                            self.main_transactions += 1;
+                            cycles += l2_wb;
+                        }
+                        (
+                            cycles,
+                            ReadOutcome {
+                                first_miss: Some(true),
+                                l2_hit: Some(false),
+                            },
+                        )
+                    }
+                }
+                None => (self.bypass(width, 1), ReadOutcome::BYPASS),
+            };
+        };
+        if l1r.hit {
+            return (
+                self.l1_hit_cycles(fetch),
+                ReadOutcome {
+                    first_miss: Some(false),
+                    l2_hit: None,
+                },
+            );
+        }
+        let (mut cycles, l2_hit) = self.fill_l1(addr, fetch, stats);
         // The fill's victim: only write-back L1s ever hold dirty lines
         // (a unified write-back L1's fetch misses can evict lines the
         // data side dirtied).
@@ -573,42 +647,13 @@ impl HierarchyCaches {
         let wr = self.write_route;
         match wr.absorb {
             StoreAbsorb::L1 => {
-                let l1 = match (&mut self.l1u, &mut self.l1d) {
-                    (Some(l1u), _) => l1u,
-                    (None, Some(l1d)) => l1d,
-                    (None, None) => unreachable!("store absorb picked an L1"),
-                };
-                let w = l1.write(addr);
+                let w = self.write_l1(addr);
                 if w.hit {
                     return wr.l1_store_hit;
                 }
-                // Write-allocate: fill the line from the next level.
-                let mut cycles = match &mut self.l2 {
-                    Some(l2) => {
-                        let r = l2.read(addr);
-                        if r.hit {
-                            stats.l2_hits += 1;
-                            wr.l1_fill_l2_hit
-                        } else {
-                            stats.l2_misses += 1;
-                            stats.fill_words += self.l2_fill_words;
-                            let mut c = wr.l1_fill_worst;
-                            self.main_transactions += 1;
-                            if r.writeback.is_some() {
-                                stats.dirty_evictions += 1;
-                                stats.write_backs += 1;
-                                self.main_transactions += 1;
-                                c += wr.l2_wb;
-                            }
-                            c
-                        }
-                    }
-                    None => {
-                        stats.fill_words += wr.l1_line_words;
-                        self.main_transactions += 1;
-                        wr.l1_fill_worst
-                    }
-                };
+                // Write-allocate: fill the line from the next level, as a
+                // data read miss does.
+                let (mut cycles, _) = self.fill_l1(addr, false, stats);
                 if let Some(victim) = w.writeback {
                     cycles += self.retire_l1_victim(victim, stats);
                 }

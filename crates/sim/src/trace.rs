@@ -27,11 +27,38 @@
 //! Without a store buffer and without cycle-register reads, every cost
 //! that reaches main memory is `latency + beats * beat_cycles` and every
 //! other cost and statistic depends on the tag stores only. So
-//! [`MemTrace::tally`] walks the stream once per cache geometry at
+//! [`MemTrace::tally`] prices the stream once per cache geometry at
 //! latency 0, counting main-memory transactions, and [`Tally::price`]
 //! yields the exact result at any latency as `cycles(0) + latency *
 //! transactions`. [`MemTrace::replay`] is "tally, then price" for every
 //! such machine; the ordered engine serves the rest.
+//!
+//! ## Sharing the first level
+//!
+//! The L1 never looks at what sits behind it: the caches are not
+//! inclusive, and nothing invalidates an L1 line from below. So the L2
+//! sees exactly what the L1 lets through, in program order, whatever its
+//! size (the filtering Hardy–Puaut's multi-level analysis applies
+//! between levels), and a tally runs in two stages:
+//!
+//! * the *first-level stage* walks the stream (or its run index) through
+//!   the L1 alone. It keeps the L1's counters and hit cycles, and
+//!   records every operation that reaches the level below, in the order
+//!   `HierarchyCaches::read` and `HierarchyCaches::write` issue them:
+//!   the line fill of a fetch, read or store miss, then the dirty victim
+//!   it evicted; a read no L1 serves; and a store an L2 absorbs;
+//! * the *second stage* feeds that record to the machine's L2 through
+//!   the same `HierarchyCaches` calls the interpreter makes below its L1
+//!   (`fill_l1`, `retire_l1_victim`, and `read`/`write` for accesses no
+//!   L1 takes), or, with no L2, prices it from its per-kind counts.
+//!
+//! A stage depends on the L1 and on whether stores reach the level below
+//! (a write-back L2 absorbs them); [`MemTrace::tally_sharing`] takes it
+//! from a [`FirstLevels`] set, so the tallies of one L1 over every L2
+//! size walk the stream once. A machine with no L1 has no first-level
+//! stage: its L2, or nothing, is the first level. The `replay_events`
+//! and `replay_elided` counters count the first walks, and
+//! `replay_l2_events` what a stage fed to an L2.
 //!
 //! ## Skipping guaranteed first-level hits
 //!
@@ -51,16 +78,17 @@
 //! Such an access hits the most recently used line of a cache that saw
 //! nothing else in between, and the hit changes no state: LRU order stays
 //! (ticks are only compared within a set), and round-robin and random
-//! replacement act on misses only. A tally walks the index entries its
-//! rule keeps and credits the rest as first-level hits
+//! replacement act on misses only. A first walk reads the index entries
+//! its rule keeps and credits the rest as first-level hits
 //! (`HierarchyCaches::credit_hits`, `HierarchyCaches::credit_store_hits`).
 //! There are two indexes, each built on first use:
 //!
-//! * *write-through* tallies (`!write_policy_dependent()`) whose
-//!   first-level lines are all at least 16 bytes read an index of fetches
-//!   and reads only: write-through stores touch no tag store, so the data
-//!   stream is the reads;
-//! * *write-back* tallies whose stores a write-back L1 absorbs
+//! * first walks whose stores go through to main memory
+//!   (`store_absorb() == StoreAbsorb::Main`) and whose first-level lines
+//!   are all at least 16 bytes read an index of fetches and reads only:
+//!   write-through stores touch no tag store, so the data stream is the
+//!   reads;
+//! * first walks whose stores a write-back L1 absorbs
 //!   (`store_absorb() == StoreAbsorb::L1`), with both first-level caches
 //!   present and lines of at least 16 bytes, read an index whose data
 //!   stream holds reads and writes. A run (consecutive same-line accesses
@@ -70,9 +98,9 @@
 //!   idempotent, so a skipped store changes no state and, like any store
 //!   hit, records no counter and sends nothing to the L2 or main memory.
 //!
-//! Every other tally — scoped unified L1s, write-back L2s absorbing the
-//! stores, shorter lines, traces without an index or whose index could not
-//! be built — walks every event.
+//! Every other first walk — scoped unified L1s, write-back L2s absorbing
+//! the stores, shorter lines, traces without an index or whose index
+//! could not be built — takes every event.
 //!
 //! ## Wire format
 //!
@@ -90,7 +118,7 @@ use crate::hierarchy::HierarchyCaches;
 use crate::machine::{SimOptions, SimResult};
 use crate::memsys::{AccessKind, MemStats};
 use crate::SimError;
-use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb};
+use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb, L1};
 use spmlab_isa::image::Executable;
 use spmlab_isa::mem::AccessWidth;
 use std::sync::OnceLock;
@@ -399,19 +427,20 @@ impl RunRule {
     /// line the index serves is at least this long.
     const LINE: u32 = 16;
 
-    /// The rule that is exact for `hierarchy`'s tally, if any, and which
-    /// index it reads: write-through tallies whose first caches have
-    /// lines of at least [`RunRule::LINE`] bytes, and write-back tallies
-    /// whose stores a write-back L1 absorbs, when both first-level
-    /// caches exist and have such lines.
+    /// The rule that is exact for the first walk of `hierarchy`'s tally,
+    /// if any, and which index it reads. The first walk is the first
+    /// level's (see [`MemTrace::tally_sharing`]), or an L2's with no L1
+    /// in front. Stores that reach no tag store leave the index out;
+    /// stores a write-back L1 absorbs are walked in it, when both
+    /// first-level caches exist and have lines of at least
+    /// [`RunRule::LINE`] bytes; stores an L2 absorbs reach it in program
+    /// order, so that walk takes every event.
     fn for_machine(hierarchy: &MemHierarchyConfig) -> Option<(RunRule, Stores)> {
         let long = |c: &spmlab_isa::cachecfg::CacheConfig| c.line >= RunRule::LINE;
-        let stores = if !hierarchy.write_policy_dependent() {
-            Stores::Left
-        } else if hierarchy.store_absorb() == StoreAbsorb::L1 {
-            Stores::Walked
-        } else {
-            return None;
+        let stores = match hierarchy.store_absorb() {
+            StoreAbsorb::Main => Stores::Left,
+            StoreAbsorb::L1 => Stores::Walked,
+            StoreAbsorb::L2 => return None,
         };
         match (hierarchy.l1_for(true), hierarchy.l1_for(false), stores) {
             (Some(i), Some(d), _) if long(i) && long(d) => Some((
@@ -532,54 +561,237 @@ impl RunIndex {
         })
     }
 
-    /// Walks the entries `rule` keeps through `caches` and credits the
-    /// accesses it skips as first-level hits, returning their cycles.
-    fn walk(&self, rule: RunRule, caches: &mut HierarchyCaches, stats: &mut MemStats) -> u64 {
-        let mut cycles = match self.stores {
-            Stores::Left => self.walk_heads::<false>(rule, caches, stats),
-            Stores::Walked => self.walk_heads::<true>(rule, caches, stats),
-        };
+    /// The entries `rule` keeps, in program order, each as its event
+    /// kind and address.
+    fn kept(&self, rule: RunRule) -> impl Iterator<Item = (u8, u32)> + '_ {
+        let skip = rule.skip_bit();
+        self.heads
+            .iter()
+            .filter(move |&&head| head & skip == 0)
+            .map(|&head| {
+                let kind = (head >> RUN_ADDR_BITS) as u8 & ((1 << RUN_KIND_BITS) - 1);
+                (kind, head & RUN_ADDR_MASK)
+            })
+    }
+
+    /// Credits the accesses `rule` skips as hits at the first cache of
+    /// `caches`, returning their cycles.
+    fn credit_elided(&self, rule: RunRule, caches: &HierarchyCaches, stats: &mut MemStats) -> u64 {
         let [fetches, reads, writes] = self.elided[rule as usize];
+        let mut cycles = caches.credit_store_hits(writes);
         for (kind, count) in [(AccessKind::Fetch, fetches), (AccessKind::Read, reads)] {
             cycles = cycles.saturating_add(caches.credit_hits(kind, count, stats));
         }
-        cycles.saturating_add(caches.credit_store_hits(writes))
+        cycles
     }
 
-    /// The cycles of the entries `rule` keeps. Without `WRITES` every
-    /// entry is a fetch or read, and the loop never tests for a store.
-    /// Kept out of line so that each loop gets registers of its own
-    /// rather than sharing them with the rest of `tally`.
+    /// The cycles of the entries `rule` keeps, through an L2 with no L1 in
+    /// front. Every entry is a fetch or read: an L2 reads the index only
+    /// when its stores go through to main memory. Kept out of line, as
+    /// [`RunIndex::walk_first_level`].
     #[inline(never)]
-    fn walk_heads<const WRITES: bool>(
-        &self,
-        rule: RunRule,
-        caches: &mut HierarchyCaches,
-        stats: &mut MemStats,
-    ) -> u64 {
-        let skip = rule.skip_bit();
-        let mut cycles = 0u64;
-        for &head in &self.heads {
-            if head & skip != 0 {
-                continue;
-            }
-            let addr = head & RUN_ADDR_MASK;
-            let kind = (head >> RUN_ADDR_BITS) as usize & ((1 << RUN_KIND_BITS) - 1);
-            let cost = if WRITES && kind > EV_READ_WORD as usize {
-                let width = AccessWidth::ALL[kind - EV_WRITE_BYTE as usize];
-                caches.write(addr, width, 0, stats)
+    fn walk_l2(&self, rule: RunRule, caches: &mut HierarchyCaches, stats: &mut MemStats) -> u64 {
+        self.kept(rule).fold(0u64, |cycles, (kind, addr)| {
+            let (kind, width) = READS[usize::from(kind) & 3];
+            cycles.saturating_add(caches.read(addr, kind, width, stats).0)
+        })
+    }
+
+    /// Walks the entries `rule` keeps through `walk`'s first level. Without
+    /// `WRITES` every entry is a fetch or read, and the loop never tests
+    /// for a store. Kept out of line so that each loop gets registers of
+    /// its own rather than sharing them with the rest of the tally.
+    #[inline(never)]
+    fn walk_first_level<const WRITES: bool>(&self, rule: RunRule, walk: &mut FirstLevelWalk) {
+        for (kind, addr) in self.kept(rule) {
+            if WRITES && kind > EV_READ_WORD {
+                walk.write(kind, addr);
             } else {
-                let (kind, width) = READS[kind & 3];
-                caches.read(addr, kind, width, stats).0
-            };
-            cycles = cycles.saturating_add(cost);
+                walk.read(kind, addr);
+            }
         }
-        cycles
     }
 }
 
-/// One walk of a trace through one cache geometry at main-memory latency
-/// 0 ([`MemTrace::tally`]): the latency-0 cycles, the main-memory
+/// Tags of what a first level sends to the level below it, in an entry of
+/// [`FirstLevel::below`]. A read no L1 serves and a store an L2 absorbs
+/// keep their event kind (`EV_FETCH` … `EV_WRITE_WORD`); an L1 line fill
+/// for the data side or for fetches, and a dirty L1 victim, take these.
+const BELOW_FILL_DATA: u8 = 8;
+const BELOW_FILL_FETCH: u8 = 9;
+const BELOW_VICTIM: u8 = 10;
+const BELOW_TAGS: usize = 11;
+
+/// The first-level stage of the tallies of every machine with one first
+/// level ([`MemTrace::tally_sharing`]): one walk of the trace through the
+/// L1 alone. It keeps the L1's counters and hit cycles and, in program
+/// order, every operation that reaches the level below, in the order
+/// `HierarchyCaches::read` and `HierarchyCaches::write` issue them.
+#[derive(Debug)]
+struct FirstLevel {
+    /// The walked first level and where the stores go: the stage's key.
+    l1: L1,
+    absorb: StoreAbsorb,
+    /// Cycles of the L1 hits, store hits included.
+    cycles: u64,
+    /// The recording's statistics template plus the L1's counters.
+    stats: MemStats,
+    /// What reaches the level below, in program order: the address in the
+    /// low 32 bits and the `BELOW_*` tag or event kind above them.
+    below: Vec<u64>,
+    /// The entries of `below`, by tag.
+    counts: [u64; BELOW_TAGS],
+}
+
+impl FirstLevel {
+    /// The cycles of what this stage sent below under `caches`, a machine
+    /// with its first level: fed entry by entry to the L2, or priced from
+    /// the counts when there is none (every fill and victim then goes to
+    /// main memory, and no store reaches the stream). The
+    /// `replay_l2_events` counter reports the entries fed.
+    fn price_below(&self, caches: &mut HierarchyCaches, stats: &mut MemStats) -> u64 {
+        if caches.config().l2.is_none() {
+            let c = &self.counts;
+            let mut cycles = caches.fills_from_main(false, c[BELOW_FILL_DATA as usize], stats);
+            cycles = cycles
+                .saturating_add(caches.fills_from_main(true, c[BELOW_FILL_FETCH as usize], stats))
+                .saturating_add(caches.victims_to_main(c[BELOW_VICTIM as usize], stats));
+            for (kind, &(_, width)) in READS.iter().enumerate() {
+                cycles = cycles.saturating_add(caches.bypass(width, c[kind]));
+            }
+            return cycles;
+        }
+        if spmlab_obs::enabled() {
+            spmlab_obs::counter("replay_l2_events", self.below.len() as u64);
+        }
+        self.below.iter().fold(0u64, |cycles, &entry| {
+            let cost = feed_below(caches, (entry >> 32) as u8, entry as u32, stats);
+            cycles.saturating_add(cost)
+        })
+    }
+}
+
+/// Feeds one access that reached the level below the first through
+/// `caches`, returning its cycles: a read no L1 serves, a store an L2
+/// absorbs, or an L1's line fill or dirty victim, by `tag`.
+#[inline(always)]
+fn feed_below(caches: &mut HierarchyCaches, tag: u8, addr: u32, stats: &mut MemStats) -> u64 {
+    match tag {
+        EV_FETCH..=EV_READ_WORD => {
+            let (kind, width) = READS[tag as usize];
+            caches.read(addr, kind, width, stats).0
+        }
+        EV_WRITE_BYTE..=EV_WRITE_WORD => {
+            let width = AccessWidth::ALL[(tag - EV_WRITE_BYTE) as usize];
+            caches.write(addr, width, 0, stats)
+        }
+        BELOW_FILL_DATA => caches.fill_l1(addr, false, stats).0,
+        BELOW_FILL_FETCH => caches.fill_l1(addr, true, stats).0,
+        _ => caches.retire_l1_victim(addr, stats),
+    }
+}
+
+/// A first-level stage in the making: the L1's tag stores, and what the
+/// walk has counted and sent below so far.
+struct FirstLevelWalk {
+    /// The machine's first level alone.
+    caches: HierarchyCaches,
+    absorb: StoreAbsorb,
+    /// Walked L1 hits, data side first, then fetches; and store hits.
+    hits: [u64; 2],
+    store_hits: u64,
+    stats: MemStats,
+    below: Vec<u64>,
+    counts: [u64; BELOW_TAGS],
+}
+
+impl FirstLevelWalk {
+    #[inline(always)]
+    fn send(&mut self, tag: u8, addr: u32) {
+        self.below.push(u64::from(addr) | u64::from(tag) << 32);
+        self.counts[tag as usize] += 1;
+    }
+
+    /// A read or fetch event (`EV_FETCH` … `EV_READ_WORD`): looked up in
+    /// its L1, or sent below when no L1 serves it.
+    #[inline(always)]
+    fn read(&mut self, kind: u8, addr: u32) {
+        let fetch = kind == EV_FETCH;
+        match self.caches.read_l1(addr, fetch, &mut self.stats) {
+            None => self.send(kind, addr),
+            Some(r) if r.hit => self.hits[usize::from(fetch)] += 1,
+            Some(r) => {
+                self.send(
+                    if fetch {
+                        BELOW_FILL_FETCH
+                    } else {
+                        BELOW_FILL_DATA
+                    },
+                    addr,
+                );
+                if let Some(victim) = r.writeback {
+                    self.send(BELOW_VICTIM, victim);
+                }
+            }
+        }
+    }
+
+    /// A store event (`EV_WRITE_BYTE` … `EV_WRITE_WORD`): absorbed by a
+    /// write-back L1, sent below to the L2 that absorbs it, or left to
+    /// the per-width counters when it goes through to main memory.
+    #[inline(always)]
+    fn write(&mut self, kind: u8, addr: u32) {
+        match self.absorb {
+            StoreAbsorb::L1 => {
+                let w = self.caches.write_l1(addr);
+                if w.hit {
+                    self.store_hits += 1;
+                } else {
+                    self.send(BELOW_FILL_DATA, addr);
+                    if let Some(victim) = w.writeback {
+                        self.send(BELOW_VICTIM, victim);
+                    }
+                }
+            }
+            StoreAbsorb::L2 => self.send(kind, addr),
+            StoreAbsorb::Main => {}
+        }
+    }
+}
+
+/// The first-level stages of one trace's tallies, each made by the first
+/// [`MemTrace::tally_sharing`] that needs it and kept for the tallies of
+/// every machine with the same first level: one L1, the same stores
+/// reaching the level below. Pass one set to the tallies of one trace
+/// only; dropping it frees what the stages recorded.
+#[derive(Debug, Default)]
+pub struct FirstLevels(Vec<FirstLevel>);
+
+impl FirstLevels {
+    /// The stage of `hierarchy`'s first level on `trace`, walked on a miss.
+    fn get_or_walk(
+        &mut self,
+        trace: &MemTrace,
+        hierarchy: &MemHierarchyConfig,
+    ) -> Result<&FirstLevel, SimError> {
+        let absorb = hierarchy.store_absorb();
+        let found = self
+            .0
+            .iter()
+            .position(|f| f.l1 == hierarchy.l1 && f.absorb == absorb);
+        let i = match found {
+            Some(i) => i,
+            None => {
+                self.0.push(trace.first_level(hierarchy)?);
+                self.0.len() - 1
+            }
+        };
+        Ok(&self.0[i])
+    }
+}
+
+/// A trace priced through one cache geometry at main-memory latency 0
+/// ([`MemTrace::tally`]): the latency-0 cycles, the main-memory
 /// transactions, and the memory statistics — which do not depend on the
 /// latency at all. [`Tally::price`] turns it into the result at any
 /// latency.
@@ -632,6 +844,16 @@ impl Tally {
             return Err(SimError::Watchdog { cycles });
         }
         Ok((cycles, self.stats.clone()))
+    }
+}
+
+/// The error of a tally that meets a cycle-register read (its recorded
+/// value in `addr`) the trace header does not declare.
+fn undeclared_cycle_read(addr: u32) -> SimError {
+    SimError::Fault {
+        pc: 0,
+        addr,
+        what: "undeclared cycle-register read in a trace",
     }
 }
 
@@ -726,26 +948,46 @@ impl MemTrace {
     /// Walks the recorded stream once through `hierarchy`'s tag stores at
     /// main-memory latency 0, counting the main-memory transactions. The
     /// resulting [`Tally`] prices every machine that differs from
-    /// `hierarchy` only in `main.latency` (see [`Tally::price`]).
+    /// `hierarchy` only in `main.latency` (see [`Tally::price`]). It is
+    /// [`MemTrace::tally_sharing`] with a first-level stage of its own.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemTrace::tally_sharing`].
+    pub fn tally(&self, hierarchy: &MemHierarchyConfig) -> Result<Tally, SimError> {
+        self.tally_sharing(hierarchy, &mut FirstLevels::default())
+    }
+
+    /// [`MemTrace::tally`] in two stages, the first shared through
+    /// `first_levels` by every machine with `hierarchy`'s first level (see
+    /// the module docs): the first level's walk, taken from `first_levels`
+    /// or made and kept there, then the level below, fed what the first
+    /// level let through.
     ///
     /// Write-through stores never touch a tag store and each cost one
     /// main write, so they are priced from the per-width counters;
-    /// write-back machines replay the write
-    /// events in program order. An uncached machine walks nothing at all,
-    /// and a run-indexed trace walks only the accesses that are not
-    /// guaranteed first-level hits: fetches and reads on a write-through
-    /// machine, and on a write-back machine with an absorbing L1 also the
-    /// stores, each line's first store of a run included (see
-    /// [`MemTrace::with_run_index`]).
-    /// The `replay_events` counter reports the events or index entries
-    /// the walk visited, `replay_elided` the events it skipped.
+    /// write-back machines take the write events in program order. An
+    /// uncached machine walks nothing at all, and a run-indexed trace
+    /// walks only the accesses that are not guaranteed first-level hits:
+    /// fetches and reads when stores reach no tag store, and the stores
+    /// too, each line's first store of a run included, when a write-back
+    /// L1 absorbs them (see [`MemTrace::with_run_index`]). An L2 with no
+    /// L1 in front is walked the same way, as the first level.
+    /// The `replay_events` counter reports the events or index entries a
+    /// first walk visited, `replay_elided` the events it skipped, and
+    /// `replay_l2_events` the entries a first level's stage fed to an
+    /// L2.
     ///
     /// # Errors
     ///
     /// [`SimError::Fault`] when the machine is not
     /// [`MemTrace::priceable`], or when the stream holds a cycle-register
     /// read its header does not declare.
-    pub fn tally(&self, hierarchy: &MemHierarchyConfig) -> Result<Tally, SimError> {
+    pub fn tally_sharing(
+        &self,
+        hierarchy: &MemHierarchyConfig,
+        first_levels: &mut FirstLevels,
+    ) -> Result<Tally, SimError> {
         let _span = spmlab_obs::span("replay");
         if !self.priceable(hierarchy) {
             return Err(SimError::Fault {
@@ -759,65 +1001,26 @@ impl MemTrace {
             latency: 0,
             ..hierarchy.main
         };
-        let mut stats = self.stats_template.clone();
         let mut cycles = self.base_cycles;
         let mut transactions = 0u64;
-        let ordered_writes = hierarchy.write_policy_dependent();
-        if !ordered_writes {
-            cycles = cycles.saturating_add(self.write_cycles(&main));
-            transactions = self.main_writes.iter().fold(0, |a, &n| a.saturating_add(n));
-            if hierarchy.l1_for(false).is_some() || hierarchy.l2.is_some() {
-                stats.write_throughs = transactions;
-            }
-        }
-        if hierarchy.l1_for(true).is_some()
-            || hierarchy.l1_for(false).is_some()
-            || hierarchy.l2.is_some()
-        {
+        let has_l1 = hierarchy.l1_for(true).is_some() || hierarchy.l1_for(false).is_some();
+        let mut stats = if has_l1 || hierarchy.l2.is_some() {
             let mut caches = HierarchyCaches::new(MemHierarchyConfig {
                 main,
                 ..hierarchy.clone()
             });
-            let walked = match self.run_index(hierarchy) {
-                Some((runs, rule)) => {
-                    cycles = cycles.saturating_add(runs.walk(rule, &mut caches, &mut stats));
-                    runs.walked[rule as usize]
-                }
-                None => {
-                    for ev in &self.events {
-                        let cost = match ev.kind {
-                            EV_FETCH..=EV_READ_WORD => {
-                                let (kind, width) = READS[ev.kind as usize];
-                                caches.read(ev.addr, kind, width, &mut stats).0
-                            }
-                            // Write-through stores are already priced from
-                            // the counters above.
-                            EV_WRITE_BYTE..=EV_WRITE_WORD if ordered_writes => {
-                                let width = AccessWidth::ALL[(ev.kind - EV_WRITE_BYTE) as usize];
-                                caches.write(ev.addr, width, 0, &mut stats)
-                            }
-                            EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
-                            _ => {
-                                return Err(SimError::Fault {
-                                    pc: 0,
-                                    addr: ev.addr,
-                                    what: "undeclared cycle-register read in a trace",
-                                })
-                            }
-                        };
-                        cycles = cycles.saturating_add(cost);
-                    }
-                    self.events.len() as u64
-                }
+            let (below, stats) = if has_l1 {
+                let first = first_levels.get_or_walk(self, hierarchy)?;
+                let mut stats = first.stats.clone();
+                cycles = cycles.saturating_add(first.cycles);
+                (first.price_below(&mut caches, &mut stats), stats)
+            } else {
+                let mut stats = self.stats_template.clone();
+                (self.walk_l2(hierarchy, &mut caches, &mut stats)?, stats)
             };
-            if spmlab_obs::enabled() {
-                spmlab_obs::counter("replay_events", walked);
-                let elided = self.events.len() as u64 - walked;
-                if elided > 0 {
-                    spmlab_obs::counter("replay_elided", elided);
-                }
-            }
-            transactions = transactions.saturating_add(caches.main_transactions());
+            cycles = cycles.saturating_add(below);
+            transactions = caches.main_transactions();
+            stats
         } else {
             // Uncached: every read is one main access at its width,
             // priced from the counters without touching the stream.
@@ -827,6 +1030,18 @@ impl MemTrace {
                     cycles.saturating_add(self.read_counts[w].saturating_mul(main.access(width)));
                 transactions = transactions.saturating_add(self.read_counts[w]);
             }
+            self.stats_template.clone()
+        };
+        if hierarchy.store_absorb() == StoreAbsorb::Main {
+            cycles = cycles.saturating_add(self.write_cycles(&main));
+            let writes = self
+                .main_writes
+                .iter()
+                .fold(0, |a: u64, &n| a.saturating_add(n));
+            transactions = transactions.saturating_add(writes);
+            if hierarchy.l1_for(false).is_some() || hierarchy.l2.is_some() {
+                stats.write_throughs = writes;
+            }
         }
         Ok(Tally {
             cycles,
@@ -835,6 +1050,108 @@ impl MemTrace {
             main,
             max_cycles: self.max_cycles,
         })
+    }
+
+    /// Reports one first walk: `walked` events or index entries visited,
+    /// the rest of the trace skipped.
+    fn count_walk(&self, walked: u64) {
+        if spmlab_obs::enabled() {
+            spmlab_obs::counter("replay_events", walked);
+            let elided = self.events.len() as u64 - walked;
+            if elided > 0 {
+                spmlab_obs::counter("replay_elided", elided);
+            }
+        }
+    }
+
+    /// The first-level stage of `hierarchy`'s tally: one walk of the
+    /// trace through its L1 alone, run-indexed when it can be.
+    fn first_level(&self, hierarchy: &MemHierarchyConfig) -> Result<FirstLevel, SimError> {
+        let mut walk = FirstLevelWalk {
+            caches: HierarchyCaches::new(MemHierarchyConfig {
+                l2: None,
+                ..hierarchy.clone()
+            }),
+            absorb: hierarchy.store_absorb(),
+            hits: [0; 2],
+            store_hits: 0,
+            stats: self.stats_template.clone(),
+            below: Vec::new(),
+            counts: [0; BELOW_TAGS],
+        };
+        let mut cycles = 0u64;
+        let walked = match self.run_index(hierarchy) {
+            Some((runs, rule)) => {
+                match runs.stores {
+                    Stores::Left => runs.walk_first_level::<false>(rule, &mut walk),
+                    Stores::Walked => runs.walk_first_level::<true>(rule, &mut walk),
+                }
+                cycles = runs.credit_elided(rule, &walk.caches, &mut walk.stats);
+                runs.walked[rule as usize]
+            }
+            None => {
+                for ev in &self.events {
+                    match ev.kind {
+                        EV_FETCH..=EV_READ_WORD => walk.read(ev.kind, ev.addr),
+                        EV_WRITE_BYTE..=EV_WRITE_WORD => walk.write(ev.kind, ev.addr),
+                        _ => return Err(undeclared_cycle_read(ev.addr)),
+                    }
+                }
+                self.events.len() as u64
+            }
+        };
+        self.count_walk(walked);
+        let caches = &walk.caches;
+        for (fetch, hits) in [false, true].into_iter().zip(walk.hits) {
+            cycles = cycles.saturating_add(hits.saturating_mul(caches.l1_hit_cycles(fetch)));
+        }
+        cycles = cycles.saturating_add(caches.credit_store_hits(walk.store_hits));
+        walk.below.shrink_to_fit();
+        Ok(FirstLevel {
+            l1: hierarchy.l1.clone(),
+            absorb: walk.absorb,
+            cycles,
+            stats: walk.stats,
+            below: walk.below,
+            counts: walk.counts,
+        })
+    }
+
+    /// The cycles of an L2 with no L1 in front, the first level of its
+    /// machine: every read reaches it, and so do the stores it absorbs.
+    fn walk_l2(
+        &self,
+        hierarchy: &MemHierarchyConfig,
+        caches: &mut HierarchyCaches,
+        stats: &mut MemStats,
+    ) -> Result<u64, SimError> {
+        let mut cycles = 0u64;
+        let walked = match self.run_index(hierarchy) {
+            Some((runs, rule)) => {
+                cycles = runs.walk_l2(rule, caches, stats);
+                cycles = cycles.saturating_add(runs.credit_elided(rule, caches, stats));
+                runs.walked[rule as usize]
+            }
+            None => {
+                let stores = hierarchy.store_absorb() == StoreAbsorb::L2;
+                for ev in &self.events {
+                    let cost = match ev.kind {
+                        EV_FETCH..=EV_READ_WORD => feed_below(caches, ev.kind, ev.addr, stats),
+                        EV_WRITE_BYTE..=EV_WRITE_WORD if stores => {
+                            feed_below(caches, ev.kind, ev.addr, stats)
+                        }
+                        // Write-through stores are priced from the
+                        // counters.
+                        EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
+                        _ => return Err(undeclared_cycle_read(ev.addr)),
+                    };
+                    cycles = cycles.saturating_add(cost);
+                }
+                self.events.len() as u64
+            }
+        };
+        self.count_walk(walked);
+        Ok(cycles)
     }
 
     /// The ordered replay engine: reconstructs the target machine's cycle

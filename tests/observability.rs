@@ -80,9 +80,10 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
 /// The sweep-level sharing case: a grid with `main_latency` and store
 /// buffer axes gives the outcomes of per-point `Pipeline::run`, every
 /// point is still priced from the trace (`sweep_replay`), each unbuffered
-/// cache geometry walks the trace once for all three latencies — while
-/// store-buffered points each walk it on their own — and each cache
-/// geometry runs its MUST/MAY fixpoints once for all six timings.
+/// first level walks the trace once for all three latencies and every L2
+/// behind it — while store-buffered points each walk it on their own —
+/// and each cache geometry runs its MUST/MAY fixpoints once for all six
+/// timings.
 #[test]
 fn latency_axis_sweep_tallies_each_geometry_once() {
     let grid = GridSpec {
@@ -107,7 +108,8 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         assert_eq!(sink.counter_total("sweep_memo_miss"), 24);
         assert_eq!(sink.counter_total("sweep_replay"), 24, "every point priced");
         assert_eq!(sink.counter_total("sweep_full_sim"), 0);
-        // Three unbuffered cache geometries walk once each; the uncached
+        // Of the three unbuffered cache geometries, the L2 alone walks
+        // once and the two behind the L1 share its one walk; the uncached
         // one walks nothing; the twelve store-buffered points walk once
         // per point. Pricing every point separately would walk 21 times.
         // The unbuffered walks go through the run index: they visit only
@@ -115,7 +117,7 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         // the rest, so what they visit and skip adds up to the trace.
         let walked = sink.counter_total("replay_events");
         let elided = sink.counter_total("replay_elided");
-        assert_eq!(walked + elided, (3 + 12) * events);
+        assert_eq!(walked + elided, (2 + 12) * events);
         assert!(elided > 0, "the unified L1 and L2 walks skip hits");
         // One classification per cached geometry and analyzer
         // configuration: the no-scratchpad program is prepared once, and
@@ -139,11 +141,12 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
 /// (unified or split write-back L1, without or with a write-back L2) ×
 /// three main latencies, each buffered point shares its unbuffered
 /// twin's measurement (a memo hit), so the sweep walks the trace once
-/// per geometry and costs only the unbuffered points. A grid of buffered
-/// points alone still walks once per geometry: its members price their
-/// latencies from one tally. Each walk goes through the run index,
-/// skipping guaranteed L1 hits, and visits a pinned number of entries.
-/// Every point equals a direct `Pipeline::run`.
+/// per L1, feeds the L2 what that walk let through, and costs only the
+/// unbuffered points. A grid of buffered points alone still walks once
+/// per L1: its members price their latencies from one tally per
+/// geometry. Each walk goes through the run index, skipping guaranteed
+/// L1 hits, and visits a pinned number of entries. Every point equals a
+/// direct `Pipeline::run`.
 #[test]
 fn write_back_grid_shares_idle_store_buffer_points() {
     let grid = |store_buffers| GridSpec {
@@ -179,12 +182,14 @@ fn write_back_grid_shares_idle_store_buffer_points() {
         assert_eq!(sink.counter_total("sweep_full_sim"), 0);
         let walked = sink.counter_total("replay_events");
         let elided = sink.counter_total("replay_elided");
-        assert_eq!(walked + elided, 4 * events, "one walk per geometry");
+        assert_eq!(walked + elided, 2 * events, "one walk per L1");
         // Every geometry's write-back L1 absorbs the stores, so each walk
         // skips the guaranteed L1 hits: 14,555 events per walk, and the
-        // split and unified walks of both L2 sizes visit 32,882 in all.
+        // split and unified walks visit 16,441 in all. What the two L1s
+        // let through reaches the write-back L2 once each.
         assert_eq!(events, 14_555);
-        assert_eq!((walked, elided), (32_882, 25_338));
+        assert_eq!((walked, elided), (16_441, 12_669));
+        assert_eq!(sink.counter_total("replay_l2_events"), 1_472);
         let spans = sink.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
         assert_eq!(count("wcet-pass-fixpoints"), 4, "one per geometry");

@@ -16,7 +16,8 @@
 //! which skip guaranteed first-level hits, must equal the per-event
 //! tally of the same trace: on random machines here, and on every cache
 //! geometry of the `dse-wt` and `dse-wb` benchmark grids for three real
-//! kernels. A
+//! kernels. Staged tallies, whose L2s share one walk of their L1, must
+//! equal the walk of every event through the whole hierarchy. A
 //! store buffer behind a write-back level that absorbs every store must
 //! change nothing — simulation, analysis or `Pipeline::run` — which is
 //! what lets the sweep share such a point with its unbuffered twin.
@@ -32,10 +33,11 @@ use spmlab::{write_policy_axis, ConfigResult, MemArchSpec};
 use spmlab_cc::{compile, link, SpmAssignment};
 use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb, StoreBuffer, L1};
-use spmlab_isa::mem::{MemoryMap, MMIO_CYCLES};
+use spmlab_isa::mem::{AccessWidth, MemoryMap, MMIO_CYCLES};
 use spmlab_obs::collector::MemorySink;
 use spmlab_sim::{
-    simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, SimError, SimOptions, Tally,
+    simulate, simulate_with_trace, AccessKind, FirstLevels, MachineConfig, MemStats, MemTrace,
+    SimError, SimOptions, Tally,
 };
 use spmlab_workloads::{gen, inputs, Benchmark, InputGen, Reference, ADPCM, G721, MULTISORT};
 
@@ -155,22 +157,8 @@ fn arb_main() -> impl Strategy<Value = MainMemoryTiming> {
 /// write-back L1s, WB L2 behind a WT L1, store-buffered main memory —
 /// plus instruction-only and data-only L1s.
 fn arb_hierarchy() -> impl Strategy<Value = MemHierarchyConfig> {
-    let l1 = prop_oneof![
-        Just(L1::None),
-        arb_cache(CacheScope::Unified).prop_map(L1::Unified),
-        arb_cache(CacheScope::InstrOnly).prop_map(L1::Unified),
-        arb_cache(CacheScope::DataOnly).prop_map(L1::Unified),
-        (
-            arb_cache(CacheScope::InstrOnly),
-            arb_cache(CacheScope::DataOnly)
-        )
-            .prop_map(|(i, d)| L1::Split {
-                i: Some(i),
-                d: Some(d),
-            }),
-    ];
     let l2 = prop_oneof![Just(None), arb_l2().prop_map(Some)];
-    (l1, l2, arb_main()).prop_map(|(l1, l2, main)| MemHierarchyConfig { l1, l2, main })
+    (arb_l1(), l2, arb_main()).prop_map(|(l1, l2, main)| MemHierarchyConfig { l1, l2, main })
 }
 
 proptest! {
@@ -252,6 +240,46 @@ proptest! {
         prop_assert!(rec.trace.tally(&buffered).is_err(), "{}", buffered.label());
     }
 
+    /// The staged differential: one random first level — write-through
+    /// or write-back, unified, scoped or split — in front of two or three
+    /// random L2s or none, tallied in turn with one shared set of
+    /// first-level stages, equals the walk of every event through the
+    /// whole `HierarchyCaches` of each machine, on transactions, cycles
+    /// and every counter, at random latencies; the plain and the
+    /// run-indexed recording alike. Some L2s are as small as an L1, so
+    /// that an L1's fill and its dirty victim often meet in one L2 set,
+    /// where their order matters.
+    #[test]
+    fn staged_tallies_match_the_per_event_walk(
+        l1 in arb_l1(),
+        l2s in prop::collection::vec(
+            prop_oneof![
+                Just(None),
+                arb_l2().prop_map(Some),
+                arb_cache(CacheScope::Unified).prop_map(Some),
+            ],
+            2..4,
+        ),
+        main in arb_main(),
+        latencies in prop::collection::vec(0u64..64, 1..4)
+    ) {
+        let rec = recorded();
+        let main = MainMemoryTiming { store_buffer: None, ..main };
+        let mut plain = FirstLevels::default();
+        let mut indexed = FirstLevels::default();
+        for l2 in l2s {
+            let h = MemHierarchyConfig { l1: l1.clone(), l2, main };
+            let staged = rec.trace.tally_sharing(&h, &mut plain).unwrap();
+            let staged_indexed = rec.indexed.tally_sharing(&h, &mut indexed).unwrap();
+            for &latency in &latencies {
+                let at = MainMemoryTiming { latency, ..main };
+                let direct = per_event_walk(&rec.trace, &h, &at);
+                prop_assert_eq!(&tally_parts(&staged, &at), &direct, "{}", h.label());
+                prop_assert_eq!(&tally_parts(&staged_indexed, &at), &direct, "indexed {}", h.label());
+            }
+        }
+    }
+
     /// Serialization does not change replay semantics: a byte round trip
     /// of the v2 stream replays identically on random machines, and a
     /// run-indexed trace serializes, compares and re-indexes as the
@@ -274,6 +302,85 @@ proptest! {
             );
         }
     }
+}
+
+/// A random first level: none, a unified, instruction-only or data-only
+/// L1, or a split one.
+fn arb_l1() -> impl Strategy<Value = L1> {
+    prop_oneof![
+        Just(L1::None),
+        arb_cache(CacheScope::Unified).prop_map(L1::Unified),
+        arb_cache(CacheScope::InstrOnly).prop_map(L1::Unified),
+        arb_cache(CacheScope::DataOnly).prop_map(L1::Unified),
+        (
+            arb_cache(CacheScope::InstrOnly),
+            arb_cache(CacheScope::DataOnly)
+        )
+            .prop_map(|(i, d)| L1::Split {
+                i: Some(i),
+                d: Some(d),
+            }),
+    ]
+}
+
+/// What a tally of `trace` under `h` must determine, by the walk of every
+/// recorded event, in program order, through the whole `HierarchyCaches`
+/// of `h` at latency 0: main-memory transactions, and the cycles and
+/// statistics priced at `main`. The events, base cycles and statistics
+/// template are decoded from the trace's wire format (magic, version, 30
+/// header words, event count, then 14-byte events), so the walk shares no
+/// code with the tally's stages.
+fn per_event_walk(
+    trace: &MemTrace,
+    h: &MemHierarchyConfig,
+    main: &MainMemoryTiming,
+) -> (u64, u64, MemStats) {
+    let bytes = trace.to_bytes();
+    let word = |i: usize| u64::from_le_bytes(bytes[9 + 8 * i..17 + 8 * i].try_into().unwrap());
+    let t: Vec<u64> = (10..30).map(word).collect();
+    let mut stats = MemStats {
+        spm: [t[0], t[1], t[2]],
+        main: [t[3], t[4], t[5]],
+        mmio: t[6],
+        cache_hits: t[7],
+        cache_misses: t[8],
+        fill_words: t[9],
+        write_throughs: t[10],
+        write_backs: t[11],
+        dirty_evictions: t[12],
+        store_buffer_stalls: t[13],
+        l1i_hits: t[14],
+        l1i_misses: t[15],
+        l1d_hits: t[16],
+        l1d_misses: t[17],
+        l2_hits: t[18],
+        l2_misses: t[19],
+    };
+    let mut caches = spmlab_sim::HierarchyCaches::new(h.clone().with_main(MainMemoryTiming {
+        latency: 0,
+        ..*main
+    }));
+    let mut cycles = word(1);
+    let widths = AccessWidth::ALL;
+    for event in bytes[9 + 8 * 31..].chunks(14) {
+        let addr = u32::from_le_bytes(event[0..4].try_into().unwrap());
+        cycles += match event[4] {
+            0 => {
+                caches
+                    .read(addr, AccessKind::Fetch, AccessWidth::Half, &mut stats)
+                    .0
+            }
+            k @ 1..=3 => {
+                caches
+                    .read(addr, AccessKind::Read, widths[k as usize - 1], &mut stats)
+                    .0
+            }
+            k @ 4..=6 => caches.write(addr, widths[k as usize - 4], 0, &mut stats),
+            k => panic!("event kind {k} in a priceable trace"),
+        };
+    }
+    let transactions = caches.main_transactions();
+    (transactions, cycles + main.latency * transactions, stats)
 }
 
 /// What a tally determines: main-memory transactions, and the cycles and

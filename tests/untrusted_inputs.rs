@@ -374,6 +374,35 @@ fn deeply_nested_json_is_rejected_without_overflow() {
     assert!(check_stream(&deep).is_err());
 }
 
+/// A field of the wrong JSON type is a schema error, never taken as
+/// absent: a number for `write_policy` or `scope`, a string for
+/// `persistence`. An explicit `null` still means the default.
+#[test]
+fn spec_fields_of_the_wrong_type_are_errors() {
+    let l1 = |field: &str| format!(r#"{{"l1": {{"unified": {{"size": 256, {field}}}}}}}"#);
+    for (text, error) in [
+        (l1(r#""write_policy": 5"#), "bad `write_policy`"),
+        (l1(r#""scope": 1"#), "bad `scope`"),
+        (
+            r#"{"l1": {"unified": {"size": 256}}, "persistence": "yes"}"#.to_string(),
+            "`persistence` must be true or false",
+        ),
+    ] {
+        let err = MemArchSpec::from_json(&text).expect_err(&text).to_string();
+        assert!(err.contains(error), "{text}: {err}");
+    }
+    let plain = MemArchSpec::single_cache(CacheConfig::unified(256));
+    for field in [r#""write_policy": null"#, r#""scope": null"#] {
+        assert_eq!(
+            MemArchSpec::from_json(&l1(field)).unwrap(),
+            plain,
+            "{field}"
+        );
+    }
+    let null_persistence = r#"{"l1": {"unified": {"size": 256}}, "persistence": null}"#;
+    assert_eq!(MemArchSpec::from_json(null_persistence).unwrap(), plain);
+}
+
 /// A hand-edited line whose fields contradict its status — an ok line
 /// carrying an error, a failed line carrying cycles — is malformed: no
 /// reader or merge rewrites it into something else.
