@@ -23,7 +23,7 @@
 //! where each function lands, so a trial does not rebuild CFGs and loops:
 //! it [relocates](Prepared::relocate) the kept preparation to its link.
 //! A greedy may name *twins*, objectives that differ from its own only in
-//! main-memory timing: classification reads no latency
+//! main-memory timing: classification reads no timing
 //! ([`WcetConfig::classification_key`]), so a trial classifies once and
 //! is costed under its objective and under every twin still without a
 //! bound for it, and the twins' greedies find those trials paid for.

@@ -122,7 +122,9 @@ impl Link {
 
 /// What one executor unit's representatives share, each result computed
 /// by the first member that needs it and keyed by what it is computed
-/// from: its link, by identity, and its machine with the latency removed.
+/// from: its link, by identity, and its machine with the latency removed
+/// (a classification: its analyzer configuration with the main-memory
+/// timing removed, a census of tens of KiB).
 /// A unit's members have one scratchpad capacity and one first level (see
 /// `plan::SweepPlan`), and a link's tallies share the first-level stages
 /// of its trace: a unit walks each of its links once per first level,
@@ -135,20 +137,6 @@ pub(crate) struct Slots {
     /// alone: a set keys its stages by first level itself.
     first_levels: Vec<(Arc<Link>, (), FirstLevels)>,
     classified: Vec<(Arc<Link>, WcetConfig, Classified)>,
-}
-
-impl Slots {
-    /// Drops the classifications `done` shared under its key once no
-    /// member of `rest`, the unit's members still to measure, classifies
-    /// under that key: a unit over several L2s would otherwise keep one
-    /// classification per cache geometry, the largest result it shares,
-    /// until its end.
-    pub(crate) fn release(&mut self, done: &Rep, rest: &[Rep]) {
-        if rest.iter().all(|r| r.classification != done.classification) {
-            self.classified
-                .retain(|(_, key, _)| *key != done.classification);
-        }
-    }
 }
 
 /// The result `slots` holds for `link` under `key`, computed on a miss.

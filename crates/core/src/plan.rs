@@ -15,10 +15,9 @@
 //!   that link computes, keyed by what it is computed from (see
 //!   [`Pipeline::measure_spec`]): the first-level walk of its trace, a
 //!   latency-0 trace tally per machine, and a cache classification,
-//!   which reads no latency
+//!   which reads no main-memory timing
 //!   ([`WcetConfig::classification_key`](spmlab_wcet::WcetConfig::classification_key)).
-//!   Shared results live only as long as their unit, and a
-//!   classification only until no member still to measure has its key.
+//!   Shared results live only as long as their unit.
 //! - Each `WcetAware` representative with a cache level names its unit's
 //!   `WcetAware` objectives as its
 //!   [twins](spmlab_alloc::wcet_aware::TrialMemo), so a trial classified
@@ -308,12 +307,15 @@ mod tests {
     /// their twin's measurement, the 12 buffered write-through and
     /// uncached points walk the trace on their own beside 3 first walks
     /// of cached machines (the L2 alone, and each L1 once for both L2
-    /// sizes), and 6 classifications serve 24 cached representatives. On
-    /// a cached knapsack and `wcet-region` scratchpad grid, whose greedy
-    /// trials classify nothing, the 16 points form one unit per capacity,
-    /// and points on one link share its tally and classification: at 512
-    /// bytes both allocators choose one link, so 3 links make 6 tallies
-    /// (`replay` spans) and 6 classifications.
+    /// sizes), and 6 classifications serve 24 cached representatives.
+    /// Each classification walks its census once, and so does the one
+    /// shared by the 6 uncached representatives, which has no fixpoints
+    /// to run: 7 censuses. On a cached knapsack and `wcet-region`
+    /// scratchpad grid, whose region-timing greedy trials run no
+    /// fixpoints, the 16 points form one unit per capacity, and points on
+    /// one link share its tally and classification: at 512 bytes both
+    /// allocators choose one link, so 3 links make 6 tallies (`replay`
+    /// spans) and 6 classifications, beside one census per trial.
     #[test]
     fn plan_counts_equal_the_traced_counters() {
         let grid = GridSpec {
@@ -332,6 +334,7 @@ mod tests {
         let sink = traced_sweep(&p, &axis, false);
         assert_eq!(reps, points - sink.total("sweep_memo_hit"));
         assert_eq!(walks_and_classifications(&p, &sink), [15, 6]);
+        assert_eq!(sink.total("wcet-pass-census"), 7);
 
         let spm_grid = GridSpec {
             spm_sizes: vec![128, 512],
@@ -347,6 +350,17 @@ mod tests {
         assert_eq!(sink.total("sweep_memo_hit"), 0);
         assert_eq!(sink.total("replay"), 6);
         assert_eq!(sink.total("wcet-pass-fixpoints"), 6);
+        // One census per classification: the 6 of the points, and one per
+        // region-timing greedy trial, 13 in all (debug builds re-check
+        // each memo hit, classifying it afresh).
+        let trials = sink.total("alloc_trial_memo_miss");
+        let rechecks = if cfg!(debug_assertions) {
+            sink.total("alloc_trial_memo_hit")
+        } else {
+            0
+        };
+        assert_eq!(trials, 13);
+        assert_eq!(sink.total("wcet-pass-census"), 6 + trials + rechecks);
     }
 
     /// One unit covers a write-through L1 over two L2 sizes of both write

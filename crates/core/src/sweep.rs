@@ -424,9 +424,8 @@ pub fn spec_sweep_with_session(
         let unit = &plan.units[u];
         let mut slots = Slots::default();
         let mut batch = Vec::new();
-        for (i, rep) in unit.iter().enumerate() {
+        for rep in unit {
             batch.extend(measure_rep(rep, &mut slots));
-            slots.release(rep, &unit[i + 1..]);
         }
         batch
     });

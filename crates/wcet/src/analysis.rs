@@ -1,10 +1,10 @@
 //! Whole-program analysis orchestration.
 
-use crate::cache::{self, Classification, ClassifyStats, Persistence};
+use crate::cache::{self, Classification, ClassifyStats};
 use crate::cfg::{build_all, BasicBlock, FuncCfg};
 use crate::ipet::{FlowFacts, IpetModels, Shape};
 use crate::loops::{natural_loops, NaturalLoop};
-use crate::multilevel::{self, MultiCtx, MultiState};
+use crate::multilevel::{self, Census, MultiCtx, MultiState};
 use crate::report::{FuncWcet, WcetResult};
 use crate::stack::total_depths;
 use crate::{bounds, WcetError};
@@ -15,6 +15,8 @@ use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
 use spmlab_isa::image::{Executable, SymbolKind};
 use spmlab_isa::insn::Insn;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,17 +123,14 @@ impl WcetConfig {
         }
     }
 
-    /// This configuration with `main.latency` zeroed and the store buffer
-    /// dropped: configurations with equal keys classify identically,
-    /// because only the costing walk reads the main-memory timing (see
-    /// [`classify`]).
+    /// This configuration with its main-memory timing replaced by the
+    /// Table-1 timing: configurations with equal keys classify
+    /// identically, because classification and its census read no
+    /// timing and only [`cost`] prices the census under the main-memory
+    /// timing (latency, bus, beat and store buffer) of its configuration.
     pub fn classification_key(&self) -> WcetConfig {
         let mut key = self.clone();
-        key.hierarchy.main = MainMemoryTiming {
-            latency: 0,
-            store_buffer: None,
-            ..key.hierarchy.main
-        };
+        key.hierarchy.main = MainMemoryTiming::table1();
         key
     }
 }
@@ -446,17 +445,39 @@ impl Prepared {
 }
 
 /// The timing-independent cache classification of one configuration
-/// ([`classify`]): the interprocedural call summaries and every block's
-/// converged MUST×MAY in-state. Empty (but still required) for a
-/// hierarchy with no cache level.
-#[derive(Debug)]
+/// ([`classify`]), kept as the census of every block: the block walked
+/// once from its converged MUST×MAY in-state, its fixed cycles and an
+/// access count per price class (the cost function it is charged, with
+/// the fetch flag, width and region it is charged with), with the
+/// classification sets and counts that walk proved. [`cost`] prices it
+/// under any configuration it [`serves`](Classified::serves).
+#[derive(Debug, PartialEq)]
 pub struct Classified {
     /// The configuration this classification serves, with the hierarchy's
     /// main-memory timing normalised (see [`Classified::serves`]).
     key: WcetConfig,
-    summaries: BTreeMap<u32, multilevel::CallSummary>,
-    states: BTreeMap<u32, BTreeMap<u32, MultiState>>,
+    /// Every block walked, function after function.
+    census: Census,
+    /// Per function of the preparation's callee-first order, up to the
+    /// first whose loops could not be bounded.
+    funcs: Vec<FuncCensus>,
+    /// The per-address proofs of every census walk, shared with every
+    /// result priced from it.
+    classification: Arc<Classification>,
     widened: bool,
+}
+
+/// One function's census ([`Classified`]).
+#[derive(Debug, PartialEq)]
+struct FuncCensus {
+    /// Its blocks in the census, in address order.
+    blocks: Range<usize>,
+    /// First misses per loop entry (header → lines charged a persistent
+    /// hit in it), when persistence is modelled; see
+    /// [`cache::Persistence::first_misses`].
+    first_misses: BTreeMap<u32, u64>,
+    /// What the walk classified, by kind.
+    stats: ClassifyStats,
 }
 
 impl Classified {
@@ -468,10 +489,12 @@ impl Classified {
     }
 }
 
-/// The classification passes over a [`Prepared`] program, none for a
-/// hierarchy with no cache level. Reads no timing: the abstract transfer
-/// never consults main-memory or hit latencies, so one result serves
-/// every configuration it [`serves`](Classified::serves).
+/// The classification passes over a [`Prepared`] program, then the
+/// census walk. Reads no timing: the abstract transfer never consults
+/// main-memory or hit latencies and the census counts price classes
+/// instead of cycles, so one result serves every configuration it
+/// [`serves`](Classified::serves). A hierarchy with no cache level has
+/// no abstract state to compute and runs the census alone.
 ///
 /// Pass 0 — interprocedural call summaries in call-graph topological
 /// order (callees first): each function's footprint / definite-access
@@ -483,96 +506,137 @@ impl Classified {
 /// callers' states at the call sites, the program entry starts cold
 /// (empty caches at boot), and functions with no recorded caller fall
 /// back to the conservative TOP.
+///
+/// Census — every block of every function whose loops were bounded,
+/// callees first, walked once from its converged in-state (TOP where
+/// none was recorded), with the function's first-miss persistence when
+/// it is modelled (`multilevel::census_block`).
 pub fn classify(prepared: &Prepared, exe: &Executable, config: &WcetConfig) -> Classified {
-    let key = config.classification_key();
     let mut widened = false;
     let hierarchy = &config.hierarchy;
-    if !hierarchy.has_cache_levels() {
-        // No abstract cache state to compute: every access is priced by
-        // its region.
-        return Classified {
-            key,
-            summaries: BTreeMap::new(),
-            states: BTreeMap::new(),
-            widened,
-        };
-    }
     let Prepared {
-        cfgs, order, annot, ..
+        cfgs,
+        order,
+        annot,
+        flows,
+        ..
     } = prepared;
-
-    let mut summaries = BTreeMap::new();
-    if config.interprocedural_may {
-        let _pass = spmlab_obs::span("wcet-pass-summaries");
-        for &faddr in order {
-            let ctx = MultiCtx {
-                hierarchy,
-                map: &exe.memory_map,
-                annot,
-                l2_analysis: config.l2_must_analysis,
-                may_analysis: config.interprocedural_may,
-                summaries: Some(&summaries),
-            };
-            let _f = spmlab_obs::span_with("wcet-fn-summary", || cfgs[&faddr].name.clone());
-            let s = multilevel::summarize_function(&cfgs[&faddr], &ctx);
-            widened |= s.widened;
-            summaries.insert(faddr, s);
-        }
-    }
-
-    let fixpoints_span = spmlab_obs::span("wcet-pass-fixpoints");
-    let ctx = MultiCtx {
+    let base = MultiCtx {
         hierarchy,
         map: &exe.memory_map,
         annot,
         l2_analysis: config.l2_must_analysis,
         may_analysis: config.interprocedural_may,
-        summaries: config.interprocedural_may.then_some(&summaries),
+        summaries: None,
     };
-    let mut entries: BTreeMap<u32, MultiState> = BTreeMap::new();
+
+    let mut summaries = BTreeMap::new();
     let mut states = BTreeMap::new();
-    for &faddr in order.iter().rev() {
-        let cfg = &cfgs[&faddr];
-        let entry = if !config.interprocedural_may {
-            MultiState::top(&ctx)
-        } else if faddr == exe.entry {
-            // Cold boot: MUST empty *and* MAY empty — every first touch
-            // is a provable Always-Miss.
-            let mut e = MultiState::cold(&ctx);
-            if let Some(recorded) = entries.remove(&faddr) {
-                e.join_into(&recorded);
-            }
-            e
-        } else {
-            entries
-                .remove(&faddr)
-                .unwrap_or_else(|| MultiState::top(&ctx))
-        };
-        let _f = spmlab_obs::span_with("wcet-fn-fixpoint", || cfg.name.clone());
-        let fp = multilevel::must_fixpoint(cfg, &ctx, entry);
-        widened |= fp.widened;
-        let in_states = fp.in_states;
+    if hierarchy.has_cache_levels() {
         if config.interprocedural_may {
-            multilevel::propagate_entry_states(cfg, &in_states, &ctx, &mut entries);
+            let _pass = spmlab_obs::span("wcet-pass-summaries");
+            for &faddr in order {
+                let _f = spmlab_obs::span_with("wcet-fn-summary", || cfgs[&faddr].name.clone());
+                let ctx = MultiCtx {
+                    summaries: Some(&summaries),
+                    ..base.clone()
+                };
+                let s = multilevel::summarize_function(&cfgs[&faddr], &ctx);
+                widened |= s.widened;
+                summaries.insert(faddr, s);
+            }
         }
-        states.insert(faddr, in_states);
+
+        let _pass = spmlab_obs::span("wcet-pass-fixpoints");
+        let ctx = MultiCtx {
+            summaries: config.interprocedural_may.then_some(&summaries),
+            ..base.clone()
+        };
+        let mut entries: BTreeMap<u32, MultiState> = BTreeMap::new();
+        for &faddr in order.iter().rev() {
+            let cfg = &cfgs[&faddr];
+            let entry = if !config.interprocedural_may {
+                MultiState::top(&ctx)
+            } else if faddr == exe.entry {
+                // Cold boot: MUST empty *and* MAY empty — every first touch
+                // is a provable Always-Miss.
+                let mut e = MultiState::cold(&ctx);
+                if let Some(recorded) = entries.remove(&faddr) {
+                    e.join_into(&recorded);
+                }
+                e
+            } else {
+                entries
+                    .remove(&faddr)
+                    .unwrap_or_else(|| MultiState::top(&ctx))
+            };
+            let _f = spmlab_obs::span_with("wcet-fn-fixpoint", || cfg.name.clone());
+            let fp = multilevel::must_fixpoint(cfg, &ctx, entry);
+            widened |= fp.widened;
+            let in_states = fp.in_states;
+            if config.interprocedural_may {
+                multilevel::propagate_entry_states(cfg, &in_states, &ctx, &mut entries);
+            }
+            states.insert(faddr, in_states);
+        }
     }
-    drop(fixpoints_span);
+
+    let _pass = spmlab_obs::span("wcet-pass-census");
+    let ctx = MultiCtx {
+        summaries: config.interprocedural_may.then_some(&summaries),
+        ..base
+    };
+    let top = MultiState::top(&ctx);
+    let mut census = Census::default();
+    let mut classification = Classification::default();
+    let mut funcs = Vec::with_capacity(flows.len());
+    for (faddr, flow) in order.iter().zip(flows) {
+        // `cost` stops at this function's loop-bounding error.
+        let Ok(flow) = flow else { break };
+        let cfg = &cfgs[faddr];
+        let _f = spmlab_obs::span_with("wcet-fn-census", || cfg.name.clone());
+        let mut persistence = config
+            .persistence
+            .then(|| cache::persistence(cfg, &flow.facts.loops, hierarchy, &exe.memory_map, annot))
+            .flatten();
+        let mut in_states = states.remove(faddr).unwrap_or_default();
+        let mut stats = ClassifyStats::default();
+        let first = census.len();
+        for (b, block) in &cfg.blocks {
+            multilevel::census_block(
+                block,
+                in_states.remove(b).unwrap_or_else(|| top.clone()),
+                &ctx,
+                &mut census,
+                &mut stats,
+                &mut classification,
+                persistence.as_mut(),
+            );
+        }
+        funcs.push(FuncCensus {
+            blocks: first..census.len(),
+            first_misses: persistence.map(|p| p.first_misses()).unwrap_or_default(),
+            stats,
+        });
+    }
     Classified {
-        key,
-        summaries,
-        states,
+        key: config.classification_key(),
+        census,
+        funcs,
+        classification: Arc::new(classification),
         widened,
     }
 }
 
-/// The costing pass: per function, callees first (it needs callee WCET
-/// bounds), block costs from the classified in-states (TOP where none
-/// was recorded, as for a hierarchy with no cache level), then IPET on
-/// the model of the function's [`Shape`] in `models` — with one first
-/// miss per loop entry for every line charged a persistent hit. This is
-/// the only stage that reads latencies, so it runs once per
-/// configuration.
+/// The costing pass: the census priced under `config` and solved per
+/// function, callees first (a block's cost needs its callees' bounds).
+/// One price table per configuration gives every price class its
+/// cycles, each block costs its fixed cycles, each count times its
+/// class's price and its callees' bounds, and IPET runs on the model of
+/// the function's [`Shape`] in `models` — with one first miss per loop
+/// entry for every line charged a persistent hit. This is the only stage
+/// that reads timing, so it runs once per configuration and walks no
+/// abstract state.
 ///
 /// # Panics
 ///
@@ -615,66 +679,48 @@ fn cost_with(
         cfgs,
         order,
         entry_depth,
-        annot,
         flows,
+        ..
     } = prepared;
+    let hierarchy = &config.hierarchy;
     let mut wcet_by_addr: BTreeMap<u32, u64> = BTreeMap::new();
     let mut per_function = Vec::with_capacity(order.len());
-    let mut classification = cache::Classification::default();
     let widened = classified.widened;
 
     let costing_span = spmlab_obs::span("wcet-pass-costing");
-    for (&faddr, flow) in order.iter().zip(flows) {
+    let census = &classified.census;
+    let prices = census.prices(hierarchy, true);
+    // Persistence trades a miss charge per execution for one first miss
+    // per loop entry, a trade that loses on a worst-case path skipping a
+    // persistent line's reads. Both bounds are sound, so the tighter one
+    // is kept: the MUST-only prices charge persistent reads as the
+    // Not-Classified reads they are.
+    let persistent = classified.funcs.iter().any(|f| !f.first_misses.is_empty());
+    let (must_only_prices, first_miss) = if persistent {
+        (
+            census.prices(hierarchy, false),
+            cache::first_miss_cycles(hierarchy),
+        )
+    } else {
+        (Vec::new(), 0)
+    };
+    for (i, (&faddr, flow)) in order.iter().zip(flows).enumerate() {
         let cfg = &cfgs[&faddr];
         let _f = spmlab_obs::span_with("wcet-fn-cost", || cfg.name.clone());
         let flow = flow.as_ref().map_err(Clone::clone)?;
-        let loops = &flow.facts.loops;
-
-        let mut classify = ClassifyStats::default();
-        let hierarchy = &config.hierarchy;
-        let ctx = MultiCtx {
-            hierarchy,
-            map: &exe.memory_map,
-            annot,
-            l2_analysis: config.l2_must_analysis,
-            may_analysis: config.interprocedural_may,
-            summaries: config.interprocedural_may.then_some(&classified.summaries),
+        let func = &classified.funcs[i];
+        let block_costs = |prices: &[u64]| {
+            let walked = func.blocks.clone();
+            census.block_costs(walked, prices, cfg.blocks.values(), &wcet_by_addr)
         };
-        let mut persistence = config
-            .persistence
-            .then(|| cache::persistence(cfg, loops, hierarchy, &exe.memory_map, annot))
-            .flatten();
-        let no_states = BTreeMap::new();
-        let in_states = classified.states.get(&faddr).unwrap_or(&no_states);
-        let block_costs = hierarchy_block_costs(
-            cfg,
-            in_states,
-            &ctx,
-            &wcet_by_addr,
-            &mut classify,
-            &mut classification,
-            persistence.as_mut(),
-        );
-        let entry_penalties = persistence.map(|p| p.entry_penalties()).unwrap_or_default();
-        // Persistence trades a miss charge per execution for one first
-        // miss per loop entry, a trade that loses on a worst-case path
-        // skipping a persistent line's reads. Both bounds are sound, so
-        // the tighter one is kept.
-        let must_only_costs = (!entry_penalties.is_empty()).then(|| {
-            hierarchy_block_costs(
-                cfg,
-                in_states,
-                &ctx,
-                &wcet_by_addr,
-                &mut ClassifyStats::default(),
-                &mut Classification::default(),
-                None,
-            )
-        });
-
-        let mut wcet = ipet(cfg, flow, &block_costs, &entry_penalties)?;
-        if let Some(costs) = must_only_costs {
-            let must_only = ipet(cfg, flow, &costs, &BTreeMap::new())?;
+        let entry_penalties: BTreeMap<u32, u64> = func
+            .first_misses
+            .iter()
+            .map(|(&header, &lines)| (header, lines * first_miss))
+            .collect();
+        let mut wcet = ipet(cfg, flow, &block_costs(&prices), &entry_penalties)?;
+        if !entry_penalties.is_empty() {
+            let must_only = ipet(cfg, flow, &block_costs(&must_only_prices), &BTreeMap::new())?;
             wcet = wcet.min(must_only);
         }
         wcet_by_addr.insert(faddr, wcet);
@@ -684,8 +730,8 @@ fn cost_with(
             wcet_cycles: wcet,
             blocks: cfg.blocks.len(),
             insns: cfg.insn_count(),
-            loops: loops.len(),
-            classify,
+            loops: flow.facts.loops.len(),
+            classify: func.stats,
         });
     }
 
@@ -702,38 +748,9 @@ fn cost_with(
         wcet_cycles: entry_wcet,
         per_function,
         stack_bytes: *entry_depth,
-        classification,
+        classification: classified.classification.clone(),
         widened,
     })
-}
-
-/// Costs every block of `cfg`, in address order, under the hierarchy
-/// model from its classified in-state (TOP where none was recorded).
-fn hierarchy_block_costs(
-    cfg: &FuncCfg,
-    in_states: &BTreeMap<u32, MultiState>,
-    ctx: &MultiCtx,
-    callee_wcet: &BTreeMap<u32, u64>,
-    stats: &mut ClassifyStats,
-    classification: &mut Classification,
-    mut persistence: Option<&mut Persistence>,
-) -> Vec<u64> {
-    let top = MultiState::top(ctx);
-    cfg.blocks
-        .iter()
-        .map(|(b, block)| {
-            let in_state = in_states.get(b).unwrap_or(&top);
-            multilevel::block_cost(
-                block,
-                in_state,
-                ctx,
-                callee_wcet,
-                stats,
-                classification,
-                persistence.as_deref_mut(),
-            )
-        })
-        .collect()
 }
 
 /// Runs the full analysis — [`prepare`], then [`classify`], then
@@ -856,12 +873,17 @@ mod tests {
             WcetConfig::region_timing(),
             WcetConfig::with_hierarchy(MemHierarchyConfig::uncached())
         );
-        // Nothing to classify: no summaries, no fixpoint states, and the
-        // empty result serves every main-memory timing.
+        // Nothing to classify: no summaries, no fixpoints, no proofs, and
+        // the census serves every main-memory timing.
+        let _x = spmlab_obs::exclusive();
         let l = linked(LOOP_SRC, MemoryMap::no_spm(), SpmAssignment::none());
         let prepared = prepare(&l.exe, &l.annotations).unwrap();
-        let classified = classify(&prepared, &l.exe, &WcetConfig::region_timing());
-        assert!(classified.summaries.is_empty() && classified.states.is_empty());
+        let classify_region = || classify(&prepared, &l.exe, &WcetConfig::region_timing());
+        let ((classified, fixpoints), summaries) = spans_in("wcet-pass-summaries", || {
+            spans_in("wcet-pass-fixpoints", classify_region)
+        });
+        assert_eq!((summaries, fixpoints), (0, 0));
+        assert_eq!(*classified.classification, Classification::default());
         assert!(classified.serves(&WcetConfig::region_timing_with(MainMemoryTiming::dram(10))));
     }
 
@@ -1101,6 +1123,209 @@ mod tests {
             "{} shapes over {solves} solves",
             models.len()
         );
+    }
+
+    /// Loops that store, read and call, a data-dependent branch and a
+    /// call-free read loop whose lines persist.
+    const REPRICE_SRC: &str = "
+        int a[16]; int b[4]; int s;
+        int f(int x) { int i; for (i = 0; i < 4; i = i + 1) { __loopbound(4); x = x + b[i]; } return x; }
+        void main() {
+            int i; int j;
+            for (i = 0; i < 16; i = i + 1) { __loopbound(16); a[i] = i; }
+            for (i = 0; i < 16; i = i + 1) { __loopbound(16); s = s + a[i]; }
+            for (j = 0; j < 3; j = j + 1) {
+                __loopbound(3);
+                for (i = 0; i < 16; i = i + 1) {
+                    __loopbound(16);
+                    if (a[i] > 7) { s = s + a[i]; } else { b[3] = f(s); }
+                }
+            }
+        }
+    ";
+
+    /// The main-memory timings one census is priced under: the DSE
+    /// latencies, two bus and beat variants, and a store buffer.
+    fn repricing_timings() -> Vec<MainMemoryTiming> {
+        vec![
+            MainMemoryTiming::dram(0),
+            MainMemoryTiming::dram(10),
+            MainMemoryTiming::dram(40),
+            MainMemoryTiming {
+                beat_cycles: 1,
+                bus_bytes: 4,
+                ..MainMemoryTiming::dram(10)
+            },
+            MainMemoryTiming {
+                beat_cycles: 3,
+                bus_bytes: 1,
+                ..MainMemoryTiming::table1()
+            },
+            MainMemoryTiming::dram(10)
+                .with_store_buffer(spmlab_isa::hierarchy::StoreBuffer::new(4, 8)),
+        ]
+    }
+
+    /// The machines of the re-pricing test: a name, whether the program
+    /// runs on its scratchpad link, and the analyzer configuration.
+    fn repricing_machines() -> Vec<(&'static str, bool, WcetConfig)> {
+        use spmlab_isa::cachecfg::CacheConfig;
+        use spmlab_isa::hierarchy::L1;
+        let h = WcetConfig::with_hierarchy;
+        let l2 = || CacheConfig::l2(4096);
+        let split_wb = MemHierarchyConfig {
+            l1: L1::Split {
+                i: Some(CacheConfig::instr_only(256)),
+                d: Some(CacheConfig::data_only(256).write_back()),
+            },
+            l2: Some(l2().write_back()),
+            main: MainMemoryTiming::table1(),
+        };
+        vec![
+            ("uncached", false, WcetConfig::region_timing()),
+            (
+                "l2-only",
+                false,
+                h(MemHierarchyConfig::uncached().with_l2(l2())),
+            ),
+            (
+                "unified",
+                false,
+                h(MemHierarchyConfig::l1_only(CacheConfig::unified(256))),
+            ),
+            (
+                "unified+l2",
+                false,
+                h(MemHierarchyConfig::l1_only(CacheConfig::unified(256)).with_l2(l2())),
+            ),
+            ("split", false, h(MemHierarchyConfig::split_l1(256, 256))),
+            (
+                "split+l2",
+                false,
+                h(MemHierarchyConfig::split_l1(256, 256).with_l2(l2())),
+            ),
+            (
+                "unified-wb",
+                false,
+                h(MemHierarchyConfig::l1_only(
+                    CacheConfig::unified(256).write_back(),
+                )),
+            ),
+            ("split-wb+l2-wb", false, h(split_wb)),
+            (
+                "split+l2-wb",
+                false,
+                h(MemHierarchyConfig::split_l1(256, 256).with_l2(l2().write_back())),
+            ),
+            (
+                "paper-persistence",
+                false,
+                WcetConfig::with_cache_persistence(CacheConfig::unified(256)),
+            ),
+            ("spm-uncached", true, WcetConfig::region_timing()),
+            (
+                "spm-split+l2",
+                true,
+                h(MemHierarchyConfig::split_l1(256, 256).with_l2(l2())),
+            ),
+        ]
+    }
+
+    /// `config` over `main`.
+    fn at(config: &WcetConfig, main: MainMemoryTiming) -> WcetConfig {
+        let mut c = config.clone();
+        c.hierarchy.main = main;
+        c
+    }
+
+    /// Per machine of [`repricing_machines`], its bounds under each of
+    /// [`repricing_timings`] in order, as the analyzer that re-walked
+    /// every block per timing computed them.
+    const REPRICED_BOUNDS: [(&str, [u64; 6]); 12] = [
+        ("uncached", [27605, 104495, 335165, 90824, 70325, 100025]),
+        ("l2-only", [90942, 118862, 202622, 70628, 219566, 114392]),
+        ("unified", [64056, 102646, 218416, 64384, 166088, 98176]),
+        (
+            "unified+l2",
+            [106587, 137157, 228867, 82563, 252171, 132687],
+        ),
+        ("split", [58616, 93806, 199376, 59624, 149768, 89336]),
+        ("split+l2", [102575, 132635, 222815, 79265, 244895, 128165]),
+        ("unified-wb", [90494, 138344, 281894, 80924, 243614, 138344]),
+        (
+            "split-wb+l2-wb",
+            [169001, 207841, 324361, 114625, 417577, 207841],
+        ),
+        (
+            "split+l2-wb",
+            [158897, 197897, 314897, 104297, 408497, 197897],
+        ),
+        (
+            "paper-persistence",
+            [63928, 102438, 217968, 64272, 165704, 97968],
+        ),
+        ("spm-uncached", [23045, 62975, 182765, 53864, 49253, 58745]),
+        (
+            "spm-split+l2",
+            [86401, 112761, 191841, 67263, 207729, 108531],
+        ),
+    ];
+
+    /// One classification per machine, priced under every timing in
+    /// both orders, gives each timing the result of a fresh `analyze`,
+    /// bounds the simulated cycles, and matches the pinned bounds; the
+    /// census it was priced from equals a fresh classification.
+    #[test]
+    fn one_census_prices_every_main_memory_timing() {
+        let module = compile(REPRICE_SRC).unwrap();
+        let links = [
+            link(&module, &MemoryMap::no_spm(), &SpmAssignment::none()).unwrap(),
+            link(
+                &module,
+                &MemoryMap::with_spm(1024),
+                &SpmAssignment::of(["f", "b"]),
+            )
+            .unwrap(),
+        ];
+        let timings = repricing_timings();
+        let mut bounds = Vec::new();
+        for (name, spm, config) in repricing_machines() {
+            let l = &links[usize::from(spm)];
+            let prepared = prepare(&l.exe, &l.annotations).unwrap();
+            let models = IpetModels::new();
+            let mut row = [0; 6];
+            for reversed in [false, true] {
+                let order: Vec<usize> = if reversed {
+                    (0..timings.len()).rev().collect()
+                } else {
+                    (0..timings.len()).collect()
+                };
+                let classified = classify(&prepared, &l.exe, &at(&config, timings[order[0]]));
+                for &t in &order {
+                    let c = at(&config, timings[t]);
+                    let priced = cost(&prepared, &l.exe, &c, &classified, &models).unwrap();
+                    let fresh = analyze(&l.exe, &c, &l.annotations).unwrap();
+                    assert_eq!(priced, fresh, "{name} at {:?}", timings[t]);
+                    let machine = MachineConfig::with_hierarchy(c.hierarchy.clone());
+                    let sim = simulate(&l.exe, &machine, &SimOptions::default()).unwrap();
+                    assert!(
+                        priced.wcet_cycles >= sim.cycles,
+                        "{name} at {:?}: wcet {} < sim {}",
+                        timings[t],
+                        priced.wcet_cycles,
+                        sim.cycles
+                    );
+                    row[t] = priced.wcet_cycles;
+                }
+                assert_eq!(
+                    classified,
+                    classify(&prepared, &l.exe, &config),
+                    "{name}: pricing leaves the census as classified"
+                );
+            }
+            bounds.push((name, row));
+        }
+        assert_eq!(bounds, REPRICED_BOUNDS);
     }
 
     const CALL_SRC: &str = "

@@ -838,13 +838,11 @@ impl ClassifyStats {
 
 /// First-miss persistence of one function's loops ([`persistence`]):
 /// cache line → header of the outermost loop in which the line is
-/// persistent (eviction-free once loaded), plus the lines the costing
+/// persistent (eviction-free once loaded), plus the lines the census
 /// walk has charged a persistent hit for.
 #[derive(Debug, Clone)]
 pub struct Persistence {
     line_size: u32,
-    /// Cycles one first miss adds over the hit charge.
-    miss_penalty: u64,
     line_to_loop: BTreeMap<u32, u32>,
     block_to_loops: BTreeMap<u32, Vec<u32>>,
     charged: BTreeSet<u32>,
@@ -854,7 +852,7 @@ impl Persistence {
     /// Whether a Not-Classified read of `addr` from `block` may be charged
     /// the hit cost: true when its line is persistent in a loop enclosing
     /// `block`. The line is then recorded, and its loop pays one first
-    /// miss per entry ([`Persistence::entry_penalties`]).
+    /// miss per entry ([`Persistence::first_misses`]).
     pub fn charge(&mut self, addr: u32, block: u32) -> bool {
         let line = addr / self.line_size * self.line_size;
         let persistent = self.line_to_loop.get(&line).is_some_and(|header| {
@@ -868,17 +866,26 @@ impl Persistence {
         persistent
     }
 
-    /// Extra cycles per loop entry (header → penalty): one first miss for
-    /// each line some read was actually [charged](Persistence::charge) a
-    /// persistent hit for. A persistent line whose every read is already
-    /// a MUST hit costs nothing extra.
-    pub fn entry_penalties(&self) -> BTreeMap<u32, u64> {
-        let mut penalties = BTreeMap::new();
+    /// First misses per loop entry (header → count): one for each line
+    /// some read was actually [charged](Persistence::charge) a persistent
+    /// hit for, each costing [`first_miss_cycles`]. A persistent line
+    /// whose every read is already a MUST hit costs nothing extra.
+    pub fn first_misses(&self) -> BTreeMap<u32, u64> {
+        let mut misses = BTreeMap::new();
         for line in &self.charged {
-            *penalties.entry(self.line_to_loop[line]).or_insert(0) += self.miss_penalty;
+            *misses.entry(self.line_to_loop[line]).or_insert(0) += 1;
         }
-        penalties
+        misses
     }
+}
+
+/// Cycles one first miss of a persistent line adds over the L1 hit its
+/// reads are charged, on the single L1 [`persistence`] models: the line
+/// fill of the side the cache serves, fetches first.
+pub fn first_miss_cycles(hierarchy: &MemHierarchyConfig) -> u64 {
+    let fetch = hierarchy.cached(true);
+    let hit = hierarchy.l1_hit_cycles(fetch);
+    hierarchy.l1_miss_no_l2_cycles(fetch).max(hit) - hit
 }
 
 /// Computes first-miss persistence per loop: a line is persistent in a
@@ -907,10 +914,8 @@ pub fn persistence(
     let is_main = |a: u32| map.region_of(a) == RegionKind::Main;
     let line_size = cache.line;
     let idx = cache.indexer();
-    let hit = hierarchy.l1_hit_cycles(fetch_cached);
     let mut p = Persistence {
         line_size,
-        miss_penalty: hierarchy.l1_miss_no_l2_cycles(fetch_cached).max(hit) - hit,
         line_to_loop: BTreeMap::new(),
         block_to_loops: BTreeMap::new(),
         charged: BTreeSet::new(),

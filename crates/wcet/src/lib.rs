@@ -21,7 +21,10 @@
 //!    the charge-at-store write-back rule backed by the dirty-line upper
 //!    bound ([`dirty`]). A hierarchy with no cache level is the
 //!    scratchpad branch ("no additional analysis module required"):
-//!    nothing is classified and every access is priced by its region;
+//!    nothing is classified and every access is priced by its region.
+//!    [`classify`] walks each block once from its converged state into
+//!    a timing-free census, an access count per price class, and
+//!    [`cost`] prices that census under each configuration's timing;
 //! 5. **IPET** — per-function implicit path enumeration as an ILP solved by
 //!    [`spmlab_ilp`] ([`ipet`]), combined bottom-up over the call graph:
 //!    each function shape's constraint system is built and taken through

@@ -146,8 +146,9 @@ use spmlab_isa::hierarchy::{MemHierarchyConfig, StoreAbsorb};
 use spmlab_isa::insn::Insn;
 use spmlab_isa::mem::{access_cycles_with, AccessWidth, MemoryMap, RegionKind};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-/// Analysis context shared by the fixpoint and the costing walk.
+/// Analysis context shared by the fixpoint and the census walk.
 #[derive(Debug, Clone)]
 pub struct MultiCtx<'a> {
     /// The machine's memory hierarchy (shared with the simulator).
@@ -642,24 +643,246 @@ pub fn summarize_function(cfg: &FuncCfg, ctx: &MultiCtx) -> CallSummary {
     }
 }
 
-/// Cost-walk accumulator; `None` during the fixpoint transfer.
-struct CostAcc<'a> {
-    callee_wcet: &'a BTreeMap<u32, u64>,
+/// The [`MemHierarchyConfig`] cost function one access is charged: the
+/// walk names it, and [`Price::cycles`] calls it under the configuration
+/// being priced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Charge {
+    /// [`MemHierarchyConfig::l1_hit_cycles`].
+    L1Hit,
+    /// [`MemHierarchyConfig::l1_miss_l2_hit_cycles`].
+    L1MissL2Hit,
+    /// [`MemHierarchyConfig::l1_miss_l2_miss_cycles`].
+    L1MissL2Miss,
+    /// [`MemHierarchyConfig::l1_miss_no_l2_cycles`].
+    L1MissNoL2,
+    /// [`MemHierarchyConfig::l2_direct_hit_cycles`].
+    L2DirectHit,
+    /// [`MemHierarchyConfig::l2_direct_miss_cycles`].
+    L2DirectMiss,
+    /// [`MemHierarchyConfig::bypass_cycles`].
+    Bypass,
+    /// [`MemHierarchyConfig::worst_read_cycles`].
+    WorstRead,
+    /// [`MemHierarchyConfig::worst_store_cycles`].
+    WorstStore,
+    /// [`MemHierarchyConfig::worst_store_writeback_cycles`].
+    WorstStoreWriteback,
+    /// [`MainMemoryTiming::store_cycles_worst`](spmlab_isa::hierarchy::MainMemoryTiming::store_cycles_worst).
+    StoreCyclesWorst,
+    /// [`access_cycles_with`].
+    Region,
+}
+
+/// A price class of the census: the cost function one access is charged
+/// and the fetch flag, width and region it is charged with. The walk
+/// counts accesses per class and reads no timing; [`Price::cycles`]
+/// prices a class under one configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Price {
+    charge: Charge,
+    fetch: bool,
+    width: AccessWidth,
+    region: RegionKind,
+    /// A Not-Classified read may still *hit* its L1 concretely, so its
+    /// worst-case charge covers the L1-hit outcome too. Always-Miss and
+    /// L1-less accesses have no L1-hit outcome to cover.
+    covered: bool,
+    /// A Not-Classified read of a line persistent in an enclosing loop:
+    /// charged the L1 hit where first-miss persistence is applied, its
+    /// loop paying the line's first miss on entry
+    /// ([`Persistence::first_misses`]).
+    persistent: bool,
+}
+
+impl Price {
+    /// The class packed into one integer: the census looks classes up
+    /// once per access, by this key.
+    fn key(&self) -> u16 {
+        (self.charge as u16)
+            | u16::from(self.fetch) << 4
+            | (self.width as u16) << 5
+            | (self.region as u16) << 7
+            | u16::from(self.covered) << 9
+            | u16::from(self.persistent) << 10
+    }
+
+    /// A read or store charge on a main-memory access.
+    fn of(charge: Charge, fetch: bool, width: AccessWidth) -> Price {
+        Price {
+            charge,
+            fetch,
+            width,
+            region: RegionKind::Main,
+            covered: false,
+            persistent: false,
+        }
+    }
+
+    /// A region-timed access: the scratchpad, MMIO or an uncached path.
+    fn region(region: RegionKind, fetch: bool, width: AccessWidth) -> Price {
+        Price {
+            region,
+            ..Price::of(Charge::Region, fetch, width)
+        }
+    }
+
+    /// The cycles this class costs under `h`; with `persistence`, a
+    /// persistent read costs the L1 hit, otherwise its Not-Classified
+    /// charge.
+    fn cycles(&self, h: &MemHierarchyConfig, persistence: bool) -> u64 {
+        let Price {
+            charge,
+            fetch,
+            width,
+            region,
+            covered,
+            persistent,
+        } = *self;
+        if persistent && persistence {
+            return h.l1_hit_cycles(fetch);
+        }
+        let cycles = match charge {
+            Charge::L1Hit => h.l1_hit_cycles(fetch),
+            Charge::L1MissL2Hit => h.l1_miss_l2_hit_cycles(fetch),
+            Charge::L1MissL2Miss => h.l1_miss_l2_miss_cycles(fetch),
+            Charge::L1MissNoL2 => h.l1_miss_no_l2_cycles(fetch),
+            Charge::L2DirectHit => h.l2_direct_hit_cycles(),
+            Charge::L2DirectMiss => h.l2_direct_miss_cycles(),
+            Charge::Bypass => h.bypass_cycles(width),
+            Charge::WorstRead => h.worst_read_cycles(fetch, width),
+            Charge::WorstStore => h.worst_store_cycles(width),
+            Charge::WorstStoreWriteback => h.worst_store_writeback_cycles(),
+            Charge::StoreCyclesWorst => h.main.store_cycles_worst(width),
+            Charge::Region => access_cycles_with(region, width, &h.main),
+        };
+        if covered {
+            cycles.max(h.l1_hit_cycles(fetch))
+        } else {
+            cycles
+        }
+    }
+}
+
+/// The latency-free record of a run of block walks: the price classes
+/// they charged, each once, and per block the cycles no memory timing
+/// changes and how many accesses the walk charged each class. A block's
+/// cost under a configuration is its fixed cycles, each count times its
+/// class's price, and its callees' bounds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Census {
+    /// The index space of `counts`.
+    classes: Vec<Price>,
+    /// Each class's [key](Price::key), by index.
+    keys: Vec<u16>,
+    /// Per block walked: its fixed cycles (one issue cycle per
+    /// instruction plus its worst extra cycles) and where its counts end
+    /// in `counts`.
+    blocks: Vec<(u64, u32)>,
+    /// (class index, accesses charged), block after block.
+    counts: Vec<(u32, u32)>,
+}
+
+impl Census {
+    /// The number of blocks walked.
+    pub(crate) fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// The index of `price`, recorded on first sight.
+    fn class(&mut self, price: Price) -> u32 {
+        let key = price.key();
+        match self.keys.iter().position(|&k| k == key) {
+            Some(i) => i as u32,
+            None => {
+                self.classes.push(price);
+                self.keys.push(key);
+                (self.classes.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Every class's cycles under `h`, by index (see [`Price::cycles`]).
+    pub(crate) fn prices(&self, h: &MemHierarchyConfig, persistence: bool) -> Vec<u64> {
+        self.classes
+            .iter()
+            .map(|p| p.cycles(h, persistence))
+            .collect()
+    }
+
+    /// The cycles of the blocks walked in `walked`, in walk order, under
+    /// `prices` (from [`Census::prices`]): `blocks` are those blocks, in
+    /// the same order, whose `BL` targets are costed at their bounds in
+    /// `callee_wcet`, 0 where none is recorded.
+    pub(crate) fn block_costs<'b>(
+        &self,
+        walked: Range<usize>,
+        prices: &[u64],
+        blocks: impl IntoIterator<Item = &'b BasicBlock>,
+        callee_wcet: &BTreeMap<u32, u64>,
+    ) -> Vec<u64> {
+        let mut start = match walked.start {
+            0 => 0,
+            i => self.blocks[i - 1].1 as usize,
+        };
+        self.blocks[walked]
+            .iter()
+            .zip(blocks)
+            .map(|(&(fixed, end), block)| {
+                let counts = &self.counts[start..end as usize];
+                start = end as usize;
+                let accesses: u64 = counts
+                    .iter()
+                    .map(|&(class, n)| u64::from(n) * prices[class as usize])
+                    .sum();
+                let calls: u64 = block
+                    .calls
+                    .iter()
+                    .map(|c| callee_wcet.get(c).copied().unwrap_or(0))
+                    .sum();
+                fixed + accesses + calls
+            })
+            .collect()
+    }
+}
+
+/// Census-walk accumulator; `None` during the fixpoint transfer.
+struct CensusAcc<'a> {
+    census: &'a mut Census,
+    /// Where the walked block's counts start in `census.counts`.
+    start: usize,
+    /// The walked block's fixed cycles.
+    fixed: u64,
     stats: &'a mut ClassifyStats,
     classification: &'a mut Classification,
     /// The function's first-miss persistence, when modelled.
     persistence: Option<&'a mut Persistence>,
-    /// Start address of the block being costed.
+    /// Start address of the block being walked.
     block: u32,
-    cost: u64,
 }
 
-impl CostAcc<'_> {
-    /// Charges one classified exact-address read and counts it by class.
-    /// A Not-Classified read of a line that is persistent in an enclosing
-    /// loop is charged the L1 hit instead: the loop pays the line's first
-    /// miss on entry ([`Persistence::entry_penalties`]).
-    fn charge_read(&mut self, cls: ReadClass, cycles: u64, addr: u32, fetch: bool, ctx: &MultiCtx) {
+impl CensusAcc<'_> {
+    /// Counts one access charged `price`.
+    fn count(&mut self, price: Price) {
+        let class = self.census.class(price);
+        let counts = &mut self.census.counts;
+        match counts[self.start..].iter_mut().find(|(c, _)| *c == class) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((class, 1)),
+        }
+    }
+
+    /// Counts one classified exact-address read under `price` and in the
+    /// stats of its classification. A Not-Classified read of a line that
+    /// is persistent in an enclosing loop is counted persistent instead.
+    fn charge_read(
+        &mut self,
+        cls: ReadClass,
+        price: Price,
+        addr: u32,
+        fetch: bool,
+        ctx: &MultiCtx,
+    ) {
         let s = &mut *self.stats;
         let (hits, always_miss, unclassified) = if fetch {
             (
@@ -687,7 +910,10 @@ impl CostAcc<'_> {
                 if let Some(p) = self.persistence.as_deref_mut() {
                     if p.charge(addr, self.block) {
                         s.persistent += 1;
-                        self.cost += ctx.hierarchy.l1_hit_cycles(fetch);
+                        self.count(Price {
+                            persistent: true,
+                            ..price
+                        });
                         return;
                     }
                 }
@@ -704,7 +930,7 @@ impl CostAcc<'_> {
         if l2_hit {
             s.l2_hits += 1;
         }
-        self.cost += cycles;
+        self.count(price);
     }
 }
 
@@ -732,8 +958,8 @@ enum L2Cac {
     Uncertain,
 }
 
-/// One exact-address read continuing past the L1: returns the cycles to
-/// charge and whether the L2 hit is *guaranteed* (see [`L2Cac`] for the
+/// One exact-address read continuing past the L1: returns the price class
+/// to charge and whether the L2 hit is *guaranteed* (see [`L2Cac`] for the
 /// per-classification semantics).
 fn l2_read(
     state: &mut MultiState,
@@ -742,9 +968,8 @@ fn l2_read(
     width: AccessWidth,
     cac: L2Cac,
     ctx: &MultiCtx,
-) -> (u64, bool) {
-    let h = ctx.hierarchy;
-    match &mut state.l2 {
+) -> (Price, bool) {
+    let (charge, hit) = match &mut state.l2 {
         Some(l2s) => {
             let lru = ctx.l2_lru();
             let hit = match cac {
@@ -752,36 +977,30 @@ fn l2_read(
                 L2Cac::Uncertain => l2s.access_read_uncertain(addr, lru),
             };
             let hit = hit && ctx.l2_analysis;
-            let cycles = match (cac, hit) {
-                (L2Cac::Direct, true) => h.l2_direct_hit_cycles(),
-                (L2Cac::Direct, false) => h.l2_direct_miss_cycles(),
-                (_, true) => h.l1_miss_l2_hit_cycles(fetch),
-                (_, false) => h.l1_miss_l2_miss_cycles(fetch),
+            let charge = match (cac, hit) {
+                (L2Cac::Direct, true) => Charge::L2DirectHit,
+                (L2Cac::Direct, false) => Charge::L2DirectMiss,
+                (_, true) => Charge::L1MissL2Hit,
+                (_, false) => Charge::L1MissL2Miss,
             };
-            (cover_l1_hit(cycles, cac, fetch, ctx), hit)
+            (charge, hit)
         }
         None => {
-            let cycles = match cac {
-                L2Cac::Direct => h.bypass_cycles(width),
-                _ => h.l1_miss_no_l2_cycles(fetch),
+            let charge = match cac {
+                L2Cac::Direct => Charge::Bypass,
+                _ => Charge::L1MissNoL2,
             };
-            (cover_l1_hit(cycles, cac, fetch, ctx), false)
+            (charge, false)
         }
-    }
+    };
+    let price = Price {
+        covered: cac == L2Cac::Uncertain,
+        ..Price::of(charge, fetch, width)
+    };
+    (price, hit)
 }
 
-/// A Not-Classified access may still *hit* its L1 concretely, so its
-/// worst-case charge must cover the hit outcome too. Always-Miss and
-/// L1-less accesses have no L1-hit outcome to cover.
-fn cover_l1_hit(cycles: u64, cac: L2Cac, fetch: bool, ctx: &MultiCtx) -> u64 {
-    match cac {
-        L2Cac::Uncertain => cycles.max(ctx.hierarchy.l1_hit_cycles(fetch)),
-        L2Cac::Direct | L2Cac::AlwaysAfterL1Miss => cycles,
-    }
-}
-
-/// The classification of one exact-address main-memory read, with its
-/// worst-case cycle charge.
+/// The classification of one exact-address main-memory read.
 #[derive(Debug, Clone, Copy)]
 enum ReadClass {
     /// CHMC Always-Hit at the L1 (the L2's CAC is `N`).
@@ -803,8 +1022,7 @@ fn exact_read(
     fetch: bool,
     width: AccessWidth,
     ctx: &MultiCtx,
-) -> (ReadClass, u64) {
-    let h = ctx.hierarchy;
+) -> (ReadClass, Price) {
     let lru = ctx.l1_lru(fetch);
     let ah = state
         .l1_mut(fetch)
@@ -814,18 +1032,17 @@ fn exact_read(
         .map(|m| m.access_read_exact(addr, lru));
     let out = match ah {
         None => {
-            let (cycles, l2_hit) = l2_read(state, addr, fetch, width, L2Cac::Direct, ctx);
-            (ReadClass::NoL1 { l2_hit }, cycles)
+            let (price, l2_hit) = l2_read(state, addr, fetch, width, L2Cac::Direct, ctx);
+            (ReadClass::NoL1 { l2_hit }, price)
         }
-        Some(true) => (ReadClass::L1Hit, h.l1_hit_cycles(fetch)),
+        Some(true) => (ReadClass::L1Hit, Price::of(Charge::L1Hit, fetch, width)),
         Some(false) if may_hit == Some(false) => {
-            let (cycles, l2_hit) =
-                l2_read(state, addr, fetch, width, L2Cac::AlwaysAfterL1Miss, ctx);
-            (ReadClass::L1Miss { l2_hit }, cycles)
+            let (price, l2_hit) = l2_read(state, addr, fetch, width, L2Cac::AlwaysAfterL1Miss, ctx);
+            (ReadClass::L1Miss { l2_hit }, price)
         }
         Some(false) => {
-            let (cycles, l2_hit) = l2_read(state, addr, fetch, width, L2Cac::Uncertain, ctx);
-            (ReadClass::Unclassified { l2_hit }, cycles)
+            let (price, l2_hit) = l2_read(state, addr, fetch, width, L2Cac::Uncertain, ctx);
+            (ReadClass::Unclassified { l2_hit }, price)
         }
     };
     // The access may have aged lines out of the absorb level's MUST state
@@ -901,7 +1118,8 @@ impl InsnFlags {
 }
 
 /// Walks one block, updating the product state; with `acc`, also
-/// accumulates worst-case cycles and per-address classifications; with
+/// counts the price class of every access it charges (the block's
+/// census) and records per-address classifications; with
 /// `call_sink`, joins the abstract state at every call site into the
 /// callee's entry-state accumulator (the interprocedural propagation
 /// pass). Using a single walker for every pass guarantees they can never
@@ -910,15 +1128,14 @@ fn walk_block(
     state: &mut MultiState,
     block: &BasicBlock,
     ctx: &MultiCtx,
-    mut acc: Option<&mut CostAcc>,
+    mut acc: Option<&mut CensusAcc>,
     mut call_sink: Option<&mut BTreeMap<u32, MultiState>>,
 ) {
     let h = ctx.hierarchy;
-    let main = &h.main;
     let mut calls = block.calls.iter();
     for (addr, insn) in &block.insns {
         if let Some(a) = acc.as_deref_mut() {
-            a.cost += 1 + insn.worst_extra_cycles();
+            a.fixed += 1 + insn.worst_extra_cycles();
         }
         // Instruction fetches: one 16-bit access per halfword.
         let mut fetch_flags = InsnFlags::new();
@@ -932,14 +1149,14 @@ fn walk_block(
                 fetch_flags.all_hit = false;
                 fetch_flags.all_am = false;
                 if let Some(c) = acc.as_deref_mut() {
-                    c.cost += access_cycles_with(region, AccessWidth::Half, main);
+                    c.count(Price::region(region, true, AccessWidth::Half));
                 }
                 continue;
             }
-            let (cls, cycles) = exact_read(state, a, true, AccessWidth::Half, ctx);
+            let (cls, price) = exact_read(state, a, true, AccessWidth::Half, ctx);
             fetch_flags.record(cls, h.l2.is_some());
             if let Some(c) = acc.as_deref_mut() {
-                c.charge_read(cls, cycles, a, true, ctx);
+                c.charge_read(cls, price, a, true, ctx);
             }
         }
         if let Some(c) = acc.as_deref_mut() {
@@ -975,7 +1192,8 @@ fn walk_block(
         }
         // Calls: record the pre-call state for the callee's entry, then
         // apply the callee's summarized interference (or clobber when no
-        // summary is available — the callee may touch anything).
+        // summary is available — the callee may touch anything). The
+        // callee's bound is priced from the block's callee list.
         if matches!(insn, Insn::Bl { .. }) {
             let callee = calls.next().expect("calls list matches BL count");
             if let Some(sink) = call_sink.as_deref_mut() {
@@ -987,9 +1205,6 @@ fn walk_block(
                         sink.insert(*callee, state.clone());
                     }
                 }
-            }
-            if let Some(c) = acc.as_deref_mut() {
-                c.cost += c.callee_wcet.get(callee).copied().unwrap_or(0);
             }
             match ctx.summaries.and_then(|s| s.get(callee)) {
                 Some(summary) => state.apply_call(summary, ctx),
@@ -1003,11 +1218,10 @@ fn walk_data_access(
     state: &mut MultiState,
     dacc: &DataAccess,
     ctx: &MultiCtx,
-    acc: &mut Option<&mut CostAcc>,
+    acc: &mut Option<&mut CensusAcc>,
     flags: &mut InsnFlags,
 ) {
     let h = ctx.hierarchy;
-    let main = &h.main;
     if dacc.is_write {
         let region = match dacc.info {
             AddrInfo::Exact(a) => ctx.map.region_of(a),
@@ -1023,11 +1237,11 @@ fn walk_data_access(
             // main-region store may be store-buffered (worst case:
             // 1-cycle accept plus one full drain).
             if let Some(c) = acc.as_deref_mut() {
-                c.cost += if region == RegionKind::Main {
-                    main.store_cycles_worst(dacc.width)
+                c.count(if region == RegionKind::Main {
+                    Price::of(Charge::StoreCyclesWorst, false, dacc.width)
                 } else {
-                    access_cycles_with(region, dacc.width, main)
-                };
+                    Price::region(region, false, dacc.width)
+                });
             }
             return;
         }
@@ -1047,14 +1261,14 @@ fn walk_data_access(
                 flags.all_hit = false;
                 flags.all_am = false;
                 if let Some(c) = acc.as_deref_mut() {
-                    c.cost += access_cycles_with(region, dacc.width, main);
+                    c.count(Price::region(region, false, dacc.width));
                 }
                 return;
             }
-            let (cls, cycles) = exact_read(state, a, false, dacc.width, ctx);
+            let (cls, price) = exact_read(state, a, false, dacc.width, ctx);
             flags.record(cls, h.l2.is_some());
             if let Some(c) = acc.as_deref_mut() {
-                c.charge_read(cls, cycles, a, false, ctx);
+                c.charge_read(cls, price, a, false, ctx);
             }
         }
         AddrInfo::Range { lo, hi } => {
@@ -1064,7 +1278,7 @@ fn walk_data_access(
                 flags.all_hit = false;
                 flags.all_am = false;
                 if let Some(c) = acc.as_deref_mut() {
-                    c.cost += access_cycles_with(region, dacc.width, main);
+                    c.count(Price::region(region, false, dacc.width));
                 }
                 return;
             }
@@ -1074,7 +1288,7 @@ fn walk_data_access(
                 if h.cached(false) || h.l2.is_some() {
                     c.stats.data_unclassified += 1;
                 }
-                c.cost += h.worst_read_cycles(false, dacc.width);
+                c.count(Price::of(Charge::WorstRead, false, dacc.width));
             }
         }
         AddrInfo::Stack | AddrInfo::Unknown => {
@@ -1084,7 +1298,7 @@ fn walk_data_access(
                 if h.cached(false) || h.l2.is_some() {
                     c.stats.data_unclassified += 1;
                 }
-                c.cost += h.worst_read_cycles(false, dacc.width);
+                c.count(Price::of(Charge::WorstRead, false, dacc.width));
             }
         }
     }
@@ -1092,20 +1306,19 @@ fn walk_data_access(
 
 /// One store absorbed by a write-back level (`absorb` is [`StoreAbsorb::L1`]
 /// or [`StoreAbsorb::L2`]; the all-write-through case never reaches here).
-/// Applies the write-allocate state updates and — in costing passes — the
-/// charge-at-store rule of [`crate::dirty`].
+/// Applies the write-allocate state updates and — in census walks — counts
+/// the charge-at-store rule of [`crate::dirty`].
 fn walk_absorbed_store(
     state: &mut MultiState,
     dacc: &DataAccess,
     absorb: StoreAbsorb,
     ctx: &MultiCtx,
-    acc: &mut Option<&mut CostAcc>,
+    acc: &mut Option<&mut CensusAcc>,
 ) {
-    let h = ctx.hierarchy;
     match dacc.info {
         AddrInfo::Exact(a) => {
             let already_dirty = state.dirty.as_ref().is_some_and(|d| d.is_dirty(a));
-            let cycles = match absorb {
+            let price = match absorb {
                 StoreAbsorb::L1 => {
                     // Write-allocate makes the store behave like a read at
                     // every level it can touch: the L1 MUST/MAY states take
@@ -1121,9 +1334,9 @@ fn walk_absorbed_store(
                     // changes — and the store *certainly* reaches the
                     // write-back L2: CAC `A`, direct L2 costs, certain
                     // MUST update.
-                    let (cycles, _) = l2_read(state, a, false, dacc.width, L2Cac::Direct, ctx);
+                    let (price, _) = l2_read(state, a, false, dacc.width, L2Cac::Direct, ctx);
                     state.prune_dirty();
-                    cycles
+                    price
                 }
             };
             // The exact access left the line guaranteed present in the
@@ -1132,7 +1345,7 @@ fn walk_absorbed_store(
                 d.mark(a);
             }
             if let Some(c) = acc.as_deref_mut() {
-                c.cost += cycles;
+                c.count(price);
                 if already_dirty {
                     // The line was provably dirty on every path: the store
                     // that began this dirty episode already paid for its
@@ -1140,7 +1353,7 @@ fn walk_absorbed_store(
                     c.stats.store_always_dirty += 1;
                 } else {
                     c.stats.store_write_backs += 1;
-                    c.cost += h.worst_store_writeback_cycles();
+                    c.count(Price::of(Charge::WorstStoreWriteback, false, dacc.width));
                 }
             }
         }
@@ -1156,7 +1369,8 @@ fn walk_absorbed_store(
             weaken_all(state, range, ctx);
             if let Some(c) = acc.as_deref_mut() {
                 c.stats.store_write_backs += 1;
-                c.cost += h.worst_store_cycles(dacc.width) + h.worst_store_writeback_cycles();
+                c.count(Price::of(Charge::WorstStore, false, dacc.width));
+                c.count(Price::of(Charge::WorstStoreWriteback, false, dacc.width));
             }
         }
     }
@@ -1237,14 +1451,46 @@ pub fn propagate_entry_states(
     }
 }
 
+/// Walks one block from its MUST/MAY in-state into `census`: its fixed
+/// cycles and an access count per price class. Per-address proofs (always-hit, L1 always-miss, guaranteed
+/// L2 hit) are recorded into `classification` and counts by kind into
+/// `stats`. With `persistence`, reads of persistent lines are counted as
+/// persistent hits ([`Price::cycles`]) and their lines recorded; their
+/// loops pay their first misses per entry
+/// ([`Persistence::first_misses`]). Persistent reads carry no always-hit
+/// proof: they may miss once per loop entry. Reads no timing.
+pub(crate) fn census_block(
+    block: &BasicBlock,
+    mut state: MultiState,
+    ctx: &MultiCtx,
+    census: &mut Census,
+    stats: &mut ClassifyStats,
+    classification: &mut Classification,
+    persistence: Option<&mut Persistence>,
+) {
+    let mut acc = CensusAcc {
+        start: census.counts.len(),
+        census,
+        fixed: 0,
+        stats,
+        classification,
+        persistence,
+        block: block.start,
+    };
+    walk_block(&mut state, block, ctx, Some(&mut acc), None);
+    let CensusAcc { census, fixed, .. } = acc;
+    let end = census.counts.len() as u32;
+    census.blocks.push((fixed, end));
+}
+
 /// Worst-case cost of one block under the hierarchy model, starting from
-/// its MUST/MAY in-state. `callee_wcet` supplies the WCET bound of each
-/// callee; per-address proofs (always-hit, L1 always-miss, guaranteed L2
-/// hit) are recorded into `classification`. With `persistence`, reads of
-/// persistent lines are charged as hits and their lines recorded; the
-/// caller charges their first misses per loop entry
-/// ([`Persistence::entry_penalties`]). Persistent reads carry no
-/// always-hit proof: they may miss once per loop entry.
+/// its MUST/MAY in-state: the block walked once into its census, an
+/// access count per price class, then priced under `ctx.hierarchy`,
+/// persistent reads at the L1 hit, with `callee_wcet` supplying the WCET
+/// bound of each callee. Per-address proofs (always-hit, L1 always-miss,
+/// guaranteed L2 hit) are recorded into `classification` and counts by
+/// kind into `stats`. The caller charges the first misses of persistent
+/// lines per loop entry ([`Persistence::first_misses`]).
 pub fn block_cost(
     block: &BasicBlock,
     in_state: &MultiState,
@@ -1254,17 +1500,18 @@ pub fn block_cost(
     classification: &mut Classification,
     persistence: Option<&mut Persistence>,
 ) -> u64 {
-    let mut state = in_state.clone();
-    let mut acc = CostAcc {
-        callee_wcet,
+    let mut census = Census::default();
+    census_block(
+        block,
+        in_state.clone(),
+        ctx,
+        &mut census,
         stats,
         classification,
         persistence,
-        block: block.start,
-        cost: 0,
-    };
-    walk_block(&mut state, block, ctx, Some(&mut acc), None);
-    acc.cost
+    );
+    let prices = census.prices(ctx.hierarchy, true);
+    census.block_costs(0..1, &prices, [block], callee_wcet)[0]
 }
 
 #[cfg(test)]

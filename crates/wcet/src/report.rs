@@ -31,9 +31,10 @@ pub struct WcetResult {
     /// Worst-case stack depth in bytes (whole program).
     pub stack_bytes: u32,
     /// Per-address always-hit proofs (cache configurations; empty for
-    /// region timing). Soundness tests check these against simulator
+    /// region timing), shared by every result priced from one
+    /// classification. Soundness tests check these against simulator
     /// traces.
-    pub classification: crate::cache::Classification,
+    pub classification: std::sync::Arc<crate::cache::Classification>,
     /// `true` when any abstract-interpretation fixpoint exhausted its
     /// iteration budget and fell back (was *widened*) to the conservative
     /// top state. The bound is still sound but maximally imprecise for

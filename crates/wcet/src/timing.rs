@@ -1,8 +1,8 @@
 //! Table-1 region timing — the paper's scratchpad branch, "no additional
 //! analysis module required" — is the memory hierarchy with no cache
 //! level ([`MemHierarchyConfig::uncached`]). These tests pin its block
-//! costs through the multi-level costing walk, and check that the walk
-//! classifies nothing on the way.
+//! costs through the multi-level census walk and its pricing, and check
+//! that the walk classifies nothing on the way.
 
 #[cfg(test)]
 mod tests {

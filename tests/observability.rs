@@ -82,8 +82,8 @@ fn g721_hierarchy_sweep_memo_counts_pinned() {
 /// point is still priced from the trace (`sweep_replay`), each unbuffered
 /// first level walks the trace once for all three latencies and every L2
 /// behind it — while store-buffered points each walk it on their own —
-/// and each cache geometry runs its MUST/MAY fixpoints once for all six
-/// timings.
+/// and each cache geometry runs its MUST/MAY fixpoints and walks its
+/// census once for all six timings, which only price it.
 #[test]
 fn latency_axis_sweep_tallies_each_geometry_once() {
     let grid = GridSpec {
@@ -125,11 +125,14 @@ fn latency_axis_sweep_tallies_each_geometry_once() {
         // pass. The uncached points have no cache level to classify and
         // run none; the latency-0 unified L1 point takes paper mode,
         // whose flags differ, and runs one of its own. Classifying per
-        // point would run it 18 times.
+        // point would run it 18 times. Each of the 5 classification keys
+        // walks one census, the uncached one included: 4 cached keys and
+        // the key every uncached point shares, whatever its timing.
         let spans = sink.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
         assert_eq!(count("wcet-pass-prepare"), 1);
         assert_eq!(count("wcet-pass-fixpoints"), 4);
+        assert_eq!(count("wcet-pass-census"), 5);
         assert_eq!(count("wcet-pass-costing"), 24, "costing stays per point");
         outcomes
     };
@@ -192,7 +195,10 @@ fn write_back_grid_shares_idle_store_buffer_points() {
         assert_eq!(sink.counter_total("replay_l2_events"), 1_472);
         let spans = sink.spans();
         let count = |name: &str| spans.iter().filter(|s| s.name == name).count() as u64;
+        // One census per geometry's classification key: the latencies
+        // and the idle buffers price it, none walks it again.
         assert_eq!(count("wcet-pass-fixpoints"), 4, "one per geometry");
+        assert_eq!(count("wcet-pass-census"), 4);
         assert_eq!(count("wcet-pass-costing"), measured);
         assert_each_equals_a_direct_run(&p, &outcomes);
     }
