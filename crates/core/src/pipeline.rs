@@ -19,8 +19,8 @@ use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, L1};
 use spmlab_isa::mem::MemoryMap;
 use spmlab_isa::Executable;
 use spmlab_sim::{
-    simulate, simulate_with_trace, FirstLevels, MachineConfig, MemStats, MemTrace, Profile,
-    SimError, SimOptions, SimResult, Tally,
+    simulate, simulate_with_trace, MachineConfig, MemStats, MemTrace, Profile, SimError,
+    SimOptions, SimResult, Tallies,
 };
 use spmlab_wcet::cache::ClassifyStats;
 use spmlab_wcet::{
@@ -122,20 +122,17 @@ impl Link {
 
 /// What one executor unit's representatives share, each result computed
 /// by the first member that needs it and keyed by what it is computed
-/// from: its link, by identity, and its machine with the latency removed
-/// (a classification: its analyzer configuration with the main-memory
-/// timing removed, a census of tens of KiB).
-/// A unit's members have one scratchpad capacity and one first level (see
-/// `plan::SweepPlan`), and a link's tallies share the first-level stages
-/// of its trace: a unit walks each of its links once per first level,
-/// whatever L2 sizes sit behind it. A tally's key is its whole machine
-/// with the main-memory latency zeroed, its L2 included.
+/// from: its link, by identity, and (for a classification) its analyzer
+/// configuration with the main-memory timing removed, a census of tens
+/// of KiB. A unit's members have one scratchpad capacity and one first
+/// level (see `plan::SweepPlan`). Each link keeps one pricing memo of its
+/// trace, which decides what the unit's machines share on it (see
+/// `spmlab_sim::trace`): a unit walks each of its links once per first
+/// level, whatever L2 sizes sit behind it, and tallies each geometry once
+/// for every main-memory latency.
 #[derive(Default)]
 pub(crate) struct Slots {
-    tallies: Vec<(Arc<Link>, MemHierarchyConfig, Tally)>,
-    /// The first-level stages of each link's trace, keyed by the link
-    /// alone: a set keys its stages by first level itself.
-    first_levels: Vec<(Arc<Link>, (), FirstLevels)>,
+    tallies: Vec<(Arc<Link>, (), Tallies)>,
     classified: Vec<(Arc<Link>, WcetConfig, Classified)>,
 }
 
@@ -441,10 +438,10 @@ impl Pipeline {
     /// point's own label. Points share a representative only when their
     /// measured machines are equal, so scratchpad capacity and cache
     /// bytes, and with them the energy figure, are equal too. `slots` are
-    /// its unit's: a priceable machine prices from the latency-0 tally of
-    /// its link, and a machine costs from the classification of its link
-    /// and classification key; the first member that needs one computes
-    /// it, the others with the same link and key reuse it.
+    /// its unit's: a machine prices through the pricing memo of its link,
+    /// and costs from the classification of its link and classification
+    /// key; the first member that needs one computes it, the others with
+    /// the same link and key reuse it.
     pub(crate) fn measure_spec(
         &self,
         rep: &Rep,
@@ -497,46 +494,23 @@ impl Pipeline {
         })
     }
 
-    /// Prices `hierarchy` on `link` from its recorded trace, bumping the
-    /// `sweep_replay` counter. A [priceable](MemTrace::priceable) machine
-    /// prices from the link's latency-0 tally in `slots`, tallying only
-    /// when no unit member has tallied its machine yet, and walking the
-    /// trace's first level only when no unit member on the link has
-    /// walked it yet; any other replays. The replayed memory image
-    /// equals the recorded one, so its validated checksum carries over.
-    /// A replay that diverged on a recorded cycle-register value falls
-    /// back to a full, checksum-checked simulation instead of failing the
-    /// point. Real replay failures (watchdog expiry) propagate.
+    /// Prices `hierarchy` on `link` from its recorded trace through the
+    /// link's pricing memo in `slots`, bumping the `sweep_replay` counter.
+    /// The replayed memory image equals the recorded one, so its validated
+    /// checksum carries over. A replay that diverged on a recorded
+    /// cycle-register value falls back to a full, checksum-checked
+    /// simulation instead of failing the point. Real replay failures
+    /// (watchdog expiry) propagate.
     fn simulated(
         &self,
         link: &Arc<Link>,
         hierarchy: &MemHierarchyConfig,
         slots: &mut Slots,
     ) -> Result<(u64, MemStats), CoreError> {
-        let trace = &link.trace;
-        let replayed = if trace.priceable(hierarchy) {
-            let tallied = MemHierarchyConfig {
-                main: MainMemoryTiming {
-                    latency: 0,
-                    ..hierarchy.main
-                },
-                ..hierarchy.clone()
-            };
-            let Slots {
-                tallies,
-                first_levels,
-                ..
-            } = slots;
-            shared(tallies, link, tallied, || {
-                let first = shared(first_levels, link, (), || {
-                    Ok::<_, SimError>(FirstLevels::default())
-                })?;
-                trace.tally_sharing(hierarchy, first)
-            })
-            .and_then(|t| t.price(&hierarchy.main))
-        } else {
-            trace.replay(hierarchy)
-        };
+        let tallies = shared(&mut slots.tallies, link, (), || {
+            Ok::<_, CoreError>(Tallies::default())
+        })?;
+        let replayed = link.trace.price(hierarchy, tallies);
         match replayed {
             Ok(priced) => {
                 spmlab_obs::counter("sweep_replay", 1);

@@ -12,10 +12,11 @@
 //!   L2 and timing: their links are one capacity's, so a unit is where
 //!   two representatives can land on one link, and their L2s see what
 //!   one walk of their L1 lets through. The unit's members share what
-//!   that link computes, keyed by what it is computed from (see
-//!   [`Pipeline::measure_spec`]): the first-level walk of its trace, a
-//!   latency-0 trace tally per machine, and a cache classification,
-//!   which reads no main-memory timing
+//!   that link computes (see [`Pipeline::measure_spec`]): one pricing
+//!   memo of its trace ([`spmlab_sim::Tallies`]), which decides what
+//!   the machines priced through it share — the first-level walk, and
+//!   one tally per geometry for every main-memory latency — and a cache
+//!   classification per key, which reads no main-memory timing
 //!   ([`WcetConfig::classification_key`](spmlab_wcet::WcetConfig::classification_key)).
 //!   Shared results live only as long as their unit.
 //! - Each `WcetAware` representative with a cache level names its unit's
@@ -109,8 +110,8 @@ impl SweepPlan {
 /// ([`MemHierarchyConfig::buffers_stores`](spmlab_isa::hierarchy::MemHierarchyConfig::buffers_stores)).
 /// Behind an absorbing write-back level the buffer is idle, so the
 /// buffered point's simulation and analysis are those of its unbuffered
-/// twin; measuring the twin lets it price from a shared latency-0 tally
-/// and share the twin's measurement.
+/// twin; measuring the twin lets it price from the twin's tally and
+/// share the twin's measurement.
 fn measured_machine(canon: &MemArchSpec) -> MemArchSpec {
     let mut m = canon.clone();
     if !canon.hierarchy().buffers_stores() {

@@ -5,8 +5,8 @@
 //! measurement and which form one executor unit (`plan::SweepPlan`), and
 //! fans the plan's units out across worker threads
 //! (`std::thread::scope` — every point only reads the shared
-//! [`Pipeline`]). A unit's points share the trace tallies and cache
-//! classifications of the links they land on. Points share a
+//! [`Pipeline`]). A unit's points share the trace pricing memo and the
+//! cache classifications of the links they land on. Points share a
 //! measurement by equality only: the memo keys on the spec's **canonical
 //! form** (so equal-after-validation specs — e.g. zero-size disabled
 //! levels — share one measurement) with an idle store buffer dropped
@@ -284,9 +284,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// (`plan::SweepPlan`): which points share one measurement, and which
 /// form one executor unit, the representatives of one scratchpad
 /// capacity and L1 geometry. Units run in parallel, each measured in
-/// turn by one worker, whose members share a link's first-level walk,
-/// latency-0 trace tallies and cache classifications whenever they land
-/// on one link (`Pipeline::measure_spec`). Fault points, `catch_unwind` and
+/// turn by one worker, whose members share a link's trace pricing memo
+/// (its first-level walks and tallies) and cache classifications
+/// whenever they land on one link (`Pipeline::measure_spec`). Fault points, `catch_unwind` and
 /// checkpoint records stay per point, so a failure fails exactly the
 /// points that depend on it.
 ///

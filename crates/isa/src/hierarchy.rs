@@ -437,14 +437,12 @@ impl MemHierarchyConfig {
         self.main.store_buffer.is_some() && self.store_absorb() == StoreAbsorb::Main
     }
 
-    /// Whether this machine's *timing of recorded read/fetch traffic plus
-    /// counted writes* can be reproduced from a write-through access
-    /// trace: `false` as soon as any level is write-back (store addresses
-    /// and their interleaving with reads then change cache state) or a
-    /// store buffer is configured (write cost then depends on arrival
-    /// times). Such machines replay on the ordered engine, which keeps
-    /// the recorded interleaving of reads and stores — see
-    /// `spmlab_sim::trace`.
+    /// Whether any level is write-back or a store buffer is configured:
+    /// the machines whose timing depends on the write policy. The
+    /// pipeline reads it to route paper mode (a paper-mode machine
+    /// writes through and has no store buffer), and `perfbench` to
+    /// bucket its replay timings; trace pricing does not read it (see
+    /// `spmlab_sim::trace`).
     pub fn write_policy_dependent(&self) -> bool {
         let wb = |c: &CacheConfig| c.size > 0 && c.write_policy.is_write_back();
         let l1 = match &self.l1 {

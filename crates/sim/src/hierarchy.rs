@@ -25,8 +25,10 @@
 //! then `retire_l1_victim` for a dirty victim). The interpreter runs the
 //! halves back to back; a staged trace tally runs the first over the
 //! whole trace once and the second once per L2 behind it (see
-//! `MemTrace::tally_sharing`), so both callers share one model of the
-//! levels below the L1.
+//! `spmlab_sim::trace`, "What a trace's machines share"), so both callers
+//! share one model of the levels below the L1. A store costs what the
+//! same route charges a read, and every L2 miss, whoever caused it, does
+//! its bookkeeping in one place (`HierarchyCaches::l2_fill`).
 
 use crate::cache::{AccessResult, Cache};
 use crate::memsys::{AccessKind, MemStats};
@@ -61,37 +63,34 @@ struct Route {
     /// Cycles when the access misses L1 and the L2 (or has no L2).
     l1_miss_worst: u64,
     /// 32-bit words filled into the missing level's line on the path that
-    /// talks to main memory.
+    /// talks to main memory: the L2's line when there is an L2.
     fill_words: u64,
     /// Cycles for an L1-less access hitting the L2 directly.
     l2_direct_hit: u64,
     /// Cycles for an L1-less access missing the L2.
     l2_direct_miss: u64,
-    /// Cycles per width when no cache sits in the path at all.
+    /// Cycles per width when no cache sits in the path at all, and of a
+    /// store written through to main memory without a store buffer.
     bypass: [u64; 3],
 }
 
 /// Precomputed write-path routing and cycle constants — the store-absorb
 /// rule plus every write-back transfer cost, all from the shared model in
 /// [`MemHierarchyConfig`] (see its `store_absorb` / `worst_store_cycles`
-/// helpers for the analyzer's side of the same constants). A store an L1
-/// absorbs fills on a miss exactly as a data read miss does (see
-/// [`HierarchyCaches::fill_l1`]).
+/// helpers for the analyzer's side of the same constants). A store costs
+/// what the data route charges a read in its place: an L1 store hit is an
+/// L1 hit, a store an L1 absorbs fills on a miss exactly as a data read
+/// miss does (see [`HierarchyCaches::fill_l1`]), a store an L2 absorbs
+/// hits or misses as an L1-less read does, and a store written through
+/// is one main-memory access.
 #[derive(Debug, Clone, Copy)]
 struct WriteRoute {
     absorb: StoreAbsorb,
-    /// Absorb-at-L1 store hit.
-    l1_store_hit: u64,
-    /// Absorb-at-L2 constants: store hit, write-allocate fill from main.
-    l2_store_hit: u64,
-    l2_fill: u64,
     /// Dirty-victim write-back transfer cycles out of the L1 / the L2.
     l1_wb: u64,
     l2_wb: u64,
     /// Whether the L2 absorbs written-back L1 lines (write-back L2).
     l2_accepts_lines: bool,
-    /// Main-memory write cycles per width (no store buffer).
-    main_write: [u64; 3],
     /// Whether any cache level sits in the data path (the write-through
     /// counter's condition, unchanged from the all-write-through model).
     data_cached: bool,
@@ -177,8 +176,6 @@ pub struct HierarchyCaches {
     data_route: Route,
     write_route: WriteRoute,
     store_buffer: Option<StoreBufferState>,
-    /// Words per L2 line fill (0 when no L2).
-    l2_fill_words: u64,
     /// Main-memory transactions so far: every access, burst, fill,
     /// write-back or write-through that paid `main.latency` once. Trace
     /// pricing reads it (see [`HierarchyCaches::main_transactions`]).
@@ -231,52 +228,26 @@ impl HierarchyCaches {
             } else {
                 0
             },
-            bypass: [
-                cfg.bypass_cycles(AccessWidth::Byte),
-                cfg.bypass_cycles(AccessWidth::Half),
-                cfg.bypass_cycles(AccessWidth::Word),
-            ],
+            bypass: AccessWidth::ALL.map(|w| cfg.bypass_cycles(w)),
         }
     }
 
     fn write_route_for(cfg: &MemHierarchyConfig) -> WriteRoute {
-        let absorb = cfg.store_absorb();
-        let data_l1 = cfg.l1_for(false);
+        let data_l1 = cfg.l1_for(false).is_some();
         let has_l2 = cfg.l2.is_some();
-        let l2_wb_policy = cfg
-            .l2
-            .as_ref()
-            .is_some_and(|c| c.write_policy.is_write_back());
         WriteRoute {
-            absorb,
-            l1_store_hit: if data_l1.is_some() {
-                cfg.l1_hit_cycles(false)
-            } else {
-                0
-            },
-            l2_store_hit: if has_l2 {
-                cfg.l2_direct_hit_cycles()
-            } else {
-                0
-            },
-            l2_fill: if has_l2 {
-                cfg.l2_direct_miss_cycles()
-            } else {
-                0
-            },
-            l1_wb: if data_l1.is_some() {
+            absorb: cfg.store_absorb(),
+            l1_wb: if data_l1 {
                 cfg.l1_writeback_cycles()
             } else {
                 0
             },
             l2_wb: if has_l2 { cfg.l2_writeback_cycles() } else { 0 },
-            l2_accepts_lines: l2_wb_policy,
-            main_write: [
-                cfg.main.access(AccessWidth::Byte),
-                cfg.main.access(AccessWidth::Half),
-                cfg.main.access(AccessWidth::Word),
-            ],
-            data_cached: data_l1.is_some() || has_l2,
+            l2_accepts_lines: cfg
+                .l2
+                .as_ref()
+                .is_some_and(|c| c.write_policy.is_write_back()),
+            data_cached: data_l1 || has_l2,
         }
     }
 
@@ -298,7 +269,6 @@ impl HierarchyCaches {
         let data_route = Self::route_for(&cfg, false);
         let write_route = Self::write_route_for(&cfg);
         let store_buffer = cfg.main.store_buffer.as_ref().map(StoreBufferState::new);
-        let l2_fill_words = cfg.l2.as_ref().map_or(0, |c| (c.line / 4) as u64);
         HierarchyCaches {
             cfg,
             l1u,
@@ -309,7 +279,6 @@ impl HierarchyCaches {
             data_route,
             write_route,
             store_buffer,
-            l2_fill_words,
             main_transactions: 0,
         }
     }
@@ -368,7 +337,7 @@ impl HierarchyCaches {
     /// cycles, the L1 lookup included, and the L2's outcome when the L2
     /// was consulted. The interpreter calls it on every L1 miss, and a
     /// staged trace tally on every fill its first level sent down (see
-    /// `MemTrace::tally`).
+    /// `MemTrace::price`).
     #[inline]
     pub(crate) fn fill_l1(
         &mut self,
@@ -381,31 +350,36 @@ impl HierarchyCaches {
         } else {
             &self.data_route
         };
-        let (l1_miss_l2_hit, l1_miss_worst, fill_words) =
-            (route.l1_miss_l2_hit, route.l1_miss_worst, route.fill_words);
-        let l2_wb = self.write_route.l2_wb;
-        match &mut self.l2 {
-            Some(l2) => {
-                let r = l2.read(addr);
-                if r.hit {
-                    stats.l2_hits += 1;
-                    (l1_miss_l2_hit, Some(true))
-                } else {
-                    stats.l2_misses += 1;
-                    stats.fill_words += fill_words;
-                    let mut c = l1_miss_worst;
-                    self.main_transactions += 1;
-                    if r.writeback.is_some() {
-                        stats.dirty_evictions += 1;
-                        stats.write_backs += 1;
-                        self.main_transactions += 1;
-                        c += l2_wb;
-                    }
-                    (c, Some(false))
-                }
-            }
-            None => (self.fills_from_main(fetch, 1, stats), None),
+        let (l1_miss_l2_hit, l1_miss_worst) = (route.l1_miss_l2_hit, route.l1_miss_worst);
+        let Some(l2) = &mut self.l2 else {
+            return (self.fills_from_main(fetch, 1, stats), None);
+        };
+        let r = l2.read(addr);
+        if r.hit {
+            stats.l2_hits += 1;
+            (l1_miss_l2_hit, Some(true))
+        } else {
+            stats.l2_misses += 1;
+            (l1_miss_worst + self.l2_fill(r, stats), Some(false))
         }
+    }
+
+    /// The part of an L2 miss below the L2: the line fill from main
+    /// memory, one transaction, then the burst that writes back the dirty
+    /// L2 victim `r` names, if any. Returns the victim's cycles; the
+    /// caller charges the miss itself.
+    #[inline]
+    fn l2_fill(&mut self, r: AccessResult, stats: &mut MemStats) -> u64 {
+        // With an L2, every route fills the L2's line.
+        stats.fill_words += self.data_route.fill_words;
+        self.main_transactions += 1;
+        if r.writeback.is_none() {
+            return 0;
+        }
+        stats.dirty_evictions += 1;
+        stats.write_backs += 1;
+        self.main_transactions += 1;
+        self.write_route.l2_wb
     }
 
     /// `n` fills of the L1 serving `fetch` straight from main memory, no
@@ -422,8 +396,9 @@ impl HierarchyCaches {
         n.saturating_mul(route.l1_miss_worst)
     }
 
-    /// `n` reads of `width` that no cache serves, each one main-memory
-    /// access: their cycles.
+    /// `n` reads of `width` that no cache serves, or stores of `width`
+    /// written through with no store buffer, each one main-memory access:
+    /// their cycles.
     #[inline]
     pub(crate) fn bypass(&mut self, width: AccessWidth, n: u64) -> u64 {
         let w = match width {
@@ -519,47 +494,26 @@ impl HierarchyCaches {
             // scalar constants each branch needs are read out of the
             // route (copying the whole struct per access showed up in
             // profiles).
-            let route = if fetch {
-                &self.fetch_route
+            let (l2_direct_hit, l2_direct_miss) = (
+                self.data_route.l2_direct_hit,
+                self.data_route.l2_direct_miss,
+            );
+            let Some(l2) = &mut self.l2 else {
+                return (self.bypass(width, 1), ReadOutcome::BYPASS);
+            };
+            let r = l2.read(addr);
+            let cycles = if r.hit {
+                stats.l2_hits += 1;
+                l2_direct_hit
             } else {
-                &self.data_route
+                stats.l2_misses += 1;
+                l2_direct_miss + self.l2_fill(r, stats)
             };
-            let (l2_direct_hit, l2_direct_miss) = (route.l2_direct_hit, route.l2_direct_miss);
-            let l2_wb = self.write_route.l2_wb;
-            return match &mut self.l2 {
-                Some(l2) => {
-                    let r = l2.read(addr);
-                    if r.hit {
-                        stats.l2_hits += 1;
-                        (
-                            l2_direct_hit,
-                            ReadOutcome {
-                                first_miss: Some(false),
-                                l2_hit: Some(true),
-                            },
-                        )
-                    } else {
-                        stats.l2_misses += 1;
-                        stats.fill_words += self.l2_fill_words;
-                        let mut cycles = l2_direct_miss;
-                        self.main_transactions += 1;
-                        if r.writeback.is_some() {
-                            stats.dirty_evictions += 1;
-                            stats.write_backs += 1;
-                            self.main_transactions += 1;
-                            cycles += l2_wb;
-                        }
-                        (
-                            cycles,
-                            ReadOutcome {
-                                first_miss: Some(true),
-                                l2_hit: Some(false),
-                            },
-                        )
-                    }
-                }
-                None => (self.bypass(width, 1), ReadOutcome::BYPASS),
+            let outcome = ReadOutcome {
+                first_miss: Some(!r.hit),
+                l2_hit: Some(r.hit),
             };
+            return (cycles, outcome);
         };
         if l1r.hit {
             return (
@@ -591,8 +545,8 @@ impl HierarchyCaches {
     /// and cost [`HierarchyCaches::read`] charges for such a hit. Exact
     /// only for accesses known to hit the most recently used line of a
     /// cache that saw nothing else since — a hit no replacement policy
-    /// acts on (see `MemTrace::tally`). The kind must have a cache in
-    /// its path.
+    /// acts on (see `MemTrace::with_run_index`). The kind must have a
+    /// cache in its path.
     pub(crate) fn credit_hits(&self, kind: AccessKind, count: u64, stats: &mut MemStats) -> u64 {
         let fetch = kind == AccessKind::Fetch;
         let route = if fetch {
@@ -619,13 +573,13 @@ impl HierarchyCaches {
     /// charges for such a hit, which records no counters. Exact only for
     /// stores to the most recently used line of an absorbing L1 that saw
     /// nothing else since and is already dirty — a hit that changes no
-    /// state (see `MemTrace::tally`).
+    /// state (see `MemTrace::with_run_index`).
     pub(crate) fn credit_store_hits(&self, count: u64) -> u64 {
         debug_assert!(
             count == 0 || self.write_route.absorb == StoreAbsorb::L1,
             "a store hit needs an absorbing L1"
         );
-        count.saturating_mul(self.write_route.l1_store_hit)
+        count.saturating_mul(self.data_route.l1_hit)
     }
 
     /// A data write to main-memory space at time `now`, routed by the
@@ -644,12 +598,11 @@ impl HierarchyCaches {
     ///
     /// Returns the store's cycles.
     pub fn write(&mut self, addr: u32, width: AccessWidth, now: u64, stats: &mut MemStats) -> u64 {
-        let wr = self.write_route;
-        match wr.absorb {
+        match self.write_route.absorb {
             StoreAbsorb::L1 => {
                 let w = self.write_l1(addr);
                 if w.hit {
-                    return wr.l1_store_hit;
+                    return self.data_route.l1_hit;
                 }
                 // Write-allocate: fill the line from the next level, as a
                 // data read miss does.
@@ -663,18 +616,9 @@ impl HierarchyCaches {
                 let l2 = self.l2.as_mut().expect("write-back L2 absorbs");
                 let w = l2.write(addr);
                 if w.hit {
-                    wr.l2_store_hit
+                    self.data_route.l2_direct_hit
                 } else {
-                    stats.fill_words += self.l2_fill_words;
-                    let mut cycles = wr.l2_fill;
-                    self.main_transactions += 1;
-                    if w.writeback.is_some() {
-                        stats.dirty_evictions += 1;
-                        stats.write_backs += 1;
-                        self.main_transactions += 1;
-                        cycles += wr.l2_wb;
-                    }
-                    cycles
+                    self.data_route.l2_direct_miss + self.l2_fill(w, stats)
                 }
             }
             StoreAbsorb::Main => {
@@ -682,20 +626,12 @@ impl HierarchyCaches {
                 // change at any level, byte-identical to the paper's
                 // machine — the store buffer, when present, only changes
                 // *when* the cycles are paid.
-                if wr.data_cached {
+                if self.write_route.data_cached {
                     stats.write_throughs += 1;
                 }
                 match &mut self.store_buffer {
                     Some(sb) => sb.push(now, stats),
-                    None => {
-                        let w = match width {
-                            AccessWidth::Byte => 0,
-                            AccessWidth::Half => 1,
-                            AccessWidth::Word => 2,
-                        };
-                        self.main_transactions += 1;
-                        wr.main_write[w]
-                    }
+                    None => self.bypass(width, 1),
                 }
             }
         }

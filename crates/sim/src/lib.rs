@@ -57,7 +57,7 @@ pub use machine::{simulate, ExitReason, SimOptions, SimResult};
 pub use memsys::{AccessKind, MemStats};
 pub use profile::{InsnStat, Profile, SymbolProfile};
 pub use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig};
-pub use trace::{simulate_with_trace, FirstLevels, MemTrace, Tally, TraceError};
+pub use trace::{simulate_with_trace, MemTrace, Tallies, TraceError};
 
 /// Machine configuration: the memory map comes from the executable; this
 /// selects what sits between the core and main memory — one

@@ -13,33 +13,39 @@
 //! order, each annotated with the hierarchy-independent cycles that
 //! elapsed since the previous event and with the position of the
 //! per-instruction `now` latch the store-buffer model samples.
-//! [`MemTrace::replay`] then prices the recorded sequence under any
+//! [`MemTrace::price`] then prices the recorded sequence under any
 //! [`MemHierarchyConfig`] by driving the *same* concrete tag stores
 //! ([`HierarchyCaches`]) the interpreter would have used — dirty bits,
 //! eviction write-backs, write-allocate installs and store-buffer drain
-//! timing included — making the replayed cycle count and statistics
+//! timing included — making the priced cycle count and statistics
 //! bit-identical to a fresh simulation while skipping instruction decode
 //! and execution entirely. An eight-point sweep costs one interpretation
 //! plus eight cheap replays instead of eight interpretations.
 //!
-//! ## Pricing main-memory latencies
+//! ## What a trace's machines share
 //!
-//! Without a store buffer and without cycle-register reads, every cost
-//! that reaches main memory is `latency + beats * beat_cycles` and every
-//! other cost and statistic depends on the tag stores only. So
-//! [`MemTrace::tally`] prices the stream once per cache geometry at
-//! latency 0, counting main-memory transactions, and [`Tally::price`]
-//! yields the exact result at any latency as `cycles(0) + latency *
-//! transactions`. [`MemTrace::replay`] is "tally, then price" for every
-//! such machine; the ordered engine serves the rest.
+//! [`MemTrace::price`] takes a [`Tallies`] memo and decides alone what
+//! the machines priced through it share; [`MemTrace::replay`] is `price`
+//! with a memo of its own. Two facts make the sharing exact.
 //!
-//! ## Sharing the first level
+//! *Cycles are affine in the main-memory latency.* Without a store
+//! buffer and without cycle-register reads, every cost that reaches main
+//! memory is `latency + beats * beat_cycles`, and every other cost and
+//! statistic depends on the tag stores only. So such a machine is priced
+//! from a *tally*: the stream walked once per cache geometry at latency
+//! 0, counting main-memory transactions, which yields the exact result
+//! at any latency as `cycles(0) + latency * transactions`. The memo keeps
+//! each tally under its machine with the latency zeroed. Store-buffered
+//! machines (whose drain timing moves with the latency) and programs that
+//! read the cycle register (whose recorded values would move too) take
+//! the ordered engine on every call.
 //!
-//! The L1 never looks at what sits behind it: the caches are not
-//! inclusive, and nothing invalidates an L1 line from below. So the L2
-//! sees exactly what the L1 lets through, in program order, whatever its
-//! size (the filtering Hardy–Puaut's multi-level analysis applies
-//! between levels), and a tally runs in two stages:
+//! *An L2 sees only what the L1 lets through.* The L1 never looks at what
+//! sits behind it: the caches are not inclusive, and nothing invalidates
+//! an L1 line from below. So the L2 sees exactly what the L1 lets
+//! through, in program order, whatever its size (the filtering
+//! Hardy–Puaut's multi-level analysis applies between levels), and a
+//! tally runs in two stages:
 //!
 //! * the *first-level stage* walks the stream (or its run index) through
 //!   the L1 alone. It keeps the L1's counters and hit cycles, and
@@ -53,12 +59,12 @@
 //!   L1 takes), or, with no L2, prices it from its per-kind counts.
 //!
 //! A stage depends on the L1 and on whether stores reach the level below
-//! (a write-back L2 absorbs them); [`MemTrace::tally_sharing`] takes it
-//! from a [`FirstLevels`] set, so the tallies of one L1 over every L2
-//! size walk the stream once. A machine with no L1 has no first-level
-//! stage: its L2, or nothing, is the first level. The `replay_events`
-//! and `replay_elided` counters count the first walks, and
-//! `replay_l2_events` what a stage fed to an L2.
+//! (a write-back L2 absorbs them); the memo keeps it under both, so the
+//! tallies of one L1 over every L2 size walk the stream once. A machine
+//! with no L1 has no first-level stage: its L2, or nothing, is the first
+//! level. Each tally opens one `replay` span, as does each ordered
+//! replay; the `replay_events` and `replay_elided` counters count the
+//! first walks, and `replay_l2_events` what a stage fed to an L2.
 //!
 //! ## Skipping guaranteed first-level hits
 //!
@@ -113,6 +119,14 @@
 //! [`SimError::ReplayDivergence`] when they differ (callers fall back to
 //! full simulation). A recording whose inter-event gap does not fit the
 //! 32-bit deltas is an error of [`simulate_with_trace`], never a trace.
+//!
+//! The header's access counts must agree with the events: the
+//! cycle-register reads, the reads by width (a fetch is a halfword read)
+//! and the writes by width. The recorder builds them from the events,
+//! and [`MemTrace::from_bytes`] rejects a stream whose counts disagree,
+//! so a machine priced from the counts (uncached) and one that walks the
+//! events (cached) see one stream, and no walk past the decoder checks
+//! it again.
 
 use crate::hierarchy::HierarchyCaches;
 use crate::machine::{SimOptions, SimResult};
@@ -429,12 +443,12 @@ impl RunRule {
 
     /// The rule that is exact for the first walk of `hierarchy`'s tally,
     /// if any, and which index it reads. The first walk is the first
-    /// level's (see [`MemTrace::tally_sharing`]), or an L2's with no L1
-    /// in front. Stores that reach no tag store leave the index out;
-    /// stores a write-back L1 absorbs are walked in it, when both
-    /// first-level caches exist and have lines of at least
-    /// [`RunRule::LINE`] bytes; stores an L2 absorbs reach it in program
-    /// order, so that walk takes every event.
+    /// level's (see the module docs), or an L2's with no L1 in front.
+    /// Stores that reach no tag store leave the index out; stores a
+    /// write-back L1 absorbs are walked in it, when both first-level
+    /// caches exist and have lines of at least [`RunRule::LINE`] bytes;
+    /// stores an L2 absorbs reach it in program order, so that walk takes
+    /// every event.
     fn for_machine(hierarchy: &MemHierarchyConfig) -> Option<(RunRule, Stores)> {
         let long = |c: &spmlab_isa::cachecfg::CacheConfig| c.line >= RunRule::LINE;
         let stores = match hierarchy.store_absorb() {
@@ -484,9 +498,9 @@ struct RunIndex {
 }
 
 impl RunIndex {
-    /// Indexes `events`; `None` when an event is a cycle-register read
-    /// or an indexed access whose address does not fit an entry —
-    /// streams the per-event walk must judge.
+    /// Indexes `events`, which hold no cycle-register read (a tally's
+    /// trace has none); `None` when an indexed access's address does not
+    /// fit an entry, a stream the per-event walk must take.
     ///
     /// Under each rule an access is skipped when its line is the line of
     /// the previous access in its stream, except for the first write of
@@ -517,9 +531,8 @@ impl RunIndex {
             let class = match ev.kind {
                 EV_FETCH => 0,
                 EV_READ_BYTE..=EV_READ_WORD => 1,
-                EV_WRITE_BYTE..=EV_WRITE_WORD if WRITES => 2,
-                EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
-                _ => return None,
+                _ if WRITES => 2,
+                _ => continue,
             };
             if ev.addr > RUN_ADDR_MASK {
                 return None;
@@ -623,15 +636,12 @@ const BELOW_VICTIM: u8 = 10;
 const BELOW_TAGS: usize = 11;
 
 /// The first-level stage of the tallies of every machine with one first
-/// level ([`MemTrace::tally_sharing`]): one walk of the trace through the
-/// L1 alone. It keeps the L1's counters and hit cycles and, in program
+/// level (see the module docs): one walk of the trace through the L1
+/// alone. It keeps the L1's counters and hit cycles and, in program
 /// order, every operation that reaches the level below, in the order
 /// `HierarchyCaches::read` and `HierarchyCaches::write` issue them.
 #[derive(Debug)]
 struct FirstLevel {
-    /// The walked first level and where the stores go: the stage's key.
-    l1: L1,
-    absorb: StoreAbsorb,
     /// Cycles of the L1 hits, store hits included.
     cycles: u64,
     /// The recording's statistics template plus the L1's counters.
@@ -759,128 +769,68 @@ impl FirstLevelWalk {
     }
 }
 
-/// The first-level stages of one trace's tallies, each made by the first
-/// [`MemTrace::tally_sharing`] that needs it and kept for the tallies of
-/// every machine with the same first level: one L1, the same stores
-/// reaching the level below. Pass one set to the tallies of one trace
-/// only; dropping it frees what the stages recorded.
-#[derive(Debug, Default)]
-pub struct FirstLevels(Vec<FirstLevel>);
-
-impl FirstLevels {
-    /// The stage of `hierarchy`'s first level on `trace`, walked on a miss.
-    fn get_or_walk(
-        &mut self,
-        trace: &MemTrace,
-        hierarchy: &MemHierarchyConfig,
-    ) -> Result<&FirstLevel, SimError> {
-        let absorb = hierarchy.store_absorb();
-        let found = self
-            .0
-            .iter()
-            .position(|f| f.l1 == hierarchy.l1 && f.absorb == absorb);
-        let i = match found {
-            Some(i) => i,
-            None => {
-                self.0.push(trace.first_level(hierarchy)?);
-                self.0.len() - 1
-            }
-        };
-        Ok(&self.0[i])
-    }
-}
-
-/// A trace priced through one cache geometry at main-memory latency 0
-/// ([`MemTrace::tally`]): the latency-0 cycles, the main-memory
-/// transactions, and the memory statistics — which do not depend on the
-/// latency at all. [`Tally::price`] turns it into the result at any
-/// latency.
-#[derive(Debug, Clone)]
-pub struct Tally {
-    /// Cycles at main-memory latency 0.
+/// A trace priced through one cache geometry at main-memory latency 0:
+/// the latency-0 cycles, the main-memory transactions, and the memory
+/// statistics, which do not depend on the latency at all. The cycles at
+/// latency `L` are `cycles + L * transactions`, exactly.
+#[derive(Debug)]
+struct Tally {
     cycles: u64,
     /// Main-memory transactions, each paying the setup latency once.
     transactions: u64,
     stats: MemStats,
-    /// The tallied main-memory timing, latency zeroed.
-    main: MainMemoryTiming,
-    /// Watchdog limit the recording ran under.
-    max_cycles: u64,
 }
 
-impl Tally {
-    /// Main-memory transactions: the slope of the cycle count in
-    /// `main.latency`.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
+/// One trace's pricing memo (see the module docs): the first-level stages
+/// of its tallies, each under its L1 and where the stores go, and the
+/// tallies, each under its machine with the main-memory latency zeroed.
+/// [`MemTrace::price`] fills it and decides what its machines share. Pass
+/// one memo to the pricing of one trace only; dropping it frees what the
+/// stages recorded.
+#[derive(Debug, Default)]
+pub struct Tallies {
+    first_levels: Vec<((L1, StoreAbsorb), FirstLevel)>,
+    tallies: Vec<(MemHierarchyConfig, Tally)>,
+}
 
-    /// The cycles and memory statistics under `main`, which must match
-    /// the tallied timing in everything but `latency`:
-    /// `cycles(L) = cycles(0) + L * transactions`, exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Watchdog`] when the priced cycle count exceeds the
-    /// recording's limit.
-    ///
-    /// # Panics
-    ///
-    /// When `main` differs from the tallied timing in anything but
-    /// `latency` — a tally prices one cache geometry and bus only.
-    pub fn price(&self, main: &MainMemoryTiming) -> Result<(u64, MemStats), SimError> {
-        assert_eq!(
-            MainMemoryTiming {
-                latency: 0,
-                ..*main
-            },
-            self.main,
-            "a tally prices only main-memory latencies of its own machine"
-        );
-        let cycles = self
-            .cycles
-            .saturating_add(main.latency.saturating_mul(self.transactions));
-        if cycles > self.max_cycles {
-            return Err(SimError::Watchdog { cycles });
+/// The value `memo` keeps under `key`, computed from the key and kept on
+/// a miss.
+fn memo<K: PartialEq, V>(memo: &mut Vec<(K, V)>, key: K, compute: impl FnOnce(&K) -> V) -> &V {
+    let i = match memo.iter().position(|(k, _)| *k == key) {
+        Some(i) => i,
+        None => {
+            let value = compute(&key);
+            memo.push((key, value));
+            memo.len() - 1
         }
-        Ok((cycles, self.stats.clone()))
-    }
-}
-
-/// The error of a tally that meets a cycle-register read (its recorded
-/// value in `addr`) the trace header does not declare.
-fn undeclared_cycle_read(addr: u32) -> SimError {
-    SimError::Fault {
-        pc: 0,
-        addr,
-        what: "undeclared cycle-register read in a trace",
-    }
+    };
+    &memo[i].1
 }
 
 impl MemTrace {
     /// Always `true`: every trace replays under every hierarchy. Kept
     /// only because `perfbench/` still calls it; the benchmark change
-    /// that deletes those calls (ROADMAP item (c)) deletes this too.
+    /// that deletes those calls (ROADMAP item (b)) deletes this too.
     pub fn replayable(&self) -> bool {
         true
     }
 
     /// Always `true`: every trace prices every hierarchy. Kept only
     /// because `perfbench/` still calls it; the benchmark change that
-    /// deletes those calls (ROADMAP item (c)) deletes this too.
+    /// deletes those calls (ROADMAP item (b)) deletes this too.
     pub fn supports(&self, _hierarchy: &MemHierarchyConfig) -> bool {
         true
     }
 
-    /// Opts this trace into run-indexed tallies: the first
-    /// [`MemTrace::tally`] that can use an index builds it (at most 4
-    /// bytes per indexed access), and every write-through tally with
-    /// first-level lines of at least 16 bytes, and every write-back tally
-    /// whose stores such a first level absorbs, then skips the guaranteed
-    /// first-level hits (see the module docs). Write-through and
-    /// write-back tallies read an index each: the write-back one walks
-    /// the stores too. Worth it for a trace tallied many times, such as a
-    /// sweep's baseline; results are bit-identical either way.
+    /// Opts this trace into run-indexed tallies: the first tally that can
+    /// use an index builds it (at most 4 bytes per indexed access), and
+    /// every write-through tally with first-level lines of at least 16
+    /// bytes, and every write-back tally whose stores such a first level
+    /// absorbs, then skips the guaranteed first-level hits (see the
+    /// module docs). Write-through and write-back tallies read an index
+    /// each: the write-back one walks the stores too. Worth it for a
+    /// trace priced many times, such as a sweep's baseline; results are
+    /// bit-identical either way.
     pub fn with_run_index(mut self) -> MemTrace {
         self.runs = Some(Default::default());
         self
@@ -905,64 +855,77 @@ impl MemTrace {
         self.cycle_reads
     }
 
-    /// Whether `hierarchy` can be priced from one latency-0 [`Tally`]: no
-    /// store buffer sits in front of main memory
-    /// (its drain timing depends on arrival times, which move with the
-    /// latency) and the program never read the cycle register (whose
-    /// recorded values would move too). Every such machine's cycle count
-    /// is affine in `main.latency` with the tally's slope.
-    pub fn priceable(&self, hierarchy: &MemHierarchyConfig) -> bool {
+    /// Whether `hierarchy` is priced from a latency-0 tally: no store
+    /// buffer sits in front of main memory and the program never read the
+    /// cycle register (see the module docs).
+    pub(crate) fn priceable(&self, hierarchy: &MemHierarchyConfig) -> bool {
         self.cycle_reads == 0 && hierarchy.main.store_buffer.is_none()
+    }
+
+    /// Prices the recorded execution under `hierarchy` with a memo of its
+    /// own: [`MemTrace::price`] for one machine.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemTrace::price`].
+    pub fn replay(&self, hierarchy: &MemHierarchyConfig) -> Result<(u64, MemStats), SimError> {
+        self.price(hierarchy, &mut Tallies::default())
     }
 
     /// Prices the recorded execution under `hierarchy`, returning the
     /// total cycles and the memory statistics — bit-identical to running
     /// [`simulate`](crate::machine::simulate) under the same
-    /// configuration. [`MemTrace::priceable`] machines take one
-    /// [`MemTrace::tally`] and [`Tally::price`]; store-buffered machines
-    /// and timing-dependent programs take the ordered replay engine.
+    /// configuration. A machine without a store buffer, on a program that
+    /// never read the cycle register, takes its tally from `tallies` or
+    /// tallies once and keeps it there, walking the first level only when
+    /// no machine priced through `tallies` has walked it yet; any other
+    /// machine takes the ordered replay engine (see the module docs).
     ///
     /// # Errors
     ///
-    /// [`SimError::Watchdog`] when the replayed cycle count exceeds the
+    /// [`SimError::Watchdog`] when the priced cycle count exceeds the
     /// recording's limit; [`SimError::ReplayDivergence`] when a recorded
     /// MMIO cycle-register value differs under the target hierarchy's
     /// timing, which callers should treat as "fall back to full
-    /// simulation", not as fatal; [`SimError::Fault`] for a corrupt event
-    /// kind.
-    pub fn replay(&self, hierarchy: &MemHierarchyConfig) -> Result<(u64, MemStats), SimError> {
-        if self.priceable(hierarchy) {
-            return self.tally(hierarchy)?.price(&hierarchy.main);
-        }
-        let _span = spmlab_obs::span("replay");
-        if spmlab_obs::enabled() {
-            spmlab_obs::counter("replay_events", self.events.len() as u64);
-        }
-        let (cycles, stats) = self.replay_ordered(hierarchy)?;
+    /// simulation", not as fatal.
+    pub fn price(
+        &self,
+        hierarchy: &MemHierarchyConfig,
+        tallies: &mut Tallies,
+    ) -> Result<(u64, MemStats), SimError> {
+        let (cycles, stats) = if self.priceable(hierarchy) {
+            let Tallies {
+                first_levels,
+                tallies,
+            } = tallies;
+            let tallied = MemHierarchyConfig {
+                main: MainMemoryTiming {
+                    latency: 0,
+                    ..hierarchy.main
+                },
+                ..hierarchy.clone()
+            };
+            let tally = memo(tallies, tallied, |h| self.tally(h, first_levels));
+            let latency = hierarchy.main.latency.saturating_mul(tally.transactions);
+            (tally.cycles.saturating_add(latency), tally.stats.clone())
+        } else {
+            let _span = spmlab_obs::span("replay");
+            if spmlab_obs::enabled() {
+                spmlab_obs::counter("replay_events", self.events.len() as u64);
+            }
+            self.replay_ordered(hierarchy)?
+        };
         if cycles > self.max_cycles {
             return Err(SimError::Watchdog { cycles });
         }
         Ok((cycles, stats))
     }
 
-    /// Walks the recorded stream once through `hierarchy`'s tag stores at
-    /// main-memory latency 0, counting the main-memory transactions. The
-    /// resulting [`Tally`] prices every machine that differs from
-    /// `hierarchy` only in `main.latency` (see [`Tally::price`]). It is
-    /// [`MemTrace::tally_sharing`] with a first-level stage of its own.
-    ///
-    /// # Errors
-    ///
-    /// As [`MemTrace::tally_sharing`].
-    pub fn tally(&self, hierarchy: &MemHierarchyConfig) -> Result<Tally, SimError> {
-        self.tally_sharing(hierarchy, &mut FirstLevels::default())
-    }
-
-    /// [`MemTrace::tally`] in two stages, the first shared through
-    /// `first_levels` by every machine with `hierarchy`'s first level (see
-    /// the module docs): the first level's walk, taken from `first_levels`
-    /// or made and kept there, then the level below, fed what the first
-    /// level let through.
+    /// Walks the recorded stream once through the tag stores of
+    /// `hierarchy`, a priceable machine at main-memory latency 0, in two
+    /// stages (see the module docs): the first level's walk, taken from
+    /// `first_levels` or made and kept there, then the level below, fed
+    /// what the first level let through.
     ///
     /// Write-through stores never touch a tag store and each cost one
     /// main write, so they are priced from the per-width counters;
@@ -973,50 +936,27 @@ impl MemTrace {
     /// too, each line's first store of a run included, when a write-back
     /// L1 absorbs them (see [`MemTrace::with_run_index`]). An L2 with no
     /// L1 in front is walked the same way, as the first level.
-    /// The `replay_events` counter reports the events or index entries a
-    /// first walk visited, `replay_elided` the events it skipped, and
-    /// `replay_l2_events` the entries a first level's stage fed to an
-    /// L2.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Fault`] when the machine is not
-    /// [`MemTrace::priceable`], or when the stream holds a cycle-register
-    /// read its header does not declare.
-    pub fn tally_sharing(
+    fn tally(
         &self,
         hierarchy: &MemHierarchyConfig,
-        first_levels: &mut FirstLevels,
-    ) -> Result<Tally, SimError> {
+        first_levels: &mut Vec<((L1, StoreAbsorb), FirstLevel)>,
+    ) -> Tally {
         let _span = spmlab_obs::span("replay");
-        if !self.priceable(hierarchy) {
-            return Err(SimError::Fault {
-                pc: 0,
-                addr: 0,
-                what: "store-buffered machines and timing-dependent programs cannot be \
-                       priced from a tally",
-            });
-        }
-        let main = MainMemoryTiming {
-            latency: 0,
-            ..hierarchy.main
-        };
+        let main = hierarchy.main;
         let mut cycles = self.base_cycles;
         let mut transactions = 0u64;
         let has_l1 = hierarchy.l1_for(true).is_some() || hierarchy.l1_for(false).is_some();
         let mut stats = if has_l1 || hierarchy.l2.is_some() {
-            let mut caches = HierarchyCaches::new(MemHierarchyConfig {
-                main,
-                ..hierarchy.clone()
-            });
+            let mut caches = HierarchyCaches::new(hierarchy.clone());
             let (below, stats) = if has_l1 {
-                let first = first_levels.get_or_walk(self, hierarchy)?;
+                let key = (hierarchy.l1.clone(), hierarchy.store_absorb());
+                let first = memo(first_levels, key, |_| self.first_level(hierarchy));
                 let mut stats = first.stats.clone();
                 cycles = cycles.saturating_add(first.cycles);
                 (first.price_below(&mut caches, &mut stats), stats)
             } else {
                 let mut stats = self.stats_template.clone();
-                (self.walk_l2(hierarchy, &mut caches, &mut stats)?, stats)
+                (self.walk_l2(hierarchy, &mut caches, &mut stats), stats)
             };
             cycles = cycles.saturating_add(below);
             transactions = caches.main_transactions();
@@ -1024,11 +964,9 @@ impl MemTrace {
         } else {
             // Uncached: every read is one main access at its width,
             // priced from the counters without touching the stream.
-            let widths = [AccessWidth::Byte, AccessWidth::Half, AccessWidth::Word];
-            for (w, &width) in widths.iter().enumerate() {
-                cycles =
-                    cycles.saturating_add(self.read_counts[w].saturating_mul(main.access(width)));
-                transactions = transactions.saturating_add(self.read_counts[w]);
+            for (&n, width) in self.read_counts.iter().zip(AccessWidth::ALL) {
+                cycles = cycles.saturating_add(n.saturating_mul(main.access(width)));
+                transactions = transactions.saturating_add(n);
             }
             self.stats_template.clone()
         };
@@ -1043,13 +981,11 @@ impl MemTrace {
                 stats.write_throughs = writes;
             }
         }
-        Ok(Tally {
+        Tally {
             cycles,
             transactions,
             stats,
-            main,
-            max_cycles: self.max_cycles,
-        })
+        }
     }
 
     /// Reports one first walk: `walked` events or index entries visited,
@@ -1066,7 +1002,7 @@ impl MemTrace {
 
     /// The first-level stage of `hierarchy`'s tally: one walk of the
     /// trace through its L1 alone, run-indexed when it can be.
-    fn first_level(&self, hierarchy: &MemHierarchyConfig) -> Result<FirstLevel, SimError> {
+    fn first_level(&self, hierarchy: &MemHierarchyConfig) -> FirstLevel {
         let mut walk = FirstLevelWalk {
             caches: HierarchyCaches::new(MemHierarchyConfig {
                 l2: None,
@@ -1091,10 +1027,10 @@ impl MemTrace {
             }
             None => {
                 for ev in &self.events {
-                    match ev.kind {
-                        EV_FETCH..=EV_READ_WORD => walk.read(ev.kind, ev.addr),
-                        EV_WRITE_BYTE..=EV_WRITE_WORD => walk.write(ev.kind, ev.addr),
-                        _ => return Err(undeclared_cycle_read(ev.addr)),
+                    if ev.kind <= EV_READ_WORD {
+                        walk.read(ev.kind, ev.addr);
+                    } else {
+                        walk.write(ev.kind, ev.addr);
                     }
                 }
                 self.events.len() as u64
@@ -1107,14 +1043,12 @@ impl MemTrace {
         }
         cycles = cycles.saturating_add(caches.credit_store_hits(walk.store_hits));
         walk.below.shrink_to_fit();
-        Ok(FirstLevel {
-            l1: hierarchy.l1.clone(),
-            absorb: walk.absorb,
+        FirstLevel {
             cycles,
             stats: walk.stats,
             below: walk.below,
             counts: walk.counts,
-        })
+        }
     }
 
     /// The cycles of an L2 with no L1 in front, the first level of its
@@ -1124,7 +1058,7 @@ impl MemTrace {
         hierarchy: &MemHierarchyConfig,
         caches: &mut HierarchyCaches,
         stats: &mut MemStats,
-    ) -> Result<u64, SimError> {
+    ) -> u64 {
         let mut cycles = 0u64;
         let walked = match self.run_index(hierarchy) {
             Some((runs, rule)) => {
@@ -1133,25 +1067,19 @@ impl MemTrace {
                 runs.walked[rule as usize]
             }
             None => {
+                // Write-through stores are priced from the counters.
                 let stores = hierarchy.store_absorb() == StoreAbsorb::L2;
                 for ev in &self.events {
-                    let cost = match ev.kind {
-                        EV_FETCH..=EV_READ_WORD => feed_below(caches, ev.kind, ev.addr, stats),
-                        EV_WRITE_BYTE..=EV_WRITE_WORD if stores => {
-                            feed_below(caches, ev.kind, ev.addr, stats)
-                        }
-                        // Write-through stores are priced from the
-                        // counters.
-                        EV_WRITE_BYTE..=EV_WRITE_WORD => continue,
-                        _ => return Err(undeclared_cycle_read(ev.addr)),
-                    };
-                    cycles = cycles.saturating_add(cost);
+                    if ev.kind <= EV_READ_WORD || stores {
+                        let cost = feed_below(caches, ev.kind, ev.addr, stats);
+                        cycles = cycles.saturating_add(cost);
+                    }
                 }
                 self.events.len() as u64
             }
         };
         self.count_walk(walked);
-        Ok(cycles)
+        cycles
     }
 
     /// The ordered replay engine: reconstructs the target machine's cycle
@@ -1182,9 +1110,10 @@ impl MemTrace {
                     let width = AccessWidth::ALL[(ev.kind - EV_WRITE_BYTE) as usize];
                     caches.write(ev.addr, width, now, &mut stats)
                 }
-                EV_CYCLE_READ => {
-                    // The recorded value is only valid if the target
-                    // hierarchy reaches this read at the same cycle.
+                _ => {
+                    // A cycle-register read: the recorded value is only
+                    // valid if the target hierarchy reaches it at the
+                    // same cycle.
                     if now as u32 != ev.addr {
                         return Err(SimError::ReplayDivergence {
                             recorded: ev.addr,
@@ -1193,13 +1122,6 @@ impl MemTrace {
                     }
                     1
                 }
-                _ => {
-                    return Err(SimError::Fault {
-                        pc: 0,
-                        addr: ev.addr,
-                        what: "corrupt trace event kind",
-                    })
-                }
             };
             cycles = cycles.saturating_add(cost);
         }
@@ -1207,10 +1129,10 @@ impl MemTrace {
     }
 
     fn write_cycles(&self, main: &MainMemoryTiming) -> u64 {
-        self.main_writes[0]
-            .saturating_mul(main.access(AccessWidth::Byte))
-            .saturating_add(self.main_writes[1].saturating_mul(main.access(AccessWidth::Half)))
-            .saturating_add(self.main_writes[2].saturating_mul(main.access(AccessWidth::Word)))
+        let widths = self.main_writes.iter().zip(AccessWidth::ALL);
+        widths.fold(0, |c, (&n, w)| {
+            c.saturating_add(n.saturating_mul(main.access(w)))
+        })
     }
 
     /// Serializes the trace (header, counters, statistics template, then
@@ -1279,7 +1201,9 @@ impl MemTrace {
     /// [`TraceError::BadMagic`] for non-trace input,
     /// [`TraceError::UnsupportedVersion`] for any version byte but 2,
     /// [`TraceError::Truncated`] / [`TraceError::Corrupt`] for streams
-    /// that end early or declare impossible contents.
+    /// that end early or declare impossible contents, among them a header
+    /// whose cycle-register reads, reads by width or writes by width
+    /// disagree with its events.
     pub fn from_bytes(bytes: &[u8]) -> Result<MemTrace, TraceError> {
         let mut at = 0usize;
         let take = |at: &mut usize, n: usize| -> Result<&[u8], TraceError> {
@@ -1310,6 +1234,8 @@ impl MemTrace {
             return Err(TraceError::Corrupt("event count does not match payload"));
         }
         let mut events = Vec::with_capacity(count as usize);
+        // Events of each kind, to check the header's counts against.
+        let mut kinds = [0u64; EV_KIND_MAX as usize + 1];
         for _ in 0..count {
             let b = take(&mut at, EVENT_BYTES)?;
             let kind = b[4];
@@ -1319,6 +1245,7 @@ impl MemTrace {
             if b[5] > 1 {
                 return Err(TraceError::Corrupt("latch flag out of range"));
             }
+            kinds[kind as usize] += 1;
             events.push(AccessEvent {
                 addr: u32::from_le_bytes(b[0..4].try_into().expect("4-byte slice")),
                 kind,
@@ -1326,6 +1253,17 @@ impl MemTrace {
                 delta_before: u32::from_le_bytes(b[6..10].try_into().expect("4-byte slice")),
                 delta_after: u32::from_le_bytes(b[10..14].try_into().expect("4-byte slice")),
             });
+        }
+        // A fetch is a halfword read.
+        let [fetches, read_bytes, read_halves, read_words, write_bytes, write_halves, write_words, cycle_reads] =
+            kinds;
+        if words[3] != cycle_reads
+            || words[4..7] != [read_bytes, fetches + read_halves, read_words]
+            || words[7..10] != [write_bytes, write_halves, write_words]
+        {
+            return Err(TraceError::Corrupt(
+                "header counts disagree with the events",
+            ));
         }
         let stats_template = MemStats {
             spm: [words[10], words[11], words[12]],
@@ -1535,10 +1473,17 @@ mod tests {
         }
     }
 
+    /// What a tally of `t` under `h` determines: its cycles, main-memory
+    /// transactions and statistics.
+    fn tally(t: &MemTrace, h: &MemHierarchyConfig) -> (u64, u64, MemStats) {
+        let tally = t.tally(h, &mut Vec::new());
+        (tally.cycles, tally.transactions, tally.stats)
+    }
+
     /// The run index skips accesses on the recorded kernel and accounts
-    /// for every fetch and read under each rule; streams it cannot
-    /// describe — an undeclared cycle-register read, an address too wide
-    /// for an entry — tally as the per-event walk does, error included.
+    /// for every fetch and read under each rule; a stream it cannot
+    /// describe — an address too wide for an entry — tallies as the
+    /// per-event walk does.
     #[test]
     fn run_index_accounts_for_every_read_and_falls_back_when_it_cannot() {
         let l = link(
@@ -1558,22 +1503,7 @@ mod tests {
             assert_eq!(runs.walked[rule as usize] + elided, reads, "{rule:?}");
         }
 
-        let tally = |t: &MemTrace, h: &MemHierarchyConfig| {
-            t.tally(h)
-                .map(|t| (t.cycles, t.transactions, t.stats, t.main))
-        };
-        let mut undeclared = trace.clone();
-        undeclared.events.insert(
-            1,
-            AccessEvent {
-                addr: 0,
-                kind: EV_CYCLE_READ,
-                latched: false,
-                delta_before: 0,
-                delta_after: 0,
-            },
-        );
-        let mut wide = trace.clone();
+        let mut wide = trace;
         let read = wide.events.iter().position(|e| e.kind == EV_READ_WORD);
         wide.events[read.expect("the kernel reads")].addr = RUN_ADDR_MASK + 1;
         let machines = [
@@ -1581,21 +1511,13 @@ mod tests {
             MemHierarchyConfig::split_l1(256, 256).with_l2(CacheConfig::l2(2048)),
             MemHierarchyConfig::l1_only(CacheConfig::unified(256).write_back()),
         ];
-        for t in [undeclared, wide] {
-            let indexed = t.clone().with_run_index();
-            for h in &machines {
-                assert_eq!(tally(&indexed, h), tally(&t, h), "{}", h.label());
-            }
-            for runs in indexed.runs.as_ref().expect("opted in") {
-                assert!(matches!(runs.get(), Some(None)));
-            }
+        let indexed = wide.clone().with_run_index();
+        for h in &machines {
+            assert_eq!(tally(&indexed, h), tally(&wide, h), "{}", h.label());
         }
-        let mut undeclared = trace.with_run_index();
-        undeclared.events[0].kind = EV_CYCLE_READ;
-        assert!(matches!(
-            undeclared.tally(&machines[0]),
-            Err(SimError::Fault { .. })
-        ));
+        for runs in indexed.runs.as_ref().expect("opted in") {
+            assert!(matches!(runs.get(), Some(None)));
+        }
     }
 
     /// A trace recorded from `(kind, addr)` events, back to back on the
@@ -1737,10 +1659,6 @@ mod tests {
         let two_way =
             CacheConfig::set_assoc(64, 2, spmlab_isa::cachecfg::Replacement::Lru).write_back();
         let l2 = CacheConfig::l2(128).write_back();
-        let tally = |t: &MemTrace, h: &MemHierarchyConfig| {
-            let t = t.tally(h).unwrap();
-            (t.cycles, t.transactions, t.stats)
-        };
         for (h, evicts_to_main) in [
             (MemHierarchyConfig::l1_only(direct.clone()), true),
             (MemHierarchyConfig::l1_only(two_way.clone()), true),

@@ -7,23 +7,26 @@
 //! machines at random, and ADPCM's recording replays every machine of
 //! the write-policy axis; pinned counter tests lock that axis'
 //! memo/replay split the way `tests/observability.rs` does for the
-//! write-through hierarchy scenario. Machines without a store buffer
-//! are priced from one latency-0 tally per cache geometry; the
-//! pricing differential checks that against replay and simulation at
-//! random latencies (the sweep-level shared-tally case lives in
-//! `tests/observability.rs`, whose tests all hold the sink lock, so its
-//! `replay_events` count sees no foreign replays). Run-indexed tallies,
-//! which skip guaranteed first-level hits, must equal the per-event
-//! tally of the same trace: on random machines here, and on every cache
-//! geometry of the `dse-wt` and `dse-wb` benchmark grids for three real
-//! kernels. Staged tallies, whose L2s share one walk of their L1, must
-//! equal the walk of every event through the whole hierarchy. A
+//! write-through hierarchy scenario. One pricing memo (`Tallies`) decides
+//! what a trace's machines share: machines without a store buffer are
+//! priced from one latency-0 tally per cache geometry, and the L2s behind
+//! one L1 share one walk of it. The pricing differential checks shared
+//! prices against replay and simulation at random latencies, and a
+//! counting test pins one `replay` span per geometry and one first-level
+//! walk per L1 (the sweep-level case lives in `tests/observability.rs`).
+//! Run-indexed tallies, which skip guaranteed first-level hits, must
+//! equal the per-event tally of the same trace: on random machines here,
+//! and on every cache geometry of the `dse-wt` and `dse-wb` benchmark
+//! grids for three real kernels. Staged tallies, whose L2s share one walk
+//! of their L1, must equal the walk of every event through the whole
+//! hierarchy. A
 //! store buffer behind a write-back level that absorbs every store must
 //! change nothing — simulation, analysis or `Pipeline::run` — which is
 //! what lets the sweep share such a point with its unbuffered twin.
 
-use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::ThreadId;
 
 use proptest::prelude::*;
 use spmlab::dse::{GridSpec, L1Shape};
@@ -35,9 +38,10 @@ use spmlab_isa::cachecfg::{CacheConfig, CacheScope, Replacement, WritePolicy};
 use spmlab_isa::hierarchy::{MainMemoryTiming, MemHierarchyConfig, StoreAbsorb, StoreBuffer, L1};
 use spmlab_isa::mem::{AccessWidth, MemoryMap, MMIO_CYCLES};
 use spmlab_obs::collector::MemorySink;
+use spmlab_obs::{Sink, SpanMeta};
 use spmlab_sim::{
-    simulate, simulate_with_trace, AccessKind, FirstLevels, MachineConfig, MemStats, MemTrace,
-    SimError, SimOptions, Tally,
+    simulate, simulate_with_trace, AccessKind, MachineConfig, MemStats, MemTrace, SimError,
+    SimOptions, Tallies,
 };
 use spmlab_workloads::{gen, inputs, Benchmark, InputGen, Reference, ADPCM, G721, MULTISORT};
 
@@ -194,28 +198,24 @@ proptest! {
     }
 
     /// The pricing differential: on random write-through and write-back
-    /// machines without a store buffer, one latency-0 tally priced at a
-    /// random set of main-memory latencies equals both `replay` and a
-    /// fresh simulation at each latency, on cycles and every counter —
-    /// and the run-indexed tally equals the per-event one.
+    /// machines without a store buffer, one pricing memo priced at a
+    /// random set of main-memory latencies, which shares one latency-0
+    /// tally, equals both `replay` and a fresh simulation at each latency,
+    /// on cycles and every counter — and the run-indexed trace's memo
+    /// prices as the per-event one.
     #[test]
     fn priced_latencies_match_replay_and_simulation(
         h in arb_unbuffered_hierarchy(),
         latencies in prop::collection::vec(0u64..64, 1..4)
     ) {
         let rec = recorded();
-        prop_assert!(rec.trace.priceable(&h), "{} must be priceable", h.label());
-        let tally = rec.trace.tally(&h).unwrap();
-        let indexed = rec.indexed.tally(&h).unwrap();
-        prop_assert_eq!(
-            tally_parts(&indexed, &h.main),
-            tally_parts(&tally, &h.main),
-            "indexed tally on {}", h.label()
-        );
+        let mut plain = Tallies::default();
+        let mut indexed = Tallies::default();
         for latency in latencies {
             let at = h.clone().with_main(MainMemoryTiming { latency, ..h.main });
-            let priced = tally.price(&at.main).unwrap();
-            prop_assert_eq!(&priced, &indexed.price(&at.main).unwrap(), "indexed on {}", at.label());
+            let priced = rec.trace.price(&at, &mut plain).unwrap();
+            let priced_indexed = rec.indexed.price(&at, &mut indexed).unwrap();
+            prop_assert_eq!(&priced, &priced_indexed, "indexed on {}", at.label());
             prop_assert_eq!(&priced, &rec.trace.replay(&at).unwrap(), "replay on {}", at.label());
             let fresh = simulate(
                 &rec.exe,
@@ -230,23 +230,39 @@ proptest! {
 
     /// Store-buffered machines are never priced from a tally: the drain
     /// timing moves with the latency, so they keep the ordered engine.
+    /// Priced through a memo that already holds their unbuffered twin's
+    /// tally, at two latencies, each equals a fresh simulation.
     #[test]
-    fn store_buffered_machines_are_not_priceable(h in arb_hierarchy(), depth in 1u32..5, drain in 1u64..10) {
+    fn store_buffered_machines_are_not_priceable(
+        h in arb_hierarchy(),
+        depth in 1u32..5,
+        drain in 1u64..10,
+        latency in 0u64..64
+    ) {
         let rec = recorded();
-        let buffered = h
-            .clone()
-            .with_main(h.main.with_store_buffer(StoreBuffer::new(depth, drain)));
-        prop_assert!(!rec.trace.priceable(&buffered), "{}", buffered.label());
-        prop_assert!(rec.trace.tally(&buffered).is_err(), "{}", buffered.label());
+        let unbuffered = MainMemoryTiming { store_buffer: None, ..h.main };
+        let mut tallies = Tallies::default();
+        rec.trace.price(&h.clone().with_main(unbuffered), &mut tallies).unwrap();
+        let buffered = unbuffered.with_store_buffer(StoreBuffer::new(depth, drain));
+        for main in [buffered, MainMemoryTiming { latency, ..buffered }] {
+            let at = h.clone().with_main(main);
+            let priced = rec.trace.price(&at, &mut tallies).unwrap();
+            let fresh = simulate(
+                &rec.exe,
+                &MachineConfig::with_hierarchy(at.clone()),
+                &SimOptions::default(),
+            )
+            .unwrap();
+            prop_assert_eq!(priced, (fresh.cycles, fresh.mem_stats), "{}", at.label());
+        }
     }
 
     /// The staged differential: one random first level — write-through
     /// or write-back, unified, scoped or split — in front of two or three
-    /// random L2s or none, tallied in turn with one shared set of
-    /// first-level stages, equals the walk of every event through the
-    /// whole `HierarchyCaches` of each machine, on transactions, cycles
-    /// and every counter, at random latencies; the plain and the
-    /// run-indexed recording alike. Some L2s are as small as an L1, so
+    /// random L2s or none, priced in turn through one memo, equals the
+    /// walk of every event through the whole `HierarchyCaches` of each
+    /// machine, on transactions, cycles and every counter, at random
+    /// latencies; the plain and the run-indexed recording alike. Some L2s are as small as an L1, so
     /// that an L1's fill and its dirty victim often meet in one L2 set,
     /// where their order matters.
     #[test]
@@ -265,17 +281,17 @@ proptest! {
     ) {
         let rec = recorded();
         let main = MainMemoryTiming { store_buffer: None, ..main };
-        let mut plain = FirstLevels::default();
-        let mut indexed = FirstLevels::default();
+        let mut plain = Tallies::default();
+        let mut indexed = Tallies::default();
         for l2 in l2s {
-            let h = MemHierarchyConfig { l1: l1.clone(), l2, main };
-            let staged = rec.trace.tally_sharing(&h, &mut plain).unwrap();
-            let staged_indexed = rec.indexed.tally_sharing(&h, &mut indexed).unwrap();
             for &latency in &latencies {
-                let at = MainMemoryTiming { latency, ..main };
-                let direct = per_event_walk(&rec.trace, &h, &at);
-                prop_assert_eq!(&tally_parts(&staged, &at), &direct, "{}", h.label());
-                prop_assert_eq!(&tally_parts(&staged_indexed, &at), &direct, "indexed {}", h.label());
+                let main = MainMemoryTiming { latency, ..main };
+                let h = MemHierarchyConfig { l1: l1.clone(), l2: l2.clone(), main };
+                let direct = per_event_walk(&rec.trace, &h, &main);
+                let staged = priced_parts(&rec.trace, &mut plain, &h);
+                prop_assert_eq!(&staged, &direct, "{}", h.label());
+                let staged = priced_parts(&rec.indexed, &mut indexed, &h);
+                prop_assert_eq!(&staged, &direct, "indexed {}", h.label());
             }
         }
     }
@@ -289,18 +305,13 @@ proptest! {
         let rec = recorded();
         let decoded = MemTrace::from_bytes(&rec.trace.to_bytes()).unwrap();
         prop_assert_eq!(decoded.replay(&h).unwrap(), rec.trace.replay(&h).unwrap());
-        // The tally builds the index (when `h` can use one) first.
-        let indexed = rec.indexed.tally(&h);
+        // Pricing builds the index (when `h` can use one) first.
+        let indexed = rec.indexed.replay(&h);
         prop_assert_eq!(&rec.indexed, &rec.trace);
         let bytes = rec.indexed.to_bytes();
         prop_assert_eq!(&bytes, &rec.trace.to_bytes());
-        if let Ok(indexed) = indexed {
-            let reindexed = MemTrace::from_bytes(&bytes).unwrap().with_run_index();
-            prop_assert_eq!(
-                tally_parts(&reindexed.tally(&h).unwrap(), &h.main),
-                tally_parts(&indexed, &h.main)
-            );
-        }
+        let reindexed = MemTrace::from_bytes(&bytes).unwrap().with_run_index();
+        prop_assert_eq!(reindexed.replay(&h), indexed);
     }
 }
 
@@ -383,11 +394,21 @@ fn per_event_walk(
     (transactions, cycles + main.latency * transactions, stats)
 }
 
-/// What a tally determines: main-memory transactions, and the cycles and
-/// statistics it prices at `main`.
-fn tally_parts(tally: &Tally, main: &MainMemoryTiming) -> (u64, u64, MemStats) {
-    let (cycles, stats) = tally.price(main).unwrap();
-    (tally.transactions(), cycles, stats)
+/// What pricing `h` through `tallies` determines: the main-memory
+/// transactions, read as the slope of the cycles between `h`'s latency
+/// and one cycle more, and the cycles and statistics at `h`.
+fn priced_parts(
+    trace: &MemTrace,
+    tallies: &mut Tallies,
+    h: &MemHierarchyConfig,
+) -> (u64, u64, MemStats) {
+    let (cycles, stats) = trace.price(h, tallies).unwrap();
+    let later = MainMemoryTiming {
+        latency: h.main.latency + 1,
+        ..h.main
+    };
+    let (slope, _) = trace.price(&h.clone().with_main(later), tallies).unwrap();
+    (slope - cycles, cycles, stats)
 }
 
 /// The cache geometries the `dse-wt` benchmark grid tallies: no L1, or a
@@ -455,17 +476,10 @@ fn run_indexed_tallies_match_per_event_tallies_on_kernels() {
         for h in &geometries {
             let sink = Arc::new(MemorySink::default());
             let guard = spmlab_obs::add_sink(sink.clone());
-            let fast = indexed.tally(h).unwrap();
+            let parts = priced_parts(&indexed, &mut Tallies::default(), h);
             drop(guard);
-            let slow = plain.tally(h).unwrap();
-            let parts = tally_parts(&fast, &h.main);
-            assert_eq!(
-                parts,
-                tally_parts(&slow, &h.main),
-                "{}: {}",
-                b.name,
-                h.label()
-            );
+            let slow = priced_parts(&plain, &mut Tallies::default(), h);
+            assert_eq!(parts, slow, "{}: {}", b.name, h.label());
             if h.l1 != L1::None || h.l2.is_some() {
                 assert!(
                     sink.counter_total("replay_elided") > 0,
@@ -506,15 +520,16 @@ fn arb_unbuffered_hierarchy() -> impl Strategy<Value = MemHierarchyConfig> {
 }
 
 /// A priced point over the recording's watchdog limit fails with
-/// `Watchdog` on its own: the same tally still prices the latencies
-/// under the limit, before and after it.
+/// `Watchdog` on its own: the same memo still prices the latencies under
+/// the limit, before and after it.
 #[test]
 fn priced_watchdog_fails_only_its_own_point() {
     let rec = recorded();
-    let h = MemHierarchyConfig::l1_only(CacheConfig::unified(128));
-    let tally = rec.trace.tally(&h).unwrap();
-    let (cycles0, _) = tally.price(&h.main).unwrap();
-    let tx = tally.transactions();
+    let h = |latency| {
+        MemHierarchyConfig::l1_only(CacheConfig::unified(128))
+            .with_main(MainMemoryTiming::dram(latency))
+    };
+    let (tx, cycles0, _) = priced_parts(&rec.trace, &mut Tallies::default(), &h(0));
     assert!(tx > 0, "the kernel misses the 128-byte L1");
     // Re-record under a limit that latency `k` meets exactly and the
     // (uncached) recording run itself stays below.
@@ -526,35 +541,140 @@ fn priced_watchdog_fails_only_its_own_point() {
         ..SimOptions::default()
     };
     let (_, limited) = simulate_with_trace(&rec.exe, &options).unwrap();
-    let tally = limited.tally(&h).unwrap();
-    let at = MainMemoryTiming::dram;
-    assert_eq!(tally.price(&at(k)).unwrap().0, limit);
+    let mut tallies = Tallies::default();
+    assert_eq!(limited.price(&h(k), &mut tallies).unwrap().0, limit);
+    let over = Err(SimError::Watchdog { cycles: limit + tx });
+    assert_eq!(limited.price(&h(k + 1), &mut tallies), over);
+    assert_eq!(limited.replay(&h(k + 1)), over, "replay is price");
     assert_eq!(
-        tally.price(&at(k + 1)),
-        Err(SimError::Watchdog { cycles: limit + tx })
+        limited.price(&h(3), &mut tallies).unwrap().0,
+        cycles0 + 3 * tx
     );
-    assert_eq!(
-        limited.replay(&h.clone().with_main(at(k + 1))),
-        tally.price(&at(k + 1)),
-        "replay is tally, then price"
-    );
-    assert_eq!(tally.price(&at(3)).unwrap().0, cycles0 + 3 * tx);
 }
 
 /// Traces with cycle-register reads are never priced from a tally: the
-/// recorded values move with the latency.
+/// recorded values move with the latency, so every machine takes the
+/// ordered engine, which checks them. Through one memo, the recording
+/// machine prices to the recorded cycles, and a slower latency twin of
+/// each machine diverges where a tally would have priced it.
 #[test]
 fn timing_dependent_traces_are_not_priceable() {
     let exe = cycle_reader::cycle_reader();
-    let (_, mmio) = simulate_with_trace(&exe, &SimOptions::default()).unwrap();
+    let (recorded, mmio) = simulate_with_trace(&exe, &SimOptions::default()).unwrap();
     assert!(mmio.cycle_reads() > 0);
+    let mut tallies = Tallies::default();
+    let uncached = MemHierarchyConfig::uncached();
+    let (cycles, _) = mmio.price(&uncached, &mut tallies).unwrap();
+    assert_eq!(cycles, recorded.cycles);
     for h in [
-        MemHierarchyConfig::uncached(),
+        uncached,
         MemHierarchyConfig::l1_only(CacheConfig::unified(256)),
         MemHierarchyConfig::split_l1(128, 128).with_l2(CacheConfig::l2(1024).write_back()),
     ] {
-        assert!(!mmio.priceable(&h), "{}", h.label());
-        assert!(mmio.tally(&h).is_err(), "{}", h.label());
+        let slow = h.with_main(MainMemoryTiming::dram(10));
+        assert!(
+            matches!(
+                mmio.price(&slow, &mut tallies),
+                Err(SimError::ReplayDivergence { .. })
+            ),
+            "{}",
+            slow.label()
+        );
+    }
+}
+
+/// Totals this thread's counters and span opens by name: the events of
+/// tests running beside it come from their own threads.
+struct ThreadTotals {
+    thread: ThreadId,
+    totals: Mutex<BTreeMap<&'static str, u64>>,
+}
+
+impl ThreadTotals {
+    /// A sink totalling the calling thread's events.
+    fn new() -> Arc<ThreadTotals> {
+        Arc::new(ThreadTotals {
+            thread: std::thread::current().id(),
+            totals: Mutex::default(),
+        })
+    }
+
+    fn add(&self, name: &'static str, delta: u64) {
+        if std::thread::current().id() == self.thread {
+            *self.totals.lock().unwrap().entry(name).or_insert(0) += delta;
+        }
+    }
+
+    fn total(&self, name: &str) -> u64 {
+        self.totals.lock().unwrap().get(name).copied().unwrap_or(0)
+    }
+}
+
+impl Sink for ThreadTotals {
+    fn span_open(&self, span: &SpanMeta) {
+        self.add(span.name, 1);
+    }
+    fn span_close(&self, _: &SpanMeta, _: u64) {}
+    fn counter(&self, name: &'static str, delta: u64, _: u64, _: u64) {
+        self.add(name, delta);
+    }
+    fn progress(&self, _: u64, _: u64, _: &str, _: u64, _: u64) {}
+}
+
+/// The sharing rule has one owner: one pricing memo, over a unified and a
+/// split L1, each in front of no L2 and two L2 sizes, at three
+/// main-memory latencies. Machines that differ only in the latency share
+/// one tally, one `replay` span per geometry, and the L2s behind one L1
+/// share one walk of it, the `replay_events` of one first-level walk per
+/// L1. Every price equals a fresh simulation.
+#[test]
+fn one_memo_shares_tallies_and_first_level_walks() {
+    let rec = recorded();
+    let l1s = [
+        L1::Unified(CacheConfig::unified(256)),
+        MemHierarchyConfig::split_l1(128, 128).l1,
+    ];
+    let l2s = [
+        None,
+        Some(CacheConfig::l2(1024)),
+        Some(CacheConfig::l2(4096)),
+    ];
+    let machines: Vec<MemHierarchyConfig> = l1s
+        .iter()
+        .flat_map(|l1| l2s.iter().map(move |l2| (l1, l2)))
+        .flat_map(|(l1, l2)| {
+            [0, 10, 40].map(|latency| MemHierarchyConfig {
+                l1: l1.clone(),
+                l2: l2.clone(),
+                main: MainMemoryTiming::dram(latency),
+            })
+        })
+        .collect();
+    let _x = spmlab_obs::exclusive();
+    let sink = ThreadTotals::new();
+    let guard = spmlab_obs::add_sink(sink.clone());
+    let mut tallies = Tallies::default();
+    let priced: Vec<(u64, MemStats)> = machines
+        .iter()
+        .map(|h| rec.trace.price(h, &mut tallies).unwrap())
+        .collect();
+    drop(guard);
+    assert_eq!(sink.total("replay"), 6, "one tally per geometry");
+    assert_eq!(sink.total("replay_elided"), 0, "no run index");
+    assert_eq!(
+        sink.total("replay_events"),
+        2 * rec.trace.events() as u64,
+        "one first-level walk per L1"
+    );
+    assert!(sink.total("replay_l2_events") > 0);
+    for (h, priced) in machines.iter().zip(priced) {
+        let fresh = simulate(
+            &rec.exe,
+            &MachineConfig::with_hierarchy(h.clone()),
+            &SimOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(priced, (fresh.cycles, fresh.mem_stats), "{}", h.label());
     }
 }
 

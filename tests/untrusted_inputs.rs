@@ -458,3 +458,26 @@ fn trace_version_mismatch_is_typed() {
     // still decodes.
     assert!(MemTrace::from_bytes(sample_trace_bytes()).is_ok());
 }
+
+/// A decoded header agrees with its events: flipping any byte of the
+/// cycle-register read count, the read counts by width or the write
+/// counts by width of a valid stream is [`TraceError::Corrupt`], so no
+/// walk past the decoder meets a stream whose header contradicts it.
+#[test]
+fn trace_header_counts_must_match_the_events() {
+    let base = sample_trace_bytes();
+    // Magic and version, then header words 3 (cycle-register reads),
+    // 4..7 (reads by width) and 7..10 (writes by width).
+    let counts = 9 + 8 * 3..9 + 8 * 10;
+    for idx in counts {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut bytes = base.to_vec();
+            bytes[idx] ^= mask;
+            assert!(
+                matches!(MemTrace::from_bytes(&bytes), Err(TraceError::Corrupt(_))),
+                "byte {idx} ^ {mask:#04x}"
+            );
+        }
+    }
+    assert!(MemTrace::from_bytes(base).is_ok());
+}
